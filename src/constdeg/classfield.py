@@ -418,9 +418,12 @@ def _cheap_residue_pass(ctx, conds, n: int) -> bool:
     return True
 
 
+DEFAULT_CAP = 10_000_000  # progression entries per conductor search
+
+
 @dataclass
 class SearchCursor:
-    cap: int = 10_000_000
+    cap: int = DEFAULT_CAP
     skip: frozenset = frozenset()  # ineligible primes (prior conductors)
 
 
@@ -486,25 +489,62 @@ def search_prime(ctx, conditions, cursor: SearchCursor) -> PrimeIdeal:
 # ------------------------------------------------------- local degrees
 
 
-def local_degree(ctx, l0, deficiencies, pieces, w: PrimeIdeal) -> int:
+def local_degree(ctx, l0, deficiencies, pieces, w: PrimeIdeal):
     """Local degree at the finite prime w of the compositum of the seed
     and the ray pieces: the ramification factor of the one component
     ramified at w times the lcm of the unramified Frobenius orders.
 
     deficiencies maps primes above l to their deficiency exponent a.
+    Returns (parts, ramified, degree): the local degree of each component
+    at w (seed first, then the pieces), the index of the ramified one
+    (0 = seed, i >= 1 = piece i, None = unramified), and their combination.
+    Raises InternalInconsistency if w is ramified in two components.
     """
-    ram = 1
-    orders = [1]
     if w.p == ctx.ell:
-        ram = ctx.ell ** (ctx.r - deficiencies.get(w, 0))
+        parts = [ctx.ell ** (ctx.r - deficiencies.get(w, 0))]
+        ram = 0
     else:
-        orders.append(frobenius_order_in_L0(l0, w, ctx.field))
-    for piece in pieces:
-        if piece.conductor == w:
-            ram = piece.degree
+        parts = [frobenius_order_in_L0(l0, w, ctx.field)]
+        ram = None
+    for i, pc in enumerate(pieces, start=1):
+        if pc.conductor == w:
+            if ram is not None:
+                raise InternalInconsistency(
+                    f"({w.p},{w.b}) is ramified in more than one component"
+                )
+            ram = i
+            parts.append(pc.degree)
         else:
-            orders.append(frobenius_order_in_ray_piece(ctx, piece, w))
-    return ram * lcm(*orders)
+            parts.append(frobenius_order_in_ray_piece(ctx, pc, w))
+    if ram is None:
+        return tuple(parts), None, lcm(*parts)
+    return tuple(parts), ram, parts[ram] * lcm(*parts[:ram], *parts[ram + 1 :])
+
+
+def real_place_degree(field, n: int):
+    """Certified local degree at the real place for exponent n: 2 for even
+    n over the rationals, where the seed character is odd; None otherwise."""
+    return 2 if n % 2 == 0 and field.kind == "rational" else None
+
+
+def context_record(ctx, l0, rows) -> dict:
+    """The certificate entries fixed by the context and the seed, in
+    document order; rows is l0_local_degrees_above_ell(ctx, l0)."""
+    return {
+        "t": ctx.t,
+        "class_data": [
+            {"gen_ideal": [g.p, g.b], "order": ctx.ell**m, "alpha": list(alpha)}
+            for g, m, alpha in zip(ctx.cl.gens, ctx.cl.exps, ctx.cl.alphas)
+        ],
+        "unit_gens": [list(u) for u in ctx.units],
+        "l0": {
+            "modulus": l0.modulus,
+            "character": {"order": l0.degree, "sign": l0.sign},
+        },
+        "deficiencies": [
+            {"prime": [P.p, P.b], "deficiency": a} for P, _, a in rows if a
+        ],
+    }
 
 
 def enumerate_field_primes(field, bound: int):

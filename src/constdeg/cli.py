@@ -10,10 +10,9 @@ Exit codes: 0 success or pass, 1 usage error, 2 verification failure,
 
 import argparse
 import sys
-from dataclasses import dataclass
 
 from .arith import SearchExhausted, factor
-from .classfield import InternalInconsistency
+from .classfield import DEFAULT_CAP, InternalInconsistency
 from .constructor import Config, compose_for_n, construct, write_certificate
 from .quadfield import RATIONAL, enumerate_class_group, quadratic_field
 from .verifier import (
@@ -35,19 +34,6 @@ class UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
-
-
-@dataclass(frozen=True)
-class CliConfig:
-    subcommand: str
-    field_spec: str
-    n: int
-    bound: int
-    out: "str | None"
-    cap: int
-    seed: int
-    greedy_skip: bool
-    verbosity: int
 
 
 def _bool_flag(s: str) -> bool:
@@ -168,32 +154,21 @@ def _print_report(report, verbosity: int = 0):
 
 
 def _cmd_construct(args) -> int:
-    cfg = CliConfig(
-        "construct",
-        args.field,
-        args.n,
-        args.bound,
-        args.out,
-        args.cap,
-        args.seed,
-        args.greedy_skip,
-        args.verbose,
-    )
-    if cfg.n < 2:
+    if args.n < 2:
         raise UsageError("--n must be at least 2")
-    if cfg.bound < 2:
+    if args.bound < 2:
         raise UsageError("--bound must be at least 2")
-    field = _parse_field(cfg.field_spec)
-    build = Config(cap=cfg.cap, greedy_skip=cfg.greedy_skip, seed=cfg.seed)
-    powers = factor(cfg.n)
+    field = _parse_field(args.field)
+    build = Config(cap=args.cap, greedy_skip=args.greedy_skip)
+    powers = factor(args.n)
     if len(powers) == 1:
         ((ell, r),) = powers
-        cert = construct(field, ell, r, cfg.bound, build)
+        cert = construct(field, ell, r, args.bound, build)
     else:
-        cert = compose_for_n(field, cfg.n, cfg.bound, build)
+        cert = compose_for_n(field, args.n, args.bound, build)
     _print_summary(cert)
-    write_certificate(cert, cfg.out)
-    print(f"wrote {cfg.out}")
+    write_certificate(cert, args.out)
+    print(f"wrote {args.out}")
     return 0
 
 
@@ -251,7 +226,7 @@ def _build_parser() -> _Parser:
     )
     p.add_argument("--n", type=int, required=True, help="exponent, composite allowed")
     p.add_argument("--bound", type=int, required=True, help="cover primes of norm up to this")
-    p.add_argument("--cap", type=int, default=10_000_000, help="entries per conductor search")
+    p.add_argument("--cap", type=int, default=DEFAULT_CAP, help="entries per conductor search")
     p.add_argument(
         "--greedy-skip",
         type=_bool_flag,
@@ -259,7 +234,6 @@ def _build_parser() -> _Parser:
         metavar="true|false",
         help="skip targets already at full degree (default true)",
     )
-    p.add_argument("--seed", type=int, default=0, help="recorded in the certificate config")
     p.add_argument("--out", required=True, help="output path")
     p.set_defaults(handler=_cmd_construct)
 

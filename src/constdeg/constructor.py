@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 from .arith import factor
 from .classfield import (
+    DEFAULT_CAP,
     FrobeniusOrderExactly,
     InS,
     InternalInconsistency,
@@ -27,31 +28,27 @@ from .classfield import (
     SplitsCompletelyIn,
     build_L0_rational,
     build_context,
+    context_record,
     enumerate_field_primes,
     kummer_generator,
     l0_local_degrees_above_ell,
     local_degree,
     make_ray_piece,
+    real_place_degree,
     search_prime,
 )
 
 
 @dataclass(frozen=True)
 class Config:
-    enumeration: str = "norm_asc"
-    cap: int = 10_000_000  # progression entries per conductor search
+    cap: int = DEFAULT_CAP  # progression entries per conductor search
     greedy_skip: bool = True  # skip targets already at full degree
-    seed: int = 0  # recorded for reproducibility; the search is deterministic
 
 
 def _field_json(field):
     if field.kind == "rational":
         return {"kind": "rational"}
     return {"kind": "imag_quadratic", "disc": field.disc}
-
-
-def _prime_json(P):
-    return [P.p, P.b]
 
 
 def construct(field, ell: int, r: int, bound: int, config: Config = None) -> dict:
@@ -61,8 +58,6 @@ def construct(field, ell: int, r: int, bound: int, config: Config = None) -> dic
     InternalInconsistency if the finished table has a wrong entry.
     """
     cfg = config or Config()
-    if cfg.enumeration != "norm_asc":
-        raise ValueError(f"unknown enumeration order {cfg.enumeration!r}")
     if bound < 2:
         raise ValueError("bound must be at least 2")
     ctx = build_context(field, ell, r)
@@ -96,7 +91,7 @@ def construct(field, ell: int, r: int, bound: int, config: Config = None) -> dic
             continue  # covered by the seed (plus the dedicated piece)
         if any(pc.conductor == w for pc in pieces):
             continue  # a conductor is totally ramified in its own piece
-        if cfg.greedy_skip and local_degree(ctx, l0, deficiencies, pieces, w) == full:
+        if cfg.greedy_skip and local_degree(ctx, l0, deficiencies, pieces, w)[2] == full:
             continue
         conds = [InS(), SplitsCompletelyIn(l0)]
         conds += [SplitsCompletelyIn(pc) for pc in pieces]
@@ -108,55 +103,29 @@ def construct(field, ell: int, r: int, bound: int, config: Config = None) -> dic
 
     table = []
     for w in targets:
-        deg = local_degree(ctx, l0, deficiencies, pieces, w)
+        _, ramified, deg = local_degree(ctx, l0, deficiencies, pieces, w)
         if deg != full:
             raise InternalInconsistency(
                 f"prime ({w.p},{w.b}) has local degree {deg}, wanted {full}"
             )
-        if w.p == ell:
-            ramified = 0
-        else:
-            ramified = None
-            for i, pc in enumerate(pieces):
-                if pc.conductor == w:
-                    ramified = i + 1
-                    break
         table.append(
-            {"prime": _prime_json(w), "degree": deg, "ramified_component": ramified}
+            {"prime": [w.p, w.b], "degree": deg, "ramified_component": ramified}
         )
 
-    rational = field.kind == "rational"
     return {
         "schema_version": 1,
         "field": _field_json(field),
         "ell": ell,
         "r": r,
-        "t": ctx.t,
-        "class_data": [
-            {"gen_ideal": [g.p, g.b], "order": ell**m, "alpha": list(alpha)}
-            for g, m, alpha in zip(ctx.cl.gens, ctx.cl.exps, ctx.cl.alphas)
-        ],
-        "unit_gens": [list(u) for u in ctx.units],
-        "l0": {
-            "modulus": l0.modulus,
-            "character": {"order": l0.degree, "sign": l0.sign},
-        },
-        "deficiencies": [
-            {"prime": _prime_json(P), "deficiency": a} for P, _, a in rows if a
-        ],
+        **context_record(ctx, l0, rows),
         "pieces": [
             {"p": pc.conductor.p, "b": pc.conductor.b, "norm": pc.conductor.norm}
             for pc in pieces
         ],
         "bound": bound,
         "table": table,
-        "real_place_degree": 2 if ell == 2 and rational else None,
-        "config": {
-            "enumeration": cfg.enumeration,
-            "cap": cfg.cap,
-            "greedy_skip": cfg.greedy_skip,
-            "seed": cfg.seed,
-        },
+        "real_place_degree": real_place_degree(field, full),
+        "config": {"cap": cfg.cap, "greedy_skip": cfg.greedy_skip},
     }
 
 
@@ -179,7 +148,6 @@ def compose_for_n(field, n: int, bound: int, config: Config = None) -> dict:
                 f"combined degree {degree} at prime {row['prime']}, wanted {n}"
             )
         table.append({"prime": row["prime"], "degree": degree})
-    rational = field.kind == "rational"
     return {
         "schema_version": 1,
         "composite": {
@@ -188,7 +156,7 @@ def compose_for_n(field, n: int, bound: int, config: Config = None) -> dict:
             "bound": bound,
             "components": components,
             "table": table,
-            "real_place_degree": 2 if n % 2 == 0 and rational else None,
+            "real_place_degree": real_place_degree(field, n),
         },
     }
 

@@ -2,9 +2,10 @@
 
 verify() trusts nothing but the parsed document: it rebuilds the class
 group data, the seed piece, and the ray pieces from the recorded
-conductors, recomputes every local degree from scratch, and compares
-with the claimed table.  Any disagreement raises MismatchFound carrying
-the offending place and both values.
+conductors, recomputes every local degree with the rule the constructor
+uses (classfield.local_degree), and compares with the claimed table.
+Any disagreement raises MismatchFound carrying the offending place and
+both values.
 
 The n = 2 consequence is concrete: a quaternion algebra (a, b) over Q is
 split by any field whose local degree is 2 at every place where the
@@ -14,18 +15,19 @@ algebra ramifies, and those places are computed with Hilbert symbols.
 import json
 import time
 from dataclasses import dataclass, field as dc_field
-from math import lcm
+from functools import lru_cache
 
 from .arith import factor, is_prime, legendre
 from .classfield import (
     InternalInconsistency,
     build_L0_rational,
     build_context,
+    context_record,
     enumerate_field_primes,
-    frobenius_order_in_L0,
-    frobenius_order_in_ray_piece,
     l0_local_degrees_above_ell,
+    local_degree,
     make_ray_piece,
+    real_place_degree,
 )
 from .quadfield import RATIONAL, factor_rational_prime, quadratic_field
 
@@ -244,7 +246,10 @@ def _field_of(fj):
 
 
 def _lookup_prime(field, p, b):
-    _need(isinstance(p, int) and p >= 2 and is_prime(p), f"{p} is not prime")
+    _need(
+        isinstance(p, int) and 2 <= p < 1 << 64 and is_prime(p),
+        f"{p} is not a prime below 2**64",
+    )
     for cand in factor_rational_prime(field, p):
         if cand.b == b:
             return cand
@@ -264,27 +269,9 @@ def _rebuild(cert):
     except ValueError as exc:
         raise MalformedCertificate(str(exc)) from None
     l0 = build_L0_rational(ctx.ell, ctx.r)
-    _match("t", cert["t"], ctx.t)
-    _match(
-        "class_data",
-        cert["class_data"],
-        [
-            {"gen_ideal": [g.p, g.b], "order": ctx.ell**m, "alpha": list(alpha)}
-            for g, m, alpha in zip(ctx.cl.gens, ctx.cl.exps, ctx.cl.alphas)
-        ],
-    )
-    _match("unit_gens", cert["unit_gens"], [list(u) for u in ctx.units])
-    _match(
-        "l0",
-        cert["l0"],
-        {"modulus": l0.modulus, "character": {"order": l0.degree, "sign": l0.sign}},
-    )
     rows = l0_local_degrees_above_ell(ctx, l0)
-    _match(
-        "deficiencies",
-        cert["deficiencies"],
-        [{"prime": [P.p, P.b], "deficiency": a} for P, _, a in rows if a],
-    )
+    for key, value in context_record(ctx, l0, rows).items():
+        _match(key, cert[key], value)
     deficiencies = {P: a for P, _, a in rows}
     pieces = []
     seen = set()
@@ -306,32 +293,6 @@ def _rebuild(cert):
 
 
 # ------------------------------------------------------- recomputation
-
-
-def _local_parts(ctx, l0, deficiencies, pieces, w):
-    """Per-component local degrees at w, the ramified component's index
-    (0 = seed, i >= 1 = piece i, None = unramified), and their combined
-    degree: the ramification factor times the lcm of the rest."""
-    if w.p == ctx.ell:
-        parts = [ctx.ell ** (ctx.r - deficiencies.get(w, 0))]
-        ram = 0
-    else:
-        parts = [frobenius_order_in_L0(l0, w, ctx.field)]
-        ram = None
-    for i, pc in enumerate(pieces):
-        if pc.conductor == w:
-            if ram is not None:
-                raise InternalInconsistency(
-                    f"({w.p},{w.b}) is ramified in more than one component"
-                )
-            ram = i + 1
-            parts.append(pc.degree)
-        else:
-            parts.append(frobenius_order_in_ray_piece(ctx, pc, w))
-    total = lcm(*(d for j, d in enumerate(parts) if j != ram))
-    if ram is not None:
-        total *= parts[ram]
-    return tuple(parts), ram, total
 
 
 def _effective_bound(cert_bound, requested):
@@ -360,7 +321,7 @@ def _verify_plain(cert, bound):
     for w in enumerate_field_primes(ctx.field, bound):
         row = by_prime.get((w.p, w.b))
         _need(row is not None, f"table has no row for prime ({w.p},{w.b})")
-        parts, ram, total = _local_parts(ctx, l0, deficiencies, pieces, w)
+        parts, ram, total = local_degree(ctx, l0, deficiencies, pieces, w)
         if row["degree"] != total:
             raise MismatchFound(f"prime ({w.p},{w.b})", row["degree"], total)
         if row["ramified_component"] != ram:
@@ -368,7 +329,7 @@ def _verify_plain(cert, bound):
                 f"ramified component at ({w.p},{w.b})", row["ramified_component"], ram
             )
         records.append(PrimeRecord((w.p, w.b), parts, total, row["degree"], True))
-    expected_real = 2 if ctx.ell == 2 and ctx.field.kind == "rational" else None
+    expected_real = real_place_degree(ctx.field, l0.degree)
     if expected_real == 2:
         # the seed character must be odd, or the real place degenerates
         sign = cert["l0"]["character"]["sign"]
@@ -409,7 +370,7 @@ def _verify_composite(comp, bound):
         if row["degree"] != total:
             raise MismatchFound(f"prime ({w.p},{w.b})", row["degree"], total)
         records.append(PrimeRecord((w.p, w.b), parts, total, row["degree"], True))
-    expected_real = 2 if comp["n"] % 2 == 0 and field.kind == "rational" else None
+    expected_real = real_place_degree(field, comp["n"])
     if comp["real_place_degree"] != expected_real:
         raise MismatchFound("real place", comp["real_place_degree"], expected_real)
     real = RealPlaceRecord(comp["real_place_degree"], expected_real, True)
@@ -474,7 +435,14 @@ def _support(a, b):
     return sorted(ps)
 
 
-_reciprocity_checked = set()
+@lru_cache(maxsize=4096)
+def _assert_reciprocity(a, b):
+    # the product of the local symbols over all places must be 1
+    prod = _symbol(a, b, REAL_PLACE)
+    for p in _support(a, b):
+        prod *= _symbol(a, b, p)
+    if prod != 1:
+        raise InternalInconsistency(f"hilbert reciprocity fails for ({a},{b})")
 
 
 def hilbert_symbol(a: int, b: int, place):
@@ -482,20 +450,15 @@ def hilbert_symbol(a: int, b: int, place):
     has a nontrivial local solution there.  place is a rational prime or
     the string "inf" for the real place.
 
-    The product formula over all places is asserted once per queried
-    pair; a failure would mean the symbol itself is broken.
+    The product formula over all places is asserted for every queried
+    pair (memoized for the 4096 most recent pairs); a failure would mean
+    the symbol itself is broken.
     """
     if a == 0 or b == 0:
         raise ValueError("hilbert symbol needs nonzero arguments")
     if place != REAL_PLACE and not (isinstance(place, int) and is_prime(place)):
         raise ValueError(f"place must be a prime or {REAL_PLACE!r}")
-    if (a, b) not in _reciprocity_checked:
-        prod = _symbol(a, b, REAL_PLACE)
-        for p in _support(a, b):
-            prod *= _symbol(a, b, p)
-        if prod != 1:
-            raise InternalInconsistency(f"hilbert reciprocity fails for ({a},{b})")
-        _reciprocity_checked.add((a, b))
+    _assert_reciprocity(a, b)
     return _symbol(a, b, place)
 
 

@@ -14,6 +14,7 @@ from constdeg.arith import (
 from constdeg.classfield import (
     FrobeniusOrderExactly,
     InS,
+    InternalInconsistency,
     KummerSplitExactLevel,
     SearchCursor,
     SplitsCompletelyIn,
@@ -792,7 +793,7 @@ def test_local_degree_rational_ell2_scenario():
     defs = {P: a for P, _, a in l0_local_degrees_above_ell(CTX2, l0)}
     piece = make_ray_piece(CTX2, rp(17))
     got = {
-        w.p: local_degree(CTX2, l0, defs, [piece], w)
+        w.p: local_degree(CTX2, l0, defs, [piece], w)[2]
         for w in enumerate_field_primes(RATIONAL, 17)
     }
     assert got == {2: 2, 3: 2, 5: 2, 7: 2, 11: 2, 13: 2, 17: 2}
@@ -804,14 +805,14 @@ def test_local_degree_conductor_is_ramified():
     # 19 = 1 mod 9 splits in the seed, so the piece of conductor 19 has
     # local degree exactly 3 there: ramification alone
     piece19 = make_ray_piece(CTX3, rp(19))
-    assert local_degree(CTX3, l0, defs, [piece19], rp(19)) == 3
+    assert local_degree(CTX3, l0, defs, [piece19], rp(19))[2] == 3
     # a conductor that moves in the seed overshoots at itself, which is
     # why conductor searches insist on seed splitting
     piece7 = make_ray_piece(CTX3, rp(7))
-    assert local_degree(CTX3, l0, defs, [piece7], rp(7)) == 9
+    assert local_degree(CTX3, l0, defs, [piece7], rp(7))[2] == 9
     # 71 = 8 mod 9 and 71 = 1 mod 7 is covered by neither component
-    assert local_degree(CTX3, l0, defs, [piece7], rp(71)) == 1
-    assert local_degree(CTX3, l0, defs, [piece7], rp(19)) == 3
+    assert local_degree(CTX3, l0, defs, [piece7], rp(71))[2] == 1
+    assert local_degree(CTX3, l0, defs, [piece7], rp(19))[2] == 3
 
 
 def test_local_degree_deficient_needs_product():
@@ -832,7 +833,24 @@ def test_local_degree_deficient_needs_product():
     piece = make_ray_piece(ctx, eps)
     defs = {P: aa for P, _, aa in rows}
     assert frobenius_order_in_ray_piece(ctx, piece, lam) == 2
-    assert local_degree(ctx, l0, defs, [piece], lam) == 4
+    assert local_degree(ctx, l0, defs, [piece], lam)[2] == 4
+
+
+def test_local_degree_rejects_two_ramified_components():
+    # the rule multiplies in one ramification factor, so a prime ramified
+    # in two components is an inconsistency, not a degree
+    l0 = build_L0_rational(3, 1)
+    defs = {P: a for P, _, a in l0_local_degrees_above_ell(CTX3, l0)}
+    piece19 = make_ray_piece(CTX3, rp(19))
+    assert local_degree(CTX3, l0, defs, [piece19], rp(19))[1] == 1
+    assert local_degree(CTX3, l0, defs, [piece19], rp(3))[1] == 0
+    twin = make_ray_piece(CTX3, rp(19))
+    with pytest.raises(InternalInconsistency):
+        local_degree(CTX3, l0, defs, [piece19, twin], rp(19))
+    # a conductor above ell collides with the seed's ramification
+    above_ell = make_ray_piece(CTX3, rp(3), check=False)
+    with pytest.raises(InternalInconsistency):
+        local_degree(CTX3, l0, defs, [above_ell], rp(3))
 
 
 # ---------------------------------------------------------- enumeration

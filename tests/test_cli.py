@@ -46,6 +46,16 @@ def test_verify_tampered_certificate(tmp_path, capsys):
     assert "verification failure" in capsys.readouterr().err
 
 
+def test_verify_piece_prime_beyond_2_64(tmp_path, capsys):
+    path = construct(tmp_path, "c3.json", "--field", "q", "--n", "3", "--bound", "50")
+    cert = json.loads(path.read_text())
+    assert cert["pieces"]
+    cert["pieces"][0]["p"] = cert["pieces"][0]["norm"] = 2**64 + 13
+    path.write_text(json.dumps(cert))
+    assert run(["verify", str(path)]) == 2
+    assert "verification failure" in capsys.readouterr().err
+
+
 def test_verify_garbage_file(tmp_path, capsys):
     path = tmp_path / "junk.json"
     path.write_text("{not json")

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from constdeg import verifier
 from constdeg.arith import factor
 from constdeg.constructor import certificate_json, compose_for_n, construct
 from constdeg.quadfield import RATIONAL, quadratic_field
@@ -199,6 +200,23 @@ def test_piece_norm_inconsistent():
         verify(c)
 
 
+def test_piece_prime_beyond_primality_range():
+    # primality is only decided below 2**64; a larger conductor is a
+    # structural defect, not an error of the primality test
+    c = copy.deepcopy(CERT2)
+    c["pieces"][0]["p"] = c["pieces"][0]["norm"] = 2**64 + 13
+    with pytest.raises(MalformedCertificate):
+        verify(c)
+
+
+def test_verify_accepts_legacy_config_keys():
+    # schema 1 documents once recorded an enumeration order and a seed
+    # in config; verify reads neither, so such documents still verify
+    c = copy.deepcopy(CERT2)
+    c["config"].update(enumeration="norm_asc", seed=0)
+    assert verify(parse_certificate(json.dumps(c))).verdict is True
+
+
 # ------------------------------------------------------------- structure
 
 
@@ -354,6 +372,19 @@ def test_hilbert_reciprocity_random_pairs():
             prod *= hilbert_symbol(a, b, v)
         assert prod == 1
         pairs += 1
+
+
+def test_reciprocity_memo_is_bounded():
+    memo = verifier._assert_reciprocity
+    memo.cache_clear()
+    maxsize = memo.cache_info().maxsize
+    for a in range(1, 80):
+        for b in range(-40, 40):
+            if b:
+                hilbert_symbol(a, b, 2)
+                assert memo.cache_info().currsize <= maxsize
+    # more distinct pairs than the memo holds were queried
+    assert memo.cache_info().currsize == maxsize
 
 
 def test_ramified_places_examples():
