@@ -14,6 +14,7 @@ from functools import lru_cache
 # Jaeschke / Sorenson-Webster witness set, complete below 3.3 * 10^24,
 # comfortably covering the 64-bit input range we promise.
 MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+PRIME_LIMIT = 1 << 64  # is_prime answers for 2 <= m < PRIME_LIMIT
 
 _RHO_SEED = 0x5eed
 
@@ -24,7 +25,7 @@ class SearchExhausted(Exception):
 
 def is_prime(m: int) -> bool:
     """Deterministic Miller-Rabin for 2 <= m < 2**64."""
-    if m < 2 or m >= 1 << 64:
+    if m < 2 or m >= PRIME_LIMIT:
         raise ValueError(f"is_prime input out of range: {m}")
     for p in MR_WITNESSES:
         if m % p == 0:

@@ -20,12 +20,19 @@ Conventions:
     division by the rational norm inside the residue field;
   * only the (Q-1)/l^r power of the image is contractual; it does not
     depend on the choice of l-th roots made along the way.
+
+The conductor search always runs over S.  Its conditions become norm
+tests on each entry N(P) of the progression of norms, run before any
+primality test (over Q every condition, over K the seed), and prime
+tests on each candidate ideal after it.  It ends in SearchExhausted
+(CLI exit 3) at its cap of entries or at norm 2**64.
 """
 
 from dataclasses import dataclass, field as dc_field
 from math import gcd, isqrt, lcm
 
 from .arith import (
+    PRIME_LIMIT,
     SearchExhausted,
     ell_root,
     factor,
@@ -329,11 +336,6 @@ def kummer_split_test(ctx, P: PrimeIdeal, alpha, k: int) -> bool:
 
 
 @dataclass(frozen=True)
-class InS:
-    pass
-
-
-@dataclass(frozen=True)
 class SplitsCompletelyIn:
     piece: object  # CyclotomicPiece or RayPiece
 
@@ -353,69 +355,68 @@ class KummerSplitExactLevel:
     level: int
 
 
-def _condition_rank(cond):
-    if isinstance(cond, InS):
-        return 0
-    if isinstance(cond, SplitsCompletelyIn):
-        return 1 if isinstance(cond.piece, CyclotomicPiece) else 2
-    if isinstance(cond, KummerSplitExactLevel):
-        return 3
-    return 4
+def _rational_frobenius_order(q: int, n: int, ell: int, full: int) -> int:
+    # order of the Frobenius of q in the degree-full piece of conductor n,
+    # where n is totally ramified; a composite n may give a non-order
+    if q == n:
+        return full
+    x, order = pow(q, (n - 1) // full, n), 1
+    while x != 1 and order <= full:
+        x, order = pow(x, ell, n), order * ell
+    return order
 
 
-def _passes_all(ctx, conds, P: PrimeIdeal) -> bool:
-    piece = None
-    for cond in conds:
-        if isinstance(cond, InS):
-            if not in_S(ctx, P):
-                return False
-        elif isinstance(cond, SplitsCompletelyIn):
-            inner = cond.piece
-            if isinstance(inner, CyclotomicPiece):
-                if frobenius_order_in_L0(inner, P, ctx.field) != 1:
-                    return False
-            elif frobenius_order_in_ray_piece(ctx, inner, P) != 1:
-                return False
-        elif isinstance(cond, FrobeniusOrderExactly):
-            if piece is None:
-                piece = RayPiece(P, ctx.ell**ctx.r)
-            if frobenius_order_in_ray_piece(ctx, piece, cond.target) != cond.order:
-                return False
-        elif isinstance(cond, KummerSplitExactLevel):
-            if not kummer_split_test(ctx, P, cond.alpha, cond.level):
-                return False
-            if kummer_split_test(ctx, P, cond.alpha, cond.level + 1):
-                return False
-        else:
-            raise ValueError(f"unknown search condition {cond!r}")
-    return True
-
-
-def _cheap_residue_pass(ctx, conds, n: int) -> bool:
-    # rational fast path: every condition is a residue test on the
-    # candidate integer itself, so run the cheap ones before primality
-    cap = ctx.ell**ctx.r
-    for cond in conds:
+def _compile(ctx, conditions):
+    """Compile conditions into (norm_tests, prime_tests, summary): tests
+    on a progression entry n = N(P) and on a candidate ideal P, cheapest
+    first, and a count of the conditions by kind.  Over Q the progression
+    already forces membership in S (the class group is trivial and -1 is
+    an l^r-th power residue there), so there are no prime tests.
+    """
+    ell, full = ctx.ell, ctx.ell**ctx.r
+    rational = ctx.field.kind == "rational"
+    seeds, splits, kummers, orders = [], [], [], []
+    for cond in conditions:
         if isinstance(cond, SplitsCompletelyIn):
-            inner = cond.piece
-            if isinstance(inner, CyclotomicPiece):
-                if character_order(inner, n) != 1:
-                    return False
-            elif pow(n, (inner.Q - 1) // inner.degree, inner.Q) != 1:
-                return False
+            (seeds if isinstance(cond.piece, CyclotomicPiece) else splits).append(cond.piece)
         elif isinstance(cond, FrobeniusOrderExactly):
-            if n == cond.target.p:
-                continue
-            x = pow(cond.target.p, (n - 1) // cap, n)
-            order = 1
-            while x != 1:
-                x = pow(x, ctx.ell, n)
-                order *= ctx.ell
-                if order > cap:
-                    break  # composite candidates can escape
-            if order != cond.order:
-                return False
-    return True
+            orders.append((cond.target, cond.order))
+        elif isinstance(cond, KummerSplitExactLevel) and not rational:
+            kummers.append((cond.alpha, cond.level))
+        else:
+            raise ValueError(f"unsupported search condition {cond!r}")
+    summary = (
+        f"{len(seeds)} seed, {len(splits)} piece splits, "
+        f"{len(kummers)} Kummer levels, {len(orders)} Frobenius orders"
+    )
+    norm_tests = [lambda n, l0=l0: character_order(l0, n) == 1 for l0 in seeds]
+    if rational:
+        norm_tests += [
+            lambda n, Q=pc.Q, e=(pc.Q - 1) // pc.degree: pow(n, e, Q) == 1
+            for pc in splits
+        ]
+        norm_tests += [
+            lambda n, q=q.p, k=k: _rational_frobenius_order(q, n, ell, full) == k
+            for q, k in orders
+        ]
+        return tuple(norm_tests), (), summary
+
+    def orders_match(P):
+        piece = RayPiece(P, full)
+        return all(frobenius_order_in_ray_piece(ctx, piece, q) == k for q, k in orders)
+
+    prime_tests = [lambda P: in_S(ctx, P)]
+    prime_tests += [
+        lambda P, pc=pc: frobenius_order_in_ray_piece(ctx, pc, P) == 1
+        for pc in splits
+    ]
+    prime_tests += [
+        lambda P, alpha=alpha, k=k: kummer_split_test(ctx, P, alpha, k)
+        and not kummer_split_test(ctx, P, alpha, k + 1)
+        for alpha, k in kummers
+    ]
+    prime_tests.append(orders_match)
+    return tuple(norm_tests), tuple(prime_tests), summary
 
 
 DEFAULT_CAP = 10_000_000  # progression entries per conductor search
@@ -425,6 +426,10 @@ DEFAULT_CAP = 10_000_000  # progression entries per conductor search
 class SearchCursor:
     cap: int = DEFAULT_CAP
     skip: frozenset = frozenset()  # ineligible primes (prior conductors)
+
+
+def _rational_candidates(ctx, n: int):
+    return [PrimeIdeal(n, "rational", None, 1)] if is_prime(n) else []
 
 
 def _quad_candidates(ctx, n: int):
@@ -441,49 +446,45 @@ def _quad_candidates(ctx, n: int):
 
 
 def search_prime(ctx, conditions, cursor: SearchCursor) -> PrimeIdeal:
-    """First prime, by ascending (norm, root), satisfying every condition.
+    """First prime of S, by ascending (norm, root), satisfying every
+    condition.
 
-    Candidates are split or inert primes coprime to 2*l*disc, distinct
-    from the class-basis primes and from everything in cursor.skip.  When
-    an InS condition is present the enumeration runs over the congruence
-    progression N = 1 mod l^(r+t) that S forces on norms; cursor.cap
-    bounds the number of progression entries examined.
+    Walks the progression N = 1 mod l^(r+t) that S forces on norms.  Each
+    entry n must pass the norm tests before any primality test; then
+    each candidate, a split or inert prime of norm n coprime to 2*l*disc
+    and not a class-basis prime or in cursor.skip, must pass the prime
+    tests.  Raises SearchExhausted (CLI exit 3) after cursor.cap entries
+    or where the progression reaches 2**64, beyond which is_prime has no
+    answer.
     """
+    norm_tests, prime_tests, summary = _compile(ctx, conditions)
     rational = ctx.field.kind == "rational"
+    candidates = _rational_candidates if rational else _quad_candidates
     skip = set(cursor.skip) | set(ctx.cl.gens)
-    conds = sorted(conditions, key=_condition_rank)
-    fast = any(isinstance(c, InS) for c in conds)
-    step = 1
-    if fast:
-        step = ctx.ell ** (ctx.r + ctx.t)
-        if ctx.ell == 2 and (rational or ctx.field.disc < -4):
-            step *= 2  # -1 must be a 2^(r+t)-th power residue
-    examined = 0
-    n = 1
-    while True:
-        n += step
-        examined += 1
-        if examined > cursor.cap:
-            raise SearchExhausted(
-                f"no conductor within cap {cursor.cap} for {conds!r}"
-            )
-        if n < 3:
+    step = ctx.ell ** (ctx.r + ctx.t)
+    if ctx.ell == 2 and (rational or ctx.field.disc < -4):
+        step *= 2  # -1 must be a 2^(r+t)-th power residue
+    last = 1 + step * cursor.cap
+    for n in range(1 + step, min(last, PRIME_LIMIT - 1) + 1, step):
+        if n in ctx.excluded:
             continue
-        if rational:
-            if n in ctx.excluded:
-                continue
-            if fast and not _cheap_residue_pass(ctx, conds, n):
-                continue
-            if not is_prime(n):
-                continue
-            cands = [PrimeIdeal(n, "rational", None, 1)]
+        for test in norm_tests:
+            if not test(n):
+                break
         else:
-            cands = _quad_candidates(ctx, n)
-        for P in cands:
-            if P in skip:
-                continue
-            if _passes_all(ctx, conds, P):
-                return P
+            for P in candidates(ctx, n):
+                if P in skip:
+                    continue
+                for test in prime_tests:
+                    if not test(P):
+                        break
+                else:
+                    return P
+    if last >= PRIME_LIMIT:
+        reason = f"norms reach the 2**64 primality limit within cap {cursor.cap}"
+    else:
+        reason = f"no conductor within cap {cursor.cap} (last norm {last})"
+    raise SearchExhausted(f"{reason}; conditions: {summary}")
 
 
 # ------------------------------------------------------- local degrees

@@ -21,7 +21,6 @@ from .arith import factor
 from .classfield import (
     DEFAULT_CAP,
     FrobeniusOrderExactly,
-    InS,
     InternalInconsistency,
     KummerSplitExactLevel,
     SearchCursor,
@@ -54,8 +53,9 @@ def _field_json(field):
 def construct(field, ell: int, r: int, bound: int, config: Config = None) -> dict:
     """Build and self-check a certificate for exponent ell^r up to bound.
 
-    Raises SearchExhausted if some conductor search hits the cap and
-    InternalInconsistency if the finished table has a wrong entry.
+    Raises SearchExhausted if some conductor search hits the cap or the
+    2**64 primality limit, and InternalInconsistency if the finished
+    table has a wrong entry.
     """
     cfg = config or Config()
     if bound < 2:
@@ -78,7 +78,7 @@ def construct(field, ell: int, r: int, bound: int, config: Config = None) -> dic
         if not a:
             continue
         alpha, m = kummer_generator(ctx, lam)
-        conds = [InS(), SplitsCompletelyIn(l0)]
+        conds = [SplitsCompletelyIn(l0)]
         conds += [SplitsCompletelyIn(pc) for pc in pieces]
         conds += [FrobeniusOrderExactly(s, 1) for s in specials if s != lam]
         conds.append(KummerSplitExactLevel(alpha, m + r - a))
@@ -93,7 +93,7 @@ def construct(field, ell: int, r: int, bound: int, config: Config = None) -> dic
             continue  # a conductor is totally ramified in its own piece
         if cfg.greedy_skip and local_degree(ctx, l0, deficiencies, pieces, w)[2] == full:
             continue
-        conds = [InS(), SplitsCompletelyIn(l0)]
+        conds = [SplitsCompletelyIn(l0)]
         conds += [SplitsCompletelyIn(pc) for pc in pieces]
         conds += [FrobeniusOrderExactly(s, 1) for s in specials]
         conds += [FrobeniusOrderExactly(pc.conductor, 1) for pc in pieces]

@@ -17,7 +17,7 @@ import time
 from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
 
-from .arith import factor, is_prime, legendre
+from .arith import PRIME_LIMIT, factor, is_prime, legendre
 from .classfield import (
     InternalInconsistency,
     build_L0_rational,
@@ -63,21 +63,18 @@ class PrimeRecord:
     components: tuple  # local degree in the seed, then in each piece
     recomputed: int
     claimed: int
-    ok: bool
 
 
 @dataclass(frozen=True)
 class RealPlaceRecord:
     claimed: "int | None"
     recomputed: "int | None"
-    ok: bool
 
 
 @dataclass
 class VerificationReport:
     records: list
     real_place: RealPlaceRecord
-    verdict: bool  # pass iff every record passes
     elapsed: float
     component_reports: list = dc_field(default_factory=list)
 
@@ -247,7 +244,7 @@ def _field_of(fj):
 
 def _lookup_prime(field, p, b):
     _need(
-        isinstance(p, int) and 2 <= p < 1 << 64 and is_prime(p),
+        isinstance(p, int) and 2 <= p < PRIME_LIMIT and is_prime(p),
         f"{p} is not a prime below 2**64",
     )
     for cand in factor_rational_prime(field, p):
@@ -328,7 +325,7 @@ def _verify_plain(cert, bound):
             raise MismatchFound(
                 f"ramified component at ({w.p},{w.b})", row["ramified_component"], ram
             )
-        records.append(PrimeRecord((w.p, w.b), parts, total, row["degree"], True))
+        records.append(PrimeRecord((w.p, w.b), parts, total, row["degree"]))
     expected_real = real_place_degree(ctx.field, l0.degree)
     if expected_real == 2:
         # the seed character must be odd, or the real place degenerates
@@ -337,7 +334,7 @@ def _verify_plain(cert, bound):
             raise MismatchFound("seed character sign", sign, -1)
     if cert["real_place_degree"] != expected_real:
         raise MismatchFound("real place", cert["real_place_degree"], expected_real)
-    real = RealPlaceRecord(cert["real_place_degree"], expected_real, True)
+    real = RealPlaceRecord(cert["real_place_degree"], expected_real)
     return records, real
 
 
@@ -369,11 +366,11 @@ def _verify_composite(comp, bound):
             total *= d
         if row["degree"] != total:
             raise MismatchFound(f"prime ({w.p},{w.b})", row["degree"], total)
-        records.append(PrimeRecord((w.p, w.b), parts, total, row["degree"], True))
+        records.append(PrimeRecord((w.p, w.b), parts, total, row["degree"]))
     expected_real = real_place_degree(field, comp["n"])
     if comp["real_place_degree"] != expected_real:
         raise MismatchFound("real place", comp["real_place_degree"], expected_real)
-    real = RealPlaceRecord(comp["real_place_degree"], expected_real, True)
+    real = RealPlaceRecord(comp["real_place_degree"], expected_real)
     return records, real, subreports
 
 
@@ -383,8 +380,8 @@ def verify(cert: dict, bound: int = None) -> VerificationReport:
     exceed).
 
     Raises MalformedCertificate for structural defects and MismatchFound
-    as soon as a recomputed value disagrees with a claim; the returned
-    report therefore always has verdict True.
+    as soon as a recomputed value disagrees with a claim, so a returned
+    report always records a pass.
     """
     start = time.perf_counter()
     if isinstance(cert, dict) and "composite" in cert:
@@ -396,7 +393,7 @@ def verify(cert: dict, bound: int = None) -> VerificationReport:
         records, real = _verify_plain(cert, _effective_bound(cert["bound"], bound))
         subreports = []
     elapsed = time.perf_counter() - start
-    return VerificationReport(records, real, True, elapsed, subreports)
+    return VerificationReport(records, real, elapsed, subreports)
 
 
 # ------------------------------------------------------ hilbert symbols

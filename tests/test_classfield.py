@@ -12,8 +12,8 @@ from constdeg.arith import (
     small_primes,
 )
 from constdeg.classfield import (
+    CyclotomicPiece,
     FrobeniusOrderExactly,
-    InS,
     InternalInconsistency,
     KummerSplitExactLevel,
     SearchCursor,
@@ -66,7 +66,7 @@ def s_members(ctx, count, cap=500000):
     out = []
     skip = set()
     while len(out) < count:
-        P = search_prime(ctx, [InS()], SearchCursor(cap=cap, skip=frozenset(skip)))
+        P = search_prime(ctx, [], SearchCursor(cap=cap, skip=frozenset(skip)))
         out.append(P)
         skip.add(P)
     return out
@@ -393,7 +393,7 @@ def test_in_s_quad_inert_member_over_k4():
 def test_search_first_conductor_ell2():
     P = search_prime(
         CTX2,
-        [InS(), SplitsCompletelyIn(build_L0_rational(2, 1))],
+        [SplitsCompletelyIn(build_L0_rational(2, 1))],
         SearchCursor(),
     )
     assert P == rp(17)
@@ -403,7 +403,7 @@ def test_search_first_conductor_ell2():
         assert character_order(build_L0_rational(2, 1), q) != 1
     nxt = search_prime(
         CTX2,
-        [InS(), SplitsCompletelyIn(build_L0_rational(2, 1))],
+        [SplitsCompletelyIn(build_L0_rational(2, 1))],
         SearchCursor(skip=frozenset({rp(17)})),
     )
     assert nxt == rp(41)
@@ -413,7 +413,6 @@ def test_search_with_target_conditions_ell3():
     # degree-3 piece that keeps 3 split while moving 2 by a full cycle
     l0 = build_L0_rational(3, 1)
     conds = [
-        InS(),
         SplitsCompletelyIn(l0),
         FrobeniusOrderExactly(rp(3), 1),
         FrobeniusOrderExactly(rp(2), 3),
@@ -430,7 +429,7 @@ def test_search_with_target_conditions_ell3():
 
 
 def test_search_is_deterministic():
-    conds = [InS(), SplitsCompletelyIn(build_L0_rational(3, 1))]
+    conds = [SplitsCompletelyIn(build_L0_rational(3, 1))]
     a = search_prime(CTX3, conds, SearchCursor())
     b = search_prime(CTX3, conds, SearchCursor())
     assert a == b == rp(19)
@@ -440,7 +439,7 @@ def test_search_skip_and_basis_exclusion():
     members = s_members(CTX23, 3)
     P = search_prime(
         CTX23,
-        [InS()],
+        [],
         SearchCursor(skip=frozenset(members[:2])),
     )
     assert P == members[2]
@@ -452,12 +451,88 @@ def test_search_skip_and_basis_exclusion():
 
 def test_search_exhausts_on_contradiction():
     conds = [
-        InS(),
         FrobeniusOrderExactly(rp(3), 1),
         FrobeniusOrderExactly(rp(3), 2),
     ]
     with pytest.raises(SearchExhausted):
         search_prime(CTX2, conds, SearchCursor(cap=200))
+
+
+def test_search_rejects_kummer_condition_over_q():
+    # the seed is never deficient over Q, so no rational search has one
+    with pytest.raises(ValueError):
+        search_prime(CTX3, [KummerSplitExactLevel((4, 0), 1)], SearchCursor(cap=10))
+
+
+def _brute_first(ctx, conds, limit):
+    # reference for search_prime: every prime of S up to limit, in the
+    # search order, tested condition by condition with the plain
+    # Frobenius and Kummer functions
+    for P in enumerate_field_primes(ctx.field, limit):
+        if P.p in ctx.excluded or P in ctx.cl.gens or not in_S(ctx, P):
+            continue
+        ok = True
+        for c in conds:
+            if isinstance(c, KummerSplitExactLevel):
+                ok = kummer_split_test(ctx, P, c.alpha, c.level) and not (
+                    kummer_split_test(ctx, P, c.alpha, c.level + 1)
+                )
+            elif isinstance(c, FrobeniusOrderExactly):
+                piece = make_ray_piece(ctx, P, check=False)
+                ok = frobenius_order_in_ray_piece(ctx, piece, c.target) == c.order
+            elif isinstance(c.piece, CyclotomicPiece):
+                ok = frobenius_order_in_L0(c.piece, P, ctx.field) == 1
+            else:
+                ok = frobenius_order_in_ray_piece(ctx, c.piece, P) == 1
+            if not ok:
+                break
+        if ok:
+            return P
+    return None
+
+
+@pytest.mark.parametrize(
+    "field,ell,r",
+    [(RATIONAL, ell, r) for ell in (2, 3, 5) for r in (1, 2)]
+    + [(K23, 2, 1), (K23, 3, 1)],
+)
+def test_search_matches_brute_force(field, ell, r):
+    ctx = build_context(field, ell, r)
+    full = ell**r
+    l0 = build_L0_rational(ell, r)
+    seed = SplitsCompletelyIn(l0)
+    specials = [P for P, _, _ in l0_local_degrees_above_ell(ctx, l0)]
+    # T is the first candidate the seed admits, so it lies in the
+    # progression and an order condition on T decides T itself
+    T = search_prime(ctx, [seed], SearchCursor(cap=5000))
+    pc = make_ray_piece(ctx, T)
+    w = next(
+        q for q in enumerate_field_primes(field, 50)
+        if q.p not in ctx.excluded and q != T
+    )
+    # norms the search may examine: N = 1 mod step, at most cap entries
+    cap, step = 5000, ell ** (r + ctx.t)
+    if ell == 2 and (field is RATIONAL or field.disc < -4):
+        step *= 2
+
+    def first(conds):
+        try:
+            P = search_prime(ctx, conds, SearchCursor(cap=cap))
+        except SearchExhausted:
+            P = None
+        assert P == _brute_first(ctx, conds, P.norm if P else 1 + step * cap)
+        return P
+
+    for k in (1, full // ell, full):
+        assert (first([seed, FrobeniusOrderExactly(T, k)]) == T) == (k == full)
+    first(
+        [seed, SplitsCompletelyIn(pc), FrobeniusOrderExactly(pc.conductor, 1)]
+        + [FrobeniusOrderExactly(s, 1) for s in specials]
+        + [FrobeniusOrderExactly(w, full)]
+    )
+    if field is not RATIONAL:
+        alpha, _ = kummer_generator(ctx, w)
+        first([seed, KummerSplitExactLevel(alpha, ctx.r + ctx.t - 1)])
 
 
 def test_make_ray_piece_checks_membership():
@@ -766,7 +841,6 @@ def test_deficient_search_k8():
     assert (deg, a) == (1, 1)
     alpha, m = kummer_generator(ctx, lam)
     conds = [
-        InS(),
         SplitsCompletelyIn(l0),
         KummerSplitExactLevel(alpha, m + ctx.r - a),
     ]
@@ -779,7 +853,7 @@ def test_deficient_search_k8():
     # conductor
     eps2 = search_prime(
         ctx,
-        [InS(), SplitsCompletelyIn(l0), FrobeniusOrderExactly(lam, 2)],
+        [SplitsCompletelyIn(l0), FrobeniusOrderExactly(lam, 2)],
         SearchCursor(),
     )
     assert eps2 == eps
@@ -827,7 +901,7 @@ def test_local_degree_deficient_needs_product():
     alpha, m = kummer_generator(ctx, lam)
     eps = search_prime(
         ctx,
-        [InS(), SplitsCompletelyIn(l0), KummerSplitExactLevel(alpha, m + ctx.r - a)],
+        [SplitsCompletelyIn(l0), KummerSplitExactLevel(alpha, m + ctx.r - a)],
         SearchCursor(),
     )
     piece = make_ray_piece(ctx, eps)

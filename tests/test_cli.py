@@ -2,6 +2,7 @@ import json
 import os
 import shutil
 import subprocess
+import sys
 import venv
 from pathlib import Path
 
@@ -117,7 +118,27 @@ def test_construct_search_cap_exhausted(tmp_path, capsys):
         ]
     )
     assert rc == 3
-    assert "search exhausted" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "search exhausted" in err
+    assert len(err) < 200 and "cap 3" in err
+
+
+def test_construct_search_stops_at_2_64(tmp_path, capsys):
+    # ell = 3, r = 40: the progression step over K(-23) is 3^41 > 2**64,
+    # so no entry can be tested for primality
+    rc = run(
+        [
+            "construct",
+            "--field", "disc=-23",
+            "--n", str(3**40),
+            "--bound", "100",
+            "--cap", "1000",
+            "--out", str(tmp_path / "x.json"),
+        ]
+    )
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.startswith("search exhausted:") and "2**64" in err
 
 
 def test_greedy_skip_flag(tmp_path, capsys):
@@ -228,6 +249,21 @@ def test_console_script_entry(tmp_path):
     assert exe, "console script should be installed"
     proc = subprocess.run(
         [exe, "hilbert", "--a", "-1", "--b", "-1"],
+        cwd=tmp_path,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0
+    assert "2 inf" in proc.stdout
+
+
+def test_python_m_constdeg(tmp_path):
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "constdeg", "hilbert", "--a", "-1", "--b", "-1"],
         cwd=tmp_path,
         env=env,
         capture_output=True,
