@@ -218,13 +218,6 @@ def residue_field(p: int, f: int = 1) -> ResidueField:
     return ResidueField(p, f)
 
 
-def mod_pow(x, e: int, field: ResidueField):
-    """x**e in the field; e = 0 gives the identity."""
-    if e < 0:
-        raise ValueError("exponent must be nonnegative")
-    return field.pow(x, e)
-
-
 def power_residue_level(x, ell: int, k_max: int, field: ResidueField) -> int:
     """Largest k <= k_max with x^((Q-1)/ell^k) = 1.
 

@@ -105,7 +105,6 @@ class CyclotomicPiece:
     modulus: int
     degree: int  # l^r
     sign: int  # character value at -1
-    _pow5: dict = dc_field(default=None, repr=False)
 
 
 def build_L0_rational(ell: int, r: int) -> CyclotomicPiece:
@@ -119,37 +118,26 @@ def build_L0_rational(ell: int, r: int) -> CyclotomicPiece:
     return CyclotomicPiece(ell, r, ell ** (r + 1), ell**r, 1)
 
 
-def _pow5_table(piece):
-    if piece._pow5 is None:
-        tbl, x = {}, 1
-        for b in range(piece.degree):
-            tbl[x] = b
-            x = 5 * x % piece.modulus
-        piece._pow5 = tbl
-    return piece._pow5
-
-
 def character_order(piece, x: int) -> int:
     """Order of the seed character's value at the unit x."""
     m = piece.modulus
     x %= m
     if gcd(x, m) != 1:
         raise ValueError("character undefined at a non-unit")
+    # map x to y in the cyclic l-part of (Z/m)^*, where the character is
+    # injective and chi(y) = chi(x); the order is then that of y
     if piece.ell != 2:
-        # order of x in the l-part of (Z/l^(r+1))^*
         y = pow(x, piece.ell - 1, m)
-        j = 0
-        while y != 1:
-            y = pow(y, piece.ell, m)
-            j += 1
-        return piece.ell**j
-    # x = (-1)^a 5^b, and chi(x) = zeta^(b + a*2^(r-1)) for zeta of order 2^r
-    tbl = _pow5_table(piece)
-    if x in tbl:
-        e = tbl[x]
+    elif x % 4 == 1:
+        y = x  # in <5>
     else:
-        e = tbl[(m - x) % m] + piece.degree // 2
-    return piece.degree // gcd(piece.degree, e)
+        # chi(-1) = chi(5^(2^(r-1))) and 5^(2^(r-1)) = 1 + 2^(r+1) mod 2^(r+2)
+        y = -x * (1 + m // 2) % m
+    j = 0
+    while y != 1:
+        y = pow(y, piece.ell, m)
+        j += 1
+    return piece.ell**j
 
 
 def frobenius_order_in_L0(piece, q: PrimeIdeal, field):
@@ -551,17 +539,16 @@ def context_record(ctx, l0, rows) -> dict:
 def enumerate_field_primes(field, bound: int):
     """All primes of the field of norm <= bound, ascending by norm with
     split conjugates ordered by root."""
-    out = []
     if field.kind == "rational":
         return [
             PrimeIdeal(p, "rational", None, 1)
             for p in small_primes(bound + 1)
         ]
-    for n in range(2, bound + 1):
-        if is_prime(n):
-            out.extend(P for P in factor_rational_prime(field, n) if P.f == 1)
-        else:
-            p = isqrt(n)
-            if p * p == n and is_prime(p) and kronecker_disc(field.disc, p) == -1:
-                out.extend(factor_rational_prime(field, p))
+    out = [
+        P
+        for p in small_primes(bound + 1)
+        for P in factor_rational_prime(field, p)
+        if P.norm <= bound
+    ]
+    out.sort(key=lambda P: P.norm)  # stable: split conjugates stay by root
     return out

@@ -95,39 +95,34 @@ def _print_table(rows):
 
 
 def _print_summary(cert):
-    if "composite" in cert:
-        comp = cert["composite"]
-        parts = " x ".join(str(c["ell"] ** c["r"]) for c in comp["components"])
+    doc = cert.get("composite", cert)
+    if doc is cert:
         print(
-            f"field {_field_name(comp['field'])}  n {comp['n']} = {parts}  "
-            f"bound {comp['bound']}"
+            f"field {_field_name(cert['field'])}  n {cert['ell'] ** cert['r']} "
+            f"(ell {cert['ell']}, r {cert['r']})  bound {cert['bound']}  "
+            f"pieces {len(cert['pieces'])}"
         )
-        for i, c in enumerate(comp["components"], start=1):
+        if cert["pieces"]:
+            print(
+                "conductors "
+                + " ".join(_format_prime((pc["p"], pc["b"])) for pc in cert["pieces"])
+            )
+        rows = [("prime", "degree", "ramified")]
+        rows += [
+            (_format_prime(r["prime"]), r["degree"], _ramified_name(r["ramified_component"]))
+            for r in cert["table"]
+        ]
+    else:
+        parts = " x ".join(str(c["ell"] ** c["r"]) for c in doc["components"])
+        n, bound = doc["n"], doc["bound"]
+        print(f"field {_field_name(doc['field'])}  n {n} = {parts}  bound {bound}")
+        for i, c in enumerate(doc["components"], start=1):
             print(f"component {i}: ell {c['ell']} r {c['r']}, pieces {len(c['pieces'])}")
         rows = [("prime", "degree")]
-        rows += [(_format_prime(row["prime"]), row["degree"]) for row in comp["table"]]
-        _print_table(rows)
-        if comp["real_place_degree"] is not None:
-            print(f"real place degree {comp['real_place_degree']}")
-        return
-    print(
-        f"field {_field_name(cert['field'])}  n {cert['ell'] ** cert['r']} "
-        f"(ell {cert['ell']}, r {cert['r']})  bound {cert['bound']}  "
-        f"pieces {len(cert['pieces'])}"
-    )
-    if cert["pieces"]:
-        print(
-            "conductors "
-            + " ".join(_format_prime((pc["p"], pc["b"])) for pc in cert["pieces"])
-        )
-    rows = [("prime", "degree", "ramified")]
-    rows += [
-        (_format_prime(row["prime"]), row["degree"], _ramified_name(row["ramified_component"]))
-        for row in cert["table"]
-    ]
+        rows += [(_format_prime(row["prime"]), row["degree"]) for row in doc["table"]]
     _print_table(rows)
-    if cert["real_place_degree"] is not None:
-        print(f"real place degree {cert['real_place_degree']}")
+    if doc["real_place_degree"] is not None:
+        print(f"real place degree {doc['real_place_degree']}")
 
 
 def _print_report(report, verbosity: int = 0):

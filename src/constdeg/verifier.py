@@ -4,8 +4,10 @@ verify() trusts nothing but the parsed document: it rebuilds the class
 group data, the seed piece, and the ray pieces from the recorded
 conductors, recomputes every local degree with the rule the constructor
 uses (classfield.local_degree), and compares with the claimed table.
-Any disagreement raises MismatchFound carrying the offending place and
-both values.
+Plain and composite documents share one table walk; a composite row's
+degree is the product of its components' verified degrees.  Any
+disagreement raises MismatchFound carrying the offending place and both
+values.
 
 The n = 2 consequence is concrete: a quaternion algebra (a, b) over Q is
 split by any field whose local degree is 2 at every place where the
@@ -15,7 +17,8 @@ algebra ramifies, and those places are computed with Hilbert symbols.
 import json
 import time
 from dataclasses import dataclass, field as dc_field
-from functools import lru_cache
+from functools import lru_cache, partial
+from math import prod
 
 from .arith import PRIME_LIMIT, factor, is_prime, legendre
 from .classfield import (
@@ -97,6 +100,7 @@ _PLAIN_KEYS = (
     "real_place_degree",
     "config",
 )
+_COMPOSITE_KEYS = ("n", "field", "bound", "components", "table", "real_place_degree")
 
 
 def _need(cond, msg: str):
@@ -104,19 +108,29 @@ def _need(cond, msg: str):
         raise MalformedCertificate(msg)
 
 
+def _need_keys(doc, keys, what=""):
+    missing = [k for k in keys if k not in doc]
+    _need(not missing, what + "missing keys: " + ", ".join(missing))
+
+
+def _int(v) -> bool:
+    # JSON true/false load as bool, which isinstance(v, int) accepts
+    return type(v) is int
+
+
 def _check_prime_ref(v, what):
     _need(
         isinstance(v, list)
         and len(v) == 2
-        and isinstance(v[0], int)
-        and (v[1] is None or isinstance(v[1], int)),
+        and _int(v[0])
+        and (v[1] is None or _int(v[1])),
         f"{what} must be a [p, b] pair",
     )
 
 
 def _check_pair(v, what):
     _need(
-        isinstance(v, list) and len(v) == 2 and all(isinstance(c, int) for c in v),
+        isinstance(v, list) and len(v) == 2 and all(_int(c) for c in v),
         f"{what} must be a coordinate pair",
     )
 
@@ -127,35 +141,59 @@ def _check_field(fj):
     if kind == "rational":
         return
     _need(kind == "imag_quadratic", f"unknown field kind {kind!r}")
-    _need(
-        isinstance(fj.get("disc"), int) and fj["disc"] < 0,
-        "field needs a negative disc",
-    )
+    _need(_int(fj.get("disc")) and fj["disc"] < 0, "field needs a negative disc")
+
+
+def _check_coverage(doc, plain: bool):
+    """The keys a plain document and a composite wrapper share: field,
+    bound, the table rows (plain rows also name their ramified
+    component) and the real place."""
+    _check_field(doc["field"])
+    _need(_int(doc["bound"]) and doc["bound"] >= 2, "bound must be an integer >= 2")
+    _need(isinstance(doc["table"], list) and doc["table"], "table must be a nonempty list")
+    for row in doc["table"]:
+        _need(isinstance(row, dict), "table rows must be objects")
+        _check_prime_ref(row.get("prime"), "table prime")
+        _need(
+            _int(row.get("degree")) and row["degree"] >= 1,
+            "table degree must be a positive integer",
+        )
+        if plain:
+            rc = row.get("ramified_component", "missing")
+            _need(rc is None or _int(rc), "ramified_component must be an index or null")
+    rpd = doc["real_place_degree"]
+    _need(rpd is None or _int(rpd), "real_place_degree must be an integer or null")
+
+
+def _check_schema(cert):
+    _need(isinstance(cert, dict), "certificate must be a JSON object")
+    version = cert.get("schema_version")
+    _need(_int(version) and version == 1, "unsupported schema_version")
 
 
 def _check_plain(cert):
-    _need(isinstance(cert, dict), "certificate must be a JSON object")
-    missing = [k for k in _PLAIN_KEYS if k not in cert]
-    _need(not missing, "missing keys: " + ", ".join(missing))
-    _need(cert["schema_version"] == 1, "unsupported schema_version")
-    _check_field(cert["field"])
-    for key in ("ell", "r", "t", "bound"):
-        _need(isinstance(cert[key], int), f"{key} must be an integer")
-    _need(cert["bound"] >= 2, "bound must be at least 2")
+    _check_schema(cert)
+    _need_keys(cert, _PLAIN_KEYS)
+    _check_coverage(cert, plain=True)
+    for key in ("ell", "r", "t"):
+        _need(_int(cert[key]), f"{key} must be an integer")
     _need(isinstance(cert["class_data"], list), "class_data must be a list")
     for row in cert["class_data"]:
         _need(isinstance(row, dict), "class_data rows must be objects")
         _check_prime_ref(row.get("gen_ideal"), "gen_ideal")
-        _need(isinstance(row.get("order"), int), "class generator order must be an integer")
+        _need(_int(row.get("order")), "class generator order must be an integer")
         _check_pair(row.get("alpha"), "alpha")
     _need(isinstance(cert["unit_gens"], list), "unit_gens must be a list")
     for u in cert["unit_gens"]:
         _check_pair(u, "unit generator")
     l0 = cert["l0"]
-    _need(isinstance(l0, dict) and isinstance(l0.get("modulus"), int), "l0 needs a modulus")
+    _need(isinstance(l0, dict) and _int(l0.get("modulus")), "l0 needs a modulus")
     ch = l0.get("character")
     _need(
-        isinstance(ch, dict) and isinstance(ch.get("order"), int) and ch.get("sign") in (1, -1),
+        isinstance(ch, dict)
+        and _int(ch.get("order"))
+        and _int(ch.get("sign"))
+        and ch["sign"] in (1, -1),
         "l0 needs a character with order and sign",
     )
     _need(isinstance(cert["deficiencies"], list), "deficiencies must be a list")
@@ -163,57 +201,42 @@ def _check_plain(cert):
         _need(isinstance(row, dict), "deficiency rows must be objects")
         _check_prime_ref(row.get("prime"), "deficiency prime")
         _need(
-            isinstance(row.get("deficiency"), int) and row["deficiency"] >= 1,
+            _int(row.get("deficiency")) and row["deficiency"] >= 1,
             "deficiency must be a positive integer",
         )
     _need(isinstance(cert["pieces"], list), "pieces must be a list")
     for row in cert["pieces"]:
         _need(isinstance(row, dict), "piece rows must be objects")
-        _need(isinstance(row.get("p"), int), "piece p must be an integer")
-        _need(row.get("b") is None or isinstance(row["b"], int), "piece b must be an integer or null")
-        _need(isinstance(row.get("norm"), int), "piece norm must be an integer")
-    _need(isinstance(cert["table"], list) and cert["table"], "table must be a nonempty list")
-    for row in cert["table"]:
-        _need(isinstance(row, dict), "table rows must be objects")
-        _check_prime_ref(row.get("prime"), "table prime")
-        _need(
-            isinstance(row.get("degree"), int) and row["degree"] >= 1,
-            "table degree must be a positive integer",
-        )
-        rc = row.get("ramified_component", "missing")
-        _need(rc is None or isinstance(rc, int), "ramified_component must be an index or null")
-    rpd = cert["real_place_degree"]
-    _need(rpd is None or isinstance(rpd, int), "real_place_degree must be an integer or null")
+        _need(_int(row.get("p")), "piece p must be an integer")
+        _need(row.get("b") is None or _int(row["b"]), "piece b must be an integer or null")
+        _need(_int(row.get("norm")), "piece norm must be an integer")
     _need(isinstance(cert["config"], dict), "config must be an object")
 
 
 def _check_composite(cert):
-    _need(isinstance(cert, dict), "certificate must be a JSON object")
-    _need(cert.get("schema_version") == 1, "unsupported schema_version")
+    _check_schema(cert)
     comp = cert.get("composite")
     _need(isinstance(comp, dict), "composite wrapper must be an object")
-    missing = [
-        k
-        for k in ("n", "field", "bound", "components", "table", "real_place_degree")
-        if k not in comp
-    ]
-    _need(not missing, "composite missing keys: " + ", ".join(missing))
-    _need(isinstance(comp["n"], int) and comp["n"] >= 2, "composite n must be an integer >= 2")
-    _check_field(comp["field"])
-    _need(isinstance(comp["bound"], int) and comp["bound"] >= 2, "bound must be at least 2")
+    _need_keys(comp, _COMPOSITE_KEYS, "composite ")
+    _need(_int(comp["n"]) and comp["n"] >= 2, "composite n must be an integer >= 2")
+    _check_coverage(comp, plain=False)
     _need(
         isinstance(comp["components"], list) and comp["components"],
         "components must be a nonempty list",
     )
     for sub in comp["components"]:
         _check_plain(sub)
-    _need(isinstance(comp["table"], list) and comp["table"], "table must be a nonempty list")
-    for row in comp["table"]:
-        _need(isinstance(row, dict), "table rows must be objects")
-        _check_prime_ref(row.get("prime"), "table prime")
-        _need(isinstance(row.get("degree"), int), "table degree must be an integer")
-    rpd = comp["real_place_degree"]
-    _need(rpd is None or isinstance(rpd, int), "real_place_degree must be an integer or null")
+
+
+def _check(cert):
+    """Structurally validate a plain or composite document; returns the
+    object holding its field, bound, table and real place."""
+    _need(isinstance(cert, dict), "certificate must be a JSON object")
+    if "composite" not in cert:
+        _check_plain(cert)
+        return cert
+    _check_composite(cert)
+    return cert["composite"]
 
 
 def parse_certificate(text: str) -> dict:
@@ -222,11 +245,7 @@ def parse_certificate(text: str) -> dict:
         cert = json.loads(text)
     except json.JSONDecodeError as exc:
         raise MalformedCertificate(f"not valid JSON: {exc}") from None
-    _need(isinstance(cert, dict), "certificate must be a JSON object")
-    if "composite" in cert:
-        _check_composite(cert)
-    else:
-        _check_plain(cert)
+    _check(cert)
     return cert
 
 
@@ -243,10 +262,7 @@ def _field_of(fj):
 
 
 def _lookup_prime(field, p, b):
-    _need(
-        isinstance(p, int) and 2 <= p < PRIME_LIMIT and is_prime(p),
-        f"{p} is not a prime below 2**64",
-    )
+    _need(2 <= p < PRIME_LIMIT and is_prime(p), f"{p} is not a prime below 2**64")
     for cand in factor_rational_prime(field, p):
         if cand.b == b:
             return cand
@@ -261,6 +277,10 @@ def _match(what, claimed, recomputed):
 def _rebuild(cert):
     """Context, seed, and pieces recomputed from the document alone."""
     field = _field_of(cert["field"])
+    # the seed's order must equal ell^r, so a larger r is a lie that
+    # would only make build_context size its moduli by it
+    order = cert["l0"]["character"]["order"]
+    _need(cert["r"] < order.bit_length(), f"r exceeds the seed order {order}")
     try:
         ctx = build_context(field, cert["ell"], cert["r"])
     except ValueError as exc:
@@ -295,6 +315,8 @@ def _rebuild(cert):
 def _effective_bound(cert_bound, requested):
     if requested is None:
         return cert_bound
+    if requested < 2:
+        raise ValueError(f"requested bound {requested} is below 2")
     if requested > cert_bound:
         raise ValueError(
             f"requested bound {requested} exceeds the certificate bound {cert_bound}"
@@ -302,75 +324,58 @@ def _effective_bound(cert_bound, requested):
     return requested
 
 
-def _table_index(table):
+def _walk_table(field, doc, bound, n, degrees):
+    """Records of doc's table and real place, rechecked: every prime of
+    norm <= bound needs one row whose degree and ramified component
+    (absent on composite rows) match degrees(w) = (parts, ram, degree)."""
     by_prime = {}
-    for row in table:
+    for row in doc["table"]:
         key = tuple(row["prime"])
         _need(key not in by_prime, f"duplicate table row for prime {list(key)}")
         by_prime[key] = row
-    return by_prime
+    records = []
+    for w in enumerate_field_primes(field, bound):
+        row = by_prime.get((w.p, w.b))
+        _need(row is not None, f"table has no row for prime ({w.p},{w.b})")
+        parts, ram, total = degrees(w)
+        if row["degree"] != total:
+            raise MismatchFound(f"prime ({w.p},{w.b})", row["degree"], total)
+        claimed_ram = row.get("ramified_component")
+        if claimed_ram != ram:
+            raise MismatchFound(f"ramified component at ({w.p},{w.b})", claimed_ram, ram)
+        records.append(PrimeRecord((w.p, w.b), parts, total, row["degree"]))
+    expected_real = real_place_degree(field, n)
+    _match("real place", doc["real_place_degree"], expected_real)
+    return records, RealPlaceRecord(doc["real_place_degree"], expected_real)
 
 
 def _verify_plain(cert, bound):
     ctx, l0, deficiencies, pieces = _rebuild(cert)
-    by_prime = _table_index(cert["table"])
-    records = []
-    for w in enumerate_field_primes(ctx.field, bound):
-        row = by_prime.get((w.p, w.b))
-        _need(row is not None, f"table has no row for prime ({w.p},{w.b})")
-        parts, ram, total = local_degree(ctx, l0, deficiencies, pieces, w)
-        if row["degree"] != total:
-            raise MismatchFound(f"prime ({w.p},{w.b})", row["degree"], total)
-        if row["ramified_component"] != ram:
-            raise MismatchFound(
-                f"ramified component at ({w.p},{w.b})", row["ramified_component"], ram
-            )
-        records.append(PrimeRecord((w.p, w.b), parts, total, row["degree"]))
-    expected_real = real_place_degree(ctx.field, l0.degree)
-    if expected_real == 2:
-        # the seed character must be odd, or the real place degenerates
-        sign = cert["l0"]["character"]["sign"]
-        if sign != -1:
-            raise MismatchFound("seed character sign", sign, -1)
-    if cert["real_place_degree"] != expected_real:
-        raise MismatchFound("real place", cert["real_place_degree"], expected_real)
-    real = RealPlaceRecord(cert["real_place_degree"], expected_real)
-    return records, real
+    degrees = partial(local_degree, ctx, l0, deficiencies, pieces)
+    return (*_walk_table(ctx.field, cert, bound, l0.degree, degrees), [])
 
 
-def _verify_composite(comp, bound):
-    b = _effective_bound(comp["bound"], bound)
+def _verify_composite(comp, b):
     field = _field_of(comp["field"])
     ells = [sub["ell"] for sub in comp["components"]]
     _need(len(set(ells)) == len(ells), "components must use distinct primes ell")
-    n = 1
-    for sub in comp["components"]:
-        n *= sub["ell"] ** sub["r"]
-    _match("composite exponent n", comp["n"], n)
     subreports = []
     submaps = []
+    n = 1
     for sub in comp["components"]:
         _match("component field", sub["field"], comp["field"])
         _need(sub["bound"] >= b, "component bound is smaller than the requested bound")
-        rep = verify(sub, b)
+        rep = verify(sub, b)  # bounds sub["r"] before it is used as an exponent
         subreports.append(rep)
         submaps.append({rec.prime: rec.recomputed for rec in rep.records})
-    by_prime = _table_index(comp["table"])
-    records = []
-    for w in enumerate_field_primes(field, b):
-        row = by_prime.get((w.p, w.b))
-        _need(row is not None, f"table has no row for prime ({w.p},{w.b})")
+        n *= sub["ell"] ** sub["r"]
+    _match("composite exponent n", comp["n"], n)
+
+    def degrees(w):
         parts = tuple(m[(w.p, w.b)] for m in submaps)
-        total = 1
-        for d in parts:
-            total *= d
-        if row["degree"] != total:
-            raise MismatchFound(f"prime ({w.p},{w.b})", row["degree"], total)
-        records.append(PrimeRecord((w.p, w.b), parts, total, row["degree"]))
-    expected_real = real_place_degree(field, comp["n"])
-    if comp["real_place_degree"] != expected_real:
-        raise MismatchFound("real place", comp["real_place_degree"], expected_real)
-    real = RealPlaceRecord(comp["real_place_degree"], expected_real)
+        return parts, None, prod(parts)
+
+    records, real = _walk_table(field, comp, b, n, degrees)
     return records, real, subreports
 
 
@@ -384,14 +389,9 @@ def verify(cert: dict, bound: int = None) -> VerificationReport:
     report always records a pass.
     """
     start = time.perf_counter()
-    if isinstance(cert, dict) and "composite" in cert:
-        _check_composite(cert)
-        comp = cert["composite"]
-        records, real, subreports = _verify_composite(comp, bound)
-    else:
-        _check_plain(cert)
-        records, real = _verify_plain(cert, _effective_bound(cert["bound"], bound))
-        subreports = []
+    doc = _check(cert)
+    recheck = _verify_plain if doc is cert else _verify_composite
+    records, real, subreports = recheck(doc, _effective_bound(doc["bound"], bound))
     elapsed = time.perf_counter() - start
     return VerificationReport(records, real, elapsed, subreports)
 
@@ -484,18 +484,12 @@ class QuaternionAlgebra:
 def _degree_view(cert):
     # the splitting criterion needs exponent 2 over the rationals;
     # accept the plain certificate or its composite wrapping
-    if isinstance(cert, dict) and "composite" in cert:
-        _check_composite(cert)
-        comp = cert["composite"]
-        if comp["field"]["kind"] != "rational" or comp["n"] != 2:
-            raise ValueError("splitting check needs an n = 2 certificate over the rationals")
-        table, bound, real = comp["table"], comp["bound"], comp["real_place_degree"]
-    else:
-        _check_plain(cert)
-        if cert["field"]["kind"] != "rational" or cert["ell"] != 2 or cert["r"] != 1:
-            raise ValueError("splitting check needs an n = 2 certificate over the rationals")
-        table, bound, real = cert["table"], cert["bound"], cert["real_place_degree"]
-    return {row["prime"][0]: row["degree"] for row in table}, bound, real
+    doc = _check(cert)
+    n2 = (doc["ell"], doc["r"]) == (2, 1) if doc is cert else doc["n"] == 2
+    if doc["field"]["kind"] != "rational" or not n2:
+        raise ValueError("splitting check needs an n = 2 certificate over the rationals")
+    degrees = {row["prime"][0]: row["degree"] for row in doc["table"]}
+    return degrees, doc["bound"], doc["real_place_degree"]
 
 
 def brauer_split_check(cert: dict, algebra: QuaternionAlgebra):

@@ -9,7 +9,6 @@ from constdeg.arith import (
     is_prime,
     iter_primes,
     legendre,
-    mod_pow,
     multiplicative_order,
     power_residue_level,
     residue_field,
@@ -138,9 +137,9 @@ def test_factor_large_semiprime_rho_path():
 
 def test_mod_pow_examples():
     f7 = residue_field(7)
-    assert mod_pow(2, 0, f7) == 1
-    assert mod_pow(2, 2, f7) == 4
-    assert mod_pow(2, (7 - 1) // 3, f7) == 4
+    assert f7.pow(2, 0) == 1
+    assert f7.pow(2, 2) == 4
+    assert f7.pow(2, (7 - 1) // 3) == 4
 
 
 def test_mod_pow_matches_naive_f1():
@@ -149,7 +148,7 @@ def test_mod_pow_matches_naive_f1():
     for _ in range(30):
         x = rng.randrange(1, 101)
         e = rng.randrange(0, 40)
-        assert mod_pow(x, e, fld) == naive_pow(x, e, fld)
+        assert fld.pow(x, e) == naive_pow(x, e, fld)
 
 
 def test_f_p2_matches_naive_polynomial_arithmetic():
@@ -232,7 +231,7 @@ def test_power_residue_level_definition_both_sides():
 def test_ell_root_examples():
     f7 = residue_field(7)
     y = ell_root(1, 3, f7)
-    assert mod_pow(y, 3, f7) == 1
+    assert f7.pow(y, 3) == 1
     assert ell_root(2, 2, f7) in (3, 4)
     assert ell_root(6, 3, f7) in (3, 5, 6)
 

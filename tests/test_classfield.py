@@ -196,6 +196,21 @@ def test_character_mod_32_spot_values():
     assert character_order(piece, 15) == 1
 
 
+def test_character_ell2_matches_generator_exponents():
+    # (Z/2^(r+2))^* = <-1> x <5> and chi((-1)^a 5^b) = zeta^(b + a 2^(r-1))
+    # for zeta of order 2^r
+    for r in range(1, 7):
+        piece = build_L0_rational(2, r)
+        m, d = piece.modulus, piece.degree
+        seen = set()
+        for a in (0, 1):
+            for b in range(d):
+                x = (-1) ** a * pow(5, b, m) % m
+                seen.add(x)
+                assert character_order(piece, x) == d // _gcd(d, b + a * d // 2)
+        assert len(seen) == m // 2  # every unit, once
+
+
 def test_character_odd_ell_matches_group_order():
     # for odd l the character order is the l-part of the order in the
     # full unit group mod l^(r+1)
@@ -946,6 +961,21 @@ def test_enumerate_field_primes_quad():
     ]
     got8 = [(P.p, P.kind, P.b) for P in enumerate_field_primes(K8, 9)]
     assert got8 == [(2, "ramified", 0), (3, "split", 2), (3, "split", 4)]
+
+
+def test_enumerate_field_primes_matches_integer_walk():
+    # oracle: walk every integer n <= B and collect the primes of norm n
+    for d in (-3, -4, -7, -8, -15, -23, -56, -84):
+        field = quadratic_field(d)
+        for bound in (2, 4, 9, 49, 121, 1000):
+            expect = []
+            for n in range(2, bound + 1):
+                if is_prime(n):
+                    expect += [P for P in factor_rational_prime(field, n) if P.f == 1]
+                elif isqrt(n) ** 2 == n and is_prime(isqrt(n)):
+                    if kronecker_disc(d, isqrt(n)) == -1:
+                        expect += factor_rational_prime(field, isqrt(n))
+            assert enumerate_field_primes(field, bound) == expect, (d, bound)
 
 
 def test_enumerate_field_primes_norm_sorted():

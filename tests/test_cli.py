@@ -39,6 +39,9 @@ def test_verify_bound_flag(tmp_path, capsys):
     assert run(["verify", str(path), "--bound", "10"]) == 0
     assert run(["verify", str(path), "--bound", "1000"]) == 1
     assert "exceeds" in capsys.readouterr().err
+    for bound in ("1", "-3"):
+        assert run(["verify", str(path), "--bound", bound]) == 1
+        assert f"requested bound {bound} is below 2" in capsys.readouterr().err
 
 
 def test_verify_tampered_certificate(tmp_path, capsys):

@@ -1,6 +1,7 @@
 import copy
 import json
 import random
+import time
 
 import pytest
 
@@ -92,8 +93,9 @@ def test_verify_at_smaller_bound():
 
 
 def test_bound_above_certificate_rejected():
-    with pytest.raises(ValueError):
-        verify(CERT2, 101)
+    for bound in (101, 1, -3):
+        with pytest.raises(ValueError, match=str(bound)):
+            verify(CERT2, bound)
 
 
 def test_verify_requires_parsed_object():
@@ -215,7 +217,60 @@ def test_verify_accepts_legacy_config_keys():
     verify(parse_certificate(json.dumps(c)))  # raises unless it verifies
 
 
+def test_hostile_r_rejected_before_seed_is_built():
+    # ell^r must equal the stated seed order, so r is bounded by that
+    # order's bit length before any modulus is sized by it
+    plain = copy.deepcopy(CERT2)
+    plain["r"] = 10**12
+    comp = copy.deepcopy(COMP6)
+    comp["composite"]["components"][0]["r"] = 10**12
+    for c in (plain, comp):
+        start = time.perf_counter()
+        with pytest.raises(MalformedCertificate, match="seed order"):
+            verify(parse_certificate(json.dumps(c)))
+        assert time.perf_counter() - start < 1.0
+
+
+def test_large_r_seed_roundtrip():
+    # the seed character costs O(r) modular powers, not a 2^r-entry table
+    start = time.perf_counter()
+    cert = construct(RATIONAL, 2, 60, 3)
+    rep = verify(from_bytes(cert))
+    assert time.perf_counter() - start < 1.0
+    assert [(rec.prime, rec.recomputed) for rec in rep.records] == [
+        ((2, None), 2**60),
+        ((3, None), 2**60),
+    ]
+
+
 # ------------------------------------------------------------- structure
+
+
+PIECE1_ROW = next(i for i, row in enumerate(CERT2["table"]) if row["ramified_component"] == 1)
+
+
+@pytest.mark.parametrize(
+    "cert, path, value",
+    [
+        (CERT2, ["r"], True),
+        (CERT2, ["t"], False),
+        (CERT2, ["schema_version"], True),
+        (CERT2, ["table", PIECE1_ROW, "ramified_component"], True),
+        (CERTD, ["deficiencies", 0, "deficiency"], True),
+        (CERT2, ["unit_gens"], [[-2, False]]),
+    ],
+    ids=["r", "t", "schema_version", "ramified_component", "deficiency", "unit_gens"],
+)
+def test_parse_rejects_booleans_for_integers(cert, path, value):
+    # JSON true/false equal 1/0 in Python; as integers they are malformed
+    c = copy.deepcopy(cert)
+    *keys, last = path
+    target = c
+    for k in keys:
+        target = target[k]
+    target[last] = value
+    with pytest.raises(MalformedCertificate):
+        verify(parse_certificate(json.dumps(c)))
 
 
 def test_parse_rejects_bad_json():
@@ -290,6 +345,13 @@ def test_composite_tampered_combined_degree():
     c["composite"]["table"][2]["degree"] = 12
     with pytest.raises(MismatchFound):
         verify(c)
+
+
+def test_composite_rejects_degree_zero():
+    c = copy.deepcopy(COMP6)
+    c["composite"]["table"][0]["degree"] = 0
+    with pytest.raises(MalformedCertificate):
+        parse_certificate(json.dumps(c))
 
 
 def test_composite_tampered_n():
