@@ -288,7 +288,11 @@ def frobenius_order_in_ray_piece(ctx, piece: RayPiece, q: PrimeIdeal) -> int:
 
 def kummer_generator(ctx, q: PrimeIdeal):
     """Generator alpha with q^(kprime * l^m) = (alpha), where l^m is the
-    order of the l-part of the class of q.  Returns (alpha, m)."""
+    order of the l-part of the class of q.  Returns (alpha, m).
+
+    With kummer_split_test this is the independent oracle of acceptance
+    criterion 5 for frobenius_order_in_ray_piece; the search itself asks
+    for Frobenius orders."""
     if ctx.field.kind == "rational":
         return integer_elt(q.p), 0
     c = class_dlog(ctx.field, prime_module(ctx.field, q), ctx.cl)
@@ -309,7 +313,10 @@ def kummer_generator(ctx, q: PrimeIdeal):
 
 def kummer_split_test(ctx, P: PrimeIdeal, alpha, k: int) -> bool:
     """Whether P splits completely in the Kummer layer generated by the
-    l^k-th roots of unity and an l^k-th root of alpha."""
+    l^k-th roots of unity and an l^k-th root of alpha.  For q with
+    kummer_generator(ctx, q) = (alpha, m), P splits at level m + s iff
+    the Frobenius of q has order at most l^(r-s) in the piece at P; the
+    tests use this as an oracle (acceptance criterion 5)."""
     if k == 0:
         return True
     if k > ctx.r + ctx.t:
@@ -336,13 +343,6 @@ class FrobeniusOrderExactly:
     order: int
 
 
-@dataclass(frozen=True)
-class KummerSplitExactLevel:
-    # candidate splits in the level-k Kummer layer of alpha but not k+1
-    alpha: tuple
-    level: int
-
-
 def _rational_frobenius_order(q: int, n: int, ell: int, full: int) -> int:
     # order of the Frobenius of q in the degree-full piece of conductor n,
     # where n is totally ramified; a composite n may give a non-order
@@ -363,20 +363,15 @@ def _compile(ctx, conditions):
     """
     ell, full = ctx.ell, ctx.ell**ctx.r
     rational = ctx.field.kind == "rational"
-    seeds, splits, kummers, orders = [], [], [], []
+    seeds, splits, orders = [], [], []
     for cond in conditions:
         if isinstance(cond, SplitsCompletelyIn):
             (seeds if isinstance(cond.piece, CyclotomicPiece) else splits).append(cond.piece)
         elif isinstance(cond, FrobeniusOrderExactly):
             orders.append((cond.target, cond.order))
-        elif isinstance(cond, KummerSplitExactLevel) and not rational:
-            kummers.append((cond.alpha, cond.level))
         else:
             raise ValueError(f"unsupported search condition {cond!r}")
-    summary = (
-        f"{len(seeds)} seed, {len(splits)} piece splits, "
-        f"{len(kummers)} Kummer levels, {len(orders)} Frobenius orders"
-    )
+    summary = f"{len(seeds)} seed, {len(splits)} piece splits, {len(orders)} Frobenius orders"
     norm_tests = [lambda n, l0=l0: character_order(l0, n) == 1 for l0 in seeds]
     if rational:
         norm_tests += [
@@ -397,11 +392,6 @@ def _compile(ctx, conditions):
     prime_tests += [
         lambda P, pc=pc: frobenius_order_in_ray_piece(ctx, pc, P) == 1
         for pc in splits
-    ]
-    prime_tests += [
-        lambda P, alpha=alpha, k=k: kummer_split_test(ctx, P, alpha, k)
-        and not kummer_split_test(ctx, P, alpha, k + 1)
-        for alpha, k in kummers
     ]
     prime_tests.append(orders_match)
     return tuple(norm_tests), tuple(prime_tests), summary

@@ -36,15 +36,6 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _bool_flag(s: str) -> bool:
-    low = s.lower()
-    if low in ("true", "1", "yes"):
-        return True
-    if low in ("false", "0", "no"):
-        return False
-    raise argparse.ArgumentTypeError("expected true or false")
-
-
 def _parse_field(spec: str):
     if spec == "q":
         return RATIONAL
@@ -149,7 +140,7 @@ def _cmd_construct(args) -> int:
     if args.bound < 2:
         raise UsageError("--bound must be at least 2")
     field = _parse_field(args.field)
-    build = Config(cap=args.cap, greedy_skip=args.greedy_skip)
+    build = Config(cap=args.cap)
     powers = factor(args.n)
     if len(powers) == 1:
         ((ell, r),) = powers
@@ -217,13 +208,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--n", type=int, required=True, help="exponent, composite allowed")
     p.add_argument("--bound", type=int, required=True, help="cover primes of norm up to this")
     p.add_argument("--cap", type=int, default=DEFAULT_CAP, help="entries per conductor search")
-    p.add_argument(
-        "--greedy-skip",
-        type=_bool_flag,
-        default=True,
-        metavar="true|false",
-        help="skip targets already at full degree (default true)",
-    )
     p.add_argument("--out", required=True, help="output path")
     p.set_defaults(handler=_cmd_construct)
 

@@ -7,11 +7,12 @@ the rationals).  The extension is the composite of a cyclotomic seed
 with ray pieces at auxiliary conductors drawn from the Chebotarev set S;
 the constructor records the conductors and the resulting degree table.
 
-Piece order matters and is reproducible: one dedicated piece first when
-the prime above 2 is deficient, then one piece per enumerated target
-prime that is not yet at full degree (or per target unconditionally when
-greedy_skip is off).  Conductor searches are deterministic, so equal
-inputs give byte-identical certificates.
+Pieces come from one loop.  Every prime short of full degree, first the
+deficient prime above 2 and then the targets by ascending norm, gets one
+conductor search, and its piece supplies the factor the others miss
+there: Frobenius order exactly 2^a at a prime above 2 of deficiency a,
+the full degree at a target.  Conductor searches are deterministic, so
+equal inputs give byte-identical certificates.
 """
 
 import json
@@ -22,14 +23,12 @@ from .classfield import (
     DEFAULT_CAP,
     FrobeniusOrderExactly,
     InternalInconsistency,
-    KummerSplitExactLevel,
     SearchCursor,
     SplitsCompletelyIn,
     build_L0_rational,
     build_context,
     context_record,
     enumerate_field_primes,
-    kummer_generator,
     l0_local_degrees_above_ell,
     local_degree,
     make_ray_piece,
@@ -41,7 +40,6 @@ from .classfield import (
 @dataclass(frozen=True)
 class Config:
     cap: int = DEFAULT_CAP  # progression entries per conductor search
-    greedy_skip: bool = True  # skip targets already at full degree
 
 
 def _field_json(field):
@@ -67,39 +65,20 @@ def construct(field, ell: int, r: int, bound: int, config: Config = None) -> dic
     specials = [P for P, _, _ in rows]
     full = ell**r
     pieces = []
-
-    def taken():
-        return frozenset(pc.conductor for pc in pieces)
-
-    # dedicated piece first: restore the degree the seed misses at a
-    # deficient prime above 2 by demanding Frobenius order exactly l^a
-    # there, phrased as an exact Kummer splitting level
-    for lam, _, a in rows:
-        if not a:
-            continue
-        alpha, m = kummer_generator(ctx, lam)
-        conds = [SplitsCompletelyIn(l0)]
-        conds += [SplitsCompletelyIn(pc) for pc in pieces]
-        conds += [FrobeniusOrderExactly(s, 1) for s in specials if s != lam]
-        conds.append(KummerSplitExactLevel(alpha, m + r - a))
-        eps = search_prime(ctx, conds, SearchCursor(cfg.cap, taken()))
-        pieces.append(make_ray_piece(ctx, eps))
-
     targets = enumerate_field_primes(field, bound)
-    for w in targets:
-        if w.p == ell:
-            continue  # covered by the seed (plus the dedicated piece)
-        if any(pc.conductor == w for pc in pieces):
-            continue  # a conductor is totally ramified in its own piece
-        if cfg.greedy_skip and local_degree(ctx, l0, deficiencies, pieces, w)[2] == full:
+    # the new conductor splits in the seed and every earlier piece and
+    # leaves the other special primes and earlier conductors fixed, so
+    # the new piece moves only w, by the factor the others miss there
+    for w in [P for P, _, a in rows if a] + targets:
+        parts, ram, deg = local_degree(ctx, l0, deficiencies, pieces, w)
+        if deg == full:
             continue
         conds = [SplitsCompletelyIn(l0)]
         conds += [SplitsCompletelyIn(pc) for pc in pieces]
-        conds += [FrobeniusOrderExactly(s, 1) for s in specials]
+        conds += [FrobeniusOrderExactly(s, 1) for s in specials if s != w]
         conds += [FrobeniusOrderExactly(pc.conductor, 1) for pc in pieces]
-        conds.append(FrobeniusOrderExactly(w, full))
-        eps = search_prime(ctx, conds, SearchCursor(cfg.cap, taken()))
-        pieces.append(make_ray_piece(ctx, eps))
+        conds.append(FrobeniusOrderExactly(w, full if ram is None else full // parts[ram]))
+        pieces.append(make_ray_piece(ctx, search_prime(ctx, conds, SearchCursor(cfg.cap))))
 
     table = []
     for w in targets:
@@ -125,7 +104,7 @@ def construct(field, ell: int, r: int, bound: int, config: Config = None) -> dic
         "bound": bound,
         "table": table,
         "real_place_degree": real_place_degree(field, full),
-        "config": {"cap": cfg.cap, "greedy_skip": cfg.greedy_skip},
+        "config": {"cap": cfg.cap},
     }
 
 

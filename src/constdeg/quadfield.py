@@ -69,32 +69,11 @@ def integer_elt(n: int):
     return (2 * n, 0)
 
 
-def valid_elt(field, u) -> bool:
-    x, y = u
-    if field.kind == "rational":
-        return y == 0 and x % 2 == 0
-    return (x - y * field.disc) % 2 == 0
-
-
 def elt_mul(field, u, v):
     x1, y1 = u
     x2, y2 = v
     d = field.disc
     return ((x1 * x2 + y1 * y2 * d) // 2, (x1 * y2 + x2 * y1) // 2)
-
-
-def elt_pow(field, u, e: int):
-    r = integer_elt(1)
-    while e:
-        if e & 1:
-            r = elt_mul(field, r, u)
-        u = elt_mul(field, u, u)
-        e >>= 1
-    return r
-
-
-def elt_conj(u):
-    return (u[0], -u[1])
 
 
 def elt_neg(u):
@@ -155,11 +134,8 @@ def ideal_norm(I: QuadIdeal) -> int:
     return I.g * I.g * I.a
 
 
-def ideal_conj(I: QuadIdeal) -> QuadIdeal:
-    return QuadIdeal(I.g, I.a, (-I.b) % (2 * I.a))
-
-
 def ideal_contains(I: QuadIdeal, u) -> bool:
+    # membership by the module basis; the tests' oracle for ideal_mul
     x, y = u
     if x % I.g or y % I.g:
         return False
@@ -218,6 +194,7 @@ def ideal_pow(field, I: QuadIdeal, e: int) -> QuadIdeal:
 
 
 def principal_ideal(field, u) -> QuadIdeal:
+    # the ideal (u) from a Z-basis; the tests' oracle for principal_generator
     omega = (field.disc % 2, 1)
     return _ideal_from_columns(field, [u, elt_mul(field, u, omega)])
 

@@ -15,7 +15,6 @@ from constdeg.classfield import (
     CyclotomicPiece,
     FrobeniusOrderExactly,
     InternalInconsistency,
-    KummerSplitExactLevel,
     SearchCursor,
     SplitsCompletelyIn,
     build_L0_rational,
@@ -474,25 +473,24 @@ def test_search_exhausts_on_contradiction():
 
 
 def test_search_rejects_kummer_condition_over_q():
-    # the seed is never deficient over Q, so no rational search has one
-    with pytest.raises(ValueError):
-        search_prime(CTX3, [KummerSplitExactLevel((4, 0), 1)], SearchCursor(cap=10))
+    # only seed splits, piece splits and Frobenius orders compile; any
+    # other object, such as a bare (alpha, level) Kummer pair, is refused
+    # over Q and over K before the walk starts
+    for ctx in (CTX3, CTX23):
+        with pytest.raises(ValueError, match="unsupported search condition"):
+            search_prime(ctx, [(integer_elt(4), 1)], SearchCursor(cap=10))
 
 
 def _brute_first(ctx, conds, limit):
     # reference for search_prime: every prime of S up to limit, in the
     # search order, tested condition by condition with the plain
-    # Frobenius and Kummer functions
+    # Frobenius functions
     for P in enumerate_field_primes(ctx.field, limit):
         if P.p in ctx.excluded or P in ctx.cl.gens or not in_S(ctx, P):
             continue
         ok = True
         for c in conds:
-            if isinstance(c, KummerSplitExactLevel):
-                ok = kummer_split_test(ctx, P, c.alpha, c.level) and not (
-                    kummer_split_test(ctx, P, c.alpha, c.level + 1)
-                )
-            elif isinstance(c, FrobeniusOrderExactly):
+            if isinstance(c, FrobeniusOrderExactly):
                 piece = make_ray_piece(ctx, P, check=False)
                 ok = frobenius_order_in_ray_piece(ctx, piece, c.target) == c.order
             elif isinstance(c.piece, CyclotomicPiece):
@@ -509,14 +507,15 @@ def _brute_first(ctx, conds, limit):
 @pytest.mark.parametrize(
     "field,ell,r",
     [(RATIONAL, ell, r) for ell in (2, 3, 5) for r in (1, 2)]
-    + [(K23, 2, 1), (K23, 3, 1)],
+    + [(K23, 2, 1), (K23, 3, 1), (K8, 2, 1), (quadratic_field(-56), 2, 2)],
 )
 def test_search_matches_brute_force(field, ell, r):
     ctx = build_context(field, ell, r)
     full = ell**r
     l0 = build_L0_rational(ell, r)
     seed = SplitsCompletelyIn(l0)
-    specials = [P for P, _, _ in l0_local_degrees_above_ell(ctx, l0)]
+    rows = l0_local_degrees_above_ell(ctx, l0)
+    specials = [P for P, _, _ in rows]
     # T is the first candidate the seed admits, so it lies in the
     # progression and an order condition on T decides T itself
     T = search_prime(ctx, [seed], SearchCursor(cap=5000))
@@ -545,9 +544,10 @@ def test_search_matches_brute_force(field, ell, r):
         + [FrobeniusOrderExactly(s, 1) for s in specials]
         + [FrobeniusOrderExactly(w, full)]
     )
-    if field is not RATIONAL:
-        alpha, _ = kummer_generator(ctx, w)
-        first([seed, KummerSplitExactLevel(alpha, ctx.r + ctx.t - 1)])
+    # the dedicated piece at a deficient prime above 2
+    for lam, _, a in rows:
+        if a:
+            first([seed, FrobeniusOrderExactly(lam, ell**a)])
 
 
 def test_make_ray_piece_checks_membership():
@@ -854,24 +854,17 @@ def test_deficient_search_k8():
     rows = l0_local_degrees_above_ell(ctx, l0)
     (lam, deg, a) = rows[0]
     assert (deg, a) == (1, 1)
-    alpha, m = kummer_generator(ctx, lam)
-    conds = [
-        SplitsCompletelyIn(l0),
-        KummerSplitExactLevel(alpha, m + ctx.r - a),
-    ]
+    conds = [SplitsCompletelyIn(l0), FrobeniusOrderExactly(lam, 2**a)]
     eps = search_prime(ctx, conds, SearchCursor())
     assert (eps.p, eps.kind, eps.b) == (17, "split", 14)
     # the dedicated piece moves the prime above 2 by the missing factor
     piece = make_ray_piece(ctx, eps)
     assert frobenius_order_in_ray_piece(ctx, piece, lam) == 2
-    # cross-check: demanding the Frobenius order directly finds the same
-    # conductor
-    eps2 = search_prime(
-        ctx,
-        [SplitsCompletelyIn(l0), FrobeniusOrderExactly(lam, 2)],
-        SearchCursor(),
-    )
-    assert eps2 == eps
+    # cross-check: the conductor splits at exactly Kummer level m + r - a
+    # of the generator of lam
+    alpha, m = kummer_generator(ctx, lam)
+    assert kummer_split_test(ctx, eps, alpha, m + ctx.r - a)
+    assert not kummer_split_test(ctx, eps, alpha, m + ctx.r - a + 1)
 
 
 # --------------------------------------------------------- local degree
@@ -913,10 +906,9 @@ def test_local_degree_deficient_needs_product():
     rows = l0_local_degrees_above_ell(ctx, l0)
     (lam, deg, a) = rows[0]
     assert (deg, a) == (2, 1)
-    alpha, m = kummer_generator(ctx, lam)
     eps = search_prime(
         ctx,
-        [SplitsCompletelyIn(l0), KummerSplitExactLevel(alpha, m + ctx.r - a)],
+        [SplitsCompletelyIn(l0), FrobeniusOrderExactly(lam, 2**a)],
         SearchCursor(),
     )
     piece = make_ray_piece(ctx, eps)

@@ -1,5 +1,7 @@
+import argparse
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -8,7 +10,9 @@ from pathlib import Path
 
 import pytest
 
-from constdeg.cli import run
+from constdeg.cli import _build_parser, run
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def construct(tmp_path, name, *extra):
@@ -145,17 +149,29 @@ def test_construct_search_stops_at_2_64(tmp_path, capsys):
 
 
 def test_greedy_skip_flag(tmp_path, capsys):
-    construct(
-        tmp_path,
-        "off.json",
-        "--field", "q",
-        "--n", "3",
-        "--bound", "3",
-        "--greedy-skip=false",
-    )
-    out = capsys.readouterr().out
-    assert "pieces 1" in out
-    assert "conductors (73,-)" in out
+    # every target short of full degree gets a piece and no other does,
+    # so there is no switch for it: the old flag is a usage error
+    out = tmp_path / "off.json"
+    argv = ["construct", "--field", "q", "--n", "3", "--bound", "3", "--out", str(out)]
+    assert run([*argv, "--greedy-skip=false"]) == 1
+    assert "unrecognized arguments: --greedy-skip=false" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_construct_options_documented():
+    # the "Construct options" paragraph of each document lists exactly the
+    # optional flags the construct parser accepts
+    (subs,) = [a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    want = {
+        a.option_strings[-1]
+        for a in subs.choices["construct"]._actions
+        if a.option_strings and not a.required and a.dest != "help"
+    }
+    assert "--cap" in want
+    for doc in ("README.md", "PAPER.md"):
+        text = (ROOT / doc).read_text(encoding="utf-8")
+        (para,) = re.findall(r"^Construct options:.*?(?=\n\n)", text, re.M | re.S)
+        assert set(re.findall(r"`(--[a-z-]+)", para)) == want, doc
 
 
 def test_construct_outputs_are_byte_identical(tmp_path, capsys):

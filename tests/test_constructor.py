@@ -9,6 +9,9 @@ from constdeg.classfield import (
     enumerate_field_primes,
     frobenius_order_in_L0,
     frobenius_order_in_ray_piece,
+    in_S,
+    kummer_generator,
+    kummer_split_test,
     l0_local_degrees_above_ell,
     local_degree,
     make_ray_piece,
@@ -142,13 +145,6 @@ def test_construct_l3_tiny_bound_needs_no_pieces():
     assert {tuple(r["prime"]): r["degree"] for r in tiny["table"]} == {(2, None): 3}
 
 
-def test_construct_greedy_off_adds_redundant_piece():
-    cert = construct(RATIONAL, 3, 1, 3, Config(greedy_skip=False))
-    assert [(p["p"], p["b"]) for p in cert["pieces"]] == [(73, None)]
-    assert all(r["degree"] == 3 for r in cert["table"])
-    assert cert["config"]["greedy_skip"] is False
-
-
 def test_construct_rational_n2_b100():
     cert = construct(RATIONAL, 2, 1, 100)
     assert [p["p"] for p in cert["pieces"]] == [17, 89, 409]
@@ -256,6 +252,52 @@ def test_construct_deficient_k56_r2():
     assert_discipline(cert)
 
 
+@pytest.mark.parametrize("disc,r", [(-8, 1), (-136, 1), (-56, 2), (-120, 2)])
+def test_dedicated_piece_matches_kummer_scan(disc, r):
+    # the dedicated piece asks for Frobenius order exactly 2^a at lam; an
+    # independent scan over S asks instead that the conductor split at
+    # exactly Kummer level m + r - a of the generator of lam, and both
+    # must pick the same first conductor
+    field = quadratic_field(disc)
+    cert = construct(field, 2, r, 3)
+    first = cert["pieces"][0]
+    ctx = build_context(field, 2, r)
+    l0 = build_L0_rational(2, r)
+    ((lam, _, a),) = l0_local_degrees_above_ell(ctx, l0)
+    assert a == 1
+    alpha, m = kummer_generator(ctx, lam)
+    level = m + r - a
+    scan = next(
+        P
+        for P in enumerate_field_primes(field, first["norm"])
+        if P.p not in ctx.excluded
+        and P not in ctx.cl.gens
+        and in_S(ctx, P)
+        and character_order(l0, P.norm) == 1
+        and kummer_split_test(ctx, P, alpha, level)
+        and not kummer_split_test(ctx, P, alpha, level + 1)
+    )
+    assert [scan.p, scan.b, scan.norm] == [first["p"], first["b"], first["norm"]]
+
+
+@pytest.mark.parametrize(
+    "disc,r,bound,pieces",
+    [
+        (-8, 1, 200, [(17, 14, 17), (73, 24, 73), (337, 282, 337), (593, 520, 593),
+                      (601, 208, 601)]),
+        (-136, 1, 100, [(977, 948, 977), (47, None, 2209), (13921, 2336, 13921),
+                        (27457, 6904, 27457)]),
+        (-56, 2, 100, [(17, None, 289)]),
+        (-120, 2, 100, [(1201, 404, 1201), (6529, 1096, 6529)]),
+        (-184, 2, 100, [(17, None, 289), (15809, 15684, 15809), (262433, 331894, 262433)]),
+    ],
+)
+def test_deficient_family_pieces(disc, r, bound, pieces):
+    cert = construct(quadratic_field(disc), 2, r, bound)
+    assert [(p["p"], p["b"], p["norm"]) for p in cert["pieces"]] == pieces
+    assert_discipline(cert)
+
+
 def test_construct_k8_r2_not_deficient():
     cert = construct(K8, 2, 2, 20)
     assert cert["deficiencies"] == []
@@ -329,9 +371,9 @@ def test_write_certificate_round_trip(tmp_path):
 
 
 def test_config_recorded_in_certificate():
-    cfg = Config(cap=123456, greedy_skip=True)
+    cfg = Config(cap=123456)
     cert = construct(RATIONAL, 3, 1, 3, cfg)
-    assert cert["config"] == {"cap": 123456, "greedy_skip": True}
+    assert cert["config"] == {"cap": 123456}
 
 
 def test_seed_character_orders_match_certificate():

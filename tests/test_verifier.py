@@ -209,12 +209,30 @@ def test_piece_prime_beyond_primality_range():
         verify(c)
 
 
+# Q n=3 B=3 as built with greedy_skip off: one conductor search per
+# target, so the piece at 73 is redundant (the seed alone gives degree
+# 3 at 2 and 3) but harmless
+LEGACY_NO_SKIP = """{"schema_version": 1, "field": {"kind": "rational"}, "ell": 3, "r": 1,
+"t": 0, "class_data": [], "unit_gens": [[-2, 0]],
+"l0": {"modulus": 9, "character": {"order": 3, "sign": 1}}, "deficiencies": [],
+"pieces": [{"p": 73, "b": null, "norm": 73}], "bound": 3,
+"table": [{"prime": [2, null], "degree": 3, "ramified_component": null},
+{"prime": [3, null], "degree": 3, "ramified_component": 0}],
+"real_place_degree": null, "config": {"cap": 10000000, "greedy_skip": false}}"""
+
+
 def test_verify_accepts_legacy_config_keys():
-    # schema 1 documents once recorded an enumeration order and a seed
-    # in config; verify reads neither, so such documents still verify
+    # schema 1 documents once recorded an enumeration order, a seed and
+    # a greedy_skip flag in config; verify reads none of them, so such
+    # documents still verify
     c = copy.deepcopy(CERT2)
     c["config"].update(enumeration="norm_asc", seed=0)
     verify(parse_certificate(json.dumps(c)))  # raises unless it verifies
+    rep = verify(parse_certificate(LEGACY_NO_SKIP))
+    assert [(rec.prime, rec.recomputed) for rec in rep.records] == [
+        ((2, None), 3),
+        ((3, None), 3),
+    ]
 
 
 def test_hostile_r_rejected_before_seed_is_built():
