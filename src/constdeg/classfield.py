@@ -12,14 +12,13 @@ Conventions:
   * the seed character is the canonical order-l^r quotient of
     (Z/l^(r+1))^* for odd l, and for l = 2 the odd character mod 2^(r+2)
     sending 5 to a primitive 2^r-th root of unity;
-  * the splitting-map image of a target prime q is computed integrally:
-    the prime-to-l class component is killed by raising to kprime (which
-    is 1 mod l^(r+t), so Frobenius data in any degree-l^r quotient is
-    preserved), and the class-group basis correction a_i^(-c_i) is
-    realized as multiplication by the conjugate ideal followed by
-    division by the rational norm inside the residue field;
-  * only the (Q-1)/l^r power of the image is contractual; it does not
-    depend on the choice of l-th roots made along the way.
+  * the Frobenius of a target q other than the conductor eps has the
+    order of x = gamma^((N(eps)-1)/l^(r+t)) mod eps in the ray piece,
+    where gamma generates q^(kprime * l^t): kprime (1 mod l^(r+t)) kills
+    the prime-to-l part of the class of q and l^t its l-part, so that
+    power is principal.  gamma is fixed only up to a unit, and S makes
+    every unit an l^(r+t)-th power residue at eps, so x does not depend
+    on that choice.  Over Q, gamma = q and x = q^((eps-1)/l^r) mod eps.
 
 The conductor search always runs over S.  Its conditions become norm
 tests on each entry N(P) of the progression of norms, run before any
@@ -34,7 +33,6 @@ from math import gcd, isqrt, lcm
 from .arith import (
     PRIME_LIMIT,
     SearchExhausted,
-    ell_root,
     factor,
     is_prime,
     power_residue_level,
@@ -45,9 +43,7 @@ from .quadfield import (
     PrimeIdeal,
     class_dlog,
     class_group_l_part,
-    conjugate_prime,
     factor_rational_prime,
-    ideal_mul,
     ideal_pow,
     integer_elt,
     kronecker_disc,
@@ -75,7 +71,7 @@ class Context:
     units: list
     excluded: frozenset  # rational primes dividing 2*l*disc
     kprime: int  # kills the prime-to-l class component, is 1 mod l^(r+t)
-    _targets: dict = dc_field(default_factory=dict, repr=False)
+    _targets: dict = dc_field(default_factory=dict, repr=False)  # q -> gamma
 
     @property
     def t(self):
@@ -204,78 +200,62 @@ def in_S(ctx, P: PrimeIdeal) -> bool:
 class RayPiece:
     conductor: PrimeIdeal
     degree: int  # l^r
-    _roots: dict = dc_field(default_factory=dict, repr=False)
 
     @property
     def Q(self):
         return self.conductor.norm
 
 
-def make_ray_piece(ctx, P: PrimeIdeal, check: bool = True) -> RayPiece:
-    if check and not in_S(ctx, P):
+def make_ray_piece(ctx, P: PrimeIdeal) -> RayPiece:
+    if not in_S(ctx, P):
         raise ValueError("conductor lies outside the Chebotarev set")
     return RayPiece(P, ctx.ell**ctx.r)
 
 
-def _target_data(ctx, q: PrimeIdeal):
-    # conductor-independent correction data for the target prime
-    data = ctx._targets.get(q)
-    if data is None:
+def _target_generator(ctx, q: PrimeIdeal):
+    # generator of q^(kprime * l^t), cached per target
+    gamma = ctx._targets.get(q)
+    if gamma is None:
         fld = ctx.field
-        c = class_dlog(fld, prime_module(fld, q), ctx.cl)
-        J = ideal_pow(fld, prime_module(fld, q), ctx.kprime)
-        denom = 1
-        for a_i, ci in zip(ctx.cl.gens, c):
-            if ci:
-                bar = prime_module(fld, conjugate_prime(a_i))
-                J = ideal_mul(fld, J, ideal_pow(fld, bar, ci))
-                denom *= a_i.p**ci
+        J = ideal_pow(fld, prime_module(fld, q), ctx.kprime * ctx.ell**ctx.t)
         try:
             gamma = principal_generator(fld, J)
         except NotPrincipal:
-            raise InternalInconsistency("projected target ideal is not principal")
-        data = (tuple(c), gamma, denom)
-        ctx._targets[q] = data
-    return data
+            raise InternalInconsistency("target ideal power is not principal")
+        ctx._targets[q] = gamma
+    return gamma
 
 
-def _alpha_root(ctx, piece, i, fld):
-    # iterated l-th root of alpha_i at the conductor; any choice of root
-    # gives the same contractual (Q-1)/l^r power
-    root = piece._roots.get(i)
-    if root is None:
-        root = reduce_mod(ctx.field, ctx.cl.alphas[i], piece.conductor)
-        for _ in range(ctx.cl.exps[i]):
-            root = ell_root(root, ctx.ell, fld)
-        piece._roots[i] = root
-    return root
+def frobenius_image(ctx, piece: RayPiece, q: PrimeIdeal):
+    """Over K, the residue x = gamma^((Q-1)/l^(r+t)) at the conductor of
+    a target q other than the conductor, where gamma generates
+    q^(kprime * l^t); its order is the Frobenius order of q in the piece."""
+    fld = local_field(piece.conductor)
+    g = reduce_mod(ctx.field, _target_generator(ctx, q), piece.conductor)
+    return fld.pow(g, (piece.Q - 1) // (piece.degree * ctx.ell**ctx.t))
 
 
-def splitting_map_image(ctx, piece: RayPiece, q: PrimeIdeal):
-    """Residue of the target prime q at the conductor whose (Q-1)/l^r
-    power has the same order as the Frobenius of q in the piece."""
-    eps = piece.conductor
-    if ctx.field.kind == "rational":
-        return q.p % eps.p
-    c, gamma, denom = _target_data(ctx, q)
-    fld = local_field(eps)
-    g = reduce_mod(ctx.field, gamma, eps)
-    if denom != 1:
-        g = fld.mul(g, fld.inv(fld.embed(denom)))
-    for i, ci in enumerate(c):
-        if ci:
-            g = fld.mul(g, fld.pow(_alpha_root(ctx, piece, i, fld), ci))
-    return g
+def _rational_frobenius_order(q: int, n: int, ell: int, full: int) -> int:
+    # order of the Frobenius of q in the degree-full piece of conductor n,
+    # where n is totally ramified; a composite n may give a non-order
+    if q == n:
+        return full
+    x, order = pow(q, (n - 1) // full, n), 1
+    while x != 1 and order <= full:
+        x, order = pow(x, ell, n), order * ell
+    return order
 
 
 def frobenius_order_in_ray_piece(ctx, piece: RayPiece, q: PrimeIdeal) -> int:
-    """Order of the Frobenius of q in the ray piece; the conductor itself
-    is totally ramified and reports the full degree."""
+    """Order of the Frobenius of q in the ray piece, the order of its
+    frobenius_image; the conductor itself is totally ramified and reports
+    the full degree."""
+    if ctx.field.kind == "rational":
+        return _rational_frobenius_order(q.p, piece.Q, ctx.ell, piece.degree)
     if q == piece.conductor:
         return piece.degree
     fld = local_field(piece.conductor)
-    g = splitting_map_image(ctx, piece, q)
-    x = fld.pow(g, (piece.Q - 1) // piece.degree)
+    x = frobenius_image(ctx, piece, q)
     order = 1
     one = fld.one
     while x != one:
@@ -343,17 +323,6 @@ class FrobeniusOrderExactly:
     order: int
 
 
-def _rational_frobenius_order(q: int, n: int, ell: int, full: int) -> int:
-    # order of the Frobenius of q in the degree-full piece of conductor n,
-    # where n is totally ramified; a composite n may give a non-order
-    if q == n:
-        return full
-    x, order = pow(q, (n - 1) // full, n), 1
-    while x != 1 and order <= full:
-        x, order = pow(x, ell, n), order * ell
-    return order
-
-
 def _compile(ctx, conditions):
     """Compile conditions into (norm_tests, prime_tests, summary): tests
     on a progression entry n = N(P) and on a candidate ideal P, cheapest
@@ -388,12 +357,14 @@ def _compile(ctx, conditions):
         piece = RayPiece(P, full)
         return all(frobenius_order_in_ray_piece(ctx, piece, q) == k for q, k in orders)
 
-    prime_tests = [lambda P: in_S(ctx, P)]
+    # in_S first: the Frobenius rule holds only at conductors in S; the
+    # orders at the fixed targets before the splits, which need a new
+    # generator for every candidate
+    prime_tests = [lambda P: in_S(ctx, P), orders_match]
     prime_tests += [
         lambda P, pc=pc: frobenius_order_in_ray_piece(ctx, pc, P) == 1
         for pc in splits
     ]
-    prime_tests.append(orders_match)
     return tuple(norm_tests), tuple(prime_tests), summary
 
 
@@ -403,7 +374,6 @@ DEFAULT_CAP = 10_000_000  # progression entries per conductor search
 @dataclass
 class SearchCursor:
     cap: int = DEFAULT_CAP
-    skip: frozenset = frozenset()  # ineligible primes (prior conductors)
 
 
 def _rational_candidates(ctx, n: int):
@@ -430,15 +400,14 @@ def search_prime(ctx, conditions, cursor: SearchCursor) -> PrimeIdeal:
     Walks the progression N = 1 mod l^(r+t) that S forces on norms.  Each
     entry n must pass the norm tests before any primality test; then
     each candidate, a split or inert prime of norm n coprime to 2*l*disc
-    and not a class-basis prime or in cursor.skip, must pass the prime
-    tests.  Raises SearchExhausted (CLI exit 3) after cursor.cap entries
-    or where the progression reaches 2**64, beyond which is_prime has no
-    answer.
+    and not a class-basis prime, must pass the prime tests.  Raises
+    SearchExhausted (CLI exit 3) after cursor.cap entries or where the
+    progression reaches 2**64, beyond which is_prime has no answer.
     """
     norm_tests, prime_tests, summary = _compile(ctx, conditions)
     rational = ctx.field.kind == "rational"
     candidates = _rational_candidates if rational else _quad_candidates
-    skip = set(cursor.skip) | set(ctx.cl.gens)
+    basis = ctx.cl.gens
     step = ctx.ell ** (ctx.r + ctx.t)
     if ctx.ell == 2 and (rational or ctx.field.disc < -4):
         step *= 2  # -1 must be a 2^(r+t)-th power residue
@@ -451,7 +420,7 @@ def search_prime(ctx, conditions, cursor: SearchCursor) -> PrimeIdeal:
                 break
         else:
             for P in candidates(ctx, n):
-                if P in skip:
+                if P in basis:
                     continue
                 for test in prime_tests:
                     if not test(P):

@@ -9,22 +9,23 @@ import json
 import random
 import time
 
-from constdeg.arith import factor, power_residue_level, small_primes
+from constdeg.arith import factor, small_primes
 from constdeg.classfield import (
-    SearchCursor,
     build_context,
     enumerate_field_primes,
+    frobenius_image,
     frobenius_order_in_ray_piece,
+    in_S,
     kummer_generator,
     kummer_split_test,
     make_ray_piece,
-    search_prime,
 )
 from constdeg.cli import run
 from constdeg.constructor import certificate_json, compose_for_n, construct
 from constdeg.quadfield import (
     RATIONAL,
     compose_forms,
+    elt_mul,
     elt_neg,
     enumerate_class_group,
     local_field,
@@ -40,6 +41,7 @@ from constdeg.verifier import (
     ramified_places,
     verify,
 )
+from splitting_reference import alpha_roots, reference_image, unit_root
 
 K23 = quadratic_field(-23)
 
@@ -50,13 +52,15 @@ def from_bytes(cert):
     return parse_certificate(certificate_json(cert))
 
 
-def s_members(ctx, count, cap=500_000):
-    out, skip = [], set()
-    while len(out) < count:
-        P = search_prime(ctx, [], SearchCursor(cap=cap, skip=frozenset(skip)))
-        out.append(P)
-        skip.add(P)
-    return out
+def s_members(ctx, count, bound=5000):
+    # the first members of S in search order, from the field's primes
+    out = [
+        P
+        for P in enumerate_field_primes(ctx.field, bound)
+        if P.p not in ctx.excluded and P not in ctx.cl.gens and in_S(ctx, P)
+    ]
+    assert len(out) >= count
+    return out[:count]
 
 
 def places_of(a, b):
@@ -163,8 +167,14 @@ def test_criterion_05_frobenius_kummer_equivalence():
 
 
 def test_criterion_06_choice_independence():
+    # the closed-form image gamma^((Q-1)/l^(r+t)) against the root-based
+    # splitting map, element by element, under every choice the latter
+    # makes: the l-th roots, the sign of alpha_i, and the unit in gamma
     rng = random.Random(0xACCE55)
     ctx = build_context(K23, 3, 1)
+    flipped = build_context(K23, 3, 1)
+    flipped.cl.alphas = tuple(elt_neg(a) for a in flipped.cl.alphas)
+    unitized = build_context(K23, 3, 1)
     trials = 0
     for eps in s_members(ctx, 2):
         fld = local_field(eps)
@@ -174,41 +184,32 @@ def test_criterion_06_choice_independence():
             for q in enumerate_field_primes(K23, 60)
             if q.p != eps.p and q.p not in ctx.excluded and q not in ctx.cl.gens
         ]
-        base = [(q, frobenius_order_in_ray_piece(ctx, piece, q)) for q in targets]
-        assert 0 in piece._roots  # a class-coordinate path was exercised
+        base = {q: frobenius_image(ctx, piece, q) for q in targets}
+        assert len(set(base.values())) > 1  # some target moves in the piece
 
-        # a residue of multiplicative order exactly 3 mod the conductor
-        x = 2
-        while power_residue_level(fld.embed(x), 3, 1, fld) != 0:
-            x += 1
-        w = fld.pow(fld.embed(x), (eps.norm - 1) // 3)
-
-        # replace the stored cube root of the class generator witness
-        for j in (1, 2):
-            other = make_ray_piece(ctx, eps)
-            other._roots[0] = fld.mul(piece._roots[0], fld.pow(w, j))
-            for q, order in rng.sample(base, 8):
-                assert frobenius_order_in_ray_piece(ctx, other, q) == order
+        # every l-th root taken times a random cube root of unity
+        w = unit_root(fld, 3)
+        for _ in range(2):
+            roots = alpha_roots(ctx, eps, lambda: fld.pow(w, rng.randrange(3)))
+            for q in rng.sample(targets, 8):
+                assert reference_image(ctx, eps, q, roots) == base[q], (eps, q)
                 trials += 1
 
-        # sign-flip the class generator witness itself
-        flipped = build_context(K23, 3, 1)
-        flipped.cl.alphas = tuple(elt_neg(a) for a in flipped.cl.alphas)
-        piece_f = make_ray_piece(flipped, eps)
-        for q, order in rng.sample(base, 10):
-            assert frobenius_order_in_ray_piece(flipped, piece_f, q) == order
+        # the class generator witnesses alpha_i sign-flipped
+        for q in rng.sample(targets, 10):
+            assert reference_image(flipped, eps, q) == base[q], (eps, q)
             trials += 1
 
-        # multiply the projected principal generator by a unit
-        unitized = build_context(K23, 3, 1)
+        # the production generator gamma times a unit
         piece_u = make_ray_piece(unitized, eps)
-        for q, order in rng.sample(base, 10):
-            c, gamma, denom = ctx._targets[q]
-            unitized._targets[q] = (c, elt_neg(gamma), denom)
-            assert frobenius_order_in_ray_piece(unitized, piece_u, q) == order
+        for q in rng.sample(targets, 10):
+            frobenius_image(unitized, piece_u, q)  # caches gamma for q
+            unitized._targets[q] = elt_mul(K23, rng.choice(ctx.units), unitized._targets[q])
+            assert frobenius_image(unitized, piece_u, q) == base[q], (eps, q)
+            assert reference_image(ctx, eps, q) == base[q], (eps, q)
             trials += 1
     assert trials >= 50
-    print(f"criterion 6: PASS  {trials} perturbed trials leave Frobenius orders unchanged")
+    print(f"criterion 6: PASS  {trials} perturbed trials agree with the closed-form image")
 
 
 def test_criterion_07_composite_exponents():

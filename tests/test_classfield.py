@@ -15,12 +15,14 @@ from constdeg.classfield import (
     CyclotomicPiece,
     FrobeniusOrderExactly,
     InternalInconsistency,
+    RayPiece,
     SearchCursor,
     SplitsCompletelyIn,
     build_L0_rational,
     build_context,
     character_order,
     enumerate_field_primes,
+    frobenius_image,
     frobenius_order_in_L0,
     frobenius_order_in_ray_piece,
     in_S,
@@ -30,12 +32,12 @@ from constdeg.classfield import (
     local_degree,
     make_ray_piece,
     search_prime,
-    splitting_map_image,
 )
 from constdeg.quadfield import (
     RATIONAL,
     NotPrincipal,
     PrimeIdeal,
+    conjugate_prime,
     elt_neg,
     factor_rational_prime,
     ideal_mul,
@@ -49,6 +51,7 @@ from constdeg.quadfield import (
     quadratic_field,
     reduce_mod,
 )
+from splitting_reference import alpha_roots, reference_image, unit_root
 
 rng = random.Random(0x5EEDC1A5)
 
@@ -61,14 +64,15 @@ def rp(p):
     return PrimeIdeal(p, "rational", None, 1)
 
 
-def s_members(ctx, count, cap=500000):
-    out = []
-    skip = set()
-    while len(out) < count:
-        P = search_prime(ctx, [], SearchCursor(cap=cap, skip=frozenset(skip)))
-        out.append(P)
-        skip.add(P)
-    return out
+def s_members(ctx, count, bound=5000):
+    # the first members of S in search order, from the field's primes
+    out = [
+        P
+        for P in enumerate_field_primes(ctx.field, bound)
+        if P.p not in ctx.excluded and P not in ctx.cl.gens and in_S(ctx, P)
+    ]
+    assert len(out) >= count
+    return out[:count]
 
 
 def brute_unit_order(x, m):
@@ -415,12 +419,10 @@ def test_search_first_conductor_ell2():
     for q in (5, 13):
         assert in_S(CTX2, rp(q))
         assert character_order(build_L0_rational(2, 1), q) != 1
-    nxt = search_prime(
-        CTX2,
-        [SplitsCompletelyIn(build_L0_rational(2, 1))],
-        SearchCursor(skip=frozenset({rp(17)})),
-    )
-    assert nxt == rp(41)
+    # the next member of S the seed admits is 41
+    l0 = build_L0_rational(2, 1)
+    admitted = [P for P in s_members(CTX2, 12) if character_order(l0, P.p) == 1]
+    assert admitted[:2] == [rp(17), rp(41)]
 
 
 def test_search_with_target_conditions_ell3():
@@ -449,18 +451,19 @@ def test_search_is_deterministic():
     assert a == b == rp(19)
 
 
-def test_search_skip_and_basis_exclusion():
+def test_search_basis_exclusion():
+    # in_S refuses a class-basis prime, so the search passes over one
+    # even where its norm lies in the progression
     members = s_members(CTX23, 3)
-    P = search_prime(
-        CTX23,
-        [],
-        SearchCursor(skip=frozenset(members[:2])),
-    )
+    assert search_prime(CTX23, [], SearchCursor()) == members[0]
+    ctx = build_context(K23, 3, 1)
+    ctx.cl.gens = tuple(members[:2])
+    for Q in members[:2]:
+        with pytest.raises(ValueError):
+            in_S(ctx, Q)
+    P = search_prime(ctx, [], SearchCursor())
     assert P == members[2]
     assert P.kind == "inert" and P.p == 19
-    for Q in members:
-        assert Q.p not in CTX23.excluded
-        assert Q not in CTX23.cl.gens
 
 
 def test_search_exhausts_on_contradiction():
@@ -481,6 +484,17 @@ def test_search_rejects_kummer_condition_over_q():
             search_prime(ctx, [(integer_elt(4), 1)], SearchCursor(cap=10))
 
 
+def _ray_order(ctx, piece, q):
+    # over Q, the order of q^((Q-1)/l^r) by multiplicative_order, apart
+    # from the integer routine that search_prime and the piece share
+    if ctx.field.kind != "rational":
+        return frobenius_order_in_ray_piece(ctx, piece, q)
+    if q == piece.conductor:
+        return piece.degree
+    fld = residue_field(piece.Q, 1)
+    return multiplicative_order(pow(q.p, (piece.Q - 1) // piece.degree, piece.Q), fld)
+
+
 def _brute_first(ctx, conds, limit):
     # reference for search_prime: every prime of S up to limit, in the
     # search order, tested condition by condition with the plain
@@ -491,12 +505,12 @@ def _brute_first(ctx, conds, limit):
         ok = True
         for c in conds:
             if isinstance(c, FrobeniusOrderExactly):
-                piece = make_ray_piece(ctx, P, check=False)
-                ok = frobenius_order_in_ray_piece(ctx, piece, c.target) == c.order
+                piece = RayPiece(P, ctx.ell**ctx.r)
+                ok = _ray_order(ctx, piece, c.target) == c.order
             elif isinstance(c.piece, CyclotomicPiece):
                 ok = frobenius_order_in_L0(c.piece, P, ctx.field) == 1
             else:
-                ok = frobenius_order_in_ray_piece(ctx, c.piece, P) == 1
+                ok = _ray_order(ctx, c.piece, P) == 1
             if not ok:
                 break
         if ok:
@@ -553,19 +567,13 @@ def test_search_matches_brute_force(field, ell, r):
 def test_make_ray_piece_checks_membership():
     with pytest.raises(ValueError):
         make_ray_piece(CTX3, rp(5))
-    piece = make_ray_piece(CTX3, rp(5), check=False)
-    assert piece.conductor == rp(5)
-    assert piece.degree == 3
-    assert piece.Q == 5
-
-
-# ------------------------------------------------------- splitting map
-
-
-def test_splitting_map_rational_is_reduction():
     piece = make_ray_piece(CTX3, rp(7))
-    assert splitting_map_image(CTX3, piece, rp(2)) == 2
-    assert splitting_map_image(CTX3, piece, rp(13)) == 6
+    assert piece.conductor == rp(7)
+    assert piece.degree == 3
+    assert piece.Q == 7
+
+
+# ---------------------------------------------------- Frobenius images
 
 
 def test_frobenius_order_rational_examples():
@@ -591,12 +599,11 @@ def test_frobenius_order_rational_oracle():
 
 
 def test_splitting_map_principal_image_oracle():
-    # at a principal target the image must be the reduction of an actual
-    # generator of q^kprime, up to the contractual power
+    # at a principal target q = (gen) the image is gen^(kprime (Q-1)/l^r)
     members = s_members(CTX23, 2)
     piece = make_ray_piece(CTX23, members[0])
     fld = local_field(members[0])
-    e = (piece.Q - 1) // piece.degree
+    e = CTX23.kprime * (piece.Q - 1) // piece.degree
     checked = 0
     for q in enumerate_field_primes(K23, 140):
         if q.p in CTX23.excluded or q.p == members[0].p:
@@ -605,21 +612,20 @@ def test_splitting_map_principal_image_oracle():
             gen = principal_generator(K23, prime_module(K23, q))
         except NotPrincipal:
             continue
-        img = splitting_map_image(CTX23, piece, q)
         direct = reduce_mod(K23, gen, members[0])
-        assert fld.pow(img, e) == fld.pow(direct, e)
+        assert frobenius_image(CTX23, piece, q) == fld.pow(direct, e)
         checked += 1
     assert checked >= 5
 
 
 def test_splitting_map_multiplicative_oracle():
-    # whenever q1*q2 is principal the image product matches the reduced
-    # generator of the product ideal, up to the contractual power
+    # whenever q1*q2 = (gen) is principal, the product of the images is
+    # gen^(kprime (Q-1)/l^r)
     members = s_members(CTX23, 1)
     eps = members[0]
     piece = make_ray_piece(CTX23, eps)
     fld = local_field(eps)
-    e = (piece.Q - 1) // piece.degree
+    e = CTX23.kprime * (piece.Q - 1) // piece.degree
     primes = [
         q
         for q in enumerate_field_primes(K23, 60)
@@ -634,11 +640,10 @@ def test_splitting_map_multiplicative_oracle():
             except NotPrincipal:
                 continue
             lhs = fld.mul(
-                splitting_map_image(CTX23, piece, q1),
-                splitting_map_image(CTX23, piece, q2),
+                frobenius_image(CTX23, piece, q1),
+                frobenius_image(CTX23, piece, q2),
             )
-            rhs = reduce_mod(K23, gen, eps)
-            assert fld.pow(lhs, e) == fld.pow(rhs, e)
+            assert lhs == fld.pow(reduce_mod(K23, gen, eps), e)
             pairs += 1
     assert pairs >= 10
 
@@ -737,40 +742,61 @@ def test_kummer_frobenius_biconditional_quad():
 
 
 def test_root_choice_invariance():
-    # multiplying a stored root of alpha_i by any cube root of unity
-    # must leave the contractual power and all Frobenius orders alone
+    # in the root-based splitting map, multiplying the root of alpha_i by
+    # any cube root of unity leaves the contractual power alone, and that
+    # power is the production image
     eps = s_members(CTX23, 1)[0]
     fld = local_field(eps)
-    Q = eps.norm
+    piece = make_ray_piece(CTX23, eps)
     targets = [
         q
         for q in enumerate_field_primes(K23, 30)
         if q.p != eps.p and q.kind == "split"
     ]
-    piece_a = make_ray_piece(CTX23, eps)
-    base = [
-        (
-            frobenius_order_in_ray_piece(CTX23, piece_a, q),
-            fld.pow(splitting_map_image(CTX23, piece_a, q), (Q - 1) // 3),
-        )
-        for q in targets
-    ]
-    assert 0 in piece_a._roots
-    x = 2
-    while power_residue_level(fld.embed(x), 3, 1, fld) != 0:
-        x += 1
-    w = pow(x, (Q - 1) // 3, Q)
-    assert w != 1 and pow(w, 3, Q) == 1
-    piece_b = make_ray_piece(CTX23, eps)
-    piece_b._roots[0] = fld.mul(piece_a._roots[0], fld.embed(w))
-    perturbed = [
-        (
-            frobenius_order_in_ray_piece(CTX23, piece_b, q),
-            fld.pow(splitting_map_image(CTX23, piece_b, q), (Q - 1) // 3),
-        )
-        for q in targets
-    ]
-    assert base == perturbed
+    roots = alpha_roots(CTX23, eps)
+    base = [reference_image(CTX23, eps, q, roots) for q in targets]
+    assert base == [frobenius_image(CTX23, piece, q) for q in targets]
+    w = unit_root(fld, 3)
+    assert w != fld.one and fld.pow(w, 3) == fld.one
+    for j in (1, 2):
+        twisted = [fld.mul(roots[0], fld.pow(w, j))]
+        assert base == [reference_image(CTX23, eps, q, twisted) for q in targets]
+
+
+@pytest.mark.parametrize(
+    "disc,ell,r,t,bound",
+    [
+        (-23, 3, 1, 1, 5000),
+        (-23, 2, 1, 0, 500),
+        (-4, 2, 1, 0, 500),
+        (-3, 2, 1, 0, 500),
+        (-47, 5, 1, 1, 15000),
+        (-56, 2, 1, 2, 5000),
+        (-199, 3, 1, 2, 20000),
+    ],
+)
+def test_frobenius_image_matches_reference(disc, ell, r, t, bound):
+    # the closed-form image equals the root-based splitting map as an
+    # element, at conductors of S (split and inert), for targets above 2,
+    # above l, above the discriminant and conjugate to the conductor,
+    # with every l-th root twisted by a random l-th root of unity
+    field = quadratic_field(disc)
+    ctx = build_context(field, ell, r)
+    assert ctx.t == t
+    twist_rng = random.Random(disc)
+    pairs = 0
+    for eps in s_members(ctx, 3, bound):
+        assert eps.p not in {a.p for a in ctx.cl.gens}
+        fld = local_field(eps)
+        piece = make_ray_piece(ctx, eps)
+        w = unit_root(fld, ell)
+        roots = alpha_roots(ctx, eps, lambda: fld.pow(w, twist_rng.randrange(ell)))
+        for q in enumerate_field_primes(field, 60) + [conjugate_prime(eps)]:
+            if q == eps:
+                continue
+            assert frobenius_image(ctx, piece, q) == reference_image(ctx, eps, q, roots)
+            pairs += 1
+    assert pairs >= 30
 
 
 def test_alpha_generator_sign_invariance():
@@ -830,15 +856,12 @@ def test_residue_group_at_conductors_is_large_enough():
 
 
 def test_corrected_generator_congruence():
-    # the cached iterated root at a conductor is a genuine l^m-th root
-    # of the reduced alpha_i, and the underlying basis class really has
-    # order l^(m_i): a_i itself is not principal
+    # the reference's iterated root at a conductor is a genuine l^m-th
+    # root of the reduced alpha_i, and the underlying basis class really
+    # has order l^(m_i): a_i itself is not principal
     for eps in s_members(CTX23, 3):
-        piece = make_ray_piece(CTX23, eps)
-        two = factor_rational_prime(K23, 2)[0]
-        splitting_map_image(CTX23, piece, two)  # populate the root cache
         fld = local_field(eps)
-        root = piece._roots[0]
+        (root,) = alpha_roots(CTX23, eps)
         alpha_red = reduce_mod(K23, CTX23.cl.alphas[0], eps)
         assert fld.pow(root, 3) == alpha_red
     with pytest.raises(NotPrincipal):
@@ -929,7 +952,7 @@ def test_local_degree_rejects_two_ramified_components():
     with pytest.raises(InternalInconsistency):
         local_degree(CTX3, l0, defs, [piece19, twin], rp(19))
     # a conductor above ell collides with the seed's ramification
-    above_ell = make_ray_piece(CTX3, rp(3), check=False)
+    above_ell = RayPiece(rp(3), 3)
     with pytest.raises(InternalInconsistency):
         local_degree(CTX3, l0, defs, [above_ell], rp(3))
 

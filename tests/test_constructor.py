@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from constdeg import classfield, constructor
 from constdeg.classfield import (
     build_L0_rational,
     build_context,
@@ -296,6 +297,24 @@ def test_deficient_family_pieces(disc, r, bound, pieces):
     cert = construct(quadratic_field(disc), 2, r, bound)
     assert [(p["p"], p["b"], p["norm"]) for p in cert["pieces"]] == pieces
     assert_discipline(cert)
+
+
+@pytest.mark.parametrize("r,bound", [(2, 200), (3, 50)])
+def test_target_cache_bounded_by_table(monkeypatch, r, bound):
+    # the searches test the orders at their few fixed targets before the
+    # piece splits, which take a generator of every candidate that gets
+    # that far, so the cache stays near the table's size
+    built = []
+
+    def keep(*args):
+        built.append(classfield.build_context(*args))
+        return built[-1]
+
+    monkeypatch.setattr(constructor, "build_context", keep)
+    cert = construct(K23, 2, r, bound)
+    (ctx,) = built
+    assert len(cert["pieces"]) >= 2
+    assert len(ctx._targets) <= 2 * len(cert["table"])
 
 
 def test_construct_k8_r2_not_deficient():
