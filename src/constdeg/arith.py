@@ -56,24 +56,6 @@ def small_primes(limit: int = 100000) -> tuple:
     return tuple(i for i in range(limit) if sieve[i])
 
 
-def iter_primes():
-    """Unbounded ascending prime generator (incremental sieve)."""
-    yield 2
-    comps = {}
-    n = 3
-    while True:
-        step = comps.pop(n, 0)
-        if step:
-            m = n + step
-            while m in comps:
-                m += step
-            comps[m] = step
-        else:
-            yield n
-            comps[n * n] = 2 * n
-        n += 2
-
-
 def _brent_rho(n: int, rng: random.Random) -> int:
     # n odd composite, no factor below the trial bound
     while True:

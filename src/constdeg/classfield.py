@@ -8,6 +8,11 @@ so that the ray class group splits off a cyclic factor of order at least
 l^(r+t), where the Frobenius image of any target prime can be read off as
 a power residue in the conductor's residue field.
 
+The context owns every fact fixed by (field, l, r): the l-part of the
+class group, the units, the seed and its deficiency at each prime above
+l.  A ray piece is named by its conductor, a PrimeIdeal in S; its degree
+l^r is the context's.
+
 Conventions:
   * the seed character is the canonical order-l^r quotient of
     (Z/l^(r+1))^* for odd l, and for l = 2 the odd character mod 2^(r+2)
@@ -71,6 +76,8 @@ class Context:
     units: list
     excluded: frozenset  # rational primes dividing 2*l*disc
     kprime: int  # kills the prime-to-l class component, is 1 mod l^(r+t)
+    seed: object  # the CyclotomicPiece of build_L0_rational
+    deficiencies: dict  # prime above l -> deficiency a, in factoring order
     _targets: dict = dc_field(default_factory=dict, repr=False)  # q -> gamma
 
     @property
@@ -88,7 +95,25 @@ def build_context(field, ell: int, r: int) -> Context:
     cl = class_group_l_part(field, ell, excluded)
     m = cl.coprime_part
     kprime = m * pow(m, -1, ell ** (r + cl.t))
-    return Context(field, ell, r, cl, unit_generators(field), excluded, kprime)
+    seed, deficiencies = build_L0_rational(ell, r), _deficiencies(field, ell, r)
+    units = unit_generators(field)
+    return Context(field, ell, r, cl, units, excluded, kprime, seed, deficiencies)
+
+
+def _deficiencies(field, ell: int, r: int) -> dict:
+    """Deficiency a of the seed at each prime above l, whose local degree
+    there is l^(r-a); a = 1 only in the deficient case, where the
+    completion of the base field at the prime above 2 already sits inside
+    the seed piece 2-adically."""
+    a = 0
+    if field.kind == "imag_quadratic" and ell == 2 and field.disc % 8 == 0:
+        # the seed's unique quadratic subfield is Q(sqrt(-2)) for r = 1
+        # and Q(sqrt(2)) for r >= 2, so the containment test only
+        # depends on D/8 mod 8
+        m = field.disc // 8
+        if (r == 1 and m % 8 == 7) or (r >= 2 and m % 8 == 1):
+            a = 1
+    return {lam: a for lam in factor_rational_prime(field, ell)}
 
 
 # ---------------------------------------------------------- seed piece
@@ -136,33 +161,11 @@ def character_order(piece, x: int) -> int:
     return piece.ell**j
 
 
-def frobenius_order_in_L0(piece, q: PrimeIdeal, field):
+def frobenius_order_in_L0(piece, q: PrimeIdeal):
     """Frobenius order of q in the seed piece, None for primes above l."""
     if q.p == piece.ell:
         return None
     return character_order(piece, q.norm)
-
-
-def l0_local_degrees_above_ell(ctx, piece):
-    """Local degree of the seed piece at each prime above l.
-
-    Returns [(prime, degree, a)] where degree = l^(r-a); a >= 1 only in
-    the deficient case, where the completion of the base field at the
-    prime above 2 already sits inside the seed piece 2-adically.
-    """
-    ell, r, field = ctx.ell, ctx.r, ctx.field
-    out = []
-    for lam in factor_rational_prime(field, ell):
-        a = 0
-        if field.kind == "imag_quadratic" and ell == 2 and field.disc % 8 == 0:
-            # the seed's unique quadratic subfield is Q(sqrt(-2)) for
-            # r = 1 and Q(sqrt(2)) for r >= 2, so the containment test
-            # only depends on D/8 mod 8
-            m = field.disc // 8
-            if (r == 1 and m % 8 == 7) or (r >= 2 and m % 8 == 1):
-                a = 1
-        out.append((lam, ell ** (r - a), a))
-    return out
 
 
 # --------------------------------------------------- Chebotarev set S
@@ -196,20 +199,12 @@ def in_S(ctx, P: PrimeIdeal) -> bool:
 # ----------------------------------------------------------- ray piece
 
 
-@dataclass(eq=False)
-class RayPiece:
-    conductor: PrimeIdeal
-    degree: int  # l^r
-
-    @property
-    def Q(self):
-        return self.conductor.norm
-
-
-def make_ray_piece(ctx, P: PrimeIdeal) -> RayPiece:
+def make_ray_piece(ctx, P: PrimeIdeal) -> PrimeIdeal:
+    """The ray piece of conductor P, which is P itself once it is
+    checked to lie in S."""
     if not in_S(ctx, P):
         raise ValueError("conductor lies outside the Chebotarev set")
-    return RayPiece(P, ctx.ell**ctx.r)
+    return P
 
 
 def _target_generator(ctx, q: PrimeIdeal):
@@ -226,13 +221,12 @@ def _target_generator(ctx, q: PrimeIdeal):
     return gamma
 
 
-def frobenius_image(ctx, piece: RayPiece, q: PrimeIdeal):
-    """Over K, the residue x = gamma^((Q-1)/l^(r+t)) at the conductor of
-    a target q other than the conductor, where gamma generates
+def frobenius_image(ctx, eps: PrimeIdeal, q: PrimeIdeal):
+    """Over K, the residue x = gamma^((N(eps)-1)/l^(r+t)) at the
+    conductor eps of a target q other than eps, where gamma generates
     q^(kprime * l^t); its order is the Frobenius order of q in the piece."""
-    fld = local_field(piece.conductor)
-    g = reduce_mod(ctx.field, _target_generator(ctx, q), piece.conductor)
-    return fld.pow(g, (piece.Q - 1) // (piece.degree * ctx.ell**ctx.t))
+    g = reduce_mod(ctx.field, _target_generator(ctx, q), eps)
+    return local_field(eps).pow(g, (eps.norm - 1) // ctx.ell ** (ctx.r + ctx.t))
 
 
 def _rational_frobenius_order(q: int, n: int, ell: int, full: int) -> int:
@@ -246,22 +240,23 @@ def _rational_frobenius_order(q: int, n: int, ell: int, full: int) -> int:
     return order
 
 
-def frobenius_order_in_ray_piece(ctx, piece: RayPiece, q: PrimeIdeal) -> int:
-    """Order of the Frobenius of q in the ray piece, the order of its
-    frobenius_image; the conductor itself is totally ramified and reports
-    the full degree."""
+def frobenius_order_in_ray_piece(ctx, eps: PrimeIdeal, q: PrimeIdeal) -> int:
+    """Order of the Frobenius of q in the ray piece of conductor eps, the
+    order of its frobenius_image; eps itself is totally ramified and
+    reports the full degree l^r."""
+    full = ctx.ell**ctx.r
     if ctx.field.kind == "rational":
-        return _rational_frobenius_order(q.p, piece.Q, ctx.ell, piece.degree)
-    if q == piece.conductor:
-        return piece.degree
-    fld = local_field(piece.conductor)
-    x = frobenius_image(ctx, piece, q)
+        return _rational_frobenius_order(q.p, eps.p, ctx.ell, full)
+    if q == eps:
+        return full
+    fld = local_field(eps)
+    x = frobenius_image(ctx, eps, q)
     order = 1
     one = fld.one
     while x != one:
         x = fld.pow(x, ctx.ell)
         order *= ctx.ell
-        if order > piece.degree:
+        if order > full:
             raise InternalInconsistency("Frobenius image escapes the piece")
     return order
 
@@ -312,7 +307,7 @@ def kummer_split_test(ctx, P: PrimeIdeal, alpha, k: int) -> bool:
 
 @dataclass(frozen=True)
 class SplitsCompletelyIn:
-    piece: object  # CyclotomicPiece or RayPiece
+    piece: object  # the seed CyclotomicPiece or a ray piece's conductor
 
 
 @dataclass(frozen=True)
@@ -344,7 +339,7 @@ def _compile(ctx, conditions):
     norm_tests = [lambda n, l0=l0: character_order(l0, n) == 1 for l0 in seeds]
     if rational:
         norm_tests += [
-            lambda n, Q=pc.Q, e=(pc.Q - 1) // pc.degree: pow(n, e, Q) == 1
+            lambda n, Q=pc.p, e=(pc.p - 1) // full: pow(n, e, Q) == 1
             for pc in splits
         ]
         norm_tests += [
@@ -354,8 +349,7 @@ def _compile(ctx, conditions):
         return tuple(norm_tests), (), summary
 
     def orders_match(P):
-        piece = RayPiece(P, full)
-        return all(frobenius_order_in_ray_piece(ctx, piece, q) == k for q, k in orders)
+        return all(frobenius_order_in_ray_piece(ctx, P, q) == k for q, k in orders)
 
     # in_S first: the Frobenius rule holds only at conductors in S; the
     # orders at the fixed targets before the splits, which need a new
@@ -413,8 +407,6 @@ def search_prime(ctx, conditions, cursor: SearchCursor) -> PrimeIdeal:
         step *= 2  # -1 must be a 2^(r+t)-th power residue
     last = 1 + step * cursor.cap
     for n in range(1 + step, min(last, PRIME_LIMIT - 1) + 1, step):
-        if n in ctx.excluded:
-            continue
         for test in norm_tests:
             if not test(n):
                 break
@@ -437,31 +429,31 @@ def search_prime(ctx, conditions, cursor: SearchCursor) -> PrimeIdeal:
 # ------------------------------------------------------- local degrees
 
 
-def local_degree(ctx, l0, deficiencies, pieces, w: PrimeIdeal):
+def local_degree(ctx, pieces, w: PrimeIdeal):
     """Local degree at the finite prime w of the compositum of the seed
-    and the ray pieces: the ramification factor of the one component
-    ramified at w times the lcm of the unramified Frobenius orders.
+    and the ray pieces of the given conductors: the ramification factor
+    of the one component ramified at w times the lcm of the unramified
+    Frobenius orders.
 
-    deficiencies maps primes above l to their deficiency exponent a.
     Returns (parts, ramified, degree): the local degree of each component
     at w (seed first, then the pieces), the index of the ramified one
     (0 = seed, i >= 1 = piece i, None = unramified), and their combination.
     Raises InternalInconsistency if w is ramified in two components.
     """
     if w.p == ctx.ell:
-        parts = [ctx.ell ** (ctx.r - deficiencies.get(w, 0))]
+        parts = [ctx.ell ** (ctx.r - ctx.deficiencies[w])]
         ram = 0
     else:
-        parts = [frobenius_order_in_L0(l0, w, ctx.field)]
+        parts = [frobenius_order_in_L0(ctx.seed, w)]
         ram = None
     for i, pc in enumerate(pieces, start=1):
-        if pc.conductor == w:
+        if pc == w:
             if ram is not None:
                 raise InternalInconsistency(
                     f"({w.p},{w.b}) is ramified in more than one component"
                 )
             ram = i
-            parts.append(pc.degree)
+            parts.append(ctx.ell**ctx.r)
         else:
             parts.append(frobenius_order_in_ray_piece(ctx, pc, w))
     if ram is None:
@@ -475,9 +467,8 @@ def real_place_degree(field, n: int):
     return 2 if n % 2 == 0 and field.kind == "rational" else None
 
 
-def context_record(ctx, l0, rows) -> dict:
-    """The certificate entries fixed by the context and the seed, in
-    document order; rows is l0_local_degrees_above_ell(ctx, l0)."""
+def context_record(ctx) -> dict:
+    """The certificate entries fixed by the context, in document order."""
     return {
         "t": ctx.t,
         "class_data": [
@@ -486,11 +477,13 @@ def context_record(ctx, l0, rows) -> dict:
         ],
         "unit_gens": [list(u) for u in ctx.units],
         "l0": {
-            "modulus": l0.modulus,
-            "character": {"order": l0.degree, "sign": l0.sign},
+            "modulus": ctx.seed.modulus,
+            "character": {"order": ctx.seed.degree, "sign": ctx.seed.sign},
         },
         "deficiencies": [
-            {"prime": [P.p, P.b], "deficiency": a} for P, _, a in rows if a
+            {"prime": [P.p, P.b], "deficiency": a}
+            for P, a in ctx.deficiencies.items()
+            if a
         ],
     }
 

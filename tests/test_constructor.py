@@ -13,7 +13,6 @@ from constdeg.classfield import (
     in_S,
     kummer_generator,
     kummer_split_test,
-    l0_local_degrees_above_ell,
     local_degree,
     make_ray_piece,
 )
@@ -89,11 +88,11 @@ def assert_discipline(cert):
     field, ctx, l0, pieces = rebuild(cert)
     ell = cert["ell"]
     for i, pc in enumerate(pieces):
-        assert frobenius_order_in_L0(l0, pc.conductor, field) == 1
+        assert frobenius_order_in_L0(l0, pc) == 1
         for j, other in enumerate(pieces):
             if i != j:
                 assert (
-                    frobenius_order_in_ray_piece(ctx, other, pc.conductor) == 1
+                    frobenius_order_in_ray_piece(ctx, other, pc) == 1
                 ), (i, j)
     deficient = {
         tuple(row["prime"]): row["deficiency"] for row in cert["deficiencies"]
@@ -164,11 +163,10 @@ def test_monotone_coverage_n2_b100():
     # once a target reaches full degree, later pieces leave it there
     cert = construct(RATIONAL, 2, 1, 100)
     field, ctx, l0, pieces = rebuild(cert)
-    defs = {P: a for P, _, a in l0_local_degrees_above_ell(ctx, l0)}
     for w in enumerate_field_primes(field, cert["bound"]):
         seen_full = False
         for k in range(len(pieces) + 1):
-            deg = local_degree(ctx, l0, defs, pieces[:k], w)[2]
+            deg = local_degree(ctx, pieces[:k], w)[2]
             if seen_full:
                 assert deg == 2
             seen_full = deg == 2
@@ -264,7 +262,7 @@ def test_dedicated_piece_matches_kummer_scan(disc, r):
     first = cert["pieces"][0]
     ctx = build_context(field, 2, r)
     l0 = build_L0_rational(2, r)
-    ((lam, _, a),) = l0_local_degrees_above_ell(ctx, l0)
+    ((lam, a),) = ctx.deficiencies.items()
     assert a == 1
     alpha, m = kummer_generator(ctx, lam)
     level = m + r - a

@@ -3,8 +3,9 @@ from math import isqrt
 
 import pytest
 
-from constdeg.arith import residue_field
+from constdeg.arith import factor, residue_field
 from constdeg.quadfield import (
+    DISC_LIMIT,
     RATIONAL,
     NotPrincipal,
     QuadIdeal,
@@ -78,6 +79,15 @@ def test_quadratic_field_validation():
     for d in (-12, -9, -16, -25, -5, 5, 0):
         with pytest.raises(ValueError):
             quadratic_field(d)
+
+
+def test_quadratic_field_disc_limit():
+    # |D| is checked against DISC_LIMIT before D is factored
+    assert quadratic_field(-9999995).disc == -9999995
+    with pytest.raises(ValueError, match="exceeds the limit"):
+        quadratic_field(-DISC_LIMIT - 3)
+    with pytest.raises(ValueError, match="exceeds the limit"):
+        quadratic_field(-(10**40) - 3)
 
 
 def test_element_arithmetic():
@@ -337,6 +347,41 @@ def test_class_group_l_part_rank_two():
             principal_generator(
                 field, ideal_pow(field, prime_module(field, P), 3 ** (m - 1))
             )
+
+
+def brute_dlog_table(part, disc):
+    # oracle: compose the basis powers for every exponent vector
+    ident = principal_form(disc)
+    vecs = [()]
+    for m in part.exps:
+        vecs = [v + (k,) for v in vecs for k in range(part.ell**m)]
+    table = {}
+    for vec in vecs:
+        f = ident
+        for g, e in zip(part.basis_forms, vec):
+            f = compose_forms(f, form_pow(g, e))
+        assert f not in table, "basis relation found"
+        table[f] = vec
+    return table
+
+
+@pytest.mark.parametrize(
+    "disc,ell,exps,basis_forms",
+    [
+        (-420, 2, (1, 1, 1), ((2, 2, 53), (3, 0, 35), (5, 0, 21))),
+        (-5460, 2, (1, 1, 1, 1), ((2, 2, 683), (3, 0, 455), (5, 0, 273), (7, 0, 195))),
+        (-3299, 3, (2, 1), ((3, -1, 275), (11, -1, 75))),
+        (-4027, 3, (1, 1), ((13, -9, 79), (17, -11, 61))),
+    ],
+)
+def test_dlog_table_matches_brute_force(disc, ell, exps, basis_forms):
+    # the table the greedy basis loop builds as it spans the l-Sylow
+    # subgroup, against one composed vector by vector, at l-rank >= 2
+    excluded = {p for p, _ in factor(-2 * ell * disc)}
+    part = class_group_l_part(quadratic_field(disc), ell, excluded)
+    assert part.exps == exps and part.basis_forms == basis_forms
+    assert part.dlog_table == brute_dlog_table(part, disc)
+    assert len(part.dlog_table) == ell ** sum(exps)
 
 
 def test_class_dlog_examples():

@@ -14,7 +14,6 @@ from constdeg.verifier import (
     MismatchFound,
     QuaternionAlgebra,
     RamifiedPlaceOutOfRange,
-    RealPlaceRecord,
     brauer_split_check,
     hilbert_symbol,
     parse_certificate,
@@ -52,8 +51,9 @@ def places_of(*ns):
 def test_roundtrip_n2():
     rep = verify(CERT2)
     assert len(rep.records) == 25
-    assert all(rec.claimed == 2 and rec.recomputed == 2 for rec in rep.records)
-    assert rep.real_place == RealPlaceRecord(2, 2)
+    assert all(row["degree"] == 2 for row in CERT2["table"])
+    assert all(rec.degree == 2 for rec in rep.records)
+    assert CERT2["real_place_degree"] == 2 and rep.real_place == 2
     assert rep.elapsed > 0
     assert rep.component_reports == []
 
@@ -61,7 +61,7 @@ def test_roundtrip_n2():
 def test_roundtrip_other_configs():
     for cert, full in ((CERT8, 8), (CERT9, 9), (CERT23, 3), (CERTD, 2)):
         rep = verify(cert)
-        assert rep.records and all(rec.recomputed == full for rec in rep.records)
+        assert rep.records and all(rec.degree == full for rec in rep.records)
 
 
 def test_record_components():
@@ -79,7 +79,7 @@ def test_deficient_roundtrip_components():
     lam = next(rec for rec in rep.records if rec.prime == (2, 0))
     assert lam.components[0] == 1  # the seed degree drops to 2^(r-1) here
     assert 2 in lam.components[1:]  # the dedicated piece restores it
-    assert lam.recomputed == 2
+    assert lam.degree == 2
 
 
 def test_verify_at_smaller_bound():
@@ -229,7 +229,7 @@ def test_verify_accepts_legacy_config_keys():
     c["config"].update(enumeration="norm_asc", seed=0)
     verify(parse_certificate(json.dumps(c)))  # raises unless it verifies
     rep = verify(parse_certificate(LEGACY_NO_SKIP))
-    assert [(rec.prime, rec.recomputed) for rec in rep.records] == [
+    assert [(rec.prime, rec.degree) for rec in rep.records] == [
         ((2, None), 3),
         ((3, None), 3),
     ]
@@ -255,7 +255,7 @@ def test_large_r_seed_roundtrip():
     cert = construct(RATIONAL, 2, 60, 3)
     rep = verify(from_bytes(cert))
     assert time.perf_counter() - start < 1.0
-    assert [(rec.prime, rec.recomputed) for rec in rep.records] == [
+    assert [(rec.prime, rec.degree) for rec in rep.records] == [
         ((2, None), 2**60),
         ((3, None), 2**60),
     ]
@@ -343,8 +343,8 @@ def test_verify_rejects_nonfundamental_disc():
 def test_composite_roundtrip():
     rep = verify(COMP6)
     assert len(rep.records) == 8
-    assert all(rec.recomputed == 6 and rec.components == (2, 3) for rec in rep.records)
-    assert rep.real_place == RealPlaceRecord(2, 2)
+    assert all(rec.degree == 6 and rec.components == (2, 3) for rec in rep.records)
+    assert COMP6["composite"]["real_place_degree"] == 2 and rep.real_place == 2
     assert len(rep.component_reports) == 2
 
 
