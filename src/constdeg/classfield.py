@@ -25,11 +25,8 @@ Conventions:
     every unit an l^(r+t)-th power residue at eps, so x does not depend
     on that choice.  Over Q, gamma = q and x = q^((eps-1)/l^r) mod eps.
 
-The conductor search always runs over S.  Its conditions become norm
-tests on each entry N(P) of the progression of norms, run before any
-primality test (over Q every condition, over K the seed), and prime
-tests on each candidate ideal after it.  It ends in SearchExhausted
-(CLI exit 3) at its cap of entries or at norm 2**64.
+Each conductor is the first prime of S that answers the greedy step's
+one question; search_prime states it and asks it.
 """
 
 from dataclasses import dataclass, field as dc_field
@@ -302,64 +299,7 @@ def kummer_split_test(ctx, P: PrimeIdeal, alpha, k: int) -> bool:
     return power_residue_level(x, ctx.ell, k, local_field(P)) == k
 
 
-# -------------------------------------------------- search conditions
-
-
-@dataclass(frozen=True)
-class SplitsCompletelyIn:
-    piece: object  # the seed CyclotomicPiece or a ray piece's conductor
-
-
-@dataclass(frozen=True)
-class FrobeniusOrderExactly:
-    # order of the target's Frobenius in the piece built on the candidate;
-    # a candidate equal to the target passes iff order is the full degree
-    target: PrimeIdeal
-    order: int
-
-
-def _compile(ctx, conditions):
-    """Compile conditions into (norm_tests, prime_tests, summary): tests
-    on a progression entry n = N(P) and on a candidate ideal P, cheapest
-    first, and a count of the conditions by kind.  Over Q the progression
-    already forces membership in S (the class group is trivial and -1 is
-    an l^r-th power residue there), so there are no prime tests.
-    """
-    ell, full = ctx.ell, ctx.ell**ctx.r
-    rational = ctx.field.kind == "rational"
-    seeds, splits, orders = [], [], []
-    for cond in conditions:
-        if isinstance(cond, SplitsCompletelyIn):
-            (seeds if isinstance(cond.piece, CyclotomicPiece) else splits).append(cond.piece)
-        elif isinstance(cond, FrobeniusOrderExactly):
-            orders.append((cond.target, cond.order))
-        else:
-            raise ValueError(f"unsupported search condition {cond!r}")
-    summary = f"{len(seeds)} seed, {len(splits)} piece splits, {len(orders)} Frobenius orders"
-    norm_tests = [lambda n, l0=l0: character_order(l0, n) == 1 for l0 in seeds]
-    if rational:
-        norm_tests += [
-            lambda n, Q=pc.p, e=(pc.p - 1) // full: pow(n, e, Q) == 1
-            for pc in splits
-        ]
-        norm_tests += [
-            lambda n, q=q.p, k=k: _rational_frobenius_order(q, n, ell, full) == k
-            for q, k in orders
-        ]
-        return tuple(norm_tests), (), summary
-
-    def orders_match(P):
-        return all(frobenius_order_in_ray_piece(ctx, P, q) == k for q, k in orders)
-
-    # in_S first: the Frobenius rule holds only at conductors in S; the
-    # orders at the fixed targets before the splits, which need a new
-    # generator for every candidate
-    prime_tests = [lambda P: in_S(ctx, P), orders_match]
-    prime_tests += [
-        lambda P, pc=pc: frobenius_order_in_ray_piece(ctx, pc, P) == 1
-        for pc in splits
-    ]
-    return tuple(norm_tests), tuple(prime_tests), summary
+# ------------------------------------------------------ conductor search
 
 
 DEFAULT_CAP = 10_000_000  # progression entries per conductor search
@@ -387,23 +327,58 @@ def _quad_candidates(ctx, n: int):
     return factor_rational_prime(ctx.field, p)
 
 
-def search_prime(ctx, conditions, cursor: SearchCursor) -> PrimeIdeal:
-    """First prime of S, by ascending (norm, root), satisfying every
-    condition.
+def search_prime(
+    ctx, pieces, cursor: SearchCursor, target: PrimeIdeal, order: int
+) -> PrimeIdeal:
+    """The conductor of the next greedy piece: the first prime P of S, by
+    ascending (norm, root), such that
+      * P splits completely in the seed and in the pieces of the given
+        conductors;
+      * those conductors, and every prime above l other than target,
+        split completely in the piece at P;
+      * target has Frobenius order exactly order there (a P equal to
+        target passes iff order is the full degree l^r).
 
-    Walks the progression N = 1 mod l^(r+t) that S forces on norms.  Each
-    entry n must pass the norm tests before any primality test; then
-    each candidate, a split or inert prime of norm n coprime to 2*l*disc
-    and not a class-basis prime, must pass the prime tests.  Raises
-    SearchExhausted (CLI exit 3) after cursor.cap entries or where the
-    progression reaches 2**64, beyond which is_prime has no answer.
+    Walks the progression N = 1 mod l^(r+t) that S forces on norms.  Over
+    Q every condition is a test on the entry n = N(P), run before the
+    primality test; over K only the seed's is, and each candidate, a
+    split or inert prime of norm n coprime to 2*l*disc and not a
+    class-basis prime, must then lie in S and meet the rest.  Raises
+    SearchExhausted (CLI exit 3), naming target and order, after
+    cursor.cap entries or where the progression reaches 2**64, beyond
+    which is_prime has no answer.
     """
-    norm_tests, prime_tests, summary = _compile(ctx, conditions)
+    ell, full = ctx.ell, ctx.ell**ctx.r
+    orders = [(s, 1) for s in ctx.deficiencies if s != target]
+    orders += [(pc, 1) for pc in pieces] + [(target, order)]
+    norm_tests = [lambda n, l0=ctx.seed: character_order(l0, n) == 1]
     rational = ctx.field.kind == "rational"
-    candidates = _rational_candidates if rational else _quad_candidates
+    if rational:
+        # the progression already forces membership in S (the class
+        # group is trivial and -1 an l^r-th power residue), so every
+        # test runs on the norm
+        norm_tests += [lambda n, Q=pc.p, e=(pc.p - 1) // full: pow(n, e, Q) == 1 for pc in pieces]
+        norm_tests += [
+            lambda n, q=q.p, k=k: _rational_frobenius_order(q, n, ell, full) == k
+            for q, k in orders
+        ]
+        prime_tests = ()
+        candidates = _rational_candidates
+    else:
+        # in_S first: the Frobenius rule holds only at conductors in S;
+        # the orders at the fixed primes before the splits, which need a
+        # new generator for every candidate
+        prime_tests = [
+            lambda P: in_S(ctx, P),
+            lambda P: all(frobenius_order_in_ray_piece(ctx, P, q) == k for q, k in orders),
+        ]
+        prime_tests += [
+            lambda P, pc=pc: frobenius_order_in_ray_piece(ctx, pc, P) == 1 for pc in pieces
+        ]
+        candidates = _quad_candidates
     basis = ctx.cl.gens
-    step = ctx.ell ** (ctx.r + ctx.t)
-    if ctx.ell == 2 and (rational or ctx.field.disc < -4):
+    step = ell ** (ctx.r + ctx.t)
+    if ell == 2 and (rational or ctx.field.disc < -4):
         step *= 2  # -1 must be a 2^(r+t)-th power residue
     last = 1 + step * cursor.cap
     for n in range(1 + step, min(last, PRIME_LIMIT - 1) + 1, step):
@@ -423,7 +398,8 @@ def search_prime(ctx, conditions, cursor: SearchCursor) -> PrimeIdeal:
         reason = f"norms reach the 2**64 primality limit within cap {cursor.cap}"
     else:
         reason = f"no conductor within cap {cursor.cap} (last norm {last})"
-    raise SearchExhausted(f"{reason}; conditions: {summary}")
+    name = f"({target.p},{'-' if target.b is None else target.b})"
+    raise SearchExhausted(f"{reason}; wanted order {order} at {name} after {len(pieces)} pieces")
 
 
 # ------------------------------------------------------- local degrees

@@ -7,12 +7,11 @@ the rationals).  The extension is the composite of a cyclotomic seed
 with ray pieces at auxiliary conductors drawn from the Chebotarev set S;
 the constructor records the conductors and the resulting degree table.
 
-Pieces come from one loop.  Every prime short of full degree, first the
-deficient prime above 2 and then the targets by ascending norm, gets one
-conductor search, and its piece supplies the factor the others miss
-there: Frobenius order exactly 2^a at a prime above 2 of deficiency a,
-the full degree at a target.  Conductor searches are deterministic, so
-equal inputs give byte-identical certificates.
+Pieces come from one loop: every prime short of full degree, first the
+deficient prime above 2 and then the targets by ascending norm, gets the
+piece of one classfield.search_prime call, which supplies the factor the
+others miss there.  Searches are deterministic, so equal inputs give
+byte-identical certificates.
 """
 
 import json
@@ -21,10 +20,8 @@ from dataclasses import dataclass
 from .arith import factor
 from .classfield import (
     DEFAULT_CAP,
-    FrobeniusOrderExactly,
     InternalInconsistency,
     SearchCursor,
-    SplitsCompletelyIn,
     build_context,
     context_record,
     enumerate_field_primes,
@@ -60,19 +57,14 @@ def construct(field, ell: int, r: int, bound: int, config: Config = None) -> dic
     full = ell**r
     pieces = []  # conductors
     targets = enumerate_field_primes(field, bound)
-    # the new conductor splits in the seed and every earlier piece and
-    # leaves the other primes above l and earlier conductors fixed, so
     # the new piece moves only w, by the factor the others miss there
     for w in [P for P, a in ctx.deficiencies.items() if a] + targets:
         parts, ram, deg = local_degree(ctx, pieces, w)
         if deg == full:
             continue
-        conds = [SplitsCompletelyIn(ctx.seed)]
-        conds += [SplitsCompletelyIn(pc) for pc in pieces]
-        conds += [FrobeniusOrderExactly(s, 1) for s in ctx.deficiencies if s != w]
-        conds += [FrobeniusOrderExactly(pc, 1) for pc in pieces]
-        conds.append(FrobeniusOrderExactly(w, full if ram is None else full // parts[ram]))
-        pieces.append(make_ray_piece(ctx, search_prime(ctx, conds, SearchCursor(cfg.cap))))
+        order = full if ram is None else full // parts[ram]
+        P = search_prime(ctx, pieces, SearchCursor(cfg.cap), w, order)
+        pieces.append(make_ray_piece(ctx, P))
 
     table = []
     for w in targets:

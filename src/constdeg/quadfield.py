@@ -19,6 +19,7 @@ from math import gcd, isqrt
 from .arith import (
     SearchExhausted,
     factor,
+    is_prime,
     legendre,
     residue_field,
     small_primes,
@@ -361,7 +362,34 @@ class ClassGroupLPart:
     coprime_part: int  # prime-to-l part of the class number
 
 
-_BASIS_PRIME_CAP = 100000
+_BASIS_PRIME_CAP = 100000  # primes scanned, then form values tried
+
+
+def _class_prime(field, form, exclusion) -> PrimeIdeal:
+    """A prime ideal outside the exclusion set in the class of the reduced
+    form (a, b, c): the least one of norm below the cap, or else one above
+    the first prime value a*x^2 + b*x + c for x = 0, 1, -1, 2, ..., which
+    the form represents properly, so that a prime above it lies in its
+    class (Cohen, GTM 138, 5.2)."""
+
+    def above(p):
+        for P in factor_rational_prime(field, p):
+            if ideal_class_form(field, prime_module(field, P)) == form:
+                return P
+
+    for p in small_primes(_BASIS_PRIME_CAP + 1):
+        if p not in exclusion and (P := above(p)):
+            return P
+    a, b, c = form
+    for i in range(_BASIS_PRIME_CAP):
+        x = (i + 1) // 2 if i % 2 else -(i // 2)
+        p = a * x * x + b * x + c
+        if p not in exclusion and is_prime(p) and (P := above(p)):
+            return P
+    raise SearchExhausted(
+        f"no prime below {_BASIS_PRIME_CAP} or among its first"
+        f" {_BASIS_PRIME_CAP} values represents class {form}"
+    )
 
 
 def class_group_l_part(field, ell: int, exclusion) -> ClassGroupLPart:
@@ -410,20 +438,7 @@ def class_group_l_part(field, ell: int, exclusion) -> ClassGroupLPart:
     # represent each basis class by a prime ideal outside the exclusion set
     gens, alphas = [], []
     for g_form, m in zip(basis, exps):
-        found = None
-        for p in small_primes(_BASIS_PRIME_CAP + 1):
-            if p in exclusion:
-                continue
-            for P in factor_rational_prime(field, p):
-                if ideal_class_form(field, prime_module(field, P)) == g_form:
-                    found = P
-                    break
-            if found:
-                break
-        if found is None:
-            raise SearchExhausted(
-                f"no prime below {_BASIS_PRIME_CAP} represents class {g_form}"
-            )
+        found = _class_prime(field, g_form, exclusion)
         power = ideal_pow(field, prime_module(field, found), ell**m)
         alpha = principal_generator(field, power)
         assert elt_norm(field, alpha) == ideal_norm(power)

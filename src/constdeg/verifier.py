@@ -315,23 +315,34 @@ def _effective_bound(cert_bound, requested):
 def _walk_table(field, doc, bound, n, degrees):
     """Records of doc's table and real place, rechecked: every prime of
     norm <= bound needs one row whose degree and ramified component
-    (absent on composite rows) match degrees(w) = (parts, ram, degree)."""
+    (absent on composite rows) match degrees(w) = (parts, ram, degree).
+
+    Primes are walked in segments of norm (lo, hi], each four times the
+    last, so the work up to the first missing row is bounded by the
+    table, not by bound.  The first segment ends at 2*R*log2(R) for R =
+    len(table), above the norm of the R-th prime, so an honest table is
+    walked in one segment up to bound."""
     by_prime = {}
     for row in doc["table"]:
         key = tuple(row["prime"])
         _need(key not in by_prime, f"duplicate table row for prime {list(key)}")
         by_prime[key] = row
     records = []
-    for w in enumerate_field_primes(field, bound):
-        row = by_prime.get((w.p, w.b))
-        _need(row is not None, f"table has no row for prime ({w.p},{w.b})")
-        parts, ram, total = degrees(w)
-        if row["degree"] != total:
-            raise MismatchFound(f"prime ({w.p},{w.b})", row["degree"], total)
-        claimed_ram = row.get("ramified_component")
-        if claimed_ram != ram:
-            raise MismatchFound(f"ramified component at ({w.p},{w.b})", claimed_ram, ram)
-        records.append(PrimeRecord((w.p, w.b), parts, total))
+    R = len(by_prime)
+    lo, hi = 0, min(bound, max(4096, 2 * R * R.bit_length()))
+    while lo < bound:
+        # the primes of norm <= lo are the ones already walked
+        for w in enumerate_field_primes(field, hi)[len(records) :]:
+            row = by_prime.get((w.p, w.b))
+            _need(row is not None, f"table has no row for prime ({w.p},{w.b})")
+            parts, ram, total = degrees(w)
+            if row["degree"] != total:
+                raise MismatchFound(f"prime ({w.p},{w.b})", row["degree"], total)
+            claimed_ram = row.get("ramified_component")
+            if claimed_ram != ram:
+                raise MismatchFound(f"ramified component at ({w.p},{w.b})", claimed_ram, ram)
+            records.append(PrimeRecord((w.p, w.b), parts, total))
+        lo, hi = hi, min(bound, 4 * hi)
     expected_real = real_place_degree(field, n)
     _match("real place", doc["real_place_degree"], expected_real)
     return records, expected_real

@@ -12,11 +12,8 @@ from constdeg.arith import (
     small_primes,
 )
 from constdeg.classfield import (
-    CyclotomicPiece,
-    FrobeniusOrderExactly,
     InternalInconsistency,
     SearchCursor,
-    SplitsCompletelyIn,
     build_L0_rational,
     build_context,
     character_order,
@@ -428,82 +425,6 @@ def test_in_s_quad_inert_member_over_k4():
 # --------------------------------------------------------------- search
 
 
-def test_search_first_conductor_ell2():
-    P = search_prime(
-        CTX2,
-        [SplitsCompletelyIn(build_L0_rational(2, 1))],
-        SearchCursor(),
-    )
-    assert P == rp(17)
-    # firstness: 5 and 13 are in S but are not 1 mod 8
-    for q in (5, 13):
-        assert in_S(CTX2, rp(q))
-        assert character_order(build_L0_rational(2, 1), q) != 1
-    # the next member of S the seed admits is 41
-    l0 = build_L0_rational(2, 1)
-    admitted = [P for P in s_members(CTX2, 12) if character_order(l0, P.p) == 1]
-    assert admitted[:2] == [rp(17), rp(41)]
-
-
-def test_search_with_target_conditions_ell3():
-    # degree-3 piece that keeps 3 split while moving 2 by a full cycle
-    l0 = build_L0_rational(3, 1)
-    conds = [
-        SplitsCompletelyIn(l0),
-        FrobeniusOrderExactly(rp(3), 1),
-        FrobeniusOrderExactly(rp(2), 3),
-    ]
-    P = search_prime(CTX3, conds, SearchCursor())
-    assert P == rp(73)
-    # 19 and 37 split in the seed but fail to keep 3 split
-    for q in (19, 37):
-        piece = make_ray_piece(CTX3, rp(q))
-        assert frobenius_order_in_ray_piece(CTX3, piece, rp(3)) != 1
-    piece = make_ray_piece(CTX3, rp(73))
-    assert frobenius_order_in_ray_piece(CTX3, piece, rp(3)) == 1
-    assert frobenius_order_in_ray_piece(CTX3, piece, rp(2)) == 3
-
-
-def test_search_is_deterministic():
-    conds = [SplitsCompletelyIn(build_L0_rational(3, 1))]
-    a = search_prime(CTX3, conds, SearchCursor())
-    b = search_prime(CTX3, conds, SearchCursor())
-    assert a == b == rp(19)
-
-
-def test_search_basis_exclusion():
-    # in_S refuses a class-basis prime, so the search passes over one
-    # even where its norm lies in the progression
-    members = s_members(CTX23, 3)
-    assert search_prime(CTX23, [], SearchCursor()) == members[0]
-    ctx = build_context(K23, 3, 1)
-    ctx.cl.gens = tuple(members[:2])
-    for Q in members[:2]:
-        with pytest.raises(ValueError):
-            in_S(ctx, Q)
-    P = search_prime(ctx, [], SearchCursor())
-    assert P == members[2]
-    assert P.kind == "inert" and P.p == 19
-
-
-def test_search_exhausts_on_contradiction():
-    conds = [
-        FrobeniusOrderExactly(rp(3), 1),
-        FrobeniusOrderExactly(rp(3), 2),
-    ]
-    with pytest.raises(SearchExhausted):
-        search_prime(CTX2, conds, SearchCursor(cap=200))
-
-
-def test_search_rejects_kummer_condition_over_q():
-    # only seed splits, piece splits and Frobenius orders compile; any
-    # other object, such as a bare (alpha, level) Kummer pair, is refused
-    # over Q and over K before the walk starts
-    for ctx in (CTX3, CTX23):
-        with pytest.raises(ValueError, match="unsupported search condition"):
-            search_prime(ctx, [(integer_elt(4), 1)], SearchCursor(cap=10))
-
-
 def _ray_order(ctx, eps, q):
     # over Q, the order of q^((eps-1)/l^r) by multiplicative_order, apart
     # from the integer routine that search_prime and the piece share
@@ -516,26 +437,90 @@ def _ray_order(ctx, eps, q):
     return multiplicative_order(pow(q.p, (eps.p - 1) // full, eps.p), fld)
 
 
-def _brute_first(ctx, conds, limit):
-    # reference for search_prime: every prime of S up to limit, in the
-    # search order, tested condition by condition with the plain
-    # Frobenius functions
+def _admits(ctx, pieces, target, order, P):
+    # the greedy step's question for a prime P of S, asked directly: P
+    # splits in the seed and in every earlier piece, the earlier
+    # conductors and the primes above l other than target split in the
+    # piece at P, and target has Frobenius order exactly order there (no
+    # target: only the splitting conditions)
+    return (
+        frobenius_order_in_L0(ctx.seed, P) == 1
+        and all(_ray_order(ctx, pc, P) == 1 for pc in pieces)
+        and all(_ray_order(ctx, P, pc) == 1 for pc in pieces)
+        and all(_ray_order(ctx, P, s) == 1 for s in ctx.deficiencies if s != target)
+        and (target is None or _ray_order(ctx, P, target) == order)
+    )
+
+
+def _admitted(ctx, pieces, target, order, limit):
+    # reference for search_prime: the primes of S up to norm limit that
+    # the greedy step admits, in the search order, by a plain scan
     for P in enumerate_field_primes(ctx.field, limit):
         if P.p in ctx.excluded or P in ctx.cl.gens or not in_S(ctx, P):
             continue
-        ok = True
-        for c in conds:
-            if isinstance(c, FrobeniusOrderExactly):
-                ok = _ray_order(ctx, P, c.target) == c.order
-            elif isinstance(c.piece, CyclotomicPiece):
-                ok = frobenius_order_in_L0(c.piece, P) == 1
-            else:
-                ok = _ray_order(ctx, c.piece, P) == 1
-            if not ok:
-                break
-        if ok:
-            return P
-    return None
+        if _admits(ctx, pieces, target, order, P):
+            yield P
+
+
+def _brute_first(ctx, pieces, target, order, limit):
+    return next(_admitted(ctx, pieces, target, order, limit), None)
+
+
+def test_search_first_conductor_ell2():
+    # the first greedy step of Q n=2: 3 has degree 1 in the seed and
+    # needs order 2, while 2 must stay split
+    P = search_prime(CTX2, [], SearchCursor(), rp(3), 2)
+    assert P == rp(17) == _brute_first(CTX2, [], rp(3), 2, 17)
+    # firstness: 5 and 13 are in S but are not 1 mod 8
+    for q in (5, 13):
+        assert in_S(CTX2, rp(q))
+        assert character_order(build_L0_rational(2, 1), q) != 1
+    # the next member of S the seed admits is 41
+    l0 = build_L0_rational(2, 1)
+    admitted = [P for P in s_members(CTX2, 12) if character_order(l0, P.p) == 1]
+    assert admitted[:2] == [rp(17), rp(41)]
+
+
+def test_search_with_target_conditions_ell3():
+    # degree-3 piece that keeps 3 split while moving 2 by a full cycle
+    P = search_prime(CTX3, [], SearchCursor(), rp(2), 3)
+    assert P == rp(73)
+    # 19 and 37 split in the seed but fail to keep 3 split
+    for q in (19, 37):
+        piece = make_ray_piece(CTX3, rp(q))
+        assert frobenius_order_in_ray_piece(CTX3, piece, rp(3)) != 1
+    piece = make_ray_piece(CTX3, rp(73))
+    assert frobenius_order_in_ray_piece(CTX3, piece, rp(3)) == 1
+    assert frobenius_order_in_ray_piece(CTX3, piece, rp(2)) == 3
+
+
+def test_search_is_deterministic():
+    a = search_prime(CTX3, [], SearchCursor(), rp(2), 3)
+    b = search_prime(CTX3, [], SearchCursor(), rp(2), 3)
+    assert a == b == rp(73)
+
+
+def test_search_basis_exclusion():
+    # in_S refuses a class-basis prime, so the search passes over one
+    # even where the greedy step would admit it
+    w = next(q for q in enumerate_field_primes(K23, 50) if q.p not in CTX23.excluded)
+    admitted = list(_admitted(CTX23, [], w, 3, 30000))
+    assert len(admitted) >= 3
+    assert search_prime(CTX23, [], SearchCursor(), w, 3) == admitted[0]
+    ctx = build_context(K23, 3, 1)
+    ctx.cl.gens = tuple(admitted[:2])
+    for Q in admitted[:2]:
+        with pytest.raises(ValueError):
+            in_S(ctx, Q)
+    P = search_prime(ctx, [], SearchCursor(), w, 3)
+    assert P == admitted[2]
+    assert (P.p, P.kind, P.b) == (24337, "split", 22321)
+
+
+def test_search_exhausts_on_contradiction():
+    # a Frobenius order in a degree-2 piece is 1 or 2, never 3
+    with pytest.raises(SearchExhausted, match=r"wanted order 3 at \(3,-\) after 0 pieces"):
+        search_prime(CTX2, [], SearchCursor(cap=200), rp(3), 3)
 
 
 @pytest.mark.parametrize(
@@ -546,39 +531,38 @@ def _brute_first(ctx, conds, limit):
 def test_search_matches_brute_force(field, ell, r):
     ctx = build_context(field, ell, r)
     full = ell**r
-    seed = SplitsCompletelyIn(ctx.seed)
-    # T is the first candidate the seed admits, so it lies in the
-    # progression and an order condition on T decides T itself
-    T = search_prime(ctx, [seed], SearchCursor(cap=5000))
-    pc = make_ray_piece(ctx, T)
-    w = next(
-        q for q in enumerate_field_primes(field, 50)
-        if q.p not in ctx.excluded and q != T
-    )
     # norms the search may examine: N = 1 mod step, at most cap entries
     cap, step = 5000, ell ** (r + ctx.t)
     if ell == 2 and (field is RATIONAL or field.disc < -4):
         step *= 2
 
-    def first(conds):
+    def first(pieces, target, order):
         try:
-            P = search_prime(ctx, conds, SearchCursor(cap=cap))
+            P = search_prime(ctx, pieces, SearchCursor(cap=cap), target, order)
         except SearchExhausted:
             P = None
-        assert P == _brute_first(ctx, conds, P.norm if P else 1 + step * cap)
+        assert P == _brute_first(ctx, pieces, target, order, P.norm if P else 1 + step * cap)
         return P
 
+    # T is the first candidate that meets every splitting condition, so
+    # it lies in the progression and an order condition on T decides T
+    T = _brute_first(ctx, [], None, None, 1 + step * cap)
     for k in (1, full // ell, full):
-        assert (first([seed, FrobeniusOrderExactly(T, k)]) == T) == (k == full)
-    first(
-        [seed, SplitsCompletelyIn(pc), FrobeniusOrderExactly(pc, 1)]
-        + [FrobeniusOrderExactly(s, 1) for s in ctx.deficiencies]
-        + [FrobeniusOrderExactly(w, full)]
-    )
+        assert (first([], T, k) == T) == (k == full)
+    others = [
+        q for q in enumerate_field_primes(field, 50)
+        if q.p not in ctx.excluded and q != T
+    ]
+    # one and two earlier pieces, each step aimed at a new target
+    pc = first([T], others[0], full)
+    if pc is None:  # the second piece lies beyond the cap
+        assert field is RATIONAL and full in (5, 9, 25)
+    else:
+        first([T, pc], next(q for q in others[1:] if q != pc), full)
     # the dedicated piece at a deficient prime above 2
     for lam, a in ctx.deficiencies.items():
         if a:
-            first([seed, FrobeniusOrderExactly(lam, ell**a)])
+            first([], lam, ell**a)
 
 
 def test_make_ray_piece_checks_membership():
@@ -892,8 +876,7 @@ def test_deficient_search_k8():
     ctx = build_context(K8, 2, 1)
     ((lam, a),) = ctx.deficiencies.items()
     assert (local_degree(ctx, [], lam)[2], a) == (1, 1)
-    conds = [SplitsCompletelyIn(ctx.seed), FrobeniusOrderExactly(lam, 2**a)]
-    eps = search_prime(ctx, conds, SearchCursor())
+    eps = search_prime(ctx, [], SearchCursor(), lam, 2**a)
     assert (eps.p, eps.kind, eps.b) == (17, "split", 14)
     # the dedicated piece moves the prime above 2 by the missing factor
     piece = make_ray_piece(ctx, eps)
@@ -938,11 +921,7 @@ def test_local_degree_deficient_needs_product():
     ctx = build_context(field, 2, 2)
     ((lam, a),) = ctx.deficiencies.items()
     assert (local_degree(ctx, [], lam)[2], a) == (2, 1)
-    eps = search_prime(
-        ctx,
-        [SplitsCompletelyIn(ctx.seed), FrobeniusOrderExactly(lam, 2**a)],
-        SearchCursor(),
-    )
+    eps = search_prime(ctx, [], SearchCursor(), lam, 2**a)
     piece = make_ray_piece(ctx, eps)
     assert frobenius_order_in_ray_piece(ctx, piece, lam) == 2
     assert local_degree(ctx, [piece], lam)[2] == 4

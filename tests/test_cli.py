@@ -116,12 +116,15 @@ def test_construct_rejects_disc_beyond_limit(tmp_path, capsys):
 
 
 def test_verify_hostile_disc_exits_2(tmp_path, capsys):
-    # a disc of about -1e12 is refused before it is factored; at -4000003
-    # a basis class of the 2-part has no representing prime below the
-    # basis-prime cap, so no construct run can have written the document
+    # a disc of about -1e12 is refused before it is factored; -4000003
+    # is a valid field whose 2-part of the class group, unlike that of
+    # -23, is nontrivial
     path = construct(tmp_path, "k.json", "--field", "disc=-23", "--n", "2", "--bound", "20")
     cert = json.loads(path.read_text())
-    for disc, why in ((-1000000000003, "exceeds the limit"), (-4000003, "represents class")):
+    for disc, why in (
+        (-1000000000003, "exceeds the limit"),
+        (-4000003, "at t: certificate claims 0, recomputed 2"),
+    ):
         cert["field"]["disc"] = disc
         path.write_text(json.dumps(cert))
         start = time.perf_counter()
@@ -129,6 +132,16 @@ def test_verify_hostile_disc_exits_2(tmp_path, capsys):
         assert time.perf_counter() - start < 1.0
         err = capsys.readouterr().err
         assert "verification failure" in err and why in err
+
+
+def test_basis_prime_beyond_the_sieve_round_trip(tmp_path, capsys):
+    # the 2-part basis class (7, 7, 142859) of -4000003 has no prime of
+    # norm below 10^5 outside the ramified 7; a value of the form gives one
+    path = construct(tmp_path, "k.json", "--field", "disc=-4000003", "--n", "2", "--bound", "10")
+    cert = json.loads(path.read_text())
+    assert cert["t"] == 2 and [142873, 21] in [c["gen_ideal"] for c in cert["class_data"]]
+    assert run(["verify", str(path)]) == 0
+    assert "verdict pass" in capsys.readouterr().out
 
 
 def test_construct_rejects_small_n_and_bound(tmp_path, capsys):
@@ -153,6 +166,8 @@ def test_construct_search_cap_exhausted(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "search exhausted" in err
     assert len(err) < 200 and "cap 3" in err
+    # the step it failed on: the target prime and the order it wanted
+    assert re.search(r"wanted order 3 at \(\d+,-\) after \d+ pieces", err)
 
 
 def test_construct_search_stops_at_2_64(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """The benchmark's tracer (perfbench/tracer.py) wraps package functions
-by name and reads the search cap from search_prime's third argument;
-each name must resolve, or tracing breaks without a failing test."""
+by name, reads the progression step from search_prime's first argument
+(the context) and the search cap from its third; each name must
+resolve, or tracing breaks without a failing test."""
 
 import ast
 import importlib
@@ -29,5 +30,7 @@ def test_tracer_wrapped_names_resolve():
 
 
 def test_search_cursor_is_third_argument():
-    assert list(inspect.signature(search_prime).parameters)[2] == "cursor"
+    params = list(inspect.signature(search_prime).parameters)
+    assert params[0] == "ctx"  # the tracer's _step(args[0])
+    assert params[2] == "cursor"
     assert SearchCursor(5).cap == 5

@@ -186,6 +186,21 @@ def test_tampered_bound_inflated():
         verify(c)
 
 
+@pytest.mark.parametrize("bound", [10**8, 10**12])
+@pytest.mark.parametrize("cert", [CERT2, COMP6], ids=["plain", "composite"])
+def test_hostile_bound_rejected_quickly(cert, bound):
+    # coverage claimed far past the table ends at the first missing row,
+    # after work bounded by the table rather than by the claimed bound
+    c = copy.deepcopy(cert)
+    doc = c.get("composite", c)
+    for d in [doc, *doc.get("components", ())]:
+        d["bound"] = bound
+    start = time.perf_counter()
+    with pytest.raises(MalformedCertificate, match="table has no row"):
+        verify(c)
+    assert time.perf_counter() - start < 1.0
+
+
 def test_duplicate_piece_rejected():
     c = copy.deepcopy(CERT2)
     c["pieces"].append(dict(c["pieces"][0]))
