@@ -405,6 +405,47 @@ def search_prime(
 # ------------------------------------------------------- local degrees
 
 
+def seed_part(ctx, w: PrimeIdeal):
+    """Local degree of the seed at w and whether w ramifies in it:
+    l^(r-a) at a prime above l of deficiency a, the Frobenius order
+    elsewhere."""
+    if w.p == ctx.ell:
+        return ctx.ell ** (ctx.r - ctx.deficiencies[w]), True
+    return frobenius_order_in_L0(ctx.seed, w), False
+
+
+def piece_part(ctx, eps: PrimeIdeal, w: PrimeIdeal):
+    """Local degree at w of the ray piece of conductor eps and whether w
+    ramifies in it: l^r at eps itself, the Frobenius order elsewhere."""
+    if eps.p == w.p and eps == w:  # p settles most pairs without __eq__
+        return ctx.ell**ctx.r, True
+    return frobenius_order_in_ray_piece(ctx, eps, w), False
+
+
+UNRAMIFIED = (None, 1, 1)  # the running degree of no components
+
+
+def add_part(running, i: int, part, w: PrimeIdeal):
+    """The running local degree at w with component i added.
+
+    A running degree (ramified, factor, rest) holds the index of the one
+    component ramified at w (None if there is none) with its local
+    degree (1 if none), and the lcm of the other components' local
+    degrees; the local degree is factor * rest.  part is the (degree,
+    ramifies) of component i, from seed_part (i = 0) or piece_part.
+    Raises InternalInconsistency if w is ramified in two components.
+    """
+    ramified, factor, rest = running
+    degree, ramifies = part
+    if not ramifies:
+        return ramified, factor, lcm(rest, degree)
+    if ramified is not None:
+        raise InternalInconsistency(
+            f"({w.p},{w.b}) is ramified in more than one component"
+        )
+    return i, degree, rest
+
+
 def local_degree(ctx, pieces, w: PrimeIdeal):
     """Local degree at the finite prime w of the compositum of the seed
     and the ray pieces of the given conductors: the ramification factor
@@ -416,25 +457,14 @@ def local_degree(ctx, pieces, w: PrimeIdeal):
     (0 = seed, i >= 1 = piece i, None = unramified), and their combination.
     Raises InternalInconsistency if w is ramified in two components.
     """
-    if w.p == ctx.ell:
-        parts = [ctx.ell ** (ctx.r - ctx.deficiencies[w])]
-        ram = 0
-    else:
-        parts = [frobenius_order_in_L0(ctx.seed, w)]
-        ram = None
+    part = seed_part(ctx, w)
+    parts, running = [part[0]], add_part(UNRAMIFIED, 0, part, w)
     for i, pc in enumerate(pieces, start=1):
-        if pc == w:
-            if ram is not None:
-                raise InternalInconsistency(
-                    f"({w.p},{w.b}) is ramified in more than one component"
-                )
-            ram = i
-            parts.append(ctx.ell**ctx.r)
-        else:
-            parts.append(frobenius_order_in_ray_piece(ctx, pc, w))
-    if ram is None:
-        return tuple(parts), None, lcm(*parts)
-    return tuple(parts), ram, parts[ram] * lcm(*parts[:ram], *parts[ram + 1 :])
+        part = piece_part(ctx, pc, w)
+        parts.append(part[0])
+        running = add_part(running, i, part, w)
+    ramified, factor, rest = running
+    return tuple(parts), ramified, factor * rest
 
 
 def real_place_degree(field, n: int):

@@ -4,6 +4,7 @@ import pytest
 
 from constdeg import classfield, constructor
 from constdeg.classfield import (
+    InternalInconsistency,
     build_L0_rational,
     build_context,
     character_order,
@@ -16,6 +17,7 @@ from constdeg.classfield import (
     local_degree,
     make_ray_piece,
 )
+from constdeg.cli import run
 from constdeg.constructor import (
     Config,
     certificate_json,
@@ -171,6 +173,62 @@ def test_monotone_coverage_n2_b100():
                 assert deg == 2
             seen_full = deg == 2
         assert seen_full
+
+
+@pytest.mark.parametrize(
+    "field,n,bound,own",  # own: rows that are conductors
+    [
+        (RATIONAL, 2, 100, 2),  # conductors 17 and 89 are table primes
+        (RATIONAL, 9, 500, 1),
+        (K23, 4, 200, 0),
+        (K8, 2, 200, 2),  # deficient at the prime above 2
+        (RATIONAL, 12, 500, 2),  # each component
+    ],
+)
+def test_rows_follow_the_shared_rule(field, n, bound, own):
+    # construct's running degree, which skips rows once full, gives each
+    # row the degree and ramified component that local_degree finds
+    # under the final pieces
+    cert = compose_for_n(field, n, bound)["composite"]
+    ramified_in_own_piece = 0
+    primes = {(w.p, w.b): w for w in enumerate_field_primes(field, bound)}
+    for comp in cert["components"]:
+        _, ctx, _, pieces = rebuild(comp)
+        for row in comp["table"]:
+            w = primes[tuple(row["prime"])]
+            _, ram, deg = local_degree(ctx, pieces, w)
+            assert (row["degree"], row["ramified_component"]) == (deg, ram), w
+            ramified_in_own_piece += w in pieces
+    assert ramified_in_own_piece == own
+
+
+def test_each_frobenius_order_asked_once(monkeypatch):
+    # one order per (conductor, row), and only for rows short of full;
+    # over Q the search itself asks for none
+    asked = []
+    order = classfield.frobenius_order_in_ray_piece
+
+    def record(ctx, eps, q):
+        asked.append((eps, q))
+        return order(ctx, eps, q)
+
+    monkeypatch.setattr(classfield, "frobenius_order_in_ray_piece", record)
+    cert = construct(RATIONAL, 2, 1, 10000)
+    assert len(cert["table"]) == 1229
+    assert len(set(asked)) == len(asked)
+    assert len(asked) < len(cert["table"])
+
+
+def test_self_check_catches_a_short_row(monkeypatch, tmp_path, capsys):
+    # with every piece's Frobenius order forced to 1, the piece found for
+    # 3 does not move it, and the final check refuses the table
+    monkeypatch.setattr(classfield, "frobenius_order_in_ray_piece", lambda ctx, eps, q: 1)
+    with pytest.raises(InternalInconsistency, match=r"^prime \(3,None\) has local degree 1, wanted 2$"):
+        construct(RATIONAL, 2, 1, 10)
+    out = tmp_path / "c.json"
+    assert run(["construct", "--field", "q", "--n", "2", "--bound", "10", "--out", str(out)]) == 4
+    assert "internal inconsistency" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_construct_rational_n8_and_n9():
