@@ -405,66 +405,42 @@ def search_prime(
 # ------------------------------------------------------- local degrees
 
 
-def seed_part(ctx, w: PrimeIdeal):
-    """Local degree of the seed at w and whether w ramifies in it:
-    l^(r-a) at a prime above l of deficiency a, the Frobenius order
-    elsewhere."""
-    if w.p == ctx.ell:
-        return ctx.ell ** (ctx.r - ctx.deficiencies[w]), True
-    return frobenius_order_in_L0(ctx.seed, w), False
-
-
-def piece_part(ctx, eps: PrimeIdeal, w: PrimeIdeal):
-    """Local degree at w of the ray piece of conductor eps and whether w
-    ramifies in it: l^r at eps itself, the Frobenius order elsewhere."""
-    if eps.p == w.p and eps == w:  # p settles most pairs without __eq__
-        return ctx.ell**ctx.r, True
-    return frobenius_order_in_ray_piece(ctx, eps, w), False
-
-
-UNRAMIFIED = (None, 1, 1)  # the running degree of no components
-
-
-def add_part(running, i: int, part, w: PrimeIdeal):
-    """The running local degree at w with component i added.
-
-    A running degree (ramified, factor, rest) holds the index of the one
-    component ramified at w (None if there is none) with its local
-    degree (1 if none), and the lcm of the other components' local
-    degrees; the local degree is factor * rest.  part is the (degree,
-    ramifies) of component i, from seed_part (i = 0) or piece_part.
-    Raises InternalInconsistency if w is ramified in two components.
-    """
-    ramified, factor, rest = running
-    degree, ramifies = part
-    if not ramifies:
-        return ramified, factor, lcm(rest, degree)
-    if ramified is not None:
-        raise InternalInconsistency(
-            f"({w.p},{w.b}) is ramified in more than one component"
-        )
-    return i, degree, rest
-
-
-def local_degree(ctx, pieces, w: PrimeIdeal):
+def local_degree(ctx, pieces, w: PrimeIdeal, running=None):
     """Local degree at the finite prime w of the compositum of the seed
     and the ray pieces of the given conductors: the ramification factor
     of the one component ramified at w times the lcm of the unramified
     Frobenius orders.
 
-    Returns (parts, ramified, degree): the local degree of each component
-    at w (seed first, then the pieces), the index of the ramified one
-    (0 = seed, i >= 1 = piece i, None = unramified), and their combination.
-    Raises InternalInconsistency if w is ramified in two components.
+    Returns (ramified, factor, degree): the index of the component
+    ramified at w (0 = seed, i >= 1 = piece i, None = unramified), its
+    local degree l^(r-a) or l^r (1 if none), and the local degree.  Given
+    running, the result for all but the last conductor, only the last is
+    folded in.  Raises InternalInconsistency if w is ramified in two
+    components.
+
+    Every order divides l^r, so once the unramified lcm reaches l^r only
+    a later conductor equal to w can still move the degree; the fold
+    then stops asking for orders and only looks for one.
     """
-    part = seed_part(ctx, w)
-    parts, running = [part[0]], add_part(UNRAMIFIED, 0, part, w)
-    for i, pc in enumerate(pieces, start=1):
-        part = piece_part(ctx, pc, w)
-        parts.append(part[0])
-        running = add_part(running, i, part, w)
-    ramified, factor, rest = running
-    return tuple(parts), ramified, factor * rest
+    ell, full = ctx.ell, ctx.ell**ctx.r
+    if running is not None:
+        ramified, factor, degree = running
+        rest, start = degree // factor, len(pieces) - 1
+    elif w.p == ell:
+        ramified, factor, rest, start = 0, ell ** (ctx.r - ctx.deficiencies[w]), 1, 0
+    else:
+        ramified, factor, rest, start = None, 1, frobenius_order_in_L0(ctx.seed, w), 0
+    for i in range(start, len(pieces)):
+        eps = pieces[i]
+        if eps.p == w.p and eps == w:  # p settles most pairs without __eq__
+            if ramified is not None:
+                raise InternalInconsistency(
+                    f"({w.p},{w.b}) is ramified in more than one component"
+                )
+            ramified, factor = i + 1, full
+        elif rest != full:
+            rest = lcm(rest, frobenius_order_in_ray_piece(ctx, eps, w))
+    return ramified, factor, factor * rest
 
 
 def real_place_degree(field, n: int):

@@ -7,14 +7,13 @@ the rationals).  The extension is the composite of a cyclotomic seed
 with ray pieces at auxiliary conductors drawn from the Chebotarev set S;
 the constructor records the conductors and the resulting degree table.
 
-Pieces come from one loop: every prime short of full degree, first the
-deficient prime above 2 and then the targets by ascending norm, gets the
-piece of one classfield.search_prime call, which supplies the factor the
-others miss there.  The loop keeps each prime's running local degree,
-started from the seed alone.  A new piece adds one Frobenius order to
-each prime still short of full and marks its own conductor ramified,
-through the step that local_degree uses too; the table is read from the
-result.  Searches are deterministic, so equal inputs give byte-identical
+Pieces come from one loop over the targets by ascending norm, the
+deficient prime above 2 (of norm 2) first.  Each target's local degree
+under the seed and the pieces so far comes from classfield.local_degree,
+the fold verify uses too; a target short of full degree gets the piece
+of one classfield.search_prime call, which supplies the factor the
+others miss there, and folding that one piece in completes its row.
+Searches are deterministic, so equal inputs give byte-identical
 certificates.
 """
 
@@ -24,18 +23,15 @@ from dataclasses import dataclass
 from .arith import factor
 from .classfield import (
     DEFAULT_CAP,
-    UNRAMIFIED,
     InternalInconsistency,
     SearchCursor,
     build_context,
     context_record,
     enumerate_field_primes,
-    add_part,
+    local_degree,
     make_ray_piece,
-    piece_part,
     real_place_degree,
     search_prime,
-    seed_part,
 )
 
 
@@ -53,13 +49,16 @@ def _field_json(field):
 def construct(field, ell: int, r: int, bound: int, config: Config = None) -> dict:
     """Build and self-check a certificate for exponent ell^r up to bound.
 
-    Each row is its running local degree after the last piece; a row is
-    left alone once full, so each (piece, row) Frobenius order is
-    computed at most once.
+    Each row is written when its prime is reached, and it is final: a
+    full degree stays full, since every later piece splits at each
+    earlier conductor and prime above l and an lcm of divisors of l^r
+    stops at l^r, and a later conductor, split completely in every
+    earlier component, is a prime not yet reached.  So each (piece, row)
+    Frobenius order is computed at most once.
 
     Raises SearchExhausted if some conductor search hits the cap or the
-    2**64 primality limit, and InternalInconsistency if a row of the
-    finished table is short of ell^r.
+    2**64 primality limit, and InternalInconsistency if a row is not
+    ell^r after its piece.
     """
     cfg = config or Config()
     if bound < 2:
@@ -67,41 +66,19 @@ def construct(field, ell: int, r: int, bound: int, config: Config = None) -> dic
     ctx = build_context(field, ell, r)
     full = ell**r
     pieces = []  # conductors
-    targets = enumerate_field_primes(field, bound)
-    # each prime's (ramified, factor, rest) under the seed and the pieces so far
-    worklist = [P for P, a in ctx.deficiencies.items() if a] + targets
-    running = {w: add_part(UNRAMIFIED, 0, seed_part(ctx, w), w) for w in worklist}
-
-    def degree(w):
-        _, factor, rest = running[w]
-        return factor * rest
-
-    short = dict.fromkeys(w for w in running if degree(w) != full)
-    for w in list(short):
-        if degree(w) == full:
-            continue
-        # the new piece moves only w, by the factor the others miss there
-        P = search_prime(ctx, pieces, SearchCursor(cfg.cap), w, full // running[w][1])
-        pieces.append(make_ray_piece(ctx, P))
-        # a full degree stays full: the new piece splits at every earlier
-        # conductor and prime above l, and an lcm of divisors of l^r stops
-        # at l^r.  So only short primes move, and P, ramified in the piece.
-        # P is short, being split in every earlier component; were it
-        # full, marking it anyway takes it past l^r for the check below
-        for u in short if P in short or P not in running else [*short, P]:
-            running[u] = add_part(running[u], len(pieces), piece_part(ctx, P, u), u)
-        short = dict.fromkeys(u for u in short if degree(u) != full)
-
     table = []
-    for w in targets:
-        deg = degree(w)
-        if deg != full:
+    for w in enumerate_field_primes(field, bound):
+        ramified, ram_factor, degree = running = local_degree(ctx, pieces, w)
+        if degree < full:
+            # the new piece moves only w, by the factor the others miss there
+            P = search_prime(ctx, pieces, SearchCursor(cfg.cap), w, full // ram_factor)
+            pieces.append(make_ray_piece(ctx, P))
+            ramified, _, degree = local_degree(ctx, pieces, w, running)
+        if degree != full:
             raise InternalInconsistency(
-                f"prime ({w.p},{w.b}) has local degree {deg}, wanted {full}"
+                f"prime ({w.p},{w.b}) has local degree {degree}, wanted {full}"
             )
-        table.append(
-            {"prime": [w.p, w.b], "degree": deg, "ramified_component": running[w][0]}
-        )
+        table.append({"prime": [w.p, w.b], "degree": degree, "ramified_component": ramified})
 
     return {
         "schema_version": 1,

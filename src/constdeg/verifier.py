@@ -2,8 +2,10 @@
 
 verify() trusts nothing but the parsed document: it rebuilds the class
 group data, the seed piece, and the ray pieces from the recorded
-conductors, recomputes every local degree with the rule the constructor
-uses (classfield.local_degree), and compares with the claimed table.
+conductors, recomputes every local degree with the fold the constructor
+uses (classfield.local_degree, which stops asking for Frobenius orders
+once a row's unramified part is full), and compares with the claimed
+table.
 Plain and composite documents share one table walk; a composite row's
 degree is the product of its components' verified degrees.  Any
 disagreement raises MismatchFound carrying the offending place and both
@@ -17,7 +19,7 @@ algebra ramifies, and those places are computed with Hilbert symbols.
 import json
 import time
 from dataclasses import dataclass, field as dc_field
-from functools import lru_cache, partial
+from functools import lru_cache
 from math import prod
 
 from .arith import PRIME_LIMIT, SearchExhausted, factor, is_prime, legendre
@@ -61,7 +63,6 @@ class RamifiedPlaceOutOfRange(Exception):
 @dataclass(frozen=True)
 class PrimeRecord:
     prime: tuple  # (p, b)
-    components: tuple  # local degree in the seed, then in each piece
     degree: int  # recomputed, and equal to the claim
 
 
@@ -315,7 +316,8 @@ def _effective_bound(cert_bound, requested):
 def _walk_table(field, doc, bound, n, degrees):
     """Records of doc's table and real place, rechecked: every prime of
     norm <= bound needs one row whose degree and ramified component
-    (absent on composite rows) match degrees(w) = (parts, ram, degree).
+    (absent on composite rows) match degrees(w), a (ramified, factor,
+    degree) triple as local_degree returns.
 
     Primes are walked in segments of norm (lo, hi], each four times the
     last, so the work up to the first missing row is bounded by the
@@ -335,13 +337,13 @@ def _walk_table(field, doc, bound, n, degrees):
         for w in enumerate_field_primes(field, hi)[len(records) :]:
             row = by_prime.get((w.p, w.b))
             _need(row is not None, f"table has no row for prime ({w.p},{w.b})")
-            parts, ram, total = degrees(w)
+            ram, _, total = degrees(w)
             if row["degree"] != total:
                 raise MismatchFound(f"prime ({w.p},{w.b})", row["degree"], total)
             claimed_ram = row.get("ramified_component")
             if claimed_ram != ram:
                 raise MismatchFound(f"ramified component at ({w.p},{w.b})", claimed_ram, ram)
-            records.append(PrimeRecord((w.p, w.b), parts, total))
+            records.append(PrimeRecord((w.p, w.b), total))
         lo, hi = hi, min(bound, 4 * hi)
     expected_real = real_place_degree(field, n)
     _match("real place", doc["real_place_degree"], expected_real)
@@ -350,8 +352,10 @@ def _walk_table(field, doc, bound, n, degrees):
 
 def _verify_plain(cert, bound):
     ctx, pieces = _rebuild(cert)
-    degrees = partial(local_degree, ctx, pieces)
-    return (*_walk_table(ctx.field, cert, bound, ctx.seed.degree, degrees), [])
+    records, real = _walk_table(
+        ctx.field, cert, bound, ctx.seed.degree, lambda w: local_degree(ctx, pieces, w)
+    )
+    return records, real, []
 
 
 def _verify_composite(comp, b):
@@ -371,8 +375,7 @@ def _verify_composite(comp, b):
     _match("composite exponent n", comp["n"], n)
 
     def degrees(w):
-        parts = tuple(m[(w.p, w.b)] for m in submaps)
-        return parts, None, prod(parts)
+        return None, 1, prod(m[(w.p, w.b)] for m in submaps)
 
     records, real = _walk_table(field, comp, b, n, degrees)
     return records, real, subreports

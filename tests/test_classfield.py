@@ -1,8 +1,10 @@
+import json
 import random
 from math import isqrt
 
 import pytest
 
+from constdeg import classfield
 from constdeg.arith import (
     SearchExhausted,
     is_prime,
@@ -29,6 +31,7 @@ from constdeg.classfield import (
     make_ray_piece,
     search_prime,
 )
+from constdeg.cli import run
 from constdeg.quadfield import (
     RATIONAL,
     NotPrincipal,
@@ -267,9 +270,9 @@ def test_frobenius_order_in_l0_quad_uses_norm():
 
 def test_l0_degrees_rational():
     assert CTX2.deficiencies == {rp(2): 0}
-    assert local_degree(CTX2, [], rp(2)) == ((2,), 0, 2)
+    assert local_degree(CTX2, [], rp(2)) == (0, 2, 2)
     assert CTX3.deficiencies == {rp(3): 0}
-    assert local_degree(CTX3, [], rp(3)) == ((3,), 0, 3)
+    assert local_degree(CTX3, [], rp(3)) == (0, 3, 3)
 
 
 def deficiency_of(field, ell, r):
@@ -570,7 +573,7 @@ def test_make_ray_piece_checks_membership():
         make_ray_piece(CTX3, rp(5))
     piece = make_ray_piece(CTX3, rp(7))
     assert piece == rp(7)
-    assert local_degree(CTX3, [piece], piece)[0][1] == 3  # l^r at its conductor
+    assert local_degree(CTX3, [piece], piece)[:2] == (1, 3)  # l^r at its conductor
     assert piece.norm == 7
 
 
@@ -931,8 +934,8 @@ def test_local_degree_rejects_two_ramified_components():
     # the rule multiplies in one ramification factor, so a prime ramified
     # in two components is an inconsistency, not a degree
     piece19 = make_ray_piece(CTX3, rp(19))
-    assert local_degree(CTX3, [piece19], rp(19))[1] == 1
-    assert local_degree(CTX3, [piece19], rp(3))[1] == 0
+    assert local_degree(CTX3, [piece19], rp(19))[0] == 1
+    assert local_degree(CTX3, [piece19], rp(3))[0] == 0
     twin = make_ray_piece(CTX3, rp(19))
     with pytest.raises(InternalInconsistency):
         local_degree(CTX3, [piece19, twin], rp(19))
@@ -940,6 +943,66 @@ def test_local_degree_rejects_two_ramified_components():
     above_ell = rp(3)  # make_ray_piece would refuse it
     with pytest.raises(InternalInconsistency):
         local_degree(CTX3, [above_ell], rp(3))
+
+
+def test_local_degree_full_row_still_finds_its_conductor():
+    # 19 already has degree 3 = l^r under piece 7, so the fold asks for no
+    # more orders, yet piece 19 still ramifies there and overshoots
+    piece7, piece19 = make_ray_piece(CTX3, rp(7)), make_ray_piece(CTX3, rp(19))
+    assert local_degree(CTX3, [piece7], rp(19)) == (None, 1, 3)
+    assert local_degree(CTX3, [piece7, piece19], rp(19)) == (2, 3, 9)
+
+
+def test_local_degree_duplicate_conductor_after_full_row():
+    # both copies of 19 come after 19 is full under piece 7
+    piece7, piece19 = make_ray_piece(CTX3, rp(7)), make_ray_piece(CTX3, rp(19))
+    with pytest.raises(InternalInconsistency, match="more than one component"):
+        local_degree(CTX3, [piece7, piece19, piece19], rp(19))
+
+
+def test_local_degree_running_folds_only_the_last_piece(monkeypatch):
+    piece7, piece19 = make_ray_piece(CTX3, rp(7)), make_ray_piece(CTX3, rp(19))
+    asked = []
+    order = classfield.frobenius_order_in_ray_piece
+
+    def record(ctx, eps, q):
+        asked.append(eps)
+        return order(ctx, eps, q)
+
+    monkeypatch.setattr(classfield, "frobenius_order_in_ray_piece", record)
+    for w in enumerate_field_primes(RATIONAL, 200):
+        running = local_degree(CTX3, [piece7], w)
+        asked.clear()
+        got = local_degree(CTX3, [piece7, piece19], w, running)
+        assert piece7 not in asked
+        assert got == local_degree(CTX3, [piece7, piece19], w)
+
+
+def order9_image(ctx, eps, q):
+    # an element of order 9 at eps, whose norm S makes 1 mod 9 for
+    # K(-23), l = 3 and t = 1: an order beyond l^r = 3 for r = 1
+    fld = local_field(eps)
+    for cand in fld.iter_elements():
+        y = fld.pow(cand, (eps.norm - 1) // 9)
+        if fld.pow(y, 3) != fld.one:
+            return y
+
+
+def test_frobenius_image_escaping_the_piece_is_caught(monkeypatch, tmp_path, capsys):
+    (eps,) = s_members(CTX23, 1)
+    q = next(
+        w for w in enumerate_field_primes(K23, 100) if w != eps and local_degree(CTX23, [], w)[2] == 1
+    )
+    cert = tmp_path / "k23.json"
+    args = ["--field", "disc=-23", "--n", "3", "--bound", "80", "--out", str(cert)]
+    assert run(["construct", *args]) == 0
+    assert json.loads(cert.read_text())["pieces"]
+    monkeypatch.setattr(classfield, "frobenius_image", order9_image)
+    with pytest.raises(InternalInconsistency, match="escapes the piece"):
+        local_degree(CTX23, [eps], q)
+    capsys.readouterr()
+    assert run(["verify", str(cert)]) == 4
+    assert "internal inconsistency: Frobenius image escapes the piece" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------- enumeration

@@ -68,6 +68,22 @@ def test_verify_piece_prime_beyond_2_64(tmp_path, capsys):
     assert "verification failure" in capsys.readouterr().err
 
 
+def test_verify_report_shows_prime_and_degree(tmp_path, capsys):
+    # verify raises on any mismatch, so the report has no claim column
+    path = construct(tmp_path, "c2.json", "--field", "q", "--n", "2", "--bound", "5")
+    capsys.readouterr()
+    assert run(["verify", str(path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split() for line in lines[:5]] == [
+        ["prime", "degree"],
+        ["(2,-)", "2"],
+        ["(3,-)", "2"],
+        ["(5,-)", "2"],
+        ["real", "place", "degree", "2"],
+    ]
+    assert lines[5].startswith("verdict pass  (3 primes, ")
+
+
 def test_verify_garbage_file(tmp_path, capsys):
     path = tmp_path / "junk.json"
     path.write_text("{not json")

@@ -196,10 +196,19 @@ def test_rows_follow_the_shared_rule(field, n, bound, own):
         _, ctx, _, pieces = rebuild(comp)
         for row in comp["table"]:
             w = primes[tuple(row["prime"])]
-            _, ram, deg = local_degree(ctx, pieces, w)
+            ram, _, deg = local_degree(ctx, pieces, w)
             assert (row["degree"], row["ramified_component"]) == (deg, ram), w
             ramified_in_own_piece += w in pieces
     assert ramified_in_own_piece == own
+
+
+@pytest.mark.parametrize("field,ell,r", [(K8, 2, 1), (quadratic_field(-56), 2, 2)])
+def test_deficient_prime_is_the_first_target(field, ell, r):
+    # it has norm 2, so construct's loop over the targets reaches it first
+    ctx = build_context(field, ell, r)
+    ((lam, a),) = ctx.deficiencies.items()
+    assert a == 1
+    assert lam == enumerate_field_primes(field, 2)[0]
 
 
 def test_each_frobenius_order_asked_once(monkeypatch):

@@ -7,8 +7,9 @@ import pytest
 
 from constdeg import verifier
 from constdeg.arith import factor
+from constdeg.classfield import local_degree
 from constdeg.constructor import certificate_json, compose_for_n, construct
-from constdeg.quadfield import RATIONAL, quadratic_field
+from constdeg.quadfield import RATIONAL, PrimeIdeal, quadratic_field
 from constdeg.verifier import (
     MalformedCertificate,
     MismatchFound,
@@ -23,6 +24,10 @@ from constdeg.verifier import (
 
 K23 = quadratic_field(-23)
 K8 = quadratic_field(-8)
+
+
+def rp(p):
+    return PrimeIdeal(p, "rational", None, 1)
 
 
 def from_bytes(cert):
@@ -66,20 +71,32 @@ def test_roundtrip_other_configs():
 
 def test_record_components():
     rep = verify(CERT2)
-    k = len(CERT2["pieces"])
-    assert all(len(rec.components) == 1 + k for rec in rep.records)
-    seventeen = next(rec for rec in rep.records if rec.prime == (17, None))
-    assert seventeen.components[1] == 2  # ramified in its own piece
-    two = next(rec for rec in rep.records if rec.prime == (2, None))
-    assert two.components[0] == 2  # all ramification in the seed
+    assert [rec.degree for rec in rep.records] == [2] * 25
+    ctx, pieces = verifier._rebuild(CERT2)
+    assert local_degree(ctx, pieces, rp(17)) == (1, 2, 2)  # ramified in its own piece
+    assert local_degree(ctx, pieces, rp(2)) == (0, 2, 2)  # all ramification in the seed
 
 
 def test_deficient_roundtrip_components():
     rep = verify(CERTD)
     lam = next(rec for rec in rep.records if rec.prime == (2, 0))
-    assert lam.components[0] == 1  # the seed degree drops to 2^(r-1) here
-    assert 2 in lam.components[1:]  # the dedicated piece restores it
     assert lam.degree == 2
+    ctx, pieces = verifier._rebuild(CERTD)
+    (w,) = ctx.deficiencies
+    assert (w.p, w.b) == lam.prime
+    assert local_degree(ctx, [], w) == (0, 1, 1)  # the seed degree drops to 2^(r-1) here
+    assert local_degree(ctx, pieces[:1], w) == (0, 1, 2)  # the dedicated piece restores it
+
+
+def test_appended_conductor_moves_a_seed_ramified_row():
+    # 101 is in S, and (2/101) = -1, so 2, already full by its seed
+    # ramification, gets Frobenius order 2 and degree 4 in the new piece
+    c = copy.deepcopy(CERT2)
+    assert [pc["p"] for pc in c["pieces"]] == [17, 89, 409]
+    c["pieces"].append({"p": 101, "b": None, "norm": 101})
+    with pytest.raises(MismatchFound) as exc:
+        verify(c)
+    assert (exc.value.place, exc.value.claimed, exc.value.recomputed) == ("prime (2,None)", 2, 4)
 
 
 def test_verify_at_smaller_bound():
@@ -358,7 +375,9 @@ def test_verify_rejects_nonfundamental_disc():
 def test_composite_roundtrip():
     rep = verify(COMP6)
     assert len(rep.records) == 8
-    assert all(rec.degree == 6 and rec.components == (2, 3) for rec in rep.records)
+    assert all(rec.degree == 6 for rec in rep.records)
+    two, three = rep.component_reports
+    assert [(a.degree, b.degree) for a, b in zip(two.records, three.records)] == [(2, 3)] * 8
     assert COMP6["composite"]["real_place_degree"] == 2 and rep.real_place == 2
     assert len(rep.component_reports) == 2
 
