@@ -151,10 +151,6 @@ class ResidueField:
     def one(self):
         return (1, 0) if self.f == 2 else 1
 
-    def embed(self, n: int):
-        n %= self.p
-        return (n, 0) if self.f == 2 else n
-
     def mul(self, x, y):
         if self.f == 1:
             return x * y % self.p
@@ -164,11 +160,9 @@ class ResidueField:
         return ((a * c + b * d * self.n0) % p, (a * d + b * c) % p)
 
     def pow(self, x, e: int):
+        # e >= 0: over F_{p^2} a negative e would never leave the loop
         if self.f == 1:
             return pow(x, e, self.p)
-        if e < 0:
-            x = self.inv(x)
-            e = -e
         r = (1, 0)
         while e:
             if e & 1:
@@ -276,10 +270,3 @@ def sqrt_mod(n: int, p: int) -> int:
     """A square root of n mod p (odd prime); ValueError if none exists."""
     return ell_root(n % p, 2, residue_field(p))
 
-
-def multiplicative_order(x, field: ResidueField) -> int:
-    order = field.q - 1
-    for p, _ in factor(order):
-        while order % p == 0 and field.pow(x, order // p) == field.one:
-            order //= p
-    return order

@@ -47,7 +47,6 @@ from .quadfield import (
     class_group_l_part,
     factor_rational_prime,
     ideal_pow,
-    integer_elt,
     kronecker_disc,
     local_field,
     prime_module,
@@ -256,47 +255,6 @@ def frobenius_order_in_ray_piece(ctx, eps: PrimeIdeal, q: PrimeIdeal) -> int:
         if order > full:
             raise InternalInconsistency("Frobenius image escapes the piece")
     return order
-
-
-def kummer_generator(ctx, q: PrimeIdeal):
-    """Generator alpha with q^(kprime * l^m) = (alpha), where l^m is the
-    order of the l-part of the class of q.  Returns (alpha, m).
-
-    With kummer_split_test this is the independent oracle of acceptance
-    criterion 5 for frobenius_order_in_ray_piece; the search itself asks
-    for Frobenius orders."""
-    if ctx.field.kind == "rational":
-        return integer_elt(q.p), 0
-    c = class_dlog(ctx.field, prime_module(ctx.field, q), ctx.cl)
-    m = 0
-    for ci, mi in zip(c, ctx.cl.exps):
-        if ci:
-            v = 0
-            while ci % ctx.ell == 0:
-                ci //= ctx.ell
-                v += 1
-            m = max(m, mi - v)
-    alpha = principal_generator(
-        ctx.field,
-        ideal_pow(ctx.field, prime_module(ctx.field, q), ctx.kprime * ctx.ell**m),
-    )
-    return alpha, m
-
-
-def kummer_split_test(ctx, P: PrimeIdeal, alpha, k: int) -> bool:
-    """Whether P splits completely in the Kummer layer generated by the
-    l^k-th roots of unity and an l^k-th root of alpha.  For q with
-    kummer_generator(ctx, q) = (alpha, m), P splits at level m + s iff
-    the Frobenius of q has order at most l^(r-s) in the piece at P; the
-    tests use this as an oracle (acceptance criterion 5)."""
-    if k == 0:
-        return True
-    if k > ctx.r + ctx.t:
-        raise ValueError("Kummer level exceeds r + t")
-    if (P.norm - 1) % ctx.ell**k:
-        return False
-    x = reduce_mod(ctx.field, alpha, P)
-    return power_residue_level(x, ctx.ell, k, local_field(P)) == k
 
 
 # ------------------------------------------------------ conductor search

@@ -63,6 +63,8 @@ def construct(field, ell: int, r: int, bound: int, config: Config = None) -> dic
     cfg = config or Config()
     if bound < 2:
         raise ValueError("bound must be at least 2")
+    if cfg.cap < 1:
+        raise ValueError("cap must be at least 1")
     ctx = build_context(field, ell, r)
     full = ell**r
     pieces = []  # conductors

@@ -16,8 +16,6 @@ from constdeg.classfield import (
     frobenius_image,
     frobenius_order_in_ray_piece,
     in_S,
-    kummer_generator,
-    kummer_split_test,
     make_ray_piece,
 )
 from constdeg.cli import run
@@ -41,7 +39,13 @@ from constdeg.verifier import (
     ramified_places,
     verify,
 )
-from splitting_reference import alpha_roots, reference_image, unit_root
+from oracles import (
+    alpha_roots,
+    kummer_generator,
+    kummer_split_test,
+    reference_image,
+    unit_root,
+)
 
 K23 = quadratic_field(-23)
 

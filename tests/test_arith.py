@@ -8,12 +8,12 @@ from constdeg.arith import (
     factor,
     is_prime,
     legendre,
-    multiplicative_order,
     power_residue_level,
     residue_field,
     small_primes,
     sqrt_mod,
 )
+from oracles import multiplicative_order
 
 # ---------------------------------------------------------------- oracles
 

@@ -8,7 +8,6 @@ from constdeg import classfield
 from constdeg.arith import (
     SearchExhausted,
     is_prime,
-    multiplicative_order,
     power_residue_level,
     residue_field,
     small_primes,
@@ -25,8 +24,6 @@ from constdeg.classfield import (
     frobenius_order_in_L0,
     frobenius_order_in_ray_piece,
     in_S,
-    kummer_generator,
-    kummer_split_test,
     local_degree,
     make_ray_piece,
     search_prime,
@@ -36,7 +33,6 @@ from constdeg.quadfield import (
     RATIONAL,
     NotPrincipal,
     PrimeIdeal,
-    conjugate_prime,
     elt_neg,
     factor_rational_prime,
     ideal_mul,
@@ -46,11 +42,20 @@ from constdeg.quadfield import (
     local_field,
     prime_module,
     principal_generator,
-    principal_ideal,
     quadratic_field,
     reduce_mod,
 )
-from splitting_reference import alpha_roots, reference_image, unit_root
+from oracles import (
+    alpha_roots,
+    conjugate_prime,
+    embed,
+    kummer_generator,
+    kummer_split_test,
+    multiplicative_order,
+    principal_ideal,
+    reference_image,
+    unit_root,
+)
 
 rng = random.Random(0x5EEDC1A5)
 
@@ -597,7 +602,7 @@ def test_frobenius_order_rational_oracle():
             if q in (3, eps):
                 continue
             x = pow(q, (eps - 1) // 3, eps)
-            expect = multiplicative_order(fld.embed(x), fld)
+            expect = multiplicative_order(embed(fld, x), fld)
             assert expect in (1, 3)
             assert frobenius_order_in_ray_piece(CTX3, piece, rp(q)) == expect
 

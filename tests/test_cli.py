@@ -131,6 +131,15 @@ def test_construct_rejects_disc_beyond_limit(tmp_path, capsys):
     assert "exceeds the limit" in capsys.readouterr().err
 
 
+def test_construct_rejects_non_positive_cap(tmp_path, capsys):
+    out = tmp_path / "x.json"
+    for cap in ("0", "-5"):
+        args = ["--field", "q", "--n", "2", "--bound", "20", "--cap", cap, "--out", str(out)]
+        assert run(["construct", *args]) == 1
+        assert "error: cap must be at least 1" in capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_verify_hostile_disc_exits_2(tmp_path, capsys):
     # a disc of about -1e12 is refused before it is factored; -4000003
     # is a valid field whose 2-part of the class group, unlike that of

@@ -12,8 +12,6 @@ from constdeg.classfield import (
     frobenius_order_in_L0,
     frobenius_order_in_ray_piece,
     in_S,
-    kummer_generator,
-    kummer_split_test,
     local_degree,
     make_ray_piece,
 )
@@ -31,6 +29,7 @@ from constdeg.quadfield import (
     factor_rational_prime,
     quadratic_field,
 )
+from oracles import kummer_generator, kummer_split_test
 
 K23 = quadratic_field(-23)
 K8 = quadratic_field(-8)

@@ -12,7 +12,6 @@ from constdeg.quadfield import (
     class_dlog,
     class_group_l_part,
     compose_forms,
-    conjugate_prime,
     elt_mul,
     elt_norm,
     enumerate_class_group,
@@ -20,7 +19,6 @@ from constdeg.quadfield import (
     form_disc,
     form_pow,
     ideal_class_form,
-    ideal_contains,
     ideal_mul,
     ideal_norm,
     ideal_pow,
@@ -29,13 +27,19 @@ from constdeg.quadfield import (
     normalize_unit,
     principal_form,
     principal_generator,
-    principal_ideal,
     prime_module,
     quadratic_field,
     reduce_form,
     reduce_mod,
     unit_generators,
     unit_ideal,
+)
+from oracles import (
+    conjugate_prime,
+    embed,
+    ideal_contains,
+    principal_ideal,
+    reduced_forms_by_a,
 )
 
 K23 = quadratic_field(-23)
@@ -246,6 +250,14 @@ def test_enumerate_class_group_examples():
     assert set(forms) == {(1, 1, 6), (2, 1, 3), (2, -1, 3)}
     assert enumerate_class_group(quadratic_field(-47))[1] == 5
     assert enumerate_class_group(RATIONAL) == ([], 1)
+
+
+def test_enumerate_class_group_matches_the_scan_over_a():
+    # same forms in the same order as trying every b in (-a, a]; the
+    # large disc has four forms with b = a, such as (7, 7, 142859)
+    for d in fundamental_discs(2999) + [-4000003]:
+        field = quadratic_field(d)
+        assert enumerate_class_group(field) == reduced_forms_by_a(field), d
 
 
 def test_group_law_exhaustive_small_discs():
@@ -495,7 +507,7 @@ def test_reduce_mod_examples():
     (P5,) = factor_rational_prime(K23, 5)
     img = reduce_mod(K23, (0, 2), P5)  # sqrt(-23) in F_25
     fld = residue_field(5, 2)
-    assert fld.mul(img, img) == fld.embed(-23)
+    assert fld.mul(img, img) == embed(fld, -23)
 
 
 def test_reduce_mod_is_a_ring_hom():

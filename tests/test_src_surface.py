@@ -1,0 +1,75 @@
+"""The package ships only code it runs.
+
+Every top-level function and class in src/constdeg must be loaded, by
+name or as an attribute, by some other top-level statement of
+src/constdeg, or be exported in constdeg.__all__, or be a console-script
+entry point of pyproject.toml.  A reference that only the tests call
+belongs in tests/oracles.py.
+"""
+
+import ast
+import re
+from pathlib import Path
+
+import constdeg
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "constdeg"
+
+
+def _loads(node) -> set:
+    out = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            out.add(sub.id)
+        elif isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
+            out.add(sub.attr)
+    return out
+
+
+def unused_definitions(src_dir, exempt) -> list:
+    """module.name of each top-level def or class in src_dir/*.py that no
+    other top-level statement there loads and exempt does not name; a
+    definition's loads of its own name (recursion) do not count."""
+    defs, loads = [], []  # loads: (defined name or None, names loaded)
+    for path in sorted(Path(src_dir).glob("*.py")):
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            name = None
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                name = stmt.name
+                defs.append((path.stem, name))
+            loads.append((name, _loads(stmt)))
+    return [
+        f"{module}.{name}"
+        for module, name in defs
+        if name not in exempt
+        and not any(name in names for owner, names in loads if owner != name)
+    ]
+
+
+def entry_points(pyproject) -> set:
+    """Function names of the constdeg console scripts."""
+    text = Path(pyproject).read_text(encoding="utf-8")
+    scripts = text.split("[project.scripts]", 1)[1].split("\n[", 1)[0]
+    return set(re.findall(r'=\s*"constdeg\.\w+:(\w+)"', scripts))
+
+
+def test_every_src_definition_has_a_src_caller():
+    scripts = entry_points(ROOT / "pyproject.toml")
+    assert scripts == {"main"}
+    assert unused_definitions(SRC, set(constdeg.__all__) | scripts) == []
+
+
+def test_guard_flags_uncalled_and_self_recursive_definitions(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "def used():\n    return 1\n\n\n"
+        "def dead():\n    return used()\n\n\n"
+        "def recurse(n):\n    return recurse(n - 1) if n else 0\n\n\n"
+        "class Exported:\n    pass\n",
+        encoding="utf-8",
+    )
+    (tmp_path / "b.py").write_text(
+        "from . import a\n\n\ndef helper():\n    return a.used\n\n\nX = helper()\n",
+        encoding="utf-8",
+    )
+    assert unused_definitions(tmp_path, {"Exported"}) == ["a.dead", "a.recurse"]
