@@ -117,29 +117,26 @@ def _print_summary(cert):
 
 
 def _print_report(report, verbosity: int = 0):
-    # verify raises on any mismatch, so every degree is also the claim
+    # verify raises unless every rechecked prime has degree n in its row
     rows = [("prime", "degree")]
-    rows += [(_format_prime(rec.prime), rec.degree) for rec in report.records]
+    rows += [(_format_prime(prime), report.degree) for prime in report.primes]
     _print_table(rows)
     if report.real_place is not None:
         print(f"real place degree {report.real_place}")
     if verbosity:
         for i, sub in enumerate(report.component_reports, start=1):
-            print(f"component {i}: {len(sub.records)} primes rechecked in {sub.elapsed:.3f}s")
-    print(f"verdict pass  ({len(report.records)} primes, {report.elapsed:.3f}s)")
+            print(f"component {i}: {len(sub.primes)} primes rechecked in {sub.elapsed:.3f}s")
+    print(f"verdict pass  ({len(report.primes)} primes, {report.elapsed:.3f}s)")
 
 
 # ----------------------------------------------------------- subcommands
 
 
 def _cmd_construct(args) -> int:
-    if args.n < 2:
-        raise UsageError("--n must be at least 2")
-    if args.bound < 2:
-        raise UsageError("--bound must be at least 2")
     field = _parse_field(args.field)
     build = Config(cap=args.cap)
-    powers = factor(args.n)
+    # construct and compose_for_n own the n and bound rules
+    powers = factor(args.n) if args.n > 1 else ()
     if len(powers) == 1:
         ((ell, r),) = powers
         cert = construct(field, ell, r, args.bound, build)

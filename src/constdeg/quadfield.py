@@ -226,11 +226,8 @@ def factor_rational_prime(field, p: int):
     if sym == -1:
         return [PrimeIdeal(p, "inert", None, 2)]
     if sym == 0:
-        b = next(
-            b
-            for b in range(2 * p)
-            if (b - d) % 2 == 0 and (b * b - d) % (4 * p) == 0
-        )
+        # p | d and p | b^2 - d force p | b, and 0 and p are the b < 2p it divides
+        b = next(b for b in (0, p) if (b - d) % 2 == 0 and (b * b - d) % (4 * p) == 0)
         return [PrimeIdeal(p, "ramified", b, 1)]
     if p == 2:
         roots = [1, 3]

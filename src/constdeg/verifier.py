@@ -4,12 +4,13 @@ verify() trusts nothing but the parsed document: it rebuilds the class
 group data, the seed piece, and the ray pieces from the recorded
 conductors, recomputes every local degree with the fold the constructor
 uses (classfield.local_degree, which stops asking for Frobenius orders
-once a row's unramified part is full), and compares with the claimed
-table.
-Plain and composite documents share one table walk; a composite row's
-degree is the product of its components' verified degrees.  Any
-disagreement raises MismatchFound carrying the offending place and both
-values.
+once a row's unramified part is full), and checks the certificate's one
+claim: degree n at every finite prime of norm up to the bound, each
+with its table row, and no other rows.
+Plain and composite documents share one table walk; a composite's
+components are each verified at their own ell^r, so every composite row
+is their product n.  Any disagreement raises MismatchFound carrying the
+offending place and both values.
 
 The n = 2 consequence is concrete: a quaternion algebra (a, b) over Q is
 split by any field whose local degree is 2 at every place where the
@@ -20,7 +21,6 @@ import json
 import time
 from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
-from math import prod
 
 from .arith import PRIME_LIMIT, SearchExhausted, factor, is_prime, legendre
 from .classfield import (
@@ -60,15 +60,10 @@ class RamifiedPlaceOutOfRange(Exception):
 # ------------------------------------------------------------ reports
 
 
-@dataclass(frozen=True)
-class PrimeRecord:
-    prime: tuple  # (p, b)
-    degree: int  # recomputed, and equal to the claim
-
-
 @dataclass
 class VerificationReport:
-    records: list
+    primes: list  # (p, b) of every rechecked table row
+    degree: int  # n, the recomputed local degree at each of them
     real_place: "int | None"  # recomputed, and equal to the claim
     elapsed: float
     component_reports: list = dc_field(default_factory=list)
@@ -200,7 +195,8 @@ def _check_plain(cert):
     for row in cert["pieces"]:
         _need(isinstance(row, dict), "piece rows must be objects")
         _need(_int(row.get("p")), "piece p must be an integer")
-        _need(row.get("b") is None or _int(row["b"]), "piece b must be an integer or null")
+        b = row.get("b", "missing")
+        _need(b is None or _int(b), "piece b must be an integer or null")
         _need(_int(row.get("norm")), "piece norm must be an integer")
     _need(isinstance(cert["config"], dict), "config must be an object")
 
@@ -314,48 +310,56 @@ def _effective_bound(cert_bound, requested):
 
 
 def _walk_table(field, doc, bound, n, degrees):
-    """Records of doc's table and real place, rechecked: every prime of
-    norm <= bound needs one row whose degree and ramified component
-    (absent on composite rows) match degrees(w), a (ramified, factor,
-    degree) triple as local_degree returns.
+    """The primes of doc's table rechecked up to bound, and its real
+    place: every prime w of norm <= bound needs a row, degrees(w), a
+    (ramified, factor, degree) triple as local_degree returns, must be
+    the claimed n, and the row's degree and ramified component (absent
+    on composite rows) must match it.  Walked to doc's own bound, every
+    row must have been matched.
 
     Primes are walked in segments of norm (lo, hi], each four times the
     last, so the work up to the first missing row is bounded by the
     table, not by bound.  The first segment ends at 2*R*log2(R) for R =
     len(table), above the norm of the R-th prime, so an honest table is
     walked in one segment up to bound."""
-    by_prime = {}
+    unread = {}
     for row in doc["table"]:
         key = tuple(row["prime"])
-        _need(key not in by_prime, f"duplicate table row for prime {list(key)}")
-        by_prime[key] = row
-    records = []
-    R = len(by_prime)
+        _need(key not in unread, f"duplicate table row for prime {list(key)}")
+        unread[key] = row
+    primes = []
+    R = len(unread)
     lo, hi = 0, min(bound, max(4096, 2 * R * R.bit_length()))
     while lo < bound:
         # the primes of norm <= lo are the ones already walked
-        for w in enumerate_field_primes(field, hi)[len(records) :]:
-            row = by_prime.get((w.p, w.b))
+        for w in enumerate_field_primes(field, hi)[len(primes) :]:
+            row = unread.pop((w.p, w.b), None)
             _need(row is not None, f"table has no row for prime ({w.p},{w.b})")
             ram, _, total = degrees(w)
+            if total != n:
+                raise MismatchFound(f"prime ({w.p},{w.b})", n, total)
             if row["degree"] != total:
                 raise MismatchFound(f"prime ({w.p},{w.b})", row["degree"], total)
             claimed_ram = row.get("ramified_component")
             if claimed_ram != ram:
                 raise MismatchFound(f"ramified component at ({w.p},{w.b})", claimed_ram, ram)
-            records.append(PrimeRecord((w.p, w.b), total))
+            primes.append((w.p, w.b))
         lo, hi = hi, min(bound, 4 * hi)
+    if unread and bound == doc["bound"]:
+        raise MalformedCertificate(
+            f"table row for {list(next(iter(unread)))} is not a prime of norm <= {bound}"
+        )
     expected_real = real_place_degree(field, n)
     _match("real place", doc["real_place_degree"], expected_real)
-    return records, expected_real
+    return primes, expected_real
 
 
 def _verify_plain(cert, bound):
+    start = time.perf_counter()
     ctx, pieces = _rebuild(cert)
-    records, real = _walk_table(
-        ctx.field, cert, bound, ctx.seed.degree, lambda w: local_degree(ctx, pieces, w)
-    )
-    return records, real, []
+    n = ctx.seed.degree  # ell^r
+    primes, real = _walk_table(ctx.field, cert, bound, n, lambda w: local_degree(ctx, pieces, w))
+    return VerificationReport(primes, n, real, time.perf_counter() - start)
 
 
 def _verify_composite(comp, b):
@@ -363,39 +367,34 @@ def _verify_composite(comp, b):
     ells = [sub["ell"] for sub in comp["components"]]
     _need(len(set(ells)) == len(ells), "components must use distinct primes ell")
     subreports = []
-    submaps = []
     n = 1
     for sub in comp["components"]:
         _match("component field", sub["field"], comp["field"])
-        _need(sub["bound"] >= b, "component bound is smaller than the requested bound")
-        rep = verify(sub, b)  # bounds sub["r"] before it is used as an exponent
+        _need(sub["bound"] == comp["bound"], "component bound differs from the composite's")
+        rep = _verify_plain(sub, b)
         subreports.append(rep)
-        submaps.append({rec.prime: rec.degree for rec in rep.records})
-        n *= sub["ell"] ** sub["r"]
+        n *= rep.degree
     _match("composite exponent n", comp["n"], n)
-
-    def degrees(w):
-        return None, 1, prod(m[(w.p, w.b)] for m in submaps)
-
-    records, real = _walk_table(field, comp, b, n, degrees)
-    return records, real, subreports
+    primes, real = _walk_table(field, comp, b, n, lambda w: (None, 1, n))
+    return VerificationReport(primes, n, real, 0.0, subreports)
 
 
 def verify(cert: dict, bound: int = None) -> VerificationReport:
-    """Recheck every claimed local degree up to bound (default: the
-    certificate's own coverage bound, which the requested bound must not
-    exceed).
+    """Recheck the certificate's claim, local degree n at every prime of
+    norm up to bound (default: the certificate's own coverage bound,
+    which the requested bound must not exceed).
 
-    Raises MalformedCertificate for structural defects and MismatchFound
-    as soon as a recomputed value disagrees with a claim, so a returned
-    report always records a pass.
+    Raises MalformedCertificate for structural defects, including table
+    rows the walk to the certificate's own bound does not reach, and
+    MismatchFound as soon as a recomputed value disagrees with n or with
+    a claim, so a returned report always records a pass.
     """
     start = time.perf_counter()
     doc = _check(cert)
     recheck = _verify_plain if doc is cert else _verify_composite
-    records, real, subreports = recheck(doc, _effective_bound(doc["bound"], bound))
-    elapsed = time.perf_counter() - start
-    return VerificationReport(records, real, elapsed, subreports)
+    report = recheck(doc, _effective_bound(doc["bound"], bound))
+    report.elapsed = time.perf_counter() - start
+    return report
 
 
 # ------------------------------------------------------ hilbert symbols

@@ -13,7 +13,10 @@ None of this runs in the package itself:
     choice-invariance tests compare classfield.frobenius_image against;
   * reduced_forms_by_a: the reduced forms of disc D found by scanning
     every b in (-a, a] for each a, the reference for
-    quadfield.enumerate_class_group.
+    quadfield.enumerate_class_group;
+  * ramified_root_by_scan: the root b of a ramified prime found by
+    scanning every b < 2p, the reference for the ramified case of
+    quadfield.factor_rational_prime.
 
 The splitting map.  For a target q with class discrete log c, the ideal
 q^kprime * prod a_i^(-c_i) is principal.  Its generator is gamma0 / denom,
@@ -203,3 +206,12 @@ def reduced_forms_by_a(field):
                 continue
             forms.append((a, b, c))
     return forms, len(forms)
+
+
+# ------------------------------------------------------- ramified roots
+
+
+def ramified_root_by_scan(d: int, p: int) -> int:
+    """The least b in [0, 2p) with b = D mod 2 and b^2 = D mod 4p, for a
+    prime p dividing the discriminant D."""
+    return next(b for b in range(2 * p) if (b - d) % 2 == 0 and (b * b - d) % (4 * p) == 0)

@@ -170,10 +170,19 @@ def test_basis_prime_beyond_the_sieve_round_trip(tmp_path, capsys):
 
 
 def test_construct_rejects_small_n_and_bound(tmp_path, capsys):
-    out = str(tmp_path / "x.json")
-    assert run(["construct", "--field", "q", "--n", "1", "--bound", "5", "--out", out]) == 1
-    assert run(["construct", "--field", "q", "--n", "2", "--bound", "1", "--out", out]) == 1
-    capsys.readouterr()
+    # the library owns these rules; the CLI reports its message as is
+    out = tmp_path / "x.json"
+    for n, bound, message in (
+        (1, 5, "n must be at least 2"),
+        (0, 5, "n must be at least 2"),
+        (-3, 5, "n must be at least 2"),
+        (2, 1, "bound must be at least 2"),
+        (6, 1, "bound must be at least 2"),
+    ):
+        args = ["construct", "--field", "q", "--n", str(n), "--bound", str(bound)]
+        assert run(args + ["--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
 
 def test_construct_search_cap_exhausted(tmp_path, capsys):

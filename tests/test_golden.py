@@ -1,0 +1,141 @@
+"""Golden certificates and seeded mutants of them.
+
+tests/fixtures holds certificate_json output of three jobs: Q n=2 B=100
+(conductors 17 and 89 ramify in table rows), Q n=6 B=20 (a composite)
+and K(-8) n=2 B=200 (deficient at the prime above 2).  Construct must
+reproduce them byte for byte, so certificates cannot change unnoticed,
+and each must verify.  Every mutant of them must either fail
+verification with MalformedCertificate or MismatchFound or verify to the
+same report; any other exception is a verifier bug.
+"""
+
+import copy
+import json
+import random
+import time
+from pathlib import Path
+
+import pytest
+
+from constdeg import (
+    RATIONAL,
+    MalformedCertificate,
+    MismatchFound,
+    certificate_json,
+    compose_for_n,
+    construct,
+    parse_certificate,
+    quadratic_field,
+    verify,
+)
+
+FIXTURES = Path(__file__).resolve().parent / "fixtures"
+
+GOLDEN = {
+    "q_n2_b100.json": lambda: construct(RATIONAL, 2, 1, 100),
+    "q_n6_b20.json": lambda: compose_for_n(RATIONAL, 6, 20),
+    "k-8_n2_b200.json": lambda: construct(quadratic_field(-8), 2, 1, 200),
+}
+
+
+def fixture_text(name):
+    return (FIXTURES / name).read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_construct_reproduces_golden(name):
+    assert certificate_json(GOLDEN[name]()) == fixture_text(name)
+
+
+def test_golden_verify():
+    q2 = parse_certificate(fixture_text("q_n2_b100.json"))
+    assert [row["prime"][0] for row in q2["table"] if row["ramified_component"]] == [17, 89]
+    rep = verify(q2)
+    assert (len(rep.primes), rep.degree, rep.real_place) == (25, 2, 2)
+    rep = verify(parse_certificate(fixture_text("q_n6_b20.json")))
+    assert (len(rep.primes), rep.degree, rep.real_place) == (8, 6, 2)
+    assert [sub.degree for sub in rep.component_reports] == [2, 3]
+    k8 = parse_certificate(fixture_text("k-8_n2_b200.json"))
+    assert k8["deficiencies"] == [{"prime": [2, 0], "deficiency": 1}]
+    rep = verify(k8)
+    assert (rep.primes[0], rep.degree, rep.real_place) == ((2, 0), 2, None)
+
+
+# ---------------------------------------------------------------- mutants
+
+REPLACEMENTS = (0, True, None, "x", [], {}, 2**64 + 13, 10**12)
+
+
+def spots(node, path=()):
+    """(path, value) for the node and everything below it."""
+    yield path, node
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        children = ()
+    for key, value in children:
+        yield from spots(value, path + (key,))
+
+
+def at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+def mutants(doc, rng, count):
+    """count copies of doc, each with one leaf outside config replaced,
+    one key deleted, or one list element dropped or duplicated."""
+    found = list(spots(doc))
+    leaves = [
+        (p, v) for p, v in found if p and not isinstance(v, (dict, list)) and "config" not in p
+    ]
+    keys = [(p, k) for p, v in found if isinstance(v, dict) for k in v]
+    lists = [(p, len(v)) for p, v in found if isinstance(v, list) and v]
+    for _ in range(count):
+        m = copy.deepcopy(doc)
+        kind = rng.randrange(3)
+        if kind == 0:
+            p, v = rng.choice(leaves)
+            options = REPLACEMENTS + ((v + 1, v - 1, -v) if type(v) is int else ())
+            at(m, p[:-1])[p[-1]] = rng.choice(options)
+        elif kind == 1:
+            p, k = rng.choice(keys)
+            del at(m, p)[k]
+        else:
+            p, size = rng.choice(lists)
+            items, i = at(m, p), rng.randrange(size)
+            if rng.randrange(2):
+                del items[i]
+            else:
+                items.insert(i, copy.deepcopy(items[i]))
+        yield m
+
+
+def test_mutants_fail_cleanly_or_verify_the_same():
+    rng = random.Random(13)
+    start = time.perf_counter()
+    outcomes = {}
+    for name in sorted(GOLDEN):
+        doc = json.loads(fixture_text(name))
+        want = verify(doc)
+        for m in mutants(doc, rng, 100):
+            text = json.dumps(m)
+            t0 = time.perf_counter()
+            try:
+                got = verify(parse_certificate(text))
+            except (MalformedCertificate, MismatchFound) as exc:
+                outcome = type(exc).__name__
+            else:
+                assert (got.primes, got.degree, got.real_place) == (
+                    want.primes,
+                    want.degree,
+                    want.real_place,
+                ), text
+                outcome = "pass"
+            assert time.perf_counter() - t0 < 1.0, text
+            outcomes[outcome] = outcomes.get(outcome, 0) + 1
+    assert time.perf_counter() - start < 5.0
+    assert set(outcomes) == {"MalformedCertificate", "MismatchFound", "pass"}

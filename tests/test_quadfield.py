@@ -1,4 +1,5 @@
 import random
+import time
 from math import isqrt
 
 import pytest
@@ -39,6 +40,7 @@ from oracles import (
     embed,
     ideal_contains,
     principal_ideal,
+    ramified_root_by_scan,
     reduced_forms_by_a,
 )
 
@@ -147,6 +149,27 @@ def test_prime_root_convention():
             if P.p != 2:
                 sqrt_img = reduce_mod(K23, (0, 2), P)  # element sqrt(D)
                 assert sqrt_img == P.b % p
+
+
+def test_ramified_root_matches_full_scan():
+    # p | D and p | b^2 - D force p | b, so only b = 0 and b = p are tried
+    checked = 0
+    for d in fundamental_discs(2999) + [-9999991]:
+        field = quadratic_field(d)
+        for p, _ in factor(-d):
+            (P,) = factor_rational_prime(field, p)
+            assert P.kind == "ramified"
+            assert P.b == ramified_root_by_scan(d, p), (d, p)
+            checked += 1
+    assert checked > 1000
+
+
+def test_ramified_root_is_constant_time():
+    field = quadratic_field(-9999991)
+    start = time.perf_counter()
+    (P,) = factor_rational_prime(field, 9999991)
+    assert time.perf_counter() - start < 0.05
+    assert (P.kind, P.b) == ("ramified", 9999991)
 
 
 def test_split_primes_multiply_to_p():

@@ -7,6 +7,7 @@ import pytest
 
 from constdeg import verifier
 from constdeg.arith import factor
+from constdeg.cli import run
 from constdeg.classfield import local_degree
 from constdeg.constructor import certificate_json, compose_for_n, construct
 from constdeg.quadfield import RATIONAL, PrimeIdeal, quadratic_field
@@ -55,9 +56,9 @@ def places_of(*ns):
 
 def test_roundtrip_n2():
     rep = verify(CERT2)
-    assert len(rep.records) == 25
+    assert len(rep.primes) == 25
     assert all(row["degree"] == 2 for row in CERT2["table"])
-    assert all(rec.degree == 2 for rec in rep.records)
+    assert rep.degree == 2
     assert CERT2["real_place_degree"] == 2 and rep.real_place == 2
     assert rep.elapsed > 0
     assert rep.component_reports == []
@@ -66,12 +67,12 @@ def test_roundtrip_n2():
 def test_roundtrip_other_configs():
     for cert, full in ((CERT8, 8), (CERT9, 9), (CERT23, 3), (CERTD, 2)):
         rep = verify(cert)
-        assert rep.records and all(rec.degree == full for rec in rep.records)
+        assert rep.primes and rep.degree == full
 
 
 def test_record_components():
     rep = verify(CERT2)
-    assert [rec.degree for rec in rep.records] == [2] * 25
+    assert (rep.degree, len(rep.primes)) == (2, 25)
     ctx, pieces = verifier._rebuild(CERT2)
     assert local_degree(ctx, pieces, rp(17)) == (1, 2, 2)  # ramified in its own piece
     assert local_degree(ctx, pieces, rp(2)) == (0, 2, 2)  # all ramification in the seed
@@ -79,11 +80,10 @@ def test_record_components():
 
 def test_deficient_roundtrip_components():
     rep = verify(CERTD)
-    lam = next(rec for rec in rep.records if rec.prime == (2, 0))
-    assert lam.degree == 2
+    assert (2, 0) in rep.primes and rep.degree == 2
     ctx, pieces = verifier._rebuild(CERTD)
     (w,) = ctx.deficiencies
-    assert (w.p, w.b) == lam.prime
+    assert (w.p, w.b) == (2, 0)
     assert local_degree(ctx, [], w) == (0, 1, 1)  # the seed degree drops to 2^(r-1) here
     assert local_degree(ctx, pieces[:1], w) == (0, 1, 2)  # the dedicated piece restores it
 
@@ -101,12 +101,14 @@ def test_appended_conductor_moves_a_seed_ramified_row():
 
 def test_verify_at_smaller_bound():
     rep = verify(CERT2, 10)
-    assert [rec.prime for rec in rep.records] == [
+    assert rep.primes == [
         (2, None),
         (3, None),
         (5, None),
         (7, None),
     ]
+    # rows past a requested bound are left unread
+    assert len(verify(CERT2, 50).primes) == 15
 
 
 def test_bound_above_certificate_rejected():
@@ -196,6 +198,77 @@ def test_tampered_deficiency_list():
         verify(c)
 
 
+# Documents whose rows each agree with their own recomputation but
+# which break the certificate's claim, degree n at every prime of norm
+# <= B and no other rows: edits of Q n=2 B=100, and one of Q n=6 B=20
+
+
+def rows_recomputed(c):
+    ctx, pieces = verifier._rebuild(c)
+    for row in c["table"]:
+        row["ramified_component"], _, row["degree"] = local_degree(ctx, pieces, rp(row["prime"][0]))
+    return c
+
+
+def short_table():
+    # without 409, 67 splits completely in the seed and the other pieces
+    c = copy.deepcopy(CERT2)
+    assert c["pieces"].pop()["p"] == 409
+    return rows_recomputed(c)
+
+
+def overshoot_table():
+    c = copy.deepcopy(CERT2)
+    c["pieces"].append({"p": 101, "b": None, "norm": 101})
+    return rows_recomputed(c)
+
+
+def extra_row(p, degree):
+    c = copy.deepcopy(CERT2)
+    c["table"].append({"prime": [p, None], "degree": degree, "ramified_component": None})
+    return c
+
+
+def shrunk_bound():
+    c = copy.deepcopy(CERT2)
+    c["bound"] = 50
+    return c
+
+
+def component_bound_above_composite():
+    # the composite walk to 20 would leave the component's claim up to
+    # 100 unread
+    c = copy.deepcopy(COMP6)
+    c["composite"]["components"][0]["bound"] = 100
+    return c
+
+
+@pytest.mark.parametrize(
+    "make, error, detail",
+    [
+        (short_table, MismatchFound, ("prime (67,None)", 2, 1)),
+        (overshoot_table, MismatchFound, ("prime (2,None)", 2, 4)),
+        (lambda: extra_row(101, 7), MalformedCertificate, "table row for [101, None]"),
+        (lambda: extra_row(4, 2), MalformedCertificate, "table row for [4, None]"),
+        (shrunk_bound, MalformedCertificate, "table row for [53, None]"),
+        (component_bound_above_composite, MalformedCertificate, "component bound differs"),
+    ],
+    ids=["short-table", "overshoot-table", "row-101", "row-4", "bound-50", "component-bound"],
+)
+def test_claim_degree_n_at_every_covered_prime(tmp_path, capsys, make, error, detail):
+    c = make()
+    with pytest.raises(error) as ei:
+        verify(c)
+    if error is MismatchFound:
+        assert (ei.value.place, ei.value.claimed, ei.value.recomputed) == detail
+    else:
+        assert str(ei.value).startswith(detail)
+    path = tmp_path / "broken.json"
+    path.write_text(certificate_json(c), encoding="utf-8")
+    assert run(["verify", str(path)]) == 2
+    assert capsys.readouterr().err == f"verification failure: {ei.value}\n"
+
+
 def test_tampered_bound_inflated():
     c = copy.deepcopy(CERT2)
     c["bound"] = 200  # no table rows past 100, so coverage is a lie
@@ -261,10 +334,7 @@ def test_verify_accepts_legacy_config_keys():
     c["config"].update(enumeration="norm_asc", seed=0)
     verify(parse_certificate(json.dumps(c)))  # raises unless it verifies
     rep = verify(parse_certificate(LEGACY_NO_SKIP))
-    assert [(rec.prime, rec.degree) for rec in rep.records] == [
-        ((2, None), 3),
-        ((3, None), 3),
-    ]
+    assert (rep.primes, rep.degree) == ([(2, None), (3, None)], 3)
 
 
 def test_hostile_r_rejected_before_seed_is_built():
@@ -287,10 +357,7 @@ def test_large_r_seed_roundtrip():
     cert = construct(RATIONAL, 2, 60, 3)
     rep = verify(from_bytes(cert))
     assert time.perf_counter() - start < 1.0
-    assert [(rec.prime, rec.degree) for rec in rep.records] == [
-        ((2, None), 2**60),
-        ((3, None), 2**60),
-    ]
+    assert (rep.primes, rep.degree) == ([(2, None), (3, None)], 2**60)
 
 
 # ------------------------------------------------------------- structure
@@ -374,22 +441,23 @@ def test_verify_rejects_nonfundamental_disc():
 
 def test_composite_roundtrip():
     rep = verify(COMP6)
-    assert len(rep.records) == 8
-    assert all(rec.degree == 6 for rec in rep.records)
+    assert len(rep.primes) == 8
+    assert rep.degree == 6
     two, three = rep.component_reports
-    assert [(a.degree, b.degree) for a, b in zip(two.records, three.records)] == [(2, 3)] * 8
+    assert (two.degree, three.degree) == (2, 3) and two.primes == three.primes == rep.primes
     assert COMP6["composite"]["real_place_degree"] == 2 and rep.real_place == 2
     assert len(rep.component_reports) == 2
 
 
 def test_composite_smaller_bound():
     rep = verify(COMP6, 10)
-    assert [rec.prime for rec in rep.records] == [
+    assert rep.primes == [
         (2, None),
         (3, None),
         (5, None),
         (7, None),
     ]
+    assert [sub.primes for sub in rep.component_reports] == [rep.primes] * 2
 
 
 def test_composite_tampered_combined_degree():
