@@ -26,9 +26,12 @@ Conventions:
     on that choice.  Over Q, gamma = q and x = q^((eps-1)/l^r) mod eps.
 
 Each conductor is the first prime of S that answers the greedy step's
-one question; search_prime states it and asks it.
+one question; search_prime states it and asks it.  It walks only the
+residue classes of the norm progression S forces whose norms split in
+the seed, and counts its cap in entries of the whole progression.
 """
 
+import heapq
 from dataclasses import dataclass, field as dc_field
 from math import gcd, isqrt, lcm
 
@@ -268,10 +271,6 @@ class SearchCursor:
     cap: int = DEFAULT_CAP
 
 
-def _rational_candidates(ctx, n: int):
-    return [PrimeIdeal(n, "rational", None, 1)] if is_prime(n) else []
-
-
 def _quad_candidates(ctx, n: int):
     if is_prime(n):
         if n in ctx.excluded or kronecker_disc(ctx.field.disc, n) != 1:
@@ -297,57 +296,66 @@ def search_prime(
       * target has Frobenius order exactly order there (a P equal to
         target passes iff order is the full degree l^r).
 
-    Walks the progression N = 1 mod l^(r+t) that S forces on norms.  Over
-    Q every condition is a test on the entry n = N(P), run before the
-    primality test; over K only the seed's is, and each candidate, a
-    split or inert prime of norm n coprime to 2*l*disc and not a
-    class-basis prime, must then lie in S and meet the rest.  Raises
-    SearchExhausted (CLI exit 3), naming target and order, after
-    cursor.cap entries or where the progression reaches 2**64, beyond
-    which is_prime has no answer.
+    Walks the progression n = 1 + step*j (j >= 1) that S forces on
+    norms, visiting only the entries whose norm splits in the seed.  The
+    seed's answer depends on n mod seed.modulus, so on j mod period
+    alone: it is asked once for each j in 1..period, and the walk merges
+    the admitted residue classes in ascending n.  Over Q every other
+    condition is a test on the entry n = N(P), run before the primality
+    test; over K each candidate, a split or inert prime of norm n
+    coprime to 2*l*disc and not a class-basis prime, must lie in S and
+    meet the rest.  Raises SearchExhausted (CLI exit 3), naming target
+    and order, after cursor.cap entries of the progression, visited or
+    not, or where it reaches 2**64, beyond which is_prime has no answer.
     """
     ell, full = ctx.ell, ctx.ell**ctx.r
     orders = [(s, 1) for s in ctx.deficiencies if s != target]
     orders += [(pc, 1) for pc in pieces] + [(target, order)]
-    norm_tests = [lambda n, l0=ctx.seed: character_order(l0, n) == 1]
     rational = ctx.field.kind == "rational"
-    if rational:
-        # the progression already forces membership in S (the class
-        # group is trivial and -1 an l^r-th power residue), so every
-        # test runs on the norm
-        norm_tests += [lambda n, Q=pc.p, e=(pc.p - 1) // full: pow(n, e, Q) == 1 for pc in pieces]
-        norm_tests += [
-            lambda n, q=q.p, k=k: _rational_frobenius_order(q, n, ell, full) == k
-            for q, k in orders
-        ]
-        prime_tests = ()
-        candidates = _rational_candidates
-    else:
-        # in_S first: the Frobenius rule holds only at conductors in S;
-        # the orders at the fixed primes before the splits, which need a
-        # new generator for every candidate
-        prime_tests = [
-            lambda P: in_S(ctx, P),
-            lambda P: all(frobenius_order_in_ray_piece(ctx, P, q) == k for q, k in orders),
-        ]
-        prime_tests += [
-            lambda P, pc=pc: frobenius_order_in_ray_piece(ctx, pc, P) == 1 for pc in pieces
-        ]
-        candidates = _quad_candidates
-    basis = ctx.cl.gens
     step = ell ** (ctx.r + ctx.t)
     if ell == 2 and (rational or ctx.field.disc < -4):
         step *= 2  # -1 must be a 2^(r+t)-th power residue
     last = 1 + step * cursor.cap
-    for n in range(1 + step, min(last, PRIME_LIMIT - 1) + 1, step):
-        for test in norm_tests:
-            if not test(n):
-                break
-        else:
-            for P in candidates(ctx, n):
+    stop = min(last, PRIME_LIMIT - 1)
+    period = ctx.seed.modulus // gcd(step, ctx.seed.modulus)
+    walk = heapq.merge(
+        *(
+            range(1 + step * j, stop + 1, step * period)
+            for j in range(1, period + 1)
+            if character_order(ctx.seed, 1 + step * j) == 1
+        )
+    )
+    if rational:
+        # the progression already forces membership in S (the class
+        # group is trivial and -1 an l^r-th power residue), so every
+        # test runs on the norm
+        tests = [lambda n, Q=pc.p, e=(pc.p - 1) // full: pow(n, e, Q) == 1 for pc in pieces]
+        tests += [
+            lambda n, q=q.p, k=k: _rational_frobenius_order(q, n, ell, full) == k
+            for q, k in orders
+        ]
+        for n in walk:
+            for test in tests:
+                if not test(n):
+                    break
+            else:
+                if is_prime(n):
+                    return PrimeIdeal(n, "rational", None, 1)
+    else:
+        # in_S first: the Frobenius rule holds only at conductors in S;
+        # the orders at the fixed primes before the splits, which need a
+        # new generator for every candidate
+        tests = [
+            lambda P: in_S(ctx, P),
+            lambda P: all(frobenius_order_in_ray_piece(ctx, P, q) == k for q, k in orders),
+        ]
+        tests += [lambda P, pc=pc: frobenius_order_in_ray_piece(ctx, pc, P) == 1 for pc in pieces]
+        basis = ctx.cl.gens
+        for n in walk:
+            for P in _quad_candidates(ctx, n):
                 if P in basis:
                     continue
-                for test in prime_tests:
+                for test in tests:
                     if not test(P):
                         break
                 else:

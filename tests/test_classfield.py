@@ -526,15 +526,47 @@ def test_search_basis_exclusion():
 
 
 def test_search_exhausts_on_contradiction():
-    # a Frobenius order in a degree-2 piece is 1 or 2, never 3
-    with pytest.raises(SearchExhausted, match=r"wanted order 3 at \(3,-\) after 0 pieces"):
+    # a Frobenius order in a degree-2 piece is 1 or 2, never 3; the cap
+    # counts entries of the progression (step 4 here), the ones the seed
+    # rules out included, so the last norm is 1 + 4 * 200
+    with pytest.raises(
+        SearchExhausted,
+        match=r"within cap 200 \(last norm 801\); wanted order 3 at \(3,-\) after 0 pieces",
+    ):
         search_prime(CTX2, [], SearchCursor(cap=200), rp(3), 3)
+    # over K(-23) with l = 3 and t = 1 the step is 9
+    w = factor_rational_prime(K23, 2)[0]
+    with pytest.raises(
+        SearchExhausted,
+        match=r"within cap 300 \(last norm 2701\); wanted order 9 at \(2,\d+\) after 0 pieces",
+    ):
+        search_prime(CTX23, [], SearchCursor(cap=300), w, 9)
+
+
+def test_search_asks_the_seed_once_per_residue(monkeypatch):
+    # the seed's answer repeats every period entries, so a search asks
+    # it at most period times however many entries it walks
+    calls = []
+
+    def counting(piece, x):
+        calls.append(x)
+        return character_order(piece, x)
+
+    monkeypatch.setattr(classfield, "character_order", counting)
+    ctx = build_context(RATIONAL, 13, 1)
+    P = search_prime(ctx, [], SearchCursor(), rp(2), 13)
+    step = 13
+    period = ctx.seed.modulus // step
+    assert (P.p - 1) // step > 10 * period  # the walk spans many periods
+    assert 0 < len(calls) <= period
 
 
 @pytest.mark.parametrize(
     "field,ell,r",
     [(RATIONAL, ell, r) for ell in (2, 3, 5) for r in (1, 2)]
-    + [(K23, 2, 1), (K23, 3, 1), (K8, 2, 1), (quadratic_field(-56), 2, 2)],
+    + [(K23, 2, 1), (K23, 3, 1), (K8, 2, 1), (quadratic_field(-56), 2, 2)]
+    # the only fields where the seed admits two residues of the walk
+    + [(K4, 2, 1), (quadratic_field(-3), 2, 1)],
 )
 def test_search_matches_brute_force(field, ell, r):
     ctx = build_context(field, ell, r)
