@@ -272,9 +272,18 @@ class SearchCursor:
 
 
 def _quad_candidates(ctx, n: int):
-    if is_prime(n):
-        if n in ctx.excluded or kronecker_disc(ctx.field.disc, n) != 1:
-            return []
+    """The primes of norm n: those above n if n is a prime that splits,
+    or the inert prime p if n = p^2.
+
+    Euler's symbol x = D^((n-1)/2) mod n comes before is_prime.  For a
+    prime n, x = n - 1 means n is inert and x = 1 that it splits (so
+    n is prime to 2*l*D); a square p^2 never gives n - 1, as x = 1 mod
+    p.  Only x = 1 asks is_prime(n), and every other n, a composite with
+    x = 1 included, goes on to the square test."""
+    x = pow(ctx.field.disc, (n - 1) // 2, n)
+    if x == n - 1:
+        return []
+    if x == 1 and is_prime(n):
         return factor_rational_prime(ctx.field, n)
     p = isqrt(n)
     if p * p != n or not is_prime(p):
@@ -302,11 +311,13 @@ def search_prime(
     alone: it is asked once for each j in 1..period, and the walk merges
     the admitted residue classes in ascending n.  Over Q every other
     condition is a test on the entry n = N(P), run before the primality
-    test; over K each candidate, a split or inert prime of norm n
-    coprime to 2*l*disc and not a class-basis prime, must lie in S and
-    meet the rest.  Raises SearchExhausted (CLI exit 3), naming target
-    and order, after cursor.cap entries of the progression, visited or
-    not, or where it reaches 2**64, beyond which is_prime has no answer.
+    test.  Over K the entry's quadratic symbol comes first
+    (_quad_candidates), then each candidate, a split or inert prime of
+    norm n coprime to 2*l*disc and not a class-basis prime, must lie in
+    S and meet the rest.  Raises SearchExhausted (CLI exit 3), naming
+    target and order, after cursor.cap entries of the progression,
+    visited or not, or where it reaches 2**64, beyond which is_prime
+    has no answer.
     """
     ell, full = ctx.ell, ctx.ell**ctx.r
     orders = [(s, 1) for s in ctx.deficiencies if s != target]

@@ -189,8 +189,9 @@ def ideal_pow(field, I: QuadIdeal, e: int) -> QuadIdeal:
     while e:
         if e & 1:
             r = ideal_mul(field, r, I)
-        I = ideal_mul(field, I, I)
         e >>= 1
+        if e:
+            I = ideal_mul(field, I, I)
     return r
 
 
@@ -302,8 +303,9 @@ def form_pow(f, e: int):
     while e:
         if e & 1:
             r = compose_forms(r, f)
-        f = compose_forms(f, f)
         e >>= 1
+        if e:
+            f = compose_forms(f, f)
     return r
 
 
@@ -336,8 +338,7 @@ class ClassGroupLPart:
     alphas: tuple  # generators of a_i^(ell^m_i)
     t: int  # max m_i, 0 when the l-part is trivial
     basis_forms: tuple
-    dlog_table: dict  # reduced form -> exponent vector
-    proj_exp: int  # powering by this projects a class onto its l-part
+    class_dlogs: dict  # every reduced form -> exponent vector of its l-part
     coprime_part: int  # prime-to-l part of the class number
 
 
@@ -373,7 +374,7 @@ def _class_prime(field, form, exclusion) -> PrimeIdeal:
 
 def class_group_l_part(field, ell: int, exclusion) -> ClassGroupLPart:
     if field.kind == "rational":
-        return ClassGroupLPart(ell, (), (), (), 0, (), {}, 0, 1)
+        return ClassGroupLPart(ell, (), (), (), 0, (), {}, 1)
     forms, h = enumerate_class_group(field)
     m_coprime = h
     sylow_order = 1
@@ -381,7 +382,9 @@ def class_group_l_part(field, ell: int, exclusion) -> ClassGroupLPart:
         m_coprime //= ell
         sylow_order *= ell
     ident = principal_form(field.disc)
-    sylow = sorted({form_pow(f, m_coprime) for f in forms})
+    # f^m_coprime is the l-part of f raised to m_coprime
+    powers = {f: form_pow(f, m_coprime) for f in forms}
+    sylow = sorted(set(powers.values()))
     assert len(sylow) == sylow_order
 
     # greedy basis of the l-Sylow subgroup: repeatedly take the smallest
@@ -424,7 +427,12 @@ def class_group_l_part(field, ell: int, exclusion) -> ClassGroupLPart:
         gens.append(found)
         alphas.append(alpha)
 
+    # the l-part of f has the vector of f^m_coprime times m_coprime^-1
     u = pow(m_coprime, -1, sylow_order)
+    class_dlogs = {
+        f: tuple(u * c % ell**m for c, m in zip(table[fm], exps))
+        for f, fm in powers.items()
+    }
     return ClassGroupLPart(
         ell,
         tuple(gens),
@@ -432,18 +440,18 @@ def class_group_l_part(field, ell: int, exclusion) -> ClassGroupLPart:
         tuple(alphas),
         max(exps) if exps else 0,
         tuple(basis),
-        table,
-        m_coprime * u,
+        class_dlogs,
         m_coprime,
     )
 
 
 def class_dlog(field, ideal: QuadIdeal, basis: ClassGroupLPart):
-    """Exponents c_i < ell^m_i with ideal ~ prod a_i^c_i times prime-to-ell."""
+    """Exponents c_i < ell^m_i with ideal ~ prod a_i^c_i times prime-to-ell:
+    one reduction of the ideal's form and one lookup in the table of
+    every class that class_group_l_part keeps."""
     if not basis.exps:
         return []
-    f = form_pow(ideal_class_form(field, ideal), basis.proj_exp)
-    return list(basis.dlog_table[f])
+    return list(basis.class_dlogs[ideal_class_form(field, ideal)])
 
 
 # ---------------------------------------------------------- principality

@@ -1,8 +1,10 @@
 import random
+from math import isqrt
 
 import pytest
 
 from constdeg.arith import (
+    FOUR_WITNESS_LIMIT,
     ResidueField,
     ell_root,
     factor,
@@ -81,6 +83,54 @@ def test_is_prime_examples():
     assert is_prime(2)
     assert not is_prime(561)  # Carmichael
     assert is_prime(2**61 - 1)  # Mersenne
+
+
+def window_primes(lo, hi):
+    # trial division of lo..hi by every prime up to sqrt(hi), run as a
+    # sieve over the window
+    composite = bytearray(hi - lo + 1)
+    for p in small_primes(isqrt(hi) + 1):
+        start = max(p * p, -(-lo // p) * p)
+        composite[start - lo :: p] = b"\x01" * len(range(start, hi + 1, p))
+    return {lo + i for i, c in enumerate(composite) if not c}
+
+
+def strong_probable_prime(m, a):
+    # one Miller-Rabin round, m odd
+    d, s = m - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    x = pow(a, d, m)
+    if x in (1, m - 1):
+        return True
+    for _ in range(s - 1):
+        x = x * x % m
+        if x == m - 1:
+            return True
+    return False
+
+
+def test_is_prime_witness_tier_boundary():
+    # 3215031751 = 151 * 751 * 28351 passes the witnesses 2, 3, 5, 7, so
+    # it and everything above needs the full set
+    assert FOUR_WITNESS_LIMIT == 3215031751 == 151 * 751 * 28351
+    assert all(strong_probable_prime(FOUR_WITNESS_LIMIT, a) for a in (2, 3, 5, 7))
+    assert not strong_probable_prime(FOUR_WITNESS_LIMIT, 11)
+    assert not is_prime(FOUR_WITNESS_LIMIT)
+    lo, hi = FOUR_WITNESS_LIMIT - 3000, FOUR_WITNESS_LIMIT + 3000
+    primes = window_primes(lo, hi)
+    assert 200 < len(primes) < 400
+    assert {m for m in range(lo, hi + 1) if is_prime(m)} == primes
+
+
+@pytest.mark.parametrize(
+    "m",
+    # the least strong pseudoprimes to the first 5, 6, 7 and 9 primes
+    [2152302898747, 3474749660383, 341550071728321, 3825123056546413051],
+)
+def test_is_prime_rejects_strong_pseudoprimes(m):
+    assert m > FOUR_WITNESS_LIMIT
+    assert not is_prime(m)
 
 
 def test_is_prime_rejects_out_of_range():

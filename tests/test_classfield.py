@@ -561,6 +561,42 @@ def test_search_asks_the_seed_once_per_residue(monkeypatch):
     assert 0 < len(calls) <= period
 
 
+K3 = quadratic_field(-3)
+
+
+@pytest.mark.parametrize(
+    "field,ell,r",
+    [(K23, 2, 1), (K23, 3, 1), (K8, 2, 1), (K4, 2, 1), (K4, 2, 2), (K3, 2, 1), (K3, 3, 1)],
+)
+def test_search_asks_is_prime_only_past_the_k_side_filters(monkeypatch, field, ell, r):
+    # every norm the walk hands to is_prime splits in the seed and has
+    # quadratic symbol D^((n-1)/2) = 1 mod n; the other arguments are
+    # roots p of square norms p^2
+    asked, roots = [], set()
+
+    def recording_is_prime(m):
+        asked.append(m)
+        return is_prime(m)
+
+    def recording_isqrt(n):
+        p = isqrt(n)
+        if p * p == n:
+            roots.add(p)
+        return p
+
+    ctx = build_context(field, ell, r)
+    monkeypatch.setattr(classfield, "is_prime", recording_is_prime)
+    monkeypatch.setattr(classfield, "isqrt", recording_isqrt)
+    target = next(q for q in enumerate_field_primes(field, 50) if q.p not in ctx.excluded)
+    with pytest.raises(SearchExhausted):  # no Frobenius order exceeds l^r
+        search_prime(ctx, [], SearchCursor(cap=3000), target, ell ** (r + 1))
+    norms = [n for n in asked if n not in roots]
+    assert len(norms) > 50
+    for n in norms:
+        assert character_order(ctx.seed, n) == 1, n
+        assert pow(field.disc, (n - 1) // 2, n) == 1, n
+
+
 @pytest.mark.parametrize(
     "field,ell,r",
     [(RATIONAL, ell, r) for ell in (2, 3, 5) for r in (1, 2)]

@@ -4,6 +4,7 @@ from math import isqrt
 
 import pytest
 
+from constdeg import quadfield
 from constdeg.arith import factor, residue_field
 from constdeg.quadfield import (
     DISC_LIMIT,
@@ -332,6 +333,27 @@ def test_form_pow_order():
     assert form_pow(g, 2) == compose_forms(g, g)
 
 
+@pytest.mark.parametrize("e", range(12))
+def test_pow_is_repeated_product_without_a_spare_square(monkeypatch, e):
+    # square-and-multiply stops after the top bit: bit_length - 1
+    # squarings and one product per set bit, the first one into the unit
+    P = prime_module(K23, factor_rational_prime(K23, 13)[0])
+    f = ideal_class_form(K23, P)
+    ideal, form = unit_ideal(K23), principal_form(K23.disc)
+    for _ in range(e):
+        ideal, form = ideal_mul(K23, ideal, P), compose_forms(form, f)
+    assert ideal_pow(K23, P, e) == ideal and form_pow(f, e) == form
+    want = max(e.bit_length() - 1, 0) + bin(e).count("1")
+    calls = []
+    real = quadfield.ideal_mul
+    monkeypatch.setattr(quadfield, "ideal_mul", lambda *a: calls.append(a) or real(*a))
+    ideal_pow(K23, P, e)
+    assert len(calls) == want
+    calls.clear()
+    form_pow(f, e)  # one ideal_mul per composition
+    assert len(calls) == want
+
+
 # ----------------------------------------------------------- class group
 
 
@@ -415,8 +437,9 @@ def test_dlog_table_matches_brute_force(disc, ell, exps, basis_forms):
     excluded = {p for p, _ in factor(-2 * ell * disc)}
     part = class_group_l_part(quadratic_field(disc), ell, excluded)
     assert part.exps == exps and part.basis_forms == basis_forms
-    assert part.dlog_table == brute_dlog_table(part, disc)
-    assert len(part.dlog_table) == ell ** sum(exps)
+    brute = brute_dlog_table(part, disc)
+    assert len(brute) == ell ** sum(exps)
+    assert {f: part.class_dlogs[f] for f in brute} == brute
 
 
 def test_class_dlog_examples():
@@ -451,7 +474,24 @@ def test_class_dlog_strips_l_part():
         for g, e, m in zip(part.basis_forms, c, part.exps):
             assert 0 <= e < 3**m
             f = compose_forms(f, form_pow(g, 3**m - e))
-        assert form_pow(f, part.proj_exp) == principal_form(field.disc)
+        # a class has trivial l-part iff its order divides coprime_part
+        assert form_pow(f, part.coprime_part) == principal_form(field.disc)
+
+
+@pytest.mark.parametrize("disc,ell", [(-23, 3), (-420, 2), (-3299, 3), (-4027, 3), (-56, 2)])
+def test_class_dlogs_match_projection(disc, ell):
+    # the table class_dlog reads agrees with projecting each class onto
+    # its l-part by the power m * (m^-1 mod #Sylow), m = coprime_part,
+    # and composing that l-part from the basis vector by vector
+    field = quadratic_field(disc)
+    part = class_group_l_part(field, ell, {p for p, _ in factor(-2 * ell * disc)})
+    forms, h = enumerate_class_group(field)
+    m, sylow = part.coprime_part, ell ** sum(part.exps)
+    assert h == m * sylow and set(part.class_dlogs) == set(forms)
+    proj = m * pow(m, -1, sylow)
+    brute = brute_dlog_table(part, disc)
+    for f in forms:
+        assert part.class_dlogs[f] == brute[form_pow(f, proj)]
 
 
 # ---------------------------------------------------------- principality
