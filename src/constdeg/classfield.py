@@ -26,13 +26,15 @@ Conventions:
     on that choice.  Over Q, gamma = q and x = q^((eps-1)/l^r) mod eps.
 
 Each conductor is the first prime of S that answers the greedy step's
-one question; search_prime states it and asks it.  It walks only the
-residue classes of the norm progression S forces whose norms split in
-the seed, and counts its cap in entries of the whole progression.
+one question; search_prime states it and asks it.  It walks the norm
+progression S forces, but runs a per-entry test only on the entries
+whose norms split in the seed and that a segmented sieve leaves: primes,
+prime squares and entries with no small prime factor.  Its cap counts
+entries of the whole progression, the skipped ones included.
 """
 
-import heapq
 from dataclasses import dataclass, field as dc_field
+from itertools import compress
 from math import gcd, isqrt, lcm
 
 from .arith import (
@@ -293,6 +295,49 @@ def _quad_candidates(ctx, n: int):
     return factor_rational_prime(ctx.field, p)
 
 
+SIEVE_PRIMES = 1 << 12  # the walk strikes multiples of the primes below this
+SIEVE_BLOCK = 1 << 15  # most progression entries sieved at once
+
+
+def _sieved_walk(ctx, step: int, stop: int):
+    """The entries n = 1 + step*j <= stop (j >= 1) of the progression
+    whose norm splits in the seed and that have no prime factor p below
+    SIEVE_PRIMES unless n is p or p^2, ascending.
+
+    The seed's answer depends on j mod period alone, so it is asked once
+    for each j in 1..period.  Each block of j starts with the admitted
+    classes set; then every prime p not dividing step, with p^2 at most
+    the block's last norm, strikes its multiples above p^2.  Blocks grow
+    from 64 entries to SIEVE_BLOCK, so that an early conductor stays
+    cheap."""
+    period = ctx.seed.modulus // gcd(step, ctx.seed.modulus)
+    admitted = [
+        j for j in range(1, period + 1) if character_order(ctx.seed, 1 + step * j) == 1
+    ]
+    # p divides 1 + step*j iff j = root mod p; p^2 < 1 + step*j iff j >= low
+    strikes = [
+        (p, -pow(step, -1, p) % p, (p * p - 1) // step + 1)
+        for p in small_primes(min(SIEVE_PRIMES, isqrt(stop) + 1))
+        if step % p
+    ]
+    lo, size, end = 1, 64, (stop - 1) // step + 1
+    while lo < end:
+        hi = min(lo + size, end)
+        block = bytearray(hi - lo)
+        for c in admitted:
+            i = (c - lo) % period
+            block[i::period] = b"\x01" * len(range(i, hi - lo, period))
+        top = 1 + step * (hi - 1)
+        for p, root, low in strikes:
+            if p * p > top:
+                break
+            i = max(lo, low)
+            i += (root - i) % p - lo
+            block[i::p] = bytes(len(range(i, hi - lo, p)))
+        yield from compress(range(1 + step * lo, 1 + step * hi, step), block)
+        lo, size = hi, min(2 * size, SIEVE_BLOCK)
+
+
 def search_prime(
     ctx, pieces, cursor: SearchCursor, target: PrimeIdeal, order: int
 ) -> PrimeIdeal:
@@ -306,12 +351,12 @@ def search_prime(
         target passes iff order is the full degree l^r).
 
     Walks the progression n = 1 + step*j (j >= 1) that S forces on
-    norms, visiting only the entries whose norm splits in the seed.  The
-    seed's answer depends on n mod seed.modulus, so on j mod period
-    alone: it is asked once for each j in 1..period, and the walk merges
-    the admitted residue classes in ascending n.  Over Q every other
-    condition is a test on the entry n = N(P), run before the primality
-    test.  Over K the entry's quadratic symbol comes first
+    norms, visiting in ascending order only the entries _sieved_walk
+    leaves: those whose norm splits in the seed, less the composites
+    other than prime squares that have a prime factor below
+    SIEVE_PRIMES, which are struck in C before any per-entry test.  Over
+    Q every other condition is a test on the entry n = N(P), run before
+    the primality test.  Over K the entry's quadratic symbol comes first
     (_quad_candidates), then each candidate, a split or inert prime of
     norm n coprime to 2*l*disc and not a class-basis prime, must lie in
     S and meet the rest.  Raises SearchExhausted (CLI exit 3), naming
@@ -328,14 +373,7 @@ def search_prime(
         step *= 2  # -1 must be a 2^(r+t)-th power residue
     last = 1 + step * cursor.cap
     stop = min(last, PRIME_LIMIT - 1)
-    period = ctx.seed.modulus // gcd(step, ctx.seed.modulus)
-    walk = heapq.merge(
-        *(
-            range(1 + step * j, stop + 1, step * period)
-            for j in range(1, period + 1)
-            if character_order(ctx.seed, 1 + step * j) == 1
-        )
-    )
+    walk = _sieved_walk(ctx, step, stop)
     if rational:
         # the progression already forces membership in S (the class
         # group is trivial and -1 an l^r-th power residue), so every

@@ -1,5 +1,6 @@
 import json
 import random
+from itertools import takewhile
 from math import isqrt
 
 import pytest
@@ -597,6 +598,14 @@ def test_search_asks_is_prime_only_past_the_k_side_filters(monkeypatch, field, e
         assert pow(field.disc, (n - 1) // 2, n) == 1, n
 
 
+def _walk_step(ctx):
+    # the progression step search_prime walks: N = 1 mod step is forced by S
+    step = ctx.ell ** (ctx.r + ctx.t)
+    if ctx.ell == 2 and (ctx.field is RATIONAL or ctx.field.disc < -4):
+        step *= 2
+    return step
+
+
 @pytest.mark.parametrize(
     "field,ell,r",
     [(RATIONAL, ell, r) for ell in (2, 3, 5) for r in (1, 2)]
@@ -608,9 +617,7 @@ def test_search_matches_brute_force(field, ell, r):
     ctx = build_context(field, ell, r)
     full = ell**r
     # norms the search may examine: N = 1 mod step, at most cap entries
-    cap, step = 5000, ell ** (r + ctx.t)
-    if ell == 2 and (field is RATIONAL or field.disc < -4):
-        step *= 2
+    cap, step = 5000, _walk_step(ctx)
 
     def first(pieces, target, order):
         try:
@@ -639,6 +646,39 @@ def test_search_matches_brute_force(field, ell, r):
     for lam, a in ctx.deficiencies.items():
         if a:
             first([], lam, ell**a)
+
+
+@pytest.mark.parametrize("block", [classfield.SIEVE_BLOCK, 256])
+@pytest.mark.parametrize(
+    "field,ell,cap",
+    [(RATIONAL, 2, 3000), (RATIONAL, 3, 4001), (RATIONAL, 13, 9000), (K23, 3, 3333)]
+    # the only fields where the seed admits two residues of the walk
+    + [(K4, 2, 5000), (K3, 2, 4999)],
+)
+def test_sieved_walk_matches_brute_force(monkeypatch, field, ell, cap, block):
+    # the walk is a pure pre-filter: over every block boundary (blocks
+    # grow 64, 128, ... up to block) it hands on, ascending, each entry
+    # the seed admits that is a prime or the square of one, and no entry
+    # with a prime factor p <= isqrt(n) other than n = p or p^2
+    monkeypatch.setattr(classfield, "SIEVE_BLOCK", block)
+    ctx = build_context(field, ell, 1)
+    step = _walk_step(ctx)
+    stop = 1 + step * cap
+    assert isqrt(stop) < classfield.SIEVE_PRIMES  # every factor is sieved
+    walk = list(classfield._sieved_walk(ctx, step, stop))
+    assert all(a < b for a, b in zip(walk, walk[1:]))
+    assert all(n <= stop and (n - 1) % step == 0 for n in walk)
+    primes = small_primes(stop + 1)
+    wanted = sorted(
+        n for n in set(primes) | {p * p for p in primes if p * p <= stop}
+        if (n - 1) % step == 0 and character_order(ctx.seed, n) == 1
+    )
+    assert set(wanted) <= set(walk)
+    for n in walk:
+        small = [p for p in takewhile(lambda p: p * p <= n, primes) if n % p == 0]
+        assert small in ([], [isqrt(n)]), n  # n is prime or a prime square
+    assert walk == wanted  # and the seed admits it
+    assert any(isqrt(n) ** 2 == n for n in walk)  # a prime square survives
 
 
 def test_make_ray_piece_checks_membership():
