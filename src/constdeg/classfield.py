@@ -27,10 +27,11 @@ Conventions:
 
 Each conductor is the first prime of S that answers the greedy step's
 one question; search_prime states it and asks it.  It walks the norm
-progression S forces, but runs a per-entry test only on the entries
-whose norms split in the seed and that a segmented sieve leaves: primes,
-prime squares and entries with no small prime factor.  Its cap counts
-entries of the whole progression, the skipped ones included.
+progression S forces, but tests only the entries of its one class that
+can hold a prime of S split in the seed and that a segmented sieve
+leaves: primes, prime squares and entries with no small prime factor.
+Its cap counts entries of the whole progression, the skipped ones
+included.
 """
 
 from dataclasses import dataclass, field as dc_field
@@ -296,45 +297,41 @@ def _quad_candidates(ctx, n: int):
 
 
 SIEVE_PRIMES = 1 << 12  # the walk strikes multiples of the primes below this
-SIEVE_BLOCK = 1 << 15  # most progression entries sieved at once
+SIEVE_BLOCK = 1 << 15  # most entries of the walked class sieved at once
 
 
 def _sieved_walk(ctx, step: int, stop: int):
-    """The entries n = 1 + step*j <= stop (j >= 1) of the progression
-    whose norm splits in the seed and that have no prime factor p below
-    SIEVE_PRIMES unless n is p or p^2, ascending.
+    """The entries n = 1 + M*k <= stop (k >= 1), M = lcm(step, seed
+    modulus), with no prime factor p below SIEVE_PRIMES unless n is p or
+    p^2, ascending.
 
-    The seed's answer depends on j mod period alone, so it is asked once
-    for each j in 1..period.  Each block of j starts with the admitted
-    classes set; then every prime p not dividing step, with p^2 at most
-    the block's last norm, strikes its multiples above p^2.  Blocks grow
-    from 64 entries to SIEVE_BLOCK, so that an early conductor stays
+    They are the entries of n = 1 + step*j that can hold a prime of S
+    split in the seed: the seed character is injective on n = 1 mod l
+    (mod 4 at l = 2), and the one other class it admits, n = 3 mod 8 at
+    K(-3) and K(-4) for l = 2, r = 1, holds no prime of S, which asks the
+    unit -1 to be a square at P.  Each prime p not dividing M, with p^2
+    at most a block's last norm, strikes its multiples above p^2.  Blocks
+    grow from 64 entries to SIEVE_BLOCK, so that an early conductor stays
     cheap."""
-    period = ctx.seed.modulus // gcd(step, ctx.seed.modulus)
-    admitted = [
-        j for j in range(1, period + 1) if character_order(ctx.seed, 1 + step * j) == 1
-    ]
-    # p divides 1 + step*j iff j = root mod p; p^2 < 1 + step*j iff j >= low
+    M = lcm(step, ctx.seed.modulus)
+    # p divides 1 + M*k iff k = root mod p; p^2 < 1 + M*k iff k >= low
     strikes = [
-        (p, -pow(step, -1, p) % p, (p * p - 1) // step + 1)
+        (p, -pow(M, -1, p) % p, (p * p - 1) // M + 1)
         for p in small_primes(min(SIEVE_PRIMES, isqrt(stop) + 1))
-        if step % p
+        if M % p
     ]
-    lo, size, end = 1, 64, (stop - 1) // step + 1
+    lo, size, end = 1, 64, (stop - 1) // M + 1
     while lo < end:
         hi = min(lo + size, end)
-        block = bytearray(hi - lo)
-        for c in admitted:
-            i = (c - lo) % period
-            block[i::period] = b"\x01" * len(range(i, hi - lo, period))
-        top = 1 + step * (hi - 1)
+        block = bytearray(b"\x01") * (hi - lo)
+        top = 1 + M * (hi - 1)
         for p, root, low in strikes:
             if p * p > top:
                 break
             i = max(lo, low)
             i += (root - i) % p - lo
             block[i::p] = bytes(len(range(i, hi - lo, p)))
-        yield from compress(range(1 + step * lo, 1 + step * hi, step), block)
+        yield from compress(range(1 + M * lo, 1 + M * hi, M), block)
         lo, size = hi, min(2 * size, SIEVE_BLOCK)
 
 
@@ -352,9 +349,9 @@ def search_prime(
 
     Walks the progression n = 1 + step*j (j >= 1) that S forces on
     norms, visiting in ascending order only the entries _sieved_walk
-    leaves: those whose norm splits in the seed, less the composites
-    other than prime squares that have a prime factor below
-    SIEVE_PRIMES, which are struck in C before any per-entry test.  Over
+    leaves: those of the one class that can hold a prime of S split in
+    the seed, less the composites other than prime squares with a prime
+    factor below SIEVE_PRIMES, struck in C before any per-entry test.  Over
     Q every other condition is a test on the entry n = N(P), run before
     the primality test.  Over K the entry's quadratic symbol comes first
     (_quad_candidates), then each candidate, a split or inert prime of

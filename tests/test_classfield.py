@@ -1,7 +1,7 @@
 import json
 import random
 from itertools import takewhile
-from math import isqrt
+from math import gcd, isqrt, lcm
 
 import pytest
 
@@ -544,9 +544,9 @@ def test_search_exhausts_on_contradiction():
         search_prime(CTX23, [], SearchCursor(cap=300), w, 9)
 
 
-def test_search_asks_the_seed_once_per_residue(monkeypatch):
-    # the seed's answer repeats every period entries, so a search asks
-    # it at most period times however many entries it walks
+def test_search_never_asks_the_seed(monkeypatch):
+    # the walk strides over the one residue class the seed admits, so a
+    # search asks the seed nothing however many entries it walks
     calls = []
 
     def counting(piece, x):
@@ -559,7 +559,7 @@ def test_search_asks_the_seed_once_per_residue(monkeypatch):
     step = 13
     period = ctx.seed.modulus // step
     assert (P.p - 1) // step > 10 * period  # the walk spans many periods
-    assert 0 < len(calls) <= period
+    assert calls == []
 
 
 K3 = quadratic_field(-3)
@@ -669,9 +669,19 @@ def test_sieved_walk_matches_brute_force(monkeypatch, field, ell, cap, block):
     assert all(a < b for a, b in zip(walk, walk[1:]))
     assert all(n <= stop and (n - 1) % step == 0 for n in walk)
     primes = small_primes(stop + 1)
-    wanted = sorted(
+    admitted = {
         n for n in set(primes) | {p * p for p in primes if p * p <= stop}
         if (n - 1) % step == 0 and character_order(ctx.seed, n) == 1
+    }
+    # the walk keeps the class n = 1 mod lcm(step, modulus); the seed's
+    # other class, 3 mod 8 at K(-4) and K(-3), holds no prime of S
+    wanted = sorted(n for n in admitted if (n - 1) % lcm(step, ctx.seed.modulus) == 0)
+    dropped = admitted - set(wanted)
+    assert bool(dropped) == (field in (K4, K3))
+    assert not any(
+        in_S(ctx, P)
+        for P in enumerate_field_primes(field, stop)
+        if P.norm in dropped and P.p not in ctx.excluded
     )
     assert set(wanted) <= set(walk)
     for n in walk:
@@ -679,6 +689,39 @@ def test_sieved_walk_matches_brute_force(monkeypatch, field, ell, cap, block):
         assert small in ([], [isqrt(n)]), n  # n is prime or a prime square
     assert walk == wanted  # and the seed admits it
     assert any(isqrt(n) ** 2 == n for n in walk)  # a prime square survives
+
+
+@pytest.mark.parametrize(
+    "disc", [None, -3, -4, -7, -8, -11, -15, -20, -23, -24, -31, -47, -56, -84, -3299]
+)
+def test_seed_admits_one_class_of_the_walk(disc):
+    # the walk strides by lcm(step, modulus) = step * period, so of the
+    # classes j mod period of n = 1 + step*j it visits only j = 0; the
+    # seed admits no other class, bar one at K(-3) and K(-4) for l = 2
+    # that is -1 mod 2^(r+1) and holds no prime of S
+    field = RATIONAL if disc is None else quadratic_field(disc)
+    for ell in (2, 3, 5, 7):
+        for r in (1, 2, 3):
+            ctx = build_context(field, ell, r)
+            step = _walk_step(ctx)
+            period = ctx.seed.modulus // gcd(step, ctx.seed.modulus)
+            admitted = {
+                j for j in range(1, period + 1)
+                if character_order(ctx.seed, 1 + step * j) == 1
+            }
+            others = admitted - {period}
+            assert period in admitted
+            if disc not in (-3, -4) or ell != 2:
+                assert not others, (disc, ell, r)
+                continue
+            assert bool(others) == (r == 1)
+            classes = {(1 + step * j) % ctx.seed.modulus for j in others}
+            assert all(c % 2 ** (r + 1) == 2 ** (r + 1) - 1 for c in classes)
+            assert not any(
+                in_S(ctx, P)
+                for P in enumerate_field_primes(field, 20000)
+                if P.norm % ctx.seed.modulus in classes and P.p not in ctx.excluded
+            )
 
 
 def test_make_ray_piece_checks_membership():
