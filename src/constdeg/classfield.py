@@ -18,12 +18,13 @@ Conventions:
     (Z/l^(r+1))^* for odd l, and for l = 2 the odd character mod 2^(r+2)
     sending 5 to a primitive 2^r-th root of unity;
   * the Frobenius of a target q other than the conductor eps has the
-    order of x = gamma^((N(eps)-1)/l^(r+t)) mod eps in the ray piece,
-    where gamma generates q^(kprime * l^t): kprime (1 mod l^(r+t)) kills
-    the prime-to-l part of the class of q and l^t its l-part, so that
-    power is principal.  gamma is fixed only up to a unit, and S makes
-    every unit an l^(r+t)-th power residue at eps, so x does not depend
-    on that choice.  Over Q, gamma = q and x = q^((eps-1)/l^r) mod eps.
+    order of x = gamma^((N(eps)-1)/l^(r+t)) mod eps (generator_image)
+    in the ray piece, where gamma generates q^(kprime * l^t): kprime
+    (1 mod l^(r+t)) kills the prime-to-l part of the class of q and l^t
+    its l-part, so that power is principal.  gamma is fixed only up to
+    a unit, and S makes every unit an l^(r+t)-th power residue at eps,
+    so x does not depend on that choice.  Over Q, gamma = q and x =
+    q^((eps-1)/l^r) mod eps.
 
 Each conductor is the first prime of S that answers the greedy step's
 one question; search_prime states it and asks it.  It walks the norm
@@ -223,12 +224,18 @@ def _target_generator(ctx, q: PrimeIdeal):
     return gamma
 
 
-def frobenius_image(ctx, eps: PrimeIdeal, q: PrimeIdeal):
-    """Over K, the residue x = gamma^((N(eps)-1)/l^(r+t)) at the
-    conductor eps of a target q other than eps, where gamma generates
-    q^(kprime * l^t); its order is the Frobenius order of q in the piece."""
-    g = reduce_mod(ctx.field, _target_generator(ctx, q), eps)
+def generator_image(ctx, eps: PrimeIdeal, gamma):
+    """Over K, the residue x = gamma^((N(eps)-1)/l^(r+t)) at eps of a
+    generator gamma of q^(kprime * l^t), q a target other than eps; at a
+    conductor eps in S its order is the Frobenius order of q in the piece."""
+    g = reduce_mod(ctx.field, gamma, eps)
     return local_field(eps).pow(g, (eps.norm - 1) // ctx.ell ** (ctx.r + ctx.t))
+
+
+def frobenius_image(ctx, eps: PrimeIdeal, q: PrimeIdeal):
+    """The generator_image at the conductor eps of the cached generator
+    of the target q."""
+    return generator_image(ctx, eps, _target_generator(ctx, q))
 
 
 def _rational_frobenius_order(q: int, n: int, ell: int, full: int) -> int:
@@ -335,6 +342,31 @@ def _sieved_walk(ctx, step: int, stop: int):
         lo, size = hi, min(2 * size, SIEVE_BLOCK)
 
 
+def _fixed_orders(ctx, P: PrimeIdeal, fixed, full: int) -> bool:
+    """Whether each fixed prime q, given with its generator gamma, has
+    Frobenius order exactly k in the piece at the candidate P; a P equal
+    to q gives the full degree.  x = generator_image has order k iff x^k
+    = 1 and, for k > 1, x^(k/l) != 1.  An order above full is the
+    inconsistency frobenius_order_in_ray_piece raises on at a P in S,
+    and a plain rejection at a P outside S, where the rule does not hold."""
+    fld = local_field(P)
+    one = fld.one
+    for q, gamma, k in fixed:
+        if q.p == P.p and q == P:
+            if k != full:
+                return False
+            continue
+        x = generator_image(ctx, P, gamma)
+        if k <= full and fld.pow(x, k) == one:
+            if k > 1 and fld.pow(x, k // ctx.ell) == one:
+                return False
+        elif fld.pow(x, full) != one and in_S(ctx, P):
+            raise InternalInconsistency("Frobenius image escapes the piece")
+        else:
+            return False
+    return True
+
+
 def search_prime(
     ctx, pieces, cursor: SearchCursor, target: PrimeIdeal, order: int
 ) -> PrimeIdeal:
@@ -354,12 +386,17 @@ def search_prime(
     factor below SIEVE_PRIMES, struck in C before any per-entry test.  Over
     Q every other condition is a test on the entry n = N(P), run before
     the primality test.  Over K the entry's quadratic symbol comes first
-    (_quad_candidates), then each candidate, a split or inert prime of
-    norm n coprime to 2*l*disc and not a class-basis prime, must lie in
-    S and meet the rest.  Raises SearchExhausted (CLI exit 3), naming
-    target and order, after cursor.cap entries of the progression,
-    visited or not, or where it reaches 2**64, beyond which is_prime
-    has no answer.
+    (_quad_candidates); then each candidate, a split or inert prime of
+    norm n coprime to 2*l*disc and not a class-basis prime, must give the
+    fixed primes (those above l other than target, the conductors and
+    target) their orders, from generators fetched once per search, then
+    lie in S, then leave the conductors split.  Each test is a function
+    of P alone and a conductor must pass all three, so their order does
+    not change which P is found; an order above l^r at a fixed prime
+    still raises InternalInconsistency at a P in S.  Raises
+    SearchExhausted (CLI exit 3), naming target and order, after
+    cursor.cap entries of the progression, visited or not, or where it
+    reaches 2**64, beyond which is_prime has no answer.
     """
     ell, full = ctx.ell, ctx.ell**ctx.r
     orders = [(s, 1) for s in ctx.deficiencies if s != target]
@@ -388,23 +425,21 @@ def search_prime(
                 if is_prime(n):
                     return PrimeIdeal(n, "rational", None, 1)
     else:
-        # in_S first: the Frobenius rule holds only at conductors in S;
-        # the orders at the fixed primes before the splits, which need a
-        # new generator for every candidate
-        tests = [
-            lambda P: in_S(ctx, P),
-            lambda P: all(frobenius_order_in_ray_piece(ctx, P, q) == k for q, k in orders),
-        ]
-        tests += [lambda P, pc=pc: frobenius_order_in_ray_piece(ctx, pc, P) == 1 for pc in pieces]
+        # the orders at the fixed primes first, from generators fetched
+        # once per search; in_S, which passes most candidates, second; the
+        # splits, which need a new generator for every candidate, last.
+        # A conductor passes all three and each asks only about P, so the
+        # order changes the cost of a rejection, not which P is found
+        fixed = [(q, _target_generator(ctx, q), k) for q, k in orders]
         basis = ctx.cl.gens
         for n in walk:
             for P in _quad_candidates(ctx, n):
-                if P in basis:
-                    continue
-                for test in tests:
-                    if not test(P):
-                        break
-                else:
+                if (
+                    P not in basis
+                    and _fixed_orders(ctx, P, fixed, full)
+                    and in_S(ctx, P)
+                    and all(frobenius_order_in_ray_piece(ctx, pc, P) == 1 for pc in pieces)
+                ):
                     return P
     if last >= PRIME_LIMIT:
         reason = f"norms reach the 2**64 primality limit within cap {cursor.cap}"

@@ -598,6 +598,74 @@ def test_search_asks_is_prime_only_past_the_k_side_filters(monkeypatch, field, e
         assert pow(field.disc, (n - 1) // 2, n) == 1, n
 
 
+def record_in_S(monkeypatch):
+    # the candidates handed to in_S, in order, while the patch holds
+    asked = []
+
+    def recording(ctx, P):
+        asked.append(P)
+        return in_S(ctx, P)
+
+    monkeypatch.setattr(classfield, "in_S", recording)
+    return asked
+
+
+@pytest.mark.parametrize(
+    "field,ell,r",
+    [(K23, 2, 1), (K23, 3, 1), (K8, 2, 1), (quadratic_field(-56), 2, 2), (K4, 2, 1), (K3, 2, 1)],
+)
+def test_search_asks_in_s_only_past_the_fixed_orders(monkeypatch, field, ell, r):
+    # every candidate the search hands to in_S already has the wanted
+    # Frobenius order at each fixed prime (the primes above l other than
+    # the target, the earlier conductors and the target itself), up to a
+    # first image of order above l^r, where in_S is asked only to tell
+    # the escape check's inconsistency from a candidate outside S
+    ctx = build_context(field, ell, r)
+    full = ell**r
+    asked = record_in_S(monkeypatch)
+    wanted = [(q, full) for q in enumerate_field_primes(field, 50) if q.p not in ctx.excluded][:3]
+    wanted += [(lam, ell**a) for lam, a in ctx.deficiencies.items() if a]
+    pieces, checked, escaped = [], 0, 0
+    for target, order in wanted:
+        orders = [(s, 1) for s in ctx.deficiencies if s != target]
+        orders += [(pc, 1) for pc in pieces] + [(target, order)]
+        asked.clear()
+        try:
+            pieces.append(search_prime(ctx, pieces, SearchCursor(cap=5000), target, order))
+        except SearchExhausted:
+            pass
+        for P in asked:
+            for q, k in orders:
+                try:
+                    got = frobenius_order_in_ray_piece(ctx, P, q)
+                except InternalInconsistency:
+                    assert not in_S(ctx, P), (P, q)
+                    escaped += 1
+                    break
+                assert got == k, (P, q, k)
+            else:
+                checked += 1
+    assert len(pieces) >= 2 and checked >= len(pieces)
+    assert escaped == 0 or ctx.t > 0  # x^(l^(r+t)) = 1 at every candidate
+
+
+def test_search_escaping_image_raises_only_in_s(monkeypatch):
+    # an image of order 9 = l^(r+t) at every candidate: the search rejects
+    # the candidates outside S and raises at the first one in S
+    (eps,) = s_members(CTX23, 1)
+    asked = record_in_S(monkeypatch)
+    monkeypatch.setattr(classfield, "generator_image", order9_image)
+    target = factor_rational_prime(K23, 2)[0]
+    with pytest.raises(InternalInconsistency, match="escapes the piece"):
+        search_prime(CTX23, [], SearchCursor(), target, 3)
+    candidates = [
+        P for P in enumerate_field_primes(K23, eps.norm)
+        if (P.norm - 1) % 9 == 0 and P.p not in CTX23.excluded and P not in CTX23.cl.gens
+    ]
+    assert asked == candidates[: candidates.index(eps) + 1]
+    assert len(asked) > 1 and not any(in_S(CTX23, P) for P in asked[:-1])
+
+
 def _walk_step(ctx):
     # the progression step search_prime walks: N = 1 mod step is forced by S
     step = ctx.ell ** (ctx.r + ctx.t)
