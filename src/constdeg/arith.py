@@ -2,7 +2,8 @@
 
 Elements of F_p are ints in [0, p); elements of F_{p^2} are pairs (a, b)
 standing for a + b*w where w*w = n0, the least positive non-residue mod p.
-All functions are deterministic.
+Roots are taken over F_p only, on plain ints (ell_root).  All functions
+are deterministic.
 """
 
 from __future__ import annotations
@@ -93,13 +94,13 @@ def _brent_rho(n: int, rng: random.Random) -> int:
 def factor(m: int) -> list:
     """Prime factorization as a sorted list of (prime, exponent) pairs.
 
-    Trial division below 10^5, then Brent's rho with a fixed seed so that
-    repeated runs factor identically.
+    Trial division below min(10^5, sqrt(m) + 1), then Brent's rho with a
+    fixed seed so that repeated runs factor identically.
     """
     if m < 1:
         raise ValueError(f"factor input must be positive: {m}")
     out = {}
-    for p in small_primes():
+    for p in small_primes(min(100000, math.isqrt(m) + 1)):
         if p * p > m:
             break
         while m % p == 0:
@@ -137,7 +138,7 @@ def least_nonresidue(p: int) -> int:
 class ResidueField:
     """F_p (f=1, int elements) or F_{p^2} (f=2, pair elements)."""
 
-    __slots__ = ("p", "f", "q", "n0", "_nonpower")
+    __slots__ = ("p", "f", "q", "n0")
 
     def __init__(self, p: int, f: int = 1):
         if f not in (1, 2):
@@ -146,7 +147,6 @@ class ResidueField:
         self.f = f
         self.q = p**f
         self.n0 = least_nonresidue(p) if f == 2 else None
-        self._nonpower = {}  # ell -> cached non ell-th power witness
 
     def __repr__(self):
         return f"F({self.p}^2)" if self.f == 2 else f"F({self.p})"
@@ -176,22 +176,6 @@ class ResidueField:
                 x = self.mul(x, x)
         return r
 
-    def inv(self, x):
-        if self.f == 1:
-            return pow(x, -1, self.p)
-        # (a + bw)^-1 = (a - bw) / (a^2 - n0 b^2)
-        a, b = x
-        d = pow(a * a - self.n0 * b * b, -1, self.p)
-        return (a * d % self.p, -b * d % self.p)
-
-    def iter_elements(self):
-        # canonical deterministic order, skipping 0 and 1
-        if self.f == 1:
-            yield from range(2, self.p)
-        else:
-            for idx in range(2, self.q):
-                yield (idx % self.p, idx // self.p)
-
 
 @lru_cache(maxsize=4096)
 def residue_field(p: int, f: int = 1) -> ResidueField:
@@ -217,60 +201,51 @@ def power_residue_level(x, ell: int, k_max: int, field: ResidueField) -> int:
     return k_max - j
 
 
-def _nonpower_witness(field: ResidueField, ell: int):
-    z = field._nonpower.get(ell)
-    if z is None:
-        e = (field.q - 1) // ell
-        for cand in field.iter_elements():
-            if field.pow(cand, e) != field.one:
-                z = cand
-                break
-        field._nonpower[ell] = z
-    return z
-
-
-def _sylow_dlog(field: ResidueField, g, a, ell: int, v: int) -> int:
-    # discrete log of a base g in the cyclic group <g> of order ell^v
-    gamma = field.pow(g, ell ** (v - 1))
-    table = {}
-    t = field.one
-    for i in range(ell):
-        table[t] = i
-        t = field.mul(t, gamma)
-    k = 0
-    ginv = field.inv(g)
-    for i in range(v):
-        cur = field.pow(field.mul(a, field.pow(ginv, k)), ell ** (v - 1 - i))
-        k += table[cur] * ell**i
-    return k
-
-
-def ell_root(x, ell: int, field: ResidueField):
-    """One y with y^ell = x, via Adleman-Manders-Miller descent.
+def ell_root(x: int, ell: int, p: int) -> int:
+    """One y in [0, p) with y^ell = x mod the odd prime p, for a prime
+    ell, by Tonelli-Shanks in the ell-Sylow subgroup (Cohen, GTM 138,
+    Alg. 1.5.1).
 
     Deterministic, but callers must not depend on which root comes back.
-    Raises ValueError when x is not an ell-th power.
+    Raises ValueError when ell divides p - 1 and x is not the ell-th
+    power of a unit mod p.
     """
-    qm1 = field.q - 1
-    if qm1 % ell:
-        return field.pow(x, pow(ell, -1, qm1))
-    if field.pow(x, qm1 // ell) != field.one:
-        raise ValueError("not an ell-th power in the field")
-    v = 0
-    m = qm1
+    x %= p
+    q = p - 1
+    if q % ell:
+        return pow(x, pow(ell, -1, q), p)
+    v, m = 0, q
     while m % ell == 0:
         m //= ell
         v += 1
-    z = _nonpower_witness(field, ell)
-    g = field.pow(z, m)  # generates the ell-Sylow subgroup, order ell^v
-    a = field.pow(x, m)
-    k = _sylow_dlog(field, g, a, ell, v)  # ell | k since x is an ell-th power
-    u = pow(ell, -1, m) if m > 1 else 0
-    w = (1 - u * ell) // m
-    return field.mul(field.pow(x, u), field.pow(g, (k // ell) * w % (ell**v)))
-
-
-def sqrt_mod(n: int, p: int) -> int:
-    """A square root of n mod p (odd prime); ValueError if none exists."""
-    return ell_root(n % p, 2, residue_field(p))
-
+    # y = x^e with ell*e = 1 mod m, so y^ell = x*t with t = x^(ell*e - 1)
+    # in the Sylow subgroup of order ell^v; each step below kills the
+    # top ell-adic digit of t, keeping y^ell = x*t, until t = 1
+    e = pow(ell, -1, m) if m > 1 else 1
+    h = pow(x, e - 1, p)
+    y = h * x % p
+    t = pow(y, ell - 1, p) * h % p
+    g = None
+    while t != 1:
+        # s = t^(ell^(i-1)) != 1 = s^ell for the least such i; on the first
+        # pass i < v iff x is an ell-th power, and each pass lowers i
+        s, i = t, 1
+        while i < v and (w := pow(s, ell, p)) != 1:
+            s, i = w, i + 1
+        if i == v:
+            raise ValueError("not an ell-th power mod p")
+        if g is None:
+            # g = z^m generates the Sylow subgroup for the least non-power
+            # z, and g^(ell^(v-1)) = z^(q/ell) is a primitive ell-th root of
+            # unity zeta; s = t^(ell^(i-1)) is zeta^d for one digit d
+            z = 2
+            while (zeta := pow(z, q // ell, p)) == 1:
+                z += 1
+            g = pow(z, m, p)
+            digits = {pow(zeta, d, p): d for d in range(1, ell)}
+        # b = g^(ell^(v-i-1)) has b^(ell^i) = zeta, so t*c^ell with c =
+        # b^(ell-d) has (t*c^ell)^(ell^(i-1)) = s*zeta^(-d) = 1
+        b = pow(g, ell ** (v - i - 1) * (ell - digits[s]), p)
+        y = y * b % p
+        t = t * pow(b, ell, p) % p
+    return y

@@ -31,8 +31,9 @@ one question; search_prime states it and asks it.  It walks the norm
 progression S forces, but tests only the entries of its one class that
 can hold a prime of S split in the seed and that a segmented sieve
 leaves: primes, prime squares and entries with no small prime factor.
-Its cap counts entries of the whole progression, the skipped ones
-included.
+Below SIEVE_PRIMES**2 that leaves no other composite, so over K the
+sieve decides primality there and is_prime runs only above it.  Its cap
+counts entries of the whole progression, the skipped ones included.
 """
 
 from dataclasses import dataclass, field as dc_field
@@ -282,20 +283,22 @@ class SearchCursor:
 
 
 def _quad_candidates(ctx, n: int):
-    """The primes of norm n: those above n if n is a prime that splits,
-    or the inert prime p if n = p^2.
+    """The primes of norm n, an entry of _sieved_walk: those above n if n
+    is a prime that splits, or the inert prime p if n = p^2.
 
-    Euler's symbol x = D^((n-1)/2) mod n comes before is_prime.  For a
-    prime n, x = n - 1 means n is inert and x = 1 that it splits (so
-    n is prime to 2*l*D); a square p^2 never gives n - 1, as x = 1 mod
-    p.  Only x = 1 asks is_prime(n), and every other n, a composite with
-    x = 1 included, goes on to the square test."""
+    Euler's symbol x = D^((n-1)/2) mod n comes first.  For a prime n,
+    x = n - 1 means n is inert and x = 1 that it splits (so n is prime
+    to 2*l*D); a square p^2 never gives n - 1, as x = 1 mod p.  Below
+    SIEVE_PRIMES**2 the walk leaves only primes and prime squares, so
+    there a non-square n with x = 1 is a split prime; only at or above
+    it does x = 1 ask is_prime(n).  Every other n, a composite with x =
+    1 included, goes on to the square test."""
     x = pow(ctx.field.disc, (n - 1) // 2, n)
     if x == n - 1:
         return []
-    if x == 1 and is_prime(n):
-        return factor_rational_prime(ctx.field, n)
     p = isqrt(n)
+    if x == 1 and p * p != n and (n < SIEVE_PRIMES**2 or is_prime(n)):
+        return factor_rational_prime(ctx.field, n)
     if p * p != n or not is_prime(p):
         return []
     if p in ctx.excluded or kronecker_disc(ctx.field.disc, p) != -1:
@@ -385,15 +388,16 @@ def search_prime(
     the seed, less the composites other than prime squares with a prime
     factor below SIEVE_PRIMES, struck in C before any per-entry test.  Over
     Q every other condition is a test on the entry n = N(P), run before
-    the primality test.  Over K the entry's quadratic symbol comes first
-    (_quad_candidates); then each candidate, a split or inert prime of
-    norm n coprime to 2*l*disc and not a class-basis prime, must give the
-    fixed primes (those above l other than target, the conductors and
-    target) their orders, from generators fetched once per search, then
-    lie in S, then leave the conductors split.  Each test is a function
-    of P alone and a conductor must pass all three, so their order does
-    not change which P is found; an order above l^r at a fixed prime
-    still raises InternalInconsistency at a P in S.  Raises
+    the primality test.  Over K the entry's quadratic symbol comes first,
+    and is_prime only at or above SIEVE_PRIMES**2 (_quad_candidates);
+    then each candidate, a split or inert prime of norm n coprime to
+    2*l*disc and not a class-basis prime, must give the fixed primes
+    (those above l other than target, the conductors and target) their
+    orders, from generators fetched once per search, then lie in S, then
+    leave the conductors split.  Each test is a function of P alone and
+    a conductor must pass all three, so their order does not change
+    which P is found; an order above l^r at a fixed prime still raises
+    InternalInconsistency at a P in S.  Raises
     SearchExhausted (CLI exit 3), naming target and order, after
     cursor.cap entries of the progression, visited or not, or where it
     reaches 2**64, beyond which is_prime has no answer.

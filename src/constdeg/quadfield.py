@@ -18,12 +18,12 @@ from math import gcd, isqrt
 
 from .arith import (
     SearchExhausted,
+    ell_root,
     factor,
     is_prime,
     legendre,
     residue_field,
     small_primes,
-    sqrt_mod,
 )
 
 
@@ -233,7 +233,7 @@ def factor_rational_prime(field, p: int):
     if p == 2:
         roots = [1, 3]
     else:
-        r = sqrt_mod(d % p, p)
+        r = ell_root(d, 2, p)
         roots = sorted(r0 if (r0 - d) % 2 == 0 else r0 + p for r0 in (r, p - r))
     return [PrimeIdeal(p, "split", b, 1) for b in roots]
 
@@ -479,13 +479,10 @@ def principal_generator(field, ideal: QuadIdeal):
 
 
 @lru_cache(maxsize=4096)
-def _local_sqrt_disc(disc, p, f, b):
-    # image of sqrt(D) in the residue field at one chosen prime above p
-    if f == 1:
-        return b % p
-    fld = residue_field(p, 2)
-    s = sqrt_mod(disc * pow(fld.n0, -1, p) % p, p)
-    return (0, min(s, p - s))
+def _inert_sqrt_disc(disc, p):
+    # s with sqrt(D) = s*w in F_{p^2} at the inert prime above p, w^2 = n0
+    s = ell_root(disc * pow(residue_field(p, 2).n0, -1, p), 2, p)
+    return min(s, p - s)
 
 
 def local_field(P: PrimeIdeal):
@@ -501,7 +498,6 @@ def reduce_mod(field, x, P: PrimeIdeal):
     xx, yy = x
     inv2 = (P.p + 1) // 2
     if P.kind == "inert":
-        s = _local_sqrt_disc(field.disc, P.p, 2, 0)[1]
+        s = _inert_sqrt_disc(field.disc, P.p)
         return ((xx * inv2) % P.p, (yy * s * inv2) % P.p)
-    root = _local_sqrt_disc(field.disc, P.p, 1, P.b)
-    return (xx + yy * root) * inv2 % P.p
+    return (xx + yy * P.b) * inv2 % P.p  # sqrt(D) = P.b mod P

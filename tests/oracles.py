@@ -3,6 +3,11 @@
 None of this runs in the package itself:
 
   * multiplicative_order and embed: brute-force residue-field helpers;
+  * field_elements, field_inv and field_root: the elements other than
+    0 and 1 in a fixed order, the inverse x^(Q-2), and one ell-th root
+    by Adleman-Manders-Miller descent, over F_p and F_{p^2} alike;
+    alpha_roots takes roots over F_{p^2}, which arith.ell_root (plain
+    ints, F_p only) does not take;
   * ideal_contains, principal_ideal and conjugate_prime: ideal membership
     by the module basis, the ideal (u) from a Z-basis, and the conjugate
     prime, the references for ideal_mul and principal_generator;
@@ -14,8 +19,8 @@ None of this runs in the package itself:
   * reduced_forms_by_a: the reduced forms of disc D found by scanning
     every b in (-a, a] for each a, the reference for
     quadfield.enumerate_class_group;
-  * ramified_root_by_scan: the root b of a ramified prime found by
-    scanning every b < 2p, the reference for the ramified case of
+  * roots_by_scan: the roots b of x^2 = D mod 4p found by scanning
+    every b < 2p, the reference for the split and ramified cases of
     quadfield.factor_rational_prime.
 
 The splitting map.  For a target q with class discrete log c, the ideal
@@ -30,7 +35,7 @@ choice of roots.
 
 from math import isqrt
 
-from constdeg.arith import ResidueField, ell_root, factor, power_residue_level
+from constdeg.arith import ResidueField, factor, power_residue_level
 from constdeg.quadfield import (
     PrimeIdeal,
     QuadIdeal,
@@ -61,6 +66,42 @@ def embed(field: ResidueField, n: int):
     """The rational integer n as an element of the residue field."""
     n %= field.p
     return (n, 0) if field.f == 2 else n
+
+
+def field_elements(field: ResidueField):
+    """The elements other than 0 and 1, in a fixed order."""
+    if field.f == 1:
+        return range(2, field.p)
+    return ((i % field.p, i // field.p) for i in range(2, field.q))
+
+
+def field_inv(field: ResidueField, x):
+    return field.pow(x, field.q - 2)
+
+
+def field_root(x, ell: int, field: ResidueField):
+    """One y with y^ell = x, via Adleman-Manders-Miller descent; raises
+    ValueError when x is not an ell-th power in the field."""
+    qm1 = field.q - 1
+    if qm1 % ell:
+        return field.pow(x, pow(ell, -1, qm1))
+    if field.pow(x, qm1 // ell) != field.one:
+        raise ValueError("not an ell-th power in the field")
+    v, m = 0, qm1
+    while m % ell == 0:
+        m //= ell
+        v += 1
+    z = next(c for c in field_elements(field) if field.pow(c, qm1 // ell) != field.one)
+    g = field.pow(z, m)  # generates the ell-Sylow subgroup, order ell^v
+    a = field.pow(x, m)
+    # k = log_g(a), one ell-adic digit at a time; ell | k
+    digit = {field.pow(g, d * ell ** (v - 1)): d for d in range(ell)}
+    ginv, k = field_inv(field, g), 0
+    for i in range(v):
+        k += digit[field.pow(field.mul(a, field.pow(ginv, k)), ell ** (v - 1 - i))] * ell**i
+    u = pow(ell, -1, m) if m > 1 else 0
+    w = (1 - u * ell) // m
+    return field.mul(field.pow(x, u), field.pow(g, (k // ell) * w % (ell**v)))
 
 
 # -------------------------------------------------------------- ideals
@@ -145,7 +186,7 @@ def class_correction(ctx, q):
 def unit_root(fld, ell):
     """A primitive ell-th root of unity in the residue field."""
     e = (fld.q - 1) // ell
-    for x in fld.iter_elements():
+    for x in field_elements(fld):
         z = fld.pow(x, e)
         if z != fld.one:
             return z
@@ -161,7 +202,7 @@ def alpha_roots(ctx, eps, twist=None):
     for alpha, m in zip(ctx.cl.alphas, ctx.cl.exps):
         root = reduce_mod(ctx.field, alpha, eps)
         for _ in range(m):
-            root = ell_root(root, ctx.ell, fld)
+            root = field_root(root, ctx.ell, fld)
             if twist is not None:
                 root = fld.mul(root, twist())
         roots.append(root)
@@ -172,7 +213,7 @@ def splitting_map_image(ctx, eps, correction, roots):
     """The image s of the target with class_correction(ctx, q) at eps."""
     c, gamma0, denom = correction
     fld = local_field(eps)
-    s = fld.mul(reduce_mod(ctx.field, gamma0, eps), fld.inv(embed(fld, denom)))
+    s = fld.mul(reduce_mod(ctx.field, gamma0, eps), field_inv(fld, embed(fld, denom)))
     for root, ci in zip(roots, c):
         s = fld.mul(s, fld.pow(root, ci))
     return s
@@ -208,10 +249,10 @@ def reduced_forms_by_a(field):
     return forms, len(forms)
 
 
-# ------------------------------------------------------- ramified roots
+# ---------------------------------------------------------- prime roots
 
 
-def ramified_root_by_scan(d: int, p: int) -> int:
-    """The least b in [0, 2p) with b = D mod 2 and b^2 = D mod 4p, for a
-    prime p dividing the discriminant D."""
-    return next(b for b in range(2 * p) if (b - d) % 2 == 0 and (b * b - d) % (4 * p) == 0)
+def roots_by_scan(d: int, p: int) -> list:
+    """Every b in [0, 2p) with b = D mod 2 and b^2 = D mod 4p, ascending:
+    one for a prime p dividing the discriminant D, two for a split p."""
+    return [b for b in range(2 * p) if (b - d) % 2 == 0 and (b * b - d) % (4 * p) == 0]

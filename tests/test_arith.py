@@ -5,7 +5,6 @@ import pytest
 
 from constdeg.arith import (
     FOUR_WITNESS_LIMIT,
-    ResidueField,
     ell_root,
     factor,
     is_prime,
@@ -13,9 +12,8 @@ from constdeg.arith import (
     power_residue_level,
     residue_field,
     small_primes,
-    sqrt_mod,
 )
-from oracles import multiplicative_order
+from oracles import field_elements, field_inv, field_root, multiplicative_order
 
 # ---------------------------------------------------------------- oracles
 
@@ -223,8 +221,8 @@ def test_fermat_lagrange_random_samples():
 def test_field_inverse():
     fld = residue_field(11, 2)
     for x in [(3, 4), (0, 1), (10, 7)]:
-        assert fld.mul(x, fld.inv(x)) == fld.one
-    assert residue_field(97).inv(5) == pow(5, 95, 97)
+        assert fld.mul(x, field_inv(fld, x)) == fld.one
+    assert field_inv(residue_field(97), 5) == pow(5, -1, 97)
 
 
 # ------------------------------------------------- power_residue_level
@@ -271,55 +269,94 @@ def test_power_residue_level_definition_both_sides():
 # ----------------------------------------------------------- ell_root
 
 
+ODD_PRIMES = small_primes(200)[1:]
+
+
+def ell_powers(ell, p):
+    return {pow(y, ell, p) for y in range(1, p)}
+
+
 def test_ell_root_examples():
-    f7 = residue_field(7)
-    y = ell_root(1, 3, f7)
-    assert f7.pow(y, 3) == 1
-    assert ell_root(2, 2, f7) in (3, 4)
-    assert ell_root(6, 3, f7) in (3, 5, 6)
+    y = ell_root(1, 3, 7)
+    assert pow(y, 3, 7) == 1
+    assert ell_root(2, 2, 7) in (3, 4)
+    assert ell_root(9, 2, 7) in (3, 4)  # x is taken mod p
+    assert ell_root(6, 3, 7) in (3, 5, 6)
+    with pytest.raises(ValueError):
+        ell_root(5, 2, 7)
 
 
 def test_ell_root_rejects_nonpower():
     with pytest.raises(ValueError):
-        ell_root(3, 2, residue_field(17))  # 3 is not a QR mod 17
+        ell_root(3, 2, 17)  # 3 is not a QR mod 17
+    with pytest.raises(ValueError):
+        ell_root(0, 2, 17)  # 0 is no power of a unit
+    for p in ODD_PRIMES:
+        for ell in (2, 3, 5):
+            if (p - 1) % ell == 0:
+                powers = ell_powers(ell, p)
+                for x in range(1, p):
+                    if x not in powers:
+                        with pytest.raises(ValueError):
+                            ell_root(x, ell, p)
 
 
 def test_ell_root_inverts_powering_exhaustive():
-    fld = residue_field(73)
-    for ell in (2, 3):
-        for x in range(1, 73):
-            xe = fld.pow(x, ell)
-            y = ell_root(xe, ell, fld)
-            assert fld.pow(y, ell) == xe
+    for p in ODD_PRIMES:
+        for ell in (2, 3, 5):
+            for x in ell_powers(ell, p):
+                y = ell_root(x, ell, p)
+                assert 0 <= y < p and pow(y, ell, p) == x, (x, ell, p)
 
 
 def test_ell_root_coprime_exponent_path():
-    fld = residue_field(7)
-    for x in range(1, 7):
-        assert fld.pow(ell_root(x, 5, fld), 5) == x  # 5 does not divide 6
+    # ell prime to p - 1: x -> x^ell is a bijection and every x has a root
+    checked = 0
+    for p in ODD_PRIMES:
+        for ell in (3, 5):
+            if (p - 1) % ell:
+                assert sorted(ell_root(x, ell, p) for x in range(p)) == list(range(p))
+                for x in range(p):
+                    assert pow(ell_root(x, ell, p), ell, p) == x
+                checked += 1
+    assert checked > 40
 
 
-def test_ell_root_f2_and_deep_sylow():
-    fld = residue_field(257)  # 256 = 2^8, m = 1 branch
-    for x in (4, 16, 9, 2):
-        if fld.pow(x, 128) == 1:
-            assert fld.pow(ell_root(x, 2, fld), 2) == x
-    f2 = residue_field(7, 2)  # q - 1 = 48
-    for x in [(3, 1), (0, 2), (5, 5)]:
-        xe = f2.pow(x, 2)
-        assert f2.pow(ell_root(xe, 2, f2), 2) == xe
+def test_ell_root_deep_sylow():
+    # p - 1 = ell^v * m: the descent runs up to v - 1 steps; g generates
+    # F_p^*, so the x = g^(ell*k) have every ell-power order
+    for p, ell, v in [(257, 2, 8), (65537, 2, 16), (40961, 2, 13), (1459, 3, 6), (37501, 5, 5)]:
+        assert (p - 1) % ell**v == 0 and (p - 1) // ell**v % ell
+        g = next(g for g in range(2, p) if all(pow(g, (p - 1) // q, p) != 1 for q, _ in factor(p - 1)))
+        for k in range(0, p - 1, max(1, (p - 1) // 3000)):
+            x = pow(g, ell * k, p)
+            assert pow(ell_root(x, ell, p), ell, p) == x
+            with pytest.raises(ValueError):
+                ell_root(x * g % p, ell, p)
 
 
 def test_ell_root_deterministic():
-    a = ell_root(6, 3, residue_field(7))
-    b = ell_root(6, 3, ResidueField(7))
-    assert a == b
+    squares = sorted(ell_powers(2, 65537))[::97]
+    first = [ell_root(x, 2, 65537) for x in squares]
+    for p in ODD_PRIMES:  # other moduli in between change nothing
+        ell_root(1, 2, p)
+    assert [ell_root(x, 2, 65537) for x in reversed(squares)] == first[::-1]
+    assert ell_root(6, 3, 7) == ell_root(6, 3, 7)
 
 
-def test_sqrt_mod():
-    assert sqrt_mod(2, 7) in (3, 4)
-    with pytest.raises(ValueError):
-        sqrt_mod(5, 7)
+@pytest.mark.parametrize("p,f", [(7, 1), (73, 1), (5, 2), (7, 2), (11, 2)])
+def test_field_root_over_f_p_and_f_p2(p, f):
+    # the test oracle's root, which alpha_roots takes over F_{p^2} too
+    fld = residue_field(p, f)
+    units = [fld.one, *field_elements(fld)]
+    for ell in (2, 3):
+        powers = {fld.pow(y, ell) for y in units}
+        for x in units:
+            if x in powers:
+                assert fld.pow(field_root(x, ell, fld), ell) == x
+            elif (fld.q - 1) % ell == 0:
+                with pytest.raises(ValueError):
+                    field_root(x, ell, fld)
 
 
 # ------------------------------------------------ multiplicative_order

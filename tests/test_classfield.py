@@ -8,6 +8,7 @@ import pytest
 from constdeg import classfield
 from constdeg.arith import (
     SearchExhausted,
+    factor,
     is_prime,
     power_residue_level,
     residue_field,
@@ -50,6 +51,7 @@ from oracles import (
     alpha_roots,
     conjugate_prime,
     embed,
+    field_elements,
     kummer_generator,
     kummer_split_test,
     multiplicative_order,
@@ -572,7 +574,10 @@ K3 = quadratic_field(-3)
 def test_search_asks_is_prime_only_past_the_k_side_filters(monkeypatch, field, ell, r):
     # every norm the walk hands to is_prime splits in the seed and has
     # quadratic symbol D^((n-1)/2) = 1 mod n; the other arguments are
-    # roots p of square norms p^2
+    # roots p of square norms p^2.  At the real SIEVE_PRIMES these norms
+    # all lie below SIEVE_PRIMES**2, where the sieve decides primality
+    # and is_prime sees none; a sieve to 16 leaves the walk past 256 to it
+    monkeypatch.setattr(classfield, "SIEVE_PRIMES", 16)
     asked, roots = [], set()
 
     def recording_is_prime(m):
@@ -714,6 +719,55 @@ def test_search_matches_brute_force(field, ell, r):
     for lam, a in ctx.deficiencies.items():
         if a:
             first([], lam, ell**a)
+
+
+SIEVE_CASES = [
+    (RATIONAL, 2, 1), (RATIONAL, 3, 1), (RATIONAL, 13, 1), (K23, 2, 2),
+    (K3, 2, 1), (K4, 2, 1), (K23, 3, 1), (quadratic_field(-56), 2, 2),
+]
+
+
+@pytest.mark.parametrize("field,ell,r", SIEVE_CASES)
+def test_sieved_walk_leaves_only_primes_and_prime_squares(field, ell, r):
+    # below SIEVE_PRIMES**2 every entry is p or p^2, which is what lets
+    # _quad_candidates skip is_prime there
+    ctx = build_context(field, ell, r)
+    stop = 200_000
+    assert stop < classfield.SIEVE_PRIMES**2
+    walk = list(classfield._sieved_walk(ctx, _walk_step(ctx), stop))
+    assert len(walk) > 1000 // ell
+    for n in walk:
+        ((_, e),) = factor(n)
+        assert e in (1, 2), n
+
+
+@pytest.mark.parametrize("field,ell,r", [c for c in SIEVE_CASES if c[0] is not RATIONAL])
+def test_quad_candidates_ask_is_prime_past_a_small_sieve(monkeypatch, field, ell, r):
+    # with a sieve to 16 the walk keeps composites past 256: each
+    # non-square entry there with Euler symbol 1 reaches is_prime, none
+    # below it does, and the candidates are still the primes of norm n
+    monkeypatch.setattr(classfield, "SIEVE_PRIMES", 16)
+    asked = []
+
+    def recording_is_prime(m):
+        asked.append(m)
+        return is_prime(m)
+
+    monkeypatch.setattr(classfield, "is_prime", recording_is_prime)
+    ctx = build_context(field, ell, r)
+    walk = list(classfield._sieved_walk(ctx, _walk_step(ctx), 60_000))
+    composites = [n for n in walk if len(factor(n)) > 1]
+    assert composites and min(composites) > 256
+    for n in walk:
+        asked.clear()
+        got = classfield._quad_candidates(ctx, n)
+        euler = pow(field.disc, (n - 1) // 2, n)
+        if euler == 1 and isqrt(n) ** 2 != n:
+            assert (n in asked) == (n >= 256), n
+        f = factor(n)
+        kind = {1: "split", 2: "inert"}.get(f[0][1]) if len(f) == 1 else None
+        expect = [P for P in factor_rational_prime(field, f[0][0]) if P.kind == kind]
+        assert got == (expect if kind else []), n
 
 
 @pytest.mark.parametrize("block", [classfield.SIEVE_BLOCK, 256])
@@ -1206,7 +1260,7 @@ def order9_image(ctx, eps, q):
     # an element of order 9 at eps, whose norm S makes 1 mod 9 for
     # K(-23), l = 3 and t = 1: an order beyond l^r = 3 for r = 1
     fld = local_field(eps)
-    for cand in fld.iter_elements():
+    for cand in field_elements(fld):
         y = fld.pow(cand, (eps.norm - 1) // 9)
         if fld.pow(y, 3) != fld.one:
             return y

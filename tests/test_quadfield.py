@@ -5,7 +5,7 @@ from math import isqrt
 import pytest
 
 from constdeg import quadfield
-from constdeg.arith import factor, residue_field
+from constdeg.arith import factor, residue_field, small_primes
 from constdeg.quadfield import (
     DISC_LIMIT,
     RATIONAL,
@@ -41,7 +41,7 @@ from oracles import (
     embed,
     ideal_contains,
     principal_ideal,
-    ramified_root_by_scan,
+    roots_by_scan,
     reduced_forms_by_a,
 )
 
@@ -160,9 +160,29 @@ def test_ramified_root_matches_full_scan():
         for p, _ in factor(-d):
             (P,) = factor_rational_prime(field, p)
             assert P.kind == "ramified"
-            assert P.b == ramified_root_by_scan(d, p), (d, p)
+            assert [P.b] == roots_by_scan(d, p), (d, p)
             checked += 1
     assert checked > 1000
+
+
+def test_prime_roots_do_not_depend_on_the_square_root():
+    # arith.ell_root may return either square root of D mod p; the split
+    # primes' roots b and the inert sqrt(D) in F_{p^2} must not show which
+    checked = 0
+    for d in (-3, -4, -7, -8, -15, -23, -56, -84, -3299):
+        field = quadratic_field(d)
+        for p in small_primes(400)[1:]:
+            if d % p == 0:
+                continue
+            primes = factor_rational_prime(field, p)
+            if primes[0].kind == "split":
+                assert [P.b for P in primes] == roots_by_scan(d, p), (d, p)
+            else:
+                n0 = residue_field(p, 2).n0
+                s = next(s for s in range(p) if (n0 * s * s - d) % p == 0)
+                assert reduce_mod(field, (0, 2), primes[0]) == (0, s), (d, p)
+            checked += 1
+    assert checked > 600
 
 
 def test_ramified_root_is_constant_time():
