@@ -60,6 +60,7 @@ from .quadfield import (
     prime_module,
     principal_generator,
     reduce_mod,
+    split_primes,
     unit_generators,
 )
 
@@ -291,14 +292,15 @@ def _quad_candidates(ctx, n: int):
     to 2*l*D); a square p^2 never gives n - 1, as x = 1 mod p.  Below
     SIEVE_PRIMES**2 the walk leaves only primes and prime squares, so
     there a non-square n with x = 1 is a split prime; only at or above
-    it does x = 1 ask is_prime(n).  Every other n, a composite with x =
-    1 included, goes on to the square test."""
+    it does x = 1 ask is_prime(n).  A split prime's two primes come from
+    split_primes, with no second symbol.  Every other n, a composite
+    with x = 1 included, goes on to the square test."""
     x = pow(ctx.field.disc, (n - 1) // 2, n)
     if x == n - 1:
         return []
     p = isqrt(n)
     if x == 1 and p * p != n and (n < SIEVE_PRIMES**2 or is_prime(n)):
-        return factor_rational_prime(ctx.field, n)
+        return split_primes(ctx.field.disc, n)
     if p * p != n or not is_prime(p):
         return []
     if p in ctx.excluded or kronecker_disc(ctx.field.disc, p) != -1:

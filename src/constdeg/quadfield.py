@@ -230,6 +230,12 @@ def factor_rational_prime(field, p: int):
         # p | d and p | b^2 - d force p | b, and 0 and p are the b < 2p it divides
         b = next(b for b in (0, p) if (b - d) % 2 == 0 and (b * b - d) % (4 * p) == 0)
         return [PrimeIdeal(p, "ramified", b, 1)]
+    return split_primes(d, p)
+
+
+def split_primes(d: int, p: int):
+    """The two primes above a rational prime p that splits in Q(sqrt d),
+    by ascending root b: sqrt(d) = b mod P, with b = d mod 2 and 0 <= b < 2p."""
     if p == 2:
         roots = [1, 3]
     else:

@@ -1,3 +1,4 @@
+import copy
 import json
 
 import pytest
@@ -444,6 +445,48 @@ def test_certificate_json_deterministic():
     qa = certificate_json(construct(K8, 2, 1, 20))
     qb = certificate_json(construct(K8, 2, 1, 20))
     assert qa == qb
+
+
+K56 = quadratic_field(-56)
+
+JSON_JOBS = {
+    "Q n=2 B=1000": lambda: construct(RATIONAL, 2, 1, 1000),
+    "Q n=6 B=1000": lambda: compose_for_n(RATIONAL, 6, 1000),
+    "Q n=10 B=1000": lambda: compose_for_n(RATIONAL, 10, 1000),
+    "K(-23) n=2 B=1000": lambda: construct(K23, 2, 1, 1000),
+    "K(-23) n=3 B=1000": lambda: construct(K23, 3, 1, 1000),
+    "K(-8) n=2 B=1000": lambda: construct(K8, 2, 1, 1000),
+    "K(-56) n=4 B=200": lambda: construct(K56, 2, 2, 200),
+}
+
+
+def assert_json_layout(cert):
+    """certificate_json writes json.dumps(indent=2)'s text and leaves cert as it was."""
+    before = copy.deepcopy(cert)
+    assert certificate_json(cert) == json.dumps(cert, indent=2) + "\n"
+    assert cert == before
+
+
+@pytest.mark.parametrize("job", list(JSON_JOBS))
+def test_certificate_json_is_json_indent_2(job):
+    assert_json_layout(JSON_JOBS[job]())
+
+
+def test_certificate_json_short_tables_and_inert_rows():
+    cert = construct(RATIONAL, 2, 1, 1000)
+    assert_json_layout({**cert, "table": cert["table"][:1]})
+    assert_json_layout({**cert, "table": []})
+    assert_json_layout({k: v for k, v in cert.items() if k != "table"})
+    k56 = construct(K56, 2, 2, 200)
+    inert = [row for row in k56["table"] if row["prime"][1] is None]
+    assert inert
+    assert_json_layout({**k56, "table": inert[:1]})
+
+
+def test_certificate_json_repeats_shared_values():
+    shared = [1.5, None]
+    row = {"prime": shared, "degree": 2}
+    assert_json_layout({"a": shared, "table": [row, row]})
 
 
 def test_write_certificate_round_trip(tmp_path):

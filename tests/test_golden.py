@@ -6,7 +6,9 @@ and K(-8) n=2 B=200 (deficient at the prime above 2).  Construct must
 reproduce them byte for byte, so certificates cannot change unnoticed,
 and each must verify.  Every mutant of them must either fail
 verification with MalformedCertificate or MismatchFound or verify to the
-same report; any other exception is a verifier bug.
+same report; any other exception is a verifier bug.  certificate_json
+must write every mutant exactly as json.dumps(..., indent=2) does,
+including rows outside construct's two shapes.
 """
 
 import copy
@@ -114,6 +116,35 @@ def mutants(doc, rng, count):
         yield m
 
 
+ROW_CHANGES = (
+    lambda row: {**row, "degree": True},
+    lambda row: {**row, "degree": 1.5},
+    lambda row: {**row, "prime": [row["prime"][0], "a\nb"]},
+    lambda row: {**row, "prime": ["\u00e9", row["prime"][1]]},
+    lambda row: dict(reversed(row.items())),
+    lambda row: {**row, "prime": tuple(row["prime"])},
+    lambda row: {**row, "extra": {1: [2, 3]}},
+)
+
+
+def row_mutants(doc):
+    """Copies of doc in which one table leaves construct's two row shapes:
+    its second row changed by one of ROW_CHANGES, or the table itself
+    made a dict or a string."""
+    for path, table in list(spots(doc)):
+        if path[-1:] != ("table",):
+            continue
+        for change in ROW_CHANGES:
+            m = copy.deepcopy(doc)
+            rows = at(m, path)
+            rows[1] = change(rows[1])
+            yield m
+        for other in ({"rows": table}, "a\nb"):
+            m = copy.deepcopy(doc)
+            at(m, path[:-1])[path[-1]] = copy.deepcopy(other)
+            yield m
+
+
 def test_mutants_fail_cleanly_or_verify_the_same():
     rng = random.Random(13)
     start = time.perf_counter()
@@ -121,7 +152,8 @@ def test_mutants_fail_cleanly_or_verify_the_same():
     for name in sorted(GOLDEN):
         doc = json.loads(fixture_text(name))
         want = verify(doc)
-        for m in mutants(doc, rng, 100):
+        for m in [*mutants(doc, rng, 100), *row_mutants(doc)]:
+            assert certificate_json(m) == json.dumps(m, indent=2) + "\n"
             text = json.dumps(m)
             t0 = time.perf_counter()
             try:
@@ -139,3 +171,15 @@ def test_mutants_fail_cleanly_or_verify_the_same():
             outcomes[outcome] = outcomes.get(outcome, 0) + 1
     assert time.perf_counter() - start < 5.0
     assert set(outcomes) == {"MalformedCertificate", "MismatchFound", "pass"}
+
+
+def test_writer_raises_where_json_does():
+    doc = json.loads(fixture_text("q_n2_b100.json"))
+    doc["table"][1]["prime"] = {2, 3}
+    for write in (certificate_json, lambda d: json.dumps(d, indent=2)):
+        with pytest.raises(TypeError):
+            write(doc)
+    doc["table"][1]["prime"] = doc["table"]
+    for write in (certificate_json, lambda d: json.dumps(d, indent=2)):
+        with pytest.raises(ValueError, match="Circular reference"):
+            write(doc)
