@@ -19,11 +19,11 @@ Conventions:
     sending 5 to a primitive 2^r-th root of unity;
   * the Frobenius of a target q other than the conductor eps has the
     order of x = gamma^((N(eps)-1)/l^(r+t)) mod eps (generator_image)
-    in the ray piece, where gamma generates q^(kprime * l^t): kprime
-    (1 mod l^(r+t)) kills the prime-to-l part of the class of q and l^t
-    its l-part, so that power is principal.  gamma is fixed only up to
-    a unit, and S makes every unit an l^(r+t)-th power residue at eps,
-    so x does not depend on that choice.  Over Q, gamma = q and x =
+    in the ray piece, where gamma generates q^(m * l^t): m, the prime-to-l
+    part of the class number, kills the prime-to-l part of the class of q
+    and l^t its l-part, so that power is principal.  gamma is fixed only
+    up to a unit, and S makes every unit an l^(r+t)-th power residue at
+    eps, so x does not depend on that choice.  Over Q, gamma = q and x =
     q^((eps-1)/l^r) mod eps.
 
 Each conductor is the first prime of S that answers the greedy step's
@@ -80,7 +80,6 @@ class Context:
     cl: object  # l-part of the class group with basis data
     units: list
     excluded: frozenset  # rational primes dividing 2*l*disc
-    kprime: int  # kills the prime-to-l class component, is 1 mod l^(r+t)
     seed: object  # the CyclotomicPiece of build_L0_rational
     deficiencies: dict  # prime above l -> deficiency a, in factoring order
     _targets: dict = dc_field(default_factory=dict, repr=False)  # q -> gamma
@@ -98,11 +97,9 @@ def build_context(field, ell: int, r: int) -> Context:
     disc = field.disc if field.kind == "imag_quadratic" else 1
     excluded = frozenset(p for p, _ in factor(abs(2 * ell * disc)))
     cl = class_group_l_part(field, ell, excluded)
-    m = cl.coprime_part
-    kprime = m * pow(m, -1, ell ** (r + cl.t))
     seed, deficiencies = build_L0_rational(ell, r), _deficiencies(field, ell, r)
     units = unit_generators(field)
-    return Context(field, ell, r, cl, units, excluded, kprime, seed, deficiencies)
+    return Context(field, ell, r, cl, units, excluded, seed, deficiencies)
 
 
 def _deficiencies(field, ell: int, r: int) -> dict:
@@ -213,11 +210,11 @@ def make_ray_piece(ctx, P: PrimeIdeal) -> PrimeIdeal:
 
 
 def _target_generator(ctx, q: PrimeIdeal):
-    # generator of q^(kprime * l^t), cached per target
+    # generator of q^(m * l^t), m = cl.coprime_part, cached per target
     gamma = ctx._targets.get(q)
     if gamma is None:
         fld = ctx.field
-        J = ideal_pow(fld, prime_module(fld, q), ctx.kprime * ctx.ell**ctx.t)
+        J = ideal_pow(fld, prime_module(fld, q), ctx.cl.coprime_part * ctx.ell**ctx.t)
         try:
             gamma = principal_generator(fld, J)
         except NotPrincipal:
@@ -228,7 +225,7 @@ def _target_generator(ctx, q: PrimeIdeal):
 
 def generator_image(ctx, eps: PrimeIdeal, gamma):
     """Over K, the residue x = gamma^((N(eps)-1)/l^(r+t)) at eps of a
-    generator gamma of q^(kprime * l^t), q a target other than eps; at a
+    generator gamma of q^(m * l^t), q a target other than eps; at a
     conductor eps in S its order is the Frobenius order of q in the piece."""
     g = reduce_mod(ctx.field, gamma, eps)
     return local_field(eps).pow(g, (eps.norm - 1) // ctx.ell ** (ctx.r + ctx.t))

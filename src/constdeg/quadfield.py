@@ -14,10 +14,10 @@ Conventions, used consistently by every caller:
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import count
 from math import gcd, isqrt
 
 from .arith import (
-    SearchExhausted,
     ell_root,
     factor,
     is_prime,
@@ -338,25 +338,31 @@ def enumerate_class_group(field):
 
 @dataclass(eq=False)
 class ClassGroupLPart:
-    ell: int
     gens: tuple  # basis prime ideals a_i, orders descending
     exps: tuple  # m_i: a_i has order ell^m_i in the class group
     alphas: tuple  # generators of a_i^(ell^m_i)
     t: int  # max m_i, 0 when the l-part is trivial
-    basis_forms: tuple
     class_dlogs: dict  # every reduced form -> exponent vector of its l-part
     coprime_part: int  # prime-to-l part of the class number
 
 
-_BASIS_PRIME_CAP = 100000  # primes scanned, then form values tried
+_BASIS_PRIME_CAP = 100000  # primes scanned, then values tried per row
 
 
 def _class_prime(field, form, exclusion) -> PrimeIdeal:
     """A prime ideal outside the exclusion set in the class of the reduced
     form (a, b, c): the least one of norm below the cap, or else one above
-    the first prime value a*x^2 + b*x + c for x = 0, 1, -1, 2, ..., which
-    the form represents properly, so that a prime above it lies in its
-    class (Cohen, GTM 138, 5.2)."""
+    the first prime value a*x^2 + b*x*y + c*y^2 over rows y = 1, 2, ...,
+    each taking x = 0, 1, -1, 2, ... for cap values.  A prime value has
+    gcd(x, y) = 1, as g = gcd(x, y) puts g^2 in the value, so a prime
+    above it lies in the class (Cohen, GTM 138, 5.2).
+
+    The walk has no exit, and it ends in row 1 or 2.  A whole row is even
+    only when c and a + b are even; a is then odd, as the form is
+    primitive, and row 2 takes only odd values.  No odd p divides every
+    value of row 1 or 2, since a quadratic in x with three roots mod p
+    has a, b*y and c*y^2 all divisible by p.  So one of the two rows has
+    no fixed prime divisor."""
 
     def above(p):
         for P in factor_rational_prime(field, p):
@@ -367,20 +373,17 @@ def _class_prime(field, form, exclusion) -> PrimeIdeal:
         if p not in exclusion and (P := above(p)):
             return P
     a, b, c = form
-    for i in range(_BASIS_PRIME_CAP):
-        x = (i + 1) // 2 if i % 2 else -(i // 2)
-        p = a * x * x + b * x + c
-        if p not in exclusion and is_prime(p) and (P := above(p)):
-            return P
-    raise SearchExhausted(
-        f"no prime below {_BASIS_PRIME_CAP} or among its first"
-        f" {_BASIS_PRIME_CAP} values represents class {form}"
-    )
+    for y in count(1):
+        for i in range(_BASIS_PRIME_CAP):
+            x = (i + 1) // 2 if i % 2 else -(i // 2)
+            p = a * x * x + b * x * y + c * y * y
+            if p not in exclusion and is_prime(p) and (P := above(p)):
+                return P
 
 
 def class_group_l_part(field, ell: int, exclusion) -> ClassGroupLPart:
     if field.kind == "rational":
-        return ClassGroupLPart(ell, (), (), (), 0, (), {}, 1)
+        return ClassGroupLPart((), (), (), 0, {}, 1)
     forms, h = enumerate_class_group(field)
     m_coprime = h
     sylow_order = 1
@@ -440,12 +443,10 @@ def class_group_l_part(field, ell: int, exclusion) -> ClassGroupLPart:
         for f, fm in powers.items()
     }
     return ClassGroupLPart(
-        ell,
         tuple(gens),
         tuple(exps),
         tuple(alphas),
         max(exps) if exps else 0,
-        tuple(basis),
         class_dlogs,
         m_coprime,
     )

@@ -22,7 +22,7 @@ import time
 from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
 
-from .arith import PRIME_LIMIT, SearchExhausted, factor, is_prime, legendre
+from .arith import PRIME_LIMIT, factor, is_prime, legendre
 from .classfield import (
     InternalInconsistency,
     build_context,
@@ -271,7 +271,7 @@ def _rebuild(cert):
     _need(cert["r"] < order.bit_length(), f"r exceeds the seed order {order}")
     try:
         ctx = build_context(field, cert["ell"], cert["r"])
-    except (ValueError, SearchExhausted) as exc:
+    except ValueError as exc:
         raise MalformedCertificate(str(exc)) from None
     for key, value in context_record(ctx).items():
         _match(key, cert[key], value)

@@ -11,6 +11,8 @@ None of this runs in the package itself:
   * ideal_contains, principal_ideal and conjugate_prime: ideal membership
     by the module basis, the ideal (u) from a Z-basis, and the conjugate
     prime, the references for ideal_mul and principal_generator;
+  * kprime: m * (m^-1 mod l^(r+t)), m the prime-to-l part of the class
+    number, the exponent of the references below;
   * kummer_generator and kummer_split_test: the Kummer-level oracle of
     acceptance criterion 5 for classfield.frobenius_order_in_ray_piece;
   * class_correction through reference_image: the root-based splitting
@@ -29,8 +31,11 @@ where gamma0 generates q^kprime * prod conj(a_i)^c_i and denom =
 prod N(a_i)^c_i.  At a conductor eps in S the image is
 s = gamma0 / denom * prod root_i^c_i, with root_i an l^(m_i)-th root of
 alpha_i at eps.  s^(l^t) is a unit times a generator of q^(kprime * l^t),
-so s^((N(eps)-1)/l^r) is the production image as an element, for every
-choice of roots.
+so s^((N(eps)-1)/l^r) is, for every choice of roots, the image from a
+generator of q^(kprime * l^t).  The package raises q to m * l^t instead;
+as kprime = m * u and S makes every unit an l^(r+t)-th power residue at
+eps, the reference equals the package image raised to u = kprime / m, an
+exponent prime to l, as an element.
 """
 
 from math import isqrt
@@ -130,6 +135,13 @@ def conjugate_prime(P: PrimeIdeal) -> PrimeIdeal:
 # ------------------------------------------------- Kummer-level oracle
 
 
+def kprime(ctx) -> int:
+    """m * (m^-1 mod l^(r+t)), m = ctx.cl.coprime_part: it kills the
+    prime-to-l part of the class group and is 1 mod l^(r+t)."""
+    m = ctx.cl.coprime_part
+    return m * pow(m, -1, ctx.ell ** (ctx.r + ctx.t))
+
+
 def kummer_generator(ctx, q: PrimeIdeal):
     """Generator alpha with q^(kprime * l^m) = (alpha), where l^m is the
     order of the l-part of the class of q.  Returns (alpha, m)."""
@@ -146,7 +158,7 @@ def kummer_generator(ctx, q: PrimeIdeal):
             m = max(m, mi - v)
     alpha = principal_generator(
         ctx.field,
-        ideal_pow(ctx.field, prime_module(ctx.field, q), ctx.kprime * ctx.ell**m),
+        ideal_pow(ctx.field, prime_module(ctx.field, q), kprime(ctx) * ctx.ell**m),
     )
     return alpha, m
 
@@ -173,7 +185,7 @@ def class_correction(ctx, q):
     """(c, gamma0, denom) for the target q, as in the module docstring."""
     fld = ctx.field
     c = class_dlog(fld, prime_module(fld, q), ctx.cl)
-    J = ideal_pow(fld, prime_module(fld, q), ctx.kprime)
+    J = ideal_pow(fld, prime_module(fld, q), kprime(ctx))
     denom = 1
     for a_i, ci in zip(ctx.cl.gens, c):
         if ci:

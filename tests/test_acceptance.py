@@ -41,6 +41,7 @@ from constdeg.verifier import (
 )
 from oracles import (
     alpha_roots,
+    kprime,
     kummer_generator,
     kummer_split_test,
     reference_image,
@@ -175,14 +176,16 @@ def test_criterion_05_frobenius_kummer_equivalence():
 
 
 def test_criterion_06_choice_independence():
-    # the closed-form image gamma^((Q-1)/l^(r+t)) against the root-based
-    # splitting map, element by element, under every choice the latter
-    # makes: the l-th roots, the sign of alpha_i, and the unit in gamma
+    # the closed-form image gamma^((Q-1)/l^(r+t)), raised to kprime/m,
+    # against the root-based splitting map, element by element, under
+    # every choice the latter makes: the l-th roots, the sign of alpha_i,
+    # and the unit in gamma
     rng = random.Random(0xACCE55)
     ctx = build_context(K23, 3, 1)
     flipped = build_context(K23, 3, 1)
     flipped.cl.alphas = tuple(elt_neg(a) for a in flipped.cl.alphas)
     unitized = build_context(K23, 3, 1)
+    u = kprime(ctx) // ctx.cl.coprime_part  # reference = image^u
     trials = 0
     for eps in s_members(ctx, 2):
         fld = local_field(eps)
@@ -194,18 +197,19 @@ def test_criterion_06_choice_independence():
         ]
         base = {q: frobenius_image(ctx, eps, q) for q in targets}
         assert len(set(base.values())) > 1  # some target moves in the piece
+        want = {q: fld.pow(x, u) for q, x in base.items()}
 
         # every l-th root taken times a random cube root of unity
         w = unit_root(fld, 3)
         for _ in range(2):
             roots = alpha_roots(ctx, eps, lambda: fld.pow(w, rng.randrange(3)))
             for q in rng.sample(targets, 8):
-                assert reference_image(ctx, eps, q, roots) == base[q], (eps, q)
+                assert reference_image(ctx, eps, q, roots) == want[q], (eps, q)
                 trials += 1
 
         # the class generator witnesses alpha_i sign-flipped
         for q in rng.sample(targets, 10):
-            assert reference_image(flipped, eps, q) == base[q], (eps, q)
+            assert reference_image(flipped, eps, q) == want[q], (eps, q)
             trials += 1
 
         # the production generator gamma times a unit
@@ -213,7 +217,7 @@ def test_criterion_06_choice_independence():
             frobenius_image(unitized, eps, q)  # caches gamma for q
             unitized._targets[q] = elt_mul(K23, rng.choice(ctx.units), unitized._targets[q])
             assert frobenius_image(unitized, eps, q) == base[q], (eps, q)
-            assert reference_image(ctx, eps, q) == base[q], (eps, q)
+            assert reference_image(ctx, eps, q) == want[q], (eps, q)
             trials += 1
     assert trials >= 50
     print(f"criterion 6: PASS  {trials} perturbed trials agree with the closed-form image")

@@ -2,6 +2,7 @@ import json
 import random
 from itertools import takewhile
 from math import gcd, isqrt, lcm
+from pathlib import Path
 
 import pytest
 
@@ -25,6 +26,7 @@ from constdeg.classfield import (
     frobenius_image,
     frobenius_order_in_L0,
     frobenius_order_in_ray_piece,
+    generator_image,
     in_S,
     local_degree,
     make_ray_piece,
@@ -52,6 +54,7 @@ from oracles import (
     conjugate_prime,
     embed,
     field_elements,
+    kprime,
     kummer_generator,
     kummer_split_test,
     multiplicative_order,
@@ -62,6 +65,7 @@ from oracles import (
 
 rng = random.Random(0x5EEDC1A5)
 
+FIXTURES = Path(__file__).resolve().parent / "fixtures"
 K23 = quadratic_field(-23)
 K8 = quadratic_field(-8)
 K4 = quadratic_field(-4)
@@ -125,7 +129,7 @@ def test_build_context_validation():
 def test_context_rational_shape():
     assert CTX3.excluded == frozenset({2, 3})
     assert CTX3.t == 0
-    assert CTX3.kprime == 1
+    assert CTX3.cl.coprime_part == 1
     assert CTX3.units == [(-2, 0)]
     assert CTX2.excluded == frozenset({2})
 
@@ -134,19 +138,38 @@ def test_context_quad_shape():
     assert CTX23.excluded == frozenset({2, 3, 23})
     assert CTX23.t == 1
     # h(-23) = 3 is all l-part, so the coprime correction is trivial
-    assert CTX23.kprime == 1
+    assert CTX23.cl.coprime_part == 1
     assert [(g.p, g.kind, g.b) for g in CTX23.cl.gens] == [(13, "split", 9)]
     assert CTX23.cl.exps == (1,)
 
 
-def test_context_kprime_congruences():
-    # 2-part of h(-84) is the whole group (h = 4, exponent 2); the 3-part
-    # is trivial, leaving a coprime factor to kill
-    ctx = build_context(quadratic_field(-84), 3, 1)
-    m = ctx.cl.coprime_part
-    assert m == 4
-    assert ctx.kprime % m == 0
-    assert ctx.kprime % 3 == 1
+def test_target_exponent_m_keeps_the_kprime_image_order():
+    # K(-23) at l = 2, r = 2 has m = 3, the prime-to-l part of h, and
+    # kprime = m * (m^-1 mod 4) = 9.  At each conductor of the golden
+    # K(-23) n=4 B=50 certificate and each of its table primes, the image
+    # from a generator of q^(9 * l^t) is the package image, from
+    # q^(m * l^t), cubed, and has the same order
+    cert = json.loads((FIXTURES / "k-23_n4_b50.json").read_text(encoding="utf-8"))
+    ctx = build_context(K23, 2, 2)
+    assert (ctx.cl.coprime_part, kprime(ctx), ctx.t) == (3, 9, 0)
+
+    def prime(p, b):
+        (P,) = [P for P in factor_rational_prime(K23, p) if P.b == b]
+        return P
+
+    pairs = 0
+    for piece in cert["pieces"]:
+        eps = prime(piece["p"], piece["b"])
+        fld = local_field(eps)
+        for row in cert["table"]:
+            q = prime(*row["prime"])
+            J = ideal_pow(K23, prime_module(K23, q), 9 * 2**ctx.t)
+            x9 = generator_image(ctx, eps, principal_generator(K23, J))
+            x = frobenius_image(ctx, eps, q)
+            assert x9 == fld.pow(x, 3), (eps, q)
+            assert multiplicative_order(x9, fld) == multiplicative_order(x, fld)
+            pairs += 1
+    assert pairs == 3 * 17
 
 
 # ---------------------------------------------------------- seed piece
@@ -881,11 +904,12 @@ def test_frobenius_order_rational_oracle():
 
 
 def test_splitting_map_principal_image_oracle():
-    # at a principal target q = (gen) the image is gen^(kprime (Q-1)/l^r)
+    # at a principal target q = (gen) the image is gen^(m (Q-1)/l^r),
+    # m the prime-to-l part of the class number
     members = s_members(CTX23, 2)
     piece = make_ray_piece(CTX23, members[0])
     fld = local_field(members[0])
-    e = CTX23.kprime * (piece.norm - 1) // CTX23.ell**CTX23.r
+    e = CTX23.cl.coprime_part * (piece.norm - 1) // CTX23.ell**CTX23.r
     checked = 0
     for q in enumerate_field_primes(K23, 140):
         if q.p in CTX23.excluded or q.p == members[0].p:
@@ -902,12 +926,12 @@ def test_splitting_map_principal_image_oracle():
 
 def test_splitting_map_multiplicative_oracle():
     # whenever q1*q2 = (gen) is principal, the product of the images is
-    # gen^(kprime (Q-1)/l^r)
+    # gen^(m (Q-1)/l^r)
     members = s_members(CTX23, 1)
     eps = members[0]
     piece = make_ray_piece(CTX23, eps)
     fld = local_field(eps)
-    e = CTX23.kprime * (piece.norm - 1) // CTX23.ell**CTX23.r
+    e = CTX23.cl.coprime_part * (piece.norm - 1) // CTX23.ell**CTX23.r
     primes = [
         q
         for q in enumerate_field_primes(K23, 60)
@@ -951,7 +975,7 @@ def test_kummer_generator_quad_nonprincipal():
     two = factor_rational_prime(K23, 2)[0]
     alpha, m = kummer_generator(CTX23, two)
     assert m == 1
-    want = ideal_pow(K23, prime_module(K23, two), CTX23.kprime * 3)
+    want = ideal_pow(K23, prime_module(K23, two), kprime(CTX23) * 3)
     assert principal_ideal(K23, alpha) == want
 
 
@@ -1026,7 +1050,7 @@ def test_kummer_frobenius_biconditional_quad():
 def test_root_choice_invariance():
     # in the root-based splitting map, multiplying the root of alpha_i by
     # any cube root of unity leaves the contractual power alone, and that
-    # power is the production image
+    # power is the production image raised to kprime/m
     eps = s_members(CTX23, 1)[0]
     fld = local_field(eps)
     piece = make_ray_piece(CTX23, eps)
@@ -1037,7 +1061,8 @@ def test_root_choice_invariance():
     ]
     roots = alpha_roots(CTX23, eps)
     base = [reference_image(CTX23, eps, q, roots) for q in targets]
-    assert base == [frobenius_image(CTX23, piece, q) for q in targets]
+    u = kprime(CTX23) // CTX23.cl.coprime_part
+    assert base == [fld.pow(frobenius_image(CTX23, piece, q), u) for q in targets]
     w = unit_root(fld, 3)
     assert w != fld.one and fld.pow(w, 3) == fld.one
     for j in (1, 2):
@@ -1050,6 +1075,7 @@ def test_root_choice_invariance():
     [
         (-23, 3, 1, 1, 5000),
         (-23, 2, 1, 0, 500),
+        (-23, 2, 2, 0, 5000),
         (-4, 2, 1, 0, 500),
         (-3, 2, 1, 0, 500),
         (-47, 5, 1, 1, 15000),
@@ -1058,14 +1084,16 @@ def test_root_choice_invariance():
     ],
 )
 def test_frobenius_image_matches_reference(disc, ell, r, t, bound):
-    # the closed-form image equals the root-based splitting map as an
-    # element, at conductors of S (split and inert), for targets above 2,
-    # above l, above the discriminant and conjugate to the conductor,
-    # with every l-th root twisted by a random l-th root of unity
+    # the closed-form image raised to u = kprime/m equals the root-based
+    # splitting map as an element, at conductors of S (split and inert),
+    # for targets above 2, above l, above the discriminant and conjugate
+    # to the conductor, with every l-th root twisted by a random l-th
+    # root of unity
     field = quadratic_field(disc)
     ctx = build_context(field, ell, r)
     assert ctx.t == t
     twist_rng = random.Random(disc)
+    u = kprime(ctx) // ctx.cl.coprime_part
     pairs = 0
     for eps in s_members(ctx, 3, bound):
         assert eps.p not in {a.p for a in ctx.cl.gens}
@@ -1076,7 +1104,8 @@ def test_frobenius_image_matches_reference(disc, ell, r, t, bound):
         for q in enumerate_field_primes(field, 60) + [conjugate_prime(eps)]:
             if q == eps:
                 continue
-            assert frobenius_image(ctx, piece, q) == reference_image(ctx, eps, q, roots)
+            image = fld.pow(frobenius_image(ctx, piece, q), u)
+            assert image == reference_image(ctx, eps, q, roots)
             pairs += 1
     assert pairs >= 30
 

@@ -159,12 +159,25 @@ def test_verify_hostile_disc_exits_2(tmp_path, capsys):
         assert "verification failure" in err and why in err
 
 
-def test_basis_prime_beyond_the_sieve_round_trip(tmp_path, capsys):
-    # the 2-part basis class (7, 7, 142859) of -4000003 has no prime of
-    # norm below 10^5 outside the ramified 7; a value of the form gives one
-    path = construct(tmp_path, "k.json", "--field", "disc=-4000003", "--n", "2", "--bound", "10")
+@pytest.mark.parametrize(
+    "disc,t,gen_ideal",
+    [
+        # the 2-part basis class (7, 7, 142859) of -4000003 has no prime
+        # of norm below 10^5 outside the ramified 7; row 1 of the form
+        # gives one
+        (-4000003, 2, [142873, 21]),
+        # every value of row 1 of (3, 3, 100004) and of (29, 29, 86214)
+        # is even; row 2 gives 3*9^2 + 3*9*2 + 100004*2^2 = 400313 and
+        # 29*23^2 + 29*23*2 + 86214*2^2 = 361531
+        (-1200039, 1, [400313, 400283]),
+        (-9999983, 4, [361531, 360835]),
+    ],
+    ids=["-4000003", "-1200039", "-9999983"],
+)
+def test_basis_prime_beyond_the_sieve_round_trip(tmp_path, capsys, disc, t, gen_ideal):
+    path = construct(tmp_path, "k.json", "--field", f"disc={disc}", "--n", "2", "--bound", "10")
     cert = json.loads(path.read_text())
-    assert cert["t"] == 2 and [142873, 21] in [c["gen_ideal"] for c in cert["class_data"]]
+    assert cert["t"] == t and gen_ideal in [c["gen_ideal"] for c in cert["class_data"]]
     assert run(["verify", str(path)]) == 0
     assert "verdict pass" in capsys.readouterr().out
 

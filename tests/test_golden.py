@@ -1,8 +1,10 @@
 """Golden certificates and seeded mutants of them.
 
-tests/fixtures holds certificate_json output of three jobs: Q n=2 B=100
-(conductors 17 and 89 ramify in table rows), Q n=6 B=20 (a composite)
-and K(-8) n=2 B=200 (deficient at the prime above 2).  Construct must
+tests/fixtures holds certificate_json output of four jobs: Q n=2 B=100
+(conductors 17 and 89 ramify in table rows), Q n=6 B=20 (a composite),
+K(-8) n=2 B=200 (deficient at the prime above 2) and K(-23) n=4 B=50
+(three pieces, where the prime-to-2 part of the class number, 3, is
+the exponent of every target generator).  Construct must
 reproduce them byte for byte, so certificates cannot change unnoticed,
 and each must verify.  Every mutant of them must either fail
 verification with MalformedCertificate or MismatchFound or verify to the
@@ -37,6 +39,7 @@ GOLDEN = {
     "q_n2_b100.json": lambda: construct(RATIONAL, 2, 1, 100),
     "q_n6_b20.json": lambda: compose_for_n(RATIONAL, 6, 20),
     "k-8_n2_b200.json": lambda: construct(quadratic_field(-8), 2, 1, 200),
+    "k-23_n4_b50.json": lambda: construct(quadratic_field(-23), 2, 2, 50),
 }
 
 
@@ -61,6 +64,10 @@ def test_golden_verify():
     assert k8["deficiencies"] == [{"prime": [2, 0], "deficiency": 1}]
     rep = verify(k8)
     assert (rep.primes[0], rep.degree, rep.real_place) == ((2, 0), 2, None)
+    k23 = parse_certificate(fixture_text("k-23_n4_b50.json"))
+    assert [piece["p"] for piece in k23["pieces"]] == [4721, 12497, 74017]
+    rep = verify(k23)
+    assert (len(rep.primes), rep.degree, rep.real_place) == (17, 4, None)
 
 
 # ---------------------------------------------------------------- mutants

@@ -426,16 +426,21 @@ def test_class_group_l_part_rank_two():
             )
 
 
-def brute_dlog_table(part, disc):
+def basis_forms_of(field, part):
+    # the reduced form of each basis prime's class
+    return tuple(ideal_class_form(field, prime_module(field, g)) for g in part.gens)
+
+
+def brute_dlog_table(part, field, ell):
     # oracle: compose the basis powers for every exponent vector
-    ident = principal_form(disc)
+    ident = principal_form(field.disc)
     vecs = [()]
     for m in part.exps:
-        vecs = [v + (k,) for v in vecs for k in range(part.ell**m)]
+        vecs = [v + (k,) for v in vecs for k in range(ell**m)]
     table = {}
     for vec in vecs:
         f = ident
-        for g, e in zip(part.basis_forms, vec):
+        for g, e in zip(basis_forms_of(field, part), vec):
             f = compose_forms(f, form_pow(g, e))
         assert f not in table, "basis relation found"
         table[f] = vec
@@ -455,9 +460,10 @@ def test_dlog_table_matches_brute_force(disc, ell, exps, basis_forms):
     # the table the greedy basis loop builds as it spans the l-Sylow
     # subgroup, against one composed vector by vector, at l-rank >= 2
     excluded = {p for p, _ in factor(-2 * ell * disc)}
-    part = class_group_l_part(quadratic_field(disc), ell, excluded)
-    assert part.exps == exps and part.basis_forms == basis_forms
-    brute = brute_dlog_table(part, disc)
+    field = quadratic_field(disc)
+    part = class_group_l_part(field, ell, excluded)
+    assert part.exps == exps and basis_forms_of(field, part) == basis_forms
+    brute = brute_dlog_table(part, field, ell)
     assert len(brute) == ell ** sum(exps)
     assert {f: part.class_dlogs[f] for f in brute} == brute
 
@@ -491,7 +497,7 @@ def test_class_dlog_strips_l_part():
             I = ideal_mul(field, I, prime_module(field, rng.choice(split)))
         c = class_dlog(field, I, part)
         f = ideal_class_form(field, I)
-        for g, e, m in zip(part.basis_forms, c, part.exps):
+        for g, e, m in zip(basis_forms_of(field, part), c, part.exps):
             assert 0 <= e < 3**m
             f = compose_forms(f, form_pow(g, 3**m - e))
         # a class has trivial l-part iff its order divides coprime_part
@@ -509,7 +515,7 @@ def test_class_dlogs_match_projection(disc, ell):
     m, sylow = part.coprime_part, ell ** sum(part.exps)
     assert h == m * sylow and set(part.class_dlogs) == set(forms)
     proj = m * pow(m, -1, sylow)
-    brute = brute_dlog_table(part, disc)
+    brute = brute_dlog_table(part, field, ell)
     for f in forms:
         assert part.class_dlogs[f] == brute[form_pow(f, proj)]
 
