@@ -135,10 +135,24 @@ def least_nonresidue(p: int) -> int:
     raise ValueError(f"no quadratic non-residue mod {p}")
 
 
+def power(x, e: int, mul, one):
+    """x^e under the product mul with identity one, by square-and-multiply:
+    bit_length - 1 squarings and one product per set bit, the first of
+    them into one.  e must be >= 0; a negative e never leaves the loop."""
+    r = one
+    while e:
+        if e & 1:
+            r = mul(r, x)
+        e >>= 1
+        if e:
+            x = mul(x, x)
+    return r
+
+
 class ResidueField:
     """F_p (f=1, int elements) or F_{p^2} (f=2, pair elements)."""
 
-    __slots__ = ("p", "f", "q", "n0")
+    __slots__ = ("p", "f", "q", "n0", "one")
 
     def __init__(self, p: int, f: int = 1):
         if f not in (1, 2):
@@ -147,13 +161,10 @@ class ResidueField:
         self.f = f
         self.q = p**f
         self.n0 = least_nonresidue(p) if f == 2 else None
+        self.one = (1, 0) if f == 2 else 1
 
     def __repr__(self):
         return f"F({self.p}^2)" if self.f == 2 else f"F({self.p})"
-
-    @property
-    def one(self):
-        return (1, 0) if self.f == 2 else 1
 
     def mul(self, x, y):
         if self.f == 1:
@@ -164,17 +175,9 @@ class ResidueField:
         return ((a * c + b * d * self.n0) % p, (a * d + b * c) % p)
 
     def pow(self, x, e: int):
-        # e >= 0: over F_{p^2} a negative e would never leave the loop
         if self.f == 1:
             return pow(x, e, self.p)
-        r = (1, 0)
-        while e:
-            if e & 1:
-                r = self.mul(r, x)
-            e >>= 1
-            if e:
-                x = self.mul(x, x)
-        return r
+        return power(x, e, self.mul, self.one)
 
 
 @lru_cache(maxsize=4096)
@@ -190,15 +193,19 @@ def power_residue_level(x, ell: int, k_max: int, field: ResidueField) -> int:
     e, rem = divmod(field.q - 1, ell**k_max)
     if rem:
         raise ValueError(f"ell^k_max = {ell}^{k_max} does not divide Q - 1")
-    a = field.pow(x, e)
-    one = field.one
-    j = 0
-    while a != one:
-        a = field.pow(a, ell)
-        j += 1
-        if j > k_max:
-            raise ValueError("x is not a unit of the field")
+    j = order_exponent(field.pow(x, e), ell, k_max, field)
+    if j > k_max:
+        raise ValueError("x is not a unit of the field")
     return k_max - j
+
+
+def order_exponent(x, ell: int, k_max: int, field: ResidueField) -> int:
+    """The least j <= k_max with x^(ell^j) = 1, so that x has order
+    ell^j, or k_max + 1 when there is none."""
+    one, j = field.one, 0
+    while x != one and j <= k_max:
+        x, j = field.pow(x, ell), j + 1
+    return j
 
 
 def ell_root(x: int, ell: int, p: int) -> int:

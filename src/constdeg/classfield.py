@@ -24,7 +24,11 @@ Conventions:
     and l^t its l-part, so that power is principal.  gamma is fixed only
     up to a unit, and S makes every unit an l^(r+t)-th power residue at
     eps, so x does not depend on that choice.  Over Q, gamma = q and x =
-    q^((eps-1)/l^r) mod eps.
+    q^((eps-1)/l^r) mod eps;
+  * at a conductor in S that order divides l^r, and one that does not is
+    an InternalInconsistency; over K, arith.order_exponent reads it off
+    x.  The conductor is totally ramified in its piece, and over K no
+    Frobenius order is asked for it.
 
 Each conductor is the first prime of S that answers the greedy step's
 one question; search_prime states it and asks it.  It walks the norm
@@ -45,6 +49,7 @@ from .arith import (
     SearchExhausted,
     factor,
     is_prime,
+    order_exponent,
     power_residue_level,
     small_primes,
 )
@@ -249,23 +254,17 @@ def _rational_frobenius_order(q: int, n: int, ell: int, full: int) -> int:
 
 
 def frobenius_order_in_ray_piece(ctx, eps: PrimeIdeal, q: PrimeIdeal) -> int:
-    """Order of the Frobenius of q in the ray piece of conductor eps, the
-    order of its frobenius_image; eps itself is totally ramified and
-    reports the full degree l^r."""
+    """Order of the Frobenius of a prime q != eps in the ray piece of
+    conductor eps, the order of its frobenius_image; an order that does
+    not divide l^r raises InternalInconsistency.  eps itself is totally
+    ramified there, which local_degree reads without asking."""
     full = ctx.ell**ctx.r
     if ctx.field.kind == "rational":
         return _rational_frobenius_order(q.p, eps.p, ctx.ell, full)
-    if q == eps:
-        return full
-    fld = local_field(eps)
     x = frobenius_image(ctx, eps, q)
-    order = 1
-    one = fld.one
-    while x != one:
-        x = fld.pow(x, ctx.ell)
-        order *= ctx.ell
-        if order > full:
-            raise InternalInconsistency("Frobenius image escapes the piece")
+    order = ctx.ell ** order_exponent(x, ctx.ell, ctx.r, local_field(eps))
+    if order > full:
+        raise InternalInconsistency("Frobenius image escapes the piece")
     return order
 
 
@@ -346,25 +345,21 @@ def _sieved_walk(ctx, step: int, stop: int):
 
 def _fixed_orders(ctx, P: PrimeIdeal, fixed, full: int) -> bool:
     """Whether each fixed prime q, given with its generator gamma, has
-    Frobenius order exactly k in the piece at the candidate P; a P equal
-    to q gives the full degree.  x = generator_image has order k iff x^k
-    = 1 and, for k > 1, x^(k/l) != 1.  An order above full is the
-    inconsistency frobenius_order_in_ray_piece raises on at a P in S,
-    and a plain rejection at a P outside S, where the rule does not hold."""
-    fld = local_field(P)
-    one = fld.one
+    Frobenius order exactly k in the piece at the candidate P, the
+    order of its generator_image; a P equal to q gives the full degree.
+    An image that escapes the piece is the inconsistency
+    frobenius_order_in_ray_piece raises on at a P in S, and a plain
+    rejection at a P outside S, where the rule does not hold."""
+    fld, ell, r = local_field(P), ctx.ell, ctx.r
     for q, gamma, k in fixed:
         if q.p == P.p and q == P:
             if k != full:
                 return False
             continue
-        x = generator_image(ctx, P, gamma)
-        if k <= full and fld.pow(x, k) == one:
-            if k > 1 and fld.pow(x, k // ctx.ell) == one:
-                return False
-        elif fld.pow(x, full) != one and in_S(ctx, P):
+        order = ell ** order_exponent(generator_image(ctx, P, gamma), ell, r, fld)
+        if order > full and in_S(ctx, P):
             raise InternalInconsistency("Frobenius image escapes the piece")
-        else:
+        if order != k:
             return False
     return True
 

@@ -13,7 +13,7 @@ Conventions, used consistently by every caller:
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import count
 from math import gcd, isqrt
 
@@ -22,6 +22,7 @@ from .arith import (
     factor,
     is_prime,
     legendre,
+    power,
     residue_field,
     small_primes,
 )
@@ -48,8 +49,8 @@ def _squarefree(n):
 
 
 # |D| above which a field is refused: building its class group takes
-# about 0.6 s at this size (Python 3.11, 2-vCPU host), and its cost
-# grows linearly in |D|
+# up to about 1 s at this size (the 40 fields nearest it at l = 2, 3, 5;
+# Python 3.11, 2-vCPU host), and its cost grows linearly in |D|
 DISC_LIMIT = 10**7
 
 
@@ -185,14 +186,7 @@ def ideal_mul(field, I: QuadIdeal, J: QuadIdeal) -> QuadIdeal:
 
 
 def ideal_pow(field, I: QuadIdeal, e: int) -> QuadIdeal:
-    r = unit_ideal(field)
-    while e:
-        if e & 1:
-            r = ideal_mul(field, r, I)
-        e >>= 1
-        if e:
-            I = ideal_mul(field, I, I)
-    return r
+    return power(I, e, partial(ideal_mul, field), unit_ideal(field))
 
 
 # ----------------------------------------------------------------- primes
@@ -305,14 +299,7 @@ def compose_forms(f, g):
 
 
 def form_pow(f, e: int):
-    r = principal_form(form_disc(f))
-    while e:
-        if e & 1:
-            r = compose_forms(r, f)
-        e >>= 1
-        if e:
-            f = compose_forms(f, f)
-    return r
+    return power(f, e, compose_forms, principal_form(form_disc(f)))
 
 
 def enumerate_class_group(field):
@@ -391,9 +378,14 @@ def class_group_l_part(field, ell: int, exclusion) -> ClassGroupLPart:
         m_coprime //= ell
         sylow_order *= ell
     ident = principal_form(field.disc)
-    # f^m_coprime is the l-part of f raised to m_coprime
-    powers = {f: form_pow(f, m_coprime) for f in forms}
-    sylow = sorted(set(powers.values()))
+    # Cl(K) is the l-Sylow group times the classes of order m_coprime:
+    # x -> x^e, e = min(sylow_order, m_coprime), kills one of them and
+    # permutes the other, so its kernel and image are the two factors
+    e = min(sylow_order, m_coprime)
+    powers = [form_pow(f, e) for f in forms]
+    kernel = [f for f, x in zip(forms, powers) if x == ident]
+    image = sorted(set(powers))
+    sylow, coprime = (image, kernel) if e == m_coprime else (kernel, image)
     assert len(sylow) == sylow_order
 
     # greedy basis of the l-Sylow subgroup: repeatedly take the smallest
@@ -430,17 +422,17 @@ def class_group_l_part(field, ell: int, exclusion) -> ClassGroupLPart:
     gens, alphas = [], []
     for g_form, m in zip(basis, exps):
         found = _class_prime(field, g_form, exclusion)
-        power = ideal_pow(field, prime_module(field, found), ell**m)
-        alpha = principal_generator(field, power)
-        assert elt_norm(field, alpha) == ideal_norm(power)
+        J = ideal_pow(field, prime_module(field, found), ell**m)
+        alpha = principal_generator(field, J)
+        assert elt_norm(field, alpha) == ideal_norm(J)
         gens.append(found)
         alphas.append(alpha)
 
-    # the l-part of f has the vector of f^m_coprime times m_coprime^-1
-    u = pow(m_coprime, -1, sylow_order)
+    # each form is s*c for one s in the Sylow group, whose vector it takes
     class_dlogs = {
-        f: tuple(u * c % ell**m for c, m in zip(table[fm], exps))
-        for f, fm in powers.items()
+        s if c == ident else c if s == ident else compose_forms(s, c): vec
+        for s, vec in table.items()
+        for c in coprime
     }
     return ClassGroupLPart(
         tuple(gens),

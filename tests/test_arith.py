@@ -9,6 +9,7 @@ from constdeg.arith import (
     factor,
     is_prime,
     legendre,
+    order_exponent,
     power_residue_level,
     residue_field,
     small_primes,
@@ -264,6 +265,29 @@ def test_power_residue_level_definition_both_sides():
         k = power_residue_level(x, 3, 3, fld)
         assert fld.pow(x, 108 // 3**k) == 1
         assert k == 3 or fld.pow(x, 108 // 3 ** (k + 1)) != 1
+
+
+def test_order_exponent_matches_multiplicative_order():
+    # x has order ell^j for the returned j <= k_max, and any other order,
+    # or a non-unit, gives k_max + 1, in F_p and in F_{p^2}
+    for fld, ell, k_max in (
+        (residue_field(73), 2, 2),
+        (residue_field(73), 3, 1),
+        (residue_field(5, 2), 2, 2),
+        (residue_field(7, 2), 2, 4),
+    ):
+        zero = (0, 0) if fld.f == 2 else 0
+        assert order_exponent(fld.one, ell, k_max, fld) == 0
+        assert order_exponent(zero, ell, k_max, fld) == k_max + 1
+        for x in field_elements(fld):
+            order = multiplicative_order(x, fld)
+            want = next((j for j in range(k_max + 1) if ell**j == order), k_max + 1)
+            assert order_exponent(x, ell, k_max, fld) == want, (fld, x)
+
+
+def test_power_residue_level_rejects_a_non_unit():
+    with pytest.raises(ValueError, match="not a unit"):
+        power_residue_level(0, 3, 1, residue_field(7))
 
 
 # ----------------------------------------------------------- ell_root

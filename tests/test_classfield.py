@@ -460,13 +460,14 @@ def test_in_s_quad_inert_member_over_k4():
 
 
 def _ray_order(ctx, eps, q):
+    # the conductor eps is totally ramified in its piece: the full degree;
     # over Q, the order of q^((eps-1)/l^r) by multiplicative_order, apart
     # from the integer routine that search_prime and the piece share
-    if ctx.field.kind != "rational":
-        return frobenius_order_in_ray_piece(ctx, eps, q)
     full = ctx.ell**ctx.r
     if q == eps:
         return full
+    if ctx.field.kind != "rational":
+        return frobenius_order_in_ray_piece(ctx, eps, q)
     fld = residue_field(eps.p, 1)
     return multiplicative_order(pow(q.p, (eps.p - 1) // full, eps.p), fld)
 

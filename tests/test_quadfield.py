@@ -6,6 +6,7 @@ import pytest
 
 from constdeg import quadfield
 from constdeg.arith import factor, residue_field, small_primes
+from constdeg.classfield import build_context
 from constdeg.quadfield import (
     DISC_LIMIT,
     RATIONAL,
@@ -504,7 +505,23 @@ def test_class_dlog_strips_l_part():
         assert form_pow(f, part.coprime_part) == principal_form(field.disc)
 
 
-@pytest.mark.parametrize("disc,ell", [(-23, 3), (-420, 2), (-3299, 3), (-4027, 3), (-56, 2)])
+@pytest.mark.parametrize(
+    "disc,ell",
+    [
+        (-23, 3),
+        (-420, 2),
+        (-3299, 3),
+        (-4027, 3),
+        (-56, 2),
+        # m = coprime_part > 1: #Sylow > m splits the group by x^m, and
+        # #Sylow < m by x^#Sylow, whose kernel is the Sylow group
+        (-87, 2),
+        (-87, 3),
+        (-231, 2),
+        (-231, 3),
+        (-4000003, 2),
+    ],
+)
 def test_class_dlogs_match_projection(disc, ell):
     # the table class_dlog reads agrees with projecting each class onto
     # its l-part by the power m * (m^-1 mod #Sylow), m = coprime_part,
@@ -518,6 +535,21 @@ def test_class_dlogs_match_projection(disc, ell):
     brute = brute_dlog_table(part, field, ell)
     for f in forms:
         assert part.class_dlogs[f] == brute[form_pow(f, proj)]
+
+
+@pytest.mark.parametrize("ell", [2, 3, 5])
+def test_class_group_split_costs_at_most_three_compositions_per_form(monkeypatch, ell):
+    # h(-9999911) = 2 * 2447: the l-part is found by one power of each
+    # form to min(#Sylow, m) and one product per form, not by raising
+    # every form to m = coprime_part (about 18 compositions each)
+    calls = []
+    compose = quadfield.compose_forms
+    monkeypatch.setattr(quadfield, "compose_forms", lambda f, g: calls.append(1) or compose(f, g))
+    ctx = build_context(quadratic_field(-9999911), ell, 1)
+    h = 4894
+    assert enumerate_class_group(ctx.field)[1] == h
+    assert ctx.cl.coprime_part * ell ** sum(ctx.cl.exps) == h
+    assert 0 < len(calls) <= 3 * h
 
 
 # ---------------------------------------------------------- principality
