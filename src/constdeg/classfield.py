@@ -450,7 +450,7 @@ def search_prime(
 # ------------------------------------------------------- local degrees
 
 
-def local_degree(ctx, pieces, w: PrimeIdeal, running=None):
+def local_degree(ctx, pieces, w: PrimeIdeal):
     """Local degree at the finite prime w of the compositum of the seed
     and the ray pieces of the given conductors: the ramification factor
     of the one component ramified at w times the lcm of the unramified
@@ -458,25 +458,19 @@ def local_degree(ctx, pieces, w: PrimeIdeal, running=None):
 
     Returns (ramified, factor, degree): the index of the component
     ramified at w (0 = seed, i >= 1 = piece i, None = unramified), its
-    local degree l^(r-a) or l^r (1 if none), and the local degree.  Given
-    running, the result for all but the last conductor, only the last is
-    folded in.  Raises InternalInconsistency if w is ramified in two
-    components.
+    local degree l^(r-a) or l^r (1 if none), and the local degree.  Raises
+    InternalInconsistency if w is ramified in two components.
 
     Every order divides l^r, so once the unramified lcm reaches l^r only
     a later conductor equal to w can still move the degree; the fold
     then stops asking for orders and only looks for one.
     """
     ell, full = ctx.ell, ctx.ell**ctx.r
-    if running is not None:
-        ramified, factor, degree = running
-        rest, start = degree // factor, len(pieces) - 1
-    elif w.p == ell:
-        ramified, factor, rest, start = 0, ell ** (ctx.r - ctx.deficiencies[w]), 1, 0
+    if w.p == ell:
+        ramified, factor, rest = 0, ell ** (ctx.r - ctx.deficiencies[w]), 1
     else:
-        ramified, factor, rest, start = None, 1, frobenius_order_in_L0(ctx.seed, w), 0
-    for i in range(start, len(pieces)):
-        eps = pieces[i]
+        ramified, factor, rest = None, 1, frobenius_order_in_L0(ctx.seed, w)
+    for i, eps in enumerate(pieces):
         if eps.p == w.p and eps == w:  # p settles most pairs without __eq__
             if ramified is not None:
                 raise InternalInconsistency(

@@ -12,7 +12,8 @@ deficient prime above 2 (of norm 2) first.  Each target's local degree
 under the seed and the pieces so far comes from classfield.local_degree,
 the fold verify uses too; a target short of full degree gets the piece
 of one classfield.search_prime call, which supplies the factor the
-others miss there, and folding that one piece in completes its row.
+others miss there, and one more fold, over all the pieces, completes
+its row.
 Searches are deterministic, so equal inputs give byte-identical
 certificates.
 """
@@ -53,8 +54,11 @@ def construct(field, ell: int, r: int, bound: int, config: Config = None) -> dic
     full degree stays full, since every later piece splits at each
     earlier conductor and prime above l and an lcm of divisors of l^r
     stops at l^r, and a later conductor, split completely in every
-    earlier component, is a prime not yet reached.  So each (piece, row)
-    Frobenius order is computed at most once.
+    earlier component, is a prime not yet reached.  A row is folded when
+    it is reached and, if it takes a piece, once more under all the
+    pieces, as verify folds it; so a (piece, row) Frobenius order is
+    computed at most twice, and a target re-asks at most one order per
+    earlier piece.
 
     Raises SearchExhausted if some conductor search hits the cap or the
     2**64 primality limit, and InternalInconsistency if a row is not
@@ -70,12 +74,12 @@ def construct(field, ell: int, r: int, bound: int, config: Config = None) -> dic
     pieces = []  # conductors
     table = []
     for w in enumerate_field_primes(field, bound):
-        ramified, ram_factor, degree = running = local_degree(ctx, pieces, w)
+        ramified, ram_factor, degree = local_degree(ctx, pieces, w)
         if degree < full:
             # the new piece moves only w, by the factor the others miss there
             P = search_prime(ctx, pieces, SearchCursor(cfg.cap), w, full // ram_factor)
             pieces.append(make_ray_piece(ctx, P))
-            ramified, _, degree = local_degree(ctx, pieces, w, running)
+            ramified, _, degree = local_degree(ctx, pieces, w)
         if degree != full:
             raise InternalInconsistency(
                 f"prime ({w.p},{w.b}) has local degree {degree}, wanted {full}"

@@ -8,9 +8,15 @@ None of this runs in the package itself:
     by Adleman-Manders-Miller descent, over F_p and F_{p^2} alike;
     alpha_roots takes roots over F_{p^2}, which arith.ell_root (plain
     ints, F_p only) does not take;
-  * ideal_contains, principal_ideal and conjugate_prime: ideal membership
-    by the module basis, the ideal (u) from a Z-basis, and the conjugate
-    prime, the references for ideal_mul and principal_generator;
+  * ideal_from_columns, the 2-column Hermite normal form (HNF) of the
+    Z-module that some elements span, as a content and a primitive
+    module, on its own extended gcd: the reference for
+    quadfield.ideal_mul, whose closed form shares none of its code,
+    through ideal_product, the HNF of the four products of two
+    Z-bases, and for principal_generator, through principal_ideal, the
+    ideal (u) from a Z-basis;
+  * ideal_contains and conjugate_prime: ideal membership by the module
+    basis, and the conjugate prime;
   * kprime: m * (m^-1 mod l^(r+t)), m the prime-to-l part of the class
     number, the exponent of the references below;
   * kummer_generator and kummer_split_test: the Kummer-level oracle of
@@ -38,13 +44,12 @@ eps, the reference equals the package image raised to u = kprime / m, an
 exponent prime to l, as an element.
 """
 
-from math import isqrt
+from math import gcd, isqrt
 
 from constdeg.arith import ResidueField, factor, power_residue_level
 from constdeg.quadfield import (
     PrimeIdeal,
     QuadIdeal,
-    _ideal_from_columns,
     class_dlog,
     elt_mul,
     ideal_mul,
@@ -112,6 +117,41 @@ def field_root(x, ell: int, field: ResidueField):
 # -------------------------------------------------------------- ideals
 
 
+def _xgcd(a, b):
+    if b == 0:
+        return a, 1, 0
+    g, x, y = _xgcd(b, a % b)
+    return g, y, x - (a // b) * y
+
+
+def ideal_from_columns(field, cols):
+    # 2-column HNF of the Z-module spanned by the given elements
+    f = w = 0
+    cols = [(-x, -y) if y < 0 else (x, y) for x, y in cols]
+    for x, y in cols:
+        if y == 0:
+            continue
+        if f == 0:
+            f, w = y, x
+        else:
+            f, u, v = _xgcd(f, y)
+            w = u * w + v * x
+    assert f > 0, "columns do not span an ideal"
+    d = 0
+    for x, y in cols:
+        d = gcd(d, x - (y // f) * w)
+    a = d // (2 * f)
+    b = (w // f) % (2 * a)
+    assert (b * b - field.disc) % (4 * a) == 0
+    return QuadIdeal(f, a, b)
+
+
+def ideal_product(field, I: QuadIdeal, J: QuadIdeal) -> QuadIdeal:
+    # the HNF of the four products of the Z-bases [g*a, g*(b+sqrt D)/2]
+    basis = [[(2 * M.g * M.a, 0), (M.g * M.b, M.g)] for M in (I, J)]
+    return ideal_from_columns(field, [elt_mul(field, u, v) for u in basis[0] for v in basis[1]])
+
+
 def ideal_contains(I: QuadIdeal, u) -> bool:
     # membership by the module basis; the oracle for ideal_mul
     x, y = u
@@ -123,7 +163,7 @@ def ideal_contains(I: QuadIdeal, u) -> bool:
 def principal_ideal(field, u) -> QuadIdeal:
     # the ideal (u) from a Z-basis; the oracle for principal_generator
     omega = (field.disc % 2, 1)
-    return _ideal_from_columns(field, [u, elt_mul(field, u, omega)])
+    return ideal_from_columns(field, [u, elt_mul(field, u, omega)])
 
 
 def conjugate_prime(P: PrimeIdeal) -> PrimeIdeal:

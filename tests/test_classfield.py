@@ -1268,24 +1268,6 @@ def test_local_degree_duplicate_conductor_after_full_row():
         local_degree(CTX3, [piece7, piece19, piece19], rp(19))
 
 
-def test_local_degree_running_folds_only_the_last_piece(monkeypatch):
-    piece7, piece19 = make_ray_piece(CTX3, rp(7)), make_ray_piece(CTX3, rp(19))
-    asked = []
-    order = classfield.frobenius_order_in_ray_piece
-
-    def record(ctx, eps, q):
-        asked.append(eps)
-        return order(ctx, eps, q)
-
-    monkeypatch.setattr(classfield, "frobenius_order_in_ray_piece", record)
-    for w in enumerate_field_primes(RATIONAL, 200):
-        running = local_degree(CTX3, [piece7], w)
-        asked.clear()
-        got = local_degree(CTX3, [piece7, piece19], w, running)
-        assert piece7 not in asked
-        assert got == local_degree(CTX3, [piece7, piece19], w)
-
-
 def order9_image(ctx, eps, q):
     # an element of order 9 at eps, whose norm S makes 1 mod 9 for
     # K(-23), l = 3 and t = 1: an order beyond l^r = 3 for r = 1

@@ -1,5 +1,6 @@
 import copy
 import json
+from collections import Counter
 
 import pytest
 
@@ -211,20 +212,30 @@ def test_deficient_prime_is_the_first_target(field, ell, r):
     assert lam == enumerate_field_primes(field, 2)[0]
 
 
-def test_each_frobenius_order_asked_once(monkeypatch):
+def test_each_frobenius_order_asked_at_most_twice(monkeypatch):
     # one order per (conductor, row), and only for rows short of full;
-    # over Q the search itself asks for none
-    asked = []
-    order = classfield.frobenius_order_in_ray_piece
+    # a row that takes a piece is folded again and asks each earlier
+    # conductor once more; over Q the search itself asks for none
+    asked, earlier = [], {}
+    order, search = classfield.frobenius_order_in_ray_piece, constructor.search_prime
 
     def record(ctx, eps, q):
         asked.append((eps, q))
         return order(ctx, eps, q)
 
+    def record_target(ctx, pieces, cursor, w, k):
+        earlier[w] = len(pieces)
+        return search(ctx, pieces, cursor, w, k)
+
     monkeypatch.setattr(classfield, "frobenius_order_in_ray_piece", record)
+    monkeypatch.setattr(constructor, "search_prime", record_target)
     cert = construct(RATIONAL, 2, 1, 10000)
     assert len(cert["table"]) == 1229
-    assert len(set(asked)) == len(asked)
+    assert len(earlier) == len(cert["pieces"])
+    counts = Counter(asked)
+    repeats = Counter(q for (_, q), k in counts.items() if k > 1)
+    assert max(counts.values()) == 2
+    assert all(k <= earlier[q] for q, k in repeats.items())
     assert len(asked) < len(cert["table"])
 
 

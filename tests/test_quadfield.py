@@ -1,5 +1,6 @@
 import random
 import time
+from itertools import product
 from math import isqrt
 
 import pytest
@@ -41,6 +42,7 @@ from oracles import (
     conjugate_prime,
     embed,
     ideal_contains,
+    ideal_product,
     principal_ideal,
     roots_by_scan,
     reduced_forms_by_a,
@@ -227,16 +229,54 @@ def test_ideal_norm_and_conj():
 
 def test_ideal_mul_against_principal_elements():
     rng = random.Random(17)
-    for _ in range(25):
-        u = (rng.randrange(-9, 10), rng.randrange(-9, 10))
-        v = (rng.randrange(-9, 10), rng.randrange(-9, 10))
-        u = u if (u[0] - u[1] * 23) % 2 == 0 else (u[0] + 1, u[1])
-        v = v if (v[0] - v[1] * 23) % 2 == 0 else (v[0] + 1, v[1])
-        if elt_norm(K23, u) == 0 or elt_norm(K23, v) == 0:
-            continue
-        lhs = ideal_mul(K23, principal_ideal(K23, u), principal_ideal(K23, v))
-        rhs = principal_ideal(K23, elt_mul(K23, u, v))
-        assert lhs == rhs
+    for d in (-3, -4, -8, -56, -23, -4000003):
+        field = quadratic_field(d)
+        for _ in range(25):
+            u = (rng.randrange(-9, 10), rng.randrange(-9, 10))
+            v = (rng.randrange(-9, 10), rng.randrange(-9, 10))
+            u = u if (u[0] - u[1] * d) % 2 == 0 else (u[0] + 1, u[1])
+            v = v if (v[0] - v[1] * d) % 2 == 0 else (v[0] + 1, v[1])
+            if elt_norm(field, u) == 0 or elt_norm(field, v) == 0:
+                continue
+            lhs = ideal_mul(field, principal_ideal(field, u), principal_ideal(field, v))
+            rhs = principal_ideal(field, elt_mul(field, u, v))
+            assert lhs == rhs, (d, u, v)
+
+
+def prime_power_modules(field):
+    """P^i Pbar^j Q^k R^m with i + j + k + m <= 3, built by the oracle:
+    P split, Pbar its conjugate, Q inert and R ramified."""
+    d = field.disc
+    kinds = {}
+    for p in [factor(-d)[0][0], *small_primes(100)]:
+        for P in factor_rational_prime(field, p):
+            kinds.setdefault(P.kind, P)
+    split = kinds["split"]
+    gens = [split, conjugate_prime(split), kinds["inert"], kinds["ramified"]]
+    mods = []
+    for exps in product(range(4), repeat=4):
+        if sum(exps) <= 3:
+            I = unit_ideal(field)
+            for P, k in zip(gens, exps):
+                for _ in range(k):
+                    I = ideal_product(field, I, prime_module(field, P))
+            mods.append(I)
+    return mods
+
+
+@pytest.mark.parametrize("d", [-3, -4, -8, -56, -23, -4000003])
+def test_ideal_mul_against_the_oracle_hnf(d):
+    # the closed form against the HNF of the four generator products, on
+    # modules with content: P Pbar = (p), Q = (q) and R^2 = (r)
+    field = quadratic_field(d)
+    mods = prime_power_modules(field)
+    contents = set()
+    for I in mods:
+        for J in mods:
+            got = ideal_mul(field, I, J)
+            assert got == ideal_product(field, I, J), (I, J)
+            contents.add(got.g)
+    assert len(contents) > 3
 
 
 def test_ideal_membership():
@@ -347,6 +387,27 @@ def test_form_map_transports_ideal_multiplication():
         assert lhs == rhs
 
 
+@pytest.mark.parametrize("d", [-3299, -5460, -39995])
+def test_compose_forms_is_the_class_of_the_module_product(d):
+    # every pair of reduced forms: h = 27 (cyclic), 16 (2-rank 4) and 64;
+    # the form (a, b, c) is the class of the module [a, (-b + sqrt D)/2]
+    field = quadratic_field(d)
+    forms, _ = enumerate_class_group(field)
+    mods = [QuadIdeal(1, a, -b % (2 * a)) for a, b, _ in forms]
+    for f, I in zip(forms, mods):
+        assert ideal_class_form(field, I) == f
+        for g, J in zip(forms, mods):
+            assert compose_forms(f, g) == ideal_class_form(field, ideal_mul(field, I, J)), (f, g)
+
+
+def test_compose_refuses_a_module_of_another_discriminant():
+    # [5, (1 + sqrt -23)/2] is not a module of disc -23, since 20 does not
+    # divide 1 + 23: the closed form's congruence check catches it
+    assert quadfield._compose(2, 1, 3, 1, -23) == (1, 6, 1)
+    with pytest.raises(AssertionError):
+        quadfield._compose(2, 1, 5, 1, -23)
+
+
 def test_form_pow_order():
     g = (2, 1, 3)
     assert form_pow(g, 0) == (1, 1, 6)
@@ -366,12 +427,12 @@ def test_pow_is_repeated_product_without_a_spare_square(monkeypatch, e):
     assert ideal_pow(K23, P, e) == ideal and form_pow(f, e) == form
     want = max(e.bit_length() - 1, 0) + bin(e).count("1")
     calls = []
-    real = quadfield.ideal_mul
-    monkeypatch.setattr(quadfield, "ideal_mul", lambda *a: calls.append(a) or real(*a))
+    real = quadfield._compose
+    monkeypatch.setattr(quadfield, "_compose", lambda *a: calls.append(a) or real(*a))
     ideal_pow(K23, P, e)
     assert len(calls) == want
     calls.clear()
-    form_pow(f, e)  # one ideal_mul per composition
+    form_pow(f, e)  # one closed-form product per composition
     assert len(calls) == want
 
 
