@@ -1,9 +1,9 @@
 """Exact arithmetic in F_p and F_{p^2}, primality, factoring, power residues.
 
 Elements of F_p are ints in [0, p); elements of F_{p^2} are pairs (a, b)
-standing for a + b*w where w*w = n0, the least positive non-residue mod p.
-Roots are taken over F_p only, on plain ints (ell_root).  All functions
-are deterministic.
+standing for a + b*w where w*w = n0, a non-residue mod p that the caller
+names (quadfield names D mod p, so that w = sqrt(D)).  Roots are taken
+over F_p only, on plain ints (ell_root).  All functions are deterministic.
 """
 
 from __future__ import annotations
@@ -128,13 +128,6 @@ def legendre(a: int, p: int) -> int:
     return 1 if pow(a, (p - 1) // 2, p) == 1 else -1
 
 
-def least_nonresidue(p: int) -> int:
-    for n in range(2, p):
-        if legendre(n, p) == -1:
-            return n
-    raise ValueError(f"no quadratic non-residue mod {p}")
-
-
 def power(x, e: int, mul, one):
     """x^e under the product mul with identity one, by square-and-multiply:
     bit_length - 1 squarings and one product per set bit, the first of
@@ -150,18 +143,17 @@ def power(x, e: int, mul, one):
 
 
 class ResidueField:
-    """F_p (f=1, int elements) or F_{p^2} (f=2, pair elements)."""
+    """F_p (n0 None, f=1, int elements) or F_{p^2} = F_p(w) with w*w = n0,
+    a non-residue mod p that the caller names (f=2, pair elements)."""
 
     __slots__ = ("p", "f", "q", "n0", "one")
 
-    def __init__(self, p: int, f: int = 1):
-        if f not in (1, 2):
-            raise ValueError(f"unsupported residue degree {f}")
+    def __init__(self, p: int, n0: int | None = None):
         self.p = p
-        self.f = f
-        self.q = p**f
-        self.n0 = least_nonresidue(p) if f == 2 else None
-        self.one = (1, 0) if f == 2 else 1
+        self.f = 1 if n0 is None else 2
+        self.q = p**self.f
+        self.n0 = n0
+        self.one = 1 if n0 is None else (1, 0)
 
     def __repr__(self):
         return f"F({self.p}^2)" if self.f == 2 else f"F({self.p})"
@@ -181,8 +173,8 @@ class ResidueField:
 
 
 @lru_cache(maxsize=4096)
-def residue_field(p: int, f: int = 1) -> ResidueField:
-    return ResidueField(p, f)
+def residue_field(p: int, n0: int | None = None) -> ResidueField:
+    return ResidueField(p, n0)
 
 
 def power_residue_level(x, ell: int, k_max: int, field: ResidueField) -> int:

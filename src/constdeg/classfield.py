@@ -193,7 +193,7 @@ def in_S(ctx, P: PrimeIdeal) -> bool:
     if ctx.field.kind == "imag_quadratic":
         if any(class_dlog(ctx.field, prime_module(ctx.field, P), ctx.cl)):
             return False
-    fld = local_field(P)
+    fld = local_field(ctx.field, P)
     for u in ctx.units:
         if power_residue_level(reduce_mod(ctx.field, u, P), ctx.ell, kmax, fld) != kmax:
             return False
@@ -233,7 +233,7 @@ def generator_image(ctx, eps: PrimeIdeal, gamma):
     generator gamma of q^(m * l^t), q a target other than eps; at a
     conductor eps in S its order is the Frobenius order of q in the piece."""
     g = reduce_mod(ctx.field, gamma, eps)
-    return local_field(eps).pow(g, (eps.norm - 1) // ctx.ell ** (ctx.r + ctx.t))
+    return local_field(ctx.field, eps).pow(g, (eps.norm - 1) // ctx.ell ** (ctx.r + ctx.t))
 
 
 def frobenius_image(ctx, eps: PrimeIdeal, q: PrimeIdeal):
@@ -262,7 +262,7 @@ def frobenius_order_in_ray_piece(ctx, eps: PrimeIdeal, q: PrimeIdeal) -> int:
     if ctx.field.kind == "rational":
         return _rational_frobenius_order(q.p, eps.p, ctx.ell, full)
     x = frobenius_image(ctx, eps, q)
-    order = ctx.ell ** order_exponent(x, ctx.ell, ctx.r, local_field(eps))
+    order = ctx.ell ** order_exponent(x, ctx.ell, ctx.r, local_field(ctx.field, eps))
     if order > full:
         raise InternalInconsistency("Frobenius image escapes the piece")
     return order
@@ -350,7 +350,7 @@ def _fixed_orders(ctx, P: PrimeIdeal, fixed, full: int) -> bool:
     An image that escapes the piece is the inconsistency
     frobenius_order_in_ray_piece raises on at a P in S, and a plain
     rejection at a P outside S, where the rule does not hold."""
-    fld, ell, r = local_field(P), ctx.ell, ctx.r
+    fld, ell, r = local_field(ctx.field, P), ctx.ell, ctx.r
     for q, gamma, k in fixed:
         if q.p == P.p and q == P:
             if k != full:

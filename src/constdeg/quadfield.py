@@ -10,10 +10,13 @@ Conventions, used consistently by every caller:
   * A split or ramified PrimeIdeal stores the root b of x^2 = D (mod 4p)
     that its residue map selects, i.e. sqrt(D) = +b (mod P).  The module
     representation of P therefore uses -b mod 2p.
+  * The residue field at an inert P above p is F_p(sqrt(D)): D is a
+    non-residue mod p, so F_{p^2} is built with w*w = D mod p, and the
+    residue map halves both coordinates of (x, y).
 """
 
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import partial
 from itertools import count
 from math import isqrt
 
@@ -463,15 +466,8 @@ def principal_generator(field, ideal: QuadIdeal):
 # ------------------------------------------------------------- reduction
 
 
-@lru_cache(maxsize=4096)
-def _inert_sqrt_disc(disc, p):
-    # s with sqrt(D) = s*w in F_{p^2} at the inert prime above p, w^2 = n0
-    s = ell_root(disc * pow(residue_field(p, 2).n0, -1, p), 2, p)
-    return min(s, p - s)
-
-
-def local_field(P: PrimeIdeal):
-    return residue_field(P.p, P.f if P.kind == "inert" else 1)
+def local_field(field, P: PrimeIdeal):
+    return residue_field(P.p, field.disc % P.p if P.kind == "inert" else None)
 
 
 def reduce_mod(field, x, P: PrimeIdeal):
@@ -483,6 +479,5 @@ def reduce_mod(field, x, P: PrimeIdeal):
     xx, yy = x
     inv2 = (P.p + 1) // 2
     if P.kind == "inert":
-        s = _inert_sqrt_disc(field.disc, P.p)
-        return ((xx * inv2) % P.p, (yy * s * inv2) % P.p)
+        return (xx * inv2 % P.p, yy * inv2 % P.p)  # sqrt(D) = w
     return (xx + yy * P.b) * inv2 % P.p  # sqrt(D) = P.b mod P

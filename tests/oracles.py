@@ -3,6 +3,11 @@
 None of this runs in the package itself:
 
   * multiplicative_order and embed: brute-force residue-field helpers;
+  * least_nonresidue, old_basis and old_reduce_mod: the inert residue
+    field in a second basis, F_p(w) with w*w the least non-residue n0
+    mod p, and the residue map into it, which writes sqrt(D) as s*w
+    with n0*s^2 = D found by scanning s < p; to_old_basis carries
+    quadfield.reduce_mod's image from F_p(sqrt(D)) there;
   * field_elements, field_inv and field_root: the elements other than
     0 and 1 in a fixed order, the inverse x^(Q-2), and one ell-th root
     by Adleman-Manders-Miller descent, over F_p and F_{p^2} alike;
@@ -46,7 +51,7 @@ exponent prime to l, as an element.
 
 from math import gcd, isqrt
 
-from constdeg.arith import ResidueField, factor, power_residue_level
+from constdeg.arith import ResidueField, factor, legendre, power_residue_level, residue_field
 from constdeg.quadfield import (
     PrimeIdeal,
     QuadIdeal,
@@ -76,6 +81,33 @@ def embed(field: ResidueField, n: int):
     """The rational integer n as an element of the residue field."""
     n %= field.p
     return (n, 0) if field.f == 2 else n
+
+
+def least_nonresidue(p: int) -> int:
+    for n in range(2, p):
+        if legendre(n, p) == -1:
+            return n
+    raise ValueError(f"no quadratic non-residue mod {p}")
+
+
+def old_basis(disc: int, p: int):
+    """(F_p(w), s) at an odd p inert in Q(sqrt(D)): w*w = n0 =
+    least_nonresidue(p), and s is the least s < p with n0*s^2 = D mod p,
+    so that sqrt(D) = s*w."""
+    n0 = least_nonresidue(p)
+    return residue_field(p, n0), next(s for s in range(p) if (n0 * s * s - disc) % p == 0)
+
+
+def old_reduce_mod(x, p: int, s: int):
+    """The image of the element (x + y*sqrt(D))/2 in F_p(w): x/2 + (y/2)*s*w."""
+    inv2 = (p + 1) // 2
+    return (x[0] * inv2 % p, x[1] * s * inv2 % p)
+
+
+def to_old_basis(image, p: int, s: int):
+    """a + b*sqrt(D) in F_p(sqrt(D)) written as a + b*s*w in F_p(w)."""
+    a, b = image
+    return (a, b * s % p)
 
 
 def field_elements(field: ResidueField):
@@ -215,7 +247,7 @@ def kummer_split_test(ctx, P: PrimeIdeal, alpha, k: int) -> bool:
     if (P.norm - 1) % ctx.ell**k:
         return False
     x = reduce_mod(ctx.field, alpha, P)
-    return power_residue_level(x, ctx.ell, k, local_field(P)) == k
+    return power_residue_level(x, ctx.ell, k, local_field(ctx.field, P)) == k
 
 
 # ------------------------------------------------------- splitting map
@@ -249,7 +281,7 @@ def alpha_roots(ctx, eps, twist=None):
     """An l^(m_i)-th root of each alpha_i at eps by iterated l-th roots;
     twist(), when given, returns a root of unity that multiplies each
     l-th root as it is taken."""
-    fld = local_field(eps)
+    fld = local_field(ctx.field, eps)
     roots = []
     for alpha, m in zip(ctx.cl.alphas, ctx.cl.exps):
         root = reduce_mod(ctx.field, alpha, eps)
@@ -264,7 +296,7 @@ def alpha_roots(ctx, eps, twist=None):
 def splitting_map_image(ctx, eps, correction, roots):
     """The image s of the target with class_correction(ctx, q) at eps."""
     c, gamma0, denom = correction
-    fld = local_field(eps)
+    fld = local_field(ctx.field, eps)
     s = fld.mul(reduce_mod(ctx.field, gamma0, eps), field_inv(fld, embed(fld, denom)))
     for root, ci in zip(roots, c):
         s = fld.mul(s, fld.pow(root, ci))
@@ -277,7 +309,7 @@ def reference_image(ctx, eps, q, roots=None):
     if roots is None:
         roots = alpha_roots(ctx, eps)
     s = splitting_map_image(ctx, eps, class_correction(ctx, q), roots)
-    return local_field(eps).pow(s, (eps.norm - 1) // ctx.ell**ctx.r)
+    return local_field(ctx.field, eps).pow(s, (eps.norm - 1) // ctx.ell**ctx.r)
 
 
 # ------------------------------------------------------- reduced forms

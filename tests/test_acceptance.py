@@ -188,7 +188,7 @@ def test_criterion_06_choice_independence():
     u = kprime(ctx) // ctx.cl.coprime_part  # reference = image^u
     trials = 0
     for eps in s_members(ctx, 2):
-        fld = local_field(eps)
+        fld = local_field(ctx.field, eps)
         make_ray_piece(ctx, eps)  # checks eps lies in S
         targets = [
             q

@@ -14,7 +14,13 @@ from constdeg.arith import (
     residue_field,
     small_primes,
 )
-from oracles import field_elements, field_inv, field_root, multiplicative_order
+from oracles import (
+    field_elements,
+    field_inv,
+    field_root,
+    least_nonresidue,
+    multiplicative_order,
+)
 
 # ---------------------------------------------------------------- oracles
 
@@ -195,7 +201,7 @@ def test_mod_pow_matches_naive_f1():
 
 def test_f_p2_matches_naive_polynomial_arithmetic():
     rng = random.Random(5)
-    fld = residue_field(13, 2)
+    fld = residue_field(13, least_nonresidue(13))
     for _ in range(60):
         x = (rng.randrange(13), rng.randrange(13))
         y = (rng.randrange(13), rng.randrange(13))
@@ -203,14 +209,15 @@ def test_f_p2_matches_naive_polynomial_arithmetic():
 
 
 def test_f_p2_nonresidue_datum():
-    fld = residue_field(13, 2)
-    assert fld.n0 == 2  # least positive non-residue mod 13
+    assert least_nonresidue(13) == 2  # least positive non-residue mod 13
+    fld = residue_field(13, least_nonresidue(13))
+    assert fld.n0 == 2
     assert pow(fld.n0, 6, 13) == 12
 
 
 def test_fermat_lagrange_random_samples():
     rng = random.Random(9)
-    for fld in (residue_field(97), residue_field(11, 2)):
+    for fld in (residue_field(97), residue_field(11, least_nonresidue(11))):
         for _ in range(25):
             if fld.f == 1:
                 x = rng.randrange(1, fld.p)
@@ -220,7 +227,7 @@ def test_fermat_lagrange_random_samples():
 
 
 def test_field_inverse():
-    fld = residue_field(11, 2)
+    fld = residue_field(11, least_nonresidue(11))
     for x in [(3, 4), (0, 1), (10, 7)]:
         assert fld.mul(x, field_inv(fld, x)) == fld.one
     assert field_inv(residue_field(97), 5) == pow(5, -1, 97)
@@ -250,7 +257,7 @@ def test_power_residue_level_brute_force_f1():
 
 
 def test_power_residue_level_brute_force_f2():
-    fld = residue_field(5, 2)  # q - 1 = 24
+    fld = residue_field(5, least_nonresidue(5))  # q - 1 = 24
     units = list(all_units(fld))
     for x in units[::5]:
         k = power_residue_level(x, 2, 3, fld)
@@ -273,8 +280,8 @@ def test_order_exponent_matches_multiplicative_order():
     for fld, ell, k_max in (
         (residue_field(73), 2, 2),
         (residue_field(73), 3, 1),
-        (residue_field(5, 2), 2, 2),
-        (residue_field(7, 2), 2, 4),
+        (residue_field(5, least_nonresidue(5)), 2, 2),
+        (residue_field(7, least_nonresidue(7)), 2, 4),
     ):
         zero = (0, 0) if fld.f == 2 else 0
         assert order_exponent(fld.one, ell, k_max, fld) == 0
@@ -371,7 +378,7 @@ def test_ell_root_deterministic():
 @pytest.mark.parametrize("p,f", [(7, 1), (73, 1), (5, 2), (7, 2), (11, 2)])
 def test_field_root_over_f_p_and_f_p2(p, f):
     # the test oracle's root, which alpha_roots takes over F_{p^2} too
-    fld = residue_field(p, f)
+    fld = residue_field(p, least_nonresidue(p) if f == 2 else None)
     units = [fld.one, *field_elements(fld)]
     for ell in (2, 3):
         powers = {fld.pow(y, ell) for y in units}
@@ -404,7 +411,7 @@ def test_multiplicative_order_brute_force():
 
 
 def test_multiplicative_order_f2():
-    fld = residue_field(5, 2)
+    fld = residue_field(5, least_nonresidue(5))
     for x in [(2, 1), (0, 1), (4, 4)]:
         assert multiplicative_order(x, fld) == brute_order(x, fld)
 

@@ -1,10 +1,12 @@
 """Golden certificates and seeded mutants of them.
 
-tests/fixtures holds certificate_json output of four jobs: Q n=2 B=100
+tests/fixtures holds certificate_json output of five jobs: Q n=2 B=100
 (conductors 17 and 89 ramify in table rows), Q n=6 B=20 (a composite),
-K(-8) n=2 B=200 (deficient at the prime above 2) and K(-23) n=4 B=50
+K(-8) n=2 B=200 (deficient at the prime above 2), K(-23) n=4 B=50
 (three pieces, where the prime-to-2 part of the class number, 3, is
-the exponent of every target generator).  Construct must
+the exponent of every target generator) and K(-56) n=4 B=200 (inert
+conductors 17 and 223, where D mod p is not the least non-residue, so
+the residue field's basis sqrt(D) is not the least one).  Construct must
 reproduce them byte for byte, so certificates cannot change unnoticed,
 and each must verify.  Every mutant of them must either fail
 verification with MalformedCertificate or MismatchFound or verify to the
@@ -32,6 +34,7 @@ from constdeg import (
     quadratic_field,
     verify,
 )
+from oracles import least_nonresidue
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
@@ -40,6 +43,7 @@ GOLDEN = {
     "q_n6_b20.json": lambda: compose_for_n(RATIONAL, 6, 20),
     "k-8_n2_b200.json": lambda: construct(quadratic_field(-8), 2, 1, 200),
     "k-23_n4_b50.json": lambda: construct(quadratic_field(-23), 2, 2, 50),
+    "k-56_n4_b200.json": lambda: construct(quadratic_field(-56), 2, 2, 200),
 }
 
 
@@ -68,6 +72,12 @@ def test_golden_verify():
     assert [piece["p"] for piece in k23["pieces"]] == [4721, 12497, 74017]
     rep = verify(k23)
     assert (len(rep.primes), rep.degree, rep.real_place) == (17, 4, None)
+    k56 = parse_certificate(fixture_text("k-56_n4_b200.json"))
+    pieces = [(piece["p"], piece["b"]) for piece in k56["pieces"]]
+    assert pieces == [(17, None), (148513, 102550), (223, None)]
+    assert [(least_nonresidue(p), -56 % p) for p in (17, 223)] == [(3, 12), (3, 167)]
+    rep = verify(k56)
+    assert (len(rep.primes), rep.degree, rep.real_place) == (47, 4, None)
 
 
 # ---------------------------------------------------------------- mutants
@@ -153,13 +163,14 @@ def row_mutants(doc):
 
 
 def test_mutants_fail_cleanly_or_verify_the_same():
-    rng = random.Random(13)
+    # K(-56) draws its mutants from its own stream, so the other four keep theirs
+    rng, own = random.Random(13), {"k-56_n4_b200.json": random.Random(56)}
     start = time.perf_counter()
     outcomes = {}
     for name in sorted(GOLDEN):
         doc = json.loads(fixture_text(name))
         want = verify(doc)
-        for m in [*mutants(doc, rng, 100), *row_mutants(doc)]:
+        for m in [*mutants(doc, own.get(name, rng), 100), *row_mutants(doc)]:
             assert certificate_json(m) == json.dumps(m, indent=2) + "\n"
             text = json.dumps(m)
             t0 = time.perf_counter()

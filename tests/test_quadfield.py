@@ -6,7 +6,7 @@ from math import isqrt
 import pytest
 
 from constdeg import quadfield
-from constdeg.arith import factor, residue_field, small_primes
+from constdeg.arith import factor, legendre, power_residue_level, small_primes
 from constdeg.classfield import build_context
 from constdeg.quadfield import (
     DISC_LIMIT,
@@ -28,6 +28,7 @@ from constdeg.quadfield import (
     ideal_pow,
     integer_elt,
     kronecker_disc,
+    local_field,
     normalize_unit,
     principal_form,
     principal_generator,
@@ -43,9 +44,12 @@ from oracles import (
     embed,
     ideal_contains,
     ideal_product,
+    old_basis,
+    old_reduce_mod,
     principal_ideal,
     roots_by_scan,
     reduced_forms_by_a,
+    to_old_basis,
 )
 
 K23 = quadratic_field(-23)
@@ -170,7 +174,8 @@ def test_ramified_root_matches_full_scan():
 
 def test_prime_roots_do_not_depend_on_the_square_root():
     # arith.ell_root may return either square root of D mod p; the split
-    # primes' roots b and the inert sqrt(D) in F_{p^2} must not show which
+    # primes' roots b must not show which.  The inert residue field is
+    # F_p(sqrt(D)), where sqrt(D) is (0, 1) and no root is taken
     checked = 0
     for d in (-3, -4, -7, -8, -15, -23, -56, -84, -3299):
         field = quadratic_field(d)
@@ -181,9 +186,7 @@ def test_prime_roots_do_not_depend_on_the_square_root():
             if primes[0].kind == "split":
                 assert [P.b for P in primes] == roots_by_scan(d, p), (d, p)
             else:
-                n0 = residue_field(p, 2).n0
-                s = next(s for s in range(p) if (n0 * s * s - d) % p == 0)
-                assert reduce_mod(field, (0, 2), primes[0]) == (0, s), (d, p)
+                assert reduce_mod(field, (0, 2), primes[0]) == (0, 1), (d, p)
             checked += 1
     assert checked > 600
 
@@ -688,7 +691,7 @@ def test_reduce_mod_examples():
     assert reduce_mod(K23, (3, 1), P73) == 45
     (P5,) = factor_rational_prime(K23, 5)
     img = reduce_mod(K23, (0, 2), P5)  # sqrt(-23) in F_25
-    fld = residue_field(5, 2)
+    fld = local_field(K23, P5)
     assert fld.mul(img, img) == embed(fld, -23)
 
 
@@ -700,7 +703,7 @@ def test_reduce_mod_is_a_ring_hom():
         factor_rational_prime(K23, 23)[0],
     ]
     for P in targets:
-        fld = residue_field(P.p, P.f)
+        fld = local_field(K23, P)
         for _ in range(20):
             u = (rng.randrange(-20, 21), rng.randrange(-20, 21))
             v = (rng.randrange(-20, 21), rng.randrange(-20, 21))
@@ -708,6 +711,42 @@ def test_reduce_mod_is_a_ring_hom():
             v = v if (v[0] - v[1] * 23) % 2 == 0 else (v[0] + 1, v[1])
             lhs = reduce_mod(K23, elt_mul(K23, u, v), P)
             assert lhs == fld.mul(reduce_mod(K23, u, P), reduce_mod(K23, v, P))
+
+
+@pytest.mark.parametrize("disc", [-3, -4, -7, -8, -23, -56, -3299, -4000003])
+def test_inert_residue_field_is_f_p_of_sqrt_d(disc):
+    # at every odd inert P, a + b*sqrt(D) -> a + b*s*w carries reduce_mod's
+    # image in F_p(sqrt(D)) to the image in the oracle's F_p(w), w*w the
+    # least non-residue, and the two bases give every power-residue level
+    field = quadratic_field(disc)
+    ctxs = [build_context(field, ell, 1) for ell in (2, 3)]
+    rng = random.Random(disc)
+    elements = [*ctxs[0].units, *(a for ctx in ctxs for a in ctx.cl.alphas)]
+    for _ in range(50):
+        y = rng.randrange(-(10**6), 10**6)
+        x = rng.randrange(-(10**6), 10**6)
+        elements.append((x + (x - y * disc) % 2, y))
+    checked = 0
+    for p in small_primes(400)[1:]:
+        (P, *_) = factor_rational_prime(field, p)
+        if P.kind != "inert":
+            continue
+        new = local_field(field, P)
+        assert legendre(new.n0, p) == -1, (disc, p)
+        old, s = old_basis(disc, p)
+        for x in elements:
+            img, want = reduce_mod(field, x, P), old_reduce_mod(x, p, s)
+            assert to_old_basis(img, p, s) == want, (disc, p, x)
+            if img == (0, 0):
+                continue
+            for ell in (2, 3):
+                for k in range(1, 64):
+                    if (p * p - 1) % ell**k:
+                        break
+                    got = power_residue_level(img, ell, k, new)
+                    assert got == power_residue_level(want, ell, k, old), (disc, p, x, ell, k)
+        checked += 1
+    assert checked > 30
 
 
 def test_reduce_mod_kills_the_prime():
