@@ -1,10 +1,12 @@
 """Independent re-checking of certificates, plus the quaternion demo.
 
-verify() trusts nothing but the parsed document: it rebuilds the class
-group data, the seed piece, and the ray pieces from the recorded
-conductors, recomputes every local degree with the fold the constructor
-uses (classfield.local_degree, which stops asking for Frobenius orders
-once a row's unramified part is full), and checks the certificate's one
+parse_certificate only parses JSON.  verify() trusts nothing but the
+document: it checks its structure, each table row once (as
+brauer_split_check does), rebuilds the class group data, the seed
+piece, and the ray pieces from the recorded conductors, recomputes
+every local degree with the fold the constructor uses
+(classfield.local_degree, which stops asking for Frobenius orders once
+a row's unramified part is full), and checks the certificate's one
 claim: degree n at every finite prime of norm up to the bound, each
 with its table row, and no other rows.
 Plain and composite documents share one table walk; a composite's
@@ -20,7 +22,7 @@ algebra ramifies, and those places are computed with Hilbert symbols.
 import json
 import time
 from dataclasses import dataclass, field as dc_field
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from .arith import PRIME_LIMIT, factor, is_prime, legendre
 from .classfield import (
@@ -106,13 +108,8 @@ def _int(v) -> bool:
 
 
 def _check_prime_ref(v, what):
-    _need(
-        isinstance(v, list)
-        and len(v) == 2
-        and _int(v[0])
-        and (v[1] is None or _int(v[1])),
-        f"{what} must be a [p, b] pair",
-    )
+    if not (isinstance(v, list) and len(v) == 2 and _int(v[0]) and (v[1] is None or _int(v[1]))):
+        raise MalformedCertificate(f"{what} must be a [p, b] pair")
 
 
 def _check_pair(v, what):
@@ -131,13 +128,20 @@ def _check_field(fj):
     _need(_int(fj.get("disc")) and fj["disc"] < 0, "field needs a negative disc")
 
 
-def _check_coverage(doc, plain: bool):
+def _check_coverage(doc):
     """The keys a plain document and a composite wrapper share: field,
-    bound, the table rows (plain rows also name their ramified
-    component) and the real place."""
+    bound, the table list (_rows reads its rows) and the real place."""
     _check_field(doc["field"])
     _need(_int(doc["bound"]) and doc["bound"] >= 2, "bound must be an integer >= 2")
     _need(isinstance(doc["table"], list) and doc["table"], "table must be a nonempty list")
+    rpd = doc["real_place_degree"]
+    _need(rpd is None or _int(rpd), "real_place_degree must be an integer or null")
+
+
+def _rows(doc, plain: bool) -> dict:
+    """doc's table rows keyed by (p, b); every row, however small the
+    bound, must be well formed (plain rows name a ramified component)."""
+    rows = {}
     for row in doc["table"]:
         _need(isinstance(row, dict), "table rows must be objects")
         _check_prime_ref(row.get("prime"), "table prime")
@@ -145,11 +149,13 @@ def _check_coverage(doc, plain: bool):
             _int(row.get("degree")) and row["degree"] >= 1,
             "table degree must be a positive integer",
         )
-        if plain:
-            rc = row.get("ramified_component", "missing")
-            _need(rc is None or _int(rc), "ramified_component must be an index or null")
-    rpd = doc["real_place_degree"]
-    _need(rpd is None or _int(rpd), "real_place_degree must be an integer or null")
+        rc = row.get("ramified_component", "missing") if plain else None
+        _need(rc is None or _int(rc), "ramified_component must be an index or null")
+        key = tuple(row["prime"])
+        if key in rows:
+            raise MalformedCertificate(f"duplicate table row for prime {list(key)}")
+        rows[key] = row
+    return rows
 
 
 def _check_schema(cert):
@@ -161,7 +167,7 @@ def _check_schema(cert):
 def _check_plain(cert):
     _check_schema(cert)
     _need_keys(cert, _PLAIN_KEYS)
-    _check_coverage(cert, plain=True)
+    _check_coverage(cert)
     for key in ("ell", "r", "t"):
         _need(_int(cert[key]), f"{key} must be an integer")
     _need(isinstance(cert["class_data"], list), "class_data must be a list")
@@ -207,7 +213,7 @@ def _check_composite(cert):
     _need(isinstance(comp, dict), "composite wrapper must be an object")
     _need_keys(comp, _COMPOSITE_KEYS, "composite ")
     _need(_int(comp["n"]) and comp["n"] >= 2, "composite n must be an integer >= 2")
-    _check_coverage(comp, plain=False)
+    _check_coverage(comp)
     _need(
         isinstance(comp["components"], list) and comp["components"],
         "components must be a nonempty list",
@@ -217,8 +223,8 @@ def _check_composite(cert):
 
 
 def _check(cert):
-    """Structurally validate a plain or composite document; returns the
-    object holding its field, bound, table and real place."""
+    """Validate a plain or composite document's structure bar its table
+    rows; returns the object holding its field, bound, table and real place."""
     _need(isinstance(cert, dict), "certificate must be a JSON object")
     if "composite" not in cert:
         _check_plain(cert)
@@ -228,13 +234,11 @@ def _check(cert):
 
 
 def parse_certificate(text: str) -> dict:
-    """Parse and structurally validate a certificate document."""
+    """Parse a certificate document; verify and brauer_split_check check its structure."""
     try:
-        cert = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise MalformedCertificate(f"not valid JSON: {exc}") from None
-    _check(cert)
-    return cert
 
 
 # ------------------------------------------------------- reconstruction
@@ -309,24 +313,20 @@ def _effective_bound(cert_bound, requested):
     return requested
 
 
-def _walk_table(field, doc, bound, n, degrees):
+def _walk_table(field, doc, unread, bound, n, degrees):
     """The primes of doc's table rechecked up to bound, and its real
-    place: every prime w of norm <= bound needs a row, degrees(w), a
-    (ramified, factor, degree) triple as local_degree returns, must be
-    the claimed n, and the row's degree and ramified component (absent
-    on composite rows) must match it.  Walked to doc's own bound, every
-    row must have been matched.
+    place: every prime w of norm <= bound needs a row, which the walk
+    pops from unread (doc's _rows); degrees(w), a (ramified, factor,
+    degree) triple as local_degree returns, must be the claimed n, and
+    the row's degree and ramified component (absent on composite rows)
+    must match it.  Walked to doc's own bound, every row must have been
+    matched.
 
     Primes are walked in segments of norm (lo, hi], each four times the
     last, so the work up to the first missing row is bounded by the
     table, not by bound.  The first segment ends at 2*R*log2(R) for R =
     len(table), above the norm of the R-th prime, so an honest table is
     walked in one segment up to bound."""
-    unread = {}
-    for row in doc["table"]:
-        key = tuple(row["prime"])
-        _need(key not in unread, f"duplicate table row for prime {list(key)}")
-        unread[key] = row
     primes = []
     R = len(unread)
     lo, hi = 0, min(bound, max(4096, 2 * R * R.bit_length()))
@@ -334,7 +334,8 @@ def _walk_table(field, doc, bound, n, degrees):
         # the primes of norm <= lo are the ones already walked
         for w in enumerate_field_primes(field, hi)[len(primes) :]:
             row = unread.pop((w.p, w.b), None)
-            _need(row is not None, f"table has no row for prime ({w.p},{w.b})")
+            if row is None:
+                raise MalformedCertificate(f"table has no row for prime ({w.p},{w.b})")
             ram, _, total = degrees(w)
             if total != n:
                 raise MismatchFound(f"prime ({w.p},{w.b})", n, total)
@@ -356,13 +357,15 @@ def _walk_table(field, doc, bound, n, degrees):
 
 def _verify_plain(cert, bound):
     start = time.perf_counter()
+    rows = _rows(cert, plain=True)
     ctx, pieces = _rebuild(cert)
     n = ctx.seed.degree  # ell^r
-    primes, real = _walk_table(ctx.field, cert, bound, n, lambda w: local_degree(ctx, pieces, w))
+    primes, real = _walk_table(ctx.field, cert, rows, bound, n, partial(local_degree, ctx, pieces))
     return VerificationReport(primes, n, real, time.perf_counter() - start)
 
 
 def _verify_composite(comp, b):
+    rows = _rows(comp, plain=False)
     field = _field_of(comp["field"])
     ells = [sub["ell"] for sub in comp["components"]]
     _need(len(set(ells)) == len(ells), "components must use distinct primes ell")
@@ -375,7 +378,7 @@ def _verify_composite(comp, b):
         subreports.append(rep)
         n *= rep.degree
     _match("composite exponent n", comp["n"], n)
-    primes, real = _walk_table(field, comp, b, n, lambda w: (None, 1, n))
+    primes, real = _walk_table(field, comp, rows, b, n, lambda w: (None, 1, n))
     return VerificationReport(primes, n, real, 0.0, subreports)
 
 
@@ -384,8 +387,8 @@ def verify(cert: dict, bound: int = None) -> VerificationReport:
     norm up to bound (default: the certificate's own coverage bound,
     which the requested bound must not exceed).
 
-    Raises MalformedCertificate for structural defects, including table
-    rows the walk to the certificate's own bound does not reach, and
+    Raises MalformedCertificate for structural defects, in every table
+    row and for rows the walk to the certificate's own bound misses, and
     MismatchFound as soon as a recomputed value disagrees with n or with
     a claim, so a returned report always records a pass.
     """
@@ -482,17 +485,6 @@ class QuaternionAlgebra:
             raise ValueError("quaternion algebra parameters must be nonzero")
 
 
-def _degree_view(cert):
-    # the splitting criterion needs exponent 2 over the rationals;
-    # accept the plain certificate or its composite wrapping
-    doc = _check(cert)
-    n2 = (doc["ell"], doc["r"]) == (2, 1) if doc is cert else doc["n"] == 2
-    if doc["field"]["kind"] != "rational" or not n2:
-        raise ValueError("splitting check needs an n = 2 certificate over the rationals")
-    degrees = {row["prime"][0]: row["degree"] for row in doc["table"]}
-    return degrees, doc["bound"], doc["real_place_degree"]
-
-
 def brauer_split_check(cert: dict, algebra: QuaternionAlgebra):
     """Does the certified field split the algebra?
 
@@ -501,16 +493,24 @@ def brauer_split_check(cert: dict, algebra: QuaternionAlgebra):
     when the real place ramifies, real-place degree 2.  Claims are read
     as recorded; run verify first if they are untrusted.
     """
-    degrees, bound, real = _degree_view(cert)
+    # the splitting criterion needs exponent 2 over the rationals;
+    # accept the plain certificate or its composite wrapping
+    doc = _check(cert)
+    rows = _rows(doc, plain=doc is cert)
+    for sub in [] if doc is cert else doc["components"]:
+        _rows(sub, plain=True)  # unread, but a malformed row rejects the document
+    n2 = (doc["ell"], doc["r"]) == (2, 1) if doc is cert else doc["n"] == 2
+    if doc["field"]["kind"] != "rational" or not n2:
+        raise ValueError("splitting check needs an n = 2 certificate over the rationals")
     places = ramified_places(algebra.a, algebra.b)
     split = True
     for v in places:
         if v == REAL_PLACE:
-            split = split and real == 2
+            split = split and doc["real_place_degree"] == 2
             continue
-        if v > bound:
+        if v > doc["bound"]:
             raise RamifiedPlaceOutOfRange(
-                f"algebra ramified at {v}, beyond the certificate bound {bound}"
+                f"algebra ramified at {v}, beyond the certificate bound {doc['bound']}"
             )
-        split = split and degrees.get(v) == 2
+        split = split and rows.get((v, None), {}).get("degree") == 2
     return split, places

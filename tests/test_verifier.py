@@ -42,6 +42,7 @@ CERT9 = from_bytes(construct(RATIONAL, 3, 2, 30))
 CERT23 = from_bytes(construct(K23, 3, 1, 50))
 CERTD = from_bytes(construct(K8, 2, 1, 20))
 COMP6 = from_bytes(compose_for_n(RATIONAL, 6, 20))
+COMP2 = from_bytes(compose_for_n(RATIONAL, 2, 20))
 
 
 def places_of(*ns):
@@ -397,14 +398,14 @@ def test_parse_rejects_bad_json():
 
 def test_parse_rejects_non_object():
     with pytest.raises(MalformedCertificate):
-        parse_certificate("[1, 2, 3]")
+        verify(parse_certificate("[1, 2, 3]"))
 
 
 def test_parse_rejects_missing_key():
     c = copy.deepcopy(CERT2)
     del c["t"]
     with pytest.raises(MalformedCertificate) as ei:
-        parse_certificate(json.dumps(c))
+        verify(parse_certificate(json.dumps(c)))
     assert "t" in str(ei.value)
 
 
@@ -412,21 +413,95 @@ def test_parse_rejects_wrong_schema_version():
     c = copy.deepcopy(CERT2)
     c["schema_version"] = 2
     with pytest.raises(MalformedCertificate):
-        parse_certificate(json.dumps(c))
+        verify(parse_certificate(json.dumps(c)))
 
 
 def test_parse_rejects_unknown_field_kind():
     c = copy.deepcopy(CERT2)
     c["field"] = {"kind": "real_quadratic", "disc": 5}
     with pytest.raises(MalformedCertificate):
-        parse_certificate(json.dumps(c))
+        verify(parse_certificate(json.dumps(c)))
 
 
 def test_parse_rejects_bad_table_row():
     c = copy.deepcopy(CERT2)
     c["table"][0]["prime"] = [2]
     with pytest.raises(MalformedCertificate):
-        parse_certificate(json.dumps(c))
+        verify(parse_certificate(json.dumps(c)))
+
+
+RC_MESSAGE = "ramified_component must be an index or null"
+
+
+def brauer(c):
+    return brauer_split_check(c, QuaternionAlgebra(-1, -1))
+
+
+# Rows that compare equal to good values (2.0 == 2, True == 1, and
+# (2.0, None) hashes like (2, None)) are rejected by type, and no prime
+# may have two rows.  Each fault sits in the row for 17, a piece's
+# conductor, so a walk to bound 10 stops before it.
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda row: {**row, "degree": 2.0}, "table degree must be a positive integer"),
+        (lambda row: {**row, "prime": [2.0, None]}, "table prime must be a [p, b] pair"),
+        (lambda row: {**row, "ramified_component": True}, RC_MESSAGE),
+        (lambda row: {k: v for k, v in row.items() if k != "ramified_component"}, RC_MESSAGE),
+        (lambda row: list(row.values()), "table rows must be objects"),
+        (lambda row: {**row, "prime": [2, None]}, "duplicate table row for prime [2, None]"),
+    ],
+    ids=["degree-float", "prime-float", "rc-true", "rc-missing", "non-object", "duplicate"],
+)
+@pytest.mark.parametrize(
+    "check",
+    [verify, lambda c: verify(c, 10), brauer],
+    ids=["walked", "past-bound", "brauer"],
+)
+def test_rows_equal_to_good_values_rejected(edit, message, check):
+    c = copy.deepcopy(CERT2)
+    assert c["table"][PIECE1_ROW]["prime"] == [17, None]
+    c["table"][PIECE1_ROW] = edit(c["table"][PIECE1_ROW])
+    with pytest.raises(MalformedCertificate) as ei:
+        check(parse_certificate(json.dumps(c)))
+    assert str(ei.value) == message
+
+
+@pytest.mark.parametrize("cert", [CERT2, COMP6], ids=["plain", "composite"])
+def test_bad_row_rejected_before_context_is_built(monkeypatch, cert):
+    def build_context(*args):
+        raise AssertionError("build_context ran before the table rows were read")
+
+    monkeypatch.setattr(verifier, "build_context", build_context)
+    c = copy.deepcopy(cert)
+    c.get("composite", c)["table"][-1]["degree"] = 2.0
+    with pytest.raises(MalformedCertificate, match="table degree"):
+        verify(c)
+
+
+def prime_refs(doc):
+    # one [p, b] per table row, class generator and deficiency
+    if "composite" in doc:
+        comp = doc["composite"]
+        return len(comp["table"]) + sum(prime_refs(sub) for sub in comp["components"])
+    return len(doc["table"]) + len(doc["class_data"]) + len(doc["deficiencies"])
+
+
+@pytest.mark.parametrize(
+    "cert, check",
+    [(CERTD, verify), (CERT23, verify), (COMP6, verify), (CERT2, brauer), (COMP2, brauer)],
+    ids=["deficient", "class-data", "composite", "brauer", "brauer-composite"],
+)
+def test_each_prime_ref_is_checked_once(monkeypatch, cert, check):
+    # parse_certificate only parses, so the document's rows are read
+    # once, by the check that consumes it
+    seen = []
+    checked = verifier._check_prime_ref
+    monkeypatch.setattr(
+        verifier, "_check_prime_ref", lambda v, what: seen.append(v) or checked(v, what)
+    )
+    check(parse_certificate(json.dumps(cert)))
+    assert len(seen) == prime_refs(cert)
 
 
 def test_verify_rejects_nonfundamental_disc():
@@ -471,7 +546,7 @@ def test_composite_rejects_degree_zero():
     c = copy.deepcopy(COMP6)
     c["composite"]["table"][0]["degree"] = 0
     with pytest.raises(MalformedCertificate):
-        parse_certificate(json.dumps(c))
+        verify(parse_certificate(json.dumps(c)))
 
 
 def test_composite_tampered_n():
@@ -608,8 +683,7 @@ def test_brauer_requires_exponent_two_rational():
 
 
 def test_brauer_accepts_composite_wrapper():
-    comp2 = from_bytes(compose_for_n(RATIONAL, 2, 20))
-    split, places = brauer_split_check(comp2, QuaternionAlgebra(-1, -1))
+    split, places = brauer_split_check(COMP2, QuaternionAlgebra(-1, -1))
     assert split is True
     assert places == [2, "inf"]
 
