@@ -2,8 +2,10 @@
 
 Elements of F_p are ints in [0, p); elements of F_{p^2} are pairs (a, b)
 standing for a + b*w where w*w = n0, a non-residue mod p that the caller
-names (quadfield names D mod p, so that w = sqrt(D)).  Roots are taken
-over F_p only, on plain ints (ell_root).  All functions are deterministic.
+names (quadfield names D mod p, so that w = sqrt(D)).  The one root taken
+is a square root over F_p, on plain ints (ell_root); the tests keep an
+ell-th root descent for any ell as its reference.  All functions are
+deterministic.
 """
 
 from __future__ import annotations
@@ -201,50 +203,53 @@ def order_exponent(x, ell: int, k_max: int, field: ResidueField) -> int:
 
 
 def ell_root(x: int, ell: int, p: int) -> int:
-    """One y in [0, p) with y^ell = x mod the odd prime p, for a prime
-    ell, by Tonelli-Shanks in the ell-Sylow subgroup (Cohen, GTM 138,
-    Alg. 1.5.1).
+    """One y in [0, p) with y^ell = x mod the odd prime p: the square
+    root at ell = 2, by Tonelli-Shanks (Cohen, GTM 138, Alg. 1.5.1), or
+    the unique root at an ell prime to p - 1.  An odd ell dividing p - 1
+    raises ValueError; no caller takes such a root.
 
     Deterministic, but callers must not depend on which root comes back.
-    Raises ValueError when ell divides p - 1 and x is not the ell-th
-    power of a unit mod p.
+    Raises ValueError when x is not the square of a unit mod p.
     """
     x %= p
     q = p - 1
     if q % ell:
         return pow(x, pow(ell, -1, q), p)
-    v, m = 0, q
-    while m % ell == 0:
-        m //= ell
-        v += 1
-    # y = x^e with ell*e = 1 mod m, so y^ell = x*t with t = x^(ell*e - 1)
-    # in the Sylow subgroup of order ell^v; each step below kills the
-    # top ell-adic digit of t, keeping y^ell = x*t, until t = 1
-    e = pow(ell, -1, m) if m > 1 else 1
-    h = pow(x, e - 1, p)
-    y = h * x % p
-    t = pow(y, ell - 1, p) * h % p
-    g = None
+    if ell != 2:
+        raise ValueError(f"no root at an odd ell = {ell} dividing p - 1")
+    if x == 0:
+        raise ValueError("0 is no square of a unit mod p")
+    # p - 1 = 2^v * m with m odd: y = x^((m+1)/2) has y^2 = x*t, t = x^m
+    # of order 2^i dividing 2^v, and x is a square iff i < v.  At p = 3
+    # mod 4, v = 1 and y = x^((p+1)/4) is the root iff t = 1
+    v = (q & -q).bit_length() - 1
+    m = q >> v
+    h = pow(x, m >> 1, p)
+    y = x * h % p
+    t = y * h % p
+    if t == 1:
+        return y
+    # a non-residue z: 2 at p = 5 mod 8, and at p = 1 mod 8 the least odd
+    # prime z with p mod z a non-residue mod z, by reciprocity.  No odd
+    # composite z passes first: were p mod z a residue mod each prime
+    # factor of z but -1 under Euler's criterion mod z, 2^(u+1) would
+    # divide each factor minus 1, u = v2(z - 1), and so z - 1.  At p = 3
+    # mod 4, where t = -1, the descent raises before it uses z
+    z = 2
+    if p & 7 == 1:
+        z = 3
+        while pow(p % z, z >> 1, z) != z - 1:
+            z += 2
+    c, k = pow(z, m, p), v  # c of order 2^k; t of order 2^i, i < k or x no square
     while t != 1:
-        # s = t^(ell^(i-1)) != 1 = s^ell for the least such i; on the first
-        # pass i < v iff x is an ell-th power, and each pass lowers i
-        s, i = t, 1
-        while i < v and (w := pow(s, ell, p)) != 1:
-            s, i = w, i + 1
-        if i == v:
-            raise ValueError("not an ell-th power mod p")
-        if g is None:
-            # g = z^m generates the Sylow subgroup for the least non-power
-            # z, and g^(ell^(v-1)) = z^(q/ell) is a primitive ell-th root of
-            # unity zeta; s = t^(ell^(i-1)) is zeta^d for one digit d
-            z = 2
-            while (zeta := pow(z, q // ell, p)) == 1:
-                z += 1
-            g = pow(z, m, p)
-            digits = {pow(zeta, d, p): d for d in range(1, ell)}
-        # b = g^(ell^(v-i-1)) has b^(ell^i) = zeta, so t*c^ell with c =
-        # b^(ell-d) has (t*c^ell)^(ell^(i-1)) = s*zeta^(-d) = 1
-        b = pow(g, ell ** (v - i - 1) * (ell - digits[s]), p)
-        y = y * b % p
-        t = t * pow(b, ell, p) % p
+        s, i = t * t % p, 1
+        while s != 1:
+            s, i = s * s % p, i + 1
+        if i == k:
+            raise ValueError("not a square mod p")
+        # b = c^(2^(k-i-1)) has order 2^(i+1), so t*b^2 has order below 2^i
+        for _ in range(k - i - 1):
+            c = c * c % p
+        k, y, c = i, y * c % p, c * c % p
+        t = t * c % p
     return y

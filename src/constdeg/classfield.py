@@ -28,7 +28,10 @@ Conventions:
   * at a conductor in S that order divides l^r, and one that does not is
     an InternalInconsistency; over K, arith.order_exponent reads it off
     x.  The conductor is totally ramified in its piece, and over K no
-    Frobenius order is asked for it.
+    Frobenius order is asked for it;
+  * x is a plain int at a split conductor, (a + b*sqrt(D))/2 read as
+    (a + b*P.b)/2 mod p and raised by one builtin pow, and a pair of
+    F_p(sqrt(D)) at an inert one, where the residue field takes it.
 
 Each conductor is the first prime of S that answers the greedy step's
 one question; search_prime states it and asks it.  It walks the norm
@@ -231,9 +234,13 @@ def _target_generator(ctx, q: PrimeIdeal):
 def generator_image(ctx, eps: PrimeIdeal, gamma):
     """Over K, the residue x = gamma^((N(eps)-1)/l^(r+t)) at eps of a
     generator gamma of q^(m * l^t), q a target other than eps; at a
-    conductor eps in S its order is the Frobenius order of q in the piece."""
-    g = reduce_mod(ctx.field, gamma, eps)
-    return local_field(ctx.field, eps).pow(g, (eps.norm - 1) // ctx.ell ** (ctx.r + ctx.t))
+    conductor eps in S its order is the Frobenius order of q in the piece.
+    At a split eps, x is a plain int, read with sqrt(D) = eps.b as in reduce_mod."""
+    e = (eps.norm - 1) // ctx.ell ** (ctx.r + ctx.t)
+    if eps.kind == "inert":
+        return local_field(ctx.field, eps).pow(reduce_mod(ctx.field, gamma, eps), e)
+    x, y = gamma
+    return pow((x + y * eps.b) * ((eps.p + 1) >> 1), e, eps.p)
 
 
 def frobenius_image(ctx, eps: PrimeIdeal, q: PrimeIdeal):

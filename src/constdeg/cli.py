@@ -54,11 +54,16 @@ def _parse_field(spec: str):
 
 
 def _read_file(path: str) -> str:
+    """The document's text; bytes that are not UTF-8 make it malformed."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
+        with open(path, "rb") as fh:
+            data = fh.read()
     except OSError as exc:
         raise UsageError(str(exc)) from None
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise MalformedCertificate(f"not UTF-8: {exc}") from None
 
 
 def _field_name(fj) -> str:

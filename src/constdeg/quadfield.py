@@ -222,11 +222,13 @@ def split_primes(d: int, p: int):
     """The two primes above a rational prime p that splits in Q(sqrt d),
     by ascending root b: sqrt(d) = b mod P, with b = d mod 2 and 0 <= b < 2p."""
     if p == 2:
-        roots = [1, 3]
-    else:
-        r = ell_root(d, 2, p)
-        roots = sorted(r0 if (r0 - d) % 2 == 0 else r0 + p for r0 in (r, p - r))
-    return [PrimeIdeal(p, "split", b, 1) for b in roots]
+        return [PrimeIdeal(2, "split", 1, 1), PrimeIdeal(2, "split", 3, 1)]
+    # r and 2p - r are the two roots of d's parity, and 0 < r < 2p
+    r = ell_root(d, 2, p)
+    if (r - d) & 1:
+        r += p
+    lo, hi = (r, 2 * p - r) if r < p else (2 * p - r, r)
+    return [PrimeIdeal(p, "split", lo, 1), PrimeIdeal(p, "split", hi, 1)]
 
 
 def prime_module(field, P: PrimeIdeal) -> QuadIdeal:

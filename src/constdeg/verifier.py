@@ -237,7 +237,7 @@ def parse_certificate(text: str) -> dict:
     """Parse a certificate document; verify and brauer_split_check check its structure."""
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad syntax, an over-long int, deep nesting
         raise MalformedCertificate(f"not valid JSON: {exc}") from None
 
 

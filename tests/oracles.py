@@ -11,8 +11,9 @@ None of this runs in the package itself:
   * field_elements, field_inv and field_root: the elements other than
     0 and 1 in a fixed order, the inverse x^(Q-2), and one ell-th root
     by Adleman-Manders-Miller descent, over F_p and F_{p^2} alike;
-    alpha_roots takes roots over F_{p^2}, which arith.ell_root (plain
-    ints, F_p only) does not take;
+    alpha_roots takes roots over F_{p^2}, and the arith tests take
+    ell-th roots over F_p at an odd ell dividing p - 1, neither of which
+    arith.ell_root (square roots on plain ints) takes;
   * ideal_from_columns, the 2-column Hermite normal form (HNF) of the
     Z-module that some elements span, as a content and a primitive
     module, on its own extended gcd: the reference for

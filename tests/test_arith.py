@@ -307,14 +307,25 @@ def ell_powers(ell, p):
     return {pow(y, ell, p) for y in range(1, p)}
 
 
+def root(x, ell, p):
+    """ell_root at ell = 2 or at an ell prime to p - 1, where the package
+    takes roots; the oracle's descent, its reference, at an odd ell
+    dividing p - 1, where ell_root raises."""
+    if ell == 2 or (p - 1) % ell:
+        return ell_root(x, ell, p)
+    return field_root(x % p, ell, residue_field(p))
+
+
 def test_ell_root_examples():
-    y = ell_root(1, 3, 7)
+    y = root(1, 3, 7)
     assert pow(y, 3, 7) == 1
     assert ell_root(2, 2, 7) in (3, 4)
     assert ell_root(9, 2, 7) in (3, 4)  # x is taken mod p
-    assert ell_root(6, 3, 7) in (3, 5, 6)
+    assert root(6, 3, 7) in (3, 5, 6)
     with pytest.raises(ValueError):
         ell_root(5, 2, 7)
+    with pytest.raises(ValueError, match="odd ell"):
+        ell_root(6, 3, 7)  # 3 divides 7 - 1
 
 
 def test_ell_root_rejects_nonpower():
@@ -329,14 +340,23 @@ def test_ell_root_rejects_nonpower():
                 for x in range(1, p):
                     if x not in powers:
                         with pytest.raises(ValueError):
-                            ell_root(x, ell, p)
+                            root(x, ell, p)
+
+
+def test_ell_root_rejects_zero_at_every_odd_prime():
+    # at p = 3 mod 4, x^((p+1)/4) = 0 squares back to x = 0
+    for p in ODD_PRIMES:
+        with pytest.raises(ValueError, match="unit"):
+            ell_root(0, 2, p)
+        with pytest.raises(ValueError, match="unit"):
+            ell_root(p, 2, p)
 
 
 def test_ell_root_inverts_powering_exhaustive():
     for p in ODD_PRIMES:
         for ell in (2, 3, 5):
             for x in ell_powers(ell, p):
-                y = ell_root(x, ell, p)
+                y = root(x, ell, p)
                 assert 0 <= y < p and pow(y, ell, p) == x, (x, ell, p)
 
 
@@ -361,9 +381,9 @@ def test_ell_root_deep_sylow():
         g = next(g for g in range(2, p) if all(pow(g, (p - 1) // q, p) != 1 for q, _ in factor(p - 1)))
         for k in range(0, p - 1, max(1, (p - 1) // 3000)):
             x = pow(g, ell * k, p)
-            assert pow(ell_root(x, ell, p), ell, p) == x
+            assert pow(root(x, ell, p), ell, p) == x
             with pytest.raises(ValueError):
-                ell_root(x * g % p, ell, p)
+                root(x * g % p, ell, p)
 
 
 def test_ell_root_deterministic():
@@ -372,7 +392,20 @@ def test_ell_root_deterministic():
     for p in ODD_PRIMES:  # other moduli in between change nothing
         ell_root(1, 2, p)
     assert [ell_root(x, 2, 65537) for x in reversed(squares)] == first[::-1]
-    assert ell_root(6, 3, 7) == ell_root(6, 3, 7)
+    assert ell_root(6, 5, 7) == ell_root(6, 5, 7)
+
+
+def test_ell_root_nonresidue_is_the_least():
+    # at p = 1 mod 8 the descent's non-residue is the least odd z whose
+    # Euler symbol of p mod z is -1; that z is prime and, by reciprocity,
+    # the least non-residue mod p
+    checked = 0
+    for p in small_primes(100000):
+        if p % 8 == 1:
+            z = next(z for z in range(3, p, 2) if pow(p % z, z // 2, z) == z - 1)
+            assert z == least_nonresidue(p), p
+            checked += 1
+    assert checked > 2000
 
 
 @pytest.mark.parametrize("p,f", [(7, 1), (73, 1), (5, 2), (7, 2), (11, 2)])

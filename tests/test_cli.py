@@ -91,6 +91,23 @@ def test_verify_garbage_file(tmp_path, capsys):
     assert "verification failure" in capsys.readouterr().err
 
 
+HOSTILE_DOCUMENTS = {
+    "long_int.json": b'{"schema_version": ' + b"9" * 5000 + b"}",  # past json's 4300 digits
+    "deep.json": b"[" * 100_000,
+    "latin1.json": '{"field": "\u00e9"}'.encode("latin-1"),  # not UTF-8
+}
+
+
+@pytest.mark.parametrize("name", sorted(HOSTILE_DOCUMENTS))
+def test_hostile_json_text_exits_2(tmp_path, capsys, name):
+    path = tmp_path / name
+    path.write_bytes(HOSTILE_DOCUMENTS[name])
+    for argv in (["verify", str(path)], ["brauer-split", str(path), "--a", "-1", "--b", "-1"]):
+        assert run(argv) == 2, (name, argv)
+        err = capsys.readouterr().err
+        assert err.startswith("verification failure:") and "Traceback" not in err
+
+
 def test_composite_construct_and_verify(tmp_path, capsys):
     path = construct(tmp_path, "c6.json", "--field", "q", "--n", "6", "--bound", "20")
     out = capsys.readouterr().out

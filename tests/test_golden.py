@@ -1,10 +1,12 @@
 """Golden certificates and seeded mutants of them.
 
-tests/fixtures holds certificate_json output of five jobs: Q n=2 B=100
+tests/fixtures holds certificate_json output of six jobs: Q n=2 B=100
 (conductors 17 and 89 ramify in table rows), Q n=6 B=20 (a composite),
 K(-8) n=2 B=200 (deficient at the prime above 2), K(-23) n=4 B=50
 (three pieces, where the prime-to-2 part of the class number, 3, is
-the exponent of every target generator) and K(-56) n=4 B=200 (inert
+the exponent of every target generator), K(-23) n=8 B=50 (conductors
+11617 and 493793, where 2^5 exactly divides N - 1, the deepest square
+root descent the search reaches) and K(-56) n=4 B=200 (inert
 conductors 17 and 223, where D mod p is not the least non-residue, so
 the residue field's basis sqrt(D) is not the least one).  Construct must
 reproduce them byte for byte, so certificates cannot change unnoticed,
@@ -43,6 +45,7 @@ GOLDEN = {
     "q_n6_b20.json": lambda: compose_for_n(RATIONAL, 6, 20),
     "k-8_n2_b200.json": lambda: construct(quadratic_field(-8), 2, 1, 200),
     "k-23_n4_b50.json": lambda: construct(quadratic_field(-23), 2, 2, 50),
+    "k-23_n8_b50.json": lambda: construct(quadratic_field(-23), 2, 3, 50),
     "k-56_n4_b200.json": lambda: construct(quadratic_field(-56), 2, 2, 200),
 }
 
@@ -72,6 +75,12 @@ def test_golden_verify():
     assert [piece["p"] for piece in k23["pieces"]] == [4721, 12497, 74017]
     rep = verify(k23)
     assert (len(rep.primes), rep.degree, rep.real_place) == (17, 4, None)
+    k23n8 = parse_certificate(fixture_text("k-23_n8_b50.json"))
+    pieces = [piece["p"] for piece in k23n8["pieces"]]
+    assert pieces == [11617, 493793]
+    assert [(p - 1) & (1 - p) for p in pieces] == [32, 32]
+    rep = verify(k23n8)
+    assert (len(rep.primes), rep.degree, rep.real_place) == (17, 8, None)
     k56 = parse_certificate(fixture_text("k-56_n4_b200.json"))
     pieces = [(piece["p"], piece["b"]) for piece in k56["pieces"]]
     assert pieces == [(17, None), (148513, 102550), (223, None)]
@@ -163,8 +172,10 @@ def row_mutants(doc):
 
 
 def test_mutants_fail_cleanly_or_verify_the_same():
-    # K(-56) draws its mutants from its own stream, so the other four keep theirs
-    rng, own = random.Random(13), {"k-56_n4_b200.json": random.Random(56)}
+    # K(-56) and K(-23) n=8 draw their mutants from their own streams, so
+    # the other four keep theirs
+    rng = random.Random(13)
+    own = {"k-56_n4_b200.json": random.Random(56), "k-23_n8_b50.json": random.Random(8)}
     start = time.perf_counter()
     outcomes = {}
     for name in sorted(GOLDEN):

@@ -6,7 +6,7 @@ from math import isqrt
 import pytest
 
 from constdeg import quadfield
-from constdeg.arith import factor, legendre, power_residue_level, small_primes
+from constdeg.arith import factor, is_prime, legendre, power_residue_level, small_primes
 from constdeg.classfield import build_context
 from constdeg.quadfield import (
     DISC_LIMIT,
@@ -36,6 +36,7 @@ from constdeg.quadfield import (
     quadratic_field,
     reduce_form,
     reduce_mod,
+    split_primes,
     unit_generators,
     unit_ideal,
 )
@@ -189,6 +190,31 @@ def test_prime_roots_do_not_depend_on_the_square_root():
                 assert reduce_mod(field, (0, 2), primes[0]) == (0, 1), (d, p)
             checked += 1
     assert checked > 600
+
+
+def test_split_roots_at_search_scale():
+    # the first 20 primes p = 1 mod 2^k above 10^6, k = 4..16, whose
+    # 2-Sylow subgroups have order 2^k or more; roots_by_scan stops at 400
+    checked = 0
+    for k in range(4, 17):
+        primes = []
+        p = 10**6 - 10**6 % 2**k + 1
+        while len(primes) < 20:
+            p += 2**k
+            if is_prime(p):
+                primes.append(p)
+        assert primes[-1] < 10**9
+        for d, p in product((-23, -8, -56, -3, -4), primes):
+            if kronecker_disc(d, p) != 1:
+                with pytest.raises(ValueError):
+                    split_primes(d, p)
+                continue
+            roots = [P.b for P in split_primes(d, p)]
+            assert len(roots) == 2 and roots[0] < roots[1] < 2 * p, (d, p)
+            for b in roots:
+                assert (b - d) % 2 == 0 and (b * b - d) % (4 * p) == 0, (d, p)
+            checked += 1
+    assert checked > 500
 
 
 def test_ramified_root_is_constant_time():

@@ -396,6 +396,13 @@ def test_parse_rejects_bad_json():
         parse_certificate("not json at all")
 
 
+@pytest.mark.parametrize("text", ['{"r": ' + "9" * 5000 + "}", "[" * 100_000])
+def test_parse_rejects_text_json_refuses(text):
+    # json.loads raises ValueError past 4300 digits, RecursionError deep down
+    with pytest.raises(MalformedCertificate, match="not valid JSON"):
+        parse_certificate(text)
+
+
 def test_parse_rejects_non_object():
     with pytest.raises(MalformedCertificate):
         verify(parse_certificate("[1, 2, 3]"))
