@@ -89,28 +89,18 @@ def elt_mul(field, u, v):
     return ((x1 * x2 + y1 * y2 * d) // 2, (x1 * y2 + x2 * y1) // 2)
 
 
-def elt_neg(u):
-    return (-u[0], -u[1])
-
-
 def elt_norm(field, u):
     x, y = u
     return (x * x - field.disc * y * y) // 4
 
 
 def torsion_units(field):
-    """All roots of unity, as elements."""
-    one = integer_elt(1)
-    if field.kind == "imag_quadratic" and field.disc == -4:
-        i = (0, 1)
-        return [one, i, elt_neg(one), elt_neg(i)]
-    if field.kind == "imag_quadratic" and field.disc == -3:
-        units = [one]
-        z = (1, 1)
-        for _ in range(5):
-            units.append(elt_mul(field, units[-1], z))
-        return units
-    return [one, elt_neg(one)]
+    """All roots of unity, as the powers of the unit generator."""
+    (z,) = unit_generators(field)
+    units = [integer_elt(1)]
+    while (u := elt_mul(field, units[-1], z)) != units[0]:
+        units.append(u)
+    return units
 
 
 def unit_generators(field):
@@ -379,26 +369,25 @@ def class_group_l_part(field, ell: int, exclusion) -> ClassGroupLPart:
     sylow, coprime = (image, kernel) if e == m_coprime else (kernel, image)
     assert len(sylow) == sylow_order
 
-    # greedy basis of the l-Sylow subgroup: repeatedly take the smallest
-    # element of maximal order whose full order survives in the quotient;
-    # table maps each element of the span so far to its exponent vector
+    # greedy basis of the l-Sylow subgroup: each step takes the smallest
+    # g of largest order l^m whose power s(g) = g^(l^(m-1)), of order l,
+    # lies outside the span H so far.  That is the smallest element of
+    # largest order whose full order survives in the quotient by H, as a
+    # power g^(l^j) in H with j < m would put its power s(g) in H.  One
+    # walk of each element's l-powers gives m and s(g); the identity is
+    # its own s and never leaves H.  table maps H to exponent vectors
+    order, socle = {}, {}
+    for g in sylow:
+        x, m, s = g, 0, g
+        while x != ident:
+            s, x, m = x, form_pow(x, ell), m + 1
+        order[g], socle[g] = m, s
+    ranked = sorted(sylow, key=order.get, reverse=True)  # stable
     basis, exps = [], []
     table = {ident: ()}
     while len(table) < sylow_order:
-        best = None
-        for g in sylow:
-            if g in table:
-                continue
-            x, true_m = g, 0
-            while x != ident:
-                x, true_m = form_pow(x, ell), true_m + 1
-            x, quot_m = g, 0
-            while x not in table:
-                x, quot_m = form_pow(x, ell), quot_m + 1
-            if true_m == quot_m and (best is None or quot_m > best[0]):
-                best = (quot_m, g)
-        assert best is not None  # abelian group theory guarantees a pick
-        m, g = best
+        g = next(g for g in ranked if socle[g] not in table)
+        m = order[g]
         basis.append(g)
         exps.append(m)
         old_len, span = len(table), {}

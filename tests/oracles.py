@@ -33,6 +33,12 @@ None of this runs in the package itself:
   * reduced_forms_by_a: the reduced forms of disc D found by scanning
     every b in (-a, a] for each a, the reference for
     quadfield.enumerate_class_group;
+  * sylow_forms and greedy_basis: the l-Sylow forms, those whose order
+    divides the l-part of h, and the greedy basis loop that
+    quadfield.class_group_l_part once ran, which measures each
+    candidate's order and its order modulo the span at every step, the
+    reference for that function's one walk per element;
+  * elt_neg: the negative of an element;
   * roots_by_scan: the roots b of x^2 = D mod 4p found by scanning
     every b < 2p, the reference for the split and ramified cases of
     quadfield.factor_rational_prime.
@@ -57,12 +63,16 @@ from constdeg.quadfield import (
     PrimeIdeal,
     QuadIdeal,
     class_dlog,
+    compose_forms,
     elt_mul,
+    form_disc,
+    form_pow,
     ideal_mul,
     ideal_pow,
     integer_elt,
     local_field,
     prime_module,
+    principal_form,
     principal_generator,
     reduce_mod,
 )
@@ -332,6 +342,59 @@ def reduced_forms_by_a(field):
                 continue
             forms.append((a, b, c))
     return forms, len(forms)
+
+
+def sylow_forms(field, ell: int) -> list:
+    """The reduced forms whose order divides the l-part of h, sorted."""
+    forms, h = reduced_forms_by_a(field)
+    part = 1
+    while h % (part * ell) == 0:
+        part *= ell
+    ident = principal_form(field.disc)
+    return sorted(f for f in forms if form_pow(f, part) == ident)
+
+
+def greedy_basis(sylow, ell: int):
+    """(basis, exps) of the sorted l-Sylow forms by the greedy rule:
+    repeatedly take the smallest element of maximal order whose full
+    order survives in the quotient by the span so far."""
+    ident = principal_form(form_disc(sylow[0]))
+    sylow_order = len(sylow)
+    # table maps each element of the span so far to its exponent vector
+    basis, exps = [], []
+    table = {ident: ()}
+    while len(table) < sylow_order:
+        best = None
+        for g in sylow:
+            if g in table:
+                continue
+            x, true_m = g, 0
+            while x != ident:
+                x, true_m = form_pow(x, ell), true_m + 1
+            x, quot_m = g, 0
+            while x not in table:
+                x, quot_m = form_pow(x, ell), quot_m + 1
+            if true_m == quot_m and (best is None or quot_m > best[0]):
+                best = (quot_m, g)
+        assert best is not None  # abelian group theory guarantees a pick
+        m, g = best
+        basis.append(g)
+        exps.append(m)
+        old_len, span = len(table), {}
+        for x, vec in table.items():
+            for k in range(ell**m):
+                span[x] = vec + (k,)
+                x = compose_forms(x, g)
+        table = span
+        assert len(table) == old_len * ell**m, "basis relation found"
+    return tuple(basis), tuple(exps)
+
+
+# -------------------------------------------------------------- elements
+
+
+def elt_neg(u):
+    return (-u[0], -u[1])
 
 
 # ---------------------------------------------------------- prime roots

@@ -24,7 +24,6 @@ from constdeg.quadfield import (
     RATIONAL,
     compose_forms,
     elt_mul,
-    elt_neg,
     enumerate_class_group,
     local_field,
     principal_form,
@@ -41,6 +40,7 @@ from constdeg.verifier import (
 )
 from oracles import (
     alpha_roots,
+    elt_neg,
     kprime,
     kummer_generator,
     kummer_split_test,

@@ -37,7 +37,6 @@ from constdeg.quadfield import (
     RATIONAL,
     NotPrincipal,
     PrimeIdeal,
-    elt_neg,
     factor_rational_prime,
     ideal_mul,
     ideal_pow,
@@ -51,6 +50,7 @@ from constdeg.quadfield import (
 )
 from oracles import (
     alpha_roots,
+    elt_neg,
     conjugate_prime,
     embed,
     field_elements,

@@ -1,6 +1,7 @@
 import argparse
 import json
 import os
+import random
 import re
 import shutil
 import subprocess
@@ -14,6 +15,7 @@ import pytest
 from constdeg.cli import _build_parser, run
 
 ROOT = Path(__file__).resolve().parents[1]
+FIXTURES = ROOT / "tests" / "fixtures"
 
 
 def construct(tmp_path, name, *extra):
@@ -106,6 +108,93 @@ def test_hostile_json_text_exits_2(tmp_path, capsys, name):
         assert run(argv) == 2, (name, argv)
         err = capsys.readouterr().err
         assert err.startswith("verification failure:") and "Traceback" not in err
+
+
+def test_repeated_key_keeps_its_last_value(tmp_path, capsys):
+    # json.loads keeps the last of repeated object keys, and so does verify
+    text = (FIXTURES / "q_n2_b100.json").read_text(encoding="utf-8")
+    assert text.count('\n  "r": 1,\n') == 1
+    path = tmp_path / "twice.json"
+    for first, last, code in ((3, 1, 0), (1, 3, 2)):
+        path.write_text(text.replace('\n  "r": 1,\n', f'\n  "r": {first},\n  "r": {last},\n'))
+        assert run(["verify", str(path)]) == code, (first, last)
+        captured = capsys.readouterr()
+        if code:
+            assert captured.err.startswith("verification failure:")
+        else:
+            assert "verdict pass" in captured.out
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e400"])
+def test_non_finite_number_in_place_of_an_integer_exits_2(tmp_path, capsys, literal):
+    text = (FIXTURES / "q_n2_b100.json").read_text(encoding="utf-8")
+    path = tmp_path / "nonfinite.json"
+    for key in ("r", "bound"):
+        path.write_text(re.sub(rf'\n  "{key}": \d+,\n', f'\n  "{key}": {literal},\n', text))
+        assert run(["verify", str(path)]) == 2, key
+        assert capsys.readouterr().err.startswith("verification failure:"), key
+
+
+FUZZ_FIXTURES = (
+    "k-23_n4_b50.json",
+    "k-23_n8_b50.json",
+    "k-56_n4_b200.json",
+    "k-8_n2_b200.json",
+    "q_n2_b100.json",
+    "q_n6_b20.json",
+)
+NOT_N2_OVER_Q = "error: splitting check needs an n = 2 certificate over the rationals\n"
+
+
+def byte_mutants(data: bytes, rng, count):
+    """count copies of data, each with one span truncated away, spliced
+    in from elsewhere, repeated or deleted, a run of '[' inserted, one
+    number written as a long digit string, bytes that are not UTF-8
+    inserted, or a byte-order mark prepended."""
+    numbers = [m.span() for m in re.finditer(rb"\d+", data)]
+    for _ in range(count):
+        i, j = sorted(rng.randrange(len(data) + 1) for _ in range(2))
+        kind = rng.randrange(8)
+        if kind == 0:
+            yield data[:i]
+        elif kind == 1:
+            k = rng.randrange(len(data))
+            yield data[:i] + data[k : k + j - i] + data[j:]
+        elif kind == 2:
+            yield data[:j] + data[i:j] + data[j:]
+        elif kind == 3:
+            yield data[:i] + data[j:]
+        elif kind == 4:
+            yield data[:i] + b"[" * rng.choice((50, 1000, 100_000)) + data[i:]
+        elif kind == 5:
+            i, j = rng.choice(numbers)
+            yield data[:i] + b"9" * rng.choice((20, 40, 400, 5000)) + data[j:]
+        elif kind == 6:
+            yield data[:i] + rng.choice((b"\xff", b"\xc3\x28", b"\xed\xa0\x80", b"\x80")) + data[i:]
+        else:
+            yield b"\xef\xbb\xbf" + data
+
+
+def test_byte_mutants_of_the_golden_fixtures_map_to_exit_codes(tmp_path, capsys):
+    # no exception escapes run, whatever the bytes: verify passes or
+    # fails, and brauer-split also refuses, as a usage error, any
+    # document that still reads as a certificate not of n = 2 over Q
+    rng = random.Random(27)
+    path = tmp_path / "mutant.json"
+    start = time.perf_counter()
+    codes = {}
+    for name in FUZZ_FIXTURES:
+        for data in byte_mutants((FIXTURES / name).read_bytes(), rng, 40):
+            path.write_bytes(data)
+            code = run(["verify", str(path)])
+            err = capsys.readouterr().err
+            assert code in (0, 2), (name, data[:200], err)
+            code = run(["brauer-split", str(path), "--a", "-1", "--b", "-1"])
+            err = capsys.readouterr().err
+            assert code in (0, 2) or (code, err) == (1, NOT_N2_OVER_Q), (name, data[:200], err)
+            codes[code] = codes.get(code, 0) + 1
+    assert time.perf_counter() - start < 5.0
+    assert set(codes) == {0, 1, 2}
 
 
 def test_composite_construct_and_verify(tmp_path, capsys):
@@ -327,6 +416,16 @@ def test_brauer_split_subcommand(tmp_path, capsys):
 
     assert run(["brauer-split", str(path), "--a", "-1", "--b", "103"]) == 1
     assert "beyond the certificate bound" in capsys.readouterr().err
+
+
+def test_brauer_split_usage_errors(capsys):
+    # a certificate that is not n = 2 over Q, and a zero a or b, exit 1
+    for name in ("k-8_n2_b200.json", "k-23_n4_b50.json", "q_n6_b20.json"):
+        assert run(["brauer-split", str(FIXTURES / name), "--a", "-1", "--b", "-1"]) == 1
+        assert capsys.readouterr().err == NOT_N2_OVER_Q, name
+    for a, b in (("0", "-1"), ("-1", "0")):
+        assert run(["brauer-split", str(FIXTURES / "q_n2_b100.json"), "--a", a, "--b", b]) == 1
+        assert "must be nonzero" in capsys.readouterr().err
 
 
 def test_usage_errors(capsys):

@@ -1,6 +1,6 @@
 """Golden certificates and seeded mutants of them.
 
-tests/fixtures holds certificate_json output of six jobs: Q n=2 B=100
+tests/fixtures holds certificate_json output of seven jobs: Q n=2 B=100
 (conductors 17 and 89 ramify in table rows), Q n=6 B=20 (a composite),
 K(-8) n=2 B=200 (deficient at the prime above 2), K(-23) n=4 B=50
 (three pieces, where the prime-to-2 part of the class number, 3, is
@@ -8,9 +8,11 @@ the exponent of every target generator), K(-23) n=8 B=50 (conductors
 11617 and 493793, where 2^5 exactly divides N - 1, the deepest square
 root descent the search reaches) and K(-56) n=4 B=200 (inert
 conductors 17 and 223, where D mod p is not the least non-residue, so
-the residue field's basis sqrt(D) is not the least one).  Construct must
-reproduce them byte for byte, so certificates cannot change unnoticed,
-and each must verify.  Every mutant of them must either fail
+the residue field's basis sqrt(D) is not the least one) and K(-9999935)
+n=2 B=30 (a class basis of orders 16, 2 and 2, the greedy rule's pick
+among mixed orders).  Construct must reproduce them byte for byte, so
+certificates cannot change unnoticed, and each must verify.  Every
+mutant of the first six must either fail
 verification with MalformedCertificate or MismatchFound or verify to the
 same report; any other exception is a verifier bug.  certificate_json
 must write every mutant exactly as json.dumps(..., indent=2) does,
@@ -47,7 +49,11 @@ GOLDEN = {
     "k-23_n4_b50.json": lambda: construct(quadratic_field(-23), 2, 2, 50),
     "k-23_n8_b50.json": lambda: construct(quadratic_field(-23), 2, 3, 50),
     "k-56_n4_b200.json": lambda: construct(quadratic_field(-56), 2, 2, 200),
+    "k-9999935_n2_b30.json": lambda: construct(quadratic_field(-9999935), 2, 1, 30),
 }
+
+# each mutant of these rebuilds a class group of about 0.5 s
+SLOW = {"k-9999935_n2_b30.json"}
 
 
 def fixture_text(name):
@@ -87,6 +93,11 @@ def test_golden_verify():
     assert [(least_nonresidue(p), -56 % p) for p in (17, 223)] == [(3, 12), (3, 167)]
     rep = verify(k56)
     assert (len(rep.primes), rep.degree, rep.real_place) == (47, 4, None)
+    k9999935 = parse_certificate(fixture_text("k-9999935_n2_b30.json"))
+    assert [g["order"] for g in k9999935["class_data"]] == [16, 2, 2]
+    assert [g["gen_ideal"][0] for g in k9999935["class_data"]] == [59083, 2002867, 125107]
+    rep = verify(k9999935)
+    assert (len(rep.primes), rep.degree, rep.real_place) == (10, 2, None)
 
 
 # ---------------------------------------------------------------- mutants
@@ -178,7 +189,7 @@ def test_mutants_fail_cleanly_or_verify_the_same():
     own = {"k-56_n4_b200.json": random.Random(56), "k-23_n8_b50.json": random.Random(8)}
     start = time.perf_counter()
     outcomes = {}
-    for name in sorted(GOLDEN):
+    for name in sorted(GOLDEN.keys() - SLOW):
         doc = json.loads(fixture_text(name))
         want = verify(doc)
         for m in [*mutants(doc, own.get(name, rng), 100), *row_mutants(doc)]:

@@ -37,12 +37,14 @@ from constdeg.quadfield import (
     reduce_form,
     reduce_mod,
     split_primes,
+    torsion_units,
     unit_generators,
     unit_ideal,
 )
 from oracles import (
     conjugate_prime,
     embed,
+    greedy_basis,
     ideal_contains,
     ideal_product,
     old_basis,
@@ -50,6 +52,7 @@ from oracles import (
     principal_ideal,
     roots_by_scan,
     reduced_forms_by_a,
+    sylow_forms,
     to_old_basis,
 )
 
@@ -130,6 +133,25 @@ def test_unit_generators():
     z3 = elt_mul(k3, z, elt_mul(k3, z, z))
     assert z3 == integer_elt(-1)
     assert elt_mul(k3, z3, z3) == integer_elt(1)
+
+
+@pytest.mark.parametrize(
+    "field,units",
+    [
+        (quadratic_field(-3), {(2, 0), (1, 1), (-1, 1), (-2, 0), (-1, -1), (1, -1)}),
+        (quadratic_field(-4), {(2, 0), (0, 1), (-2, 0), (0, -1)}),
+        (K23, {(2, 0), (-2, 0)}),
+        (RATIONAL, {(2, 0), (-2, 0)}),
+    ],
+    ids=["-3", "-4", "-23", "Q"],
+)
+def test_torsion_units(field, units):
+    # 1, i, -1, -i at D = -4; the six powers of (1 + sqrt(-3))/2 at
+    # D = -3; 1 and -1 elsewhere, written out apart from the generator
+    got = torsion_units(field)
+    assert len(got) == len(units) and set(got) == units
+    assert all(elt_norm(field, u) == 1 for u in got)
+    assert {elt_mul(field, u, v) for u in got for v in got} == units
 
 
 # ---------------------------------------------------------------- primes
@@ -515,6 +537,29 @@ def test_class_group_l_part_rank_two():
             principal_generator(
                 field, ideal_pow(field, prime_module(field, P), 3 ** (m - 1))
             )
+
+
+def test_class_group_basis_matches_the_greedy_reference():
+    # the one walk per element against the loop that measured each
+    # candidate's order and its order modulo the span at every step, at
+    # every fundamental D in [-6000, -3] whose l-part has two or more
+    # basis elements (598 pairs; l = 5 has none in this range)
+    start = time.perf_counter()
+    checked = {2: 0, 3: 0, 5: 0}
+    for d in fundamental_discs(6000):
+        field = quadratic_field(d)
+        h = enumerate_class_group(field)[1]
+        for ell in (2, 3, 5):
+            if h % ell**2:
+                continue
+            basis, exps = greedy_basis(sylow_forms(field, ell), ell)
+            if len(basis) < 2:
+                continue
+            part = class_group_l_part(field, ell, {p for p, _ in factor(-2 * ell * d)})
+            assert (basis_forms_of(field, part), part.exps) == (basis, exps), (d, ell)
+            checked[ell] += 1
+    assert checked == {2: 594, 3: 4, 5: 0}
+    assert time.perf_counter() - start < 3.0
 
 
 def basis_forms_of(field, part):
