@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import random
 from functools import lru_cache
+from itertools import compress
 
 # Jaeschke / Sorenson-Webster witness set, complete below 3.3 * 10^24,
 # comfortably covering the 64-bit input range we promise.
@@ -55,12 +56,13 @@ def is_prime(m: int) -> bool:
 
 @lru_cache(maxsize=8)
 def small_primes(limit: int = 100000) -> tuple:
+    """The primes below limit, ascending."""
     sieve = bytearray([1]) * limit
-    sieve[0:2] = b"\x00\x00"
-    for i in range(2, math.isqrt(limit - 1) + 1):
+    sieve[:2] = bytes(min(limit, 2))
+    for i in range(2, math.isqrt(limit) + 1):
         if sieve[i]:
-            sieve[i * i :: i] = bytearray(len(range(i * i, limit, i)))
-    return tuple(i for i in range(limit) if sieve[i])
+            sieve[i * i :: i] = bytes(len(range(i * i, limit, i)))
+    return tuple(compress(range(limit), sieve))
 
 
 def _brent_rho(n: int, rng: random.Random) -> int:

@@ -30,8 +30,10 @@ Conventions:
     x.  The conductor is totally ramified in its piece, and over K no
     Frobenius order is asked for it;
   * x is a plain int at a split conductor, (a + b*sqrt(D))/2 read as
-    (a + b*P.b)/2 mod p and raised by one builtin pow, and a pair of
-    F_p(sqrt(D)) at an inert one, where the residue field takes it.
+    (a + b*P.b)/2 mod p and raised by one builtin pow (split_image, a
+    function of p and the root, which the search also calls on its
+    candidates), and a pair of F_p(sqrt(D)) at an inert one, where the
+    residue field takes it.
 
 Each conductor is the first prime of S that answers the greedy step's
 one question; search_prime states it and asks it.  It walks the norm
@@ -39,7 +41,9 @@ progression S forces, but tests only the entries of its one class that
 can hold a prime of S split in the seed and that a segmented sieve
 leaves: primes, prime squares and entries with no small prime factor.
 Below SIEVE_PRIMES**2 that leaves no other composite, so over K the
-sieve decides primality there and is_prime runs only above it.  Its cap
+sieve decides primality there and is_prime runs only above it.  Over K
+each candidate must first give the fixed primes their Frobenius orders,
+which a split one meets as a (p, root) pair of ints.  The search cap
 counts entries of the whole progression, the skipped ones included.
 """
 
@@ -49,6 +53,7 @@ from math import gcd, isqrt, lcm
 
 from .arith import (
     PRIME_LIMIT,
+    ResidueField,
     SearchExhausted,
     factor,
     is_prime,
@@ -68,7 +73,7 @@ from .quadfield import (
     prime_module,
     principal_generator,
     reduce_mod,
-    split_primes,
+    split_roots,
     unit_generators,
 )
 
@@ -231,16 +236,22 @@ def _target_generator(ctx, q: PrimeIdeal):
     return gamma
 
 
+def split_image(p: int, b: int, e: int, gamma) -> int:
+    """gamma^e at the split prime above p of root b, a plain int: gamma =
+    (x + y*sqrt(D))/2 read with sqrt(D) = b as in reduce_mod."""
+    x, y = gamma
+    return pow((x + y * b) * ((p + 1) >> 1), e, p)
+
+
 def generator_image(ctx, eps: PrimeIdeal, gamma):
     """Over K, the residue x = gamma^((N(eps)-1)/l^(r+t)) at eps of a
     generator gamma of q^(m * l^t), q a target other than eps; at a
     conductor eps in S its order is the Frobenius order of q in the piece.
-    At a split eps, x is a plain int, read with sqrt(D) = eps.b as in reduce_mod."""
+    At a split eps, x is the split_image."""
     e = (eps.norm - 1) // ctx.ell ** (ctx.r + ctx.t)
     if eps.kind == "inert":
         return local_field(ctx.field, eps).pow(reduce_mod(ctx.field, gamma, eps), e)
-    x, y = gamma
-    return pow((x + y * eps.b) * ((eps.p + 1) >> 1), e, eps.p)
+    return split_image(eps.p, eps.b, e, gamma)
 
 
 def frobenius_image(ctx, eps: PrimeIdeal, q: PrimeIdeal):
@@ -287,28 +298,37 @@ class SearchCursor:
 
 
 def _quad_candidates(ctx, n: int):
-    """The primes of norm n, an entry of _sieved_walk: those above n if n
-    is a prime that splits, or the inert prime p if n = p^2.
+    """The primes of norm n, an entry of _sieved_walk, as (p, roots): the
+    split_roots b of the two primes above n if n = p is a prime that
+    splits, or roots (None,) for the inert prime p if n = p^2; roots ()
+    if there is neither.
 
     Euler's symbol x = D^((n-1)/2) mod n comes first.  For a prime n,
     x = n - 1 means n is inert and x = 1 that it splits (so n is prime
     to 2*l*D); a square p^2 never gives n - 1, as x = 1 mod p.  Below
     SIEVE_PRIMES**2 the walk leaves only primes and prime squares, so
     there a non-square n with x = 1 is a split prime; only at or above
-    it does x = 1 ask is_prime(n).  A split prime's two primes come from
-    split_primes, with no second symbol.  Every other n, a composite
+    it does x = 1 ask is_prime(n).  A split prime's roots come from
+    split_roots, with no second symbol.  Every other n, a composite
     with x = 1 included, goes on to the square test."""
     x = pow(ctx.field.disc, (n - 1) // 2, n)
     if x == n - 1:
-        return []
+        return n, ()
     p = isqrt(n)
     if x == 1 and p * p != n and (n < SIEVE_PRIMES**2 or is_prime(n)):
-        return split_primes(ctx.field.disc, n)
+        return n, split_roots(ctx.field.disc, n)
     if p * p != n or not is_prime(p):
-        return []
+        return n, ()
     if p in ctx.excluded or kronecker_disc(ctx.field.disc, p) != -1:
-        return []
-    return factor_rational_prime(ctx.field, p)
+        return n, ()
+    return p, (None,)
+
+
+def _candidate(p: int, b) -> PrimeIdeal:
+    # the split prime above p of root b, or the inert prime p at b = None
+    if b is None:
+        return PrimeIdeal(p, "inert", None, 2)
+    return PrimeIdeal(p, "split", b, 1)
 
 
 SIEVE_PRIMES = 1 << 12  # the walk strikes multiples of the primes below this
@@ -350,21 +370,27 @@ def _sieved_walk(ctx, step: int, stop: int):
         lo, size = hi, min(2 * size, SIEVE_BLOCK)
 
 
-def _fixed_orders(ctx, P: PrimeIdeal, fixed, full: int) -> bool:
+def _fixed_orders(ctx, p: int, b, e: int, fld, fixed, full: int) -> bool:
     """Whether each fixed prime q, given with its generator gamma, has
-    Frobenius order exactly k in the piece at the candidate P, the
-    order of its generator_image; a P equal to q gives the full degree.
-    An image that escapes the piece is the inconsistency
-    frobenius_order_in_ray_piece raises on at a P in S, and a plain
-    rejection at a P outside S, where the rule does not hold."""
-    fld, ell, r = local_field(ctx.field, P), ctx.ell, ctx.r
+    Frobenius order exactly k in the piece at the candidate (p, b), the
+    split prime above p of root b or the inert prime p at b = None: the
+    order in its residue field fld of its split_image with exponent e,
+    or of its generator_image if inert; a candidate equal to q gives the
+    full degree.  An image that escapes the piece is the inconsistency
+    frobenius_order_in_ray_piece raises on at a candidate in S, and a
+    plain rejection at one outside S, where the rule does not hold."""
+    ell, r = ctx.ell, ctx.r
     for q, gamma, k in fixed:
-        if q.p == P.p and q == P:
+        if q.p == p and q.b == b:
             if k != full:
                 return False
             continue
-        order = ell ** order_exponent(generator_image(ctx, P, gamma), ell, r, fld)
-        if order > full and in_S(ctx, P):
+        if b is None:
+            x = generator_image(ctx, _candidate(p, b), gamma)
+        else:
+            x = split_image(p, b, e, gamma)
+        order = ell ** order_exponent(x, ell, r, fld)
+        if order > full and in_S(ctx, _candidate(p, b)):
             raise InternalInconsistency("Frobenius image escapes the piece")
         if order != k:
             return False
@@ -395,7 +421,11 @@ def search_prime(
     2*l*disc and not a class-basis prime, must give the fixed primes
     (those above l other than target, the conductors and target) their
     orders, from generators fetched once per search, then lie in S, then
-    leave the conductors split.  Each test is a function of P alone and
+    leave the conductors split.  A split candidate meets the orders as
+    its (p, root) ints, by split_image with the exponent (n - 1)/l^(r+t)
+    taken once per norm, and skips the class basis by a set of (p, root)
+    pairs; its PrimeIdeal is built only once it passes them, or for the
+    in_S of the escape check below.  Each test is a function of P alone and
     a conductor must pass all three, so their order does not change
     which P is found; an order above l^r at a fixed prime still raises
     InternalInconsistency at a P in S.  Raises
@@ -407,7 +437,7 @@ def search_prime(
     orders = [(s, 1) for s in ctx.deficiencies if s != target]
     orders += [(pc, 1) for pc in pieces] + [(target, order)]
     rational = ctx.field.kind == "rational"
-    step = ell ** (ctx.r + ctx.t)
+    step = lk = ell ** (ctx.r + ctx.t)
     if ell == 2 and (rational or ctx.field.disc < -4):
         step *= 2  # -1 must be a 2^(r+t)-th power residue
     last = 1 + step * cursor.cap
@@ -436,16 +466,21 @@ def search_prime(
         # A conductor passes all three and each asks only about P, so the
         # order changes the cost of a rejection, not which P is found
         fixed = [(q, _target_generator(ctx, q), k) for q, k in orders]
-        basis = ctx.cl.gens
+        basis = {(g.p, g.b) for g in ctx.cl.gens}
         for n in walk:
-            for P in _quad_candidates(ctx, n):
-                if (
-                    P not in basis
-                    and _fixed_orders(ctx, P, fixed, full)
-                    and in_S(ctx, P)
-                    and all(frobenius_order_in_ray_piece(ctx, pc, P) == 1 for pc in pieces)
-                ):
-                    return P
+            p, roots = _quad_candidates(ctx, n)
+            if not roots:
+                continue
+            # F_p at a split prime n = p, F_p(sqrt(D)) at an inert n = p^2
+            fld = ResidueField(p) if p == n else local_field(ctx.field, _candidate(p, None))
+            e = (n - 1) // lk  # (N - 1)/l^(r+t) at a split prime
+            for b in roots:
+                if (p, b) not in basis and _fixed_orders(ctx, p, b, e, fld, fixed, full):
+                    P = _candidate(p, b)
+                    if in_S(ctx, P) and all(
+                        frobenius_order_in_ray_piece(ctx, pc, P) == 1 for pc in pieces
+                    ):
+                        return P
     if last >= PRIME_LIMIT:
         reason = f"norms reach the 2**64 primality limit within cap {cursor.cap}"
     else:

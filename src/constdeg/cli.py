@@ -16,6 +16,7 @@ from .classfield import DEFAULT_CAP, InternalInconsistency
 from .constructor import Config, compose_for_n, construct, write_certificate
 from .quadfield import RATIONAL, enumerate_class_group, quadratic_field
 from .verifier import (
+    InvalidRequest,
     MalformedCertificate,
     MismatchFound,
     QuaternionAlgebra,
@@ -153,9 +154,21 @@ def _cmd_construct(args) -> int:
     return 0
 
 
+def _checked(check, *args):
+    """check(*args) for verify and brauer_split_check, where a ValueError
+    other than InvalidRequest, the usage errors README names, is a defect
+    of the check and exits 4, not 1."""
+    try:
+        return check(*args)
+    except InvalidRequest:
+        raise
+    except ValueError as exc:
+        raise InternalInconsistency(f"{check.__name__} raised ValueError: {exc}") from exc
+
+
 def _cmd_verify(args) -> int:
     cert = parse_certificate(_read_file(args.file))
-    report = verify(cert, args.bound)
+    report = _checked(verify, cert, args.bound)
     _print_report(report, args.verbose)
     return 0
 
@@ -181,7 +194,7 @@ def _cmd_hilbert(args) -> int:
 
 def _cmd_brauer(args) -> int:
     cert = parse_certificate(_read_file(args.file))
-    split, places = brauer_split_check(cert, QuaternionAlgebra(args.a, args.b))
+    split, places = _checked(brauer_split_check, cert, QuaternionAlgebra(args.a, args.b))
     shown = " ".join(str(v) for v in places) if places else "none"
     print(f"ramified places of ({args.a},{args.b}): {shown}")
     print(f"splits: {'yes' if split else 'no'}")

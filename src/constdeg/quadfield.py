@@ -208,17 +208,23 @@ def factor_rational_prime(field, p: int):
     return split_primes(d, p)
 
 
-def split_primes(d: int, p: int):
-    """The two primes above a rational prime p that splits in Q(sqrt d),
-    by ascending root b: sqrt(d) = b mod P, with b = d mod 2 and 0 <= b < 2p."""
+def split_roots(d: int, p: int) -> tuple:
+    """The roots b of the two primes above a rational prime p that splits
+    in Q(sqrt d), ascending: sqrt(d) = b mod P, with b = d mod 2 and
+    0 <= b < 2p."""
     if p == 2:
-        return [PrimeIdeal(2, "split", 1, 1), PrimeIdeal(2, "split", 3, 1)]
+        return (1, 3)
     # r and 2p - r are the two roots of d's parity, and 0 < r < 2p
     r = ell_root(d, 2, p)
     if (r - d) & 1:
         r += p
-    lo, hi = (r, 2 * p - r) if r < p else (2 * p - r, r)
-    return [PrimeIdeal(p, "split", lo, 1), PrimeIdeal(p, "split", hi, 1)]
+    return (r, 2 * p - r) if r < p else (2 * p - r, r)
+
+
+def split_primes(d: int, p: int):
+    """The two primes above a rational prime p that splits in Q(sqrt d),
+    by ascending root (split_roots)."""
+    return [PrimeIdeal(p, "split", b, 1) for b in split_roots(d, p)]
 
 
 def prime_module(field, P: PrimeIdeal) -> QuadIdeal:

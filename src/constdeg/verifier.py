@@ -59,6 +59,12 @@ class RamifiedPlaceOutOfRange(Exception):
     """The algebra ramifies at a place the certificate does not cover."""
 
 
+class InvalidRequest(ValueError):
+    """A question the certificate cannot answer: a verify bound below 2
+    or above its own, or a splitting check of a certificate that is not
+    n = 2 over Q."""
+
+
 # ------------------------------------------------------------ reports
 
 
@@ -305,9 +311,9 @@ def _effective_bound(cert_bound, requested):
     if requested is None:
         return cert_bound
     if requested < 2:
-        raise ValueError(f"requested bound {requested} is below 2")
+        raise InvalidRequest(f"requested bound {requested} is below 2")
     if requested > cert_bound:
-        raise ValueError(
+        raise InvalidRequest(
             f"requested bound {requested} exceeds the certificate bound {cert_bound}"
         )
     return requested
@@ -501,7 +507,7 @@ def brauer_split_check(cert: dict, algebra: QuaternionAlgebra):
         _rows(sub, plain=True)  # unread, but a malformed row rejects the document
     n2 = (doc["ell"], doc["r"]) == (2, 1) if doc is cert else doc["n"] == 2
     if doc["field"]["kind"] != "rational" or not n2:
-        raise ValueError("splitting check needs an n = 2 certificate over the rationals")
+        raise InvalidRequest("splitting check needs an n = 2 certificate over the rationals")
     places = ramified_places(algebra.a, algebra.b)
     split = True
     for v in places:

@@ -41,7 +41,11 @@ None of this runs in the package itself:
   * elt_neg: the negative of an element;
   * roots_by_scan: the roots b of x^2 = D mod 4p found by scanning
     every b < 2p, the reference for the split and ramified cases of
-    quadfield.factor_rational_prime.
+    quadfield.factor_rational_prime;
+  * split_candidates and fixed_orders: the split primes of a walked
+    norm and the Frobenius-order test on a candidate PrimeIdeal, as
+    classfield's conductor search ran them before its candidates became
+    (p, root) pairs of ints, the reference for that int path.
 
 The splitting map.  For a target q with class discrete log c, the ideal
 q^kprime * prod a_i^(-c_i) is principal.  Its generator is gamma0 / denom,
@@ -58,7 +62,16 @@ exponent prime to l, as an element.
 
 from math import gcd, isqrt
 
-from constdeg.arith import ResidueField, factor, legendre, power_residue_level, residue_field
+from constdeg.arith import (
+    ResidueField,
+    factor,
+    is_prime,
+    legendre,
+    order_exponent,
+    power_residue_level,
+    residue_field,
+)
+from constdeg.classfield import SIEVE_PRIMES, InternalInconsistency, generator_image, in_S
 from constdeg.quadfield import (
     PrimeIdeal,
     QuadIdeal,
@@ -75,6 +88,7 @@ from constdeg.quadfield import (
     principal_form,
     principal_generator,
     reduce_mod,
+    split_primes,
 )
 
 # ------------------------------------------------------ residue fields
@@ -404,3 +418,40 @@ def roots_by_scan(d: int, p: int) -> list:
     """Every b in [0, 2p) with b = D mod 2 and b^2 = D mod 4p, ascending:
     one for a prime p dividing the discriminant D, two for a split p."""
     return [b for b in range(2 * p) if (b - d) % 2 == 0 and (b * b - d) % (4 * p) == 0]
+
+
+# ---------------------------------------------------- search candidates
+
+
+def split_candidates(ctx, n: int):
+    """The primes above n if n, an entry of classfield._sieved_walk, is a
+    prime that splits, else []: Euler's symbol and the split branch of
+    classfield._quad_candidates when it returned PrimeIdeals."""
+    x = pow(ctx.field.disc, (n - 1) // 2, n)
+    if x == n - 1:
+        return []
+    p = isqrt(n)
+    if x == 1 and p * p != n and (n < SIEVE_PRIMES**2 or is_prime(n)):
+        return split_primes(ctx.field.disc, n)
+    return []
+
+
+def fixed_orders(ctx, P: PrimeIdeal, fixed, full: int) -> bool:
+    """Whether each fixed prime q, given with its generator gamma, has
+    Frobenius order exactly k in the piece at the candidate P, the
+    order of its generator_image; a P equal to q gives the full degree.
+    An image that escapes the piece is the inconsistency
+    frobenius_order_in_ray_piece raises on at a P in S, and a plain
+    rejection at a P outside S, where the rule does not hold."""
+    fld, ell, r = local_field(ctx.field, P), ctx.ell, ctx.r
+    for q, gamma, k in fixed:
+        if q.p == P.p and q == P:
+            if k != full:
+                return False
+            continue
+        order = ell ** order_exponent(generator_image(ctx, P, gamma), ell, r, fld)
+        if order > full and in_S(ctx, P):
+            raise InternalInconsistency("Frobenius image escapes the piece")
+        if order != k:
+            return False
+    return True

@@ -1,4 +1,5 @@
 import random
+from bisect import bisect_left
 from math import isqrt
 
 import pytest
@@ -151,6 +152,23 @@ def test_is_prime_random_semiprimes():
     for _ in range(50):
         a, b = rng.choice(ps), rng.choice(ps)
         assert not is_prime(a * b)
+
+
+def reference_sieve(limit):
+    # the primes below limit, striking a list of flags one multiple at a time
+    flags = [True] * limit
+    for i in range(2, limit):
+        if flags[i]:
+            for j in range(i * i, limit, i):
+                flags[j] = False
+    return tuple(i for i in range(2, limit) if flags[i])
+
+
+def test_small_primes_is_a_plain_sieve():
+    # every limit up to 3000, and 100001, the scan of quadfield._class_prime
+    ref = reference_sieve(100001)
+    for limit in [*range(3001), 100001]:
+        assert small_primes.__wrapped__(limit) == ref[: bisect_left(ref, limit)], limit
 
 
 # ---------------------------------------------------------------- factor

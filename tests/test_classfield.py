@@ -33,6 +33,7 @@ from constdeg.classfield import (
     search_prime,
 )
 from constdeg.cli import run
+from constdeg.constructor import construct
 from constdeg.quadfield import (
     RATIONAL,
     NotPrincipal,
@@ -48,6 +49,7 @@ from constdeg.quadfield import (
     quadratic_field,
     reduce_mod,
 )
+import oracles
 from oracles import (
     alpha_roots,
     elt_neg,
@@ -683,7 +685,7 @@ def test_search_escaping_image_raises_only_in_s(monkeypatch):
     # the candidates outside S and raises at the first one in S
     (eps,) = s_members(CTX23, 1)
     asked = record_in_S(monkeypatch)
-    monkeypatch.setattr(classfield, "generator_image", order9_image)
+    patch_order9_images(monkeypatch)
     target = factor_rational_prime(K23, 2)[0]
     with pytest.raises(InternalInconsistency, match="escapes the piece"):
         search_prime(CTX23, [], SearchCursor(), target, 3)
@@ -693,6 +695,87 @@ def test_search_escaping_image_raises_only_in_s(monkeypatch):
     ]
     assert asked == candidates[: candidates.index(eps) + 1]
     assert len(asked) > 1 and not any(in_S(CTX23, P) for P in asked[:-1])
+
+
+def fixed_lists(monkeypatch, field, ell, r, bound):
+    # (ctx, fixed, full) of each conductor search that construct runs
+    lists, fixed_orders = {}, classfield._fixed_orders
+
+    def recording(ctx, p, b, e, fld, fixed, full):
+        lists.setdefault(id(fixed), (ctx, fixed, full))
+        return fixed_orders(ctx, p, b, e, fld, fixed, full)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(classfield, "_fixed_orders", recording)
+        construct(field, ell, r, bound)
+    return list(lists.values())
+
+
+def order_outcome(test):
+    try:
+        return test()
+    except InternalInconsistency:
+        return "raises"
+
+
+def int_path_outcomes(ctx, fixed, full, stop):
+    # the search's split candidates and fixed orders on (p, root) ints
+    basis = {(g.p, g.b) for g in ctx.cl.gens}
+    lk = ctx.ell ** (ctx.r + ctx.t)
+    for n in classfield._sieved_walk(ctx, _walk_step(ctx), stop):
+        p, roots = classfield._quad_candidates(ctx, n)
+        if p != n:
+            continue  # an inert square
+        fld = residue_field(n)
+        for b in roots:
+            yield (n, b), (n, b) in basis or order_outcome(
+                lambda: classfield._fixed_orders(ctx, n, b, (n - 1) // lk, fld, fixed, full)
+            )
+
+
+def object_path_outcomes(ctx, fixed, full, stop):
+    # the same on PrimeIdeals, by the reference the search ran before
+    for n in classfield._sieved_walk(ctx, _walk_step(ctx), stop):
+        for P in oracles.split_candidates(ctx, n):
+            yield (P.p, P.b), P in ctx.cl.gens or order_outcome(
+                lambda: oracles.fixed_orders(ctx, P, fixed, full)
+            )
+
+
+@pytest.mark.parametrize(
+    "disc,ell,r,bound",
+    [(-23, 2, 2, 50), (-23, 3, 1, 200), (-8, 2, 1, 50), (-56, 2, 2, 50), (-4, 2, 2, 50),
+     (-3, 2, 1, 50), (-3299, 3, 1, 100)],
+)
+def test_int_candidates_match_the_object_reference(monkeypatch, disc, ell, r, bound):
+    # every split candidate of norm up to 2*10^5 meets each fixed list
+    # of the searches of construct(K(disc), ell, r, bound), as (p, root)
+    # ints and as a PrimeIdeal under the reference; both paths accept,
+    # reject or raise alike.  At K(-23), l = 3, r = 1 (t = 1) an image of
+    # order 9 at every split candidate, through split_image, which the
+    # reference's generator_image also calls, makes both paths raise at
+    # the candidates in S.  At K(-3299), l = 3, t = 2 and the class basis
+    # has two primes
+    stop = 200_000
+    lists = fixed_lists(monkeypatch, quadratic_field(disc), ell, r, bound)
+    assert lists
+    tally = {}
+    for ctx, fixed, full in lists:
+        got = list(int_path_outcomes(ctx, fixed, full, stop))
+        assert got == list(object_path_outcomes(ctx, fixed, full, stop))
+        for _, outcome in got:
+            tally[outcome] = tally.get(outcome, 0) + 1
+    assert tally.get(True) and tally.get(False), tally
+    if (disc, ell) == (-3299, 3):
+        assert (ctx.t, len(ctx.cl.gens)) == (2, 2)
+    if (disc, ell) != (-23, 3):
+        return
+    patch_order9_images(monkeypatch)
+    ctx, fixed, full = lists[0]
+    got = list(int_path_outcomes(ctx, fixed, full, stop))
+    assert got == list(object_path_outcomes(ctx, fixed, full, stop))
+    raised = [key for key, outcome in got if outcome == "raises"]
+    assert raised and all(in_S(ctx, classfield._candidate(*key)) for key in raised)
 
 
 def _walk_step(ctx):
@@ -784,7 +867,8 @@ def test_quad_candidates_ask_is_prime_past_a_small_sieve(monkeypatch, field, ell
     assert composites and min(composites) > 256
     for n in walk:
         asked.clear()
-        got = classfield._quad_candidates(ctx, n)
+        p, roots = classfield._quad_candidates(ctx, n)
+        got = [classfield._candidate(p, b) for b in roots]
         euler = pow(field.disc, (n - 1) // 2, n)
         if euler == 1 and isqrt(n) ** 2 != n:
             assert (n in asked) == (n >= 256), n
@@ -1276,6 +1360,17 @@ def order9_image(ctx, eps, q):
         y = fld.pow(cand, (eps.norm - 1) // 9)
         if fld.pow(y, 3) != fld.one:
             return y
+
+
+def patch_order9_images(monkeypatch):
+    # order9_image at every candidate of the K(-23), l = 3 search: the
+    # split ones take split_image's (p, root, exponent, generator), the
+    # inert ones generator_image's arguments
+    def split9(p, b, e, gamma):
+        return order9_image(CTX23, PrimeIdeal(p, "split", b, 1), gamma)
+
+    monkeypatch.setattr(classfield, "split_image", split9)
+    monkeypatch.setattr(classfield, "generator_image", order9_image)
 
 
 def test_frobenius_image_escaping_the_piece_is_caught(monkeypatch, tmp_path, capsys):

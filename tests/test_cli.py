@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from constdeg import verifier
 from constdeg.cli import _build_parser, run
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -426,6 +427,26 @@ def test_brauer_split_usage_errors(capsys):
     for a, b in (("0", "-1"), ("-1", "0")):
         assert run(["brauer-split", str(FIXTURES / "q_n2_b100.json"), "--a", a, "--b", b]) == 1
         assert "must be nonzero" in capsys.readouterr().err
+
+
+def test_a_value_error_inside_verify_or_brauer_split_exits_4(monkeypatch, capsys):
+    # README's usage errors exit 1; any other ValueError raised inside
+    # the check is a defect of the verifier
+    def broken(*args):
+        raise ValueError("broken helper")
+
+    path = str(FIXTURES / "q_n2_b100.json")
+    monkeypatch.setattr(verifier, "_walk_table", broken)
+    assert run(["verify", path]) == 4
+    assert capsys.readouterr().err == "internal inconsistency: verify raised ValueError: broken helper\n"
+    monkeypatch.setattr(verifier, "ramified_places", broken)
+    assert run(["brauer-split", path, "--a", "-1", "--b", "-1"]) == 4
+    err = capsys.readouterr().err
+    assert err == "internal inconsistency: brauer_split_check raised ValueError: broken helper\n"
+    # the named cases still exit 1 under the patches
+    assert run(["verify", path, "--bound", "1"]) == 1
+    assert run(["brauer-split", str(FIXTURES / "q_n6_b20.json"), "--a", "-1", "--b", "-1"]) == 1
+    assert capsys.readouterr().err.endswith(NOT_N2_OVER_Q)
 
 
 def test_usage_errors(capsys):

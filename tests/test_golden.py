@@ -1,20 +1,22 @@
 """Golden certificates and seeded mutants of them.
 
-tests/fixtures holds certificate_json output of seven jobs: Q n=2 B=100
+tests/fixtures holds certificate_json output of eight jobs: Q n=2 B=100
 (conductors 17 and 89 ramify in table rows), Q n=6 B=20 (a composite),
 K(-8) n=2 B=200 (deficient at the prime above 2), K(-23) n=4 B=50
 (three pieces, where the prime-to-2 part of the class number, 3, is
 the exponent of every target generator), K(-23) n=8 B=50 (conductors
 11617 and 493793, where 2^5 exactly divides N - 1, the deepest square
-root descent the search reaches) and K(-56) n=4 B=200 (inert
+root descent the search reaches), K(-56) n=4 B=200 (inert
 conductors 17 and 223, where D mod p is not the least non-residue, so
-the residue field's basis sqrt(D) is not the least one) and K(-9999935)
+the residue field's basis sqrt(D) is not the least one), K(-9999935)
 n=2 B=30 (a class basis of orders 16, 2 and 2, the greedy rule's pick
-among mixed orders).  Construct must reproduce them byte for byte, so
+among mixed orders) and K(-23) n=3 B=200 (l = 3, where t = 1, so each
+search image has exponent (N - 1)/9 and could escape the degree-3
+piece).  Construct must reproduce them byte for byte, so
 certificates cannot change unnoticed, and each must verify.  Every
-mutant of the first six must either fail
-verification with MalformedCertificate or MismatchFound or verify to the
-same report; any other exception is a verifier bug.  certificate_json
+mutant of each but K(-9999935), whose mutants rebuild a slow class
+group, must either fail verification with MalformedCertificate or
+MismatchFound or verify to the same report; any other exception is a verifier bug.  certificate_json
 must write every mutant exactly as json.dumps(..., indent=2) does,
 including rows outside construct's two shapes.
 """
@@ -50,6 +52,7 @@ GOLDEN = {
     "k-23_n8_b50.json": lambda: construct(quadratic_field(-23), 2, 3, 50),
     "k-56_n4_b200.json": lambda: construct(quadratic_field(-56), 2, 2, 200),
     "k-9999935_n2_b30.json": lambda: construct(quadratic_field(-9999935), 2, 1, 30),
+    "k-23_n3_b200.json": lambda: construct(quadratic_field(-23), 3, 1, 200),
 }
 
 # each mutant of these rebuilds a class group of about 0.5 s
@@ -98,6 +101,13 @@ def test_golden_verify():
     assert [g["gen_ideal"][0] for g in k9999935["class_data"]] == [59083, 2002867, 125107]
     rep = verify(k9999935)
     assert (len(rep.primes), rep.degree, rep.real_place) == (10, 2, None)
+    k23n3 = parse_certificate(fixture_text("k-23_n3_b200.json"))
+    assert k23n3["t"] == 1
+    pieces = [(piece["p"], piece["b"]) for piece in k23n3["pieces"]]
+    assert pieces == [(20359, 2247), (24337, 26353), (97561, 56885)]
+    assert all(p % 9 == 1 for p, _ in pieces)
+    rep = verify(k23n3)
+    assert (len(rep.primes), rep.degree, rep.real_place) == (46, 3, None)
 
 
 # ---------------------------------------------------------------- mutants
@@ -183,10 +193,14 @@ def row_mutants(doc):
 
 
 def test_mutants_fail_cleanly_or_verify_the_same():
-    # K(-56) and K(-23) n=8 draw their mutants from their own streams, so
-    # the other four keep theirs
+    # K(-56), K(-23) n=8 and K(-23) n=3 draw their mutants from their own
+    # streams, so the other four keep theirs
     rng = random.Random(13)
-    own = {"k-56_n4_b200.json": random.Random(56), "k-23_n8_b50.json": random.Random(8)}
+    own = {
+        "k-56_n4_b200.json": random.Random(56),
+        "k-23_n8_b50.json": random.Random(8),
+        "k-23_n3_b200.json": random.Random(3),
+    }
     start = time.perf_counter()
     outcomes = {}
     for name in sorted(GOLDEN.keys() - SLOW):
