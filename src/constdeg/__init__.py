@@ -8,6 +8,7 @@ and independently re-verifies the resulting certificate.
 
 __version__ = "0.1.0"
 
+from .classfield import local_degree
 from .constructor import Config, certificate_json, compose_for_n, construct, write_certificate
 from .quadfield import RATIONAL, quadratic_field
 from .verifier import (
@@ -34,6 +35,7 @@ __all__ = [
     "compose_for_n",
     "construct",
     "hilbert_symbol",
+    "local_degree",
     "parse_certificate",
     "quadratic_field",
     "ramified_places",

@@ -47,6 +47,7 @@ which a split one meets as a (p, root) pair of ints.  The search cap
 counts entries of the whole progression, the skipped ones included.
 """
 
+from bisect import bisect_left
 from dataclasses import dataclass, field as dc_field
 from itertools import compress
 from math import gcd, isqrt, lcm
@@ -70,6 +71,7 @@ from .quadfield import (
     ideal_pow,
     kronecker_disc,
     local_field,
+    normalize_unit,
     prime_module,
     principal_generator,
     reduce_mod,
@@ -223,15 +225,22 @@ def make_ray_piece(ctx, P: PrimeIdeal) -> PrimeIdeal:
 
 
 def _target_generator(ctx, q: PrimeIdeal):
-    # generator of q^(m * l^t), m = cl.coprime_part, cached per target
+    # generator of q^(m * l^t), m = cl.coprime_part, cached per target; a
+    # split q whose conjugate's generator (x, y) is cached takes the
+    # canonical associate of (x, -y), which generates the conjugate power
+    # and so is the one principal_generator would return
     gamma = ctx._targets.get(q)
     if gamma is None:
         fld = ctx.field
-        J = ideal_pow(fld, prime_module(fld, q), ctx.cl.coprime_part * ctx.ell**ctx.t)
-        try:
-            gamma = principal_generator(fld, J)
-        except NotPrincipal:
-            raise InternalInconsistency("target ideal power is not principal")
+        bar = q.kind == "split" and ctx._targets.get(PrimeIdeal(q.p, "split", 2 * q.p - q.b, 1))
+        if bar:
+            gamma = normalize_unit(fld, (bar[0], -bar[1]))
+        else:
+            J = ideal_pow(fld, prime_module(fld, q), ctx.cl.coprime_part * ctx.ell**ctx.t)
+            try:
+                gamma = principal_generator(fld, J)
+            except NotPrincipal:
+                raise InternalInconsistency("target ideal power is not principal")
         ctx._targets[q] = gamma
     return gamma
 
@@ -271,19 +280,35 @@ def _rational_frobenius_order(q: int, n: int, ell: int, full: int) -> int:
     return order
 
 
+def frobenius_orders(ctx, eps: PrimeIdeal, ws) -> list:
+    """The order of the Frobenius of each prime w in ws, none of them eps,
+    in the ray piece of conductor eps: over Q that of w^((eps-1)/l^r) mod
+    eps, one pow and the order loop; over K that of w's generator_image,
+    at a split eps its split_image with the exponent (N(eps)-1)/l^(r+t)
+    taken once for all of ws.  An order that does not divide l^r raises
+    InternalInconsistency.  eps itself is totally ramified there, which
+    DegreeFold reads without asking."""
+    ell, r = ctx.ell, ctx.r
+    full = ell**r
+    if ctx.field.kind == "rational":
+        out = [_rational_frobenius_order(w.p, eps.p, ell, full) for w in ws]
+    else:
+        fld = local_field(ctx.field, eps)
+        if eps.kind == "inert":
+            images = (frobenius_image(ctx, eps, w) for w in ws)
+        else:
+            e = (eps.norm - 1) // ell ** (r + ctx.t)
+            images = (split_image(eps.p, eps.b, e, _target_generator(ctx, w)) for w in ws)
+        out = [ell ** order_exponent(x, ell, r, fld) for x in images]
+    if out and max(out) > full:
+        raise InternalInconsistency("Frobenius image escapes the piece")
+    return out
+
+
 def frobenius_order_in_ray_piece(ctx, eps: PrimeIdeal, q: PrimeIdeal) -> int:
     """Order of the Frobenius of a prime q != eps in the ray piece of
-    conductor eps, the order of its frobenius_image; an order that does
-    not divide l^r raises InternalInconsistency.  eps itself is totally
-    ramified there, which local_degree reads without asking."""
-    full = ctx.ell**ctx.r
-    if ctx.field.kind == "rational":
-        return _rational_frobenius_order(q.p, eps.p, ctx.ell, full)
-    x = frobenius_image(ctx, eps, q)
-    order = ctx.ell ** order_exponent(x, ctx.ell, ctx.r, local_field(ctx.field, eps))
-    if order > full:
-        raise InternalInconsistency("Frobenius image escapes the piece")
-    return order
+    conductor eps, the one-prime column of frobenius_orders."""
+    return frobenius_orders(ctx, eps, [q])[0]
 
 
 # ------------------------------------------------------ conductor search
@@ -492,36 +517,92 @@ def search_prime(
 # ------------------------------------------------------- local degrees
 
 
+class DegreeFold:
+    """The local_degree triples at rows, primes ascending by norm, under
+    the seed and the pieces of the given conductors, then of each
+    conductor passed to add, folded one component at a time.
+
+    The seed order of a row's norm is asked once per residue mod the seed
+    modulus that occurs.  Every order divides l^r, so a row's lcm is their
+    max, and a piece asks its column of orders (frobenius_orders) only at
+    the rows whose lcm is still below l^r, ramified ones included.  A
+    conductor that is a row, found by bisecting the norms, is ramified
+    there and asked nothing.
+    """
+
+    def __init__(self, ctx, rows, pieces):
+        self.ctx, self.rows, self.count = ctx, rows, 0  # count: pieces added
+        self.ramified = {}  # row index -> component ramified there, 0 = seed
+        self.orders = []  # per row, the lcm of its unramified orders
+        memo = {}  # norm mod the seed modulus -> seed order, None above l
+        for i, w in enumerate(rows):
+            k = w.norm % ctx.seed.modulus
+            if k not in memo:
+                memo[k] = frobenius_order_in_L0(ctx.seed, w)
+            if memo[k] is None:
+                self.ramified[i] = 0
+            self.orders.append(memo[k] or 1)
+        self.short = [i for i, order in enumerate(self.orders) if order != ctx.seed.degree]
+        for eps in pieces:
+            self.add(eps)
+
+    def add(self, eps: PrimeIdeal):
+        """Fold the piece of conductor eps over the rows still short."""
+        rows, orders, short = self.rows, self.orders, self.short
+        self.count += 1
+        own = None
+        if rows[0].norm <= eps.norm <= rows[-1].norm:
+            # at most two primes, conjugates, share a norm
+            lo = bisect_left(rows, eps.norm, key=lambda w: w.norm)
+            own = next((i for i, w in enumerate(rows[lo : lo + 2], lo) if w == eps), None)
+        if own in self.ramified:
+            raise InternalInconsistency(f"({eps.p},{eps.b}) is ramified in more than one component")
+        if own is not None:
+            self.ramified[own] = self.count
+            short = [i for i in short if i != own]
+        for i, order in zip(short, frobenius_orders(self.ctx, eps, [rows[i] for i in short])):
+            orders[i] = max(orders[i], order)
+        self.short = [i for i in self.short if orders[i] != self.ctx.seed.degree]
+
+    def row(self, i: int):
+        """The local_degree triple at row i."""
+        ctx, ram = self.ctx, self.ramified.get(i)
+        factor = 1 if ram is None else ctx.seed.degree
+        if ram == 0:
+            factor //= ctx.ell ** ctx.deficiencies[self.rows[i]]
+        return ram, factor, factor * self.orders[i]
+
+
+FOLD_ROWS = 256  # rows per DegreeFold of degree_folds
+
+
+def degree_folds(ctx, pieces, rows):
+    """One DegreeFold per FOLD_ROWS of rows, primes ascending by norm,
+    each made when it is reached, under the conductors then in pieces; a
+    fold's memory stays small beside the table's, and a piece still asks
+    each row for its order at most once."""
+    for k in range(0, len(rows), FOLD_ROWS):
+        yield DegreeFold(ctx, rows[k : k + FOLD_ROWS], pieces)
+
+
+def local_degrees(ctx, pieces, rows):
+    """The local_degree triple at each of rows, primes ascending by norm."""
+    for fold in degree_folds(ctx, pieces, rows):
+        yield from map(fold.row, range(len(fold.rows)))
+
+
 def local_degree(ctx, pieces, w: PrimeIdeal):
     """Local degree at the finite prime w of the compositum of the seed
     and the ray pieces of the given conductors: the ramification factor
     of the one component ramified at w times the lcm of the unramified
-    Frobenius orders.
+    Frobenius orders, from the one-row DegreeFold.
 
     Returns (ramified, factor, degree): the index of the component
     ramified at w (0 = seed, i >= 1 = piece i, None = unramified), its
     local degree l^(r-a) or l^r (1 if none), and the local degree.  Raises
     InternalInconsistency if w is ramified in two components.
-
-    Every order divides l^r, so once the unramified lcm reaches l^r only
-    a later conductor equal to w can still move the degree; the fold
-    then stops asking for orders and only looks for one.
     """
-    ell, full = ctx.ell, ctx.ell**ctx.r
-    if w.p == ell:
-        ramified, factor, rest = 0, ell ** (ctx.r - ctx.deficiencies[w]), 1
-    else:
-        ramified, factor, rest = None, 1, frobenius_order_in_L0(ctx.seed, w)
-    for i, eps in enumerate(pieces):
-        if eps.p == w.p and eps == w:  # p settles most pairs without __eq__
-            if ramified is not None:
-                raise InternalInconsistency(
-                    f"({w.p},{w.b}) is ramified in more than one component"
-                )
-            ramified, factor = i + 1, full
-        elif rest != full:
-            rest = lcm(rest, frobenius_order_in_ray_piece(ctx, eps, w))
-    return ramified, factor, factor * rest
+    return DegreeFold(ctx, [w], pieces).row(0)
 
 
 def real_place_degree(field, n: int):

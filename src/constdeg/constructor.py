@@ -9,11 +9,11 @@ the constructor records the conductors and the resulting degree table.
 
 Pieces come from one loop over the targets by ascending norm, the
 deficient prime above 2 (of norm 2) first.  Each target's local degree
-under the seed and the pieces so far comes from classfield.local_degree,
-the fold verify uses too; a target short of full degree gets the piece
-of one classfield.search_prime call, which supplies the factor the
-others miss there, and one more fold, over all the pieces, completes
-its row.
+under the seed and the pieces so far is its row of a
+classfield.DegreeFold, the fold verify uses too; a target short of full
+degree gets the piece of one classfield.search_prime call, which
+supplies the factor the others miss there, and the fold adds that
+piece's column of Frobenius orders to its rows still short.
 Searches are deterministic, so equal inputs give byte-identical
 certificates.
 """
@@ -28,8 +28,8 @@ from .classfield import (
     SearchCursor,
     build_context,
     context_record,
+    degree_folds,
     enumerate_field_primes,
-    local_degree,
     make_ray_piece,
     real_place_degree,
     search_prime,
@@ -54,11 +54,11 @@ def construct(field, ell: int, r: int, bound: int, config: Config = None) -> dic
     full degree stays full, since every later piece splits at each
     earlier conductor and prime above l and an lcm of divisors of l^r
     stops at l^r, and a later conductor, split completely in every
-    earlier component, is a prime not yet reached.  A row is folded when
-    it is reached and, if it takes a piece, once more under all the
-    pieces, as verify folds it; so a (piece, row) Frobenius order is
-    computed at most twice, and a target re-asks at most one order per
-    earlier piece.
+    earlier component, is a prime not yet reached.  The rows come from
+    degree_folds, and a new piece is added to the fold of its target,
+    which asks it for its Frobenius orders at the rows still short; so a
+    (piece, row) order is computed at most once, and a target's row is
+    read back after its piece, not folded again.
 
     Raises SearchExhausted if some conductor search hits the cap or the
     2**64 primality limit, and InternalInconsistency if a row is not
@@ -73,18 +73,20 @@ def construct(field, ell: int, r: int, bound: int, config: Config = None) -> dic
     full = ell**r
     pieces = []  # conductors
     table = []
-    for w in enumerate_field_primes(field, bound):
-        ramified, ram_factor, degree = local_degree(ctx, pieces, w)
-        if degree < full:
-            # the new piece moves only w, by the factor the others miss there
-            P = search_prime(ctx, pieces, SearchCursor(cfg.cap), w, full // ram_factor)
-            pieces.append(make_ray_piece(ctx, P))
-            ramified, _, degree = local_degree(ctx, pieces, w)
-        if degree != full:
-            raise InternalInconsistency(
-                f"prime ({w.p},{w.b}) has local degree {degree}, wanted {full}"
-            )
-        table.append({"prime": [w.p, w.b], "degree": degree, "ramified_component": ramified})
+    for fold in degree_folds(ctx, pieces, enumerate_field_primes(field, bound)):
+        for i, w in enumerate(fold.rows):
+            ramified, ram_factor, degree = fold.row(i)
+            if degree < full:
+                # the new piece moves only w, by the factor the others miss there
+                P = search_prime(ctx, pieces, SearchCursor(cfg.cap), w, full // ram_factor)
+                pieces.append(make_ray_piece(ctx, P))
+                fold.add(P)
+                ramified, _, degree = fold.row(i)
+            if degree != full:
+                raise InternalInconsistency(
+                    f"prime ({w.p},{w.b}) has local degree {degree}, wanted {full}"
+                )
+            table.append({"prime": [w.p, w.b], "degree": degree, "ramified_component": ramified})
 
     return {
         "schema_version": 1,

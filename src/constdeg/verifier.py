@@ -5,10 +5,10 @@ document: it checks its structure, each table row once (as
 brauer_split_check does), rebuilds the class group data, the seed
 piece, and the ray pieces from the recorded conductors, recomputes
 every local degree with the fold the constructor uses
-(classfield.local_degree, which stops asking for Frobenius orders once
-a row's unramified part is full), and checks the certificate's one
-claim: degree n at every finite prime of norm up to the bound, each
-with its table row, and no other rows.
+(classfield.DegreeFold, which asks each piece for its Frobenius orders
+only at the rows whose unramified part is still short), and checks the
+certificate's one claim: degree n at every finite prime of norm up to
+the bound, each with its table row, and no other rows.
 Plain and composite documents share one table walk; a composite's
 components are each verified at their own ell^r, so every composite row
 is their product n.  Any disagreement raises MismatchFound carrying the
@@ -23,6 +23,7 @@ import json
 import time
 from dataclasses import dataclass, field as dc_field
 from functools import lru_cache, partial
+from itertools import repeat
 
 from .arith import PRIME_LIMIT, factor, is_prime, legendre
 from .classfield import (
@@ -30,7 +31,7 @@ from .classfield import (
     build_context,
     context_record,
     enumerate_field_primes,
-    local_degree,
+    local_degrees,
     make_ray_piece,
     real_place_degree,
 )
@@ -322,7 +323,7 @@ def _effective_bound(cert_bound, requested):
 def _walk_table(field, doc, unread, bound, n, degrees):
     """The primes of doc's table rechecked up to bound, and its real
     place: every prime w of norm <= bound needs a row, which the walk
-    pops from unread (doc's _rows); degrees(w), a (ramified, factor,
+    pops from unread (doc's _rows); its degree, from a (ramified, factor,
     degree) triple as local_degree returns, must be the claimed n, and
     the row's degree and ramified component (absent on composite rows)
     must match it.  Walked to doc's own bound, every row must have been
@@ -332,17 +333,19 @@ def _walk_table(field, doc, unread, bound, n, degrees):
     last, so the work up to the first missing row is bounded by the
     table, not by bound.  The first segment ends at 2*R*log2(R) for R =
     len(table), above the norm of the R-th prime, so an honest table is
-    walked in one segment up to bound."""
+    walked in one segment up to bound.  degrees(ws) yields the triples
+    of a segment's primes ws in order, folded at most a few hundred rows
+    ahead of the walk, so the first failing row raises."""
     primes = []
     R = len(unread)
     lo, hi = 0, min(bound, max(4096, 2 * R * R.bit_length()))
     while lo < bound:
         # the primes of norm <= lo are the ones already walked
-        for w in enumerate_field_primes(field, hi)[len(primes) :]:
+        ws = enumerate_field_primes(field, hi)[len(primes) :]
+        for w, (ram, _, total) in zip(ws, degrees(ws)):
             row = unread.pop((w.p, w.b), None)
             if row is None:
                 raise MalformedCertificate(f"table has no row for prime ({w.p},{w.b})")
-            ram, _, total = degrees(w)
             if total != n:
                 raise MismatchFound(f"prime ({w.p},{w.b})", n, total)
             if row["degree"] != total:
@@ -366,7 +369,7 @@ def _verify_plain(cert, bound):
     rows = _rows(cert, plain=True)
     ctx, pieces = _rebuild(cert)
     n = ctx.seed.degree  # ell^r
-    primes, real = _walk_table(ctx.field, cert, rows, bound, n, partial(local_degree, ctx, pieces))
+    primes, real = _walk_table(ctx.field, cert, rows, bound, n, partial(local_degrees, ctx, pieces))
     return VerificationReport(primes, n, real, time.perf_counter() - start)
 
 
@@ -384,7 +387,7 @@ def _verify_composite(comp, b):
         subreports.append(rep)
         n *= rep.degree
     _match("composite exponent n", comp["n"], n)
-    primes, real = _walk_table(field, comp, rows, b, n, lambda w: (None, 1, n))
+    primes, real = _walk_table(field, comp, rows, b, n, lambda ws: repeat((None, 1, n)))
     return VerificationReport(primes, n, real, 0.0, subreports)
 
 

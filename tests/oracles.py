@@ -45,7 +45,11 @@ None of this runs in the package itself:
   * split_candidates and fixed_orders: the split primes of a walked
     norm and the Frobenius-order test on a candidate PrimeIdeal, as
     classfield's conductor search ran them before its candidates became
-    (p, root) pairs of ints, the reference for that int path.
+    (p, root) pairs of ints, the reference for that int path;
+  * frobenius_order and local_degree: the Frobenius order of one prime
+    in one ray piece and the fold of one row over the pieces in turn, as
+    classfield ran them before its fold became column-wise, the
+    reference for classfield.DegreeFold.
 
 The splitting map.  For a target q with class discrete log c, the ideal
 q^kprime * prod a_i^(-c_i) is principal.  Its generator is gamma0 / denom,
@@ -60,7 +64,7 @@ eps, the reference equals the package image raised to u = kprime / m, an
 exponent prime to l, as an element.
 """
 
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 
 from constdeg.arith import (
     ResidueField,
@@ -71,7 +75,15 @@ from constdeg.arith import (
     power_residue_level,
     residue_field,
 )
-from constdeg.classfield import SIEVE_PRIMES, InternalInconsistency, generator_image, in_S
+from constdeg.classfield import (
+    SIEVE_PRIMES,
+    InternalInconsistency,
+    _rational_frobenius_order,
+    frobenius_image,
+    frobenius_order_in_L0,
+    generator_image,
+    in_S,
+)
 from constdeg.quadfield import (
     PrimeIdeal,
     QuadIdeal,
@@ -455,3 +467,53 @@ def fixed_orders(ctx, P: PrimeIdeal, fixed, full: int) -> bool:
         if order != k:
             return False
     return True
+
+
+# ------------------------------------------------------- local degrees
+
+
+def frobenius_order(ctx, eps: PrimeIdeal, q: PrimeIdeal) -> int:
+    """Order of the Frobenius of a prime q != eps in the ray piece of
+    conductor eps, the order of its frobenius_image; an order that does
+    not divide l^r raises InternalInconsistency.  eps itself is totally
+    ramified there, which local_degree reads without asking."""
+    full = ctx.ell**ctx.r
+    if ctx.field.kind == "rational":
+        return _rational_frobenius_order(q.p, eps.p, ctx.ell, full)
+    x = frobenius_image(ctx, eps, q)
+    order = ctx.ell ** order_exponent(x, ctx.ell, ctx.r, local_field(ctx.field, eps))
+    if order > full:
+        raise InternalInconsistency("Frobenius image escapes the piece")
+    return order
+
+
+def local_degree(ctx, pieces, w: PrimeIdeal):
+    """Local degree at the finite prime w of the compositum of the seed
+    and the ray pieces of the given conductors: the ramification factor
+    of the one component ramified at w times the lcm of the unramified
+    Frobenius orders.
+
+    Returns (ramified, factor, degree): the index of the component
+    ramified at w (0 = seed, i >= 1 = piece i, None = unramified), its
+    local degree l^(r-a) or l^r (1 if none), and the local degree.  Raises
+    InternalInconsistency if w is ramified in two components.
+
+    Every order divides l^r, so once the unramified lcm reaches l^r only
+    a later conductor equal to w can still move the degree; the fold
+    then stops asking for orders and only looks for one.
+    """
+    ell, full = ctx.ell, ctx.ell**ctx.r
+    if w.p == ell:
+        ramified, factor, rest = 0, ell ** (ctx.r - ctx.deficiencies[w]), 1
+    else:
+        ramified, factor, rest = None, 1, frobenius_order_in_L0(ctx.seed, w)
+    for i, eps in enumerate(pieces):
+        if eps.p == w.p and eps == w:  # p settles most pairs without __eq__
+            if ramified is not None:
+                raise InternalInconsistency(
+                    f"({w.p},{w.b}) is ramified in more than one component"
+                )
+            ramified, factor = i + 1, full
+        elif rest != full:
+            rest = lcm(rest, frobenius_order(ctx, eps, w))
+    return ramified, factor, factor * rest

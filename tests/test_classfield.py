@@ -29,6 +29,7 @@ from constdeg.classfield import (
     generator_image,
     in_S,
     local_degree,
+    local_degrees,
     make_ray_piece,
     search_prime,
 )
@@ -687,8 +688,10 @@ def test_search_escaping_image_raises_only_in_s(monkeypatch):
     asked = record_in_S(monkeypatch)
     patch_order9_images(monkeypatch)
     target = factor_rational_prime(K23, 2)[0]
+    # a cap just past eps: a search that fails to raise there exhausts at
+    # once instead of walking the default cap
     with pytest.raises(InternalInconsistency, match="escapes the piece"):
-        search_prime(CTX23, [], SearchCursor(), target, 3)
+        search_prime(CTX23, [], SearchCursor((eps.norm - 1) // 9 + 1), target, 3)
     candidates = [
         P for P in enumerate_field_primes(K23, eps.norm)
         if (P.norm - 1) % 9 == 0 and P.p not in CTX23.excluded and P not in CTX23.cl.gens
@@ -1233,6 +1236,32 @@ def test_unit_generator_choice_invariance():
             assert in_S(ctx_a, P) == in_S(ctx_b, P)
 
 
+@pytest.mark.parametrize("disc", [-3, -4, -23, -56, -3299, -4000003])
+def test_conjugate_target_generator_is_the_fresh_one(monkeypatch, disc):
+    # a split target whose conjugate's generator is cached takes its
+    # generator from it, and gets the canonical one that principal_generator
+    # gives; K(-3) and K(-4) have 6 and 4 units to choose the associate among
+    field = quadratic_field(disc)
+    ctx = build_context(field, 2, 1)
+    power = ctx.cl.coprime_part * ctx.ell**ctx.t
+    fresh, generator = [], classfield.principal_generator
+    monkeypatch.setattr(
+        classfield, "principal_generator", lambda fld, J: fresh.append(J) or generator(fld, J)
+    )
+    pairs = [
+        factor_rational_prime(field, p)
+        for p in small_primes(400)
+        if p not in ctx.excluded and kronecker_disc(disc, p) == 1
+    ][:10]
+    assert len(pairs) == 10
+    for k, (q, bar) in enumerate(pairs):
+        first, second = (q, bar) if k % 2 else (bar, q)
+        classfield._target_generator(ctx, first)
+        want = generator(field, ideal_pow(field, prime_module(field, second), power))
+        assert classfield._target_generator(ctx, second) == want, (first, second)
+    assert len(fresh) == len(pairs)  # the second of each pair came from the first
+
+
 def test_residue_group_at_conductors_is_large_enough():
     # the l-part of the residue group modulo torsion units must leave
     # room for a level r + t extension
@@ -1345,11 +1374,31 @@ def test_local_degree_full_row_still_finds_its_conductor():
     assert local_degree(CTX3, [piece7, piece19], rp(19)) == (2, 3, 9)
 
 
-def test_local_degree_duplicate_conductor_after_full_row():
+def assert_folds_refuse(monkeypatch, conductors, w):
+    # the fold of row w, the folds of a whole table in the default chunks
+    # and in chunks of 3 rows, and the row-by-row reference all refuse a
+    # row ramified in two components
+    pieces = [rp(p) for p in conductors]
+    rows = enumerate_field_primes(RATIONAL, 40)
+    message = f"^\\({w},None\\) is ramified in more than one component$"
+    with pytest.raises(InternalInconsistency, match=message):
+        local_degree(CTX3, pieces, rp(w))
+    with pytest.raises(InternalInconsistency, match=message):
+        oracles.local_degree(CTX3, pieces, rp(w))
+    for fold_rows in (classfield.FOLD_ROWS, 3):
+        monkeypatch.setattr(classfield, "FOLD_ROWS", fold_rows)
+        with pytest.raises(InternalInconsistency, match=message):
+            list(local_degrees(CTX3, pieces, rows))
+
+
+def test_local_degree_duplicate_conductor_after_full_row(monkeypatch):
     # both copies of 19 come after 19 is full under piece 7
-    piece7, piece19 = make_ray_piece(CTX3, rp(7)), make_ray_piece(CTX3, rp(19))
-    with pytest.raises(InternalInconsistency, match="more than one component"):
-        local_degree(CTX3, [piece7, piece19, piece19], rp(19))
+    assert_folds_refuse(monkeypatch, [7, 19, 19], 19)
+
+
+def test_local_degree_conductor_above_l(monkeypatch):
+    # 3 is ramified in the seed, and again in a piece of conductor 3
+    assert_folds_refuse(monkeypatch, [7, 3], 3)
 
 
 def order9_image(ctx, eps, q):
@@ -1382,7 +1431,7 @@ def test_frobenius_image_escaping_the_piece_is_caught(monkeypatch, tmp_path, cap
     args = ["--field", "disc=-23", "--n", "3", "--bound", "80", "--out", str(cert)]
     assert run(["construct", *args]) == 0
     assert json.loads(cert.read_text())["pieces"]
-    monkeypatch.setattr(classfield, "frobenius_image", order9_image)
+    patch_order9_images(monkeypatch)
     with pytest.raises(InternalInconsistency, match="escapes the piece"):
         local_degree(CTX23, [eps], q)
     capsys.readouterr()

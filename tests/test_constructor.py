@@ -15,6 +15,7 @@ from constdeg.classfield import (
     frobenius_order_in_ray_piece,
     in_S,
     local_degree,
+    local_degrees,
     make_ray_piece,
 )
 from constdeg.cli import run
@@ -31,6 +32,7 @@ from constdeg.quadfield import (
     factor_rational_prime,
     quadratic_field,
 )
+import oracles
 from oracles import kummer_generator, kummer_split_test
 
 K23 = quadratic_field(-23)
@@ -184,23 +186,33 @@ def test_monotone_coverage_n2_b100():
         (K23, 4, 200, 0),
         (K8, 2, 200, 2),  # deficient at the prime above 2
         (RATIONAL, 12, 500, 2),  # each component
+        (K23, 3, 200, 0),  # t = 1
+        (quadratic_field(-56), 4, 200, 0),  # inert conductors, of norm above 200
     ],
 )
-def test_rows_follow_the_shared_rule(field, n, bound, own):
-    # construct's running degree, which skips rows once full, gives each
-    # row the degree and ramified component that local_degree finds
-    # under the final pieces
-    cert = compose_for_n(field, n, bound)["composite"]
+def test_rows_follow_the_shared_rule(monkeypatch, field, n, bound, own):
+    # construct's rows, read from the column-wise fold as it grows, give
+    # each row the triple that the fold of the whole table finds under
+    # the final pieces, and so does the row-by-row reference; folds of 5
+    # rows, so that conductors and targets fall in other folds, change
+    # neither the triples nor the certificate
+    cert = compose_for_n(field, n, bound)
+    rows = enumerate_field_primes(field, bound)
     ramified_in_own_piece = 0
-    primes = {(w.p, w.b): w for w in enumerate_field_primes(field, bound)}
-    for comp in cert["components"]:
+    for comp in cert["composite"]["components"]:
         _, ctx, _, pieces = rebuild(comp)
-        for row in comp["table"]:
-            w = primes[tuple(row["prime"])]
-            ram, _, deg = local_degree(ctx, pieces, w)
-            assert (row["degree"], row["ramified_component"]) == (deg, ram), w
-            ramified_in_own_piece += w in pieces
+        folded = list(local_degrees(ctx, pieces, rows))
+        assert folded == [oracles.local_degree(ctx, pieces, w) for w in rows]
+        assert [(row["degree"], row["ramified_component"]) for row in comp["table"]] == [
+            (deg, ram) for ram, _, deg in folded
+        ]
+        monkeypatch.setattr(classfield, "FOLD_ROWS", 5)
+        assert list(local_degrees(ctx, pieces, rows)) == folded
+        monkeypatch.undo()
+        ramified_in_own_piece += sum(w in pieces for w in rows)
     assert ramified_in_own_piece == own
+    monkeypatch.setattr(classfield, "FOLD_ROWS", 5)
+    assert certificate_json(compose_for_n(field, n, bound)) == certificate_json(cert)
 
 
 @pytest.mark.parametrize("field,ell,r", [(K8, 2, 1), (quadratic_field(-56), 2, 2)])
@@ -212,29 +224,29 @@ def test_deficient_prime_is_the_first_target(field, ell, r):
     assert lam == enumerate_field_primes(field, 2)[0]
 
 
-def test_each_frobenius_order_asked_at_most_twice(monkeypatch):
-    # one order per (conductor, row), and only for rows short of full;
-    # a row that takes a piece is folded again and asks each earlier
-    # conductor once more; over Q the search itself asks for none
+def test_each_frobenius_order_asked_at_most_once(monkeypatch):
+    # one order per (conductor, row), and only for rows still short when
+    # the piece is added; a row that takes a piece is read back from the
+    # fold, not folded again; over Q the search itself asks for none
     asked, earlier = [], {}
-    order, search = classfield.frobenius_order_in_ray_piece, constructor.search_prime
+    orders, search = classfield.frobenius_orders, constructor.search_prime
 
-    def record(ctx, eps, q):
-        asked.append((eps, q))
-        return order(ctx, eps, q)
+    def record(ctx, eps, ws):
+        asked.extend((eps, q) for q in ws)
+        return orders(ctx, eps, ws)
 
     def record_target(ctx, pieces, cursor, w, k):
         earlier[w] = len(pieces)
         return search(ctx, pieces, cursor, w, k)
 
-    monkeypatch.setattr(classfield, "frobenius_order_in_ray_piece", record)
+    monkeypatch.setattr(classfield, "frobenius_orders", record)
     monkeypatch.setattr(constructor, "search_prime", record_target)
     cert = construct(RATIONAL, 2, 1, 10000)
     assert len(cert["table"]) == 1229
     assert len(earlier) == len(cert["pieces"])
     counts = Counter(asked)
     repeats = Counter(q for (_, q), k in counts.items() if k > 1)
-    assert max(counts.values()) == 2
+    assert max(counts.values()) == 1
     assert all(k <= earlier[q] for q, k in repeats.items())
     assert len(asked) < len(cert["table"])
 
@@ -242,7 +254,7 @@ def test_each_frobenius_order_asked_at_most_twice(monkeypatch):
 def test_self_check_catches_a_short_row(monkeypatch, tmp_path, capsys):
     # with every piece's Frobenius order forced to 1, the piece found for
     # 3 does not move it, and the final check refuses the table
-    monkeypatch.setattr(classfield, "frobenius_order_in_ray_piece", lambda ctx, eps, q: 1)
+    monkeypatch.setattr(classfield, "frobenius_orders", lambda ctx, eps, ws: [1] * len(ws))
     with pytest.raises(InternalInconsistency, match=r"^prime \(3,None\) has local degree 1, wanted 2$"):
         construct(RATIONAL, 2, 1, 10)
     out = tmp_path / "c.json"

@@ -136,6 +136,23 @@ def test_tampered_table_degree():
     assert "(7," in str(ei.value)
 
 
+@pytest.mark.parametrize("cert", [CERT2, COMP6, CERT23], ids=["plain", "composite", "k23"])
+def test_early_wrong_degree_wins_over_later_missing_row(cert):
+    # the degrees of a segment are folded before its rows are checked,
+    # yet a wrong degree still raises at its row, before the walk reaches
+    # a row missing later in the same segment
+    c = copy.deepcopy(cert)
+    table = c.get("composite", c)["table"]
+    p, b = table.pop(-2)["prime"]
+    with pytest.raises(MalformedCertificate, match=rf"^table has no row for prime \({p},{b}\)$"):
+        verify(c)
+    table[1]["degree"] *= 2
+    with pytest.raises(MismatchFound) as ei:
+        verify(c)
+    p, b = table[1]["prime"]
+    assert (ei.value.place, ei.value.claimed) == (f"prime ({p},{b})", table[1]["degree"])
+
+
 def test_tampered_ramified_component():
     c = copy.deepcopy(CERT2)
     row = next(r for r in c["table"] if r["prime"] == [17, None])
