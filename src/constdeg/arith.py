@@ -204,21 +204,17 @@ def order_exponent(x, ell: int, k_max: int, field: ResidueField) -> int:
     return j
 
 
-def ell_root(x: int, ell: int, p: int) -> int:
-    """One y in [0, p) with y^ell = x mod the odd prime p: the square
-    root at ell = 2, by Tonelli-Shanks (Cohen, GTM 138, Alg. 1.5.1), or
-    the unique root at an ell prime to p - 1.  An odd ell dividing p - 1
-    raises ValueError; no caller takes such a root.
+def ell_root(x: int, p: int) -> int:
+    """One y in [0, p) with y^2 = x mod the odd prime p, by
+    Tonelli-Shanks (Cohen, GTM 138, Alg. 1.5.1).  It keeps the name
+    ell_root, under which perfbench's tracer and the traced CI step wrap
+    it.
 
     Deterministic, but callers must not depend on which root comes back.
     Raises ValueError when x is not the square of a unit mod p.
     """
     x %= p
     q = p - 1
-    if q % ell:
-        return pow(x, pow(ell, -1, q), p)
-    if ell != 2:
-        raise ValueError(f"no root at an odd ell = {ell} dividing p - 1")
     if x == 0:
         raise ValueError("0 is no square of a unit mod p")
     # p - 1 = 2^v * m with m odd: y = x^((m+1)/2) has y^2 = x*t, t = x^m

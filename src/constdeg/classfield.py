@@ -18,7 +18,7 @@ Conventions:
     (Z/l^(r+1))^* for odd l, and for l = 2 the odd character mod 2^(r+2)
     sending 5 to a primitive 2^r-th root of unity;
   * the Frobenius of a target q other than the conductor eps has the
-    order of x = gamma^((N(eps)-1)/l^(r+t)) mod eps (generator_image)
+    order of x = gamma^((N(eps)-1)/l^(r+t)) mod eps (conductor_image)
     in the ray piece, where gamma generates q^(m * l^t): m, the prime-to-l
     part of the class number, kills the prime-to-l part of the class of q
     and l^t its l-part, so that power is principal.  gamma is fixed only
@@ -29,11 +29,14 @@ Conventions:
     an InternalInconsistency; over K, arith.order_exponent reads it off
     x.  The conductor is totally ramified in its piece, and over K no
     Frobenius order is asked for it;
-  * x is a plain int at a split conductor, (a + b*sqrt(D))/2 read as
-    (a + b*P.b)/2 mod p and raised by one builtin pow (split_image, a
-    function of p and the root, which the search also calls on its
-    candidates), and a pair of F_p(sqrt(D)) at an inert one, where the
-    residue field takes it.
+  * conductor_image is the one copy of that power.  It names the
+    conductor by ints, p and the root b of a split prime or None at an
+    inert one, as the search meets its candidates, and takes the
+    exponent and residue field from its caller, which makes them once
+    per column or norm.  x is a plain int at a split conductor,
+    (a + b*sqrt(D))/2 read as (a + b*root)/2 mod p and raised by one
+    builtin pow, and a pair of F_p(sqrt(D)) at an inert one, raised in
+    that field.
 
 Each conductor is the first prime of S that answers the greedy step's
 one question; search_prime states it and asks it.  It walks the norm
@@ -43,8 +46,9 @@ leaves: primes, prime squares and entries with no small prime factor.
 Below SIEVE_PRIMES**2 that leaves no other composite, so over K the
 sieve decides primality there and is_prime runs only above it.  Over K
 each candidate must first give the fixed primes their Frobenius orders,
-which a split one meets as a (p, root) pair of ints.  The search cap
-counts entries of the whole progression, the skipped ones included.
+which it meets as ints: p and its root, None at an inert prime.  The
+search cap counts entries of the whole progression, the skipped ones
+included.
 """
 
 from bisect import bisect_left
@@ -245,28 +249,16 @@ def _target_generator(ctx, q: PrimeIdeal):
     return gamma
 
 
-def split_image(p: int, b: int, e: int, gamma) -> int:
-    """gamma^e at the split prime above p of root b, a plain int: gamma =
-    (x + y*sqrt(D))/2 read with sqrt(D) = b as in reduce_mod."""
+def conductor_image(p: int, b, e: int, gamma, fld):
+    """gamma^e in the residue field fld at the split prime above p of
+    root b, or at the inert prime p at b = None: gamma = (x + y*sqrt(D))/2
+    read as reduce_mod reads it, sqrt(D) = b mod p at a split prime and
+    the generator w of F_p(sqrt(D)) at an inert one."""
     x, y = gamma
-    return pow((x + y * b) * ((p + 1) >> 1), e, p)
-
-
-def generator_image(ctx, eps: PrimeIdeal, gamma):
-    """Over K, the residue x = gamma^((N(eps)-1)/l^(r+t)) at eps of a
-    generator gamma of q^(m * l^t), q a target other than eps; at a
-    conductor eps in S its order is the Frobenius order of q in the piece.
-    At a split eps, x is the split_image."""
-    e = (eps.norm - 1) // ctx.ell ** (ctx.r + ctx.t)
-    if eps.kind == "inert":
-        return local_field(ctx.field, eps).pow(reduce_mod(ctx.field, gamma, eps), e)
-    return split_image(eps.p, eps.b, e, gamma)
-
-
-def frobenius_image(ctx, eps: PrimeIdeal, q: PrimeIdeal):
-    """The generator_image at the conductor eps of the cached generator
-    of the target q."""
-    return generator_image(ctx, eps, _target_generator(ctx, q))
+    h = (p + 1) >> 1  # 1/2 mod p
+    if b is None:
+        return fld.pow((x * h % p, y * h % p), e)
+    return pow((x + y * b) * h, e, p)
 
 
 def _rational_frobenius_order(q: int, n: int, ell: int, full: int) -> int:
@@ -283,22 +275,19 @@ def _rational_frobenius_order(q: int, n: int, ell: int, full: int) -> int:
 def frobenius_orders(ctx, eps: PrimeIdeal, ws) -> list:
     """The order of the Frobenius of each prime w in ws, none of them eps,
     in the ray piece of conductor eps: over Q that of w^((eps-1)/l^r) mod
-    eps, one pow and the order loop; over K that of w's generator_image,
-    at a split eps its split_image with the exponent (N(eps)-1)/l^(r+t)
-    taken once for all of ws.  An order that does not divide l^r raises
-    InternalInconsistency.  eps itself is totally ramified there, which
-    DegreeFold reads without asking."""
+    eps, one pow and the order loop; over K that of the conductor_image
+    of w's generator, with the exponent (N(eps)-1)/l^(r+t) and the
+    residue field taken once for all of ws.  An order that does not
+    divide l^r raises InternalInconsistency.  eps itself is totally
+    ramified there, which DegreeFold reads without asking."""
     ell, r = ctx.ell, ctx.r
     full = ell**r
     if ctx.field.kind == "rational":
         out = [_rational_frobenius_order(w.p, eps.p, ell, full) for w in ws]
     else:
         fld = local_field(ctx.field, eps)
-        if eps.kind == "inert":
-            images = (frobenius_image(ctx, eps, w) for w in ws)
-        else:
-            e = (eps.norm - 1) // ell ** (r + ctx.t)
-            images = (split_image(eps.p, eps.b, e, _target_generator(ctx, w)) for w in ws)
+        e = (eps.norm - 1) // ell ** (r + ctx.t)
+        images = (conductor_image(eps.p, eps.b, e, _target_generator(ctx, w), fld) for w in ws)
         out = [ell ** order_exponent(x, ell, r, fld) for x in images]
     if out and max(out) > full:
         raise InternalInconsistency("Frobenius image escapes the piece")
@@ -399,22 +388,18 @@ def _fixed_orders(ctx, p: int, b, e: int, fld, fixed, full: int) -> bool:
     """Whether each fixed prime q, given with its generator gamma, has
     Frobenius order exactly k in the piece at the candidate (p, b), the
     split prime above p of root b or the inert prime p at b = None: the
-    order in its residue field fld of its split_image with exponent e,
-    or of its generator_image if inert; a candidate equal to q gives the
-    full degree.  An image that escapes the piece is the inconsistency
-    frobenius_order_in_ray_piece raises on at a candidate in S, and a
-    plain rejection at one outside S, where the rule does not hold."""
+    order in the residue field fld of its conductor_image with exponent
+    e; a candidate equal to q gives the full degree.  An image that
+    escapes the piece is the inconsistency frobenius_orders raises on at
+    a candidate in S, and a plain rejection at one outside S, where the
+    rule does not hold."""
     ell, r = ctx.ell, ctx.r
     for q, gamma, k in fixed:
         if q.p == p and q.b == b:
             if k != full:
                 return False
             continue
-        if b is None:
-            x = generator_image(ctx, _candidate(p, b), gamma)
-        else:
-            x = split_image(p, b, e, gamma)
-        order = ell ** order_exponent(x, ell, r, fld)
+        order = ell ** order_exponent(conductor_image(p, b, e, gamma, fld), ell, r, fld)
         if order > full and in_S(ctx, _candidate(p, b)):
             raise InternalInconsistency("Frobenius image escapes the piece")
         if order != k:
@@ -446,11 +431,12 @@ def search_prime(
     2*l*disc and not a class-basis prime, must give the fixed primes
     (those above l other than target, the conductors and target) their
     orders, from generators fetched once per search, then lie in S, then
-    leave the conductors split.  A split candidate meets the orders as
-    its (p, root) ints, by split_image with the exponent (n - 1)/l^(r+t)
-    taken once per norm, and skips the class basis by a set of (p, root)
-    pairs; its PrimeIdeal is built only once it passes them, or for the
-    in_S of the escape check below.  Each test is a function of P alone and
+    leave the conductors split.  A candidate meets the orders as its
+    ints, p and its root (None if inert), by conductor_image with the
+    exponent (n - 1)/l^(r+t) and the residue field taken once per norm,
+    and skips the class basis by a set of (p, root) pairs; its
+    PrimeIdeal is built only once it passes them, or for the in_S of the
+    escape check below.  Each test is a function of P alone and
     a conductor must pass all three, so their order does not change
     which P is found; an order above l^r at a fixed prime still raises
     InternalInconsistency at a P in S.  Raises
@@ -497,8 +483,8 @@ def search_prime(
             if not roots:
                 continue
             # F_p at a split prime n = p, F_p(sqrt(D)) at an inert n = p^2
-            fld = ResidueField(p) if p == n else local_field(ctx.field, _candidate(p, None))
-            e = (n - 1) // lk  # (N - 1)/l^(r+t) at a split prime
+            fld = ResidueField(p, None if p == n else ctx.field.disc % p)
+            e = (n - 1) // lk  # (N - 1)/l^(r+t)
             for b in roots:
                 if (p, b) not in basis and _fixed_orders(ctx, p, b, e, fld, fixed, full):
                     P = _candidate(p, b)

@@ -60,20 +60,26 @@ def construct(field, ell: int, r: int, bound: int, config: Config = None) -> dic
     (piece, row) order is computed at most once, and a target's row is
     read back after its piece, not folded again.
 
-    Raises SearchExhausted if some conductor search hits the cap or the
-    2**64 primality limit, and InternalInconsistency if a row is not
-    ell^r after its piece.
+    Raises ValueError if no prime has norm up to bound (over K a bound
+    below 4 can leave none), SearchExhausted if some conductor search
+    hits the cap or the 2**64 primality limit, and InternalInconsistency
+    if a row is not ell^r after its piece.
     """
     cfg = config or Config()
     if bound < 2:
         raise ValueError("bound must be at least 2")
     if cfg.cap < 1:
         raise ValueError("cap must be at least 1")
+    rows = enumerate_field_primes(field, bound)
+    if not rows:
+        # a prime above 2 has norm 2 or 4
+        least = enumerate_field_primes(field, 4)[0].norm
+        raise ValueError(f"bound {bound} is below {least}, the least norm of a prime of the field")
     ctx = build_context(field, ell, r)
     full = ell**r
     pieces = []  # conductors
     table = []
-    for fold in degree_folds(ctx, pieces, enumerate_field_primes(field, bound)):
+    for fold in degree_folds(ctx, pieces, rows):
         for i, w in enumerate(fold.rows):
             ramified, ram_factor, degree = fold.row(i)
             if degree < full:

@@ -215,7 +215,7 @@ def split_roots(d: int, p: int) -> tuple:
     if p == 2:
         return (1, 3)
     # r and 2p - r are the two roots of d's parity, and 0 < r < 2p
-    r = ell_root(d, 2, p)
+    r = ell_root(d, p)
     if (r - d) & 1:
         r += p
     return (r, 2 * p - r) if r < p else (2 * p - r, r)

@@ -29,7 +29,7 @@ None of this runs in the package itself:
     acceptance criterion 5 for classfield.frobenius_order_in_ray_piece;
   * class_correction through reference_image: the root-based splitting
     map, the reference that acceptance criterion 6 and the
-    choice-invariance tests compare classfield.frobenius_image against;
+    choice-invariance tests compare classfield.conductor_image against;
   * reduced_forms_by_a: the reduced forms of disc D found by scanning
     every b in (-a, a] for each a, the reference for
     quadfield.enumerate_class_group;
@@ -42,14 +42,22 @@ None of this runs in the package itself:
   * roots_by_scan: the roots b of x^2 = D mod 4p found by scanning
     every b < 2p, the reference for the split and ramified cases of
     quadfield.factor_rational_prime;
+  * target_generator, generator_image and frobenius_image: a fresh
+    generator of q^(m * l^t), with no cache and no conjugate shortcut,
+    and its power residue at a conductor PrimeIdeal by reduce_mod and a
+    power in the residue field, the object route that
+    classfield.conductor_image takes on ints;
+  * seed_order: the Frobenius order in the seed read off a table of the
+    seed character built from generators of (Z/modulus)^*, the
+    reference for classfield.frobenius_order_in_L0;
   * split_candidates and fixed_orders: the split primes of a walked
     norm and the Frobenius-order test on a candidate PrimeIdeal, as
     classfield's conductor search ran them before its candidates became
     (p, root) pairs of ints, the reference for that int path;
   * frobenius_order and local_degree: the Frobenius order of one prime
-    in one ray piece and the fold of one row over the pieces in turn, as
-    classfield ran them before its fold became column-wise, the
-    reference for classfield.DegreeFold.
+    in one ray piece, over Q by multiplicative_order, and the fold of
+    one row over the pieces in turn, as classfield ran them before its
+    fold became column-wise, the reference for classfield.DegreeFold.
 
 The splitting map.  For a target q with class discrete log c, the ideal
 q^kprime * prod a_i^(-c_i) is principal.  Its generator is gamma0 / denom,
@@ -64,6 +72,7 @@ eps, the reference equals the package image raised to u = kprime / m, an
 exponent prime to l, as an element.
 """
 
+from functools import lru_cache
 from math import gcd, isqrt, lcm
 
 from constdeg.arith import (
@@ -75,15 +84,7 @@ from constdeg.arith import (
     power_residue_level,
     residue_field,
 )
-from constdeg.classfield import (
-    SIEVE_PRIMES,
-    InternalInconsistency,
-    _rational_frobenius_order,
-    frobenius_image,
-    frobenius_order_in_L0,
-    generator_image,
-    in_S,
-)
+from constdeg.classfield import SIEVE_PRIMES, InternalInconsistency, in_S
 from constdeg.quadfield import (
     PrimeIdeal,
     QuadIdeal,
@@ -432,6 +433,65 @@ def roots_by_scan(d: int, p: int) -> list:
     return [b for b in range(2 * p) if (b - d) % 2 == 0 and (b * b - d) % (4 * p) == 0]
 
 
+# ------------------------------------------------------ Frobenius images
+
+
+def target_generator(ctx, q: PrimeIdeal):
+    """A generator of q^(m * l^t), m = ctx.cl.coprime_part, made fresh."""
+    J = ideal_pow(ctx.field, prime_module(ctx.field, q), ctx.cl.coprime_part * ctx.ell**ctx.t)
+    return principal_generator(ctx.field, J)
+
+
+def generator_image(ctx, eps: PrimeIdeal, gamma):
+    """gamma^((N(eps)-1)/l^(r+t)) at the conductor eps, by reduce_mod and
+    a power in the residue field at eps."""
+    e = (eps.norm - 1) // ctx.ell ** (ctx.r + ctx.t)
+    return local_field(ctx.field, eps).pow(reduce_mod(ctx.field, gamma, eps), e)
+
+
+def frobenius_image(ctx, eps: PrimeIdeal, q: PrimeIdeal):
+    """The generator_image at eps of a fresh generator of the target q."""
+    return generator_image(ctx, eps, target_generator(ctx, q))
+
+
+@lru_cache(maxsize=None)
+def seed_table(ell: int, r: int):
+    """(m, chi): the seed modulus m and the seed character as a dict from
+    each unit mod m to its value in Z/l^r, spanned from generators of
+    (Z/m)^*: at l = 2, -1 of order 2 with chi(-1) = 2^(r-1) (the odd
+    character) and 5 of order 2^r with chi(5) = 1; at an odd l, a
+    primitive root g with chi(g) = 1.  The table has phi(m) entries, so
+    it serves the small r of the tests."""
+    if ell == 2:
+        m = 2 ** (r + 2)
+        gens = [(m - 1, 2, 2 ** (r - 1)), (5, 2**r, 1)]
+    else:
+        m, phi = ell ** (r + 1), (ell - 1) * ell**r
+        g = next(
+            g for g in range(2, m)
+            if g % ell and all(pow(g, phi // f, m) != 1 for f, _ in factor(phi))
+        )
+        gens = [(g, phi, 1)]
+    chi = {1: 0}
+    for g, order, value in gens:
+        chi = {
+            x * pow(g, k, m) % m: (v + k * value) % ell**r
+            for x, v in chi.items()
+            for k in range(order)
+        }
+    return m, chi
+
+
+def seed_order(ctx, w: PrimeIdeal):
+    """Frobenius order of w in the seed, the order of chi(N(w)) in
+    Z/l^r; None for primes above l."""
+    if w.p == ctx.ell:
+        return None
+    m, chi = seed_table(ctx.ell, ctx.r)
+    full = ctx.ell**ctx.r
+    return full // gcd(chi[w.norm % m], full)
+
+
 # ---------------------------------------------------- search candidates
 
 
@@ -474,12 +534,13 @@ def fixed_orders(ctx, P: PrimeIdeal, fixed, full: int) -> bool:
 
 def frobenius_order(ctx, eps: PrimeIdeal, q: PrimeIdeal) -> int:
     """Order of the Frobenius of a prime q != eps in the ray piece of
-    conductor eps, the order of its frobenius_image; an order that does
-    not divide l^r raises InternalInconsistency.  eps itself is totally
+    conductor eps: over Q the multiplicative_order of q^((eps-1)/l^r)
+    mod eps, over K that of its frobenius_image; an order that does not
+    divide l^r raises InternalInconsistency.  eps itself is totally
     ramified there, which local_degree reads without asking."""
     full = ctx.ell**ctx.r
     if ctx.field.kind == "rational":
-        return _rational_frobenius_order(q.p, eps.p, ctx.ell, full)
+        return multiplicative_order(pow(q.p, (eps.p - 1) // full, eps.p), residue_field(eps.p))
     x = frobenius_image(ctx, eps, q)
     order = ctx.ell ** order_exponent(x, ctx.ell, ctx.r, local_field(ctx.field, eps))
     if order > full:
@@ -506,7 +567,7 @@ def local_degree(ctx, pieces, w: PrimeIdeal):
     if w.p == ell:
         ramified, factor, rest = 0, ell ** (ctx.r - ctx.deficiencies[w]), 1
     else:
-        ramified, factor, rest = None, 1, frobenius_order_in_L0(ctx.seed, w)
+        ramified, factor, rest = None, 1, seed_order(ctx, w)
     for i, eps in enumerate(pieces):
         if eps.p == w.p and eps == w:  # p settles most pairs without __eq__
             if ramified is not None:

@@ -9,11 +9,12 @@ import json
 import random
 import time
 
+from constdeg import classfield
 from constdeg.arith import factor, small_primes
 from constdeg.classfield import (
     build_context,
+    conductor_image,
     enumerate_field_primes,
-    frobenius_image,
     frobenius_order_in_ray_piece,
     in_S,
     make_ray_piece,
@@ -41,6 +42,7 @@ from constdeg.verifier import (
 from oracles import (
     alpha_roots,
     elt_neg,
+    frobenius_image,
     kprime,
     kummer_generator,
     kummer_split_test,
@@ -175,11 +177,19 @@ def test_criterion_05_frobenius_kummer_equivalence():
     )
 
 
+def package_image(ctx, eps, q):
+    # the package's closed-form image of the target q at the conductor
+    # eps, as classfield.frobenius_orders takes it
+    e = (eps.norm - 1) // ctx.ell ** (ctx.r + ctx.t)
+    gamma = classfield._target_generator(ctx, q)
+    return conductor_image(eps.p, eps.b, e, gamma, local_field(ctx.field, eps))
+
+
 def test_criterion_06_choice_independence():
-    # the closed-form image gamma^((Q-1)/l^(r+t)), raised to kprime/m,
-    # against the root-based splitting map, element by element, under
-    # every choice the latter makes: the l-th roots, the sign of alpha_i,
-    # and the unit in gamma
+    # the package's closed-form image gamma^((Q-1)/l^(r+t)), equal to the
+    # oracle's object route and, raised to kprime/m, to the root-based
+    # splitting map, element by element, under every choice the latter
+    # makes: the l-th roots, the sign of alpha_i, and the unit in gamma
     rng = random.Random(0xACCE55)
     ctx = build_context(K23, 3, 1)
     flipped = build_context(K23, 3, 1)
@@ -195,7 +205,8 @@ def test_criterion_06_choice_independence():
             for q in enumerate_field_primes(K23, 60)
             if q.p != eps.p and q.p not in ctx.excluded and q not in ctx.cl.gens
         ]
-        base = {q: frobenius_image(ctx, eps, q) for q in targets}
+        base = {q: package_image(ctx, eps, q) for q in targets}
+        assert base == {q: frobenius_image(ctx, eps, q) for q in targets}
         assert len(set(base.values())) > 1  # some target moves in the piece
         want = {q: fld.pow(x, u) for q, x in base.items()}
 
@@ -214,9 +225,9 @@ def test_criterion_06_choice_independence():
 
         # the production generator gamma times a unit
         for q in rng.sample(targets, 10):
-            frobenius_image(unitized, eps, q)  # caches gamma for q
+            package_image(unitized, eps, q)  # caches gamma for q
             unitized._targets[q] = elt_mul(K23, rng.choice(ctx.units), unitized._targets[q])
-            assert frobenius_image(unitized, eps, q) == base[q], (eps, q)
+            assert package_image(unitized, eps, q) == base[q], (eps, q)
             assert reference_image(ctx, eps, q) == want[q], (eps, q)
             trials += 1
     assert trials >= 50

@@ -22,11 +22,10 @@ from constdeg.classfield import (
     build_context,
     character_order,
     context_record,
+    conductor_image,
     enumerate_field_primes,
-    frobenius_image,
     frobenius_order_in_L0,
     frobenius_order_in_ray_piece,
-    generator_image,
     in_S,
     local_degree,
     local_degrees,
@@ -76,6 +75,14 @@ K4 = quadratic_field(-4)
 
 def rp(p):
     return PrimeIdeal(p, "rational", None, 1)
+
+
+def package_image(ctx, eps, q):
+    # the package's Frobenius image of the target q at the conductor eps,
+    # as frobenius_orders takes it
+    e = (eps.norm - 1) // ctx.ell ** (ctx.r + ctx.t)
+    gamma = classfield._target_generator(ctx, q)
+    return conductor_image(eps.p, eps.b, e, gamma, local_field(ctx.field, eps))
 
 
 def s_members(ctx, count, bound=5000):
@@ -164,11 +171,12 @@ def test_target_exponent_m_keeps_the_kprime_image_order():
     for piece in cert["pieces"]:
         eps = prime(piece["p"], piece["b"])
         fld = local_field(ctx.field, eps)
+        e = (eps.norm - 1) // ctx.ell ** (ctx.r + ctx.t)
         for row in cert["table"]:
             q = prime(*row["prime"])
             J = ideal_pow(K23, prime_module(K23, q), 9 * 2**ctx.t)
-            x9 = generator_image(ctx, eps, principal_generator(K23, J))
-            x = frobenius_image(ctx, eps, q)
+            x9 = conductor_image(eps.p, eps.b, e, principal_generator(K23, J), fld)
+            x = package_image(ctx, eps, q)
             assert x9 == fld.pow(x, 3), (eps, q)
             assert multiplicative_order(x9, fld) == multiplicative_order(x, fld)
             pairs += 1
@@ -297,6 +305,22 @@ def test_frobenius_order_in_l0_quad_uses_norm():
     assert frobenius_order_in_L0(p31, five) == 3
     for lam in factor_rational_prime(K23, 3):
         assert frobenius_order_in_L0(p31, lam) is None
+
+
+@pytest.mark.parametrize("ell,r", [(2, 1), (2, 2), (2, 4), (3, 1), (3, 3), (5, 2), (13, 1)])
+def test_frobenius_order_in_l0_matches_the_character_table(ell, r):
+    # the oracle reads the seed order off a table of the character built
+    # from generators of (Z/modulus)^*, sharing no code with
+    # character_order; over K the norm of an inert prime is p^2
+    ctx = build_context(RATIONAL, ell, r)
+    primes = [rp(p) for p in small_primes(3000)]
+    primes += [P for P in enumerate_field_primes(K23, 3000) if P.kind == "inert"]
+    orders = set()
+    for w in primes:
+        got = frobenius_order_in_L0(ctx.seed, w)
+        assert got == oracles.seed_order(ctx, w), (ell, r, w)
+        orders.add(got)
+    assert orders == {None} | {ell**j for j in range(r + 1)}
 
 
 # ------------------------------------------------- deficiency at ell=2
@@ -755,9 +779,9 @@ def test_int_candidates_match_the_object_reference(monkeypatch, disc, ell, r, bo
     # of the searches of construct(K(disc), ell, r, bound), as (p, root)
     # ints and as a PrimeIdeal under the reference; both paths accept,
     # reject or raise alike.  At K(-23), l = 3, r = 1 (t = 1) an image of
-    # order 9 at every split candidate, through split_image, which the
-    # reference's generator_image also calls, makes both paths raise at
-    # the candidates in S.  At K(-3299), l = 3, t = 2 and the class basis
+    # order 9 at every split candidate, through conductor_image and the
+    # reference's own generator_image, makes both paths raise at the
+    # candidates in S.  At K(-3299), l = 3, t = 2 and the class basis
     # has two primes
     stop = 200_000
     lists = fixed_lists(monkeypatch, quadratic_field(disc), ell, r, bound)
@@ -773,7 +797,7 @@ def test_int_candidates_match_the_object_reference(monkeypatch, disc, ell, r, bo
         assert (ctx.t, len(ctx.cl.gens)) == (2, 2)
     if (disc, ell) != (-23, 3):
         return
-    patch_order9_images(monkeypatch)
+    patch_order9_images(monkeypatch, reference=True)
     ctx, fixed, full = lists[0]
     got = list(int_path_outcomes(ctx, fixed, full, stop))
     assert got == list(object_path_outcomes(ctx, fixed, full, stop))
@@ -1007,7 +1031,7 @@ def test_splitting_map_principal_image_oracle():
         except NotPrincipal:
             continue
         direct = reduce_mod(K23, gen, members[0])
-        assert frobenius_image(CTX23, piece, q) == fld.pow(direct, e)
+        assert package_image(CTX23, piece, q) == fld.pow(direct, e)
         checked += 1
     assert checked >= 5
 
@@ -1034,8 +1058,8 @@ def test_splitting_map_multiplicative_oracle():
             except NotPrincipal:
                 continue
             lhs = fld.mul(
-                frobenius_image(CTX23, piece, q1),
-                frobenius_image(CTX23, piece, q2),
+                package_image(CTX23, piece, q1),
+                package_image(CTX23, piece, q2),
             )
             assert lhs == fld.pow(reduce_mod(K23, gen, eps), e)
             pairs += 1
@@ -1150,7 +1174,7 @@ def test_root_choice_invariance():
     roots = alpha_roots(CTX23, eps)
     base = [reference_image(CTX23, eps, q, roots) for q in targets]
     u = kprime(CTX23) // CTX23.cl.coprime_part
-    assert base == [fld.pow(frobenius_image(CTX23, piece, q), u) for q in targets]
+    assert base == [fld.pow(package_image(CTX23, piece, q), u) for q in targets]
     w = unit_root(fld, 3)
     assert w != fld.one and fld.pow(w, 3) == fld.one
     for j in (1, 2):
@@ -1192,7 +1216,7 @@ def test_frobenius_image_matches_reference(disc, ell, r, t, bound):
         for q in enumerate_field_primes(field, 60) + [conjugate_prime(eps)]:
             if q == eps:
                 continue
-            image = fld.pow(frobenius_image(ctx, piece, q), u)
+            image = fld.pow(package_image(ctx, piece, q), u)
             assert image == reference_image(ctx, eps, q, roots)
             pairs += 1
     assert pairs >= 30
@@ -1411,15 +1435,16 @@ def order9_image(ctx, eps, q):
             return y
 
 
-def patch_order9_images(monkeypatch):
-    # order9_image at every candidate of the K(-23), l = 3 search: the
-    # split ones take split_image's (p, root, exponent, generator), the
-    # inert ones generator_image's arguments
-    def split9(p, b, e, gamma):
-        return order9_image(CTX23, PrimeIdeal(p, "split", b, 1), gamma)
+def patch_order9_images(monkeypatch, reference=False):
+    # order9_image at every candidate of the K(-23), l = 3 search, split
+    # or inert, through classfield.conductor_image; with reference, at
+    # the oracle's object route too
+    def image9(p, b, e, gamma, fld):
+        return order9_image(CTX23, classfield._candidate(p, b), gamma)
 
-    monkeypatch.setattr(classfield, "split_image", split9)
-    monkeypatch.setattr(classfield, "generator_image", order9_image)
+    monkeypatch.setattr(classfield, "conductor_image", image9)
+    if reference:
+        monkeypatch.setattr(oracles, "generator_image", order9_image)
 
 
 def test_frobenius_image_escaping_the_piece_is_caught(monkeypatch, tmp_path, capsys):

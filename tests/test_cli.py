@@ -290,16 +290,21 @@ def test_basis_prime_beyond_the_sieve_round_trip(tmp_path, capsys, disc, t, gen_
 
 
 def test_construct_rejects_small_n_and_bound(tmp_path, capsys):
-    # the library owns these rules; the CLI reports its message as is
+    # the library owns these rules; the CLI reports its message as is.
+    # K(-19) has no prime of norm below 4, so B = 3 would leave its table
+    # empty
     out = tmp_path / "x.json"
-    for n, bound, message in (
-        (1, 5, "n must be at least 2"),
-        (0, 5, "n must be at least 2"),
-        (-3, 5, "n must be at least 2"),
-        (2, 1, "bound must be at least 2"),
-        (6, 1, "bound must be at least 2"),
+    below = "bound 3 is below 4, the least norm of a prime of the field"
+    for field, n, bound, message in (
+        ("q", 1, 5, "n must be at least 2"),
+        ("q", 0, 5, "n must be at least 2"),
+        ("q", -3, 5, "n must be at least 2"),
+        ("q", 2, 1, "bound must be at least 2"),
+        ("q", 6, 1, "bound must be at least 2"),
+        ("disc=-19", 2, 3, below),
+        ("disc=-19", 6, 3, below),
     ):
-        args = ["construct", "--field", "q", "--n", str(n), "--bound", str(bound)]
+        args = ["construct", "--field", field, "--n", str(n), "--bound", str(bound)]
         assert run(args + ["--out", str(out)]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()

@@ -32,6 +32,7 @@ from constdeg.quadfield import (
     factor_rational_prime,
     quadratic_field,
 )
+from constdeg.verifier import MalformedCertificate, verify
 import oracles
 from oracles import kummer_generator, kummer_split_test
 
@@ -115,6 +116,27 @@ def assert_discipline(cert):
 def test_construct_validation():
     with pytest.raises(ValueError):
         construct(RATIONAL, 2, 1, 1)
+
+
+@pytest.mark.parametrize(
+    "disc,bounds,least", [(-3, (2,), 3), (-11, (2,), 3), (-19, (2, 3), 4), (-43, (2, 3), 4)]
+)
+def test_bound_below_the_least_prime_norm_is_refused(disc, bounds, least):
+    # at D = 5 mod 8 the prime 2 is inert, of norm 4: a smaller bound can
+    # leave no prime, and a certificate with an empty table, which verify
+    # refuses, is never written
+    field = quadratic_field(disc)
+    for bound in bounds:
+        message = f"^bound {bound} is below {least}, the least norm of a prime of the field$"
+        with pytest.raises(ValueError, match=message):
+            construct(field, 2, 1, bound)
+        with pytest.raises(ValueError, match=message):
+            compose_for_n(field, 6, bound)
+    cert = construct(field, 2, 1, least)
+    assert cert["table"]
+    cert["table"] = []
+    with pytest.raises(MalformedCertificate, match="^table must be a nonempty list$"):
+        verify(cert)
 
 
 def test_construct_rational_l2_b10():
