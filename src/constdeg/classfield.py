@@ -10,8 +10,10 @@ a power residue in the conductor's residue field.
 
 The context owns every fact fixed by (field, l, r): the l-part of the
 class group, the units, the seed and its deficiency at each prime above
-l.  A ray piece is named by its conductor, a PrimeIdeal in S; its degree
-l^r is the context's.
+l.  A ray piece is named by its conductor, a PrimeIdeal in S, as in_S
+needs it; its degree l^r is the context's.  A prime whose local degree
+is asked, a table row or a search target, is a (p, b) pair of ints, as
+enumerate_field_primes lists it and the certificate names it.
 
 Conventions:
   * the seed character is the canonical order-l^r quotient of
@@ -52,6 +54,7 @@ included.
 """
 
 from bisect import bisect_left
+from collections import deque
 from dataclasses import dataclass, field as dc_field
 from itertools import compress
 from math import gcd, isqrt, lcm
@@ -78,6 +81,7 @@ from .quadfield import (
     normalize_unit,
     prime_module,
     principal_generator,
+    ramified_root,
     reduce_mod,
     split_roots,
     unit_generators,
@@ -100,8 +104,8 @@ class Context:
     units: list
     excluded: frozenset  # rational primes dividing 2*l*disc
     seed: object  # the CyclotomicPiece of build_L0_rational
-    deficiencies: dict  # prime above l -> deficiency a, in factoring order
-    _targets: dict = dc_field(default_factory=dict, repr=False)  # q -> gamma
+    deficiencies: dict  # (p, b) above l -> deficiency a, in factoring order
+    _targets: dict = dc_field(default_factory=dict, repr=False)  # (p, b) -> gamma
 
     @property
     def t(self):
@@ -134,7 +138,7 @@ def _deficiencies(field, ell: int, r: int) -> dict:
         m = field.disc // 8
         if (r == 1 and m % 8 == 7) or (r >= 2 and m % 8 == 1):
             a = 1
-    return {lam: a for lam in factor_rational_prime(field, ell)}
+    return {(lam.p, lam.b): a for lam in factor_rational_prime(field, ell)}
 
 
 # ---------------------------------------------------------- seed piece
@@ -182,11 +186,12 @@ def character_order(piece, x: int) -> int:
     return piece.ell**j
 
 
-def frobenius_order_in_L0(piece, q: PrimeIdeal):
-    """Frobenius order of q in the seed piece, None for primes above l."""
-    if q.p == piece.ell:
+def frobenius_order_in_L0(piece, norm: int):
+    """Frobenius order in the seed piece of a prime of the given norm, p
+    or p^2; None for primes above l."""
+    if norm % piece.ell == 0:
         return None
-    return character_order(piece, q.norm)
+    return character_order(piece, norm)
 
 
 # --------------------------------------------------- Chebotarev set S
@@ -228,19 +233,22 @@ def make_ray_piece(ctx, P: PrimeIdeal) -> PrimeIdeal:
     return P
 
 
-def _target_generator(ctx, q: PrimeIdeal):
-    # generator of q^(m * l^t), m = cl.coprime_part, cached per target; a
-    # split q whose conjugate's generator (x, y) is cached takes the
-    # canonical associate of (x, -y), which generates the conjugate power
-    # and so is the one principal_generator would return
+def _target_generator(ctx, q):
+    # generator of q^(m * l^t), m = cl.coprime_part, cached per target
+    # (p, b); a split q whose conjugate (p, 2p - b) has its generator (x, y)
+    # cached takes the canonical associate of (x, -y), which generates the
+    # conjugate power and so is the one principal_generator would return.
+    # A ramified q names itself or no prime there, so it never takes one
     gamma = ctx._targets.get(q)
     if gamma is None:
         fld = ctx.field
-        bar = q.kind == "split" and ctx._targets.get(PrimeIdeal(q.p, "split", 2 * q.p - q.b, 1))
+        p, b = q
+        bar = b is not None and ctx._targets.get((p, 2 * p - b))
         if bar:
             gamma = normalize_unit(fld, (bar[0], -bar[1]))
         else:
-            J = ideal_pow(fld, prime_module(fld, q), ctx.cl.coprime_part * ctx.ell**ctx.t)
+            J = prime_module(fld, _prime_ideal(fld, q))
+            J = ideal_pow(fld, J, ctx.cl.coprime_part * ctx.ell**ctx.t)
             try:
                 gamma = principal_generator(fld, J)
             except NotPrincipal:
@@ -273,17 +281,18 @@ def _rational_frobenius_order(q: int, n: int, ell: int, full: int) -> int:
 
 
 def frobenius_orders(ctx, eps: PrimeIdeal, ws) -> list:
-    """The order of the Frobenius of each prime w in ws, none of them eps,
-    in the ray piece of conductor eps: over Q that of w^((eps-1)/l^r) mod
-    eps, one pow and the order loop; over K that of the conductor_image
-    of w's generator, with the exponent (N(eps)-1)/l^(r+t) and the
-    residue field taken once for all of ws.  An order that does not
-    divide l^r raises InternalInconsistency.  eps itself is totally
-    ramified there, which DegreeFold reads without asking."""
+    """The order of the Frobenius of each prime w = (p, b) in ws, none of
+    them eps, in the ray piece of conductor eps: over Q that of
+    p^((eps-1)/l^r) mod eps, one pow and the order loop; over K that of
+    the conductor_image of w's generator, with the exponent
+    (N(eps)-1)/l^(r+t) and the residue field taken once for all of ws.
+    An order that does not divide l^r raises InternalInconsistency.  eps
+    itself is totally ramified there, which DegreeFold reads without
+    asking."""
     ell, r = ctx.ell, ctx.r
     full = ell**r
     if ctx.field.kind == "rational":
-        out = [_rational_frobenius_order(w.p, eps.p, ell, full) for w in ws]
+        out = [_rational_frobenius_order(p, eps.p, ell, full) for p, _ in ws]
     else:
         fld = local_field(ctx.field, eps)
         e = (eps.norm - 1) // ell ** (r + ctx.t)
@@ -294,9 +303,9 @@ def frobenius_orders(ctx, eps: PrimeIdeal, ws) -> list:
     return out
 
 
-def frobenius_order_in_ray_piece(ctx, eps: PrimeIdeal, q: PrimeIdeal) -> int:
-    """Order of the Frobenius of a prime q != eps in the ray piece of
-    conductor eps, the one-prime column of frobenius_orders."""
+def frobenius_order_in_ray_piece(ctx, eps: PrimeIdeal, q) -> int:
+    """Order of the Frobenius of a prime q = (p, b) other than eps in the
+    ray piece of conductor eps, the one-prime column of frobenius_orders."""
     return frobenius_orders(ctx, eps, [q])[0]
 
 
@@ -338,11 +347,12 @@ def _quad_candidates(ctx, n: int):
     return p, (None,)
 
 
-def _candidate(p: int, b) -> PrimeIdeal:
-    # the split prime above p of root b, or the inert prime p at b = None
+def _prime_ideal(field, w) -> PrimeIdeal:
+    # the prime w = (p, b) of K: inert at b = None, else ramified or split
+    p, b = w
     if b is None:
         return PrimeIdeal(p, "inert", None, 2)
-    return PrimeIdeal(p, "split", b, 1)
+    return PrimeIdeal(p, "split" if field.disc % p else "ramified", b, 1)
 
 
 SIEVE_PRIMES = 1 << 12  # the walk strikes multiples of the primes below this
@@ -394,24 +404,22 @@ def _fixed_orders(ctx, p: int, b, e: int, fld, fixed, full: int) -> bool:
     a candidate in S, and a plain rejection at one outside S, where the
     rule does not hold."""
     ell, r = ctx.ell, ctx.r
-    for q, gamma, k in fixed:
-        if q.p == p and q.b == b:
+    for (qp, qb), gamma, k in fixed:
+        if qp == p and qb == b:
             if k != full:
                 return False
             continue
         order = ell ** order_exponent(conductor_image(p, b, e, gamma, fld), ell, r, fld)
-        if order > full and in_S(ctx, _candidate(p, b)):
+        if order > full and in_S(ctx, _prime_ideal(ctx.field, (p, b))):
             raise InternalInconsistency("Frobenius image escapes the piece")
         if order != k:
             return False
     return True
 
 
-def search_prime(
-    ctx, pieces, cursor: SearchCursor, target: PrimeIdeal, order: int
-) -> PrimeIdeal:
-    """The conductor of the next greedy piece: the first prime P of S, by
-    ascending (norm, root), such that
+def search_prime(ctx, pieces, cursor: SearchCursor, target, order: int) -> PrimeIdeal:
+    """The conductor of the next greedy piece, for the target prime
+    (p, b): the first prime P of S, by ascending (norm, root), such that
       * P splits completely in the seed and in the pieces of the given
         conductors;
       * those conductors, and every prime above l other than target,
@@ -446,7 +454,7 @@ def search_prime(
     """
     ell, full = ctx.ell, ctx.ell**ctx.r
     orders = [(s, 1) for s in ctx.deficiencies if s != target]
-    orders += [(pc, 1) for pc in pieces] + [(target, order)]
+    orders += [((pc.p, pc.b), 1) for pc in pieces] + [(target, order)]
     rational = ctx.field.kind == "rational"
     step = lk = ell ** (ctx.r + ctx.t)
     if ell == 2 and (rational or ctx.field.disc < -4):
@@ -460,8 +468,8 @@ def search_prime(
         # test runs on the norm
         tests = [lambda n, Q=pc.p, e=(pc.p - 1) // full: pow(n, e, Q) == 1 for pc in pieces]
         tests += [
-            lambda n, q=q.p, k=k: _rational_frobenius_order(q, n, ell, full) == k
-            for q, k in orders
+            lambda n, q=q, k=k: _rational_frobenius_order(q, n, ell, full) == k
+            for (q, _), k in orders
         ]
         for n in walk:
             for test in tests:
@@ -487,16 +495,17 @@ def search_prime(
             e = (n - 1) // lk  # (N - 1)/l^(r+t)
             for b in roots:
                 if (p, b) not in basis and _fixed_orders(ctx, p, b, e, fld, fixed, full):
-                    P = _candidate(p, b)
+                    P = _prime_ideal(ctx.field, (p, b))
                     if in_S(ctx, P) and all(
-                        frobenius_order_in_ray_piece(ctx, pc, P) == 1 for pc in pieces
+                        frobenius_order_in_ray_piece(ctx, pc, (p, b)) == 1 for pc in pieces
                     ):
                         return P
     if last >= PRIME_LIMIT:
         reason = f"norms reach the 2**64 primality limit within cap {cursor.cap}"
     else:
         reason = f"no conductor within cap {cursor.cap} (last norm {last})"
-    name = f"({target.p},{'-' if target.b is None else target.b})"
+    p, b = target
+    name = f"({p},{'-' if b is None else b})"
     raise SearchExhausted(f"{reason}; wanted order {order} at {name} after {len(pieces)} pieces")
 
 
@@ -504,27 +513,29 @@ def search_prime(
 
 
 class DegreeFold:
-    """The local_degree triples at rows, primes ascending by norm, under
-    the seed and the pieces of the given conductors, then of each
+    """The local_degree triples at rows, (p, b) pairs ascending by norm,
+    under the seed and the pieces of the given conductors, then of each
     conductor passed to add, folded one component at a time.
 
     The seed order of a row's norm is asked once per residue mod the seed
     modulus that occurs.  Every order divides l^r, so a row's lcm is their
     max, and a piece asks its column of orders (frobenius_orders) only at
     the rows whose lcm is still below l^r, ramified ones included.  A
-    conductor that is a row, found by bisecting the norms, is ramified
-    there and asked nothing.
+    conductor that is a row, the pair (eps.p, eps.b) found by bisecting
+    the norms, is ramified there and asked nothing.
     """
 
     def __init__(self, ctx, rows, pieces):
         self.ctx, self.rows, self.count = ctx, rows, 0  # count: pieces added
+        quad = ctx.field.kind != "rational"  # N(p, b) is p but p^2 at an inert (p, None)
+        self.norms = [p * p if b is None and quad else p for p, b in rows]
         self.ramified = {}  # row index -> component ramified there, 0 = seed
         self.orders = []  # per row, the lcm of its unramified orders
         memo = {}  # norm mod the seed modulus -> seed order, None above l
-        for i, w in enumerate(rows):
-            k = w.norm % ctx.seed.modulus
+        for i, norm in enumerate(self.norms):
+            k = norm % ctx.seed.modulus
             if k not in memo:
-                memo[k] = frobenius_order_in_L0(ctx.seed, w)
+                memo[k] = frobenius_order_in_L0(ctx.seed, norm)
             if memo[k] is None:
                 self.ramified[i] = 0
             self.orders.append(memo[k] or 1)
@@ -536,11 +547,9 @@ class DegreeFold:
         """Fold the piece of conductor eps over the rows still short."""
         rows, orders, short = self.rows, self.orders, self.short
         self.count += 1
-        own = None
-        if rows[0].norm <= eps.norm <= rows[-1].norm:
-            # at most two primes, conjugates, share a norm
-            lo = bisect_left(rows, eps.norm, key=lambda w: w.norm)
-            own = next((i for i, w in enumerate(rows[lo : lo + 2], lo) if w == eps), None)
+        key, lo = (eps.p, eps.b), bisect_left(self.norms, eps.norm)
+        # at most two primes, conjugates, share a norm
+        own = next((i for i, w in enumerate(rows[lo : lo + 2], lo) if w == key), None)
         if own in self.ramified:
             raise InternalInconsistency(f"({eps.p},{eps.b}) is ramified in more than one component")
         if own is not None:
@@ -577,9 +586,9 @@ def local_degrees(ctx, pieces, rows):
         yield from map(fold.row, range(len(fold.rows)))
 
 
-def local_degree(ctx, pieces, w: PrimeIdeal):
-    """Local degree at the finite prime w of the compositum of the seed
-    and the ray pieces of the given conductors: the ramification factor
+def local_degree(ctx, pieces, w):
+    """Local degree at the finite prime w = (p, b) of the compositum of the
+    seed and the ray pieces of the given conductors: the ramification factor
     of the one component ramified at w times the lcm of the unramified
     Frobenius orders, from the one-row DegreeFold.
 
@@ -611,26 +620,34 @@ def context_record(ctx) -> dict:
             "character": {"order": ctx.seed.degree, "sign": ctx.seed.sign},
         },
         "deficiencies": [
-            {"prime": [P.p, P.b], "deficiency": a}
-            for P, a in ctx.deficiencies.items()
+            {"prime": list(w), "deficiency": a}
+            for w, a in ctx.deficiencies.items()
             if a
         ],
     }
 
 
-def enumerate_field_primes(field, bound: int):
-    """All primes of the field of norm <= bound, ascending by norm with
-    split conjugates ordered by root."""
+def enumerate_field_primes(field, bound: int) -> list:
+    """All primes of the field of norm <= bound as (p, b) pairs, ascending
+    by norm (DegreeFold reads it) with split conjugates ordered by root:
+    b is the root of sqrt(D) mod the prime (PrimeIdeal.b), None over Q
+    and at an inert p.
+    Over K each p takes one Kronecker symbol, split_roots or
+    ramified_root, and an inert p, kept while p^2 <= bound, waits for
+    the first prime above p^2."""
+    ps = small_primes(bound + 1)
     if field.kind == "rational":
-        return [
-            PrimeIdeal(p, "rational", None, 1)
-            for p in small_primes(bound + 1)
-        ]
-    out = [
-        P
-        for p in small_primes(bound + 1)
-        for P in factor_rational_prime(field, p)
-        if P.norm <= bound
-    ]
-    out.sort(key=lambda P: P.norm)  # stable: split conjugates stay by root
+        return [(p, None) for p in ps]
+    d, out, inert = field.disc, [], deque()
+    for p in ps:
+        while inert and inert[0] ** 2 < p:
+            out.append((inert.popleft(), None))
+        sym = kronecker_disc(d, p)
+        if sym == 1:
+            out += ((p, b) for b in split_roots(d, p))
+        elif sym == 0:
+            out.append((p, ramified_root(d, p)))
+        elif p * p <= bound:
+            inert.append(p)
+    out += ((p, None) for p in inert)
     return out

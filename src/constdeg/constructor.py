@@ -73,7 +73,7 @@ def construct(field, ell: int, r: int, bound: int, config: Config = None) -> dic
     rows = enumerate_field_primes(field, bound)
     if not rows:
         # a prime above 2 has norm 2 or 4
-        least = enumerate_field_primes(field, 4)[0].norm
+        least = next(n for n in (2, 3, 4) if enumerate_field_primes(field, n))
         raise ValueError(f"bound {bound} is below {least}, the least norm of a prime of the field")
     ctx = build_context(field, ell, r)
     full = ell**r
@@ -90,9 +90,9 @@ def construct(field, ell: int, r: int, bound: int, config: Config = None) -> dic
                 ramified, _, degree = fold.row(i)
             if degree != full:
                 raise InternalInconsistency(
-                    f"prime ({w.p},{w.b}) has local degree {degree}, wanted {full}"
+                    f"prime ({w[0]},{w[1]}) has local degree {degree}, wanted {full}"
                 )
-            table.append({"prime": [w.p, w.b], "degree": degree, "ramified_component": ramified})
+            table.append({"prime": list(w), "degree": degree, "ramified_component": ramified})
 
     return {
         "schema_version": 1,

@@ -202,10 +202,14 @@ def factor_rational_prime(field, p: int):
     if sym == -1:
         return [PrimeIdeal(p, "inert", None, 2)]
     if sym == 0:
-        # p | d and p | b^2 - d force p | b, and 0 and p are the b < 2p it divides
-        b = next(b for b in (0, p) if (b - d) % 2 == 0 and (b * b - d) % (4 * p) == 0)
-        return [PrimeIdeal(p, "ramified", b, 1)]
+        return [PrimeIdeal(p, "ramified", ramified_root(d, p), 1)]
     return split_primes(d, p)
+
+
+def ramified_root(d: int, p: int) -> int:
+    """The root b of the prime above a rational prime p dividing d: p | d
+    and p | b^2 - d force p | b, and 0 and p are the b < 2p it divides."""
+    return next(b for b in (0, p) if (b - d) % 2 == 0 and (b * b - d) % (4 * p) == 0)
 
 
 def split_roots(d: int, p: int) -> tuple:

@@ -71,7 +71,7 @@ class InvalidRequest(ValueError):
 
 @dataclass
 class VerificationReport:
-    primes: list  # (p, b) of every rechecked table row
+    primes: list  # the (p, b) pair of every rechecked table row
     degree: int  # n, the recomputed local degree at each of them
     real_place: "int | None"  # recomputed, and equal to the claim
     elapsed: float
@@ -322,8 +322,9 @@ def _effective_bound(cert_bound, requested):
 
 def _walk_table(field, doc, unread, bound, n, degrees):
     """The primes of doc's table rechecked up to bound, and its real
-    place: every prime w of norm <= bound needs a row, which the walk
-    pops from unread (doc's _rows); its degree, from a (ramified, factor,
+    place: every prime w of norm <= bound, a (p, b) pair of
+    enumerate_field_primes, needs a row, which the walk pops from unread
+    (doc's _rows, keyed by the same pairs); its degree, from a (ramified, factor,
     degree) triple as local_degree returns, must be the claimed n, and
     the row's degree and ramified component (absent on composite rows)
     must match it.  Walked to doc's own bound, every row must have been
@@ -343,17 +344,17 @@ def _walk_table(field, doc, unread, bound, n, degrees):
         # the primes of norm <= lo are the ones already walked
         ws = enumerate_field_primes(field, hi)[len(primes) :]
         for w, (ram, _, total) in zip(ws, degrees(ws)):
-            row = unread.pop((w.p, w.b), None)
+            row = unread.pop(w, None)
             if row is None:
-                raise MalformedCertificate(f"table has no row for prime ({w.p},{w.b})")
+                raise MalformedCertificate(f"table has no row for prime ({w[0]},{w[1]})")
             if total != n:
-                raise MismatchFound(f"prime ({w.p},{w.b})", n, total)
+                raise MismatchFound(f"prime ({w[0]},{w[1]})", n, total)
             if row["degree"] != total:
-                raise MismatchFound(f"prime ({w.p},{w.b})", row["degree"], total)
+                raise MismatchFound(f"prime ({w[0]},{w[1]})", row["degree"], total)
             claimed_ram = row.get("ramified_component")
             if claimed_ram != ram:
-                raise MismatchFound(f"ramified component at ({w.p},{w.b})", claimed_ram, ram)
-            primes.append((w.p, w.b))
+                raise MismatchFound(f"ramified component at ({w[0]},{w[1]})", claimed_ram, ram)
+            primes.append(w)
         lo, hi = hi, min(bound, 4 * hi)
     if unread and bound == doc["bound"]:
         raise MalformedCertificate(

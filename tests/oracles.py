@@ -42,6 +42,13 @@ None of this runs in the package itself:
   * roots_by_scan: the roots b of x^2 = D mod 4p found by scanning
     every b < 2p, the reference for the split and ramified cases of
     quadfield.factor_rational_prime;
+  * field_primes, pair and prime_of: every prime of norm up to a bound
+    as a PrimeIdeal, from a plain sieve, Euler's criterion and
+    roots_by_scan, the reference for classfield.enumerate_field_primes
+    and the source of the PrimeIdeals the tests hand to in_S, the Kummer
+    references and the searches; pair is the (p, b) that names a
+    PrimeIdeal in the package's tables, and prime_of the field_primes
+    PrimeIdeal a pair names;
   * target_generator, generator_image and frobenius_image: a fresh
     generator of q^(m * l^t), with no cache and no conjugate shortcut,
     and its power residue at a conductor PrimeIdeal by reduce_mod and a
@@ -430,7 +437,58 @@ def elt_neg(u):
 def roots_by_scan(d: int, p: int) -> list:
     """Every b in [0, 2p) with b = D mod 2 and b^2 = D mod 4p, ascending:
     one for a prime p dividing the discriminant D, two for a split p."""
-    return [b for b in range(2 * p) if (b - d) % 2 == 0 and (b * b - d) % (4 * p) == 0]
+    return list(_scan(d, p))
+
+
+@lru_cache(maxsize=None)
+def _scan(d: int, p: int) -> tuple:
+    # field_primes scans each prime of the walk; the cache keeps a test
+    # session from scanning one twice
+    return tuple(b for b in range(d % 2, 2 * p, 2) if (b * b - d) % (4 * p) == 0)
+
+
+def _inert(d: int, p: int) -> bool:
+    # Euler's criterion D^((p-1)/2) = -1 mod p at an odd p, no root at 2
+    return pow(d, (p - 1) // 2, p) == p - 1 if p > 2 else not roots_by_scan(d, 2)
+
+
+def field_primes(field, bound: int, step: int = 1):
+    """Every prime of the field of norm n <= bound with n = 1 mod step as
+    a PrimeIdeal, ascending by norm with split conjugates by root,
+    yielded as a walk over n = 2, ..., bound reaches its norm: the primes
+    n of a plain sieve over Q; over K, at a prime n that Euler's
+    criterion does not make inert, the ramified prime or the two split
+    primes of its roots_by_scan, and at n = p^2 the inert prime p.  A
+    scan costs n steps, so a caller that asks in_S, which wants N = 1
+    mod l^(r+t), passes that as step."""
+    prime = bytearray([1]) * (bound + 1)
+    prime[:2] = bytes(min(2, bound + 1))
+    for n in range(2, isqrt(bound) + 1):
+        if prime[n]:
+            prime[n * n :: n] = bytes(len(range(n * n, bound + 1, n)))
+    d = field.disc
+    for n in range(2, bound + 1):
+        if (n - 1) % step:
+            continue
+        if field.kind == "rational":
+            if prime[n]:
+                yield PrimeIdeal(n, "rational", None, 1)
+        elif prime[n] and not _inert(d, n):
+            kind, roots = "ramified" if d % n == 0 else "split", roots_by_scan(d, n)
+            assert len(roots) == (1 if kind == "ramified" else 2), (d, n)
+            yield from (PrimeIdeal(n, kind, b, 1) for b in roots)
+        elif isqrt(n) ** 2 == n and prime[isqrt(n)] and _inert(d, isqrt(n)):
+            yield PrimeIdeal(isqrt(n), "inert", None, 2)
+
+
+def pair(P: PrimeIdeal) -> tuple:
+    """The (p, b) pair that names P in a certificate and in classfield."""
+    return (P.p, P.b)
+
+
+def prime_of(field, w) -> PrimeIdeal:
+    """The PrimeIdeal of field_primes named by the pair w = (p, b)."""
+    return next(P for P in field_primes(field, w[0] ** 2) if pair(P) == w)
 
 
 # ------------------------------------------------------ Frobenius images
@@ -517,7 +575,7 @@ def fixed_orders(ctx, P: PrimeIdeal, fixed, full: int) -> bool:
     rejection at a P outside S, where the rule does not hold."""
     fld, ell, r = local_field(ctx.field, P), ctx.ell, ctx.r
     for q, gamma, k in fixed:
-        if q.p == P.p and q == P:
+        if q == pair(P):
             if k != full:
                 return False
             continue
@@ -565,7 +623,7 @@ def local_degree(ctx, pieces, w: PrimeIdeal):
     """
     ell, full = ctx.ell, ctx.ell**ctx.r
     if w.p == ell:
-        ramified, factor, rest = 0, ell ** (ctx.r - ctx.deficiencies[w]), 1
+        ramified, factor, rest = 0, ell ** (ctx.r - ctx.deficiencies[pair(w)]), 1
     else:
         ramified, factor, rest = None, 1, seed_order(ctx, w)
     for i, eps in enumerate(pieces):

@@ -8,6 +8,7 @@ visible with pytest -s or in the captured output.
 import json
 import random
 import time
+from itertools import islice
 
 from constdeg import classfield
 from constdeg.arith import factor, small_primes
@@ -42,10 +43,12 @@ from constdeg.verifier import (
 from oracles import (
     alpha_roots,
     elt_neg,
+    field_primes,
     frobenius_image,
     kprime,
     kummer_generator,
     kummer_split_test,
+    pair,
     reference_image,
     unit_root,
 )
@@ -60,14 +63,15 @@ def from_bytes(cert):
 
 
 def s_members(ctx, count, bound=5000):
-    # the first members of S in search order, from the field's primes
-    out = [
-        P
-        for P in enumerate_field_primes(ctx.field, bound)
-        if P.p not in ctx.excluded and P not in ctx.cl.gens and in_S(ctx, P)
-    ]
+    # the first members of S in search order, from the field's primes of
+    # norm 1 mod l^(r+t), the only norms in_S admits
+    primes = field_primes(ctx.field, bound, ctx.ell ** (ctx.r + ctx.t))
+    out = list(islice(
+        (P for P in primes if P.p not in ctx.excluded and P not in ctx.cl.gens and in_S(ctx, P)),
+        count,
+    ))
     assert len(out) >= count
-    return out[:count]
+    return out
 
 
 def places_of(a, b):
@@ -132,7 +136,8 @@ def test_criterion_04_quadratic_field_bound_50():
     report = verify(cert)
     elapsed = time.perf_counter() - t0
     assert cert["t"] == 1 and len(cert["class_data"]) == 1  # h = 3 path
-    expected = [(w.p, w.b) for w in enumerate_field_primes(K23, 50)]
+    expected = [pair(P) for P in field_primes(K23, 50)]
+    assert enumerate_field_primes(K23, 50) == expected
     assert report.primes == expected
     split = {}
     for p, b in expected:
@@ -155,7 +160,7 @@ def _oracle_pairs(ctx, conductors, targets):
             if q.p == eps.p or q.p in ctx.excluded or q in ctx.cl.gens:
                 continue
             alpha, m = kummer_generator(ctx, q)
-            order = frobenius_order_in_ray_piece(ctx, eps, q)
+            order = frobenius_order_in_ray_piece(ctx, eps, pair(q))
             for s in range(ctx.r + 1):
                 want = order <= ctx.ell ** (ctx.r - s)
                 assert kummer_split_test(ctx, eps, alpha, m + s) == want, (eps, q, s)
@@ -167,9 +172,9 @@ def test_criterion_05_frobenius_kummer_equivalence():
     # the Frobenius order in a ray piece against the power-residue level
     # of the Kummer generator, at every level 0 <= s <= r
     ctx_q = build_context(RATIONAL, 3, 2)
-    pairs_q = _oracle_pairs(ctx_q, s_members(ctx_q, 2), enumerate_field_primes(RATIONAL, 60))
+    pairs_q = _oracle_pairs(ctx_q, s_members(ctx_q, 2), list(field_primes(RATIONAL, 60)))
     ctx_k = build_context(K23, 3, 1)
-    pairs_k = _oracle_pairs(ctx_k, s_members(ctx_k, 3), enumerate_field_primes(K23, 60))
+    pairs_k = _oracle_pairs(ctx_k, s_members(ctx_k, 3), list(field_primes(K23, 60)))
     assert pairs_q >= 20 and pairs_k >= 20
     print(
         f"criterion 5: PASS  {pairs_q} rational and {pairs_k} quadratic (q, eps) "
@@ -181,7 +186,7 @@ def package_image(ctx, eps, q):
     # the package's closed-form image of the target q at the conductor
     # eps, as classfield.frobenius_orders takes it
     e = (eps.norm - 1) // ctx.ell ** (ctx.r + ctx.t)
-    gamma = classfield._target_generator(ctx, q)
+    gamma = classfield._target_generator(ctx, pair(q))
     return conductor_image(eps.p, eps.b, e, gamma, local_field(ctx.field, eps))
 
 
@@ -202,7 +207,7 @@ def test_criterion_06_choice_independence():
         make_ray_piece(ctx, eps)  # checks eps lies in S
         targets = [
             q
-            for q in enumerate_field_primes(K23, 60)
+            for q in field_primes(K23, 60)
             if q.p != eps.p and q.p not in ctx.excluded and q not in ctx.cl.gens
         ]
         base = {q: package_image(ctx, eps, q) for q in targets}
@@ -226,7 +231,8 @@ def test_criterion_06_choice_independence():
         # the production generator gamma times a unit
         for q in rng.sample(targets, 10):
             package_image(unitized, eps, q)  # caches gamma for q
-            unitized._targets[q] = elt_mul(K23, rng.choice(ctx.units), unitized._targets[q])
+            gamma = elt_mul(K23, rng.choice(ctx.units), unitized._targets[pair(q)])
+            unitized._targets[pair(q)] = gamma
             assert package_image(unitized, eps, q) == base[q], (eps, q)
             assert reference_image(ctx, eps, q) == want[q], (eps, q)
             trials += 1

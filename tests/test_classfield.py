@@ -1,6 +1,6 @@
 import json
 import random
-from itertools import takewhile
+from itertools import islice, takewhile
 from math import gcd, isqrt, lcm
 from pathlib import Path
 
@@ -56,10 +56,13 @@ from oracles import (
     conjugate_prime,
     embed,
     field_elements,
+    field_primes,
     kprime,
     kummer_generator,
     kummer_split_test,
     multiplicative_order,
+    pair,
+    prime_of,
     principal_ideal,
     reference_image,
     unit_root,
@@ -81,19 +84,20 @@ def package_image(ctx, eps, q):
     # the package's Frobenius image of the target q at the conductor eps,
     # as frobenius_orders takes it
     e = (eps.norm - 1) // ctx.ell ** (ctx.r + ctx.t)
-    gamma = classfield._target_generator(ctx, q)
+    gamma = classfield._target_generator(ctx, pair(q))
     return conductor_image(eps.p, eps.b, e, gamma, local_field(ctx.field, eps))
 
 
 def s_members(ctx, count, bound=5000):
-    # the first members of S in search order, from the field's primes
-    out = [
-        P
-        for P in enumerate_field_primes(ctx.field, bound)
-        if P.p not in ctx.excluded and P not in ctx.cl.gens and in_S(ctx, P)
-    ]
+    # the first members of S in search order, from the field's primes of
+    # norm 1 mod l^(r+t), the only norms in_S admits
+    primes = field_primes(ctx.field, bound, ctx.ell ** (ctx.r + ctx.t))
+    out = list(islice(
+        (P for P in primes if P.p not in ctx.excluded and P not in ctx.cl.gens and in_S(ctx, P)),
+        count,
+    ))
     assert len(out) >= count
-    return out[:count]
+    return out
 
 
 def brute_unit_order(x, m):
@@ -284,27 +288,27 @@ def test_character_rejects_non_units():
 
 def test_frobenius_order_in_l0_rational():
     p31 = build_L0_rational(3, 1)
-    assert frobenius_order_in_L0(p31, rp(2)) == 3
-    assert frobenius_order_in_L0(p31, rp(19)) == 1
-    assert frobenius_order_in_L0(p31, rp(17)) == 1  # 17 = -1 mod 9
-    assert frobenius_order_in_L0(p31, rp(3)) is None
+    assert frobenius_order_in_L0(p31, 2) == 3
+    assert frobenius_order_in_L0(p31, 19) == 1
+    assert frobenius_order_in_L0(p31, 17) == 1  # 17 = -1 mod 9
+    assert frobenius_order_in_L0(p31, 3) is None
     p21 = build_L0_rational(2, 1)
-    assert frobenius_order_in_L0(p21, rp(3)) == 1
-    assert frobenius_order_in_L0(p21, rp(5)) == 2
-    assert frobenius_order_in_L0(p21, rp(7)) == 2
-    assert frobenius_order_in_L0(p21, rp(2)) is None
+    assert frobenius_order_in_L0(p21, 3) == 1
+    assert frobenius_order_in_L0(p21, 5) == 2
+    assert frobenius_order_in_L0(p21, 7) == 2
+    assert frobenius_order_in_L0(p21, 2) is None
 
 
 def test_frobenius_order_in_l0_quad_uses_norm():
     p31 = build_L0_rational(3, 1)
     two = factor_rational_prime(K23, 2)[0]
     assert two.norm == 2
-    assert frobenius_order_in_L0(p31, two) == 3
+    assert frobenius_order_in_L0(p31, two.norm) == 3
     five = factor_rational_prime(K23, 5)[0]
     assert five.norm == 25  # inert, 25 = 7 mod 9
-    assert frobenius_order_in_L0(p31, five) == 3
+    assert frobenius_order_in_L0(p31, five.norm) == 3
     for lam in factor_rational_prime(K23, 3):
-        assert frobenius_order_in_L0(p31, lam) is None
+        assert frobenius_order_in_L0(p31, lam.norm) is None
 
 
 @pytest.mark.parametrize("ell,r", [(2, 1), (2, 2), (2, 4), (3, 1), (3, 3), (5, 2), (13, 1)])
@@ -314,10 +318,10 @@ def test_frobenius_order_in_l0_matches_the_character_table(ell, r):
     # character_order; over K the norm of an inert prime is p^2
     ctx = build_context(RATIONAL, ell, r)
     primes = [rp(p) for p in small_primes(3000)]
-    primes += [P for P in enumerate_field_primes(K23, 3000) if P.kind == "inert"]
+    primes += [P for P in field_primes(K23, 3000) if P.kind == "inert"]
     orders = set()
     for w in primes:
-        got = frobenius_order_in_L0(ctx.seed, w)
+        got = frobenius_order_in_L0(ctx.seed, w.norm)
         assert got == oracles.seed_order(ctx, w), (ell, r, w)
         orders.add(got)
     assert orders == {None} | {ell**j for j in range(r + 1)}
@@ -327,17 +331,18 @@ def test_frobenius_order_in_l0_matches_the_character_table(ell, r):
 
 
 def test_l0_degrees_rational():
-    assert CTX2.deficiencies == {rp(2): 0}
-    assert local_degree(CTX2, [], rp(2)) == (0, 2, 2)
-    assert CTX3.deficiencies == {rp(3): 0}
-    assert local_degree(CTX3, [], rp(3)) == (0, 3, 3)
+    assert CTX2.deficiencies == {(2, None): 0}
+    assert local_degree(CTX2, [], (2, None)) == (0, 2, 2)
+    assert CTX3.deficiencies == {(3, None): 0}
+    assert local_degree(CTX3, [], (3, None)) == (0, 3, 3)
 
 
 def deficiency_of(field, ell, r):
     # (kind, seed degree, deficiency) at each prime above l
     ctx = build_context(field, ell, r)
     return [
-        (P.kind, local_degree(ctx, [], P)[2], a) for P, a in ctx.deficiencies.items()
+        (prime_of(field, w).kind, local_degree(ctx, [], w)[2], a)
+        for w, a in ctx.deficiencies.items()
     ]
 
 
@@ -370,7 +375,7 @@ def test_context_deficiencies_pinned_family(disc, r):
     field = quadratic_field(disc)
     ctx = build_context(field, 2, r)
     (lam,) = factor_rational_prime(field, 2)
-    assert ctx.deficiencies == {lam: 1}
+    assert ctx.deficiencies == {pair(lam): 1}
     seed = build_L0_rational(2, r)
     assert (ctx.seed.modulus, ctx.seed.degree, ctx.seed.sign) == (
         seed.modulus,
@@ -380,23 +385,23 @@ def test_context_deficiencies_pinned_family(disc, r):
     assert context_record(ctx)["deficiencies"] == [
         {"prime": [2, lam.b], "deficiency": 1}
     ]
-    assert build_context(field, 2, 3 - r).deficiencies == {lam: 0}
+    assert build_context(field, 2, 3 - r).deficiencies == {pair(lam): 0}
 
 
 def test_deficient_seed_is_globally_trivial_over_k8():
     # for D = -8, r = 1 the seed piece composed with K is K itself, so
     # every prime away from 2 must have Frobenius order 1
     piece = build_L0_rational(2, 1)
-    for P in enumerate_field_primes(K8, 100):
+    for P in field_primes(K8, 100):
         if P.p == 2:
             continue
-        assert frobenius_order_in_L0(piece, P) == 1
+        assert frobenius_order_in_L0(piece, P.norm) == 1
     # at r = 2 the composite is a genuine quadratic step, so some prime
     # moves
     piece2 = build_L0_rational(2, 2)
     orders = {
-        frobenius_order_in_L0(piece2, P)
-        for P in enumerate_field_primes(K8, 100)
+        frobenius_order_in_L0(piece2, P.norm)
+        for P in field_primes(K8, 100)
         if P.p != 2
     }
     assert 2 in orders
@@ -491,24 +496,24 @@ def _ray_order(ctx, eps, q):
     # over Q, the order of q^((eps-1)/l^r) by multiplicative_order, apart
     # from the integer routine that search_prime and the piece share
     full = ctx.ell**ctx.r
-    if q == eps:
+    if q == pair(eps):
         return full
     if ctx.field.kind != "rational":
         return frobenius_order_in_ray_piece(ctx, eps, q)
     fld = residue_field(eps.p)
-    return multiplicative_order(pow(q.p, (eps.p - 1) // full, eps.p), fld)
+    return multiplicative_order(pow(q[0], (eps.p - 1) // full, eps.p), fld)
 
 
 def _admits(ctx, pieces, target, order, P):
     # the greedy step's question for a prime P of S, asked directly: P
     # splits in the seed and in every earlier piece, the earlier
-    # conductors and the primes above l other than target split in the
-    # piece at P, and target has Frobenius order exactly order there (no
-    # target: only the splitting conditions)
+    # conductors and the primes above l other than target, a (p, b)
+    # pair, split in the piece at P, and target has Frobenius order
+    # exactly order there (no target: only the splitting conditions)
     return (
-        frobenius_order_in_L0(ctx.seed, P) == 1
-        and all(_ray_order(ctx, pc, P) == 1 for pc in pieces)
-        and all(_ray_order(ctx, P, pc) == 1 for pc in pieces)
+        frobenius_order_in_L0(ctx.seed, P.norm) == 1
+        and all(_ray_order(ctx, pc, pair(P)) == 1 for pc in pieces)
+        and all(_ray_order(ctx, P, pair(pc)) == 1 for pc in pieces)
         and all(_ray_order(ctx, P, s) == 1 for s in ctx.deficiencies if s != target)
         and (target is None or _ray_order(ctx, P, target) == order)
     )
@@ -516,8 +521,9 @@ def _admits(ctx, pieces, target, order, P):
 
 def _admitted(ctx, pieces, target, order, limit):
     # reference for search_prime: the primes of S up to norm limit that
-    # the greedy step admits, in the search order, by a plain scan
-    for P in enumerate_field_primes(ctx.field, limit):
+    # the greedy step admits, in the search order, by a plain scan of the
+    # norms 1 mod l^(r+t), the only ones in_S admits
+    for P in field_primes(ctx.field, limit, ctx.ell ** (ctx.r + ctx.t)):
         if P.p in ctx.excluded or P in ctx.cl.gens or not in_S(ctx, P):
             continue
         if _admits(ctx, pieces, target, order, P):
@@ -531,8 +537,8 @@ def _brute_first(ctx, pieces, target, order, limit):
 def test_search_first_conductor_ell2():
     # the first greedy step of Q n=2: 3 has degree 1 in the seed and
     # needs order 2, while 2 must stay split
-    P = search_prime(CTX2, [], SearchCursor(), rp(3), 2)
-    assert P == rp(17) == _brute_first(CTX2, [], rp(3), 2, 17)
+    P = search_prime(CTX2, [], SearchCursor(), (3, None), 2)
+    assert P == rp(17) == _brute_first(CTX2, [], (3, None), 2, 17)
     # firstness: 5 and 13 are in S but are not 1 mod 8
     for q in (5, 13):
         assert in_S(CTX2, rp(q))
@@ -545,27 +551,27 @@ def test_search_first_conductor_ell2():
 
 def test_search_with_target_conditions_ell3():
     # degree-3 piece that keeps 3 split while moving 2 by a full cycle
-    P = search_prime(CTX3, [], SearchCursor(), rp(2), 3)
+    P = search_prime(CTX3, [], SearchCursor(), (2, None), 3)
     assert P == rp(73)
     # 19 and 37 split in the seed but fail to keep 3 split
     for q in (19, 37):
         piece = make_ray_piece(CTX3, rp(q))
-        assert frobenius_order_in_ray_piece(CTX3, piece, rp(3)) != 1
+        assert frobenius_order_in_ray_piece(CTX3, piece, (3, None)) != 1
     piece = make_ray_piece(CTX3, rp(73))
-    assert frobenius_order_in_ray_piece(CTX3, piece, rp(3)) == 1
-    assert frobenius_order_in_ray_piece(CTX3, piece, rp(2)) == 3
+    assert frobenius_order_in_ray_piece(CTX3, piece, (3, None)) == 1
+    assert frobenius_order_in_ray_piece(CTX3, piece, (2, None)) == 3
 
 
 def test_search_is_deterministic():
-    a = search_prime(CTX3, [], SearchCursor(), rp(2), 3)
-    b = search_prime(CTX3, [], SearchCursor(), rp(2), 3)
+    a = search_prime(CTX3, [], SearchCursor(), (2, None), 3)
+    b = search_prime(CTX3, [], SearchCursor(), (2, None), 3)
     assert a == b == rp(73)
 
 
 def test_search_basis_exclusion():
     # in_S refuses a class-basis prime, so the search passes over one
     # even where the greedy step would admit it
-    w = next(q for q in enumerate_field_primes(K23, 50) if q.p not in CTX23.excluded)
+    w = next(q for q in enumerate_field_primes(K23, 50) if q[0] not in CTX23.excluded)
     admitted = list(_admitted(CTX23, [], w, 3, 30000))
     assert len(admitted) >= 3
     assert search_prime(CTX23, [], SearchCursor(), w, 3) == admitted[0]
@@ -587,9 +593,9 @@ def test_search_exhausts_on_contradiction():
         SearchExhausted,
         match=r"within cap 200 \(last norm 801\); wanted order 3 at \(3,-\) after 0 pieces",
     ):
-        search_prime(CTX2, [], SearchCursor(cap=200), rp(3), 3)
+        search_prime(CTX2, [], SearchCursor(cap=200), (3, None), 3)
     # over K(-23) with l = 3 and t = 1 the step is 9
-    w = factor_rational_prime(K23, 2)[0]
+    w = enumerate_field_primes(K23, 2)[0]
     with pytest.raises(
         SearchExhausted,
         match=r"within cap 300 \(last norm 2701\); wanted order 9 at \(2,\d+\) after 0 pieces",
@@ -608,7 +614,7 @@ def test_search_never_asks_the_seed(monkeypatch):
 
     monkeypatch.setattr(classfield, "character_order", counting)
     ctx = build_context(RATIONAL, 13, 1)
-    P = search_prime(ctx, [], SearchCursor(), rp(2), 13)
+    P = search_prime(ctx, [], SearchCursor(), (2, None), 13)
     step = 13
     period = ctx.seed.modulus // step
     assert (P.p - 1) // step > 10 * period  # the walk spans many periods
@@ -644,7 +650,7 @@ def test_search_asks_is_prime_only_past_the_k_side_filters(monkeypatch, field, e
     ctx = build_context(field, ell, r)
     monkeypatch.setattr(classfield, "is_prime", recording_is_prime)
     monkeypatch.setattr(classfield, "isqrt", recording_isqrt)
-    target = next(q for q in enumerate_field_primes(field, 50) if q.p not in ctx.excluded)
+    target = next(q for q in enumerate_field_primes(field, 50) if q[0] not in ctx.excluded)
     with pytest.raises(SearchExhausted):  # no Frobenius order exceeds l^r
         search_prime(ctx, [], SearchCursor(cap=3000), target, ell ** (r + 1))
     norms = [n for n in asked if n not in roots]
@@ -679,12 +685,12 @@ def test_search_asks_in_s_only_past_the_fixed_orders(monkeypatch, field, ell, r)
     ctx = build_context(field, ell, r)
     full = ell**r
     asked = record_in_S(monkeypatch)
-    wanted = [(q, full) for q in enumerate_field_primes(field, 50) if q.p not in ctx.excluded][:3]
+    wanted = [(q, full) for q in enumerate_field_primes(field, 50) if q[0] not in ctx.excluded][:3]
     wanted += [(lam, ell**a) for lam, a in ctx.deficiencies.items() if a]
     pieces, checked, escaped = [], 0, 0
     for target, order in wanted:
         orders = [(s, 1) for s in ctx.deficiencies if s != target]
-        orders += [(pc, 1) for pc in pieces] + [(target, order)]
+        orders += [(pair(pc), 1) for pc in pieces] + [(target, order)]
         asked.clear()
         try:
             pieces.append(search_prime(ctx, pieces, SearchCursor(cap=5000), target, order))
@@ -711,13 +717,13 @@ def test_search_escaping_image_raises_only_in_s(monkeypatch):
     (eps,) = s_members(CTX23, 1)
     asked = record_in_S(monkeypatch)
     patch_order9_images(monkeypatch)
-    target = factor_rational_prime(K23, 2)[0]
+    target = enumerate_field_primes(K23, 2)[0]
     # a cap just past eps: a search that fails to raise there exhausts at
     # once instead of walking the default cap
     with pytest.raises(InternalInconsistency, match="escapes the piece"):
         search_prime(CTX23, [], SearchCursor((eps.norm - 1) // 9 + 1), target, 3)
     candidates = [
-        P for P in enumerate_field_primes(K23, eps.norm)
+        P for P in field_primes(K23, eps.norm, 9)
         if (P.norm - 1) % 9 == 0 and P.p not in CTX23.excluded and P not in CTX23.cl.gens
     ]
     assert asked == candidates[: candidates.index(eps) + 1]
@@ -802,7 +808,7 @@ def test_int_candidates_match_the_object_reference(monkeypatch, disc, ell, r, bo
     got = list(int_path_outcomes(ctx, fixed, full, stop))
     assert got == list(object_path_outcomes(ctx, fixed, full, stop))
     raised = [key for key, outcome in got if outcome == "raises"]
-    assert raised and all(in_S(ctx, classfield._candidate(*key)) for key in raised)
+    assert raised and all(in_S(ctx, classfield._prime_ideal(ctx.field, key)) for key in raised)
 
 
 def _walk_step(ctx):
@@ -838,17 +844,17 @@ def test_search_matches_brute_force(field, ell, r):
     # it lies in the progression and an order condition on T decides T
     T = _brute_first(ctx, [], None, None, 1 + step * cap)
     for k in (1, full // ell, full):
-        assert (first([], T, k) == T) == (k == full)
+        assert (first([], pair(T), k) == T) == (k == full)
     others = [
         q for q in enumerate_field_primes(field, 50)
-        if q.p not in ctx.excluded and q != T
+        if q[0] not in ctx.excluded and q != pair(T)
     ]
     # one and two earlier pieces, each step aimed at a new target
     pc = first([T], others[0], full)
     if pc is None:  # the second piece lies beyond the cap
         assert field is RATIONAL and full in (5, 9, 25)
     else:
-        first([T, pc], next(q for q in others[1:] if q != pc), full)
+        first([T, pc], next(q for q in others[1:] if q != pair(pc)), full)
     # the dedicated piece at a deficient prime above 2
     for lam, a in ctx.deficiencies.items():
         if a:
@@ -895,7 +901,7 @@ def test_quad_candidates_ask_is_prime_past_a_small_sieve(monkeypatch, field, ell
     for n in walk:
         asked.clear()
         p, roots = classfield._quad_candidates(ctx, n)
-        got = [classfield._candidate(p, b) for b in roots]
+        got = [classfield._prime_ideal(field, (p, b)) for b in roots]
         euler = pow(field.disc, (n - 1) // 2, n)
         if euler == 1 and isqrt(n) ** 2 != n:
             assert (n in asked) == (n >= 256), n
@@ -937,7 +943,7 @@ def test_sieved_walk_matches_brute_force(monkeypatch, field, ell, cap, block):
     assert bool(dropped) == (field in (K4, K3))
     assert not any(
         in_S(ctx, P)
-        for P in enumerate_field_primes(field, stop)
+        for P in field_primes(field, stop, ctx.ell ** (ctx.r + ctx.t))
         if P.norm in dropped and P.p not in ctx.excluded
     )
     assert set(wanted) <= set(walk)
@@ -976,7 +982,7 @@ def test_seed_admits_one_class_of_the_walk(disc):
             assert all(c % 2 ** (r + 1) == 2 ** (r + 1) - 1 for c in classes)
             assert not any(
                 in_S(ctx, P)
-                for P in enumerate_field_primes(field, 20000)
+                for P in field_primes(field, 20000, ctx.ell ** (ctx.r + ctx.t))
                 if P.norm % ctx.seed.modulus in classes and P.p not in ctx.excluded
             )
 
@@ -986,7 +992,7 @@ def test_make_ray_piece_checks_membership():
         make_ray_piece(CTX3, rp(5))
     piece = make_ray_piece(CTX3, rp(7))
     assert piece == rp(7)
-    assert local_degree(CTX3, [piece], piece)[:2] == (1, 3)  # l^r at its conductor
+    assert local_degree(CTX3, [piece], pair(piece))[:2] == (1, 3)  # l^r at its conductor
     assert piece.norm == 7
 
 
@@ -995,9 +1001,9 @@ def test_make_ray_piece_checks_membership():
 
 def test_frobenius_order_rational_examples():
     piece = make_ray_piece(CTX3, rp(7))
-    assert frobenius_order_in_ray_piece(CTX3, piece, rp(2)) == 3
-    assert frobenius_order_in_ray_piece(CTX3, piece, rp(13)) == 1
-    assert frobenius_order_in_ray_piece(CTX3, piece, rp(7)) == 3
+    assert frobenius_order_in_ray_piece(CTX3, piece, (2, None)) == 3
+    assert frobenius_order_in_ray_piece(CTX3, piece, (13, None)) == 1
+    assert frobenius_order_in_ray_piece(CTX3, piece, (7, None)) == 3
 
 
 def test_frobenius_order_rational_oracle():
@@ -1012,7 +1018,7 @@ def test_frobenius_order_rational_oracle():
             x = pow(q, (eps - 1) // 3, eps)
             expect = multiplicative_order(embed(fld, x), fld)
             assert expect in (1, 3)
-            assert frobenius_order_in_ray_piece(CTX3, piece, rp(q)) == expect
+            assert frobenius_order_in_ray_piece(CTX3, piece, (q, None)) == expect
 
 
 def test_splitting_map_principal_image_oracle():
@@ -1023,7 +1029,7 @@ def test_splitting_map_principal_image_oracle():
     fld = local_field(CTX23.field, members[0])
     e = CTX23.cl.coprime_part * (piece.norm - 1) // CTX23.ell**CTX23.r
     checked = 0
-    for q in enumerate_field_primes(K23, 140):
+    for q in field_primes(K23, 140):
         if q.p in CTX23.excluded or q.p == members[0].p:
             continue
         try:
@@ -1046,7 +1052,7 @@ def test_splitting_map_multiplicative_oracle():
     e = CTX23.cl.coprime_part * (piece.norm - 1) // CTX23.ell**CTX23.r
     primes = [
         q
-        for q in enumerate_field_primes(K23, 60)
+        for q in field_primes(K23, 60)
         if q.kind == "split" and q.p not in CTX23.excluded and q.p != eps.p
     ]
     pairs = 0
@@ -1129,7 +1135,7 @@ def test_kummer_frobenius_biconditional_rational():
                 if q in ctx.excluded or q == eps:
                     continue
                 alpha, m = kummer_generator(ctx, rp(q))
-                order = frobenius_order_in_ray_piece(ctx, piece, rp(q))
+                order = frobenius_order_in_ray_piece(ctx, piece, (q, None))
                 for s in range(0, ctx.r + 1):
                     want = order <= ctx.ell ** (ctx.r - s)
                     got = kummer_split_test(ctx, rp(eps), alpha, m + s)
@@ -1143,11 +1149,11 @@ def test_kummer_frobenius_biconditional_quad():
     pairs = 0
     for eps in members:
         piece = make_ray_piece(CTX23, eps)
-        for q in enumerate_field_primes(K23, 60):
+        for q in field_primes(K23, 60):
             if q.p == eps.p:
                 continue
             alpha, m = kummer_generator(CTX23, q)
-            order = frobenius_order_in_ray_piece(CTX23, piece, q)
+            order = frobenius_order_in_ray_piece(CTX23, piece, pair(q))
             for s in (0, 1):
                 want = order <= 3 ** (1 - s)
                 got = kummer_split_test(CTX23, eps, alpha, m + s)
@@ -1168,7 +1174,7 @@ def test_root_choice_invariance():
     piece = make_ray_piece(CTX23, eps)
     targets = [
         q
-        for q in enumerate_field_primes(K23, 30)
+        for q in field_primes(K23, 30)
         if q.p != eps.p and q.kind == "split"
     ]
     roots = alpha_roots(CTX23, eps)
@@ -1213,7 +1219,7 @@ def test_frobenius_image_matches_reference(disc, ell, r, t, bound):
         piece = make_ray_piece(ctx, eps)
         w = unit_root(fld, ell)
         roots = alpha_roots(ctx, eps, lambda: fld.pow(w, twist_rng.randrange(ell)))
-        for q in enumerate_field_primes(field, 60) + [conjugate_prime(eps)]:
+        for q in [*field_primes(field, 60), conjugate_prime(eps)]:
             if q == eps:
                 continue
             image = fld.pow(package_image(ctx, piece, q), u)
@@ -1240,7 +1246,7 @@ def test_alpha_generator_sign_invariance():
     piece_a = make_ray_piece(CTX23, eps)
     piece_b = make_ray_piece(ctx_b, eps)
     for q in enumerate_field_primes(K23, 30):
-        if q.p == eps.p:
+        if q[0] == eps.p:
             continue
         assert frobenius_order_in_ray_piece(
             CTX23, piece_a, q
@@ -1280,9 +1286,9 @@ def test_conjugate_target_generator_is_the_fresh_one(monkeypatch, disc):
     assert len(pairs) == 10
     for k, (q, bar) in enumerate(pairs):
         first, second = (q, bar) if k % 2 else (bar, q)
-        classfield._target_generator(ctx, first)
+        classfield._target_generator(ctx, pair(first))
         want = generator(field, ideal_pow(field, prime_module(field, second), power))
-        assert classfield._target_generator(ctx, second) == want, (first, second)
+        assert classfield._target_generator(ctx, pair(second)) == want, (first, second)
     assert len(fresh) == len(pairs)  # the second of each pair came from the first
 
 
@@ -1331,7 +1337,7 @@ def test_deficient_search_k8():
     assert frobenius_order_in_ray_piece(ctx, piece, lam) == 2
     # cross-check: the conductor splits at exactly Kummer level m + r - a
     # of the generator of lam
-    alpha, m = kummer_generator(ctx, lam)
+    alpha, m = kummer_generator(ctx, prime_of(K8, lam))
     assert kummer_split_test(ctx, eps, alpha, m + ctx.r - a)
     assert not kummer_split_test(ctx, eps, alpha, m + ctx.r - a + 1)
 
@@ -1342,7 +1348,7 @@ def test_deficient_search_k8():
 def test_local_degree_rational_ell2_scenario():
     piece = make_ray_piece(CTX2, rp(17))
     got = {
-        w.p: local_degree(CTX2, [piece], w)[2]
+        w[0]: local_degree(CTX2, [piece], w)[2]
         for w in enumerate_field_primes(RATIONAL, 17)
     }
     assert got == {2: 2, 3: 2, 5: 2, 7: 2, 11: 2, 13: 2, 17: 2}
@@ -1352,14 +1358,14 @@ def test_local_degree_conductor_is_ramified():
     # 19 = 1 mod 9 splits in the seed, so the piece of conductor 19 has
     # local degree exactly 3 there: ramification alone
     piece19 = make_ray_piece(CTX3, rp(19))
-    assert local_degree(CTX3, [piece19], rp(19))[2] == 3
+    assert local_degree(CTX3, [piece19], (19, None))[2] == 3
     # a conductor that moves in the seed overshoots at itself, which is
     # why conductor searches insist on seed splitting
     piece7 = make_ray_piece(CTX3, rp(7))
-    assert local_degree(CTX3, [piece7], rp(7))[2] == 9
+    assert local_degree(CTX3, [piece7], (7, None))[2] == 9
     # 71 = 8 mod 9 and 71 = 1 mod 7 is covered by neither component
-    assert local_degree(CTX3, [piece7], rp(71))[2] == 1
-    assert local_degree(CTX3, [piece7], rp(19))[2] == 3
+    assert local_degree(CTX3, [piece7], (71, None))[2] == 1
+    assert local_degree(CTX3, [piece7], (19, None))[2] == 3
 
 
 def test_local_degree_deficient_needs_product():
@@ -1379,23 +1385,23 @@ def test_local_degree_rejects_two_ramified_components():
     # the rule multiplies in one ramification factor, so a prime ramified
     # in two components is an inconsistency, not a degree
     piece19 = make_ray_piece(CTX3, rp(19))
-    assert local_degree(CTX3, [piece19], rp(19))[0] == 1
-    assert local_degree(CTX3, [piece19], rp(3))[0] == 0
+    assert local_degree(CTX3, [piece19], (19, None))[0] == 1
+    assert local_degree(CTX3, [piece19], (3, None))[0] == 0
     twin = make_ray_piece(CTX3, rp(19))
     with pytest.raises(InternalInconsistency):
-        local_degree(CTX3, [piece19, twin], rp(19))
+        local_degree(CTX3, [piece19, twin], (19, None))
     # a conductor above ell collides with the seed's ramification
     above_ell = rp(3)  # make_ray_piece would refuse it
     with pytest.raises(InternalInconsistency):
-        local_degree(CTX3, [above_ell], rp(3))
+        local_degree(CTX3, [above_ell], (3, None))
 
 
 def test_local_degree_full_row_still_finds_its_conductor():
     # 19 already has degree 3 = l^r under piece 7, so the fold asks for no
     # more orders, yet piece 19 still ramifies there and overshoots
     piece7, piece19 = make_ray_piece(CTX3, rp(7)), make_ray_piece(CTX3, rp(19))
-    assert local_degree(CTX3, [piece7], rp(19)) == (None, 1, 3)
-    assert local_degree(CTX3, [piece7, piece19], rp(19)) == (2, 3, 9)
+    assert local_degree(CTX3, [piece7], (19, None)) == (None, 1, 3)
+    assert local_degree(CTX3, [piece7, piece19], (19, None)) == (2, 3, 9)
 
 
 def assert_folds_refuse(monkeypatch, conductors, w):
@@ -1406,7 +1412,7 @@ def assert_folds_refuse(monkeypatch, conductors, w):
     rows = enumerate_field_primes(RATIONAL, 40)
     message = f"^\\({w},None\\) is ramified in more than one component$"
     with pytest.raises(InternalInconsistency, match=message):
-        local_degree(CTX3, pieces, rp(w))
+        local_degree(CTX3, pieces, (w, None))
     with pytest.raises(InternalInconsistency, match=message):
         oracles.local_degree(CTX3, pieces, rp(w))
     for fold_rows in (classfield.FOLD_ROWS, 3):
@@ -1440,7 +1446,7 @@ def patch_order9_images(monkeypatch, reference=False):
     # or inert, through classfield.conductor_image; with reference, at
     # the oracle's object route too
     def image9(p, b, e, gamma, fld):
-        return order9_image(CTX23, classfield._candidate(p, b), gamma)
+        return order9_image(CTX23, classfield._prime_ideal(K23, (p, b)), gamma)
 
     monkeypatch.setattr(classfield, "conductor_image", image9)
     if reference:
@@ -1450,7 +1456,8 @@ def patch_order9_images(monkeypatch, reference=False):
 def test_frobenius_image_escaping_the_piece_is_caught(monkeypatch, tmp_path, capsys):
     (eps,) = s_members(CTX23, 1)
     q = next(
-        w for w in enumerate_field_primes(K23, 100) if w != eps and local_degree(CTX23, [], w)[2] == 1
+        w for w in enumerate_field_primes(K23, 100)
+        if w != pair(eps) and local_degree(CTX23, [], w)[2] == 1
     )
     cert = tmp_path / "k23.json"
     args = ["--field", "disc=-23", "--n", "3", "--bound", "80", "--out", str(cert)]
@@ -1468,11 +1475,14 @@ def test_frobenius_image_escaping_the_piece_is_caught(monkeypatch, tmp_path, cap
 
 
 def test_enumerate_field_primes_rational():
-    assert [P.p for P in enumerate_field_primes(RATIONAL, 10)] == [2, 3, 5, 7]
+    assert [p for p, _ in enumerate_field_primes(RATIONAL, 10)] == [2, 3, 5, 7]
+    assert enumerate_field_primes(RATIONAL, 10) == [(2, None), (3, None), (5, None), (7, None)]
 
 
 def test_enumerate_field_primes_quad():
-    got = [(P.p, P.kind, P.b) for P in enumerate_field_primes(K23, 13)]
+    # the oracle's primes carry their kinds, and the package names them
+    # by the same (p, b) pairs
+    got = [(P.p, P.kind, P.b) for P in field_primes(K23, 13)]
     assert got == [
         (2, "split", 1),
         (2, "split", 3),
@@ -1481,8 +1491,10 @@ def test_enumerate_field_primes_quad():
         (13, "split", 9),
         (13, "split", 17),
     ]
-    got8 = [(P.p, P.kind, P.b) for P in enumerate_field_primes(K8, 9)]
+    assert enumerate_field_primes(K23, 13) == [(p, b) for p, _, b in got]
+    got8 = [(P.p, P.kind, P.b) for P in field_primes(K8, 9)]
     assert got8 == [(2, "ramified", 0), (3, "split", 2), (3, "split", 4)]
+    assert enumerate_field_primes(K8, 9) == [(p, b) for p, _, b in got8]
 
 
 def test_enumerate_field_primes_matches_integer_walk():
@@ -1497,11 +1509,31 @@ def test_enumerate_field_primes_matches_integer_walk():
                 elif isqrt(n) ** 2 == n and is_prime(isqrt(n)):
                     if kronecker_disc(d, isqrt(n)) == -1:
                         expect += factor_rational_prime(field, isqrt(n))
-            assert enumerate_field_primes(field, bound) == expect, (d, bound)
+            assert enumerate_field_primes(field, bound) == [pair(P) for P in expect], (d, bound)
+
+
+@pytest.mark.parametrize("disc", [None, -3, -4, -7, -8, -15, -23, -56, -84, -1200039])
+def test_enumerate_field_primes_matches_the_oracle(disc):
+    # oracles.field_primes shares no code with the enumeration: a plain
+    # sieve, Euler's criterion and roots by scanning every b < 2p.  The
+    # bounds fall on both sides of prime norms and of inert squares: 24,
+    # 25 and 26 around 5^2 at K(-23), whose 5 is inert, and the ramified
+    # 2 of K(-8) at norm 2
+    field = RATIONAL if disc is None else quadratic_field(disc)
+    for bound in (2, 3, 4, 8, 9, 10, 24, 25, 26, 48, 49, 50, 120, 121, 122, 1000, 2500):
+        want = [pair(P) for P in field_primes(field, bound)]
+        assert enumerate_field_primes(field, bound) == want, (disc, bound)
+    if disc == -23:
+        assert enumerate_field_primes(field, 24)[-1] == (23, 23)
+        assert enumerate_field_primes(field, 25)[-1] == (5, None)
+        assert enumerate_field_primes(field, 26)[-1] == (5, None)
+        assert enumerate_field_primes(field, 24) == enumerate_field_primes(field, 25)[:-1]
+    if disc == -8:
+        assert enumerate_field_primes(field, 2) == [(2, 0)]
 
 
 def test_enumerate_field_primes_norm_sorted():
     for field in (K23, K8, K4):
-        norms = [P.norm for P in enumerate_field_primes(field, 120)]
+        norms = [p if b is not None else p * p for p, b in enumerate_field_primes(field, 120)]
         assert norms == sorted(norms)
         assert all(n <= 120 for n in norms)

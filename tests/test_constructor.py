@@ -34,7 +34,7 @@ from constdeg.quadfield import (
 )
 from constdeg.verifier import MalformedCertificate, verify
 import oracles
-from oracles import kummer_generator, kummer_split_test
+from oracles import field_primes, kummer_generator, kummer_split_test, pair
 
 K23 = quadratic_field(-23)
 K8 = quadratic_field(-8)
@@ -94,11 +94,11 @@ def assert_discipline(cert):
     field, ctx, l0, pieces = rebuild(cert)
     ell = cert["ell"]
     for i, pc in enumerate(pieces):
-        assert frobenius_order_in_L0(l0, pc) == 1
+        assert frobenius_order_in_L0(l0, pc.norm) == 1
         for j, other in enumerate(pieces):
             if i != j:
                 assert (
-                    frobenius_order_in_ray_piece(ctx, other, pc) == 1
+                    frobenius_order_in_ray_piece(ctx, other, pair(pc)) == 1
                 ), (i, j)
     deficient = {
         tuple(row["prime"]): row["deficiency"] for row in cert["deficiencies"]
@@ -107,7 +107,7 @@ def assert_discipline(cert):
         a = deficient.get((lam.p, lam.b), 0)
         for j, pc in enumerate(pieces):
             want = ell**a if (a and j == 0) else 1
-            assert frobenius_order_in_ray_piece(ctx, pc, lam) == want, (lam, j)
+            assert frobenius_order_in_ray_piece(ctx, pc, pair(lam)) == want, (lam, j)
 
 
 # ------------------------------------------------------------ rational
@@ -224,14 +224,15 @@ def test_rows_follow_the_shared_rule(monkeypatch, field, n, bound, own):
     for comp in cert["composite"]["components"]:
         _, ctx, _, pieces = rebuild(comp)
         folded = list(local_degrees(ctx, pieces, rows))
-        assert folded == [oracles.local_degree(ctx, pieces, w) for w in rows]
+        reference = [oracles.local_degree(ctx, pieces, w) for w in field_primes(field, bound)]
+        assert folded == reference
         assert [(row["degree"], row["ramified_component"]) for row in comp["table"]] == [
             (deg, ram) for ram, _, deg in folded
         ]
         monkeypatch.setattr(classfield, "FOLD_ROWS", 5)
         assert list(local_degrees(ctx, pieces, rows)) == folded
         monkeypatch.undo()
-        ramified_in_own_piece += sum(w in pieces for w in rows)
+        ramified_in_own_piece += sum(pair(pc) in rows for pc in pieces)
     assert ramified_in_own_piece == own
     monkeypatch.setattr(classfield, "FOLD_ROWS", 5)
     assert certificate_json(compose_for_n(field, n, bound)) == certificate_json(cert)
@@ -244,6 +245,26 @@ def test_deficient_prime_is_the_first_target(field, ell, r):
     ((lam, a),) = ctx.deficiencies.items()
     assert a == 1
     assert lam == enumerate_field_primes(field, 2)[0]
+
+
+def test_table_rows_build_no_prime_ideals(monkeypatch):
+    # construct and verify walk the table as (p, b) pairs: at Q n=2 B=10^4,
+    # 1229 rows, each makes a PrimeIdeal only for the conductors, the
+    # deficiency primes above l and the class-basis primes
+    ctx = build_context(RATIONAL, 2, 1)
+    made, init = [], PrimeIdeal.__init__
+
+    def counting(self, *args, **kwargs):
+        made.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(PrimeIdeal, "__init__", counting)
+    cert = construct(RATIONAL, 2, 1, 10**4)
+    allowed = len(cert["pieces"]) + len(ctx.deficiencies) + len(ctx.cl.gens)
+    assert len(cert["table"]) == 1229 and 0 < len(made) <= allowed
+    made.clear()
+    assert len(verify(cert).primes) == 1229
+    assert 0 < len(made) <= allowed
 
 
 def test_each_frobenius_order_asked_at_most_once(monkeypatch):
@@ -376,11 +397,11 @@ def test_dedicated_piece_matches_kummer_scan(disc, r):
     l0 = build_L0_rational(2, r)
     ((lam, a),) = ctx.deficiencies.items()
     assert a == 1
-    alpha, m = kummer_generator(ctx, lam)
+    alpha, m = kummer_generator(ctx, oracles.prime_of(field, lam))
     level = m + r - a
     scan = next(
         P
-        for P in enumerate_field_primes(field, first["norm"])
+        for P in field_primes(field, first["norm"], ctx.ell ** (ctx.r + ctx.t))
         if P.p not in ctx.excluded
         and P not in ctx.cl.gens
         and in_S(ctx, P)

@@ -10,7 +10,7 @@ from constdeg.arith import factor
 from constdeg.cli import run
 from constdeg.classfield import local_degree
 from constdeg.constructor import certificate_json, compose_for_n, construct
-from constdeg.quadfield import RATIONAL, PrimeIdeal, quadratic_field
+from constdeg.quadfield import RATIONAL, quadratic_field
 from constdeg.verifier import (
     MalformedCertificate,
     MismatchFound,
@@ -27,10 +27,6 @@ K23 = quadratic_field(-23)
 K8 = quadratic_field(-8)
 
 
-def rp(p):
-    return PrimeIdeal(p, "rational", None, 1)
-
-
 def from_bytes(cert):
     # the verifier must work from the serialized document alone
     return parse_certificate(certificate_json(cert))
@@ -43,6 +39,7 @@ CERT23 = from_bytes(construct(K23, 3, 1, 50))
 CERTD = from_bytes(construct(K8, 2, 1, 20))
 COMP6 = from_bytes(compose_for_n(RATIONAL, 6, 20))
 COMP2 = from_bytes(compose_for_n(RATIONAL, 2, 20))
+CERTK = from_bytes(construct(K23, 2, 1, 10**4))  # the wide-table job over K
 
 
 def places_of(*ns):
@@ -75,8 +72,8 @@ def test_record_components():
     rep = verify(CERT2)
     assert (rep.degree, len(rep.primes)) == (2, 25)
     ctx, pieces = verifier._rebuild(CERT2)
-    assert local_degree(ctx, pieces, rp(17)) == (1, 2, 2)  # ramified in its own piece
-    assert local_degree(ctx, pieces, rp(2)) == (0, 2, 2)  # all ramification in the seed
+    assert local_degree(ctx, pieces, (17, None)) == (1, 2, 2)  # ramified in its own piece
+    assert local_degree(ctx, pieces, (2, None)) == (0, 2, 2)  # all ramification in the seed
 
 
 def test_deficient_roundtrip_components():
@@ -84,7 +81,7 @@ def test_deficient_roundtrip_components():
     assert (2, 0) in rep.primes and rep.degree == 2
     ctx, pieces = verifier._rebuild(CERTD)
     (w,) = ctx.deficiencies
-    assert (w.p, w.b) == (2, 0)
+    assert w == (2, 0)
     assert local_degree(ctx, [], w) == (0, 1, 1)  # the seed degree drops to 2^(r-1) here
     assert local_degree(ctx, pieces[:1], w) == (0, 1, 2)  # the dedicated piece restores it
 
@@ -224,7 +221,7 @@ def test_tampered_deficiency_list():
 def rows_recomputed(c):
     ctx, pieces = verifier._rebuild(c)
     for row in c["table"]:
-        row["ramified_component"], _, row["degree"] = local_degree(ctx, pieces, rp(row["prime"][0]))
+        row["ramified_component"], _, row["degree"] = local_degree(ctx, pieces, tuple(row["prime"]))
     return c
 
 
@@ -244,6 +241,29 @@ def overshoot_table():
 def extra_row(p, degree):
     c = copy.deepcopy(CERT2)
     c["table"].append({"prime": [p, None], "degree": degree, "ramified_component": None})
+    return c
+
+
+def k_overshoot_table():
+    # (1409, 2181) is in S and a row of K(-23) n=2 B=10^4, full before its
+    # piece and so degree 4 after it; the fold finds it among the two
+    # rows of norm 1409 by its root, so a conductor that fails to match
+    # its row would fail elsewhere or not at all
+    c = copy.deepcopy(CERTK)
+    assert [1409, 637] in [row["prime"] for row in c["table"]]
+    c["pieces"].append({"p": 1409, "b": 2181, "norm": 1409})
+    return rows_recomputed(c)
+
+
+def k_table_without(prime):
+    c = copy.deepcopy(CERTK)
+    c["table"] = [row for row in c["table"] if row["prime"] != prime]
+    return c
+
+
+def k_extra_row(prime):
+    c = copy.deepcopy(CERTK)
+    c["table"].append({"prime": prime, "degree": 2, "ramified_component": None})
     return c
 
 
@@ -270,8 +290,22 @@ def component_bound_above_composite():
         (lambda: extra_row(4, 2), MalformedCertificate, "table row for [4, None]"),
         (shrunk_bound, MalformedCertificate, "table row for [53, None]"),
         (component_bound_above_composite, MalformedCertificate, "component bound differs"),
+        (k_overshoot_table, MismatchFound, ("prime (1409,2181)", 2, 4)),
+        # the inert 5 of K(-23) has norm 25; 5 names no prime by a root, 101
+        # splits, and the inert 103 has norm 10609 > 10^4
+        (
+            lambda: k_table_without([5, None]),
+            MalformedCertificate,
+            "table has no row for prime (5,None)",
+        ),
+        (lambda: k_extra_row([5, 1]), MalformedCertificate, "table row for [5, 1]"),
+        (lambda: k_extra_row([101, None]), MalformedCertificate, "table row for [101, None]"),
+        (lambda: k_extra_row([103, None]), MalformedCertificate, "table row for [103, None]"),
     ],
-    ids=["short-table", "overshoot-table", "row-101", "row-4", "bound-50", "component-bound"],
+    ids=[
+        "short-table", "overshoot-table", "row-101", "row-4", "bound-50", "component-bound",
+        "k-overshoot-table", "k-no-inert-square", "k-row-5-1", "k-row-101", "k-row-103",
+    ],
 )
 def test_claim_degree_n_at_every_covered_prime(tmp_path, capsys, make, error, detail):
     c = make()
@@ -295,7 +329,7 @@ def test_tampered_bound_inflated():
 
 
 @pytest.mark.parametrize("bound", [10**8, 10**12])
-@pytest.mark.parametrize("cert", [CERT2, COMP6], ids=["plain", "composite"])
+@pytest.mark.parametrize("cert", [CERT2, COMP6, CERTK], ids=["plain", "composite", "k23"])
 def test_hostile_bound_rejected_quickly(cert, bound):
     # coverage claimed far past the table ends at the first missing row,
     # after work bounded by the table rather than by the claimed bound
