@@ -10,10 +10,12 @@ a power residue in the conductor's residue field.
 
 The context owns every fact fixed by (field, l, r): the l-part of the
 class group, the units, the seed and its deficiency at each prime above
-l.  A ray piece is named by its conductor, a PrimeIdeal in S, as in_S
-needs it; its degree l^r is the context's.  A prime whose local degree
-is asked, a table row or a search target, is a (p, b) pair of ints, as
-enumerate_field_primes lists it and the certificate names it.
+l.  Every prime is a (p, b) pair of ints, as quadfield names it,
+enumerate_field_primes lists it and the certificate writes it: a table
+row, a search target, a class-basis prime or a key of the deficiencies.
+A ray piece is named by its conductor, a Conductor(p, b, norm) in S,
+the piece record the certificate writes; its degree l^r is the
+context's.
 
 Conventions:
   * the seed character is the canonical order-l^r quotient of
@@ -54,7 +56,7 @@ included.
 """
 
 from bisect import bisect_left
-from collections import deque
+from collections import deque, namedtuple
 from dataclasses import dataclass, field as dc_field
 from itertools import compress
 from math import gcd, isqrt, lcm
@@ -71,7 +73,6 @@ from .arith import (
 )
 from .quadfield import (
     NotPrincipal,
-    PrimeIdeal,
     class_dlog,
     class_group_l_part,
     factor_rational_prime,
@@ -81,7 +82,6 @@ from .quadfield import (
     normalize_unit,
     prime_module,
     principal_generator,
-    ramified_root,
     reduce_mod,
     split_roots,
     unit_generators,
@@ -138,7 +138,7 @@ def _deficiencies(field, ell: int, r: int) -> dict:
         m = field.disc // 8
         if (r == 1 and m % 8 == 7) or (r >= 2 and m % 8 == 1):
             a = 1
-    return {(lam.p, lam.b): a for lam in factor_rational_prime(field, ell)}
+    return dict.fromkeys(factor_rational_prime(field, ell), a)
 
 
 # ---------------------------------------------------------- seed piece
@@ -197,27 +197,29 @@ def frobenius_order_in_L0(piece, norm: int):
 # --------------------------------------------------- Chebotarev set S
 
 
-def in_S(ctx, P: PrimeIdeal) -> bool:
-    """Membership test for auxiliary conductor candidates.
+def in_S(ctx, P) -> bool:
+    """Membership test for auxiliary conductor candidates, read off P's
+    p, b and norm.
 
     Requires: the l-part of the class of P is trivial, N(P) = 1 mod
     l^(r+t), every unit is an l^(r+t)-th power residue at P, and each
     class-basis generator alpha_i is an l^(m_i)-th power residue at P.
     """
-    if P.p in ctx.excluded or P in ctx.cl.gens:
+    w = (P.p, P.b)
+    if P.p in ctx.excluded or w in ctx.cl.gens:
         raise ValueError("candidate collides with an excluded or basis prime")
     kmax = ctx.r + ctx.t
     if (P.norm - 1) % ctx.ell**kmax:
         return False
     if ctx.field.kind == "imag_quadratic":
-        if any(class_dlog(ctx.field, prime_module(ctx.field, P), ctx.cl)):
+        if any(class_dlog(ctx.field, prime_module(ctx.field, w), ctx.cl)):
             return False
-    fld = local_field(ctx.field, P)
+    fld = local_field(ctx.field, w)
     for u in ctx.units:
-        if power_residue_level(reduce_mod(ctx.field, u, P), ctx.ell, kmax, fld) != kmax:
+        if power_residue_level(reduce_mod(ctx.field, u, w), ctx.ell, kmax, fld) != kmax:
             return False
     for alpha, m in zip(ctx.cl.alphas, ctx.cl.exps):
-        if power_residue_level(reduce_mod(ctx.field, alpha, P), ctx.ell, m, fld) != m:
+        if power_residue_level(reduce_mod(ctx.field, alpha, w), ctx.ell, m, fld) != m:
             return False
     return True
 
@@ -225,7 +227,14 @@ def in_S(ctx, P: PrimeIdeal) -> bool:
 # ----------------------------------------------------------- ray piece
 
 
-def make_ray_piece(ctx, P: PrimeIdeal) -> PrimeIdeal:
+class Conductor(namedtuple("Conductor", "p b norm")):
+    """The conductor of a ray piece, as the certificate writes the piece:
+    the prime (p, b) and its norm, p or p^2 at an inert p of K."""
+
+    __slots__ = ()
+
+
+def make_ray_piece(ctx, P: Conductor) -> Conductor:
     """The ray piece of conductor P, which is P itself once it is
     checked to lie in S."""
     if not in_S(ctx, P):
@@ -247,7 +256,7 @@ def _target_generator(ctx, q):
         if bar:
             gamma = normalize_unit(fld, (bar[0], -bar[1]))
         else:
-            J = prime_module(fld, _prime_ideal(fld, q))
+            J = prime_module(fld, q)
             J = ideal_pow(fld, J, ctx.cl.coprime_part * ctx.ell**ctx.t)
             try:
                 gamma = principal_generator(fld, J)
@@ -280,7 +289,7 @@ def _rational_frobenius_order(q: int, n: int, ell: int, full: int) -> int:
     return order
 
 
-def frobenius_orders(ctx, eps: PrimeIdeal, ws) -> list:
+def frobenius_orders(ctx, eps: Conductor, ws) -> list:
     """The order of the Frobenius of each prime w = (p, b) in ws, none of
     them eps, in the ray piece of conductor eps: over Q that of
     p^((eps-1)/l^r) mod eps, one pow and the order loop; over K that of
@@ -294,7 +303,7 @@ def frobenius_orders(ctx, eps: PrimeIdeal, ws) -> list:
     if ctx.field.kind == "rational":
         out = [_rational_frobenius_order(p, eps.p, ell, full) for p, _ in ws]
     else:
-        fld = local_field(ctx.field, eps)
+        fld = local_field(ctx.field, (eps.p, eps.b))
         e = (eps.norm - 1) // ell ** (r + ctx.t)
         images = (conductor_image(eps.p, eps.b, e, _target_generator(ctx, w), fld) for w in ws)
         out = [ell ** order_exponent(x, ell, r, fld) for x in images]
@@ -303,7 +312,7 @@ def frobenius_orders(ctx, eps: PrimeIdeal, ws) -> list:
     return out
 
 
-def frobenius_order_in_ray_piece(ctx, eps: PrimeIdeal, q) -> int:
+def frobenius_order_in_ray_piece(ctx, eps: Conductor, q) -> int:
     """Order of the Frobenius of a prime q = (p, b) other than eps in the
     ray piece of conductor eps, the one-prime column of frobenius_orders."""
     return frobenius_orders(ctx, eps, [q])[0]
@@ -345,14 +354,6 @@ def _quad_candidates(ctx, n: int):
     if p in ctx.excluded or kronecker_disc(ctx.field.disc, p) != -1:
         return n, ()
     return p, (None,)
-
-
-def _prime_ideal(field, w) -> PrimeIdeal:
-    # the prime w = (p, b) of K: inert at b = None, else ramified or split
-    p, b = w
-    if b is None:
-        return PrimeIdeal(p, "inert", None, 2)
-    return PrimeIdeal(p, "split" if field.disc % p else "ramified", b, 1)
 
 
 SIEVE_PRIMES = 1 << 12  # the walk strikes multiples of the primes below this
@@ -410,14 +411,14 @@ def _fixed_orders(ctx, p: int, b, e: int, fld, fixed, full: int) -> bool:
                 return False
             continue
         order = ell ** order_exponent(conductor_image(p, b, e, gamma, fld), ell, r, fld)
-        if order > full and in_S(ctx, _prime_ideal(ctx.field, (p, b))):
+        if order > full and in_S(ctx, Conductor(p, b, fld.q)):
             raise InternalInconsistency("Frobenius image escapes the piece")
         if order != k:
             return False
     return True
 
 
-def search_prime(ctx, pieces, cursor: SearchCursor, target, order: int) -> PrimeIdeal:
+def search_prime(ctx, pieces, cursor: SearchCursor, target, order: int) -> Conductor:
     """The conductor of the next greedy piece, for the target prime
     (p, b): the first prime P of S, by ascending (norm, root), such that
       * P splits completely in the seed and in the pieces of the given
@@ -440,14 +441,13 @@ def search_prime(ctx, pieces, cursor: SearchCursor, target, order: int) -> Prime
     (those above l other than target, the conductors and target) their
     orders, from generators fetched once per search, then lie in S, then
     leave the conductors split.  A candidate meets the orders as its
-    ints, p and its root (None if inert), by conductor_image with the
+    pair (p, b), b = None if inert, by conductor_image with the
     exponent (n - 1)/l^(r+t) and the residue field taken once per norm,
-    and skips the class basis by a set of (p, root) pairs; its
-    PrimeIdeal is built only once it passes them, or for the in_S of the
-    escape check below.  Each test is a function of P alone and
-    a conductor must pass all three, so their order does not change
-    which P is found; an order above l^r at a fixed prime still raises
-    InternalInconsistency at a P in S.  Raises
+    and its Conductor(p, b, n) is built only once it passes them, or
+    for the in_S of the escape check below.  Each test is a function of
+    P alone and a conductor must pass all three, so their order does
+    not change which P is found; an order above l^r at a fixed prime
+    still raises InternalInconsistency at a P in S.  Raises
     SearchExhausted (CLI exit 3), naming target and order, after
     cursor.cap entries of the progression, visited or not, or where it
     reaches 2**64, beyond which is_prime has no answer.
@@ -477,7 +477,7 @@ def search_prime(ctx, pieces, cursor: SearchCursor, target, order: int) -> Prime
                     break
             else:
                 if is_prime(n):
-                    return PrimeIdeal(n, "rational", None, 1)
+                    return Conductor(n, None, n)
     else:
         # the orders at the fixed primes first, from generators fetched
         # once per search; in_S, which passes most candidates, second; the
@@ -485,7 +485,6 @@ def search_prime(ctx, pieces, cursor: SearchCursor, target, order: int) -> Prime
         # A conductor passes all three and each asks only about P, so the
         # order changes the cost of a rejection, not which P is found
         fixed = [(q, _target_generator(ctx, q), k) for q, k in orders]
-        basis = {(g.p, g.b) for g in ctx.cl.gens}
         for n in walk:
             p, roots = _quad_candidates(ctx, n)
             if not roots:
@@ -494,8 +493,8 @@ def search_prime(ctx, pieces, cursor: SearchCursor, target, order: int) -> Prime
             fld = ResidueField(p, None if p == n else ctx.field.disc % p)
             e = (n - 1) // lk  # (N - 1)/l^(r+t)
             for b in roots:
-                if (p, b) not in basis and _fixed_orders(ctx, p, b, e, fld, fixed, full):
-                    P = _prime_ideal(ctx.field, (p, b))
+                if (p, b) not in ctx.cl.gens and _fixed_orders(ctx, p, b, e, fld, fixed, full):
+                    P = Conductor(p, b, n)
                     if in_S(ctx, P) and all(
                         frobenius_order_in_ray_piece(ctx, pc, (p, b)) == 1 for pc in pieces
                     ):
@@ -521,8 +520,8 @@ class DegreeFold:
     modulus that occurs.  Every order divides l^r, so a row's lcm is their
     max, and a piece asks its column of orders (frobenius_orders) only at
     the rows whose lcm is still below l^r, ramified ones included.  A
-    conductor that is a row, the pair (eps.p, eps.b) found by bisecting
-    the norms, is ramified there and asked nothing.
+    conductor that is a row, found by bisecting the norms, is ramified
+    there and asked nothing.
     """
 
     def __init__(self, ctx, rows, pieces):
@@ -543,7 +542,7 @@ class DegreeFold:
         for eps in pieces:
             self.add(eps)
 
-    def add(self, eps: PrimeIdeal):
+    def add(self, eps: Conductor):
         """Fold the piece of conductor eps over the rows still short."""
         rows, orders, short = self.rows, self.orders, self.short
         self.count += 1
@@ -575,9 +574,14 @@ def degree_folds(ctx, pieces, rows):
     """One DegreeFold per FOLD_ROWS of rows, primes ascending by norm,
     each made when it is reached, under the conductors then in pieces; a
     fold's memory stays small beside the table's, and a piece still asks
-    each row for its order at most once."""
+    each row for its order at most once.  Once the walk has passed a
+    fold, its rows' generators leave ctx._targets, so the cache holds
+    one fold's rows, the conductors and the primes above l."""
     for k in range(0, len(rows), FOLD_ROWS):
-        yield DegreeFold(ctx, rows[k : k + FOLD_ROWS], pieces)
+        fold = DegreeFold(ctx, rows[k : k + FOLD_ROWS], pieces)
+        yield fold
+        for w in fold.rows:
+            ctx._targets.pop(w, None)
 
 
 def local_degrees(ctx, pieces, rows):
@@ -611,7 +615,7 @@ def context_record(ctx) -> dict:
     return {
         "t": ctx.t,
         "class_data": [
-            {"gen_ideal": [g.p, g.b], "order": ctx.ell**m, "alpha": list(alpha)}
+            {"gen_ideal": list(g), "order": ctx.ell**m, "alpha": list(alpha)}
             for g, m, alpha in zip(ctx.cl.gens, ctx.cl.exps, ctx.cl.alphas)
         ],
         "unit_gens": [list(u) for u in ctx.units],
@@ -629,24 +633,20 @@ def context_record(ctx) -> dict:
 
 def enumerate_field_primes(field, bound: int) -> list:
     """All primes of the field of norm <= bound as (p, b) pairs, ascending
-    by norm (DegreeFold reads it) with split conjugates ordered by root:
-    b is the root of sqrt(D) mod the prime (PrimeIdeal.b), None over Q
-    and at an inert p.
-    Over K each p takes one Kronecker symbol, split_roots or
-    ramified_root, and an inert p, kept while p^2 <= bound, waits for
-    the first prime above p^2."""
+    by norm (DegreeFold reads it) with split conjugates ordered by root,
+    as factor_rational_prime gives them.  Over K each p takes one call of
+    it, and an inert p, kept while p^2 <= bound, waits for the first
+    prime above p^2."""
     ps = small_primes(bound + 1)
     if field.kind == "rational":
         return [(p, None) for p in ps]
-    d, out, inert = field.disc, [], deque()
+    out, inert = [], deque()
     for p in ps:
         while inert and inert[0] ** 2 < p:
             out.append((inert.popleft(), None))
-        sym = kronecker_disc(d, p)
-        if sym == 1:
-            out += ((p, b) for b in split_roots(d, p))
-        elif sym == 0:
-            out.append((p, ramified_root(d, p)))
+        primes = factor_rational_prime(field, p)
+        if primes[0][1] is not None:
+            out += primes
         elif p * p <= bound:
             inert.append(p)
     out += ((p, None) for p in inert)

@@ -7,10 +7,11 @@ Conventions, used consistently by every caller:
     x = y*D (mod 2).  Rational integers n are stored as (2n, 0).
   * Ideals are triples (g, a, b): content g times the primitive module with
     Z-basis [a, (b + sqrt(D))/2], where 0 <= b < 2a and 4a | b^2 - D.
-  * A split or ramified PrimeIdeal stores the root b of x^2 = D (mod 4p)
-    that its residue map selects, i.e. sqrt(D) = +b (mod P).  The module
-    representation of P therefore uses -b mod 2p.
-  * The residue field at an inert P above p is F_p(sqrt(D)): D is a
+  * A prime is the pair (p, b) of ints, as a certificate names it: over
+    Q b is None; over K a split or ramified prime P above p has b the
+    root of x^2 = D (mod 4p) that its residue map selects, sqrt(D) = +b
+    (mod P), so its module uses -b mod 2p, and b is None at an inert p.
+  * The residue field at an inert p is F_p(sqrt(D)): D is a
     non-residue mod p, so F_{p^2} is built with w*w = D mod p, and the
     residue map halves both coordinates of (x, y).
 """
@@ -173,18 +174,6 @@ def ideal_pow(field, I: QuadIdeal, e: int) -> QuadIdeal:
 # ----------------------------------------------------------------- primes
 
 
-@dataclass(frozen=True)
-class PrimeIdeal:
-    p: int
-    kind: str  # "split", "inert", "ramified", "rational"
-    b: "int | None"  # root: sqrt(D) = b (mod P); None for inert/rational
-    f: int
-
-    @property
-    def norm(self):
-        return self.p**self.f
-
-
 def kronecker_disc(d: int, p: int) -> int:
     """Splitting symbol of the discriminant d at the rational prime p."""
     if p == 2:
@@ -194,22 +183,20 @@ def kronecker_disc(d: int, p: int) -> int:
     return legendre(d % p, p)
 
 
-def factor_rational_prime(field, p: int):
+def factor_rational_prime(field, p: int) -> list:
+    """The primes above the rational prime p as (p, b) pairs: (p, None)
+    over Q and at an inert p, the split_roots, ascending, at a split p,
+    and at a p dividing D its one root b: p | D and p | b^2 - D force
+    p | b, and 0 and p are the b < 2p it divides."""
     if field.kind == "rational":
-        return [PrimeIdeal(p, "rational", None, 1)]
+        return [(p, None)]
     d = field.disc
     sym = kronecker_disc(d, p)
     if sym == -1:
-        return [PrimeIdeal(p, "inert", None, 2)]
+        return [(p, None)]
     if sym == 0:
-        return [PrimeIdeal(p, "ramified", ramified_root(d, p), 1)]
-    return split_primes(d, p)
-
-
-def ramified_root(d: int, p: int) -> int:
-    """The root b of the prime above a rational prime p dividing d: p | d
-    and p | b^2 - d force p | b, and 0 and p are the b < 2p it divides."""
-    return next(b for b in (0, p) if (b - d) % 2 == 0 and (b * b - d) % (4 * p) == 0)
+        return [next((p, b) for b in (0, p) if (b - d) % 2 == 0 and (b * b - d) % (4 * p) == 0)]
+    return [(p, b) for b in split_roots(d, p)]
 
 
 def split_roots(d: int, p: int) -> tuple:
@@ -225,16 +212,12 @@ def split_roots(d: int, p: int) -> tuple:
     return (r, 2 * p - r) if r < p else (2 * p - r, r)
 
 
-def split_primes(d: int, p: int):
-    """The two primes above a rational prime p that splits in Q(sqrt d),
-    by ascending root (split_roots)."""
-    return [PrimeIdeal(p, "split", b, 1) for b in split_roots(d, p)]
-
-
-def prime_module(field, P: PrimeIdeal) -> QuadIdeal:
-    if P.kind == "inert":
-        return QuadIdeal(P.p, 1, field.disc % 2)
-    return QuadIdeal(1, P.p, (-P.b) % (2 * P.p))
+def prime_module(field, w) -> QuadIdeal:
+    """The module of the prime w = (p, b) of K."""
+    p, b = w
+    if b is None:
+        return QuadIdeal(p, 1, field.disc % 2)
+    return QuadIdeal(1, p, -b % (2 * p))
 
 
 # ----------------------------------------------------------------- forms
@@ -316,7 +299,7 @@ def enumerate_class_group(field):
 
 @dataclass(eq=False)
 class ClassGroupLPart:
-    gens: tuple  # basis prime ideals a_i, orders descending
+    gens: tuple  # basis primes a_i as (p, b) pairs, orders descending
     exps: tuple  # m_i: a_i has order ell^m_i in the class group
     alphas: tuple  # generators of a_i^(ell^m_i)
     t: int  # max m_i, 0 when the l-part is trivial
@@ -327,8 +310,8 @@ class ClassGroupLPart:
 _BASIS_PRIME_CAP = 100000  # primes scanned, then values tried per row
 
 
-def _class_prime(field, form, exclusion) -> PrimeIdeal:
-    """A prime ideal outside the exclusion set in the class of the reduced
+def _class_prime(field, form, exclusion) -> tuple:
+    """A prime (p, b) outside the exclusion set in the class of the reduced
     form (a, b, c): the least one of norm below the cap, or else one above
     the first prime value a*x^2 + b*x*y + c*y^2 over rows y = 1, 2, ...,
     each taking x = 0, 1, -1, 2, ... for cap values.  A prime value has
@@ -343,9 +326,9 @@ def _class_prime(field, form, exclusion) -> PrimeIdeal:
     no fixed prime divisor."""
 
     def above(p):
-        for P in factor_rational_prime(field, p):
-            if ideal_class_form(field, prime_module(field, P)) == form:
-                return P
+        for w in factor_rational_prime(field, p):
+            if ideal_class_form(field, prime_module(field, w)) == form:
+                return w
 
     for p in small_primes(_BASIS_PRIME_CAP + 1):
         if p not in exclusion and (P := above(p)):
@@ -408,7 +391,7 @@ def class_group_l_part(field, ell: int, exclusion) -> ClassGroupLPart:
         table = span
         assert len(table) == old_len * ell**m, "basis relation found"
 
-    # represent each basis class by a prime ideal outside the exclusion set
+    # represent each basis class by a prime outside the exclusion set
     gens, alphas = [], []
     for g_form, m in zip(basis, exps):
         found = _class_prime(field, g_form, exclusion)
@@ -467,18 +450,23 @@ def principal_generator(field, ideal: QuadIdeal):
 # ------------------------------------------------------------- reduction
 
 
-def local_field(field, P: PrimeIdeal):
-    return residue_field(P.p, field.disc % P.p if P.kind == "inert" else None)
+def local_field(field, w):
+    """The residue field at the prime w = (p, b): F_p(sqrt(D)) at an
+    inert p of K, else F_p."""
+    p, b = w
+    inert = b is None and field.kind != "rational"
+    return residue_field(p, field.disc % p if inert else None)
 
 
-def reduce_mod(field, x, P: PrimeIdeal):
-    """Canonical image of the element x in the residue field at P."""
+def reduce_mod(field, x, w):
+    """Canonical image of the element x in the residue field at w = (p, b)."""
+    p, b = w
     if field.kind == "rational":
-        return (x[0] // 2) % P.p
-    if P.p == 2:
+        return (x[0] // 2) % p
+    if p == 2:
         raise ValueError("cannot reduce mod a prime above 2")
     xx, yy = x
-    inv2 = (P.p + 1) // 2
-    if P.kind == "inert":
-        return (xx * inv2 % P.p, yy * inv2 % P.p)  # sqrt(D) = w
-    return (xx + yy * P.b) * inv2 % P.p  # sqrt(D) = P.b mod P
+    inv2 = (p + 1) // 2
+    if b is None:
+        return (xx * inv2 % p, yy * inv2 % p)  # sqrt(D) generates F_p(sqrt(D))
+    return (xx + yy * b) * inv2 % p  # sqrt(D) = b mod the prime

@@ -27,6 +27,7 @@ from itertools import repeat
 
 from .arith import PRIME_LIMIT, factor, is_prime, legendre
 from .classfield import (
+    Conductor,
     InternalInconsistency,
     build_context,
     context_record,
@@ -260,12 +261,10 @@ def _field_of(fj):
         raise MalformedCertificate(str(exc)) from None
 
 
-def _lookup_prime(field, p, b):
+def _lookup_prime(field, p, b) -> Conductor:
     _need(2 <= p < PRIME_LIMIT and is_prime(p), f"{p} is not a prime below 2**64")
-    for cand in factor_rational_prime(field, p):
-        if cand.b == b:
-            return cand
-    raise MalformedCertificate(f"no prime ({p},{b}) in the field")
+    _need((p, b) in factor_rational_prime(field, p), f"no prime ({p},{b}) in the field")
+    return Conductor(p, b, p * p if b is None and field.kind != "rational" else p)
 
 
 def _match(what, claimed, recomputed):

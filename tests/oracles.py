@@ -21,8 +21,10 @@ None of this runs in the package itself:
     through ideal_product, the HNF of the four products of two
     Z-bases, and for principal_generator, through principal_ideal, the
     ideal (u) from a Z-basis;
-  * ideal_contains and conjugate_prime: ideal membership by the module
-    basis, and the conjugate prime;
+  * PrimeIdeal, split_primes and conjugate_prime: a prime as an object
+    (p, kind, b, f), the tests' reference naming beside the package's
+    (p, b) pairs; the two split primes above p; the conjugate prime;
+  * ideal_contains: ideal membership by the module basis;
   * kprime: m * (m^-1 mod l^(r+t)), m the prime-to-l part of the class
     number, the exponent of the references below;
   * kummer_generator and kummer_split_test: the Kummer-level oracle of
@@ -42,13 +44,17 @@ None of this runs in the package itself:
   * roots_by_scan: the roots b of x^2 = D mod 4p found by scanning
     every b < 2p, the reference for the split and ramified cases of
     quadfield.factor_rational_prime;
-  * field_primes, pair and prime_of: every prime of norm up to a bound
-    as a PrimeIdeal, from a plain sieve, Euler's criterion and
+  * primes_above, field_primes, pair, ideal_of and prime_of: the
+    primes above p, and every prime of norm up to a bound, as
+    PrimeIdeals, from a plain sieve, Euler's criterion and
     roots_by_scan, the reference for classfield.enumerate_field_primes
-    and the source of the PrimeIdeals the tests hand to in_S, the Kummer
-    references and the searches; pair is the (p, b) that names a
-    PrimeIdeal in the package's tables, and prime_of the field_primes
-    PrimeIdeal a pair names;
+    and quadfield.factor_rational_prime, and the source of the
+    PrimeIdeals the tests hand to in_S, the Kummer references and the
+    searches; pair is the (p, b) that names a PrimeIdeal or a
+    classfield.Conductor in the package, which every call of
+    quadfield's prime_module, reduce_mod and local_field here takes,
+    ideal_of the PrimeIdeal a pair names by its b and p alone, and
+    prime_of the field_primes PrimeIdeal a pair names;
   * target_generator, generator_image and frobenius_image: a fresh
     generator of q^(m * l^t), with no cache and no conjugate shortcut,
     and its power residue at a conductor PrimeIdeal by reduce_mod and a
@@ -79,6 +85,7 @@ eps, the reference equals the package image raised to u = kprime / m, an
 exponent prime to l, as an element.
 """
 
+from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, isqrt, lcm
 
@@ -93,7 +100,6 @@ from constdeg.arith import (
 )
 from constdeg.classfield import SIEVE_PRIMES, InternalInconsistency, in_S
 from constdeg.quadfield import (
-    PrimeIdeal,
     QuadIdeal,
     class_dlog,
     compose_forms,
@@ -108,7 +114,7 @@ from constdeg.quadfield import (
     principal_form,
     principal_generator,
     reduce_mod,
-    split_primes,
+    split_roots,
 )
 
 # ------------------------------------------------------ residue fields
@@ -243,6 +249,28 @@ def principal_ideal(field, u) -> QuadIdeal:
     return ideal_from_columns(field, [u, elt_mul(field, u, omega)])
 
 
+@dataclass(frozen=True)
+class PrimeIdeal:
+    """A prime of the field as an object, the tests' reference naming
+    beside the package's (p, b) pairs: b is the root of sqrt(D) mod the
+    prime, None over Q and at an inert p, and f its residue degree."""
+
+    p: int
+    kind: str  # "split", "inert", "ramified", "rational"
+    b: "int | None"
+    f: int
+
+    @property
+    def norm(self):
+        return self.p**self.f
+
+
+def split_primes(d: int, p: int):
+    """The two primes above a rational prime p that splits in Q(sqrt d),
+    by ascending root (quadfield.split_roots)."""
+    return [PrimeIdeal(p, "split", b, 1) for b in split_roots(d, p)]
+
+
 def conjugate_prime(P: PrimeIdeal) -> PrimeIdeal:
     if P.kind != "split":
         return P
@@ -264,7 +292,7 @@ def kummer_generator(ctx, q: PrimeIdeal):
     order of the l-part of the class of q.  Returns (alpha, m)."""
     if ctx.field.kind == "rational":
         return integer_elt(q.p), 0
-    c = class_dlog(ctx.field, prime_module(ctx.field, q), ctx.cl)
+    c = class_dlog(ctx.field, prime_module(ctx.field, pair(q)), ctx.cl)
     m = 0
     for ci, mi in zip(c, ctx.cl.exps):
         if ci:
@@ -275,7 +303,7 @@ def kummer_generator(ctx, q: PrimeIdeal):
             m = max(m, mi - v)
     alpha = principal_generator(
         ctx.field,
-        ideal_pow(ctx.field, prime_module(ctx.field, q), kprime(ctx) * ctx.ell**m),
+        ideal_pow(ctx.field, prime_module(ctx.field, pair(q)), kprime(ctx) * ctx.ell**m),
     )
     return alpha, m
 
@@ -291,8 +319,8 @@ def kummer_split_test(ctx, P: PrimeIdeal, alpha, k: int) -> bool:
         raise ValueError("Kummer level exceeds r + t")
     if (P.norm - 1) % ctx.ell**k:
         return False
-    x = reduce_mod(ctx.field, alpha, P)
-    return power_residue_level(x, ctx.ell, k, local_field(ctx.field, P)) == k
+    x = reduce_mod(ctx.field, alpha, pair(P))
+    return power_residue_level(x, ctx.ell, k, local_field(ctx.field, pair(P))) == k
 
 
 # ------------------------------------------------------- splitting map
@@ -301,14 +329,15 @@ def kummer_split_test(ctx, P: PrimeIdeal, alpha, k: int) -> bool:
 def class_correction(ctx, q):
     """(c, gamma0, denom) for the target q, as in the module docstring."""
     fld = ctx.field
-    c = class_dlog(fld, prime_module(fld, q), ctx.cl)
-    J = ideal_pow(fld, prime_module(fld, q), kprime(ctx))
+    c = class_dlog(fld, prime_module(fld, pair(q)), ctx.cl)
+    J = ideal_pow(fld, prime_module(fld, pair(q)), kprime(ctx))
     denom = 1
-    for a_i, ci in zip(ctx.cl.gens, c):
+    for (p, b), ci in zip(ctx.cl.gens, c):
         if ci:
-            bar = prime_module(fld, conjugate_prime(a_i))
+            # a basis prime (p, b) splits, and its conjugate has root 2p - b
+            bar = prime_module(fld, (p, 2 * p - b))
             J = ideal_mul(fld, J, ideal_pow(fld, bar, ci))
-            denom *= a_i.p**ci
+            denom *= p**ci
     return tuple(c), principal_generator(fld, J), denom
 
 
@@ -326,10 +355,10 @@ def alpha_roots(ctx, eps, twist=None):
     """An l^(m_i)-th root of each alpha_i at eps by iterated l-th roots;
     twist(), when given, returns a root of unity that multiplies each
     l-th root as it is taken."""
-    fld = local_field(ctx.field, eps)
+    fld = local_field(ctx.field, pair(eps))
     roots = []
     for alpha, m in zip(ctx.cl.alphas, ctx.cl.exps):
-        root = reduce_mod(ctx.field, alpha, eps)
+        root = reduce_mod(ctx.field, alpha, pair(eps))
         for _ in range(m):
             root = field_root(root, ctx.ell, fld)
             if twist is not None:
@@ -341,8 +370,8 @@ def alpha_roots(ctx, eps, twist=None):
 def splitting_map_image(ctx, eps, correction, roots):
     """The image s of the target with class_correction(ctx, q) at eps."""
     c, gamma0, denom = correction
-    fld = local_field(ctx.field, eps)
-    s = fld.mul(reduce_mod(ctx.field, gamma0, eps), field_inv(fld, embed(fld, denom)))
+    fld = local_field(ctx.field, pair(eps))
+    s = fld.mul(reduce_mod(ctx.field, gamma0, pair(eps)), field_inv(fld, embed(fld, denom)))
     for root, ci in zip(roots, c):
         s = fld.mul(s, fld.pow(root, ci))
     return s
@@ -354,7 +383,7 @@ def reference_image(ctx, eps, q, roots=None):
     if roots is None:
         roots = alpha_roots(ctx, eps)
     s = splitting_map_image(ctx, eps, class_correction(ctx, q), roots)
-    return local_field(ctx.field, eps).pow(s, (eps.norm - 1) // ctx.ell**ctx.r)
+    return local_field(ctx.field, pair(eps)).pow(s, (eps.norm - 1) // ctx.ell**ctx.r)
 
 
 # ------------------------------------------------------- reduced forms
@@ -452,6 +481,30 @@ def _inert(d: int, p: int) -> bool:
     return pow(d, (p - 1) // 2, p) == p - 1 if p > 2 else not roots_by_scan(d, 2)
 
 
+def ideal_of(field, w) -> PrimeIdeal:
+    """The PrimeIdeal the pair w = (p, b) names, read off w alone:
+    rational over Q, inert at b = None over K, ramified at a p dividing
+    D and split otherwise.  Unlike prime_of it takes w to be a prime."""
+    p, b = w
+    if field.kind == "rational":
+        return PrimeIdeal(p, "rational", None, 1)
+    if b is None:
+        return PrimeIdeal(p, "inert", None, 2)
+    return PrimeIdeal(p, "ramified" if field.disc % p == 0 else "split", b, 1)
+
+
+def primes_above(field, p: int) -> list:
+    """The PrimeIdeals above the rational prime p, split ones by root:
+    over K the inert prime if Euler's criterion makes p inert, else the
+    ramified prime or the two split primes of its roots_by_scan."""
+    d = field.disc
+    if field.kind == "rational" or _inert(d, p):
+        return [ideal_of(field, (p, None))]
+    roots = roots_by_scan(d, p)
+    assert len(roots) == (1 if d % p == 0 else 2), (d, p)
+    return [ideal_of(field, (p, b)) for b in roots]
+
+
 def field_primes(field, bound: int, step: int = 1):
     """Every prime of the field of norm n <= bound with n = 1 mod step as
     a PrimeIdeal, ascending by norm with split conjugates by root,
@@ -470,19 +523,15 @@ def field_primes(field, bound: int, step: int = 1):
     for n in range(2, bound + 1):
         if (n - 1) % step:
             continue
-        if field.kind == "rational":
-            if prime[n]:
-                yield PrimeIdeal(n, "rational", None, 1)
-        elif prime[n] and not _inert(d, n):
-            kind, roots = "ramified" if d % n == 0 else "split", roots_by_scan(d, n)
-            assert len(roots) == (1 if kind == "ramified" else 2), (d, n)
-            yield from (PrimeIdeal(n, kind, b, 1) for b in roots)
+        if prime[n] and (field.kind == "rational" or not _inert(d, n)):
+            yield from primes_above(field, n)
         elif isqrt(n) ** 2 == n and prime[isqrt(n)] and _inert(d, isqrt(n)):
-            yield PrimeIdeal(isqrt(n), "inert", None, 2)
+            yield from primes_above(field, isqrt(n))
 
 
-def pair(P: PrimeIdeal) -> tuple:
-    """The (p, b) pair that names P in a certificate and in classfield."""
+def pair(P) -> tuple:
+    """The (p, b) pair that names P, a PrimeIdeal or a
+    classfield.Conductor, in a certificate and in the package."""
     return (P.p, P.b)
 
 
@@ -496,7 +545,7 @@ def prime_of(field, w) -> PrimeIdeal:
 
 def target_generator(ctx, q: PrimeIdeal):
     """A generator of q^(m * l^t), m = ctx.cl.coprime_part, made fresh."""
-    J = ideal_pow(ctx.field, prime_module(ctx.field, q), ctx.cl.coprime_part * ctx.ell**ctx.t)
+    J = ideal_pow(ctx.field, prime_module(ctx.field, pair(q)), ctx.cl.coprime_part * ctx.ell**ctx.t)
     return principal_generator(ctx.field, J)
 
 
@@ -504,7 +553,7 @@ def generator_image(ctx, eps: PrimeIdeal, gamma):
     """gamma^((N(eps)-1)/l^(r+t)) at the conductor eps, by reduce_mod and
     a power in the residue field at eps."""
     e = (eps.norm - 1) // ctx.ell ** (ctx.r + ctx.t)
-    return local_field(ctx.field, eps).pow(reduce_mod(ctx.field, gamma, eps), e)
+    return local_field(ctx.field, pair(eps)).pow(reduce_mod(ctx.field, gamma, pair(eps)), e)
 
 
 def frobenius_image(ctx, eps: PrimeIdeal, q: PrimeIdeal):
@@ -573,7 +622,7 @@ def fixed_orders(ctx, P: PrimeIdeal, fixed, full: int) -> bool:
     An image that escapes the piece is the inconsistency
     frobenius_order_in_ray_piece raises on at a P in S, and a plain
     rejection at a P outside S, where the rule does not hold."""
-    fld, ell, r = local_field(ctx.field, P), ctx.ell, ctx.r
+    fld, ell, r = local_field(ctx.field, pair(P)), ctx.ell, ctx.r
     for q, gamma, k in fixed:
         if q == pair(P):
             if k != full:
@@ -600,7 +649,7 @@ def frobenius_order(ctx, eps: PrimeIdeal, q: PrimeIdeal) -> int:
     if ctx.field.kind == "rational":
         return multiplicative_order(pow(q.p, (eps.p - 1) // full, eps.p), residue_field(eps.p))
     x = frobenius_image(ctx, eps, q)
-    order = ctx.ell ** order_exponent(x, ctx.ell, ctx.r, local_field(ctx.field, eps))
+    order = ctx.ell ** order_exponent(x, ctx.ell, ctx.r, local_field(ctx.field, pair(eps)))
     if order > full:
         raise InternalInconsistency("Frobenius image escapes the piece")
     return order
@@ -627,7 +676,7 @@ def local_degree(ctx, pieces, w: PrimeIdeal):
     else:
         ramified, factor, rest = None, 1, seed_order(ctx, w)
     for i, eps in enumerate(pieces):
-        if eps.p == w.p and eps == w:  # p settles most pairs without __eq__
+        if pair(eps) == pair(w):
             if ramified is not None:
                 raise InternalInconsistency(
                     f"({w.p},{w.b}) is ramified in more than one component"

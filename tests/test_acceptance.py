@@ -67,7 +67,7 @@ def s_members(ctx, count, bound=5000):
     # norm 1 mod l^(r+t), the only norms in_S admits
     primes = field_primes(ctx.field, bound, ctx.ell ** (ctx.r + ctx.t))
     out = list(islice(
-        (P for P in primes if P.p not in ctx.excluded and P not in ctx.cl.gens and in_S(ctx, P)),
+        (P for P in primes if P.p not in ctx.excluded and pair(P) not in ctx.cl.gens and in_S(ctx, P)),
         count,
     ))
     assert len(out) >= count
@@ -157,7 +157,7 @@ def _oracle_pairs(ctx, conductors, targets):
     for eps in conductors:
         make_ray_piece(ctx, eps)  # checks eps lies in S
         for q in targets:
-            if q.p == eps.p or q.p in ctx.excluded or q in ctx.cl.gens:
+            if q.p == eps.p or q.p in ctx.excluded or pair(q) in ctx.cl.gens:
                 continue
             alpha, m = kummer_generator(ctx, q)
             order = frobenius_order_in_ray_piece(ctx, eps, pair(q))
@@ -187,7 +187,7 @@ def package_image(ctx, eps, q):
     # eps, as classfield.frobenius_orders takes it
     e = (eps.norm - 1) // ctx.ell ** (ctx.r + ctx.t)
     gamma = classfield._target_generator(ctx, pair(q))
-    return conductor_image(eps.p, eps.b, e, gamma, local_field(ctx.field, eps))
+    return conductor_image(eps.p, eps.b, e, gamma, local_field(ctx.field, pair(eps)))
 
 
 def test_criterion_06_choice_independence():
@@ -203,12 +203,12 @@ def test_criterion_06_choice_independence():
     u = kprime(ctx) // ctx.cl.coprime_part  # reference = image^u
     trials = 0
     for eps in s_members(ctx, 2):
-        fld = local_field(ctx.field, eps)
+        fld = local_field(ctx.field, pair(eps))
         make_ray_piece(ctx, eps)  # checks eps lies in S
         targets = [
             q
             for q in field_primes(K23, 60)
-            if q.p != eps.p and q.p not in ctx.excluded and q not in ctx.cl.gens
+            if q.p != eps.p and q.p not in ctx.excluded and pair(q) not in ctx.cl.gens
         ]
         base = {q: package_image(ctx, eps, q) for q in targets}
         assert base == {q: frobenius_image(ctx, eps, q) for q in targets}

@@ -16,6 +16,7 @@ from constdeg.arith import (
     small_primes,
 )
 from constdeg.classfield import (
+    Conductor,
     InternalInconsistency,
     SearchCursor,
     build_L0_rational,
@@ -37,7 +38,6 @@ from constdeg.constructor import construct
 from constdeg.quadfield import (
     RATIONAL,
     NotPrincipal,
-    PrimeIdeal,
     factor_rational_prime,
     ideal_mul,
     ideal_pow,
@@ -51,12 +51,14 @@ from constdeg.quadfield import (
 )
 import oracles
 from oracles import (
+    PrimeIdeal,
     alpha_roots,
     elt_neg,
     conjugate_prime,
     embed,
     field_elements,
     field_primes,
+    ideal_of,
     kprime,
     kummer_generator,
     kummer_split_test,
@@ -80,12 +82,22 @@ def rp(p):
     return PrimeIdeal(p, "rational", None, 1)
 
 
+def primes(field, p):
+    # factor_rational_prime's pairs as the oracle's PrimeIdeals
+    return [ideal_of(field, w) for w in factor_rational_prime(field, p)]
+
+
+def conductor(P):
+    # the Conductor that search_prime returns for the oracle's prime P
+    return Conductor(P.p, P.b, P.norm)
+
+
 def package_image(ctx, eps, q):
     # the package's Frobenius image of the target q at the conductor eps,
     # as frobenius_orders takes it
     e = (eps.norm - 1) // ctx.ell ** (ctx.r + ctx.t)
     gamma = classfield._target_generator(ctx, pair(q))
-    return conductor_image(eps.p, eps.b, e, gamma, local_field(ctx.field, eps))
+    return conductor_image(eps.p, eps.b, e, gamma, local_field(ctx.field, pair(eps)))
 
 
 def s_members(ctx, count, bound=5000):
@@ -93,7 +105,7 @@ def s_members(ctx, count, bound=5000):
     # norm 1 mod l^(r+t), the only norms in_S admits
     primes = field_primes(ctx.field, bound, ctx.ell ** (ctx.r + ctx.t))
     out = list(islice(
-        (P for P in primes if P.p not in ctx.excluded and P not in ctx.cl.gens and in_S(ctx, P)),
+        (P for P in primes if P.p not in ctx.excluded and pair(P) not in ctx.cl.gens and in_S(ctx, P)),
         count,
     ))
     assert len(out) >= count
@@ -153,7 +165,8 @@ def test_context_quad_shape():
     assert CTX23.t == 1
     # h(-23) = 3 is all l-part, so the coprime correction is trivial
     assert CTX23.cl.coprime_part == 1
-    assert [(g.p, g.kind, g.b) for g in CTX23.cl.gens] == [(13, "split", 9)]
+    gens = [ideal_of(K23, w) for w in CTX23.cl.gens]
+    assert [(g.p, g.kind, g.b) for g in gens] == [(13, "split", 9)]
     assert CTX23.cl.exps == (1,)
 
 
@@ -168,17 +181,17 @@ def test_target_exponent_m_keeps_the_kprime_image_order():
     assert (ctx.cl.coprime_part, kprime(ctx), ctx.t) == (3, 9, 0)
 
     def prime(p, b):
-        (P,) = [P for P in factor_rational_prime(K23, p) if P.b == b]
+        (P,) = [P for P in primes(K23, p) if P.b == b]
         return P
 
     pairs = 0
     for piece in cert["pieces"]:
         eps = prime(piece["p"], piece["b"])
-        fld = local_field(ctx.field, eps)
+        fld = local_field(ctx.field, pair(eps))
         e = (eps.norm - 1) // ctx.ell ** (ctx.r + ctx.t)
         for row in cert["table"]:
             q = prime(*row["prime"])
-            J = ideal_pow(K23, prime_module(K23, q), 9 * 2**ctx.t)
+            J = ideal_pow(K23, prime_module(K23, pair(q)), 9 * 2**ctx.t)
             x9 = conductor_image(eps.p, eps.b, e, principal_generator(K23, J), fld)
             x = package_image(ctx, eps, q)
             assert x9 == fld.pow(x, 3), (eps, q)
@@ -301,13 +314,13 @@ def test_frobenius_order_in_l0_rational():
 
 def test_frobenius_order_in_l0_quad_uses_norm():
     p31 = build_L0_rational(3, 1)
-    two = factor_rational_prime(K23, 2)[0]
+    two = primes(K23, 2)[0]
     assert two.norm == 2
     assert frobenius_order_in_L0(p31, two.norm) == 3
-    five = factor_rational_prime(K23, 5)[0]
+    five = primes(K23, 5)[0]
     assert five.norm == 25  # inert, 25 = 7 mod 9
     assert frobenius_order_in_L0(p31, five.norm) == 3
-    for lam in factor_rational_prime(K23, 3):
+    for lam in primes(K23, 3):
         assert frobenius_order_in_L0(p31, lam.norm) is None
 
 
@@ -374,7 +387,7 @@ def test_context_deficiencies_pinned_family(disc, r):
     # r in {1, 2} leaves the same field with a = 0
     field = quadratic_field(disc)
     ctx = build_context(field, 2, r)
-    (lam,) = factor_rational_prime(field, 2)
+    (lam,) = primes(field, 2)
     assert ctx.deficiencies == {pair(lam): 1}
     seed = build_L0_rational(2, r)
     assert (ctx.seed.modulus, ctx.seed.degree, ctx.seed.sign) == (
@@ -435,7 +448,7 @@ def test_in_s_rejects_collisions():
     with pytest.raises(ValueError):
         in_S(CTX2, rp(2))
     with pytest.raises(ValueError):
-        in_S(CTX23, CTX23.cl.gens[0])
+        in_S(CTX23, ideal_of(K23, CTX23.cl.gens[0]))
     with pytest.raises(ValueError):
         in_S(CTX23, PrimeIdeal(23, "ramified", 23, 1))
 
@@ -460,8 +473,8 @@ def test_in_s_quad_firstness_oracle():
         if is_prime(n):
             if n in CTX23.excluded or kronecker_disc(-23, n) != 1:
                 continue
-            for P in factor_rational_prime(K23, n):
-                if P in CTX23.cl.gens:
+            for P in primes(K23, n):
+                if pair(P) in CTX23.cl.gens:
                     continue
                 assert not in_S(CTX23, P), P
         else:
@@ -470,7 +483,7 @@ def test_in_s_quad_firstness_oracle():
                 continue
             if p in CTX23.excluded or kronecker_disc(-23, p) != -1:
                 continue
-            assert not in_S(CTX23, factor_rational_prime(K23, p)[0]), p
+            assert not in_S(CTX23, primes(K23, p)[0]), p
 
 
 def test_in_s_quad_inert_member_over_k4():
@@ -484,7 +497,7 @@ def test_in_s_quad_inert_member_over_k4():
         (17, "split"),
     ]
     for p in (5, 13):
-        for P in factor_rational_prime(K4, p):
+        for P in primes(K4, p):
             assert not in_S(ctx, P)
 
 
@@ -524,21 +537,22 @@ def _admitted(ctx, pieces, target, order, limit):
     # the greedy step admits, in the search order, by a plain scan of the
     # norms 1 mod l^(r+t), the only ones in_S admits
     for P in field_primes(ctx.field, limit, ctx.ell ** (ctx.r + ctx.t)):
-        if P.p in ctx.excluded or P in ctx.cl.gens or not in_S(ctx, P):
+        if P.p in ctx.excluded or pair(P) in ctx.cl.gens or not in_S(ctx, P):
             continue
         if _admits(ctx, pieces, target, order, P):
             yield P
 
 
 def _brute_first(ctx, pieces, target, order, limit):
-    return next(_admitted(ctx, pieces, target, order, limit), None)
+    P = next(_admitted(ctx, pieces, target, order, limit), None)
+    return P and conductor(P)
 
 
 def test_search_first_conductor_ell2():
     # the first greedy step of Q n=2: 3 has degree 1 in the seed and
     # needs order 2, while 2 must stay split
     P = search_prime(CTX2, [], SearchCursor(), (3, None), 2)
-    assert P == rp(17) == _brute_first(CTX2, [], (3, None), 2, 17)
+    assert P == conductor(rp(17)) == _brute_first(CTX2, [], (3, None), 2, 17)
     # firstness: 5 and 13 are in S but are not 1 mod 8
     for q in (5, 13):
         assert in_S(CTX2, rp(q))
@@ -552,7 +566,7 @@ def test_search_first_conductor_ell2():
 def test_search_with_target_conditions_ell3():
     # degree-3 piece that keeps 3 split while moving 2 by a full cycle
     P = search_prime(CTX3, [], SearchCursor(), (2, None), 3)
-    assert P == rp(73)
+    assert P == conductor(rp(73))
     # 19 and 37 split in the seed but fail to keep 3 split
     for q in (19, 37):
         piece = make_ray_piece(CTX3, rp(q))
@@ -565,7 +579,7 @@ def test_search_with_target_conditions_ell3():
 def test_search_is_deterministic():
     a = search_prime(CTX3, [], SearchCursor(), (2, None), 3)
     b = search_prime(CTX3, [], SearchCursor(), (2, None), 3)
-    assert a == b == rp(73)
+    assert a == b == conductor(rp(73))
 
 
 def test_search_basis_exclusion():
@@ -574,15 +588,15 @@ def test_search_basis_exclusion():
     w = next(q for q in enumerate_field_primes(K23, 50) if q[0] not in CTX23.excluded)
     admitted = list(_admitted(CTX23, [], w, 3, 30000))
     assert len(admitted) >= 3
-    assert search_prime(CTX23, [], SearchCursor(), w, 3) == admitted[0]
+    assert search_prime(CTX23, [], SearchCursor(), w, 3) == conductor(admitted[0])
     ctx = build_context(K23, 3, 1)
-    ctx.cl.gens = tuple(admitted[:2])
+    ctx.cl.gens = tuple(map(pair, admitted[:2]))
     for Q in admitted[:2]:
         with pytest.raises(ValueError):
             in_S(ctx, Q)
     P = search_prime(ctx, [], SearchCursor(), w, 3)
-    assert P == admitted[2]
-    assert (P.p, P.kind, P.b) == (24337, "split", 22321)
+    assert P == conductor(admitted[2])
+    assert (P.p, admitted[2].kind, P.b) == (24337, "split", 22321)
 
 
 def test_search_exhausts_on_contradiction():
@@ -724,9 +738,9 @@ def test_search_escaping_image_raises_only_in_s(monkeypatch):
         search_prime(CTX23, [], SearchCursor((eps.norm - 1) // 9 + 1), target, 3)
     candidates = [
         P for P in field_primes(K23, eps.norm, 9)
-        if (P.norm - 1) % 9 == 0 and P.p not in CTX23.excluded and P not in CTX23.cl.gens
+        if (P.norm - 1) % 9 == 0 and P.p not in CTX23.excluded and pair(P) not in CTX23.cl.gens
     ]
-    assert asked == candidates[: candidates.index(eps) + 1]
+    assert asked == [conductor(P) for P in candidates[: candidates.index(eps) + 1]]
     assert len(asked) > 1 and not any(in_S(CTX23, P) for P in asked[:-1])
 
 
@@ -753,7 +767,6 @@ def order_outcome(test):
 
 def int_path_outcomes(ctx, fixed, full, stop):
     # the search's split candidates and fixed orders on (p, root) ints
-    basis = {(g.p, g.b) for g in ctx.cl.gens}
     lk = ctx.ell ** (ctx.r + ctx.t)
     for n in classfield._sieved_walk(ctx, _walk_step(ctx), stop):
         p, roots = classfield._quad_candidates(ctx, n)
@@ -761,7 +774,7 @@ def int_path_outcomes(ctx, fixed, full, stop):
             continue  # an inert square
         fld = residue_field(n)
         for b in roots:
-            yield (n, b), (n, b) in basis or order_outcome(
+            yield (n, b), (n, b) in ctx.cl.gens or order_outcome(
                 lambda: classfield._fixed_orders(ctx, n, b, (n - 1) // lk, fld, fixed, full)
             )
 
@@ -770,7 +783,7 @@ def object_path_outcomes(ctx, fixed, full, stop):
     # the same on PrimeIdeals, by the reference the search ran before
     for n in classfield._sieved_walk(ctx, _walk_step(ctx), stop):
         for P in oracles.split_candidates(ctx, n):
-            yield (P.p, P.b), P in ctx.cl.gens or order_outcome(
+            yield (P.p, P.b), pair(P) in ctx.cl.gens or order_outcome(
                 lambda: oracles.fixed_orders(ctx, P, fixed, full)
             )
 
@@ -808,7 +821,7 @@ def test_int_candidates_match_the_object_reference(monkeypatch, disc, ell, r, bo
     got = list(int_path_outcomes(ctx, fixed, full, stop))
     assert got == list(object_path_outcomes(ctx, fixed, full, stop))
     raised = [key for key, outcome in got if outcome == "raises"]
-    assert raised and all(in_S(ctx, classfield._prime_ideal(ctx.field, key)) for key in raised)
+    assert raised and all(in_S(ctx, ideal_of(ctx.field, key)) for key in raised)
 
 
 def _walk_step(ctx):
@@ -901,13 +914,13 @@ def test_quad_candidates_ask_is_prime_past_a_small_sieve(monkeypatch, field, ell
     for n in walk:
         asked.clear()
         p, roots = classfield._quad_candidates(ctx, n)
-        got = [classfield._prime_ideal(field, (p, b)) for b in roots]
+        got = [ideal_of(field, (p, b)) for b in roots]
         euler = pow(field.disc, (n - 1) // 2, n)
         if euler == 1 and isqrt(n) ** 2 != n:
             assert (n in asked) == (n >= 256), n
         f = factor(n)
         kind = {1: "split", 2: "inert"}.get(f[0][1]) if len(f) == 1 else None
-        expect = [P for P in factor_rational_prime(field, f[0][0]) if P.kind == kind]
+        expect = [P for P in primes(field, f[0][0]) if P.kind == kind]
         assert got == (expect if kind else []), n
 
 
@@ -1026,17 +1039,17 @@ def test_splitting_map_principal_image_oracle():
     # m the prime-to-l part of the class number
     members = s_members(CTX23, 2)
     piece = make_ray_piece(CTX23, members[0])
-    fld = local_field(CTX23.field, members[0])
+    fld = local_field(CTX23.field, pair(members[0]))
     e = CTX23.cl.coprime_part * (piece.norm - 1) // CTX23.ell**CTX23.r
     checked = 0
     for q in field_primes(K23, 140):
         if q.p in CTX23.excluded or q.p == members[0].p:
             continue
         try:
-            gen = principal_generator(K23, prime_module(K23, q))
+            gen = principal_generator(K23, prime_module(K23, pair(q)))
         except NotPrincipal:
             continue
-        direct = reduce_mod(K23, gen, members[0])
+        direct = reduce_mod(K23, gen, pair(members[0]))
         assert package_image(CTX23, piece, q) == fld.pow(direct, e)
         checked += 1
     assert checked >= 5
@@ -1048,7 +1061,7 @@ def test_splitting_map_multiplicative_oracle():
     members = s_members(CTX23, 1)
     eps = members[0]
     piece = make_ray_piece(CTX23, eps)
-    fld = local_field(CTX23.field, eps)
+    fld = local_field(CTX23.field, pair(eps))
     e = CTX23.cl.coprime_part * (piece.norm - 1) // CTX23.ell**CTX23.r
     primes = [
         q
@@ -1058,7 +1071,7 @@ def test_splitting_map_multiplicative_oracle():
     pairs = 0
     for i, q1 in enumerate(primes):
         for q2 in primes[i:]:
-            J = ideal_mul(K23, prime_module(K23, q1), prime_module(K23, q2))
+            J = ideal_mul(K23, prime_module(K23, pair(q1)), prime_module(K23, pair(q2)))
             try:
                 gen = principal_generator(K23, J)
             except NotPrincipal:
@@ -1067,7 +1080,7 @@ def test_splitting_map_multiplicative_oracle():
                 package_image(CTX23, piece, q1),
                 package_image(CTX23, piece, q2),
             )
-            assert lhs == fld.pow(reduce_mod(K23, gen, eps), e)
+            assert lhs == fld.pow(reduce_mod(K23, gen, pair(eps)), e)
             pairs += 1
     assert pairs >= 10
 
@@ -1083,23 +1096,23 @@ def test_kummer_generator_rational():
 def test_kummer_generator_quad_principal():
     # the ramified prime above 23 is principal (class group has odd
     # order 3, the ramified class is 2-torsion)
-    lam23 = factor_rational_prime(K23, 23)[0]
+    lam23 = primes(K23, 23)[0]
     alpha, m = kummer_generator(CTX23, lam23)
     assert m == 0
-    assert principal_ideal(K23, alpha) == prime_module(K23, lam23)
+    assert principal_ideal(K23, alpha) == prime_module(K23, pair(lam23))
 
 
 def test_kummer_generator_quad_nonprincipal():
-    two = factor_rational_prime(K23, 2)[0]
+    two = primes(K23, 2)[0]
     alpha, m = kummer_generator(CTX23, two)
     assert m == 1
-    want = ideal_pow(K23, prime_module(K23, two), kprime(CTX23) * 3)
+    want = ideal_pow(K23, prime_module(K23, pair(two)), kprime(CTX23) * 3)
     assert principal_ideal(K23, alpha) == want
 
 
 def test_kummer_generator_above_two_k8():
     ctx = build_context(K8, 2, 1)
-    lam = factor_rational_prime(K8, 2)[0]
+    lam = primes(K8, 2)[0]
     alpha, m = kummer_generator(ctx, lam)
     assert m == 0
     assert (0, 1) in (alpha, elt_neg(alpha))
@@ -1170,7 +1183,7 @@ def test_root_choice_invariance():
     # any cube root of unity leaves the contractual power alone, and that
     # power is the production image raised to kprime/m
     eps = s_members(CTX23, 1)[0]
-    fld = local_field(CTX23.field, eps)
+    fld = local_field(CTX23.field, pair(eps))
     piece = make_ray_piece(CTX23, eps)
     targets = [
         q
@@ -1214,8 +1227,8 @@ def test_frobenius_image_matches_reference(disc, ell, r, t, bound):
     u = kprime(ctx) // ctx.cl.coprime_part
     pairs = 0
     for eps in s_members(ctx, 3, bound):
-        assert eps.p not in {a.p for a in ctx.cl.gens}
-        fld = local_field(ctx.field, eps)
+        assert eps.p not in {p for p, _ in ctx.cl.gens}
+        fld = local_field(ctx.field, pair(eps))
         piece = make_ray_piece(ctx, eps)
         w = unit_root(fld, ell)
         roots = alpha_roots(ctx, eps, lambda: fld.pow(w, twist_rng.randrange(ell)))
@@ -1238,7 +1251,7 @@ def test_alpha_generator_sign_invariance():
             continue
         if kronecker_disc(-23, n) != 1:
             continue
-        for P in factor_rational_prime(K23, n):
+        for P in primes(K23, n):
             if P in CTX23.cl.gens:
                 continue
             assert in_S(CTX23, P) == in_S(ctx_b, P)
@@ -1262,7 +1275,7 @@ def test_unit_generator_choice_invariance():
     for p in small_primes(200):
         if p == 2:
             continue
-        for P in factor_rational_prime(K4, p):
+        for P in primes(K4, p):
             assert in_S(ctx_a, P) == in_S(ctx_b, P)
 
 
@@ -1279,7 +1292,7 @@ def test_conjugate_target_generator_is_the_fresh_one(monkeypatch, disc):
         classfield, "principal_generator", lambda fld, J: fresh.append(J) or generator(fld, J)
     )
     pairs = [
-        factor_rational_prime(field, p)
+        primes(field, p)
         for p in small_primes(400)
         if p not in ctx.excluded and kronecker_disc(disc, p) == 1
     ][:10]
@@ -1287,7 +1300,7 @@ def test_conjugate_target_generator_is_the_fresh_one(monkeypatch, disc):
     for k, (q, bar) in enumerate(pairs):
         first, second = (q, bar) if k % 2 else (bar, q)
         classfield._target_generator(ctx, pair(first))
-        want = generator(field, ideal_pow(field, prime_module(field, second), power))
+        want = generator(field, ideal_pow(field, prime_module(field, pair(second)), power))
         assert classfield._target_generator(ctx, pair(second)) == want, (first, second)
     assert len(fresh) == len(pairs)  # the second of each pair came from the first
 
@@ -1301,10 +1314,10 @@ def test_residue_group_at_conductors_is_large_enough():
         (CTX23, s_members(CTX23, 3)),
     ):
         for eps in members:
-            fld = local_field(ctx.field, eps)
+            fld = local_field(ctx.field, pair(eps))
             torsion = 1
             for u in ctx.units:
-                o = multiplicative_order(reduce_mod(ctx.field, u, eps), fld)
+                o = multiplicative_order(reduce_mod(ctx.field, u, pair(eps)), fld)
                 torsion = torsion * o // _gcd(torsion, o)
             quota = ell_part(eps.norm - 1, ctx.ell) // ell_part(torsion, ctx.ell)
             assert quota >= ctx.ell ** (ctx.r + ctx.t)
@@ -1315,9 +1328,9 @@ def test_corrected_generator_congruence():
     # root of the reduced alpha_i, and the underlying basis class really
     # has order l^(m_i): a_i itself is not principal
     for eps in s_members(CTX23, 3):
-        fld = local_field(CTX23.field, eps)
+        fld = local_field(CTX23.field, pair(eps))
         (root,) = alpha_roots(CTX23, eps)
-        alpha_red = reduce_mod(K23, CTX23.cl.alphas[0], eps)
+        alpha_red = reduce_mod(K23, CTX23.cl.alphas[0], pair(eps))
         assert fld.pow(root, 3) == alpha_red
     with pytest.raises(NotPrincipal):
         principal_generator(K23, prime_module(K23, CTX23.cl.gens[0]))
@@ -1331,7 +1344,7 @@ def test_deficient_search_k8():
     ((lam, a),) = ctx.deficiencies.items()
     assert (local_degree(ctx, [], lam)[2], a) == (1, 1)
     eps = search_prime(ctx, [], SearchCursor(), lam, 2**a)
-    assert (eps.p, eps.kind, eps.b) == (17, "split", 14)
+    assert (eps.p, ideal_of(K8, pair(eps)).kind, eps.b, eps.norm) == (17, "split", 14, 17)
     # the dedicated piece moves the prime above 2 by the missing factor
     piece = make_ray_piece(ctx, eps)
     assert frobenius_order_in_ray_piece(ctx, piece, lam) == 2
@@ -1434,7 +1447,7 @@ def test_local_degree_conductor_above_l(monkeypatch):
 def order9_image(ctx, eps, q):
     # an element of order 9 at eps, whose norm S makes 1 mod 9 for
     # K(-23), l = 3 and t = 1: an order beyond l^r = 3 for r = 1
-    fld = local_field(ctx.field, eps)
+    fld = local_field(ctx.field, pair(eps))
     for cand in field_elements(fld):
         y = fld.pow(cand, (eps.norm - 1) // 9)
         if fld.pow(y, 3) != fld.one:
@@ -1446,7 +1459,7 @@ def patch_order9_images(monkeypatch, reference=False):
     # or inert, through classfield.conductor_image; with reference, at
     # the oracle's object route too
     def image9(p, b, e, gamma, fld):
-        return order9_image(CTX23, classfield._prime_ideal(K23, (p, b)), gamma)
+        return order9_image(CTX23, ideal_of(K23, (p, b)), gamma)
 
     monkeypatch.setattr(classfield, "conductor_image", image9)
     if reference:
@@ -1505,10 +1518,10 @@ def test_enumerate_field_primes_matches_integer_walk():
             expect = []
             for n in range(2, bound + 1):
                 if is_prime(n):
-                    expect += [P for P in factor_rational_prime(field, n) if P.f == 1]
+                    expect += [P for P in primes(field, n) if P.f == 1]
                 elif isqrt(n) ** 2 == n and is_prime(isqrt(n)):
                     if kronecker_disc(d, isqrt(n)) == -1:
-                        expect += factor_rational_prime(field, isqrt(n))
+                        expect += primes(field, isqrt(n))
             assert enumerate_field_primes(field, bound) == [pair(P) for P in expect], (d, bound)
 
 

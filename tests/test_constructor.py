@@ -4,9 +4,12 @@ from collections import Counter
 
 import pytest
 
-from constdeg import classfield, constructor
+from constdeg import classfield, constructor, quadfield
+from constdeg.arith import small_primes
 from constdeg.classfield import (
+    Conductor,
     InternalInconsistency,
+    SearchCursor,
     build_L0_rational,
     build_context,
     character_order,
@@ -17,6 +20,7 @@ from constdeg.classfield import (
     local_degree,
     local_degrees,
     make_ray_piece,
+    search_prime,
 )
 from constdeg.cli import run
 from constdeg.constructor import (
@@ -28,13 +32,12 @@ from constdeg.constructor import (
 )
 from constdeg.quadfield import (
     RATIONAL,
-    PrimeIdeal,
     factor_rational_prime,
     quadratic_field,
 )
 from constdeg.verifier import MalformedCertificate, verify
 import oracles
-from oracles import field_primes, kummer_generator, kummer_split_test, pair
+from oracles import PrimeIdeal, field_primes, kummer_generator, kummer_split_test, pair
 
 K23 = quadratic_field(-23)
 K8 = quadratic_field(-8)
@@ -104,10 +107,10 @@ def assert_discipline(cert):
         tuple(row["prime"]): row["deficiency"] for row in cert["deficiencies"]
     }
     for lam in factor_rational_prime(field, ell):
-        a = deficient.get((lam.p, lam.b), 0)
+        a = deficient.get(lam, 0)
         for j, pc in enumerate(pieces):
             want = ell**a if (a and j == 0) else 1
-            assert frobenius_order_in_ray_piece(ctx, pc, pair(lam)) == want, (lam, j)
+            assert frobenius_order_in_ray_piece(ctx, pc, lam) == want, (lam, j)
 
 
 # ------------------------------------------------------------ rational
@@ -247,24 +250,58 @@ def test_deficient_prime_is_the_first_target(field, ell, r):
     assert lam == enumerate_field_primes(field, 2)[0]
 
 
-def test_table_rows_build_no_prime_ideals(monkeypatch):
-    # construct and verify walk the table as (p, b) pairs: at Q n=2 B=10^4,
-    # 1229 rows, each makes a PrimeIdeal only for the conductors, the
-    # deficiency primes above l and the class-basis primes
-    ctx = build_context(RATIONAL, 2, 1)
-    made, init = [], PrimeIdeal.__init__
+def test_src_names_each_prime_by_its_pair():
+    # quadfield keeps no prime object: factor_rational_prime gives the
+    # (p, b) pairs of the oracle's primes above p (primes_above, the
+    # per-p step of field_primes), and a K search returns the
+    # Conductor(p, b, norm) of a prime above p, of norm p when split and
+    # p^2 when inert
+    assert not hasattr(quadfield, "PrimeIdeal")
+    for field in [RATIONAL, *map(quadratic_field, (-3, -4, -7, -8, -23, -56))]:
+        for p in small_primes(500):
+            want = [pair(P) for P in oracles.primes_above(field, p)]
+            assert factor_rational_prime(field, p) == want, (field, p)
+    found = []
+    for field, ell, r in [(K23, 3, 1), (quadratic_field(-56), 2, 2)]:
+        ctx = build_context(field, ell, r)
+        target = next(q for q in enumerate_field_primes(field, 30) if q[0] not in ctx.excluded)
+        P = search_prime(ctx, [], SearchCursor(), target, ell**r)
+        assert type(P) is Conductor and (P.p, P.b) in factor_rational_prime(field, P.p)
+        assert P.norm == (P.p if P.b is not None else P.p**2)
+        found.append(P)
+    assert found == [(20359, 2247, 20359), (47, None, 2209)]
 
-    def counting(self, *args, **kwargs):
-        made.append(args)
-        init(self, *args, **kwargs)
 
-    monkeypatch.setattr(PrimeIdeal, "__init__", counting)
-    cert = construct(RATIONAL, 2, 1, 10**4)
-    allowed = len(cert["pieces"]) + len(ctx.deficiencies) + len(ctx.cl.gens)
-    assert len(cert["table"]) == 1229 and 0 < len(made) <= allowed
-    made.clear()
-    assert len(verify(cert).primes) == 1229
-    assert 0 < len(made) <= allowed
+def capture_contexts(monkeypatch):
+    # the contexts construct builds, as it builds them
+    contexts, build = [], constructor.build_context
+    monkeypatch.setattr(
+        constructor, "build_context", lambda *args: contexts.append(build(*args)) or contexts[-1]
+    )
+    return contexts
+
+
+def test_target_cache_holds_one_fold_and_the_fixed_primes(monkeypatch):
+    # once the walk has passed a fold, its rows' generators leave
+    # ctx._targets: after construct of K(-23) n=2 B=10^5 (9,570 rows) and
+    # after verify's walk of its table, only the conductors and the
+    # primes above l can stay, and the walk gives the triples of one
+    # whose folds keep every generator
+    field = quadratic_field(-23)
+    contexts = capture_contexts(monkeypatch)
+    cert = construct(field, 2, 1, 10**5)
+    (ctx,) = contexts
+    pieces = cert["pieces"]
+    assert len(cert["table"]) == 9570
+    assert len(ctx._targets) <= len(pieces) + len(ctx.deficiencies)
+    conductors = [Conductor(**pc) for pc in pieces]
+    rows = enumerate_field_primes(field, 10**5)
+    walked = list(local_degrees(ctx, conductors, rows))
+    assert {deg for _, _, deg in walked} == {2}
+    assert len(ctx._targets) <= len(pieces) + len(ctx.deficiencies)
+    folds = [classfield.DegreeFold(ctx, rows[k : k + 256], conductors) for k in range(0, 9570, 256)]
+    assert [fold.row(i) for fold in folds for i in range(len(fold.rows))] == walked
+    assert len(ctx._targets) > 4000
 
 
 def test_each_frobenius_order_asked_at_most_once(monkeypatch):
@@ -403,7 +440,7 @@ def test_dedicated_piece_matches_kummer_scan(disc, r):
         P
         for P in field_primes(field, first["norm"], ctx.ell ** (ctx.r + ctx.t))
         if P.p not in ctx.excluded
-        and P not in ctx.cl.gens
+        and pair(P) not in ctx.cl.gens
         and in_S(ctx, P)
         and character_order(l0, P.norm) == 1
         and kummer_split_test(ctx, P, alpha, level)

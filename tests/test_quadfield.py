@@ -36,19 +36,21 @@ from constdeg.quadfield import (
     quadratic_field,
     reduce_form,
     reduce_mod,
-    split_primes,
     torsion_units,
     unit_generators,
     unit_ideal,
 )
 from oracles import (
     conjugate_prime,
+    split_primes,
     embed,
     greedy_basis,
     ideal_contains,
     ideal_product,
     old_basis,
     old_reduce_mod,
+    pair,
+    primes_above,
     principal_ideal,
     roots_by_scan,
     reduced_forms_by_a,
@@ -157,28 +159,36 @@ def test_torsion_units(field, units):
 # ---------------------------------------------------------------- primes
 
 
+def objects(field, p):
+    """The oracle's PrimeIdeals above p, once factor_rational_prime is
+    seen to name them, by the same (p, b) pairs in the same order."""
+    primes = primes_above(field, p)
+    assert factor_rational_prime(field, p) == [pair(P) for P in primes], (field, p)
+    return primes
+
+
 def test_factor_rational_prime_examples():
-    ps = factor_rational_prime(K23, 2)
+    ps = objects(K23, 2)
     assert [P.kind for P in ps] == ["split", "split"]
     assert [P.b for P in ps] == [1, 3]
-    (p23,) = factor_rational_prime(K23, 23)
+    (p23,) = objects(K23, 23)
     assert p23.kind == "ramified" and p23.norm == 23
-    (p5,) = factor_rational_prime(K23, 5)
+    (p5,) = objects(K23, 5)
     assert p5.kind == "inert" and p5.f == 2 and p5.norm == 25
-    (pq,) = factor_rational_prime(RATIONAL, 7)
+    (pq,) = objects(RATIONAL, 7)
     assert pq.kind == "rational" and pq.norm == 7
 
 
 def test_prime_root_convention():
     # the stored b really is a root of x^2 = D mod 4p, with sqrt(D) -> b
     for p in (2, 3, 13, 59, 73, 101):
-        for P in factor_rational_prime(K23, p):
+        for P in objects(K23, p):
             if P.kind == "inert":
                 continue
             assert 0 <= P.b < 2 * p
             assert (P.b * P.b + 23) % (4 * p) == 0
             if P.p != 2:
-                sqrt_img = reduce_mod(K23, (0, 2), P)  # element sqrt(D)
+                sqrt_img = reduce_mod(K23, (0, 2), pair(P))  # element sqrt(D)
                 assert sqrt_img == P.b % p
 
 
@@ -188,7 +198,7 @@ def test_ramified_root_matches_full_scan():
     for d in fundamental_discs(2999) + [-9999991]:
         field = quadratic_field(d)
         for p, _ in factor(-d):
-            (P,) = factor_rational_prime(field, p)
+            (P,) = objects(field, p)
             assert P.kind == "ramified"
             assert [P.b] == roots_by_scan(d, p), (d, p)
             checked += 1
@@ -205,11 +215,11 @@ def test_prime_roots_do_not_depend_on_the_square_root():
         for p in small_primes(400)[1:]:
             if d % p == 0:
                 continue
-            primes = factor_rational_prime(field, p)
+            primes = objects(field, p)
             if primes[0].kind == "split":
                 assert [P.b for P in primes] == roots_by_scan(d, p), (d, p)
             else:
-                assert reduce_mod(field, (0, 2), primes[0]) == (0, 1), (d, p)
+                assert reduce_mod(field, (0, 2), pair(primes[0])) == (0, 1), (d, p)
             checked += 1
     assert checked > 600
 
@@ -242,16 +252,17 @@ def test_split_roots_at_search_scale():
 def test_ramified_root_is_constant_time():
     field = quadratic_field(-9999991)
     start = time.perf_counter()
-    (P,) = factor_rational_prime(field, 9999991)
+    (w,) = factor_rational_prime(field, 9999991)
     assert time.perf_counter() - start < 0.05
-    assert (P.kind, P.b) == ("ramified", 9999991)
+    # one prime with a root: ramified, as 9999991 divides D
+    assert w == (9999991, 9999991)
 
 
 def test_split_primes_multiply_to_p():
     for p in (2, 13, 59, 73):
-        P, Q = factor_rational_prime(K23, p)
+        P, Q = objects(K23, p)
         assert conjugate_prime(P) == Q
-        prod = ideal_mul(K23, prime_module(K23, P), prime_module(K23, Q))
+        prod = ideal_mul(K23, prime_module(K23, pair(P)), prime_module(K23, pair(Q)))
         assert prod == QuadIdeal(p, 1, 1)
         assert ideal_norm(prod) == p * p
 
@@ -271,7 +282,7 @@ def test_kronecker_disc():
 def test_ideal_norm_and_conj():
     P = prime_module(K23, factor_rational_prime(K23, 2)[0])
     assert ideal_norm(P) == 2
-    Pbar = prime_module(K23, conjugate_prime(factor_rational_prime(K23, 2)[0]))
+    Pbar = prime_module(K23, pair(conjugate_prime(objects(K23, 2)[0])))
     assert ideal_norm(Pbar) == 2 and Pbar != P
     assert ideal_mul(K23, P, Pbar) == principal_ideal(K23, integer_elt(2))
     I2 = ideal_pow(K23, P, 2)
@@ -300,7 +311,7 @@ def prime_power_modules(field):
     d = field.disc
     kinds = {}
     for p in [factor(-d)[0][0], *small_primes(100)]:
-        for P in factor_rational_prime(field, p):
+        for P in objects(field, p):
             kinds.setdefault(P.kind, P)
     split = kinds["split"]
     gens = [split, conjugate_prime(split), kinds["inert"], kinds["ramified"]]
@@ -310,7 +321,7 @@ def prime_power_modules(field):
             I = unit_ideal(field)
             for P, k in zip(gens, exps):
                 for _ in range(k):
-                    I = ideal_product(field, I, prime_module(field, P))
+                    I = ideal_product(field, I, prime_module(field, pair(P)))
             mods.append(I)
     return mods
 
@@ -425,9 +436,9 @@ def test_group_law_exhaustive_small_discs():
 def test_form_map_transports_ideal_multiplication():
     rng = random.Random(31)
     primes = [
-        P
+        pair(P)
         for p in (2, 3, 13, 29, 31, 41, 59)
-        for P in factor_rational_prime(K23, p)
+        for P in objects(K23, p)
         if P.kind == "split"
     ]
     for _ in range(40):
@@ -504,7 +515,7 @@ def test_class_group_l_part_d23():
     assert part.exps == (1,)
     assert part.t == 1
     (a1,) = part.gens
-    assert (a1.p, a1.kind, a1.b) == (13, "split", 9)
+    assert a1 == (13, 9) and pair(split_primes(-23, 13)[0]) == a1
     (alpha,) = part.alphas
     assert alpha == (74, 12)
     assert elt_norm(K23, alpha) == 13**3
@@ -515,7 +526,7 @@ def test_class_group_l_part_d23():
 
 def test_class_group_l_part_respects_exclusion():
     part = class_group_l_part(K23, 3, {2, 3, 13, 23})
-    assert all(P.p not in {2, 3, 13, 23} for P in part.gens)
+    assert all(p not in {2, 3, 13, 23} for p, _ in part.gens)
     # basis property still holds: orders multiply to the Sylow order
     assert 3 ** sum(part.exps) == 3
 
@@ -611,7 +622,8 @@ def test_class_dlog_examples():
     a1 = prime_module(K23, part.gens[0])
     assert class_dlog(K23, a1, part) == [1]
     assert class_dlog(K23, ideal_mul(K23, a1, a1), part) == [2]
-    conj = prime_module(K23, conjugate_prime(part.gens[0]))
+    ((p, b),) = part.gens
+    conj = prime_module(K23, (p, 2 * p - b))  # the conjugate of a split prime
     assert class_dlog(K23, conj, part) == [2]
 
 
@@ -623,9 +635,8 @@ def test_class_dlog_strips_l_part():
     split = []
     p = 5
     while len(split) < 8:
-        for P in factor_rational_prime(field, p):
-            if P.kind == "split":
-                split.append(P)
+        # no p here divides D, so the pairs with a root are the split ones
+        split += [w for w in factor_rational_prime(field, p) if w[1] is not None]
         p += 2
     for _ in range(15):
         I = prime_module(field, rng.choice(split))
@@ -704,9 +715,9 @@ def test_principal_generator_examples():
 def test_principal_generator_matches_scan_oracle():
     rng = random.Random(41)
     primes = [
-        P
+        pair(P)
         for p in (2, 3, 13, 29, 31, 41)
-        for P in factor_rational_prime(K23, p)
+        for P in objects(K23, p)
         if P.kind == "split"
     ]
     for _ in range(30):
@@ -733,9 +744,9 @@ def test_principal_generator_content():
 
 def test_principal_generator_units_fields():
     k4 = quadratic_field(-4)
-    (P,) = factor_rational_prime(k4, 2)
+    (P,) = objects(k4, 2)
     assert P.kind == "ramified"
-    g = principal_generator(k4, prime_module(k4, P))
+    g = principal_generator(k4, prime_module(k4, pair(P)))
     assert elt_norm(k4, g) == 2
     k3 = quadratic_field(-3)
     (P3,) = factor_rational_prime(k3, 3)
@@ -757,8 +768,8 @@ def test_normalize_unit():
 
 def test_reduce_mod_examples():
     assert reduce_mod(K23, integer_elt(1), factor_rational_prime(K23, 13)[0]) == 1
-    P73 = [P for P in factor_rational_prime(K23, 73) if P.b % 73 == 14][0]
-    assert P73.b == 87
+    P73 = [w for w in factor_rational_prime(K23, 73) if w[1] % 73 == 14][0]
+    assert P73 == (73, 87)
     assert reduce_mod(K23, (3, 1), P73) == 45
     (P5,) = factor_rational_prime(K23, 5)
     img = reduce_mod(K23, (0, 2), P5)  # sqrt(-23) in F_25
@@ -799,9 +810,10 @@ def test_inert_residue_field_is_f_p_of_sqrt_d(disc):
         elements.append((x + (x - y * disc) % 2, y))
     checked = 0
     for p in small_primes(400)[1:]:
-        (P, *_) = factor_rational_prime(field, p)
+        (P, *_) = objects(field, p)
         if P.kind != "inert":
             continue
+        P = pair(P)
         new = local_field(field, P)
         assert legendre(new.n0, p) == -1, (disc, p)
         old, s = old_basis(disc, p)

@@ -366,6 +366,34 @@ def test_piece_prime_beyond_primality_range():
         verify(c)
 
 
+@pytest.mark.parametrize(
+    "row,error,message",
+    [
+        ({"p": 101, "b": 5, "norm": 101}, MalformedCertificate, r"no prime \(101,5\) in the field"),
+        (
+            {"p": 101, "b": None, "norm": 10201},
+            MalformedCertificate,
+            r"no prime \(101,None\) in the field",
+        ),
+        ({"p": 5, "b": None, "norm": 5}, MalformedCertificate, r"piece \(5,None\) has norm 25, not 5"),
+        ({"p": 23, "b": 23, "norm": 23}, MismatchFound, r"^at piece conductor \(23,23\):"),
+        ({"p": 2, "b": 1, "norm": 2}, MismatchFound, r"^at piece conductor \(2,1\):"),
+    ],
+    ids=["wrong-root", "split-named-inert", "inert-norm-p", "ramified-23", "split-2"],
+)
+def test_hostile_k_piece_rows(row, error, message):
+    # a K piece row names a prime of the field by (p, b), with its norm:
+    # 101 splits in K(-23) with other roots, 5 is inert of norm 25, and
+    # the ramified (23,23) and the split (2,1) are primes of the field
+    # that divide 2*l*D, so they are not members of S
+    c = copy.deepcopy(CERTK)
+    c["pieces"].append(row)
+    with pytest.raises(error, match=message) as info:
+        verify(c)
+    if error is MismatchFound:
+        assert (info.value.claimed, info.value.recomputed) == ("member of S", "not a member of S")
+
+
 # Q n=3 B=3 as built with greedy_skip off: one conductor search per
 # target, so the piece at 73 is redundant (the seed alone gives degree
 # 3 at 2 and 3) but harmless
