@@ -148,7 +148,8 @@ def power(x, e: int, mul, one):
 
 class ResidueField:
     """F_p (n0 None, f=1, int elements) or F_{p^2} = F_p(w) with w*w = n0,
-    a non-residue mod p that the caller names (f=2, pair elements)."""
+    a non-residue mod p that the caller names (f=2, pair elements).
+    Callers build one where they need it; nothing caches fields."""
 
     __slots__ = ("p", "f", "q", "n0", "one")
 
@@ -174,11 +175,6 @@ class ResidueField:
         if self.f == 1:
             return pow(x, e, self.p)
         return power(x, e, self.mul, self.one)
-
-
-@lru_cache(maxsize=4096)
-def residue_field(p: int, n0: int | None = None) -> ResidueField:
-    return ResidueField(p, n0)
 
 
 def power_residue_level(x, ell: int, k_max: int, field: ResidueField) -> int:

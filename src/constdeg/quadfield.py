@@ -5,8 +5,8 @@ Conventions, used consistently by every caller:
   * D is a negative fundamental discriminant.
   * Field elements are integer pairs (x, y) meaning (x + y*sqrt(D))/2 with
     x = y*D (mod 2).  Rational integers n are stored as (2n, 0).
-  * Ideals are triples (g, a, b): content g times the primitive module with
-    Z-basis [a, (b + sqrt(D))/2], where 0 <= b < 2a and 4a | b^2 - D.
+  * Ideals are int triples (g, a, b): content g times the primitive module
+    with Z-basis [a, (b + sqrt(D))/2], 0 <= b < 2a and 4a | b^2 - D.
   * A prime is the pair (p, b) of ints, as a certificate names it: over
     Q b is None; over K a split or ramified prime P above p has b the
     root of x^2 = D (mod 4p) that its residue map selects, sqrt(D) = +b
@@ -22,12 +22,12 @@ from itertools import count
 from math import isqrt
 
 from .arith import (
+    ResidueField,
     ell_root,
     factor,
     is_prime,
     legendre,
     power,
-    residue_field,
     small_primes,
 )
 
@@ -123,19 +123,13 @@ def normalize_unit(field, u):
 # ----------------------------------------------------------------- ideals
 
 
-@dataclass(frozen=True)
-class QuadIdeal:
-    g: int  # content
-    a: int  # norm of the primitive part
-    b: int  # 0 <= b < 2a, 4a | b^2 - D
+def unit_ideal(field) -> tuple:
+    return (1, 1, field.disc % 2)
 
 
-def unit_ideal(field) -> QuadIdeal:
-    return QuadIdeal(1, 1, field.disc % 2)
-
-
-def ideal_norm(I: QuadIdeal) -> int:
-    return I.g * I.g * I.a
+def ideal_norm(I) -> int:
+    g, a, _ = I
+    return g * g * a
 
 
 def _xgcd(a, b):
@@ -162,12 +156,13 @@ def _compose(a1, b1, a2, b2, d):
     return e, a, b
 
 
-def ideal_mul(field, I: QuadIdeal, J: QuadIdeal) -> QuadIdeal:
-    e, a, b = _compose(I.a, I.b, J.a, J.b, field.disc)
-    return QuadIdeal(e * I.g * J.g, a, b)
+def ideal_mul(field, I, J) -> tuple:
+    (g, a1, b1), (h, a2, b2) = I, J
+    e, a, b = _compose(a1, b1, a2, b2, field.disc)
+    return (e * g * h, a, b)
 
 
-def ideal_pow(field, I: QuadIdeal, e: int) -> QuadIdeal:
+def ideal_pow(field, I, e: int) -> tuple:
     return power(I, e, partial(ideal_mul, field), unit_ideal(field))
 
 
@@ -212,12 +207,12 @@ def split_roots(d: int, p: int) -> tuple:
     return (r, 2 * p - r) if r < p else (2 * p - r, r)
 
 
-def prime_module(field, w) -> QuadIdeal:
-    """The module of the prime w = (p, b) of K."""
+def prime_module(field, w) -> tuple:
+    """The ideal (g, a, b) of the prime w = (p, b) of K."""
     p, b = w
     if b is None:
-        return QuadIdeal(p, 1, field.disc % 2)
-    return QuadIdeal(1, p, -b % (2 * p))
+        return (p, 1, field.disc % 2)
+    return (1, p, -b % (2 * p))
 
 
 # ----------------------------------------------------------------- forms
@@ -258,8 +253,9 @@ def reduce_form(f):
     return (a, b, c)
 
 
-def ideal_class_form(field, I: QuadIdeal):
-    return reduce_form((I.a, -I.b, (I.b * I.b - field.disc) // (4 * I.a)))
+def ideal_class_form(field, I):
+    _, a, b = I
+    return reduce_form((a, -b, (b * b - field.disc) // (4 * a)))
 
 
 def compose_forms(f, g):
@@ -417,7 +413,7 @@ def class_group_l_part(field, ell: int, exclusion) -> ClassGroupLPart:
     )
 
 
-def class_dlog(field, ideal: QuadIdeal, basis: ClassGroupLPart):
+def class_dlog(field, ideal, basis: ClassGroupLPart):
     """Exponents c_i < ell^m_i with ideal ~ prod a_i^c_i times prime-to-ell:
     one reduction of the ideal's form and one lookup in the table of
     every class that class_group_l_part keeps."""
@@ -429,7 +425,7 @@ def class_dlog(field, ideal: QuadIdeal, basis: ClassGroupLPart):
 # ---------------------------------------------------------- principality
 
 
-def principal_generator(field, ideal: QuadIdeal):
+def principal_generator(field, ideal):
     """A generator of the ideal, canonically normalized, or NotPrincipal.
 
     Reduces the norm form of the primitive part while tracking the GL2
@@ -440,22 +436,22 @@ def principal_generator(field, ideal: QuadIdeal):
     if field.kind == "rational":
         raise ValueError("no ideal machinery over Q")
     d = field.disc
-    a0, b0 = ideal.a, ideal.b
+    g, a0, b0 = ideal
     form, (u, v) = _reduce(a0, b0, (b0 * b0 - d) // (4 * a0))
     if form != principal_form(d):
         raise NotPrincipal(f"class of {(a0, b0)} is {form}")
-    return normalize_unit(field, (ideal.g * (2 * a0 * u + b0 * v), ideal.g * v))
+    return normalize_unit(field, (g * (2 * a0 * u + b0 * v), g * v))
 
 
 # ------------------------------------------------------------- reduction
 
 
 def local_field(field, w):
-    """The residue field at the prime w = (p, b): F_p(sqrt(D)) at an
+    """A fresh residue field at the prime w = (p, b): F_p(sqrt(D)) at an
     inert p of K, else F_p."""
     p, b = w
     inert = b is None and field.kind != "rational"
-    return residue_field(p, field.disc % p if inert else None)
+    return ResidueField(p, field.disc % p if inert else None)
 
 
 def reduce_mod(field, x, w):

@@ -22,7 +22,7 @@ algebra ramifies, and those places are computed with Hilbert symbols.
 import json
 import time
 from dataclasses import dataclass, field as dc_field
-from functools import lru_cache, partial
+from functools import partial
 from itertools import repeat
 
 from .arith import PRIME_LIMIT, factor, is_prime, legendre
@@ -445,39 +445,27 @@ def _support(a, b):
     return sorted(ps)
 
 
-@lru_cache(maxsize=4096)
-def _assert_reciprocity(a, b):
-    # the product of the local symbols over all places must be 1
-    prod = _symbol(a, b, REAL_PLACE)
-    for p in _support(a, b):
-        prod *= _symbol(a, b, p)
-    if prod != 1:
-        raise InternalInconsistency(f"hilbert reciprocity fails for ({a},{b})")
-
-
 def hilbert_symbol(a: int, b: int, place):
     """(a, b) at the given place, +1 or -1: whether z^2 = a x^2 + b y^2
     has a nontrivial local solution there.  place is a rational prime or
-    the string "inf" for the real place.
-
-    The product formula over all places is asserted for every queried
-    pair (memoized for the 4096 most recent pairs); a failure would mean
-    the symbol itself is broken.
-    """
-    if a == 0 or b == 0:
-        raise ValueError("hilbert symbol needs nonzero arguments")
+    the string "inf" for the real place.  It is -1 exactly at the
+    ramified_places of (a, b), which assert the product formula."""
     if place != REAL_PLACE and not (isinstance(place, int) and is_prime(place)):
         raise ValueError(f"place must be a prime or {REAL_PLACE!r}")
-    _assert_reciprocity(a, b)
-    return _symbol(a, b, place)
+    return -1 if place in ramified_places(a, b) else 1
 
 
 def ramified_places(a: int, b: int) -> list:
     """Places where the quaternion algebra (a, b) over Q does not split:
-    finite places ascending, the real place last."""
-    out = [p for p in _support(a, b) if hilbert_symbol(a, b, p) == -1]
-    if hilbert_symbol(a, b, REAL_PLACE) == -1:
+    finite places ascending, the real place last.  An odd count of them
+    breaks the product formula and raises InternalInconsistency."""
+    if a == 0 or b == 0:
+        raise ValueError("hilbert symbol arguments must be nonzero")
+    out = [p for p in _support(a, b) if _symbol(a, b, p) == -1]
+    if _symbol(a, b, REAL_PLACE) == -1:
         out.append(REAL_PLACE)
+    if len(out) % 2:
+        raise InternalInconsistency(f"hilbert reciprocity fails for ({a},{b})")
     return out
 
 

@@ -96,11 +96,9 @@ from constdeg.arith import (
     legendre,
     order_exponent,
     power_residue_level,
-    residue_field,
 )
 from constdeg.classfield import SIEVE_PRIMES, InternalInconsistency, in_S
 from constdeg.quadfield import (
-    QuadIdeal,
     class_dlog,
     compose_forms,
     elt_mul,
@@ -146,7 +144,7 @@ def old_basis(disc: int, p: int):
     least_nonresidue(p), and s is the least s < p with n0*s^2 = D mod p,
     so that sqrt(D) = s*w."""
     n0 = least_nonresidue(p)
-    return residue_field(p, n0), next(s for s in range(p) if (n0 * s * s - disc) % p == 0)
+    return ResidueField(p, n0), next(s for s in range(p) if (n0 * s * s - disc) % p == 0)
 
 
 def old_reduce_mod(x, p: int, s: int):
@@ -226,24 +224,25 @@ def ideal_from_columns(field, cols):
     a = d // (2 * f)
     b = (w // f) % (2 * a)
     assert (b * b - field.disc) % (4 * a) == 0
-    return QuadIdeal(f, a, b)
+    return (f, a, b)
 
 
-def ideal_product(field, I: QuadIdeal, J: QuadIdeal) -> QuadIdeal:
+def ideal_product(field, I, J) -> tuple:
     # the HNF of the four products of the Z-bases [g*a, g*(b+sqrt D)/2]
-    basis = [[(2 * M.g * M.a, 0), (M.g * M.b, M.g)] for M in (I, J)]
+    basis = [[(2 * g * a, 0), (g * b, g)] for g, a, b in (I, J)]
     return ideal_from_columns(field, [elt_mul(field, u, v) for u in basis[0] for v in basis[1]])
 
 
-def ideal_contains(I: QuadIdeal, u) -> bool:
+def ideal_contains(I, u) -> bool:
     # membership by the module basis; the oracle for ideal_mul
+    g, a, b = I
     x, y = u
-    if x % I.g or y % I.g:
+    if x % g or y % g:
         return False
-    return (x // I.g - (y // I.g) * I.b) % (2 * I.a) == 0
+    return (x // g - (y // g) * b) % (2 * a) == 0
 
 
-def principal_ideal(field, u) -> QuadIdeal:
+def principal_ideal(field, u) -> tuple:
     # the ideal (u) from a Z-basis; the oracle for principal_generator
     omega = (field.disc % 2, 1)
     return ideal_from_columns(field, [u, elt_mul(field, u, omega)])
@@ -647,7 +646,7 @@ def frobenius_order(ctx, eps: PrimeIdeal, q: PrimeIdeal) -> int:
     ramified there, which local_degree reads without asking."""
     full = ctx.ell**ctx.r
     if ctx.field.kind == "rational":
-        return multiplicative_order(pow(q.p, (eps.p - 1) // full, eps.p), residue_field(eps.p))
+        return multiplicative_order(pow(q.p, (eps.p - 1) // full, eps.p), ResidueField(eps.p))
     x = frobenius_image(ctx, eps, q)
     order = ctx.ell ** order_exponent(x, ctx.ell, ctx.r, local_field(ctx.field, pair(eps)))
     if order > full:

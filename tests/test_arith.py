@@ -6,13 +6,13 @@ import pytest
 
 from constdeg.arith import (
     FOUR_WITNESS_LIMIT,
+    ResidueField,
     ell_root,
     factor,
     is_prime,
     legendre,
     order_exponent,
     power_residue_level,
-    residue_field,
     small_primes,
 )
 from oracles import (
@@ -202,7 +202,7 @@ def test_factor_large_semiprime_rho_path():
 
 
 def test_mod_pow_examples():
-    f7 = residue_field(7)
+    f7 = ResidueField(7)
     assert f7.pow(2, 0) == 1
     assert f7.pow(2, 2) == 4
     assert f7.pow(2, (7 - 1) // 3) == 4
@@ -210,7 +210,7 @@ def test_mod_pow_examples():
 
 def test_mod_pow_matches_naive_f1():
     rng = random.Random(3)
-    fld = residue_field(101)
+    fld = ResidueField(101)
     for _ in range(30):
         x = rng.randrange(1, 101)
         e = rng.randrange(0, 40)
@@ -219,7 +219,7 @@ def test_mod_pow_matches_naive_f1():
 
 def test_f_p2_matches_naive_polynomial_arithmetic():
     rng = random.Random(5)
-    fld = residue_field(13, least_nonresidue(13))
+    fld = ResidueField(13, least_nonresidue(13))
     for _ in range(60):
         x = (rng.randrange(13), rng.randrange(13))
         y = (rng.randrange(13), rng.randrange(13))
@@ -228,14 +228,14 @@ def test_f_p2_matches_naive_polynomial_arithmetic():
 
 def test_f_p2_nonresidue_datum():
     assert least_nonresidue(13) == 2  # least positive non-residue mod 13
-    fld = residue_field(13, least_nonresidue(13))
+    fld = ResidueField(13, least_nonresidue(13))
     assert fld.n0 == 2
     assert pow(fld.n0, 6, 13) == 12
 
 
 def test_fermat_lagrange_random_samples():
     rng = random.Random(9)
-    for fld in (residue_field(97), residue_field(11, least_nonresidue(11))):
+    for fld in (ResidueField(97), ResidueField(11, least_nonresidue(11))):
         for _ in range(25):
             if fld.f == 1:
                 x = rng.randrange(1, fld.p)
@@ -245,17 +245,17 @@ def test_fermat_lagrange_random_samples():
 
 
 def test_field_inverse():
-    fld = residue_field(11, least_nonresidue(11))
+    fld = ResidueField(11, least_nonresidue(11))
     for x in [(3, 4), (0, 1), (10, 7)]:
         assert fld.mul(x, field_inv(fld, x)) == fld.one
-    assert field_inv(residue_field(97), 5) == pow(5, -1, 97)
+    assert field_inv(ResidueField(97), 5) == pow(5, -1, 97)
 
 
 # ------------------------------------------------- power_residue_level
 
 
 def test_power_residue_level_examples():
-    f7 = residue_field(7)
+    f7 = ResidueField(7)
     assert power_residue_level(1, 3, 1, f7) == 1
     assert power_residue_level(2, 3, 1, f7) == 0
     assert power_residue_level(6, 3, 1, f7) == 1  # 6 = 3^3 mod 7
@@ -263,11 +263,11 @@ def test_power_residue_level_examples():
 
 def test_power_residue_level_requires_divisibility():
     with pytest.raises(ValueError):
-        power_residue_level(2, 3, 2, residue_field(7))  # 9 does not divide 6
+        power_residue_level(2, 3, 2, ResidueField(7))  # 9 does not divide 6
 
 
 def test_power_residue_level_brute_force_f1():
-    fld = residue_field(73)  # 72 = 8 * 9
+    fld = ResidueField(73)  # 72 = 8 * 9
     for x in range(1, 73):
         for ell, km in ((2, 3), (3, 2)):
             k = power_residue_level(x, ell, km, fld)
@@ -275,7 +275,7 @@ def test_power_residue_level_brute_force_f1():
 
 
 def test_power_residue_level_brute_force_f2():
-    fld = residue_field(5, least_nonresidue(5))  # q - 1 = 24
+    fld = ResidueField(5, least_nonresidue(5))  # q - 1 = 24
     units = list(all_units(fld))
     for x in units[::5]:
         k = power_residue_level(x, 2, 3, fld)
@@ -283,7 +283,7 @@ def test_power_residue_level_brute_force_f2():
 
 
 def test_power_residue_level_definition_both_sides():
-    fld = residue_field(109)  # 108 = 4 * 27
+    fld = ResidueField(109)  # 108 = 4 * 27
     rng = random.Random(13)
     for _ in range(40):
         x = rng.randrange(1, 109)
@@ -296,10 +296,10 @@ def test_order_exponent_matches_multiplicative_order():
     # x has order ell^j for the returned j <= k_max, and any other order,
     # or a non-unit, gives k_max + 1, in F_p and in F_{p^2}
     for fld, ell, k_max in (
-        (residue_field(73), 2, 2),
-        (residue_field(73), 3, 1),
-        (residue_field(5, least_nonresidue(5)), 2, 2),
-        (residue_field(7, least_nonresidue(7)), 2, 4),
+        (ResidueField(73), 2, 2),
+        (ResidueField(73), 3, 1),
+        (ResidueField(5, least_nonresidue(5)), 2, 2),
+        (ResidueField(7, least_nonresidue(7)), 2, 4),
     ):
         zero = (0, 0) if fld.f == 2 else 0
         assert order_exponent(fld.one, ell, k_max, fld) == 0
@@ -312,7 +312,7 @@ def test_order_exponent_matches_multiplicative_order():
 
 def test_power_residue_level_rejects_a_non_unit():
     with pytest.raises(ValueError, match="not a unit"):
-        power_residue_level(0, 3, 1, residue_field(7))
+        power_residue_level(0, 3, 1, ResidueField(7))
 
 
 # ----------------------------------------------------------- ell_root
@@ -330,7 +330,7 @@ def root(x, ell, p):
     descent, its reference, at an odd ell."""
     if ell == 2:
         return ell_root(x, p)
-    return field_root(x % p, ell, residue_field(p))
+    return field_root(x % p, ell, ResidueField(p))
 
 
 def test_ell_root_examples():
@@ -412,7 +412,7 @@ def test_ell_root_nonresidue_is_the_least():
 @pytest.mark.parametrize("p,f", [(7, 1), (73, 1), (5, 2), (7, 2), (11, 2)])
 def test_field_root_over_f_p_and_f_p2(p, f):
     # the test oracle's root, which alpha_roots takes over F_{p^2} too
-    fld = residue_field(p, least_nonresidue(p) if f == 2 else None)
+    fld = ResidueField(p, least_nonresidue(p) if f == 2 else None)
     units = [fld.one, *field_elements(fld)]
     for ell in (2, 3):
         powers = {fld.pow(y, ell) for y in units}
@@ -428,14 +428,14 @@ def test_field_root_over_f_p_and_f_p2(p, f):
 
 
 def test_multiplicative_order_examples():
-    f7 = residue_field(7)
+    f7 = ResidueField(7)
     assert multiplicative_order(1, f7) == 1
     assert multiplicative_order(2, f7) == 3
     assert multiplicative_order(3, f7) == 6
 
 
 def test_multiplicative_order_brute_force():
-    fld = residue_field(61)
+    fld = ResidueField(61)
     for x in range(1, 61):
         d = multiplicative_order(x, fld)
         assert d == brute_order(x, fld)
@@ -445,7 +445,7 @@ def test_multiplicative_order_brute_force():
 
 
 def test_multiplicative_order_f2():
-    fld = residue_field(5, least_nonresidue(5))
+    fld = ResidueField(5, least_nonresidue(5))
     for x in [(2, 1), (0, 1), (4, 4)]:
         assert multiplicative_order(x, fld) == brute_order(x, fld)
 

@@ -8,11 +8,11 @@ import pytest
 
 from constdeg import classfield
 from constdeg.arith import (
+    ResidueField,
     SearchExhausted,
     factor,
     is_prime,
     power_residue_level,
-    residue_field,
     small_primes,
 )
 from constdeg.classfield import (
@@ -513,7 +513,7 @@ def _ray_order(ctx, eps, q):
         return full
     if ctx.field.kind != "rational":
         return frobenius_order_in_ray_piece(ctx, eps, q)
-    fld = residue_field(eps.p)
+    fld = ResidueField(eps.p)
     return multiplicative_order(pow(q[0], (eps.p - 1) // full, eps.p), fld)
 
 
@@ -772,7 +772,7 @@ def int_path_outcomes(ctx, fixed, full, stop):
         p, roots = classfield._quad_candidates(ctx, n)
         if p != n:
             continue  # an inert square
-        fld = residue_field(n)
+        fld = ResidueField(n)
         for b in roots:
             yield (n, b), (n, b) in ctx.cl.gens or order_outcome(
                 lambda: classfield._fixed_orders(ctx, n, b, (n - 1) // lk, fld, fixed, full)
@@ -1024,7 +1024,7 @@ def test_frobenius_order_rational_oracle():
     # q^((eps-1)/l^r) in F_eps
     for eps in (7, 13, 19, 31):
         piece = make_ray_piece(CTX3, rp(eps))
-        fld = residue_field(eps)
+        fld = ResidueField(eps)
         for q in small_primes(60):
             if q in (3, eps):
                 continue
@@ -1130,7 +1130,7 @@ def test_kummer_split_test_examples():
 def test_kummer_split_levels_rational():
     # l = 2, r = 1: splitting at level 1 is quadratic residuosity
     for eps in (5, 13, 17):
-        fld = residue_field(eps)
+        fld = ResidueField(eps)
         for q in small_primes(60):
             if q == 2 or q == eps:
                 continue

@@ -403,7 +403,7 @@ def test_hilbert_places(capsys):
 
 def test_hilbert_rejects_zero(capsys):
     assert run(["hilbert", "--a", "0", "--b", "3"]) == 1
-    capsys.readouterr()
+    assert "must be nonzero" in capsys.readouterr().err
 
 
 def test_brauer_split_subcommand(tmp_path, capsys):

@@ -73,3 +73,37 @@ def test_guard_flags_uncalled_and_self_recursive_definitions(tmp_path):
         encoding="utf-8",
     )
     assert unused_definitions(tmp_path, {"Exported"}) == ["a.dead", "a.recurse"]
+
+
+def cached_functions(src_dir) -> list:
+    """module.name of each function in src_dir/*.py decorated with
+    functools' lru_cache or cache, bare, called or by attribute."""
+    out = []
+    for path in sorted(Path(src_dir).glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for dec in node.decorator_list:
+                target = dec.func if isinstance(dec, ast.Call) else dec
+                name = getattr(target, "id", None) or getattr(target, "attr", None)
+                if name in ("lru_cache", "cache"):
+                    out.append(f"{path.stem}.{node.name}")
+    return out
+
+
+def test_the_prime_sieve_is_the_only_cache():
+    # a module-level cache holds what it saw for the life of the process;
+    # the sieve's few limits are the one whose hits pay for it
+    assert cached_functions(SRC) == ["arith.small_primes"]
+
+
+def test_cache_census_sees_every_decorator_form(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "import functools\nfrom functools import cache, lru_cache\n\n\n"
+        "@lru_cache(maxsize=8)\ndef f():\n    pass\n\n\n"
+        "@functools.lru_cache\ndef g():\n    pass\n\n\n"
+        "class C:\n    @cache\n    def h(self):\n        pass\n\n\n"
+        "def plain():\n    pass\n",
+        encoding="utf-8",
+    )
+    assert cached_functions(tmp_path) == ["a.f", "a.g", "a.h"]

@@ -8,7 +8,7 @@ import pytest
 from constdeg import verifier
 from constdeg.arith import factor
 from constdeg.cli import run
-from constdeg.classfield import local_degree
+from constdeg.classfield import InternalInconsistency, local_degree
 from constdeg.constructor import certificate_json, compose_for_n, construct
 from constdeg.quadfield import RATIONAL, quadratic_field
 from constdeg.verifier import (
@@ -713,24 +713,26 @@ def test_hilbert_reciprocity_random_pairs():
         pairs += 1
 
 
-def test_reciprocity_memo_is_bounded():
-    memo = verifier._assert_reciprocity
-    memo.cache_clear()
-    maxsize = memo.cache_info().maxsize
-    for a in range(1, 80):
-        for b in range(-40, 40):
-            if b:
-                hilbert_symbol(a, b, 2)
-                assert memo.cache_info().currsize <= maxsize
-    # more distinct pairs than the memo holds were queried
-    assert memo.cache_info().currsize == maxsize
-
-
 def test_ramified_places_examples():
     assert ramified_places(-1, -1) == [2, "inf"]
     assert ramified_places(1, 1) == []
     assert ramified_places(-1, 3) == [2, 3]
     assert ramified_places(2, 7) == []
+    with pytest.raises(ValueError, match="must be nonzero"):
+        ramified_places(0, 3)
+
+
+def test_a_broken_local_symbol_fails_the_product_formula(monkeypatch):
+    # flipping one local symbol leaves an odd count of ramified places
+    symbol = verifier._symbol
+
+    def flipped(a, b, v):
+        return -symbol(a, b, v) if v == 3 else symbol(a, b, v)
+
+    monkeypatch.setattr(verifier, "_symbol", flipped)
+    for query in (lambda: ramified_places(-1, 3), lambda: hilbert_symbol(-1, 3, 2)):
+        with pytest.raises(InternalInconsistency, match="reciprocity fails for"):
+            query()
 
 
 # ---------------------------------------------------------------- brauer
