@@ -8,12 +8,9 @@ ell-th root descent for any ell as its reference.  All functions are
 deterministic.
 """
 
-from __future__ import annotations
-
 import math
-import random
 from functools import lru_cache
-from itertools import compress
+from itertools import compress, count
 
 # Jaeschke / Sorenson-Webster witness set, complete below 3.3 * 10^24,
 # comfortably covering the 64-bit input range we promise.
@@ -22,8 +19,6 @@ MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 # Math. Comp. 61, 1993): below it those four witnesses decide
 FOUR_WITNESS_LIMIT = 3215031751
 PRIME_LIMIT = 1 << 64  # is_prime answers for 2 <= m < PRIME_LIMIT
-
-_RHO_SEED = 0x5eed
 
 
 class SearchExhausted(Exception):
@@ -65,14 +60,13 @@ def small_primes(limit: int = 100000) -> tuple:
     return tuple(compress(range(limit), sieve))
 
 
-def _brent_rho(n: int, rng: random.Random) -> int:
-    # n odd composite, no factor below the trial bound
-    while True:
-        y = rng.randrange(1, n)
-        c = rng.randrange(1, n)
+def _brent_rho(n: int) -> int:
+    # n odd composite, no factor below the trial bound; the walk
+    # x -> x^2 + c starts at 2 and takes c = 1, 2, ... until one splits n
+    for c in count(1):
         m = 128
         g = r = q = 1
-        x = ys = y
+        x = ys = y = 2
         while g == 1:
             x = y
             for _ in range(r):
@@ -98,8 +92,8 @@ def _brent_rho(n: int, rng: random.Random) -> int:
 def factor(m: int) -> list:
     """Prime factorization as a sorted list of (prime, exponent) pairs.
 
-    Trial division below min(10^5, sqrt(m) + 1), then Brent's rho with a
-    fixed seed so that repeated runs factor identically.
+    Trial division below min(10^5, sqrt(m) + 1), then Brent's rho from a
+    fixed start value, so that repeated runs factor identically.
     """
     if m < 1:
         raise ValueError(f"factor input must be positive: {m}")
@@ -111,14 +105,13 @@ def factor(m: int) -> list:
             out[p] = out.get(p, 0) + 1
             m //= p
     if m > 1:
-        rng = random.Random(_RHO_SEED)
         stack = [m]
         while stack:
             v = stack.pop()
             if is_prime(v):
                 out[v] = out.get(v, 0) + 1
                 continue
-            d = _brent_rho(v, rng)
+            d = _brent_rho(v)
             stack.append(d)
             stack.append(v // d)
     return sorted(out.items())

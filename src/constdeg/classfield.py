@@ -57,7 +57,6 @@ included.
 
 from bisect import bisect_left
 from collections import deque, namedtuple
-from dataclasses import dataclass, field as dc_field
 from itertools import compress
 from math import gcd, isqrt, lcm
 
@@ -95,17 +94,17 @@ class InternalInconsistency(Exception):
 # ------------------------------------------------------------- context
 
 
-@dataclass(eq=False)
 class Context:
-    field: object
-    ell: int
-    r: int
-    cl: object  # l-part of the class group with basis data
-    units: list
-    excluded: frozenset  # rational primes dividing 2*l*disc
-    seed: object  # the CyclotomicPiece of build_L0_rational
-    deficiencies: dict  # (p, b) above l -> deficiency a, in factoring order
-    _targets: dict = dc_field(default_factory=dict, repr=False)  # (p, b) -> gamma
+    def __init__(self, field, ell, r, cl, units, excluded, seed, deficiencies):
+        self.field = field
+        self.ell = ell
+        self.r = r
+        self.cl = cl  # l-part of the class group with basis data
+        self.units = units
+        self.excluded = excluded  # rational primes dividing 2*l*disc
+        self.seed = seed  # the CyclotomicPiece of build_L0_rational
+        self.deficiencies = deficiencies  # (p, b) above l -> deficiency a, in factoring order
+        self._targets = {}  # (p, b) -> gamma
 
     @property
     def t(self):
@@ -144,13 +143,13 @@ def _deficiencies(field, ell: int, r: int) -> dict:
 # ---------------------------------------------------------- seed piece
 
 
-@dataclass(eq=False)
 class CyclotomicPiece:
-    ell: int
-    r: int
-    modulus: int
-    degree: int  # l^r
-    sign: int  # character value at -1
+    def __init__(self, ell, r, modulus, degree, sign):
+        self.ell = ell
+        self.r = r
+        self.modulus = modulus
+        self.degree = degree  # l^r
+        self.sign = sign  # character value at -1
 
 
 def build_L0_rational(ell: int, r: int) -> CyclotomicPiece:
@@ -324,9 +323,9 @@ def frobenius_order_in_ray_piece(ctx, eps: Conductor, q) -> int:
 DEFAULT_CAP = 10_000_000  # progression entries per conductor search
 
 
-@dataclass
 class SearchCursor:
-    cap: int = DEFAULT_CAP
+    def __init__(self, cap=DEFAULT_CAP):
+        self.cap = cap
 
 
 def _quad_candidates(ctx, n: int):
@@ -343,15 +342,16 @@ def _quad_candidates(ctx, n: int):
     it does x = 1 ask is_prime(n).  A split prime's roots come from
     split_roots, with no second symbol.  Every other n, a composite
     with x = 1 included, goes on to the square test."""
-    x = pow(ctx.field.disc, (n - 1) // 2, n)
+    D = ctx.field.disc
+    x = pow(D, (n - 1) // 2, n)
     if x == n - 1:
         return n, ()
     p = isqrt(n)
     if x == 1 and p * p != n and (n < SIEVE_PRIMES**2 or is_prime(n)):
-        return n, split_roots(ctx.field.disc, n)
+        return n, split_roots(D, n)
     if p * p != n or not is_prime(p):
         return n, ()
-    if p in ctx.excluded or kronecker_disc(ctx.field.disc, p) != -1:
+    if p in ctx.excluded or kronecker_disc(D, p) != -1:
         return n, ()
     return p, (None,)
 

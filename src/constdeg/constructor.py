@@ -19,7 +19,7 @@ certificates.
 """
 
 import json
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .arith import factor
 from .classfield import (
@@ -36,9 +36,11 @@ from .classfield import (
 )
 
 
-@dataclass(frozen=True)
-class Config:
-    cap: int = DEFAULT_CAP  # progression entries per conductor search
+class Config(namedtuple("Config", "cap", defaults=(DEFAULT_CAP,))):
+    """Construction settings: cap, the progression entries per conductor
+    search."""
+
+    __slots__ = ()
 
 
 def _field_json(field):

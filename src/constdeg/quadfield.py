@@ -16,7 +16,7 @@ Conventions, used consistently by every caller:
     residue map halves both coordinates of (x, y).
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import partial
 from itertools import count
 from math import isqrt
@@ -39,10 +39,11 @@ class NotPrincipal(Exception):
 # ----------------------------------------------------------------- fields
 
 
-@dataclass(frozen=True)
-class BaseField:
-    kind: str  # "rational" or "imag_quadratic"
-    disc: int = 0
+class BaseField(namedtuple("BaseField", "kind disc", defaults=(0,))):
+    """Q, of kind "rational" and disc 0, or K = Q(sqrt(disc)), of kind
+    "imag_quadratic"."""
+
+    __slots__ = ()
 
 
 RATIONAL = BaseField("rational")
@@ -293,14 +294,14 @@ def enumerate_class_group(field):
 # ------------------------------------------------------------ class group
 
 
-@dataclass(eq=False)
 class ClassGroupLPart:
-    gens: tuple  # basis primes a_i as (p, b) pairs, orders descending
-    exps: tuple  # m_i: a_i has order ell^m_i in the class group
-    alphas: tuple  # generators of a_i^(ell^m_i)
-    t: int  # max m_i, 0 when the l-part is trivial
-    class_dlogs: dict  # every reduced form -> exponent vector of its l-part
-    coprime_part: int  # prime-to-l part of the class number
+    def __init__(self, gens, exps, alphas, t, class_dlogs, coprime_part):
+        self.gens = gens  # basis primes a_i as (p, b) pairs, orders descending
+        self.exps = exps  # m_i: a_i has order ell^m_i in the class group
+        self.alphas = alphas  # generators of a_i^(ell^m_i)
+        self.t = t  # max m_i, 0 when the l-part is trivial
+        self.class_dlogs = class_dlogs  # every reduced form -> exponent vector of its l-part
+        self.coprime_part = coprime_part  # prime-to-l part of the class number
 
 
 _BASIS_PRIME_CAP = 100000  # primes scanned, then values tried per row

@@ -21,7 +21,7 @@ algebra ramifies, and those places are computed with Hilbert symbols.
 
 import json
 import time
-from dataclasses import dataclass, field as dc_field
+from collections import namedtuple
 from functools import partial
 from itertools import repeat
 
@@ -70,13 +70,13 @@ class InvalidRequest(ValueError):
 # ------------------------------------------------------------ reports
 
 
-@dataclass
 class VerificationReport:
-    primes: list  # the (p, b) pair of every rechecked table row
-    degree: int  # n, the recomputed local degree at each of them
-    real_place: "int | None"  # recomputed, and equal to the claim
-    elapsed: float
-    component_reports: list = dc_field(default_factory=list)
+    def __init__(self, primes, degree, real_place, elapsed, component_reports=()):
+        self.primes = primes  # the (p, b) pair of every rechecked table row
+        self.degree = degree  # n, the recomputed local degree at each of them
+        self.real_place = real_place  # int or None: recomputed, and equal to the claim
+        self.elapsed = elapsed
+        self.component_reports = list(component_reports)
 
 
 # --------------------------------------------------- structural checks
@@ -472,14 +472,15 @@ def ramified_places(a: int, b: int) -> list:
 # -------------------------------------------------------- brauer check
 
 
-@dataclass(frozen=True)
-class QuaternionAlgebra:
-    a: int
-    b: int
+class QuaternionAlgebra(namedtuple("QuaternionAlgebra", "a b")):
+    """The quaternion algebra (a, b) over Q, a and b nonzero."""
 
-    def __post_init__(self):
-        if self.a == 0 or self.b == 0:
+    __slots__ = ()
+
+    def __new__(cls, a, b):
+        if a == 0 or b == 0:
             raise ValueError("quaternion algebra parameters must be nonzero")
+        return super().__new__(cls, a, b)
 
 
 def brauer_split_check(cert: dict, algebra: QuaternionAlgebra):

@@ -198,6 +198,25 @@ def test_factor_large_semiprime_rho_path():
     assert factor(p * q) == [(p, 1), (q, 1)]
 
 
+@pytest.mark.parametrize(
+    "m, expected",
+    [
+        # cofactors left by trial division below 10^5: composites that take
+        # Brent's rho, then a prime cofactor and none
+        (100003**2, [(100003, 2)]),
+        (100003**3, [(100003, 3)]),
+        (100003 * 100019 * 100043, [(100003, 1), (100019, 1), (100043, 1)]),
+        (4294967279 * 4294967291, [(4294967279, 1), (4294967291, 1)]),
+        (2**64 - 61, [(3, 2), (5, 1), (97, 1), (197, 1), (325957, 1), (65812583, 1)]),
+        (3 * (2**61 - 1), [(3, 1), (2**61 - 1, 1)]),
+        (FOUR_WITNESS_LIMIT, [(151, 1), (751, 1), (28351, 1)]),
+    ],
+)
+def test_factor_rho_path(m, expected):
+    assert factor(m) == expected
+    assert factor(m) == expected  # deterministic across calls
+
+
 # ---------------------------------------------------------------- fields
 
 

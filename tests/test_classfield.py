@@ -152,6 +152,13 @@ def test_build_context_validation():
         build_context(RATIONAL, 3, 0)
 
 
+def test_contexts_do_not_share_target_caches():
+    a, b = build_context(K23, 3, 1), build_context(K23, 3, 1)
+    assert a._targets is not b._targets
+    a._targets[(2, None)] = (4, 0)
+    assert b._targets == {}
+
+
 def test_context_rational_shape():
     assert CTX3.excluded == frozenset({2, 3})
     assert CTX3.t == 0

@@ -7,6 +7,7 @@ import pytest
 from constdeg import classfield, constructor, quadfield
 from constdeg.arith import small_primes
 from constdeg.classfield import (
+    DEFAULT_CAP,
     Conductor,
     InternalInconsistency,
     SearchCursor,
@@ -603,6 +604,17 @@ def test_config_recorded_in_certificate():
     cfg = Config(cap=123456)
     cert = construct(RATIONAL, 3, 1, 3, cfg)
     assert cert["config"] == {"cap": 123456}
+
+
+def test_config_is_an_immutable_value():
+    assert Config() == Config(cap=DEFAULT_CAP)
+    assert hash(Config()) == hash(Config(cap=DEFAULT_CAP))
+    assert Config(5) != Config(6)
+    assert repr(Config(5)) == "Config(cap=5)"
+    cfg = Config(5)
+    with pytest.raises(AttributeError):
+        cfg.cap = 6
+    assert cfg.cap == 5
 
 
 def test_seed_character_orders_match_certificate():

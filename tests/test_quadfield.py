@@ -93,6 +93,13 @@ def generator_by_scan(field, ideal):
 
 
 def test_quadratic_field_validation():
+    assert quadratic_field(-23) == quadratic_field(-23)
+    assert hash(quadratic_field(-23)) == hash(quadratic_field(-23))
+    assert quadratic_field(-23) != quadratic_field(-7) != RATIONAL
+    assert repr(RATIONAL) == "BaseField(kind='rational', disc=0)"
+    assert repr(quadratic_field(-23)) == "BaseField(kind='imag_quadratic', disc=-23)"
+    with pytest.raises(AttributeError):
+        RATIONAL.disc = -23
     for d in (-3, -4, -8, -23, -47, -56, -136):
         assert quadratic_field(d).disc == d
     for d in (-12, -9, -16, -25, -5, 5, 0):

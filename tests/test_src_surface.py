@@ -5,10 +5,16 @@ name or as an attribute, by some other top-level statement of
 src/constdeg, or be exported in constdeg.__all__, or be a console-script
 entry point of pyproject.toml.  A reference that only the tests call
 belongs in tests/oracles.py.
+
+Importing constdeg loads no standard-library module beyond the few it
+computes with, since every constdeg process pays for the import first.
 """
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import constdeg
@@ -107,3 +113,55 @@ def test_cache_census_sees_every_decorator_form(tmp_path):
         encoding="utf-8",
     )
     assert cached_functions(tmp_path) == ["a.f", "a.g", "a.h"]
+
+
+# what the package computes with; time is built into the interpreter
+STDLIB_USED = ("json", "collections", "bisect", "itertools", "math", "functools", "time")
+
+
+def test_import_loads_no_other_stdlib_module():
+    code = (
+        f"import sys, {', '.join(STDLIB_USED)}\n"
+        "before = set(sys.modules)\n"
+        "import constdeg\n"
+        "print(*sorted(set(sys.modules) - before))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    added = out.stdout.split()
+    assert "constdeg.verifier" in added
+    assert [m for m in added if m != "constdeg" and not m.startswith("constdeg.")] == []
+
+
+def imported_modules(src_dir) -> list:
+    """(module, imported) for each absolute import in src_dir/*.py, at any
+    depth, imported being the top-level name of what it imports."""
+    out = []
+    for path in sorted(Path(src_dir).glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                out += [(path.stem, alias.name.partition(".")[0]) for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                out.append((path.stem, node.module.partition(".")[0]))
+    return out
+
+
+def test_src_imports_no_dataclasses_random_or_future():
+    # dataclasses pulls in inspect, ast, dis and tokenize; random and
+    # __future__ were each used for one line
+    banned = {"dataclasses", "random", "__future__"}
+    assert [m for m in imported_modules(SRC) if m[1] in banned] == []
+
+
+def test_import_census_sees_every_import_form(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "from __future__ import annotations\nimport os.path as osp, random\n"
+        "from . import b\nfrom .b import c\n\n\n"
+        "def f():\n    from dataclasses import dataclass\n",
+        encoding="utf-8",
+    )
+    assert imported_modules(tmp_path) == [
+        ("a", "__future__"), ("a", "os"), ("a", "random"), ("a", "dataclasses")
+    ]

@@ -62,6 +62,13 @@ def test_roundtrip_n2():
     assert rep.component_reports == []
 
 
+def test_reports_do_not_share_component_lists():
+    a = verifier.VerificationReport([], 2, 2, 0.0)
+    b = verifier.VerificationReport([], 2, 2, 0.0)
+    a.component_reports.append(b)
+    assert b.component_reports == []
+
+
 def test_roundtrip_other_configs():
     for cert, full in ((CERT8, 8), (CERT9, 9), (CERT23, 3), (CERTD, 2)):
         rep = verify(cert)
@@ -779,3 +786,9 @@ def test_brauer_accepts_composite_wrapper():
 def test_quaternion_algebra_rejects_zero():
     with pytest.raises(ValueError):
         QuaternionAlgebra(0, 5)
+    for a, b in ((0, 3), (3, 0), (0, 0)):
+        with pytest.raises(ValueError, match="quaternion algebra parameters must be nonzero"):
+            QuaternionAlgebra(a, b)
+    assert QuaternionAlgebra(-1, 3) == QuaternionAlgebra(-1, 3)
+    assert hash(QuaternionAlgebra(-1, 3)) == hash(QuaternionAlgebra(-1, 3))
+    assert QuaternionAlgebra(-1, 3).b == 3
