@@ -575,8 +575,10 @@ def degree_folds(ctx, pieces, rows):
     each made when it is reached, under the conductors then in pieces; a
     fold's memory stays small beside the table's, and a piece still asks
     each row for its order at most once.  Once the walk has passed a
-    fold, its rows' generators leave ctx._targets, so the cache holds
-    one fold's rows, the conductors and the primes above l."""
+    fold, its rows' generators leave ctx._targets.  The cache also keeps
+    those of the conductors, the primes above l and, over K, each prime
+    of S whose split test a search rejected: every later search walks
+    from the start again and meets it anew."""
     for k in range(0, len(rows), FOLD_ROWS):
         fold = DegreeFold(ctx, rows[k : k + FOLD_ROWS], pieces)
         yield fold

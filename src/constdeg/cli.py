@@ -56,11 +56,8 @@ def _parse_field(spec: str):
 
 def _read_file(path: str) -> str:
     """The document's text; bytes that are not UTF-8 make it malformed."""
-    try:
-        with open(path, "rb") as fh:
-            data = fh.read()
-    except OSError as exc:
-        raise UsageError(str(exc)) from None
+    with open(path, "rb") as fh:
+        data = fh.read()
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -78,61 +75,46 @@ def _format_prime(pr) -> str:
     return f"({p},{b if b is not None else '-'})"
 
 
-def _ramified_name(rc) -> str:
-    if rc is None:
-        return "-"
-    return "seed" if rc == 0 else f"piece {rc}"
-
-
-def _print_table(rows):
-    # rows: (prime string, then the remaining columns)
-    widths = [max(len(str(row[i])) for row in rows) for i in range(len(rows[0]))]
-    for row in rows:
-        print("  ".join(str(cell).ljust(w) for cell, w in zip(row, widths)).rstrip())
-
-
 def _print_summary(cert):
+    # the rows are in the file, and each says degree n
     doc = cert.get("composite", cert)
+    rows = len(doc["table"])
     if doc is cert:
         print(
             f"field {_field_name(cert['field'])}  n {cert['ell'] ** cert['r']} "
             f"(ell {cert['ell']}, r {cert['r']})  bound {cert['bound']}  "
-            f"pieces {len(cert['pieces'])}"
+            f"rows {rows}  pieces {len(cert['pieces'])}"
         )
         if cert["pieces"]:
             print(
                 "conductors "
                 + " ".join(_format_prime((pc["p"], pc["b"])) for pc in cert["pieces"])
             )
-        rows = [("prime", "degree", "ramified")]
-        rows += [
-            (_format_prime(r["prime"]), r["degree"], _ramified_name(r["ramified_component"]))
-            for r in cert["table"]
-        ]
     else:
         parts = " x ".join(str(c["ell"] ** c["r"]) for c in doc["components"])
-        n, bound = doc["n"], doc["bound"]
-        print(f"field {_field_name(doc['field'])}  n {n} = {parts}  bound {bound}")
+        print(
+            f"field {_field_name(doc['field'])}  n {doc['n']} = {parts}  "
+            f"bound {doc['bound']}  rows {rows}"
+        )
         for i, c in enumerate(doc["components"], start=1):
             print(f"component {i}: ell {c['ell']} r {c['r']}, pieces {len(c['pieces'])}")
-        rows = [("prime", "degree")]
-        rows += [(_format_prime(row["prime"]), row["degree"]) for row in doc["table"]]
-    _print_table(rows)
     if doc["real_place_degree"] is not None:
         print(f"real place degree {doc['real_place_degree']}")
 
 
 def _print_report(report, verbosity: int = 0):
     # verify raises unless every rechecked prime has degree n in its row
-    rows = [("prime", "degree")]
-    rows += [(_format_prime(prime), report.degree) for prime in report.primes]
-    _print_table(rows)
     if report.real_place is not None:
         print(f"real place degree {report.real_place}")
     if verbosity:
         for i, sub in enumerate(report.component_reports, start=1):
             print(f"component {i}: {len(sub.primes)} primes rechecked in {sub.elapsed:.3f}s")
     print(f"verdict pass  ({len(report.primes)} primes, {report.elapsed:.3f}s)")
+
+
+def _print_places(a: int, b: int, places):
+    shown = " ".join(str(v) for v in places) if places else "none"
+    print(f"ramified places of ({a},{b}): {shown}")
 
 
 # ----------------------------------------------------------- subcommands
@@ -148,8 +130,8 @@ def _cmd_construct(args) -> int:
         cert = construct(field, ell, r, args.bound, build)
     else:
         cert = compose_for_n(field, args.n, args.bound, build)
-    _print_summary(cert)
     write_certificate(cert, args.out)
+    _print_summary(cert)
     print(f"wrote {args.out}")
     return 0
 
@@ -186,17 +168,14 @@ def _cmd_class_group(args) -> int:
 
 
 def _cmd_hilbert(args) -> int:
-    places = ramified_places(args.a, args.b)
-    shown = " ".join(str(v) for v in places) if places else "none"
-    print(f"ramified places of ({args.a},{args.b}): {shown}")
+    _print_places(args.a, args.b, ramified_places(args.a, args.b))
     return 0
 
 
 def _cmd_brauer(args) -> int:
     cert = parse_certificate(_read_file(args.file))
     split, places = _checked(brauer_split_check, cert, QuaternionAlgebra(args.a, args.b))
-    shown = " ".join(str(v) for v in places) if places else "none"
-    print(f"ramified places of ({args.a},{args.b}): {shown}")
+    _print_places(args.a, args.b, places)
     print(f"splits: {'yes' if split else 'no'}")
     return 0 if split else 2
 
@@ -262,7 +241,7 @@ def run(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.handler(args)
-    except (UsageError, ValueError, RamifiedPlaceOutOfRange) as exc:
+    except (UsageError, ValueError, RamifiedPlaceOutOfRange, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (MalformedCertificate, MismatchFound) as exc:

@@ -72,19 +72,42 @@ def test_verify_piece_prime_beyond_2_64(tmp_path, capsys):
 
 
 def test_verify_report_shows_prime_and_degree(tmp_path, capsys):
-    # verify raises on any mismatch, so the report has no claim column
+    # verify raises on any mismatch and every row is in the file, so
+    # neither command prints the table: construct names the rows and
+    # conductors, verify the real place degree and the primes rechecked
     path = construct(tmp_path, "c2.json", "--field", "q", "--n", "2", "--bound", "5")
-    capsys.readouterr()
+    assert capsys.readouterr().out.splitlines() == [
+        "field Q  n 2 (ell 2, r 1)  bound 5  rows 3  pieces 1",
+        "conductors (17,-)",
+        "real place degree 2",
+        f"wrote {path}",
+    ]
     assert run(["verify", str(path)]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert [line.split() for line in lines[:5]] == [
-        ["prime", "degree"],
-        ["(2,-)", "2"],
-        ["(3,-)", "2"],
-        ["(5,-)", "2"],
-        ["real", "place", "degree", "2"],
-    ]
-    assert lines[5].startswith("verdict pass  (3 primes, ")
+    assert len(lines) == 2
+    assert lines[0] == "real place degree 2"
+    assert re.fullmatch(r"verdict pass  \(3 primes, \d+\.\d{3}s\)", lines[1])
+
+
+@pytest.mark.parametrize("field, bounds", [("q", (100, 100_000)), ("disc=-23", (100, 10_000))])
+def test_output_line_count_does_not_grow_with_the_bound(tmp_path, capsys, field, bounds):
+    counts = set()
+    for bound in bounds:
+        args = ("--field", field, "--n", "2", "--bound", str(bound))
+        path = construct(tmp_path, f"b{bound}.json", *args)
+        built = capsys.readouterr().out
+        assert run(["verify", str(path)]) == 0
+        counts.add((built.count("\n"), capsys.readouterr().out.count("\n")))
+    assert len(counts) == 1, counts
+
+
+def test_construct_into_a_missing_directory_exits_1(tmp_path, capsys):
+    out = tmp_path / "missing" / "x.json"
+    assert run(["construct", "--field", "q", "--n", "2", "--bound", "10", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and "Traceback" not in captured.err
+    assert captured.out == ""
+    assert not out.parent.exists()
 
 
 def test_verify_garbage_file(tmp_path, capsys):

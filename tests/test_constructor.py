@@ -284,10 +284,11 @@ def capture_contexts(monkeypatch):
 
 def test_target_cache_holds_one_fold_and_the_fixed_primes(monkeypatch):
     # once the walk has passed a fold, its rows' generators leave
-    # ctx._targets: after construct of K(-23) n=2 B=10^5 (9,570 rows) and
-    # after verify's walk of its table, only the conductors and the
-    # primes above l can stay, and the walk gives the triples of one
-    # whose folds keep every generator
+    # ctx._targets: after construct of K(-23) n=2 B=10^5 (9,570 rows),
+    # whose searches reject no prime of S by its split test, and after
+    # verify's walk of its table, only the conductors and the primes
+    # above l stay, and the walk gives the triples of one whose folds
+    # keep every generator
     field = quadratic_field(-23)
     contexts = capture_contexts(monkeypatch)
     cert = construct(field, 2, 1, 10**5)
@@ -303,6 +304,25 @@ def test_target_cache_holds_one_fold_and_the_fixed_primes(monkeypatch):
     folds = [classfield.DegreeFold(ctx, rows[k : k + 256], conductors) for k in range(0, 9570, 256)]
     assert [fold.row(i) for fold in folds for i in range(len(fold.rows))] == walked
     assert len(ctx._targets) > 4000
+
+
+@pytest.mark.parametrize(
+    "disc, r, bound, rejected", [(-23, 2, 200, 8), (-56, 2, 200, 3), (-23, 3, 50, 1)]
+)
+def test_target_cache_keeps_the_primes_of_S_the_split_test_rejects(
+    monkeypatch, disc, r, bound, rejected
+):
+    # the K search's split test caches the generator of each prime of S
+    # it rejects, and it stays, since every later search walks from the
+    # start again; every other key after construct is a conductor or a
+    # prime above l
+    contexts = capture_contexts(monkeypatch)
+    cert = construct(quadratic_field(disc), 2, r, bound)
+    (ctx,) = contexts
+    fixed = {(pc["p"], pc["b"]) for pc in cert["pieces"]} | set(ctx.deficiencies)
+    rest = [Conductor(p, b, p if b is not None else p * p) for p, b in ctx._targets.keys() - fixed]
+    assert len(rest) == rejected
+    assert all(P.norm > bound and in_S(ctx, P) for P in rest)
 
 
 def test_each_frobenius_order_asked_at_most_once(monkeypatch):
