@@ -19,6 +19,9 @@ MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 # Math. Comp. 61, 1993): below it those four witnesses decide
 FOUR_WITNESS_LIMIT = 3215031751
 PRIME_LIMIT = 1 << 64  # is_prime answers for 2 <= m < PRIME_LIMIT
+# factor trial-divides, and the conductor search's walk sieves, by the
+# primes below this: one key of small_primes' cache serves both
+SIEVE_PRIMES = 1 << 12
 
 
 class SearchExhausted(Exception):
@@ -92,13 +95,17 @@ def _brent_rho(n: int) -> int:
 def factor(m: int) -> list:
     """Prime factorization as a sorted list of (prime, exponent) pairs.
 
-    Trial division below min(10^5, sqrt(m) + 1), then Brent's rho from a
-    fixed start value, so that repeated runs factor identically.
+    Trial division by the primes below SIEVE_PRIMES, one fixed table
+    whatever the size of m, so that factoring adds no key to
+    small_primes' cache.  The cofactor goes to is_prime and, if composite,
+    to Brent's rho from a fixed start value, so that repeated runs factor
+    identically; a cofactor of 2**64 or more raises ValueError, as
+    is_prime does.
     """
     if m < 1:
         raise ValueError(f"factor input must be positive: {m}")
     out = {}
-    for p in small_primes(min(100000, math.isqrt(m) + 1)):
+    for p in small_primes(SIEVE_PRIMES):
         if p * p > m:
             break
         while m % p == 0:
@@ -191,6 +198,24 @@ def order_exponent(x, ell: int, k_max: int, field: ResidueField) -> int:
     while x != one and j <= k_max:
         x, j = field.pow(x, ell), j + 1
     return j
+
+
+def residue_pattern(Q: int, M: int, full: int) -> bytearray:
+    """Over k mod the prime Q, 1 where n = 1 + M*k is a nonzero full-th
+    power residue mod Q, as pow(n, (Q - 1)//full, Q) == 1 tests, and 0
+    elsewhere; M is prime to Q and full divides Q - 1.  The (Q - 1)/full
+    residues are the powers x of h = a^full of order (Q - 1)/full, and x
+    sits at k = (x - 1)/M mod Q, so k steps to h*k + (h - 1)/M: one
+    product per residue."""
+    d = (Q - 1) // full
+    qs = [q for q, _ in factor(d)]
+    powers = (pow(a, full, Q) for a in range(2, Q))
+    h = next(h for h in powers if all(pow(h, d // q, Q) != 1 for q in qs))
+    pattern, k, c = bytearray(Q), 0, (h - 1) * pow(M, -1, Q) % Q
+    for _ in range(d):
+        pattern[k] = 1
+        k = (h * k + c) % Q
+    return pattern
 
 
 def ell_root(x: int, p: int) -> int:

@@ -48,7 +48,10 @@ progression S forces, but tests only the entries of its one class that
 can hold a prime of S split in the seed and that a segmented sieve
 leaves: primes, prime squares and entries with no small prime factor.
 Below SIEVE_PRIMES**2 that leaves no other composite, so over K the
-sieve decides primality there and is_prime runs only above it.  Over K
+sieve decides primality there and is_prime runs only above it.  Over Q
+the sieve also strikes, past a few times each earlier conductor Q, the
+entries that are no l^r-th power residue mod Q, which cannot split in
+Q's piece; the per-entry test of that split stays.  Over K
 each candidate must first give the fixed primes their Frobenius orders,
 which it meets as ints: p and its root, None at an inert prime.  The
 search cap counts entries of the whole progression, the skipped ones
@@ -62,12 +65,14 @@ from math import gcd, isqrt, lcm
 
 from .arith import (
     PRIME_LIMIT,
+    SIEVE_PRIMES,
     ResidueField,
     SearchExhausted,
     factor,
     is_prime,
     order_exponent,
     power_residue_level,
+    residue_pattern,
     small_primes,
 )
 from .quadfield import (
@@ -203,6 +208,10 @@ def in_S(ctx, P) -> bool:
     Requires: the l-part of the class of P is trivial, N(P) = 1 mod
     l^(r+t), every unit is an l^(r+t)-th power residue at P, and each
     class-basis generator alpha_i is an l^(m_i)-th power residue at P.
+    A collision with an excluded or basis prime raises first; then the
+    norm, the power residues and, last, the class-form reduction, the
+    dearest of these pure tests of P, so their order changes only the
+    cost of a rejection.
     """
     w = (P.p, P.b)
     if P.p in ctx.excluded or w in ctx.cl.gens:
@@ -210,9 +219,6 @@ def in_S(ctx, P) -> bool:
     kmax = ctx.r + ctx.t
     if (P.norm - 1) % ctx.ell**kmax:
         return False
-    if ctx.field.kind == "imag_quadratic":
-        if any(class_dlog(ctx.field, prime_module(ctx.field, w), ctx.cl)):
-            return False
     fld = local_field(ctx.field, w)
     for u in ctx.units:
         if power_residue_level(reduce_mod(ctx.field, u, w), ctx.ell, kmax, fld) != kmax:
@@ -220,6 +226,8 @@ def in_S(ctx, P) -> bool:
     for alpha, m in zip(ctx.cl.alphas, ctx.cl.exps):
         if power_residue_level(reduce_mod(ctx.field, alpha, w), ctx.ell, m, fld) != m:
             return False
+    if ctx.field.kind == "imag_quadratic":
+        return not any(class_dlog(ctx.field, prime_module(ctx.field, w), ctx.cl))
     return True
 
 
@@ -356,14 +364,15 @@ def _quad_candidates(ctx, n: int):
     return p, (None,)
 
 
-SIEVE_PRIMES = 1 << 12  # the walk strikes multiples of the primes below this
 SIEVE_BLOCK = 1 << 15  # most entries of the walked class sieved at once
 
 
-def _sieved_walk(ctx, step: int, stop: int):
+def _sieved_walk(ctx, step: int, stop: int, conductors=()):
     """The entries n = 1 + M*k <= stop (k >= 1), M = lcm(step, seed
     modulus), with no prime factor p below SIEVE_PRIMES unless n is p or
-    p^2, ascending.
+    p^2, ascending; over Q, from the first block past k = 4Q on, also
+    none that is not an l^r-th power residue mod Q, for each prime Q in
+    conductors.
 
     They are the entries of n = 1 + step*j that can hold a prime of S
     split in the seed: the seed character is injective on n = 1 mod l
@@ -372,14 +381,21 @@ def _sieved_walk(ctx, step: int, stop: int):
     unit -1 to be a square at P.  Each prime p not dividing M, with p^2
     at most a block's last norm, strikes its multiples above p^2.  Blocks
     grow from 64 entries to SIEVE_BLOCK, so that an early conductor stays
-    cheap."""
+    cheap.  search_prime passes the earlier conductors of a rational
+    search: a prime splits in Q's piece only if its norm is such a
+    residue, so Q's residue_pattern, turned to the block's first k,
+    strikes the rest of each block by an AND of ints.  Q joins only once
+    4Q entries are walked, which bounds the (Q - 1)/l^r products its
+    pattern costs by the walk it prunes."""
     M = lcm(step, ctx.seed.modulus)
+    ps = small_primes(SIEVE_PRIMES)
     # p divides 1 + M*k iff k = root mod p; p^2 < 1 + M*k iff k >= low
     strikes = [
         (p, -pow(M, -1, p) % p, (p * p - 1) // M + 1)
-        for p in small_primes(min(SIEVE_PRIMES, isqrt(stop) + 1))
+        for p in ps[: bisect_left(ps, isqrt(stop) + 1)]
         if M % p
     ]
+    waiting, patterns, full = sorted(conductors), [], ctx.ell**ctx.r
     lo, size, end = 1, 64, (stop - 1) // M + 1
     while lo < end:
         hi = min(lo + size, end)
@@ -391,6 +407,20 @@ def _sieved_walk(ctx, step: int, stop: int):
             i = max(lo, low)
             i += (root - i) % p - lo
             block[i::p] = bytes(len(range(i, hi - lo, p)))
+        while waiting and 4 * waiting[0] <= lo:
+            Q = waiting.pop(0)
+            patterns.append((Q, residue_pattern(Q, M, full)))
+        # the patterns turned to k = lo + c, ANDed in as ints of 4096
+        # entries, so that no int is block-sized
+        for c in range(0, hi - lo, 4096) if patterns else ():
+            part = block[c : c + 4096]
+            mask, width = int.from_bytes(part, "little"), len(part)
+            for Q, pattern in patterns:
+                turned = pattern[(lo + c) % Q : (lo + c) % Q + width]
+                while len(turned) < width:
+                    turned += pattern[: width - len(turned)]
+                mask &= int.from_bytes(turned, "little")
+            block[c : c + width] = mask.to_bytes(width, "little")
         yield from compress(range(1 + M * lo, 1 + M * hi, M), block)
         lo, size = hi, min(2 * size, SIEVE_BLOCK)
 
@@ -434,10 +464,14 @@ def search_prime(ctx, pieces, cursor: SearchCursor, target, order: int) -> Condu
     the seed, less the composites other than prime squares with a prime
     factor below SIEVE_PRIMES, struck in C before any per-entry test.  Over
     Q every other condition is a test on the entry n = N(P), run before
-    the primality test.  Over K the entry's quadratic symbol comes first,
-    and is_prime only at or above SIEVE_PRIMES**2 (_quad_candidates);
-    then each candidate, a split or inert prime of norm n coprime to
-    2*l*disc and not a class-basis prime, must give the fixed primes
+    the primality test, and the walk also strikes, from k = 4Q on, the
+    entries that fail the first of them, the split in the piece of an
+    earlier conductor Q: n must be an l^r-th power residue mod Q.  That
+    test still runs on every entry the walk leaves.  Over K the entry's
+    quadratic symbol comes first, and is_prime only at or above
+    SIEVE_PRIMES**2 (_quad_candidates); then each candidate, a split or
+    inert prime of norm n coprime to 2*l*disc and not a class-basis
+    prime, must give the fixed primes
     (those above l other than target, the conductors and target) their
     orders, from generators fetched once per search, then lie in S, then
     leave the conductors split.  A candidate meets the orders as its
@@ -461,7 +495,7 @@ def search_prime(ctx, pieces, cursor: SearchCursor, target, order: int) -> Condu
         step *= 2  # -1 must be a 2^(r+t)-th power residue
     last = 1 + step * cursor.cap
     stop = min(last, PRIME_LIMIT - 1)
-    walk = _sieved_walk(ctx, step, stop)
+    walk = _sieved_walk(ctx, step, stop, [pc.p for pc in pieces] if rational else ())
     if rational:
         # the progression already forces membership in S (the class
         # group is trivial and -1 an l^r-th power residue), so every

@@ -9,6 +9,7 @@ Exit codes: 0 success or pass, 1 usage error, 2 verification failure,
 """
 
 import argparse
+import os
 import sys
 
 from .arith import SearchExhausted, factor
@@ -122,6 +123,11 @@ def _print_places(a: int, b: int, places):
 
 def _cmd_construct(args) -> int:
     field = _parse_field(args.field)
+    # a directory that cannot take --out fails now, not after the search;
+    # the file itself is made only once there is a certificate to write
+    folder = os.path.dirname(args.out) or "."
+    if not os.path.isdir(folder) or not os.access(folder, os.W_OK | os.X_OK):
+        raise OSError(f"cannot write {args.out}: {folder} is not a writable directory")
     build = Config(cap=args.cap)
     # construct and compose_for_n own the n and bound rules
     powers = factor(args.n) if args.n > 1 else ()

@@ -598,6 +598,32 @@ def seed_order(ctx, w: PrimeIdeal):
     return full // gcd(chi[w.norm % m], full)
 
 
+# ---------------------------------------------------- Chebotarev set S
+
+
+def in_S_reference(ctx, P) -> bool:
+    """classfield.in_S as it was with the class-form reduction second,
+    before the power residues: the same conjunction of pure tests of P,
+    each of which the package's in_S still asks."""
+    w = (P.p, P.b)
+    if P.p in ctx.excluded or w in ctx.cl.gens:
+        raise ValueError("candidate collides with an excluded or basis prime")
+    kmax = ctx.r + ctx.t
+    if (P.norm - 1) % ctx.ell**kmax:
+        return False
+    if ctx.field.kind == "imag_quadratic":
+        if any(class_dlog(ctx.field, prime_module(ctx.field, w), ctx.cl)):
+            return False
+    fld = local_field(ctx.field, w)
+    for u in ctx.units:
+        if power_residue_level(reduce_mod(ctx.field, u, w), ctx.ell, kmax, fld) != kmax:
+            return False
+    for alpha, m in zip(ctx.cl.alphas, ctx.cl.exps):
+        if power_residue_level(reduce_mod(ctx.field, alpha, w), ctx.ell, m, fld) != m:
+            return False
+    return True
+
+
 # ---------------------------------------------------- search candidates
 
 

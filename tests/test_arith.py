@@ -6,6 +6,7 @@ import pytest
 
 from constdeg.arith import (
     FOUR_WITNESS_LIMIT,
+    SIEVE_PRIMES,
     ResidueField,
     ell_root,
     factor,
@@ -215,6 +216,36 @@ def test_factor_large_semiprime_rho_path():
 def test_factor_rho_path(m, expected):
     assert factor(m) == expected
     assert factor(m) == expected  # deterministic across calls
+
+
+def test_factor_past_the_trial_table():
+    # factors between the trial table's SIEVE_PRIMES = 2^12 and 10^5,
+    # which trial division to 10^5 used to find, now come from is_prime
+    # and Brent's rho, alone, squared, cubed, in pairs and triples, and
+    # beside small ones; a product of primes, each prime, is the factoring
+    rng = random.Random(36)
+    mid = [p for p in small_primes(100_000) if p > SIEVE_PRIMES]
+    assert mid[0] == 4099
+    cases = [[4099], [4099, 4099], [4099] * 3, [4093, 4099], [99991, 99991], [4099, 99991]]
+    small = small_primes(SIEVE_PRIMES)
+    for _ in range(60):
+        cases.append(rng.sample(mid, rng.randrange(1, 4)) + rng.sample(small, 2))
+    for ps in cases:
+        m = 1
+        for p in ps:
+            m *= p
+        expected = sorted((p, ps.count(p)) for p in set(ps))
+        assert factor(m) == expected, ps
+
+
+def test_factor_adds_one_key_to_the_prime_cache():
+    # one fixed trial table whatever the size of m, so that factoring
+    # never evicts the tables other callers keep in small_primes' cache
+    small_primes.cache_clear()
+    for m in [12, 1001, 4099 * 4111, 10**9 + 7, 2**61 - 1, 3 * 99991**2, *range(2, 3000, 7)]:
+        factor(m)
+    assert small_primes.cache_info().currsize == 1
+    assert small_primes(SIEVE_PRIMES) is small_primes(SIEVE_PRIMES)
 
 
 # ---------------------------------------------------------------- fields

@@ -13,6 +13,7 @@ from constdeg.arith import (
     factor,
     is_prime,
     power_residue_level,
+    residue_pattern,
     small_primes,
 )
 from constdeg.classfield import (
@@ -508,6 +509,31 @@ def test_in_s_quad_inert_member_over_k4():
             assert not in_S(ctx, P)
 
 
+def membership(test, ctx, P):
+    try:
+        return test(ctx, P)
+    except ValueError:
+        return "raises"
+
+
+@pytest.mark.parametrize("disc,ell", [(-23, 3), (-56, 2)])
+def test_in_s_matches_the_class_form_first_reference(disc, ell):
+    # in_S asks the power residues before the class-form reduction; the
+    # verdict, or the collision raise, is the reference's at every split
+    # and inert prime of norm up to 2*10^5
+    field = quadratic_field(disc)
+    ctx = build_context(field, ell, 1)
+    tally = {}
+    for p, b in enumerate_field_primes(field, 200_000):
+        if disc % p == 0:
+            continue  # ramified
+        P = Conductor(p, b, p * p if b is None else p)
+        got = membership(in_S, ctx, P)
+        assert got == membership(oracles.in_S_reference, ctx, P), P
+        tally[got] = tally.get(got, 0) + 1
+    assert tally[True] > 100 and tally[False] > 1000 and tally.get("raises"), tally
+
+
 # --------------------------------------------------------------- search
 
 
@@ -972,6 +998,59 @@ def test_sieved_walk_matches_brute_force(monkeypatch, field, ell, cap, block):
         assert small in ([], [isqrt(n)]), n  # n is prime or a prime square
     assert walk == wanted  # and the seed admits it
     assert any(isqrt(n) ** 2 == n for n in walk)  # a prime square survives
+
+
+def test_residue_pattern_is_the_piece_split_test():
+    # at each k mod Q the pattern is the test search_prime runs on the
+    # norm 1 + M*k: an l^r-th power residue mod the earlier conductor Q
+    checked = 0
+    for ell in (2, 3, 5, 13):
+        for r in (1, 2, 3):
+            ctx = build_context(RATIONAL, ell, r)
+            full, M = ell**r, lcm(_walk_step(ctx), ctx.seed.modulus)
+            for Q in small_primes(3000):
+                if Q % full != 1:
+                    continue
+                e = (Q - 1) // full
+                expected = [int(pow(1 + M * k, e, Q) == 1) for k in range(Q)]
+                assert list(residue_pattern(Q, M, full)) == expected, (Q, M, full)
+                checked += 1
+    assert checked > 1000
+
+
+Q3_CONDUCTORS = [271, 919, 24877, 25471]  # the first four of Q n=3 B=5000
+
+
+def test_q3_conductors_begin_the_pieces_of_q_n3_b5000():
+    cert = construct(RATIONAL, 3, 1, 5000)
+    assert [pc["p"] for pc in cert["pieces"]][:4] == Q3_CONDUCTORS
+
+
+@pytest.mark.parametrize("block", [classfield.SIEVE_BLOCK, 256])
+def test_patterned_walk_is_the_walk_filtered_by_the_piece_tests(monkeypatch, block):
+    # each earlier conductor Q joins the walk past k = 4Q and strikes only
+    # entries that its piece test, which search_prime still runs, rejects:
+    # both walks give the same entries to the per-entry tests, and once
+    # every Q has joined the patterned walk is the filtered one
+    monkeypatch.setattr(classfield, "SIEVE_BLOCK", block)
+    ctx = build_context(RATIONAL, 3, 1)
+    step, M = _walk_step(ctx), 9
+    assert lcm(step, ctx.seed.modulus) == M
+    stop = 1 + M * 200_000  # past 4 * 25471 and two blocks of 2^15 beyond
+
+    def splits(n):
+        return all(pow(n, (Q - 1) // 3, Q) == 1 for Q in Q3_CONDUCTORS)
+
+    plain = list(classfield._sieved_walk(ctx, step, stop))
+    patterned = list(classfield._sieved_walk(ctx, step, stop, Q3_CONDUCTORS))
+    assert set(patterned) <= set(plain) and len(patterned) < len(plain) // 2
+    assert [n for n in patterned if splits(n)] == [n for n in plain if splits(n)]
+    joined = 1 + M * 4 * max(Q3_CONDUCTORS)
+    tail = [n for n in patterned if n > joined + M * block]
+    assert tail and tail == [n for n in plain if n > joined + M * block and splits(n)]
+    # the walk strikes nothing before a conductor joins
+    first = 1 + M * 4 * min(Q3_CONDUCTORS)
+    assert [n for n in patterned if n < first] == [n for n in plain if n < first]
 
 
 @pytest.mark.parametrize(

@@ -110,6 +110,24 @@ def test_construct_into_a_missing_directory_exits_1(tmp_path, capsys):
     assert not out.parent.exists()
 
 
+@pytest.mark.parametrize("where", ["missing/x.json", "missing/deeper/x.json"])
+def test_construct_checks_the_out_directory_before_the_search(
+    tmp_path, capsys, monkeypatch, where
+):
+    # a search that ran would raise here; the directory check comes first
+    from constdeg import constructor
+
+    def no_search(*args):
+        raise AssertionError("the search ran before the --out check")
+
+    monkeypatch.setattr(constructor, "search_prime", no_search)
+    out = tmp_path / where
+    assert run(["construct", "--field", "q", "--n", "3", "--bound", "100", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and "Traceback" not in captured.err
+    assert captured.out == "" and list(tmp_path.iterdir()) == []
+
+
 def test_verify_garbage_file(tmp_path, capsys):
     path = tmp_path / "junk.json"
     path.write_text("{not json")
