@@ -1,22 +1,21 @@
 """Independent re-checking of certificates, plus the quaternion demo.
 
 parse_certificate only parses JSON.  verify() trusts nothing but the
-document: it checks its structure, each table row once (as
-brauer_split_check does), rebuilds the class group data, the seed
-piece, and the ray pieces from the recorded conductors, recomputes
-every local degree with the fold the constructor uses
-(classfield.DegreeFold, which asks each piece for its Frobenius orders
-only at the rows whose unramified part is still short), and checks the
-certificate's one claim: degree n at every finite prime of norm up to
-the bound, each with its table row, and no other rows.
+document: it checks its structure and each table row once, rebuilds
+the class group data, the seed piece, and the ray pieces from the
+recorded conductors, recomputes every local degree with the fold the
+constructor uses (classfield.DegreeFold, which asks each piece for its
+Frobenius orders only at the rows whose unramified part is still
+short), and checks the certificate's one claim: degree n at every
+finite prime of norm up to the bound, the i-th in row i, and no other rows.
 Plain and composite documents share one table walk; a composite's
 components are each verified at their own ell^r, so every composite row
 is their product n.  Any disagreement raises MismatchFound carrying the
 offending place and both values.
 
 The n = 2 consequence is concrete: a quaternion algebra (a, b) over Q is
-split by any field whose local degree is 2 at every place where the
-algebra ramifies, and those places are computed with Hilbert symbols.
+split by any field of local degree 2 wherever it ramifies (places from
+Hilbert symbols); brauer_split_check answers after verify passes there.
 """
 
 import json
@@ -63,8 +62,8 @@ class RamifiedPlaceOutOfRange(Exception):
 
 class InvalidRequest(ValueError):
     """A question the certificate cannot answer: a verify bound below 2
-    or above its own, or a splitting check of a certificate that is not
-    n = 2 over Q."""
+    or above its own, a splitting check of a certificate that is not
+    n = 2 over Q, or an a or b that arith.factor cannot factor."""
 
 
 # ------------------------------------------------------------ reports
@@ -138,7 +137,7 @@ def _check_field(fj):
 
 def _check_coverage(doc):
     """The keys a plain document and a composite wrapper share: field,
-    bound, the table list (_rows reads its rows) and the real place."""
+    bound, the table list (_check_rows reads its rows) and the real place."""
     _check_field(doc["field"])
     _need(_int(doc["bound"]) and doc["bound"] >= 2, "bound must be an integer >= 2")
     _need(isinstance(doc["table"], list) and doc["table"], "table must be a nonempty list")
@@ -146,10 +145,12 @@ def _check_coverage(doc):
     _need(rpd is None or _int(rpd), "real_place_degree must be an integer or null")
 
 
-def _rows(doc, plain: bool) -> dict:
-    """doc's table rows keyed by (p, b); every row, however small the
-    bound, must be well formed (plain rows name a ramified component)."""
-    rows = {}
+def _check_rows(doc, plain: bool):
+    """Each row of doc's table, at any bound: well formed (plain rows name
+    a ramified component), of norm <= doc's bound, and past the last row as
+    enumerate_field_primes orders them: by norm (p^2 at (p, None) over K),
+    then root, None first."""
+    square, bound, last = doc["field"]["kind"] != "rational", doc["bound"], ()
     for row in doc["table"]:
         _need(isinstance(row, dict), "table rows must be objects")
         _check_prime_ref(row.get("prime"), "table prime")
@@ -159,11 +160,12 @@ def _rows(doc, plain: bool) -> dict:
         )
         rc = row.get("ramified_component", "missing") if plain else None
         _need(rc is None or _int(rc), "ramified_component must be an index or null")
-        key = tuple(row["prime"])
-        if key in rows:
-            raise MalformedCertificate(f"duplicate table row for prime {list(key)}")
-        rows[key] = row
-    return rows
+        p, b = row["prime"]
+        key = (p * p if b is None and square else p, -1 if b is None else b)
+        if key <= last or key[0] > bound:
+            fault = "is out of order" if key <= last else f"is not a prime of norm <= {bound}"
+            raise MalformedCertificate(f"table row for {row['prime']} {fault}")
+        last = key
 
 
 def _check_schema(cert):
@@ -319,15 +321,15 @@ def _effective_bound(cert_bound, requested):
     return requested
 
 
-def _walk_table(field, doc, unread, bound, n, degrees):
+def _walk_table(field, doc, bound, n, degrees):
     """The primes of doc's table rechecked up to bound, and its real
-    place: every prime w of norm <= bound, a (p, b) pair of
-    enumerate_field_primes, needs a row, which the walk pops from unread
-    (doc's _rows, keyed by the same pairs); its degree, from a (ramified, factor,
-    degree) triple as local_degree returns, must be the claimed n, and
-    the row's degree and ramified component (absent on composite rows)
-    must match it.  Walked to doc's own bound, every row must have been
-    matched.
+    place: row i must name the i-th prime w, a (p, b) pair of
+    enumerate_field_primes, for each w of norm <= bound (rows ascend, so
+    a row in w's place that names a prime leaves w without one); w's
+    degree, from a (ramified, factor, degree) triple as local_degree
+    returns, must be the claimed n, and the row's degree and ramified
+    component (absent on composite rows) must match it.  Walked to doc's
+    own bound, no row is left over.
 
     Primes are walked in segments of norm (lo, hi], each four times the
     last, so the work up to the first missing row is bounded by the
@@ -336,15 +338,20 @@ def _walk_table(field, doc, unread, bound, n, degrees):
     walked in one segment up to bound.  degrees(ws) yields the triples
     of a segment's primes ws in order, folded at most a few hundred rows
     ahead of the walk, so the first failing row raises."""
+    table = doc["table"]
     primes = []
-    R = len(unread)
+    R = len(table)
     lo, hi = 0, min(bound, max(4096, 2 * R * R.bit_length()))
     while lo < bound:
-        # the primes of norm <= lo are the ones already walked
-        ws = enumerate_field_primes(field, hi)[len(primes) :]
-        for w, (ram, _, total) in zip(ws, degrees(ws)):
-            row = unread.pop(w, None)
-            if row is None:
+        # the primes of norm <= lo are the ones already walked, one per row
+        walked = len(primes)
+        ws = enumerate_field_primes(field, hi)[walked:]
+        for w, row, (ram, _, total) in zip(ws, table[walked:], degrees(ws)):
+            if tuple(row["prime"]) != w:
+                try:
+                    _lookup_prime(field, *row["prime"])
+                except MalformedCertificate as exc:  # it names no prime
+                    raise MalformedCertificate(f"table row for {row['prime']}: {exc}") from None
                 raise MalformedCertificate(f"table has no row for prime ({w[0]},{w[1]})")
             if total != n:
                 raise MismatchFound(f"prime ({w[0]},{w[1]})", n, total)
@@ -354,11 +361,12 @@ def _walk_table(field, doc, unread, bound, n, degrees):
             if claimed_ram != ram:
                 raise MismatchFound(f"ramified component at ({w[0]},{w[1]})", claimed_ram, ram)
             primes.append(w)
+        if len(ws) > R - walked:  # the table ends inside the segment
+            w = ws[R - walked]
+            raise MalformedCertificate(f"table has no row for prime ({w[0]},{w[1]})")
         lo, hi = hi, min(bound, 4 * hi)
-    if unread and bound == doc["bound"]:
-        raise MalformedCertificate(
-            f"table row for {list(next(iter(unread)))} is not a prime of norm <= {bound}"
-        )
+    if len(primes) < R and bound == doc["bound"]:  # rows ascend, up to doc's bound
+        raise MalformedCertificate(f"table row for {table[len(primes)]['prime']} names no prime")
     expected_real = real_place_degree(field, n)
     _match("real place", doc["real_place_degree"], expected_real)
     return primes, expected_real
@@ -366,15 +374,15 @@ def _walk_table(field, doc, unread, bound, n, degrees):
 
 def _verify_plain(cert, bound):
     start = time.perf_counter()
-    rows = _rows(cert, plain=True)
+    _check_rows(cert, plain=True)
     ctx, pieces = _rebuild(cert)
     n = ctx.seed.degree  # ell^r
-    primes, real = _walk_table(ctx.field, cert, rows, bound, n, partial(local_degrees, ctx, pieces))
+    primes, real = _walk_table(ctx.field, cert, bound, n, partial(local_degrees, ctx, pieces))
     return VerificationReport(primes, n, real, time.perf_counter() - start)
 
 
 def _verify_composite(comp, b):
-    rows = _rows(comp, plain=False)
+    _check_rows(comp, plain=False)
     field = _field_of(comp["field"])
     ells = [sub["ell"] for sub in comp["components"]]
     _need(len(set(ells)) == len(ells), "components must use distinct primes ell")
@@ -387,7 +395,7 @@ def _verify_composite(comp, b):
         subreports.append(rep)
         n *= rep.degree
     _match("composite exponent n", comp["n"], n)
-    primes, real = _walk_table(field, comp, rows, b, n, lambda ws: repeat((None, 1, n)))
+    primes, real = _walk_table(field, comp, b, n, lambda ws: repeat((None, 1, n)))
     return VerificationReport(primes, n, real, 0.0, subreports)
 
 
@@ -397,7 +405,7 @@ def verify(cert: dict, bound: int = None) -> VerificationReport:
     which the requested bound must not exceed).
 
     Raises MalformedCertificate for structural defects, in every table
-    row and for rows the walk to the certificate's own bound misses, and
+    row (its order included) and for rows the walk misses, and
     MismatchFound as soon as a recomputed value disagrees with n or with
     a claim, so a returned report always records a pass.
     """
@@ -440,8 +448,11 @@ def _symbol(a, b, place):
 
 def _support(a, b):
     ps = {2}
-    for n in (a, b):
-        ps.update(p for p, _ in factor(abs(n)))
+    for name, n in (("a", a), ("b", b)):
+        try:
+            ps.update(p for p, _ in factor(abs(n)))
+        except ValueError:  # is_prime's range ends at 2**64
+            raise InvalidRequest(f"cannot factor {name} = {n}: a cofactor >= 2**64") from None
     return sorted(ps)
 
 
@@ -484,31 +495,19 @@ class QuaternionAlgebra(namedtuple("QuaternionAlgebra", "a b")):
 
 
 def brauer_split_check(cert: dict, algebra: QuaternionAlgebra):
-    """Does the certified field split the algebra?
-
-    Returns (split, places): split is true iff the certificate claims
-    local degree 2 at every finite ramified place of the algebra and,
-    when the real place ramifies, real-place degree 2.  Claims are read
-    as recorded; run verify first if they are untrusted.
-    """
-    # the splitting criterion needs exponent 2 over the rationals;
-    # accept the plain certificate or its composite wrapping
-    doc = _check(cert)
-    rows = _rows(doc, plain=doc is cert)
-    for sub in [] if doc is cert else doc["components"]:
-        _rows(sub, plain=True)  # unread, but a malformed row rejects the document
+    """Does the certified field split the algebra?  Returns (split,
+    places), places as ramified_places gives them, after verify passes up
+    to the largest finite place in it (2 if none), so split is always
+    true.  A finite place past the bound raises RamifiedPlaceOutOfRange."""
+    doc = _check(cert)  # plain, or n = 2 in its composite wrapping
     n2 = (doc["ell"], doc["r"]) == (2, 1) if doc is cert else doc["n"] == 2
     if doc["field"]["kind"] != "rational" or not n2:
         raise InvalidRequest("splitting check needs an n = 2 certificate over the rationals")
     places = ramified_places(algebra.a, algebra.b)
-    split = True
-    for v in places:
-        if v == REAL_PLACE:
-            split = split and doc["real_place_degree"] == 2
-            continue
-        if v > doc["bound"]:
-            raise RamifiedPlaceOutOfRange(
-                f"algebra ramified at {v}, beyond the certificate bound {doc['bound']}"
-            )
-        split = split and rows.get((v, None), {}).get("degree") == 2
-    return split, places
+    top = max((v for v in places if v != REAL_PLACE), default=2)
+    if top > doc["bound"]:
+        raise RamifiedPlaceOutOfRange(
+            f"algebra ramified at {top}, beyond the certificate bound {doc['bound']}"
+        )
+    verify(cert, top)
+    return True, places

@@ -459,7 +459,8 @@ def test_brauer_split_subcommand(tmp_path, capsys):
     forged = tmp_path / "forged.json"
     forged.write_text(json.dumps(cert))
     assert run(["brauer-split", str(forged), "--a", "-1", "--b", "-1"]) == 2
-    assert "splits: no" in capsys.readouterr().out
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("verification failure: at real place:")
 
     assert run(["brauer-split", str(path), "--a", "-1", "--b", "103"]) == 1
     assert "beyond the certificate bound" in capsys.readouterr().err
@@ -473,6 +474,35 @@ def test_brauer_split_usage_errors(capsys):
     for a, b in (("0", "-1"), ("-1", "0")):
         assert run(["brauer-split", str(FIXTURES / "q_n2_b100.json"), "--a", a, "--b", b]) == 1
         assert "must be nonzero" in capsys.readouterr().err
+
+
+def test_brauer_split_verifies_a_forged_document_first(tmp_path, capsys):
+    # (-1,-3) ramifies at 3 and the real place; a table cut to the rows
+    # for 2 and 3, with no pieces, still claims degree 2 at 3, where the
+    # seed alone gives degree 1
+    cert = json.loads((FIXTURES / "q_n2_b100.json").read_text(encoding="utf-8"))
+    cert["pieces"] = []
+    cert["table"] = [row for row in cert["table"] if row["prime"] in ([2, None], [3, None])]
+    forged = tmp_path / "forged.json"
+    forged.write_text(json.dumps(cert), encoding="utf-8")
+    assert run(["brauer-split", str(forged), "--a", "-1", "--b", "-3"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "verification failure: at prime (3,None): certificate claims 2, recomputed 1\n"
+
+
+# 2**65 + 131 leaves factor a cofactor of 2**64 or more after trial division
+UNFACTORABLE = "36893488147419103363"
+
+
+def test_an_argument_factor_cannot_factor_exits_1(capsys):
+    path = str(FIXTURES / "q_n2_b100.json")
+    message = f"error: cannot factor a = {UNFACTORABLE}: a cofactor >= 2**64\n"
+    for argv in (["hilbert"], ["brauer-split", path]):
+        assert run(argv + ["--a", UNFACTORABLE, "--b", "-1"]) == 1, argv
+        assert capsys.readouterr().err == message, argv
+    assert run(["hilbert", "--a", "-1", "--b", "-" + UNFACTORABLE]) == 1
+    assert capsys.readouterr().err == f"error: cannot factor b = -{UNFACTORABLE}: a cofactor >= 2**64\n"
 
 
 def test_a_value_error_inside_verify_or_brauer_split_exits_4(monkeypatch, capsys):

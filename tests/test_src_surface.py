@@ -8,6 +8,9 @@ belongs in tests/oracles.py.
 
 Importing constdeg loads no standard-library module beyond the few it
 computes with, since every constdeg process pays for the import first.
+Each module stays below 4096 tokens, past which CPython's parser doubles
+its token array to 8192 entries, since a process that compiles the
+module from source pays for that array.
 """
 
 import ast
@@ -15,6 +18,7 @@ import os
 import re
 import subprocess
 import sys
+import tokenize
 from pathlib import Path
 
 import constdeg
@@ -165,3 +169,28 @@ def test_import_census_sees_every_import_form(tmp_path):
     assert imported_modules(tmp_path) == [
         ("a", "__future__"), ("a", "os"), ("a", "random"), ("a", "dataclasses")
     ]
+
+
+# CPython's parser doubles its token array when full; the doubling past
+# this count made compile() of classfield.py peak 0.3 MB higher
+PARSER_TOKENS = 4096
+
+
+def code_tokens(path) -> int:
+    """Tokens of path as tokenize counts them, comments and blank-line
+    NLs left out."""
+    with open(path, encoding="utf-8") as fh:
+        skip = (tokenize.COMMENT, tokenize.NL)
+        return sum(tok.type not in skip for tok in tokenize.generate_tokens(fh.readline))
+
+
+def test_every_module_fits_the_parsers_first_token_array():
+    counts = {path.name: code_tokens(path) for path in sorted(SRC.glob("*.py"))}
+    assert {name: n for name, n in counts.items() if n >= PARSER_TOKENS} == {}
+
+
+def test_token_count_leaves_out_comments_and_blank_lines(tmp_path):
+    path = tmp_path / "a.py"
+    path.write_text("# note\n\nx = 1  # why\n", encoding="utf-8")
+    # NAME, OP, NUMBER, NEWLINE, ENDMARKER
+    assert code_tokens(path) == 5

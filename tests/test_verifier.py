@@ -531,8 +531,8 @@ def brauer(c):
 
 
 # Rows that compare equal to good values (2.0 == 2, True == 1, and
-# (2.0, None) hashes like (2, None)) are rejected by type, and no prime
-# may have two rows.  Each fault sits in the row for 17, a piece's
+# (2.0, None) equals (2, None)) are rejected by type, and no prime may
+# have two rows.  Each fault sits in the row for 17, a piece's
 # conductor, so a walk to bound 10 stops before it.
 @pytest.mark.parametrize(
     "edit, message",
@@ -542,7 +542,7 @@ def brauer(c):
         (lambda row: {**row, "ramified_component": True}, RC_MESSAGE),
         (lambda row: {k: v for k, v in row.items() if k != "ramified_component"}, RC_MESSAGE),
         (lambda row: list(row.values()), "table rows must be objects"),
-        (lambda row: {**row, "prime": [2, None]}, "duplicate table row for prime [2, None]"),
+        (lambda row: {**row, "prime": [2, None]}, "table row for [2, None] is out of order"),
     ],
     ids=["degree-float", "prime-float", "rc-true", "rc-missing", "non-object", "duplicate"],
 )
@@ -560,16 +560,91 @@ def test_rows_equal_to_good_values_rejected(edit, message, check):
     assert str(ei.value) == message
 
 
-@pytest.mark.parametrize("cert", [CERT2, COMP6], ids=["plain", "composite"])
-def test_bad_row_rejected_before_context_is_built(monkeypatch, cert):
+# Table faults: each edits a table and returns verify's message.  All but
+# degree_float act at row 3 or later (row 3 is 7 over Q, the second prime
+# of norm 3 over K(-23)), so a requested bound of 2 stops the walk first.
+def degree_float(table):
+    table[-1]["degree"] = 2.0
+    return "table degree must be a positive integer"
+
+
+def rows_swapped(table):
+    table[3], table[4] = table[4], table[3]
+    return f"table row for {table[4]['prime']} is out of order"
+
+
+def row_repeated(table):
+    table.insert(5, dict(table[3]))
+    return f"table row for {table[3]['prime']} is out of order"
+
+
+def trailing_row(prime, bound):
+    def edit(table):
+        table.append({**table[-1], "prime": prime})
+        return f"table row for {prime} is not a prime of norm <= {bound}"
+
+    return edit
+
+
+def row_dropped(table):
+    p, b = table.pop(3)["prime"]
+    return f"table has no row for prime ({p},{b})"
+
+
+def non_prime_in_order(table):
+    # no prime has norm 8 over Q or 4 over K(-23); both lie between rows 3
+    # and 4
+    p = table[3]["prime"][0] + 1
+    table.insert(4, {**table[3], "prime": [p, 1]})
+    return f"table row for {[p, 1]}: {p} is not a prime below 2**64"
+
+
+ORDERED = [(CERT2, [101, None], 100), (COMP6, [23, None], 20), (CERT23, [59, 53], 50)]
+ORDERED_IDS = ["plain", "composite", "k23"]
+
+
+@pytest.mark.parametrize(
+    "cert, fault, bound",
+    [(CERT2, degree_float, None), (COMP6, degree_float, None)]
+    + [
+        (cert, fault, bound)
+        for cert, prime, top in ORDERED
+        for fault in (rows_swapped, row_repeated, trailing_row(prime, top))
+        for bound in (None, 2)
+    ],
+    ids=["plain", "composite"]
+    + [
+        f"{name}-{fault}-{at}"
+        for name in ORDERED_IDS
+        for fault in ("swapped", "repeated", "trailing")
+        for at in ("own-bound", "bound-2")
+    ],
+)
+def test_bad_row_rejected_before_context_is_built(monkeypatch, cert, fault, bound):
+    # shape and order faults raise at any bound, before the context is built
     def build_context(*args):
         raise AssertionError("build_context ran before the table rows were read")
 
     monkeypatch.setattr(verifier, "build_context", build_context)
     c = copy.deepcopy(cert)
-    c.get("composite", c)["table"][-1]["degree"] = 2.0
-    with pytest.raises(MalformedCertificate, match="table degree"):
+    message = fault(c.get("composite", c)["table"])
+    with pytest.raises(MalformedCertificate) as ei:
+        verify(c, bound)
+    assert str(ei.value) == message
+
+
+@pytest.mark.parametrize("fault", [row_dropped, non_prime_in_order], ids=["dropped", "non-prime"])
+@pytest.mark.parametrize("cert", [cert for cert, _, _ in ORDERED], ids=ORDERED_IDS)
+def test_row_i_names_the_ith_prime(cert, fault):
+    # a table in order may still miss a prime or name a non-prime, which
+    # the walk finds at its row; a walk to a smaller bound rechecks only
+    # the rows up to it, the others only for shape and order
+    c = copy.deepcopy(cert)
+    message = fault(c.get("composite", c)["table"])
+    with pytest.raises(MalformedCertificate) as ei:
         verify(c)
+    assert str(ei.value) == message
+    assert verify(c, 2).primes == verify(cert, 2).primes
 
 
 def prime_refs(doc):
@@ -759,10 +834,31 @@ def test_brauer_split_vacuous():
 
 def test_brauer_forged_real_place_record():
     c = copy.deepcopy(CERT2)
-    c["real_place_degree"] = 1  # brauer trusts the record as written
-    split, places = brauer_split_check(c, QuaternionAlgebra(-1, -1))
-    assert split is False
-    assert places == [2, "inf"]
+    c["real_place_degree"] = 1  # brauer verifies the record before it answers
+    with pytest.raises(MismatchFound) as ei:
+        brauer_split_check(c, QuaternionAlgebra(-1, -1))
+    assert (ei.value.place, ei.value.claimed, ei.value.recomputed) == ("real place", 1, 2)
+
+
+def test_brauer_verifies_the_document_first():
+    # (-1,-3) ramifies at 3 and the real place; with no pieces the seed
+    # alone gives degree 1 at 3, and rows for 2 and 3 do not hide it
+    c = copy.deepcopy(CERT2)
+    c["pieces"] = []
+    c["table"] = c["table"][:2]
+    with pytest.raises(MismatchFound) as ei:
+        brauer_split_check(c, QuaternionAlgebra(-1, -3))
+    assert (ei.value.place, ei.value.claimed, ei.value.recomputed) == ("prime (3,None)", 2, 1)
+
+
+def test_brauer_verifies_up_to_the_largest_ramified_place():
+    # a wrong row past 3 is beyond the walk for (-1,-3), but not for (-1,-7)
+    c = copy.deepcopy(CERT2)
+    assert c["table"][3]["prime"] == [7, None]
+    c["table"][3]["degree"] = 1
+    assert brauer_split_check(c, QuaternionAlgebra(-1, -3)) == (True, [3, "inf"])
+    with pytest.raises(MismatchFound, match=r"^at prime \(7,None\)"):
+        brauer_split_check(c, QuaternionAlgebra(-1, -7))
 
 
 def test_brauer_ramified_beyond_bound():
