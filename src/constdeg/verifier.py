@@ -374,7 +374,6 @@ def _walk_table(field, doc, bound, n, degrees):
 
 def _verify_plain(cert, bound):
     start = time.perf_counter()
-    _check_rows(cert, plain=True)
     ctx, pieces = _rebuild(cert)
     n = ctx.seed.degree  # ell^r
     primes, real = _walk_table(ctx.field, cert, bound, n, partial(local_degrees, ctx, pieces))
@@ -382,7 +381,6 @@ def _verify_plain(cert, bound):
 
 
 def _verify_composite(comp, b):
-    _check_rows(comp, plain=False)
     field = _field_of(comp["field"])
     ells = [sub["ell"] for sub in comp["components"]]
     _need(len(set(ells)) == len(ells), "components must use distinct primes ell")
@@ -411,8 +409,16 @@ def verify(cert: dict, bound: int = None) -> VerificationReport:
     """
     start = time.perf_counter()
     doc = _check(cert)
-    recheck = _verify_plain if doc is cert else _verify_composite
-    report = recheck(doc, _effective_bound(doc["bound"], bound))
+    bound = _effective_bound(doc["bound"], bound)
+    # every table's rows, before the first context is built
+    if doc is cert:
+        _check_rows(cert, plain=True)
+        report = _verify_plain(cert, bound)
+    else:
+        _check_rows(doc, plain=False)
+        for sub in doc["components"]:
+            _check_rows(sub, plain=True)
+        report = _verify_composite(doc, bound)
     report.elapsed = time.perf_counter() - start
     return report
 
@@ -461,8 +467,10 @@ def hilbert_symbol(a: int, b: int, place):
     has a nontrivial local solution there.  place is a rational prime or
     the string "inf" for the real place.  It is -1 exactly at the
     ramified_places of (a, b), which assert the product formula."""
-    if place != REAL_PLACE and not (isinstance(place, int) and is_prime(place)):
-        raise ValueError(f"place must be a prime or {REAL_PLACE!r}")
+    if place != REAL_PLACE and not (
+        isinstance(place, int) and 2 <= place < PRIME_LIMIT and is_prime(place)
+    ):
+        raise ValueError(f"place must be a prime below 2**64 or {REAL_PLACE!r}")
     return -1 if place in ramified_places(a, b) else 1
 
 

@@ -28,7 +28,10 @@ None of this runs in the package itself:
   * kprime: m * (m^-1 mod l^(r+t)), m the prime-to-l part of the class
     number, the exponent of the references below;
   * kummer_generator and kummer_split_test: the Kummer-level oracle of
-    acceptance criterion 5 for classfield.frobenius_order_in_ray_piece;
+    acceptance criterion 5 for classfield.frobenius_order_in_ray_piece,
+    its power of q by ideal_power, square and multiply over
+    ideal_product, its generator checked by principal_ideal, and the
+    last power, prime to l, taken by elt_power on the element;
   * class_correction through reference_image: the root-based splitting
     map, the reference that acceptance criterion 6 and the
     choice-invariance tests compare classfield.conductor_image against;
@@ -199,10 +202,15 @@ def field_root(x, ell: int, field: ResidueField):
 
 
 def _xgcd(a, b):
-    if b == 0:
-        return a, 1, 0
-    g, x, y = _xgcd(b, a % b)
-    return g, y, x - (a // b) * y
+    # (g, x, y) with a*x + b*y = g; iterative, as a power of a prime
+    # ideal has entries of thousands of digits
+    x0, y0, x1, y1 = 1, 0, 0, 1
+    while b:
+        q = a // b
+        a, b = b, a - q * b
+        x0, x1 = x1, x0 - q * x1
+        y0, y1 = y1, y0 - q * y1
+    return a, x0, y0
 
 
 def ideal_from_columns(field, cols):
@@ -231,6 +239,29 @@ def ideal_product(field, I, J) -> tuple:
     # the HNF of the four products of the Z-bases [g*a, g*(b+sqrt D)/2]
     basis = [[(2 * g * a, 0), (g * b, g)] for g, a, b in (I, J)]
     return ideal_from_columns(field, [elt_mul(field, u, v) for u in basis[0] for v in basis[1]])
+
+
+def ideal_power(field, I, e: int) -> tuple:
+    """I^e for e >= 1 by square and multiply over ideal_product, the
+    reference route beside quadfield.ideal_pow."""
+    result = None
+    while True:
+        if e & 1:
+            result = I if result is None else ideal_product(field, result, I)
+        e >>= 1
+        if not e:
+            return result
+        I = ideal_product(field, I, I)
+
+
+def elt_power(field, u, e: int):
+    """u^e for e >= 1 by square and multiply over elt_mul."""
+    result = u
+    for bit in bin(e)[3:]:
+        result = elt_mul(field, result, result)
+        if bit == "1":
+            result = elt_mul(field, result, u)
+    return result
 
 
 def ideal_contains(I, u) -> bool:
@@ -300,11 +331,12 @@ def kummer_generator(ctx, q: PrimeIdeal):
                 ci //= ctx.ell
                 v += 1
             m = max(m, mi - v)
-    alpha = principal_generator(
-        ctx.field,
-        ideal_pow(ctx.field, prime_module(ctx.field, pair(q)), kprime(ctx) * ctx.ell**m),
-    )
-    return alpha, m
+    # q^(m_c * l^m), m_c = ctx.cl.coprime_part, is principal; its
+    # generator to the power kprime / m_c generates q^(kprime * l^m)
+    J = ideal_power(ctx.field, prime_module(ctx.field, pair(q)), ctx.cl.coprime_part * ctx.ell**m)
+    gamma = principal_generator(ctx.field, J)
+    assert principal_ideal(ctx.field, gamma) == J, (pair(q), gamma)
+    return elt_power(ctx.field, gamma, kprime(ctx) // ctx.cl.coprime_part), m
 
 
 def kummer_split_test(ctx, P: PrimeIdeal, alpha, k: int) -> bool:

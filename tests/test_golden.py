@@ -12,48 +12,37 @@ the residue field's basis sqrt(D) is not the least one), K(-9999935)
 n=2 B=30 (a class basis of orders 16, 2 and 2, the greedy rule's pick
 among mixed orders) and K(-23) n=3 B=200 (l = 3, where t = 1, so each
 search image has exponent (N - 1)/9 and could escape the degree-3
-piece).  Construct must reproduce them byte for byte, so
-certificates cannot change unnoticed, and each must verify.  Every
-mutant of each but K(-9999935), whose mutants rebuild a slow class
-group, must either fail verification with MalformedCertificate or
-MismatchFound or verify to the same report; any other exception is a verifier bug.  certificate_json
-must write every mutant exactly as json.dumps(..., indent=2) does,
-including rows outside construct's two shapes.
+piece).  tests/pins.json pins each of them to its file, so construct
+must reproduce them byte for byte (tests/test_pins.py), and each must
+verify.  Every mutant of each but K(-9999935), whose mutants rebuild a
+slow class group, must either fail verification with
+MalformedCertificate or MismatchFound or verify to the same report; any
+other exception is a verifier bug.  certificate_json must write every
+mutant exactly as json.dumps(..., indent=2) does, including rows outside
+construct's two shapes.
 """
 
 import copy
 import json
 import random
 import time
-from pathlib import Path
 
 import pytest
 
+import pins
 from constdeg import (
-    RATIONAL,
     MalformedCertificate,
     MismatchFound,
     certificate_json,
-    compose_for_n,
-    construct,
     parse_certificate,
-    quadratic_field,
     verify,
 )
 from oracles import least_nonresidue
 
-FIXTURES = Path(__file__).resolve().parent / "fixtures"
+FIXTURES = pins.FIXTURES
 
-GOLDEN = {
-    "q_n2_b100.json": lambda: construct(RATIONAL, 2, 1, 100),
-    "q_n6_b20.json": lambda: compose_for_n(RATIONAL, 6, 20),
-    "k-8_n2_b200.json": lambda: construct(quadratic_field(-8), 2, 1, 200),
-    "k-23_n4_b50.json": lambda: construct(quadratic_field(-23), 2, 2, 50),
-    "k-23_n8_b50.json": lambda: construct(quadratic_field(-23), 2, 3, 50),
-    "k-56_n4_b200.json": lambda: construct(quadratic_field(-56), 2, 2, 200),
-    "k-9999935_n2_b30.json": lambda: construct(quadratic_field(-9999935), 2, 1, 30),
-    "k-23_n3_b200.json": lambda: construct(quadratic_field(-23), 3, 1, 200),
-}
+# the fixture each manifest entry pins, by file name
+GOLDEN = {entry["fixture"]: entry for entry in pins.ENTRIES if "fixture" in entry}
 
 # each mutant of these rebuilds a class group of about 0.5 s
 SLOW = {"k-9999935_n2_b30.json"}
@@ -63,9 +52,11 @@ def fixture_text(name):
     return (FIXTURES / name).read_text(encoding="utf-8")
 
 
-@pytest.mark.parametrize("name", sorted(GOLDEN))
+@pytest.mark.parametrize("name", sorted(path.name for path in FIXTURES.glob("*.json")))
 def test_construct_reproduces_golden(name):
-    assert certificate_json(GOLDEN[name]()) == fixture_text(name)
+    # by the files on disk, so a fixture that no manifest entry pins fails
+    data, _ = pins.build(GOLDEN[name])
+    assert data == (FIXTURES / name).read_bytes()
 
 
 def test_golden_verify():

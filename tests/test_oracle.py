@@ -1,7 +1,8 @@
-"""Independent local-degree oracle over Q.
+"""Independent local-degree oracles over Q and over K.
 
-Reads only the serialized certificate and uses plain integer arithmetic,
-and constdeg only to build the certificates.  L is abelian over Q, so Gal(L/Q)
+Over Q, check_plain and check_composite read only the serialized
+certificate and use plain integer arithmetic, and constdeg only to build
+the certificates.  L is abelian over Q, so Gal(L/Q)
 is the image of (Z/M)^* under the vector of its Dirichlet characters: the
 seed character and one character per piece conductor, each with values
 in Z/l^r.  The decomposition group at p is generated by the images of a
@@ -9,14 +10,29 @@ Frobenius lift and of the inertia group (Z/p^e)^*, and the real place's
 by the image of -1 (Washington, Introduction to Cyclotomic Fields, GTM 83,
 section 3).  A local degree is the size of that subgroup, so this shares
 no code with the ramification-times-lcm rule of classfield.local_degree.
+
+Over K, check_plain_k takes the context from build_context, which verify
+checks the document's context record against.  It checks the rows
+against the primes of a sieve and Euler's criterion, and takes every
+degree from tests/oracles.py: the seed order from seed_order's character
+table, ramification by equality of prime ideals, and each piece's
+Frobenius order from Kummer levels (criterion 5): for
+kummer_generator(ctx, w) = (alpha, m), the order at the conductor eps is
+l^(r - s) for the largest s with kummer_split_test(ctx, eps, alpha, m + s).
+So it shares no code with DegreeFold or conductor_image, the rule that
+construct and verify share.
 """
 
 import json
+from math import lcm
 
 import pytest
 
+import pins
+from constdeg.classfield import build_context
 from constdeg.constructor import certificate_json, compose_for_n, construct
-from constdeg.quadfield import RATIONAL
+from constdeg.quadfield import RATIONAL, quadratic_field
+from oracles import ideal_of, kummer_generator, kummer_split_test, pair, seed_order
 
 
 def primes_upto(n):
@@ -161,6 +177,70 @@ def check_composite(doc):
     return len(comp["table"])
 
 
+def piece_order(ctx, eps, alpha, m):
+    """The Frobenius order at the conductor eps of the prime whose
+    kummer_generator is (alpha, m): l^(r - s), s the largest level
+    above m at which eps splits."""
+    levels = [s for s in range(ctx.r + 1) if kummer_split_test(ctx, eps, alpha, m + s)]
+    assert levels == list(range(len(levels))), levels
+    return ctx.ell ** (ctx.r + 1 - len(levels))
+
+
+def k_primes(d, bound):
+    """(norm, kind) of every prime of K(d) of norm <= bound, sorted, from
+    the sieve and Euler's criterion: "r" ramified, "s" split (once per
+    conjugate), "i" inert."""
+    out = []
+    for p in primes_upto(bound):
+        if d % p == 0:
+            out.append((p, "r"))
+        elif (d % 8 == 1) if p == 2 else pow(d, (p - 1) // 2, p) == 1:
+            out += [(p, "s"), (p, "s")]
+        elif p * p <= bound:
+            out.append((p * p, "i"))
+    return sorted(out)
+
+
+def k_row_prime(d, p, b):
+    """(norm, kind) of the prime that the row's pair (p, b) names, its
+    root checked by b^2 = D mod 4p in place of field_primes' scan."""
+    if b is None:
+        return p * p, "i"
+    assert 0 <= b < 2 * p and (b * b - d) % (4 * p) == 0, (p, b)
+    return p, "r" if d % p == 0 else "s"
+
+
+def check_plain_k(doc):
+    d = doc["field"]["disc"]
+    field = quadratic_field(d)
+    ctx = build_context(field, doc["ell"], doc["r"])
+    ell, full = ctx.ell, ctx.ell**ctx.r
+    deficiency = {tuple(row["prime"]): row["deficiency"] for row in doc["deficiencies"]}
+    pieces = [ideal_of(field, (pc["p"], pc["b"])) for pc in doc["pieces"]]
+    rows = doc["table"]
+    # every prime once, ascending by norm, then root with None first
+    keys = [(p * p if b is None else p, -1 if b is None else b) for p, b in (r["prime"] for r in rows)]
+    assert keys == sorted(set(keys))
+    assert sorted(k_row_prime(d, *row["prime"]) for row in rows) == k_primes(d, doc["bound"])
+    for row in rows:
+        w = ideal_of(field, tuple(row["prime"]))
+        alpha, m = kummer_generator(ctx, w)
+        if w.p == ell:
+            ramified, factor, rest = 0, ell ** (ctx.r - deficiency.get(pair(w), 0)), 1
+        else:
+            ramified, factor, rest = None, 1, seed_order(ctx, w)
+        for i, eps in enumerate(pieces, start=1):
+            if eps == w:
+                assert ramified is None, pair(w)
+                ramified, factor = i, full
+            else:
+                rest = lcm(rest, piece_order(ctx, eps, alpha, m))
+        assert row["ramified_component"] == ramified, pair(w)
+        assert row["degree"] == factor * rest == full, pair(w)
+    assert doc["real_place_degree"] is None
+    return len(rows)
+
+
 def parsed(cert):
     return json.loads(certificate_json(cert))
 
@@ -189,3 +269,43 @@ def test_oracle_known_degrees():
     got = {p: decomposition_size(chars, p) for p in (2, 7, 5, 43, 13)}
     assert got == {2: 6, 7: 6, 5: 3, 43: 2, 13: 1}
     assert real_place_size(chars) == 2
+
+
+# every certificate over K that the manifest pins: the six K golden
+# fixtures, the five k-search jobs and K(-23) n=2 B=10000
+K_PINS = [entry for entry in pins.ENTRIES if entry["field"] != "q" and "exhausted" not in entry]
+
+
+@pytest.mark.parametrize("entry", K_PINS, ids=pins.name)
+def test_oracle_agrees_with_k_certificates(entry):
+    data, _ = pins.build(entry)
+    doc = json.loads(data)
+    assert check_plain_k(doc) == len(doc["table"])
+
+
+def drop_row(doc):
+    del doc["table"][3]
+
+
+def swap_rows(doc):
+    rows = doc["table"]
+    rows[3], rows[4] = rows[4], rows[3]
+
+
+def wrong_root(doc):
+    # at a split p > 3 the roots b and 2p - b are both odd, so b + 2 is none
+    row = next(row for row in doc["table"] if row["prime"][1] is not None and row["prime"][0] > 3)
+    row["prime"][1] += 2
+
+
+def wrong_component(doc):
+    row = next(row for row in doc["table"] if row["ramified_component"] is not None)
+    row["ramified_component"] += 1
+
+
+@pytest.mark.parametrize("fault", [drop_row, swap_rows, wrong_root, wrong_component])
+def test_oracle_rejects_a_wrong_k_row(fault):
+    doc = json.loads((pins.FIXTURES / "k-23_n4_b50.json").read_text(encoding="utf-8"))
+    fault(doc)
+    with pytest.raises(AssertionError):
+        check_plain_k(doc)

@@ -604,12 +604,18 @@ ORDERED_IDS = ["plain", "composite", "k23"]
 
 
 @pytest.mark.parametrize(
-    "cert, fault, bound",
-    [(CERT2, degree_float, None), (COMP6, degree_float, None)]
+    "cert, fault, bound, component",
+    [(CERT2, degree_float, None, None), (COMP6, degree_float, None, None)]
     + [
-        (cert, fault, bound)
+        (cert, fault, bound, None)
         for cert, prime, top in ORDERED
         for fault in (rows_swapped, row_repeated, trailing_row(prime, top))
+        for bound in (None, 2)
+    ]
+    + [(COMP6, degree_float, None, 1)]
+    + [
+        (COMP6, fault, bound, 1)
+        for fault in (rows_swapped, row_repeated, trailing_row([23, None], 20))
         for bound in (None, 2)
     ],
     ids=["plain", "composite"]
@@ -618,16 +624,25 @@ ORDERED_IDS = ["plain", "composite", "k23"]
         for name in ORDERED_IDS
         for fault in ("swapped", "repeated", "trailing")
         for at in ("own-bound", "bound-2")
+    ]
+    + ["component-2"]
+    + [
+        f"component-2-{fault}-{at}"
+        for fault in ("swapped", "repeated", "trailing")
+        for at in ("own-bound", "bound-2")
     ],
 )
-def test_bad_row_rejected_before_context_is_built(monkeypatch, cert, fault, bound):
-    # shape and order faults raise at any bound, before the context is built
+def test_bad_row_rejected_before_context_is_built(monkeypatch, cert, fault, bound, component):
+    # shape and order faults raise at any bound, before the first context
+    # is built: in a composite's second component, before the first
+    # component's
     def build_context(*args):
         raise AssertionError("build_context ran before the table rows were read")
 
     monkeypatch.setattr(verifier, "build_context", build_context)
     c = copy.deepcopy(cert)
-    message = fault(c.get("composite", c)["table"])
+    doc = c.get("composite", c)
+    message = fault(doc["table"] if component is None else doc["components"][component]["table"])
     with pytest.raises(MalformedCertificate) as ei:
         verify(c, bound)
     assert str(ei.value) == message
@@ -763,6 +778,16 @@ def test_hilbert_rejects_bad_input():
         hilbert_symbol(3, 5, 6)
     with pytest.raises(ValueError):
         hilbert_symbol(3, 5, "real")
+
+
+def test_hilbert_place_outside_is_primes_range():
+    # is_prime answers for 2 <= m < 2**64 only; a place outside that range
+    # is refused with the function's own message, 2**64 + 13 (a prime)
+    # included
+    assert hilbert_symbol(-1, -1, 2**64 - 59) == 1  # the largest prime below 2**64
+    for place in (1, 0, -7, 2**64 + 13):
+        with pytest.raises(ValueError, match=r"^place must be a prime below 2\*\*64 or 'inf'$"):
+            hilbert_symbol(-1, -1, place)
 
 
 def test_hilbert_symmetry_and_bimultiplicativity():
