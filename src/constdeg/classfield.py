@@ -99,17 +99,12 @@ class InternalInconsistency(Exception):
 # ------------------------------------------------------------- context
 
 
-class Context:
-    def __init__(self, field, ell, r, cl, units, excluded, seed, deficiencies):
-        self.field = field
-        self.ell = ell
-        self.r = r
-        self.cl = cl  # l-part of the class group with basis data
-        self.units = units
-        self.excluded = excluded  # rational primes dividing 2*l*disc
-        self.seed = seed  # the CyclotomicPiece of build_L0_rational
-        self.deficiencies = deficiencies  # (p, b) above l -> deficiency a, in factoring order
-        self._targets = {}  # (p, b) -> gamma
+class Context(namedtuple("Context", "field ell r cl units excluded seed deficiencies")):
+    """The facts fixed by (field, l, r), an immutable record: cl is the
+    class group's l-part, excluded the rational primes dividing 2*l*disc,
+    deficiencies the seed's at each (p, b) above l, in factoring order."""
+
+    __slots__ = ()
 
     @property
     def t(self):
@@ -250,26 +245,26 @@ def make_ray_piece(ctx, P: Conductor) -> Conductor:
 
 
 def _target_generator(ctx, q):
-    # generator of q^(m * l^t), m = cl.coprime_part, cached per target
-    # (p, b); a split q whose conjugate (p, 2p - b) has its generator (x, y)
-    # cached takes the canonical associate of (x, -y), which generates the
+    # generator of q^(m * l^t), m = cl.coprime_part, for the prime q = (p, b)
+    J = ideal_pow(ctx.field, prime_module(ctx.field, q), ctx.cl.coprime_part * ctx.ell**ctx.t)
+    try:
+        return principal_generator(ctx.field, J)
+    except NotPrincipal:
+        raise InternalInconsistency("target ideal power is not principal")
+
+
+def _generator(ctx, gens: dict, q):
+    # q's _target_generator, kept in gens, the dict of one DegreeFold or
+    # one search_prime call; a split q whose conjugate (p, 2p - b) is there
+    # takes the canonical associate of its (x, -y), which generates the
     # conjugate power and so is the one principal_generator would return.
     # A ramified q names itself or no prime there, so it never takes one
-    gamma = ctx._targets.get(q)
+    gamma = gens.get(q)
     if gamma is None:
-        fld = ctx.field
         p, b = q
-        bar = b is not None and ctx._targets.get((p, 2 * p - b))
-        if bar:
-            gamma = normalize_unit(fld, (bar[0], -bar[1]))
-        else:
-            J = prime_module(fld, q)
-            J = ideal_pow(fld, J, ctx.cl.coprime_part * ctx.ell**ctx.t)
-            try:
-                gamma = principal_generator(fld, J)
-            except NotPrincipal:
-                raise InternalInconsistency("target ideal power is not principal")
-        ctx._targets[q] = gamma
+        bar = b is not None and gens.get((p, 2 * p - b))
+        gamma = normalize_unit(ctx.field, (bar[0], -bar[1])) if bar else _target_generator(ctx, q)
+        gens[q] = gamma
     return gamma
 
 
@@ -296,15 +291,15 @@ def _rational_frobenius_order(q: int, n: int, ell: int, full: int) -> int:
     return order
 
 
-def frobenius_orders(ctx, eps: Conductor, ws) -> list:
+def frobenius_orders(ctx, eps: Conductor, ws, gens: dict) -> list:
     """The order of the Frobenius of each prime w = (p, b) in ws, none of
     them eps, in the ray piece of conductor eps: over Q that of
     p^((eps-1)/l^r) mod eps, one pow and the order loop; over K that of
-    the conductor_image of w's generator, with the exponent
-    (N(eps)-1)/l^(r+t) and the residue field taken once for all of ws.
-    An order that does not divide l^r raises InternalInconsistency.  eps
-    itself is totally ramified there, which DegreeFold reads without
-    asking."""
+    the conductor_image of w's generator, kept in the caller's gens, with
+    the exponent (N(eps)-1)/l^(r+t) and the residue field taken once for
+    all of ws.  An order that does not divide l^r raises
+    InternalInconsistency.  eps itself is totally ramified there, which
+    DegreeFold reads without asking."""
     ell, r = ctx.ell, ctx.r
     full = ell**r
     if ctx.field.kind == "rational":
@@ -312,17 +307,17 @@ def frobenius_orders(ctx, eps: Conductor, ws) -> list:
     else:
         fld = local_field(ctx.field, (eps.p, eps.b))
         e = (eps.norm - 1) // ell ** (r + ctx.t)
-        images = (conductor_image(eps.p, eps.b, e, _target_generator(ctx, w), fld) for w in ws)
+        images = (conductor_image(eps.p, eps.b, e, _generator(ctx, gens, w), fld) for w in ws)
         out = [ell ** order_exponent(x, ell, r, fld) for x in images]
     if out and max(out) > full:
         raise InternalInconsistency("Frobenius image escapes the piece")
     return out
 
 
-def frobenius_order_in_ray_piece(ctx, eps: Conductor, q) -> int:
+def frobenius_order_in_ray_piece(ctx, eps: Conductor, q, gens: dict = None) -> int:
     """Order of the Frobenius of a prime q = (p, b) other than eps in the
     ray piece of conductor eps, the one-prime column of frobenius_orders."""
-    return frobenius_orders(ctx, eps, [q])[0]
+    return frobenius_orders(ctx, eps, [q], {} if gens is None else gens)[0]
 
 
 # ------------------------------------------------------ conductor search
@@ -471,12 +466,12 @@ def search_prime(ctx, pieces, cursor: SearchCursor, target, order: int) -> Condu
     quadratic symbol comes first, and is_prime only at or above
     SIEVE_PRIMES**2 (_quad_candidates); then each candidate, a split or
     inert prime of norm n coprime to 2*l*disc and not a class-basis
-    prime, must give the fixed primes
-    (those above l other than target, the conductors and target) their
-    orders, from generators fetched once per search, then lie in S, then
-    leave the conductors split.  A candidate meets the orders as its
-    pair (p, b), b = None if inert, by conductor_image with the
-    exponent (n - 1)/l^(r+t) and the residue field taken once per norm,
+    prime, must give the fixed primes (those above l other than target,
+    the conductors and target) their orders, from generators fetched
+    once per search into its own dict, then lie in S, then leave the
+    conductors split.  A candidate meets the orders as its pair (p, b),
+    b = None if inert, by conductor_image with the exponent
+    (n - 1)/l^(r+t) and the residue field taken once per norm,
     and its Conductor(p, b, n) is built only once it passes them, or
     for the in_S of the escape check below.  Each test is a function of
     P alone and a conductor must pass all three, so their order does
@@ -518,7 +513,8 @@ def search_prime(ctx, pieces, cursor: SearchCursor, target, order: int) -> Condu
         # splits, which need a new generator for every candidate, last.
         # A conductor passes all three and each asks only about P, so the
         # order changes the cost of a rejection, not which P is found
-        fixed = [(q, _target_generator(ctx, q), k) for q, k in orders]
+        gens = {}  # (p, b) -> generator, dropped when the search returns
+        fixed = [(q, _generator(ctx, gens, q), k) for q, k in orders]
         for n in walk:
             p, roots = _quad_candidates(ctx, n)
             if not roots:
@@ -530,7 +526,7 @@ def search_prime(ctx, pieces, cursor: SearchCursor, target, order: int) -> Condu
                 if (p, b) not in ctx.cl.gens and _fixed_orders(ctx, p, b, e, fld, fixed, full):
                     P = Conductor(p, b, n)
                     if in_S(ctx, P) and all(
-                        frobenius_order_in_ray_piece(ctx, pc, (p, b)) == 1 for pc in pieces
+                        frobenius_order_in_ray_piece(ctx, pc, (p, b), gens) == 1 for pc in pieces
                     ):
                         return P
     if last >= PRIME_LIMIT:
@@ -555,11 +551,13 @@ class DegreeFold:
     max, and a piece asks its column of orders (frobenius_orders) only at
     the rows whose lcm is still below l^r, ramified ones included.  A
     conductor that is a row, found by bisecting the norms, is ramified
-    there and asked nothing.
+    there and asked nothing.  The fold keeps its rows' generators, each
+    made once, a split row's from its conjugate, the adjacent row.
     """
 
     def __init__(self, ctx, rows, pieces):
         self.ctx, self.rows, self.count = ctx, rows, 0  # count: pieces added
+        self.gens = {}  # (p, b) -> target generator, of these rows only
         quad = ctx.field.kind != "rational"  # N(p, b) is p but p^2 at an inert (p, None)
         self.norms = [p * p if b is None and quad else p for p, b in rows]
         self.ramified = {}  # row index -> component ramified there, 0 = seed
@@ -588,7 +586,8 @@ class DegreeFold:
         if own is not None:
             self.ramified[own] = self.count
             short = [i for i in short if i != own]
-        for i, order in zip(short, frobenius_orders(self.ctx, eps, [rows[i] for i in short])):
+        ws = [rows[i] for i in short]
+        for i, order in zip(short, frobenius_orders(self.ctx, eps, ws, self.gens)):
             orders[i] = max(orders[i], order)
         self.short = [i for i in self.short if orders[i] != self.ctx.seed.degree]
 
@@ -607,17 +606,10 @@ FOLD_ROWS = 256  # rows per DegreeFold of degree_folds
 def degree_folds(ctx, pieces, rows):
     """One DegreeFold per FOLD_ROWS of rows, primes ascending by norm,
     each made when it is reached, under the conductors then in pieces; a
-    fold's memory stays small beside the table's, and a piece still asks
-    each row for its order at most once.  Once the walk has passed a
-    fold, its rows' generators leave ctx._targets.  The cache also keeps
-    those of the conductors, the primes above l and, over K, each prime
-    of S whose split test a search rejected: every later search walks
-    from the start again and meets it anew."""
+    fold's memory, its rows' generators included, stays small beside the
+    table's, and a piece still asks each row for its order at most once."""
     for k in range(0, len(rows), FOLD_ROWS):
-        fold = DegreeFold(ctx, rows[k : k + FOLD_ROWS], pieces)
-        yield fold
-        for w in fold.rows:
-            ctx._targets.pop(w, None)
+        yield DegreeFold(ctx, rows[k : k + FOLD_ROWS], pieces)
 
 
 def local_degrees(ctx, pieces, rows):

@@ -21,7 +21,7 @@ certificates.
 import json
 from collections import namedtuple
 
-from .arith import factor
+from .arith import PRIME_LIMIT, factor
 from .classfield import (
     DEFAULT_CAP,
     InternalInconsistency,
@@ -63,13 +63,15 @@ def construct(field, ell: int, r: int, bound: int, config: Config = None) -> dic
     read back after its piece, not folded again.
 
     Raises ValueError if no prime has norm up to bound (over K a bound
-    below 4 can leave none), SearchExhausted if some conductor search
-    hits the cap or the 2**64 primality limit, and InternalInconsistency
-    if a row is not ell^r after its piece.
+    below 4 can leave none) or bound reaches 2**64, SearchExhausted if
+    some conductor search hits the cap or the 2**64 primality limit, and
+    InternalInconsistency if a row is not ell^r after its piece.
     """
     cfg = config or Config()
     if bound < 2:
         raise ValueError("bound must be at least 2")
+    if bound >= PRIME_LIMIT:
+        raise ValueError(f"bound {bound} reaches the 2**64 primality limit")
     if cfg.cap < 1:
         raise ValueError("cap must be at least 1")
     rows = enumerate_field_primes(field, bound)

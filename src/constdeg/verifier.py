@@ -13,8 +13,8 @@ components are each verified at their own ell^r, so every composite row
 is their product n.  Any disagreement raises MismatchFound carrying the
 offending place and both values.
 
-The n = 2 consequence is concrete: a quaternion algebra (a, b) over Q is
-split by any field of local degree 2 wherever it ramifies (places from
+The even-n consequence is concrete: a quaternion algebra (a, b) over Q is
+split by any field of even local degree wherever it ramifies (places from
 Hilbert symbols); brauer_split_check answers after verify passes there.
 """
 
@@ -61,9 +61,9 @@ class RamifiedPlaceOutOfRange(Exception):
 
 
 class InvalidRequest(ValueError):
-    """A question the certificate cannot answer: a verify bound below 2
-    or above its own, a splitting check of a certificate that is not
-    n = 2 over Q, or an a or b that arith.factor cannot factor."""
+    """A question the certificate cannot answer: a verify bound not an
+    int, below 2 or above its own, a splitting check of a certificate of
+    odd n or not over Q, or an a or b that arith.factor cannot factor."""
 
 
 # ------------------------------------------------------------ reports
@@ -312,6 +312,8 @@ def _rebuild(cert):
 def _effective_bound(cert_bound, requested):
     if requested is None:
         return cert_bound
+    if not _int(requested):
+        raise InvalidRequest(f"requested bound {requested!r} is not an integer")
     if requested < 2:
         raise InvalidRequest(f"requested bound {requested} is below 2")
     if requested > cert_bound:
@@ -506,11 +508,12 @@ def brauer_split_check(cert: dict, algebra: QuaternionAlgebra):
     """Does the certified field split the algebra?  Returns (split,
     places), places as ramified_places gives them, after verify passes up
     to the largest finite place in it (2 if none), so split is always
-    true.  A finite place past the bound raises RamifiedPlaceOutOfRange."""
-    doc = _check(cert)  # plain, or n = 2 in its composite wrapping
-    n2 = (doc["ell"], doc["r"]) == (2, 1) if doc is cert else doc["n"] == 2
-    if doc["field"]["kind"] != "rational" or not n2:
-        raise InvalidRequest("splitting check needs an n = 2 certificate over the rationals")
+    true: an even local degree splits invariant 1/2.  A finite place past
+    the bound raises RamifiedPlaceOutOfRange."""
+    doc = _check(cert)  # plain, of n = ell^r, or composite
+    even = doc["ell"] == 2 if doc is cert else doc["n"] % 2 == 0
+    if doc["field"]["kind"] != "rational" or not even:
+        raise InvalidRequest("splitting check needs an even-n certificate over the rationals")
     places = ramified_places(algebra.a, algebra.b)
     top = max((v for v in places if v != REAL_PLACE), default=2)
     if top > doc["bound"]:

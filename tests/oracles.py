@@ -33,7 +33,8 @@ None of this runs in the package itself:
     ideal_product, its generator checked by principal_ideal, and the
     last power, prime to l, taken by elt_power on the element;
   * class_correction through reference_image: the root-based splitting
-    map, the reference that acceptance criterion 6 and the
+    map, its ideal by ideal_power and ideal_product and its generator
+    checked by principal_ideal, the reference that acceptance criterion 6 and the
     choice-invariance tests compare classfield.conductor_image against;
   * reduced_forms_by_a: the reduced forms of disc D found by scanning
     every b in (-a, a] for each a, the reference for
@@ -59,8 +60,8 @@ None of this runs in the package itself:
     ideal_of the PrimeIdeal a pair names by its b and p alone, and
     prime_of the field_primes PrimeIdeal a pair names;
   * target_generator, generator_image and frobenius_image: a fresh
-    generator of q^(m * l^t), with no cache and no conjugate shortcut,
-    and its power residue at a conductor PrimeIdeal by reduce_mod and a
+    generator of q^(m * l^t), its power by ideal_power and the generator
+    checked by principal_ideal, with no conjugate shortcut, and its power residue at a conductor PrimeIdeal by reduce_mod and a
     power in the residue field, the object route that
     classfield.conductor_image takes on ints;
   * seed_order: the Frobenius order in the seed read off a table of the
@@ -107,8 +108,6 @@ from constdeg.quadfield import (
     elt_mul,
     form_disc,
     form_pow,
-    ideal_mul,
-    ideal_pow,
     integer_elt,
     local_field,
     prime_module,
@@ -361,15 +360,17 @@ def class_correction(ctx, q):
     """(c, gamma0, denom) for the target q, as in the module docstring."""
     fld = ctx.field
     c = class_dlog(fld, prime_module(fld, pair(q)), ctx.cl)
-    J = ideal_pow(fld, prime_module(fld, pair(q)), kprime(ctx))
+    J = ideal_power(fld, prime_module(fld, pair(q)), kprime(ctx))
     denom = 1
     for (p, b), ci in zip(ctx.cl.gens, c):
         if ci:
             # a basis prime (p, b) splits, and its conjugate has root 2p - b
             bar = prime_module(fld, (p, 2 * p - b))
-            J = ideal_mul(fld, J, ideal_pow(fld, bar, ci))
+            J = ideal_product(fld, J, ideal_power(fld, bar, ci))
             denom *= p**ci
-    return tuple(c), principal_generator(fld, J), denom
+    gamma0 = principal_generator(fld, J)
+    assert principal_ideal(fld, gamma0) == J, (pair(q), gamma0)
+    return tuple(c), gamma0, denom
 
 
 def unit_root(fld, ell):
@@ -575,9 +576,12 @@ def prime_of(field, w) -> PrimeIdeal:
 
 
 def target_generator(ctx, q: PrimeIdeal):
-    """A generator of q^(m * l^t), m = ctx.cl.coprime_part, made fresh."""
-    J = ideal_pow(ctx.field, prime_module(ctx.field, pair(q)), ctx.cl.coprime_part * ctx.ell**ctx.t)
-    return principal_generator(ctx.field, J)
+    """A generator of q^(m * l^t), m = ctx.cl.coprime_part, made fresh
+    from ideal_power and checked by principal_ideal."""
+    J = ideal_power(ctx.field, prime_module(ctx.field, pair(q)), ctx.cl.coprime_part * ctx.ell**ctx.t)
+    gamma = principal_generator(ctx.field, J)
+    assert principal_ideal(ctx.field, gamma) == J, (pair(q), gamma)
+    return gamma
 
 
 def generator_image(ctx, eps: PrimeIdeal, gamma):

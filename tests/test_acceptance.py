@@ -199,7 +199,6 @@ def test_criterion_06_choice_independence():
     ctx = build_context(K23, 3, 1)
     flipped = build_context(K23, 3, 1)
     flipped.cl.alphas = tuple(elt_neg(a) for a in flipped.cl.alphas)
-    unitized = build_context(K23, 3, 1)
     u = kprime(ctx) // ctx.cl.coprime_part  # reference = image^u
     trials = 0
     for eps in s_members(ctx, 2):
@@ -228,12 +227,17 @@ def test_criterion_06_choice_independence():
             assert reference_image(flipped, eps, q) == want[q], (eps, q)
             trials += 1
 
-        # the production generator gamma times a unit
+        # the production generator gamma times a unit, in the dict of
+        # generators that a fold or a search keeps and frobenius_orders reads
+        e = (eps.norm - 1) // ctx.ell ** (ctx.r + ctx.t)
         for q in rng.sample(targets, 10):
-            package_image(unitized, eps, q)  # caches gamma for q
-            gamma = elt_mul(K23, rng.choice(ctx.units), unitized._targets[pair(q)])
-            unitized._targets[pair(q)] = gamma
-            assert package_image(unitized, eps, q) == base[q], (eps, q)
+            w = pair(q)
+            gens = {w: elt_mul(K23, rng.choice(ctx.units), classfield._target_generator(ctx, w))}
+            gamma = classfield._generator(ctx, gens, w)
+            assert conductor_image(eps.p, eps.b, e, gamma, fld) == base[q], (eps, q)
+            assert classfield.frobenius_orders(ctx, eps, [w], gens) == classfield.frobenius_orders(
+                ctx, eps, [w], {}
+            ), (eps, q)
             assert reference_image(ctx, eps, q) == want[q], (eps, q)
             trials += 1
     assert trials >= 50

@@ -153,11 +153,16 @@ def test_build_context_validation():
         build_context(RATIONAL, 3, 0)
 
 
-def test_contexts_do_not_share_target_caches():
-    a, b = build_context(K23, 3, 1), build_context(K23, 3, 1)
-    assert a._targets is not b._targets
-    a._targets[(2, None)] = (4, 0)
-    assert b._targets == {}
+def test_context_is_an_immutable_record():
+    # no state can be hung on a context: each fold and each search keeps
+    # the generators it asks for, and a changed context is a new record
+    ctx = build_context(K23, 3, 1)
+    for name, value in (("_targets", {}), ("units", [])):
+        with pytest.raises(AttributeError):
+            setattr(ctx, name, value)
+    assert not hasattr(ctx, "__dict__")
+    other = ctx._replace(units=[elt_neg(u) for u in ctx.units])
+    assert other.units != ctx.units and other.t == ctx.t and other.cl is ctx.cl
 
 
 def test_context_rational_shape():
@@ -1356,8 +1361,7 @@ def test_unit_generator_choice_invariance():
     # over Q(i) the torsion generator can be i or -i; S cannot see the
     # difference
     ctx_a = build_context(K4, 2, 1)
-    ctx_b = build_context(K4, 2, 1)
-    ctx_b.units = [elt_neg(u) for u in ctx_b.units]
+    ctx_b = ctx_a._replace(units=[elt_neg(u) for u in ctx_a.units])
     for p in small_primes(200):
         if p == 2:
             continue
@@ -1367,9 +1371,10 @@ def test_unit_generator_choice_invariance():
 
 @pytest.mark.parametrize("disc", [-3, -4, -23, -56, -3299, -4000003])
 def test_conjugate_target_generator_is_the_fresh_one(monkeypatch, disc):
-    # a split target whose conjugate's generator is cached takes its
-    # generator from it, and gets the canonical one that principal_generator
-    # gives; K(-3) and K(-4) have 6 and 4 units to choose the associate among
+    # a split target whose conjugate's generator is in the same dict of
+    # generators, a fold's or a search's, takes its generator from it, and
+    # gets the canonical one that principal_generator gives; K(-3) and
+    # K(-4) have 6 and 4 units to choose the associate among
     field = quadratic_field(disc)
     ctx = build_context(field, 2, 1)
     power = ctx.cl.coprime_part * ctx.ell**ctx.t
@@ -1383,12 +1388,37 @@ def test_conjugate_target_generator_is_the_fresh_one(monkeypatch, disc):
         if p not in ctx.excluded and kronecker_disc(disc, p) == 1
     ][:10]
     assert len(pairs) == 10
+    gens = {}
     for k, (q, bar) in enumerate(pairs):
         first, second = (q, bar) if k % 2 else (bar, q)
-        classfield._target_generator(ctx, pair(first))
+        classfield._generator(ctx, gens, pair(first))
         want = generator(field, ideal_pow(field, prime_module(field, pair(second)), power))
-        assert classfield._target_generator(ctx, pair(second)) == want, (first, second)
+        assert classfield._generator(ctx, gens, pair(second)) == want, (first, second)
     assert len(fresh) == len(pairs)  # the second of each pair came from the first
+    assert len(gens) == 2 * len(pairs)
+
+
+@pytest.mark.parametrize("disc", [-4, -23])
+def test_a_fold_makes_each_row_generator_once(monkeypatch, disc):
+    # a DegreeFold keeps its rows' generators: the folds of a K table ask
+    # principal_generator once per rational prime under their rows asked
+    # for an order, a split pair's second generator coming from its
+    # conjugate, the adjacent row, and hold no prime but their rows
+    field = quadratic_field(disc)
+    cert = construct(field, 2, 1, 3000)
+    ctx = build_context(field, 2, 1)
+    pieces = [Conductor(**pc) for pc in cert["pieces"]]
+    rows = enumerate_field_primes(field, 3000)
+    calls, generator = [], classfield.principal_generator
+    monkeypatch.setattr(
+        classfield, "principal_generator", lambda fld, J: calls.append(J) or generator(fld, J)
+    )
+    folds = list(classfield.degree_folds(ctx, pieces, rows))
+    assert all(fold.gens.keys() <= set(fold.rows) for fold in folds)
+    held = sum(len(fold.gens) for fold in folds)
+    assert len(calls) == sum(len({p for p, _ in fold.gens}) for fold in folds) < held
+    triples = [fold.row(i) for fold in folds for i in range(len(fold.rows))]
+    assert [t[::2] for t in triples] == [(w["ramified_component"], w["degree"]) for w in cert["table"]]
 
 
 def test_residue_group_at_conductors_is_large_enough():

@@ -185,7 +185,7 @@ FUZZ_FIXTURES = (
     "q_n2_b100.json",
     "q_n6_b20.json",
 )
-NOT_N2_OVER_Q = "error: splitting check needs an n = 2 certificate over the rationals\n"
+NOT_EVEN_OVER_Q = "error: splitting check needs an even-n certificate over the rationals\n"
 
 
 def byte_mutants(data: bytes, rng, count):
@@ -220,7 +220,7 @@ def byte_mutants(data: bytes, rng, count):
 def test_byte_mutants_of_the_golden_fixtures_map_to_exit_codes(tmp_path, capsys):
     # no exception escapes run, whatever the bytes: verify passes or
     # fails, and brauer-split also refuses, as a usage error, any
-    # document that still reads as a certificate not of n = 2 over Q
+    # document that still reads as a certificate of odd n or over K
     rng = random.Random(27)
     path = tmp_path / "mutant.json"
     start = time.perf_counter()
@@ -233,7 +233,7 @@ def test_byte_mutants_of_the_golden_fixtures_map_to_exit_codes(tmp_path, capsys)
             assert code in (0, 2), (name, data[:200], err)
             code = run(["brauer-split", str(path), "--a", "-1", "--b", "-1"])
             err = capsys.readouterr().err
-            assert code in (0, 2) or (code, err) == (1, NOT_N2_OVER_Q), (name, data[:200], err)
+            assert code in (0, 2) or (code, err) == (1, NOT_EVEN_OVER_Q), (name, data[:200], err)
             codes[code] = codes.get(code, 0) + 1
     assert time.perf_counter() - start < 5.0
     assert set(codes) == {0, 1, 2}
@@ -333,9 +333,10 @@ def test_basis_prime_beyond_the_sieve_round_trip(tmp_path, capsys, disc, t, gen_
 def test_construct_rejects_small_n_and_bound(tmp_path, capsys):
     # the library owns these rules; the CLI reports its message as is.
     # K(-19) has no prime of norm below 4, so B = 3 would leave its table
-    # empty
+    # empty, and is_prime has no answer at 2**64 or above
     out = tmp_path / "x.json"
     below = "bound 3 is below 4, the least norm of a prime of the field"
+    limit = "bound {} reaches the 2**64 primality limit"
     for field, n, bound, message in (
         ("q", 1, 5, "n must be at least 2"),
         ("q", 0, 5, "n must be at least 2"),
@@ -344,6 +345,8 @@ def test_construct_rejects_small_n_and_bound(tmp_path, capsys):
         ("q", 6, 1, "bound must be at least 2"),
         ("disc=-19", 2, 3, below),
         ("disc=-19", 6, 3, below),
+        ("q", 2, 2**64, limit.format(2**64)),
+        ("disc=-23", 6, 10**20, limit.format(10**20)),
     ):
         args = ["construct", "--field", field, "--n", str(n), "--bound", str(bound)]
         assert run(args + ["--out", str(out)]) == 1
@@ -466,11 +469,16 @@ def test_brauer_split_subcommand(tmp_path, capsys):
     assert "beyond the certificate bound" in capsys.readouterr().err
 
 
-def test_brauer_split_usage_errors(capsys):
-    # a certificate that is not n = 2 over Q, and a zero a or b, exit 1
-    for name in ("k-8_n2_b200.json", "k-23_n4_b50.json", "q_n6_b20.json"):
-        assert run(["brauer-split", str(FIXTURES / name), "--a", "-1", "--b", "-1"]) == 1
-        assert capsys.readouterr().err == NOT_N2_OVER_Q, name
+def test_brauer_split_usage_errors(tmp_path, capsys):
+    # a certificate of odd n or over K, and a zero a or b, exit 1; the
+    # even n = 6 over Q splits (-1,-1)
+    odd = construct(tmp_path, "q3.json", "--field", "q", "--n", "3", "--bound", "20")
+    capsys.readouterr()
+    for path in (FIXTURES / "k-8_n2_b200.json", FIXTURES / "k-23_n4_b50.json", odd):
+        assert run(["brauer-split", str(path), "--a", "-1", "--b", "-1"]) == 1
+        assert capsys.readouterr().err == NOT_EVEN_OVER_Q, path
+    assert run(["brauer-split", str(FIXTURES / "q_n6_b20.json"), "--a", "-1", "--b", "-1"]) == 0
+    assert "splits: yes" in capsys.readouterr().out
     for a, b in (("0", "-1"), ("-1", "0")):
         assert run(["brauer-split", str(FIXTURES / "q_n2_b100.json"), "--a", a, "--b", b]) == 1
         assert "must be nonzero" in capsys.readouterr().err
@@ -521,8 +529,8 @@ def test_a_value_error_inside_verify_or_brauer_split_exits_4(monkeypatch, capsys
     assert err == "internal inconsistency: brauer_split_check raised ValueError: broken helper\n"
     # the named cases still exit 1 under the patches
     assert run(["verify", path, "--bound", "1"]) == 1
-    assert run(["brauer-split", str(FIXTURES / "q_n6_b20.json"), "--a", "-1", "--b", "-1"]) == 1
-    assert capsys.readouterr().err.endswith(NOT_N2_OVER_Q)
+    assert run(["brauer-split", str(FIXTURES / "k-8_n2_b200.json"), "--a", "-1", "--b", "-1"]) == 1
+    assert capsys.readouterr().err.endswith(NOT_EVEN_OVER_Q)
 
 
 def test_usage_errors(capsys):

@@ -143,6 +143,16 @@ def test_bound_below_the_least_prime_norm_is_refused(disc, bounds, least):
         verify(cert)
 
 
+def test_a_bound_at_the_primality_limit_is_refused():
+    # is_prime has no answer at 2**64 or above, so no table reaches it
+    for bound in (2**64, 10**20):
+        message = rf"^bound {bound} reaches the 2\*\*64 primality limit$"
+        with pytest.raises(ValueError, match=message):
+            construct(RATIONAL, 2, 1, bound)
+        with pytest.raises(ValueError, match=message):
+            compose_for_n(K8, 6, bound)
+
+
 def test_construct_rational_l2_b10():
     cert = construct(RATIONAL, 2, 1, 10)
     assert list(cert.keys()) == PLAIN_KEYS
@@ -282,28 +292,50 @@ def capture_contexts(monkeypatch):
     return contexts
 
 
+def capture_generator_dicts(monkeypatch):
+    # each dict of target generators that classfield._generator fills, by
+    # its id, as (dict, target): target is that of the search_prime call
+    # that made it, None if a DegreeFold made it
+    dicts, generator, search, searching = {}, classfield._generator, constructor.search_prime, []
+
+    def record(ctx, gens, q):
+        dicts.setdefault(id(gens), (gens, searching[-1][3] if searching else None))
+        return generator(ctx, gens, q)
+
+    def record_search(*args):
+        searching.append(args)
+        try:
+            return search(*args)
+        finally:
+            searching.pop()
+
+    monkeypatch.setattr(classfield, "_generator", record)
+    monkeypatch.setattr(constructor, "search_prime", record_search)
+    return dicts
+
+
 def test_target_cache_holds_one_fold_and_the_fixed_primes(monkeypatch):
-    # once the walk has passed a fold, its rows' generators leave
-    # ctx._targets: after construct of K(-23) n=2 B=10^5 (9,570 rows),
-    # whose searches reject no prime of S by its split test, and after
-    # verify's walk of its table, only the conductors and the primes
-    # above l stay, and the walk gives the triples of one whose folds
-    # keep every generator
+    # each DegreeFold keeps the generators of its own rows, at most
+    # FOLD_ROWS of them, and each search those of its fixed primes: after
+    # construct of K(-23) n=2 B=10^5 (9,570 rows), whose searches reject
+    # no prime of S by its split test, a search's dict holds only its
+    # target, conductors and primes above l, and a fold's only rows of the
+    # table that no other fold holds
     field = quadratic_field(-23)
     contexts = capture_contexts(monkeypatch)
+    dicts = capture_generator_dicts(monkeypatch)
     cert = construct(field, 2, 1, 10**5)
     (ctx,) = contexts
-    pieces = cert["pieces"]
     assert len(cert["table"]) == 9570
-    assert len(ctx._targets) <= len(pieces) + len(ctx.deficiencies)
-    conductors = [Conductor(**pc) for pc in pieces]
-    rows = enumerate_field_primes(field, 10**5)
-    walked = list(local_degrees(ctx, conductors, rows))
-    assert {deg for _, _, deg in walked} == {2}
-    assert len(ctx._targets) <= len(pieces) + len(ctx.deficiencies)
-    folds = [classfield.DegreeFold(ctx, rows[k : k + 256], conductors) for k in range(0, 9570, 256)]
-    assert [fold.row(i) for fold in folds for i in range(len(fold.rows))] == walked
-    assert len(ctx._targets) > 4000
+    fixed = {(pc["p"], pc["b"]) for pc in cert["pieces"]} | set(ctx.deficiencies)
+    rows = [tuple(row["prime"]) for row in cert["table"]]
+    searches = [gens for gens, target in dicts.values() if target]
+    folds = [gens for gens, target in dicts.values() if not target]
+    assert len(searches) == len(cert["pieces"])
+    assert all(gens.keys() <= fixed | {target} for gens, target in dicts.values() if target)
+    held = [w for gens in folds for w in gens]
+    assert len(held) > 4000 and len(held) == len(set(held)) and set(held) <= set(rows)
+    assert max(map(len, folds)) <= classfield.FOLD_ROWS
 
 
 @pytest.mark.parametrize(
@@ -312,15 +344,19 @@ def test_target_cache_holds_one_fold_and_the_fixed_primes(monkeypatch):
 def test_target_cache_keeps_the_primes_of_S_the_split_test_rejects(
     monkeypatch, disc, r, bound, rejected
 ):
-    # the K search's split test caches the generator of each prime of S
-    # it rejects, and it stays, since every later search walks from the
-    # start again; every other key after construct is a conductor or a
-    # prime above l
+    # a K search's dict also keeps the generator of each prime of S its
+    # split test rejects, until the search returns; every later search
+    # walks from the start again and meets it anew, so the keys of all
+    # searches but the targets, the conductors and the primes above l are
+    # a few primes of S past the bound
     contexts = capture_contexts(monkeypatch)
+    dicts = capture_generator_dicts(monkeypatch)
     cert = construct(quadratic_field(disc), 2, r, bound)
     (ctx,) = contexts
     fixed = {(pc["p"], pc["b"]) for pc in cert["pieces"]} | set(ctx.deficiencies)
-    rest = [Conductor(p, b, p if b is not None else p * p) for p, b in ctx._targets.keys() - fixed]
+    keys = {w for gens, target in dicts.values() if target for w in gens}
+    keys -= {tuple(row["prime"]) for row in cert["table"]} | fixed
+    rest = [Conductor(p, b, p if b is not None else p * p) for p, b in keys]
     assert len(rest) == rejected
     assert all(P.norm > bound and in_S(ctx, P) for P in rest)
 
@@ -332,9 +368,9 @@ def test_each_frobenius_order_asked_at_most_once(monkeypatch):
     asked, earlier = [], {}
     orders, search = classfield.frobenius_orders, constructor.search_prime
 
-    def record(ctx, eps, ws):
+    def record(ctx, eps, ws, gens):
         asked.extend((eps, q) for q in ws)
-        return orders(ctx, eps, ws)
+        return orders(ctx, eps, ws, gens)
 
     def record_target(ctx, pieces, cursor, w, k):
         earlier[w] = len(pieces)
@@ -355,7 +391,7 @@ def test_each_frobenius_order_asked_at_most_once(monkeypatch):
 def test_self_check_catches_a_short_row(monkeypatch, tmp_path, capsys):
     # with every piece's Frobenius order forced to 1, the piece found for
     # 3 does not move it, and the final check refuses the table
-    monkeypatch.setattr(classfield, "frobenius_orders", lambda ctx, eps, ws: [1] * len(ws))
+    monkeypatch.setattr(classfield, "frobenius_orders", lambda ctx, eps, ws, gens: [1] * len(ws))
     with pytest.raises(InternalInconsistency, match=r"^prime \(3,None\) has local degree 1, wanted 2$"):
         construct(RATIONAL, 2, 1, 10)
     out = tmp_path / "c.json"
@@ -492,18 +528,14 @@ def test_deficient_family_pieces(disc, r, bound, pieces):
 def test_target_cache_bounded_by_table(monkeypatch, r, bound):
     # the searches test the orders at their few fixed targets before the
     # piece splits, which take a generator of every candidate that gets
-    # that far, so the cache stays near the table's size
-    built = []
-
-    def keep(*args):
-        built.append(classfield.build_context(*args))
-        return built[-1]
-
-    monkeypatch.setattr(constructor, "build_context", keep)
+    # that far, so each search's dict stays near the table's size, and
+    # each fold's holds at most its own rows
+    dicts = capture_generator_dicts(monkeypatch)
     cert = construct(K23, 2, r, bound)
-    (ctx,) = built
     assert len(cert["pieces"]) >= 2
-    assert len(ctx._targets) <= 2 * len(cert["table"])
+    assert all(len(gens) <= 2 * len(cert["table"]) for gens, _ in dicts.values())
+    rows = {tuple(row["prime"]) for row in cert["table"]}
+    assert all(gens.keys() <= rows for gens, target in dicts.values() if not target)
 
 
 def test_construct_k8_r2_not_deficient():

@@ -12,6 +12,7 @@ from constdeg.classfield import InternalInconsistency, local_degree
 from constdeg.constructor import certificate_json, compose_for_n, construct
 from constdeg.quadfield import RATIONAL, quadratic_field
 from constdeg.verifier import (
+    InvalidRequest,
     MalformedCertificate,
     MismatchFound,
     QuaternionAlgebra,
@@ -119,6 +120,13 @@ def test_verify_at_smaller_bound():
 def test_bound_above_certificate_rejected():
     for bound in (101, 1, -3):
         with pytest.raises(ValueError, match=str(bound)):
+            verify(CERT2, bound)
+
+
+def test_a_bound_that_is_not_an_int_is_refused():
+    # a float or a bool is no bound, even one equal to an int
+    for bound in (50.0, 10.5, True, "50"):
+        with pytest.raises(InvalidRequest, match=f"^requested bound {bound!r} is not an integer$"):
             verify(CERT2, bound)
 
 
@@ -896,6 +904,28 @@ def test_brauer_requires_exponent_two_rational():
         brauer_split_check(CERT9, QuaternionAlgebra(-1, -1))
     with pytest.raises(ValueError):
         brauer_split_check(CERT23, QuaternionAlgebra(-1, -1))
+
+
+@pytest.mark.parametrize("n", [4, 6, 8])
+def test_brauer_splits_at_every_even_n_over_q(n):
+    # an even local degree at a place splits invariant 1/2 there, and the
+    # real place has degree 2: Q n=4 and n=8 and the composite n=6 answer
+    # yes after verify, at the places ramified_places names, each a row of
+    # even degree; odd n stays refused, plain and composite
+    cert = {4: from_bytes(construct(RATIONAL, 2, 2, 20)), 6: COMP6, 8: CERT8}[n]
+    doc = cert.get("composite", cert)
+    degrees = {row["prime"][0]: row["degree"] for row in doc["table"]}
+    for a, b in ((-1, -1), (-1, -3), (-1, 3), (-2, 5), (-7, -11), (1, 1)):
+        places = ramified_places(a, b)
+        assert brauer_split_check(cert, QuaternionAlgebra(a, b)) == (True, places)
+        assert all(degrees[p] % 2 == 0 for p in places if p != "inf")
+    assert doc["real_place_degree"] == 2
+    with pytest.raises(RamifiedPlaceOutOfRange):
+        brauer_split_check(cert, QuaternionAlgebra(-1, 103))
+    odd = from_bytes(compose_for_n(RATIONAL, 15, 10))
+    for refused in (CERT9, odd):
+        with pytest.raises(InvalidRequest, match="^splitting check needs an even-n certificate"):
+            brauer_split_check(refused, QuaternionAlgebra(-1, -1))
 
 
 def test_brauer_accepts_composite_wrapper():
