@@ -5,11 +5,11 @@ standing for a + b*w where w*w = n0, a non-residue mod p that the caller
 names (quadfield names D mod p, so that w = sqrt(D)).  The one root taken
 is a square root over F_p, on plain ints (ell_root); the tests keep an
 ell-th root descent for any ell as its reference.  All functions are
-deterministic.
+deterministic, and none keeps state between calls: the one table built
+at import, SIEVE_TABLE, is a tuple that no call changes.
 """
 
 import math
-from functools import lru_cache
 from itertools import compress, count
 
 # Jaeschke / Sorenson-Webster witness set, complete below 3.3 * 10^24,
@@ -20,7 +20,7 @@ MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 FOUR_WITNESS_LIMIT = 3215031751
 PRIME_LIMIT = 1 << 64  # is_prime answers for 2 <= m < PRIME_LIMIT
 # factor trial-divides, and the conductor search's walk sieves, by the
-# primes below this: one key of small_primes' cache serves both
+# primes below this, SIEVE_TABLE (defined after small_primes)
 SIEVE_PRIMES = 1 << 12
 
 
@@ -52,15 +52,17 @@ def is_prime(m: int) -> bool:
     return True
 
 
-@lru_cache(maxsize=8)
-def small_primes(limit: int = 100000) -> tuple:
-    """The primes below limit, ascending."""
+def small_primes(limit: int) -> tuple:
+    """The primes below limit, ascending, sieved afresh on every call."""
     sieve = bytearray([1]) * limit
     sieve[:2] = bytes(min(limit, 2))
     for i in range(2, math.isqrt(limit) + 1):
         if sieve[i]:
             sieve[i * i :: i] = bytes(len(range(i * i, limit, i)))
     return tuple(compress(range(limit), sieve))
+
+
+SIEVE_TABLE = small_primes(SIEVE_PRIMES)  # 564 primes, built at import
 
 
 def _brent_rho(n: int) -> int:
@@ -95,9 +97,9 @@ def _brent_rho(n: int) -> int:
 def factor(m: int) -> list:
     """Prime factorization as a sorted list of (prime, exponent) pairs.
 
-    Trial division by the primes below SIEVE_PRIMES, one fixed table
-    whatever the size of m, so that factoring adds no key to
-    small_primes' cache.  The cofactor goes to is_prime and, if composite,
+    Trial division by SIEVE_TABLE, the primes below SIEVE_PRIMES, one
+    fixed table whatever the size of m, so that factoring sieves
+    nothing.  The cofactor goes to is_prime and, if composite,
     to Brent's rho from a fixed start value, so that repeated runs factor
     identically; a cofactor of 2**64 or more raises ValueError, as
     is_prime does.
@@ -105,7 +107,7 @@ def factor(m: int) -> list:
     if m < 1:
         raise ValueError(f"factor input must be positive: {m}")
     out = {}
-    for p in small_primes(SIEVE_PRIMES):
+    for p in SIEVE_TABLE:
         if p * p > m:
             break
         while m % p == 0:

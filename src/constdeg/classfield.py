@@ -66,6 +66,7 @@ from math import gcd, isqrt, lcm
 from .arith import (
     PRIME_LIMIT,
     SIEVE_PRIMES,
+    SIEVE_TABLE,
     ResidueField,
     SearchExhausted,
     factor,
@@ -383,11 +384,10 @@ def _sieved_walk(ctx, step: int, stop: int, conductors=()):
     4Q entries are walked, which bounds the (Q - 1)/l^r products its
     pattern costs by the walk it prunes."""
     M = lcm(step, ctx.seed.modulus)
-    ps = small_primes(SIEVE_PRIMES)
     # p divides 1 + M*k iff k = root mod p; p^2 < 1 + M*k iff k >= low
     strikes = [
         (p, -pow(M, -1, p) % p, (p * p - 1) // M + 1)
-        for p in ps[: bisect_left(ps, isqrt(stop) + 1)]
+        for p in SIEVE_TABLE[: bisect_left(SIEVE_TABLE, isqrt(stop) + 1)]
         if M % p
     ]
     waiting, patterns, full = sorted(conductors), [], ctx.ell**ctx.r
@@ -664,7 +664,8 @@ def enumerate_field_primes(field, bound: int) -> list:
     by norm (DegreeFold reads it) with split conjugates ordered by root,
     as factor_rational_prime gives them.  Over K each p takes one call of
     it, and an inert p, kept while p^2 <= bound, waits for the first
-    prime above p^2."""
+    prime above p^2.  It sieves to bound afresh, and keeps no table once
+    it returns."""
     ps = small_primes(bound + 1)
     if field.kind == "rational":
         return [(p, None) for p in ps]

@@ -180,7 +180,7 @@ def _cmd_hilbert(args) -> int:
 
 def _cmd_brauer(args) -> int:
     cert = parse_certificate(_read_file(args.file))
-    _, places = _checked(brauer_split_check, cert, QuaternionAlgebra(args.a, args.b))
+    places = _checked(brauer_split_check, cert, QuaternionAlgebra(args.a, args.b))
     _print_places(args.a, args.b, places)
     print("splits: yes")  # the check answers only once verify has passed
     return 0

@@ -19,6 +19,7 @@ certificates.
 """
 
 import json
+import sys
 from collections import namedtuple
 
 from .arith import PRIME_LIMIT, factor
@@ -63,7 +64,8 @@ def construct(field, ell: int, r: int, bound: int, config: Config = None) -> dic
     read back after its piece, not folded again.
 
     Raises ValueError if no prime has norm up to bound (over K a bound
-    below 4 can leave none) or bound reaches 2**64, SearchExhausted if
+    below 4 can leave none), or bound reaches 2**64 or sys.maxsize, past
+    which the prime sieve cannot index its table, SearchExhausted if
     some conductor search hits the cap or the 2**64 primality limit, and
     InternalInconsistency if a row is not ell^r after its piece.
     """
@@ -72,6 +74,8 @@ def construct(field, ell: int, r: int, bound: int, config: Config = None) -> dic
         raise ValueError("bound must be at least 2")
     if bound >= PRIME_LIMIT:
         raise ValueError(f"bound {bound} reaches the 2**64 primality limit")
+    if bound >= sys.maxsize:
+        raise ValueError(f"bound {bound} reaches sys.maxsize, which the prime sieve cannot index")
     if cfg.cap < 1:
         raise ValueError("cap must be at least 1")
     rows = enumerate_field_primes(field, bound)
@@ -208,16 +212,24 @@ def _write(value, pad, out, open_ids):
     open_ids.discard(id(value))
 
 
+def _chunks(cert: dict) -> list:
+    out = []
+    _write(cert, "", out, set())
+    out.append("\n")
+    return out
+
+
 def certificate_json(cert: dict) -> str:
     """The certificate's text: json.dumps(cert, indent=2) + "\\n", byte for
     byte (the tests pin this), with construct's table rows written by one
     template fill each instead of json's pure-Python indent encoder."""
-    out = []
-    _write(cert, "", out, set())
-    out.append("\n")
-    return "".join(out)
+    return "".join(_chunks(cert))
 
 
 def write_certificate(cert: dict, path) -> None:
+    """Write certificate_json(cert) to path chunk by chunk, with no joined
+    copy of the text; the chunks are all made before the file is opened,
+    so a document the writer refuses leaves no file."""
+    chunks = _chunks(cert)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(certificate_json(cert))
+        fh.writelines(chunks)

@@ -22,6 +22,7 @@ from itertools import count
 from math import isqrt
 
 from .arith import (
+    SIEVE_TABLE,
     ResidueField,
     ell_root,
     factor,
@@ -315,6 +316,10 @@ def _class_prime(field, form, exclusion) -> tuple:
     gcd(x, y) = 1, as g = gcd(x, y) puts g^2 in the value, so a prime
     above it lies in the class (Cohen, GTM 138, 5.2).
 
+    The scan reads SIEVE_TABLE first and sieves to the cap only for a
+    class that table misses; the primes come ascending either way, so
+    it finds the prime a single scan to the cap finds.
+
     The walk has no exit, and it ends in row 1 or 2.  A whole row is even
     only when c and a + b are even; a is then odd, as the form is
     primitive, and row 2 takes only odd values.  No odd p divides every
@@ -327,7 +332,11 @@ def _class_prime(field, form, exclusion) -> tuple:
             if ideal_class_form(field, prime_module(field, w)) == form:
                 return w
 
-    for p in small_primes(_BASIS_PRIME_CAP + 1):
+    def scan():
+        yield from SIEVE_TABLE
+        yield from small_primes(_BASIS_PRIME_CAP + 1)[len(SIEVE_TABLE) :]
+
+    for p in scan():
         if p not in exclusion and (P := above(p)):
             return P
     a, b, c = form

@@ -505,11 +505,11 @@ class QuaternionAlgebra(namedtuple("QuaternionAlgebra", "a b")):
 
 
 def brauer_split_check(cert: dict, algebra: QuaternionAlgebra):
-    """Does the certified field split the algebra?  Returns (split,
-    places), places as ramified_places gives them, after verify passes up
-    to the largest finite place in it (2 if none), so split is always
-    true: an even local degree splits invariant 1/2.  A finite place past
-    the bound raises RamifiedPlaceOutOfRange."""
+    """The ramified places of the algebra, as ramified_places gives them,
+    once verify passes up to the largest finite one (2 if none): the
+    certified field then splits the algebra, as an even local degree
+    splits invariant 1/2, and a failing verify raises.  A finite place
+    past the bound raises RamifiedPlaceOutOfRange."""
     doc = _check(cert)  # plain, of n = ell^r, or composite
     even = doc["ell"] == 2 if doc is cert else doc["n"] % 2 == 0
     if doc["field"]["kind"] != "rational" or not even:
@@ -521,4 +521,4 @@ def brauer_split_check(cert: dict, algebra: QuaternionAlgebra):
             f"algebra ramified at {top}, beyond the certificate bound {doc['bound']}"
         )
     verify(cert, top)
-    return True, places
+    return places

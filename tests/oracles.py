@@ -44,6 +44,10 @@ None of this runs in the package itself:
     quadfield.class_group_l_part once ran, which measures each
     candidate's order and its order modulo the span at every step, the
     reference for that function's one walk per element;
+  * class_prime_full_scan: the basis prime of a class as
+    quadfield._class_prime found it before it read SIEVE_TABLE first,
+    one scan of the primes up to its cap and then the row walk, the
+    reference for the prime (and so the certificate bytes) it finds;
   * elt_neg: the negative of an element;
   * roots_by_scan: the roots b of x^2 = D mod 4p found by scanning
     every b < 2p, the reference for the split and ramified cases of
@@ -91,6 +95,7 @@ exponent prime to l, as an element.
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import count
 from math import gcd, isqrt, lcm
 
 from constdeg.arith import (
@@ -100,14 +105,18 @@ from constdeg.arith import (
     legendre,
     order_exponent,
     power_residue_level,
+    small_primes,
 )
 from constdeg.classfield import SIEVE_PRIMES, InternalInconsistency, in_S
 from constdeg.quadfield import (
+    _BASIS_PRIME_CAP,
     class_dlog,
     compose_forms,
     elt_mul,
+    factor_rational_prime,
     form_disc,
     form_pow,
+    ideal_class_form,
     integer_elt,
     local_field,
     prime_module,
@@ -483,6 +492,29 @@ def greedy_basis(sylow, ell: int):
         table = span
         assert len(table) == old_len * ell**m, "basis relation found"
     return tuple(basis), tuple(exps)
+
+
+def class_prime_full_scan(field, form, exclusion) -> tuple:
+    """The least prime (p, b) outside exclusion in the class of the
+    reduced form, among the primes up to quadfield's cap in one sieved
+    scan, or else the first one above a prime value of the form, rows
+    y = 1, 2, ... taking x = 0, 1, -1, 2, ... for cap values."""
+
+    def above(p):
+        for w in factor_rational_prime(field, p):
+            if ideal_class_form(field, prime_module(field, w)) == form:
+                return w
+
+    for p in small_primes(_BASIS_PRIME_CAP + 1):
+        if p not in exclusion and (P := above(p)):
+            return P
+    a, b, c = form
+    for y in count(1):
+        for i in range(_BASIS_PRIME_CAP):
+            x = (i + 1) // 2 if i % 2 else -(i // 2)
+            p = a * x * x + b * x * y + c * y * y
+            if p not in exclusion and is_prime(p) and (P := above(p)):
+                return P
 
 
 # -------------------------------------------------------------- elements

@@ -1,12 +1,14 @@
 import random
 from bisect import bisect_left
-from math import isqrt
+from math import isqrt, prod
 
 import pytest
 
+from constdeg import arith
 from constdeg.arith import (
     FOUR_WITNESS_LIMIT,
     SIEVE_PRIMES,
+    SIEVE_TABLE,
     ResidueField,
     ell_root,
     factor,
@@ -149,7 +151,7 @@ def test_is_prime_rejects_out_of_range():
 
 def test_is_prime_random_semiprimes():
     rng = random.Random(7)
-    ps = [p for p in small_primes() if p > 1000]
+    ps = [p for p in small_primes(100_000) if p > 1000]
     for _ in range(50):
         a, b = rng.choice(ps), rng.choice(ps)
         assert not is_prime(a * b)
@@ -169,7 +171,7 @@ def test_small_primes_is_a_plain_sieve():
     # every limit up to 3000, and 100001, the scan of quadfield._class_prime
     ref = reference_sieve(100001)
     for limit in [*range(3001), 100001]:
-        assert small_primes.__wrapped__(limit) == ref[: bisect_left(ref, limit)], limit
+        assert small_primes(limit) == ref[: bisect_left(ref, limit)], limit
 
 
 # ---------------------------------------------------------------- factor
@@ -238,14 +240,17 @@ def test_factor_past_the_trial_table():
         assert factor(m) == expected, ps
 
 
-def test_factor_adds_one_key_to_the_prime_cache():
-    # one fixed trial table whatever the size of m, so that factoring
-    # never evicts the tables other callers keep in small_primes' cache
-    small_primes.cache_clear()
+def test_factor_calls_no_sieve(monkeypatch):
+    # trial division reads the one table built at import, whatever the
+    # size of m, so factoring sieves nothing
+    def no_sieve(limit):
+        raise AssertionError(f"sieved the primes below {limit}")
+
+    monkeypatch.setattr(arith, "small_primes", no_sieve)
     for m in [12, 1001, 4099 * 4111, 10**9 + 7, 2**61 - 1, 3 * 99991**2, *range(2, 3000, 7)]:
-        factor(m)
-    assert small_primes.cache_info().currsize == 1
-    assert small_primes(SIEVE_PRIMES) is small_primes(SIEVE_PRIMES)
+        fac = factor(m)
+        assert prod(p**e for p, e in fac) == m and all(is_prime(p) for p, _ in fac), m
+    assert SIEVE_TABLE == reference_sieve(SIEVE_PRIMES)
 
 
 # ---------------------------------------------------------------- fields

@@ -687,6 +687,7 @@ def test_search_asks_is_prime_only_past_the_k_side_filters(monkeypatch, field, e
     # all lie below SIEVE_PRIMES**2, where the sieve decides primality
     # and is_prime sees none; a sieve to 16 leaves the walk past 256 to it
     monkeypatch.setattr(classfield, "SIEVE_PRIMES", 16)
+    monkeypatch.setattr(classfield, "SIEVE_TABLE", small_primes(16))
     asked, roots = [], set()
 
     def recording_is_prime(m):
@@ -938,6 +939,7 @@ def test_quad_candidates_ask_is_prime_past_a_small_sieve(monkeypatch, field, ell
     # non-square entry there with Euler symbol 1 reaches is_prime, none
     # below it does, and the candidates are still the primes of norm n
     monkeypatch.setattr(classfield, "SIEVE_PRIMES", 16)
+    monkeypatch.setattr(classfield, "SIEVE_TABLE", small_primes(16))
     asked = []
 
     def recording_is_prime(m):

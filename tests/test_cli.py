@@ -333,10 +333,12 @@ def test_basis_prime_beyond_the_sieve_round_trip(tmp_path, capsys, disc, t, gen_
 def test_construct_rejects_small_n_and_bound(tmp_path, capsys):
     # the library owns these rules; the CLI reports its message as is.
     # K(-19) has no prime of norm below 4, so B = 3 would leave its table
-    # empty, and is_prime has no answer at 2**64 or above
+    # empty, is_prime has no answer at 2**64 or above, and the prime sieve
+    # cannot index a table at sys.maxsize or above
     out = tmp_path / "x.json"
     below = "bound 3 is below 4, the least norm of a prime of the field"
     limit = "bound {} reaches the 2**64 primality limit"
+    index = "bound {} reaches sys.maxsize, which the prime sieve cannot index"
     for field, n, bound, message in (
         ("q", 1, 5, "n must be at least 2"),
         ("q", 0, 5, "n must be at least 2"),
@@ -347,6 +349,8 @@ def test_construct_rejects_small_n_and_bound(tmp_path, capsys):
         ("disc=-19", 6, 3, below),
         ("q", 2, 2**64, limit.format(2**64)),
         ("disc=-23", 6, 10**20, limit.format(10**20)),
+        ("q", 2, 2**63, index.format(2**63)),
+        ("disc=-23", 6, sys.maxsize, index.format(sys.maxsize)),
     ):
         args = ["construct", "--field", field, "--n", str(n), "--bound", str(bound)]
         assert run(args + ["--out", str(out)]) == 1

@@ -1,5 +1,6 @@
 import copy
 import json
+import sys
 from collections import Counter
 
 import pytest
@@ -147,6 +148,23 @@ def test_a_bound_at_the_primality_limit_is_refused():
     # is_prime has no answer at 2**64 or above, so no table reaches it
     for bound in (2**64, 10**20):
         message = rf"^bound {bound} reaches the 2\*\*64 primality limit$"
+        with pytest.raises(ValueError, match=message):
+            construct(RATIONAL, 2, 1, bound)
+        with pytest.raises(ValueError, match=message):
+            compose_for_n(K8, 6, bound)
+
+
+def test_a_bound_the_sieve_cannot_index_is_refused(monkeypatch):
+    # the prime sieve takes a bytearray of bound + 1 entries, which no
+    # bound from sys.maxsize on can have; the refusal comes first, before
+    # any table or context is made
+    def unreached(*args):
+        raise AssertionError("construct went past its bound checks")
+
+    monkeypatch.setattr(constructor, "enumerate_field_primes", unreached)
+    monkeypatch.setattr(constructor, "build_context", unreached)
+    for bound in (2**63, sys.maxsize):
+        message = rf"^bound {bound} reaches sys.maxsize, which the prime sieve cannot index$"
         with pytest.raises(ValueError, match=message):
             construct(RATIONAL, 2, 1, bound)
         with pytest.raises(ValueError, match=message):
@@ -650,6 +668,11 @@ def test_write_certificate_round_trip(tmp_path):
     path = tmp_path / "cert.json"
     write_certificate(cert, path)
     assert json.loads(path.read_text()) == cert
+    # the chunks written one by one are certificate_json's text, byte for
+    # byte, for plain and composite documents with table rows
+    for cert in (cert, construct(K8, 2, 2, 200), compose_for_n(RATIONAL, 6, 100)):
+        write_certificate(cert, path)
+        assert path.read_bytes() == certificate_json(cert).encode("utf-8")
 
 
 def test_config_recorded_in_certificate():

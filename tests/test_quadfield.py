@@ -6,7 +6,14 @@ from math import isqrt
 import pytest
 
 from constdeg import quadfield
-from constdeg.arith import factor, is_prime, legendre, power_residue_level, small_primes
+from constdeg.arith import (
+    SIEVE_PRIMES,
+    factor,
+    is_prime,
+    legendre,
+    power_residue_level,
+    small_primes,
+)
 from constdeg.classfield import build_context
 from constdeg.quadfield import (
     DISC_LIMIT,
@@ -40,6 +47,7 @@ from constdeg.quadfield import (
     unit_ideal,
 )
 from oracles import (
+    class_prime_full_scan,
     conjugate_prime,
     split_primes,
     embed,
@@ -554,6 +562,46 @@ def test_class_group_l_part_rank_two():
             principal_generator(
                 field, ideal_pow(field, prime_module(field, P), 3 ** (m - 1))
             )
+
+
+@pytest.mark.parametrize("disc,ell", [(-23, 3), (-56, 2), (-3299, 3)])
+def test_basis_primes_in_the_sieve_table_need_no_sieve(monkeypatch, disc, ell):
+    # every basis class here holds a prime below SIEVE_PRIMES, so
+    # _class_prime reads arith.SIEVE_TABLE alone and never sieves to 10^5
+    def no_sieve(limit):
+        raise AssertionError(f"sieved the primes below {limit}")
+
+    monkeypatch.setattr(quadfield, "small_primes", no_sieve)
+    ctx = build_context(quadratic_field(disc), ell, 1)
+    assert ctx.cl.gens and all(p < SIEVE_PRIMES for p, _ in ctx.cl.gens)
+
+
+@pytest.mark.parametrize(
+    "disc,ell,found",
+    [
+        (-23, 3, [13]),
+        (-3299, 3, [277, 11]),
+        (-1200039, 2, [400313, 11689]),
+        (-9999935, 2, [59083, 2002867, 125107]),
+    ],
+)
+def test_class_prime_matches_the_full_scan(monkeypatch, disc, ell, found):
+    # reading SIEVE_TABLE first and sieving to the cap only for a class
+    # it misses finds the prime of one full scan: below 2^12, between 2^12
+    # and the cap of 10^5 (11689, 59083), and past it (400313, from row 2
+    # of its form, 2002867, 125107), so every basis prime and certificate
+    # stays the same
+    real, seen = quadfield._class_prime, []
+
+    def checked(field, form, exclusion):
+        P = real(field, form, exclusion)
+        assert P == class_prime_full_scan(field, form, exclusion), form
+        seen.append(P[0])
+        return P
+
+    monkeypatch.setattr(quadfield, "_class_prime", checked)
+    build_context(quadratic_field(disc), ell, 1)
+    assert seen == found
 
 
 def test_class_group_basis_matches_the_greedy_reference():

@@ -101,10 +101,10 @@ def cached_functions(src_dir) -> list:
     return out
 
 
-def test_the_prime_sieve_is_the_only_cache():
-    # a module-level cache holds what it saw for the life of the process;
-    # the sieve's few limits are the one whose hits pay for it
-    assert cached_functions(SRC) == ["arith.small_primes"]
+def test_src_has_no_cache():
+    # a module-level cache holds what it saw for the life of the process,
+    # and a prime table grows with the bound; the package sieves afresh
+    assert cached_functions(SRC) == []
 
 
 def test_cache_census_sees_every_decorator_form(tmp_path):

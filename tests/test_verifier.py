@@ -854,15 +854,11 @@ def test_a_broken_local_symbol_fails_the_product_formula(monkeypatch):
 
 
 def test_brauer_split_standard_quaternions():
-    split, places = brauer_split_check(CERT2, QuaternionAlgebra(-1, -1))
-    assert split is True
-    assert places == [2, "inf"]
+    assert brauer_split_check(CERT2, QuaternionAlgebra(-1, -1)) == [2, "inf"]
 
 
 def test_brauer_split_vacuous():
-    split, places = brauer_split_check(CERT2, QuaternionAlgebra(1, 1))
-    assert split is True
-    assert places == []
+    assert brauer_split_check(CERT2, QuaternionAlgebra(1, 1)) == []
 
 
 def test_brauer_forged_real_place_record():
@@ -889,7 +885,7 @@ def test_brauer_verifies_up_to_the_largest_ramified_place():
     c = copy.deepcopy(CERT2)
     assert c["table"][3]["prime"] == [7, None]
     c["table"][3]["degree"] = 1
-    assert brauer_split_check(c, QuaternionAlgebra(-1, -3)) == (True, [3, "inf"])
+    assert brauer_split_check(c, QuaternionAlgebra(-1, -3)) == [3, "inf"]
     with pytest.raises(MismatchFound, match=r"^at prime \(7,None\)"):
         brauer_split_check(c, QuaternionAlgebra(-1, -7))
 
@@ -917,7 +913,7 @@ def test_brauer_splits_at_every_even_n_over_q(n):
     degrees = {row["prime"][0]: row["degree"] for row in doc["table"]}
     for a, b in ((-1, -1), (-1, -3), (-1, 3), (-2, 5), (-7, -11), (1, 1)):
         places = ramified_places(a, b)
-        assert brauer_split_check(cert, QuaternionAlgebra(a, b)) == (True, places)
+        assert brauer_split_check(cert, QuaternionAlgebra(a, b)) == places
         assert all(degrees[p] % 2 == 0 for p in places if p != "inf")
     assert doc["real_place_degree"] == 2
     with pytest.raises(RamifiedPlaceOutOfRange):
@@ -929,9 +925,7 @@ def test_brauer_splits_at_every_even_n_over_q(n):
 
 
 def test_brauer_accepts_composite_wrapper():
-    split, places = brauer_split_check(COMP2, QuaternionAlgebra(-1, -1))
-    assert split is True
-    assert places == [2, "inf"]
+    assert brauer_split_check(COMP2, QuaternionAlgebra(-1, -1)) == [2, "inf"]
 
 
 def test_quaternion_algebra_rejects_zero():
