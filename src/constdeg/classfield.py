@@ -259,12 +259,20 @@ def _generator(ctx, gens: dict, q):
     # one search_prime call; a split q whose conjugate (p, 2p - b) is there
     # takes the canonical associate of its (x, -y), which generates the
     # conjugate power and so is the one principal_generator would return.
-    # A ramified q names itself or no prime there, so it never takes one
+    # A ramified q names itself or no prime there, so it never takes one.
+    # That associate, (x + y*sqrt(D))/2, must lie in q, the ideal
+    # (p, (-b + sqrt(D))/2) of prime_module, so x + y*b = 0 mod 2p; the
+    # conjugate's own generator does not
     gamma = gens.get(q)
     if gamma is None:
         p, b = q
         bar = b is not None and gens.get((p, 2 * p - b))
-        gamma = normalize_unit(ctx.field, (bar[0], -bar[1])) if bar else _target_generator(ctx, q)
+        if bar:
+            gamma = x, y = normalize_unit(ctx.field, (bar[0], -bar[1]))
+            if (x + y * b) % (2 * p):
+                raise InternalInconsistency(f"generator {gamma} for ({p},{b}) lies outside it")
+        else:
+            gamma = _target_generator(ctx, q)
         gens[q] = gamma
     return gamma
 

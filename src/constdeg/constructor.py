@@ -65,7 +65,8 @@ def construct(field, ell: int, r: int, bound: int, config: Config = None) -> dic
 
     Raises ValueError if no prime has norm up to bound (over K a bound
     below 4 can leave none), or bound reaches 2**64 or sys.maxsize, past
-    which the prime sieve cannot index its table, SearchExhausted if
+    which the prime sieve cannot index its table, or its sieve cannot be
+    allocated (MemoryError), SearchExhausted if
     some conductor search hits the cap or the 2**64 primality limit, and
     InternalInconsistency if a row is not ell^r after its piece.
     """
@@ -78,7 +79,10 @@ def construct(field, ell: int, r: int, bound: int, config: Config = None) -> dic
         raise ValueError(f"bound {bound} reaches sys.maxsize, which the prime sieve cannot index")
     if cfg.cap < 1:
         raise ValueError("cap must be at least 1")
-    rows = enumerate_field_primes(field, bound)
+    try:
+        rows = enumerate_field_primes(field, bound)
+    except MemoryError:
+        raise ValueError(f"bound {bound} needs a prime sieve larger than memory allows") from None
     if not rows:
         # a prime above 2 has norm 2 or 4
         least = next(n for n in (2, 3, 4) if enumerate_field_primes(field, n))

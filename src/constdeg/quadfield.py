@@ -308,18 +308,22 @@ class ClassGroupLPart:
 _BASIS_PRIME_CAP = 100000  # primes scanned, then values tried per row
 
 
-def _class_prime(field, form, exclusion) -> tuple:
-    """A prime (p, b) outside the exclusion set in the class of the reduced
-    form (a, b, c): the least one of norm below the cap, or else one above
-    the first prime value a*x^2 + b*x*y + c*y^2 over rows y = 1, 2, ...,
-    each taking x = 0, 1, -1, 2, ... for cap values.  A prime value has
-    gcd(x, y) = 1, as g = gcd(x, y) puts g^2 in the value, so a prime
-    above it lies in the class (Cohen, GTM 138, 5.2).
+def _class_primes(field, forms, exclusion) -> list:
+    """For each reduced form (a, b, c) of forms, a prime (p, b) outside
+    the exclusion set in its class: the least one of norm below the cap,
+    or else one above the first prime value a*x^2 + b*x*y + c*y^2 over
+    rows y = 1, 2, ..., each taking x = 0, 1, -1, 2, ... for cap values.
+    A prime value has gcd(x, y) = 1, as g = gcd(x, y) puts g^2 in the
+    value, so a prime above it lies in the class (Cohen, GTM 138, 5.2).
 
-    The scan reads SIEVE_TABLE first and sieves to the cap only for a
-    class that table misses; the primes come ascending either way, so
-    it finds the prime a single scan to the cap finds.
+    One ascending scan serves every form: it takes the class form of each
+    prime once and gives each wanted form the first prime in its class.
+    It reads SIEVE_TABLE first and sieves to the cap at most once, only
+    if some class that table misses is still wanted; the row walk then
+    runs for each form still without a prime.
 
+    The walk passes over a row whose values are all even: its one
+    possible prime value, 2, is below the cap, where the scan tried it.
     The walk has no exit, and it ends in row 1 or 2.  A whole row is even
     only when c and a + b are even; a is then odd, as the form is
     primitive, and row 2 takes only odd values.  No odd p divides every
@@ -327,25 +331,38 @@ def _class_prime(field, form, exclusion) -> tuple:
     has a, b*y and c*y^2 all divisible by p.  So one of the two rows has
     no fixed prime divisor."""
 
-    def above(p):
+    wanted = set(forms)
+
+    def above(p, classes):
+        # (form, w) for each prime w above p whose class is one of classes
         for w in factor_rational_prime(field, p):
-            if ideal_class_form(field, prime_module(field, w)) == form:
-                return w
+            if (form := ideal_class_form(field, prime_module(field, w))) in classes:
+                yield form, w
 
     def scan():
         yield from SIEVE_TABLE
         yield from small_primes(_BASIS_PRIME_CAP + 1)[len(SIEVE_TABLE) :]
 
-    for p in scan():
-        if p not in exclusion and (P := above(p)):
-            return P
-    a, b, c = form
-    for y in count(1):
-        for i in range(_BASIS_PRIME_CAP):
-            x = (i + 1) // 2 if i % 2 else -(i // 2)
-            p = a * x * x + b * x * y + c * y * y
-            if p not in exclusion and is_prime(p) and (P := above(p)):
-                return P
+    def walk(form):
+        a, b, c = form
+        for y in count(1):
+            if c * y * y % 2 == 0 and (a + b * y + c * y * y) % 2 == 0:
+                continue
+            for i in range(_BASIS_PRIME_CAP):
+                x = (i + 1) // 2 if i % 2 else -(i // 2)
+                p = a * x * x + b * x * y + c * y * y
+                if p not in exclusion and is_prime(p):
+                    for _, w in above(p, {form}):
+                        return w
+
+    found = {}
+    for p in scan() if wanted else ():
+        if p not in exclusion:
+            for form, w in above(p, wanted):
+                found.setdefault(form, w)
+            if len(found) == len(wanted):
+                break
+    return [found[form] if form in found else walk(form) for form in forms]
 
 
 def class_group_l_part(field, ell: int, exclusion) -> ClassGroupLPart:
@@ -398,13 +415,11 @@ def class_group_l_part(field, ell: int, exclusion) -> ClassGroupLPart:
         assert len(table) == old_len * ell**m, "basis relation found"
 
     # represent each basis class by a prime outside the exclusion set
-    gens, alphas = [], []
-    for g_form, m in zip(basis, exps):
-        found = _class_prime(field, g_form, exclusion)
+    gens, alphas = _class_primes(field, basis, exclusion), []
+    for found, m in zip(gens, exps):
         J = ideal_pow(field, prime_module(field, found), ell**m)
         alpha = principal_generator(field, J)
         assert elt_norm(field, alpha) == ideal_norm(J)
-        gens.append(found)
         alphas.append(alpha)
 
     # each form is s*c for one s in the Sylow group, whose vector it takes

@@ -44,10 +44,11 @@ None of this runs in the package itself:
     quadfield.class_group_l_part once ran, which measures each
     candidate's order and its order modulo the span at every step, the
     reference for that function's one walk per element;
-  * class_prime_full_scan: the basis prime of a class as
-    quadfield._class_prime found it before it read SIEVE_TABLE first,
-    one scan of the primes up to its cap and then the row walk, the
-    reference for the prime (and so the certificate bytes) it finds;
+  * class_prime_full_scan: the basis prime of one class as
+    quadfield found it before one scan served every class, one scan of
+    the primes up to its cap and then the row walk over every row, the
+    reference for the primes quadfield._class_primes finds (and so the
+    certificate bytes);
   * elt_neg: the negative of an element;
   * roots_by_scan: the roots b of x^2 = D mod 4p found by scanning
     every b < 2p, the reference for the split and ramified cases of

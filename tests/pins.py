@@ -3,8 +3,9 @@ job and exactly one of sha256, fixture or exhausted (README, "Test").
 
 tests/test_pins.py checks every entry through the library, and
 `python tests/pins.py OUTDIR` through the console script, leaving each
-certificate in OUTDIR/<name>.json: an exhausted entry must exit 3, print
-exactly "search exhausted: <message>" on stderr and write no file.
+certificate in OUTDIR/<name>.json, which `constdeg verify` must then
+pass: an exhausted entry must exit 3, print exactly "search exhausted:
+<message>" on stderr and write no file.
 """
 
 import json
@@ -74,9 +75,12 @@ def check_console_script(entry, folder: Path) -> bool:
         data = out.read_bytes() if proc.returncode == 0 else None
         got = (proc.returncode, proc.stderr, data and sha256(data).hexdigest())
         ok = proc.returncode == 0 and holds(entry, data, None)
+        if ok:
+            check = subprocess.run(["constdeg", "verify", str(out)], capture_output=True, text=True)
+            got, ok = ("verify", check.returncode, check.stderr), check.returncode == 0
     print("ok  " if ok else "FAIL", *cmd[2:])
     if not ok:
-        print("  got (exit, stderr, file or its SHA-256):", got)
+        print("  got (exit, stderr, file or its SHA-256), or verify's exit and stderr:", got)
     return ok
 
 

@@ -168,7 +168,7 @@ def reference_sieve(limit):
 
 
 def test_small_primes_is_a_plain_sieve():
-    # every limit up to 3000, and 100001, the scan of quadfield._class_prime
+    # every limit up to 3000, and 100001, the scan of quadfield._class_primes
     ref = reference_sieve(100001)
     for limit in [*range(3001), 100001]:
         assert small_primes(limit) == ref[: bisect_left(ref, limit)], limit

@@ -36,6 +36,7 @@ from constdeg.classfield import (
 )
 from constdeg.cli import run
 from constdeg.constructor import construct
+from constdeg.verifier import verify
 from constdeg.quadfield import (
     RATIONAL,
     NotPrincipal,
@@ -1398,6 +1399,19 @@ def test_conjugate_target_generator_is_the_fresh_one(monkeypatch, disc):
         assert classfield._generator(ctx, gens, pair(second)) == want, (first, second)
     assert len(fresh) == len(pairs)  # the second of each pair came from the first
     assert len(gens) == 2 * len(pairs)
+
+
+def test_a_conjugate_generator_outside_its_prime_is_refused(monkeypatch):
+    # the shortcut's fault of (x, y) in place of (x, -y) hands a split row
+    # its conjugate's own generator, which writes certificates verify
+    # passes unless the shortcut checks that the generator lies in its prime
+    monkeypatch.setattr(classfield, "normalize_unit", lambda f, u: (u[0], -u[1]))
+    message = r"^generator \(-?\d+, -?\d+\) for \(\d+,\d+\) lies outside it$"
+    with pytest.raises(InternalInconsistency, match=message):
+        construct(K23, 2, 2, 200)
+    doc = json.loads((FIXTURES / "k-23_n4_b50.json").read_text(encoding="utf-8"))
+    with pytest.raises(InternalInconsistency, match=message):
+        verify(doc)
 
 
 @pytest.mark.parametrize("disc", [-4, -23])

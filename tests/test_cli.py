@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from constdeg import verifier
+from constdeg import classfield, verifier
 from constdeg.cli import _build_parser, run
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -356,6 +356,38 @@ def test_construct_rejects_small_n_and_bound(tmp_path, capsys):
         assert run(args + ["--out", str(out)]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
+
+
+def test_construct_refuses_a_sieve_it_cannot_allocate(tmp_path, capsys, monkeypatch):
+    # small_primes patched to raise MemoryError, so that nothing is
+    # allocated: an error line, exit 1, no traceback and no file
+    def no_memory(limit):
+        raise MemoryError
+
+    monkeypatch.setattr(classfield, "small_primes", no_memory)
+    out = tmp_path / "x.json"
+    bound = sys.maxsize - 1
+    args = ["construct", "--field", "q", "--n", "6", "--bound", str(bound), "--out", str(out)]
+    assert run(args) == 1
+    message = f"error: bound {bound} needs a prime sieve larger than memory allows\n"
+    assert capsys.readouterr().err == message
+    assert not out.exists()
+
+
+def test_long_mismatch_message_is_cut(tmp_path, capsys):
+    # 100,000 well-formed class_data rows: verify's stderr shows the first
+    # 200 characters of their repr, and the count of the rest
+    cert = json.loads((FIXTURES / "q_n2_b100.json").read_text(encoding="utf-8"))
+    row = {"gen_ideal": [3, 1], "order": 2, "alpha": [1, 1]}
+    rows = "[" + ", ".join([json.dumps(row)] * 100_000) + "]"
+    path = tmp_path / "long.json"
+    text = json.dumps(cert).replace('"class_data": []', f'"class_data": {rows}')
+    path.write_text(text, encoding="utf-8")
+    assert run(["verify", str(path)]) == 2
+    err = capsys.readouterr().err
+    head = "verification failure: at class_data: certificate claims " + repr([row] * 3)[:-1]
+    assert err.startswith(head) and err.endswith(" more characters], recomputed []\n")
+    assert len(err) < 1000
 
 
 def test_construct_search_cap_exhausted(tmp_path, capsys):

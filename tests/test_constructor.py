@@ -171,6 +171,21 @@ def test_a_bound_the_sieve_cannot_index_is_refused(monkeypatch):
             compose_for_n(K8, 6, bound)
 
 
+def test_a_bound_the_sieve_cannot_allocate_is_refused(monkeypatch):
+    # a bound below sys.maxsize may still ask small_primes for more memory
+    # than the host has; patched to raise, so that nothing is allocated
+    def no_memory(limit):
+        raise MemoryError
+
+    monkeypatch.setattr(classfield, "small_primes", no_memory)
+    bound = sys.maxsize - 1
+    message = rf"^bound {bound} needs a prime sieve larger than memory allows$"
+    with pytest.raises(ValueError, match=message):
+        construct(RATIONAL, 2, 3, bound)
+    with pytest.raises(ValueError, match=message):
+        compose_for_n(K8, 6, bound)
+
+
 def test_construct_rational_l2_b10():
     cert = construct(RATIONAL, 2, 1, 10)
     assert list(cert.keys()) == PLAIN_KEYS

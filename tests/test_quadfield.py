@@ -567,7 +567,7 @@ def test_class_group_l_part_rank_two():
 @pytest.mark.parametrize("disc,ell", [(-23, 3), (-56, 2), (-3299, 3)])
 def test_basis_primes_in_the_sieve_table_need_no_sieve(monkeypatch, disc, ell):
     # every basis class here holds a prime below SIEVE_PRIMES, so
-    # _class_prime reads arith.SIEVE_TABLE alone and never sieves to 10^5
+    # _class_primes reads arith.SIEVE_TABLE alone and never sieves to 10^5
     def no_sieve(limit):
         raise AssertionError(f"sieved the primes below {limit}")
 
@@ -586,22 +586,25 @@ def test_basis_primes_in_the_sieve_table_need_no_sieve(monkeypatch, disc, ell):
     ],
 )
 def test_class_prime_matches_the_full_scan(monkeypatch, disc, ell, found):
-    # reading SIEVE_TABLE first and sieving to the cap only for a class
-    # it misses finds the prime of one full scan: below 2^12, between 2^12
-    # and the cap of 10^5 (11689, 59083), and past it (400313, from row 2
-    # of its form, 2002867, 125107), so every basis prime and certificate
-    # stays the same
-    real, seen = quadfield._class_prime, []
+    # one scan for every basis form, SIEVE_TABLE first and one sieve to
+    # the cap only for the classes it misses, finds for each form the
+    # prime of one full scan: below 2^12, between 2^12 and the cap of 10^5
+    # (11689, 59083), and past it (400313, from row 2 of its form,
+    # 2002867, 125107), so every basis prime and certificate stays the same
+    real, seen, sieved, sieve = quadfield._class_primes, [], [], quadfield.small_primes
+    monkeypatch.setattr(quadfield, "small_primes", lambda n: sieved.append(n) or sieve(n))
 
-    def checked(field, form, exclusion):
-        P = real(field, form, exclusion)
-        assert P == class_prime_full_scan(field, form, exclusion), form
-        seen.append(P[0])
-        return P
+    def checked(field, forms, exclusion):
+        Ps = real(field, forms, exclusion)
+        for form, P in zip(forms, Ps, strict=True):
+            assert P == class_prime_full_scan(field, form, exclusion), form
+        seen.extend(p for p, _ in Ps)
+        return Ps
 
-    monkeypatch.setattr(quadfield, "_class_prime", checked)
+    monkeypatch.setattr(quadfield, "_class_primes", checked)
     build_context(quadratic_field(disc), ell, 1)
     assert seen == found
+    assert sieved == ([quadfield._BASIS_PRIME_CAP + 1] if max(found) > SIEVE_PRIMES else [])
 
 
 def test_class_group_basis_matches_the_greedy_reference():

@@ -2,6 +2,7 @@ import copy
 import json
 import random
 import time
+from pathlib import Path
 
 import pytest
 
@@ -33,7 +34,10 @@ def from_bytes(cert):
     return parse_certificate(certificate_json(cert))
 
 
-CERT2 = from_bytes(construct(RATIONAL, 2, 1, 100))
+# the bytes construct(RATIONAL, 2, 1, 100) writes, pinned in tests/pins.json
+CERT2 = parse_certificate(
+    (Path(__file__).resolve().parent / "fixtures" / "q_n2_b100.json").read_text(encoding="utf-8")
+)
 CERT8 = from_bytes(construct(RATIONAL, 2, 3, 30))
 CERT9 = from_bytes(construct(RATIONAL, 3, 2, 30))
 CERT23 = from_bytes(construct(K23, 3, 1, 50))
@@ -458,6 +462,17 @@ def test_large_r_seed_roundtrip():
 # ------------------------------------------------------------- structure
 
 
+def edited(cert, path, value):
+    # a copy of cert with value at path, read back from its JSON text
+    c = copy.deepcopy(cert)
+    *keys, last = path
+    target = c
+    for k in keys:
+        target = target[k]
+    target[last] = value
+    return parse_certificate(json.dumps(c))
+
+
 PIECE1_ROW = next(i for i, row in enumerate(CERT2["table"]) if row["ramified_component"] == 1)
 
 
@@ -475,14 +490,79 @@ PIECE1_ROW = next(i for i, row in enumerate(CERT2["table"]) if row["ramified_com
 )
 def test_parse_rejects_booleans_for_integers(cert, path, value):
     # JSON true/false equal 1/0 in Python; as integers they are malformed
-    c = copy.deepcopy(cert)
-    *keys, last = path
-    target = c
-    for k in keys:
-        target = target[k]
-    target[last] = value
     with pytest.raises(MalformedCertificate):
-        verify(parse_certificate(json.dumps(c)))
+        verify(edited(cert, path, value))
+
+
+# The keys verify only compares with the rebuilt context_record or the
+# recomputed real place have no shape checks of their own: _match is
+# their one check, and it tells a value equal only as a Python value
+# (True for 1, 2.0 for 2) from one that differs.  Of l0 verify reads
+# the character order, whose shape it checks, and compares the rest.
+COMPARED = [
+    ["t"],
+    ["class_data"],
+    ["unit_gens"],
+    ["l0", "modulus"],
+    ["l0", "character", "sign"],
+    ["deficiencies"],
+    ["real_place_degree"],
+]
+
+
+@pytest.mark.parametrize(
+    "cert, path, value",
+    [
+        (CERT23, ["t"], True),
+        (CERT23, ["t"], 1.0),
+        (CERT23, ["class_data", 0, "order"], 3.0),
+        (CERT23, ["class_data", 0, "gen_ideal", 0], 13.0),
+        (CERT23, ["unit_gens", 0, 0], -2.0),
+        (CERT23, ["l0", "character", "sign"], True),
+        (CERT23, ["l0", "modulus"], 9.0),
+        (CERTD, ["deficiencies", 0, "deficiency"], 1.0),
+        (CERTD, ["deficiencies", 0, "prime", 0], 2.0),
+        (CERT2, ["real_place_degree"], 2.0),
+        (COMP6, ["composite", "real_place_degree"], 2.0),
+    ],
+    ids=lambda v: "-".join(map(str, v)) if isinstance(v, list) else None,
+)
+def test_compared_key_equal_only_as_python_value_is_malformed(cert, path, value):
+    key = "real place" if path[-1] == "real_place_degree" else path[0]
+    with pytest.raises(MalformedCertificate, match=f"^{key}: "):
+        verify(edited(cert, path, value))
+
+
+@pytest.mark.parametrize("value", ["x", [], {}, [[1, 2]]], ids=["str", "list", "dict", "nested"])
+@pytest.mark.parametrize("path", COMPARED, ids="-".join)
+def test_compared_key_of_another_shape_is_a_mismatch_there(path, value):
+    cert = CERTD if path == ["deficiencies"] else CERT23
+    c = edited(cert, path, value)
+    key = path[0]
+    with pytest.raises(MismatchFound) as ei:
+        verify(c)
+    assert ei.value.place == ("real place" if key == "real_place_degree" else key)
+    assert (ei.value.claimed, ei.value.recomputed) == (c[key], cert[key])
+
+
+def test_class_data_row_keys_in_any_order_verify():
+    c = copy.deepcopy(CERT23)
+    c["class_data"] = [dict(reversed(row.items())) for row in c["class_data"]]
+    assert json.dumps(c["class_data"]) != json.dumps(CERT23["class_data"])
+    rep, want = verify(parse_certificate(json.dumps(c))), verify(CERT23)
+    assert (rep.primes, rep.degree, rep.real_place) == (want.primes, want.degree, want.real_place)
+
+
+def test_mismatch_message_shows_the_head_of_each_value():
+    claimed, recomputed = list(range(10**4)), "y" * 500
+    exc = MismatchFound("class_data", claimed, recomputed)
+    assert (exc.claimed, exc.recomputed) == (claimed, recomputed)
+    text = repr(claimed)
+    assert str(exc) == (
+        f"at class_data: certificate claims {text[:200]}... [{len(text) - 200} more characters]"
+        f", recomputed {repr(recomputed)[:200]}... [302 more characters]"
+    )
+    assert str(MismatchFound("t", 5, 1)) == "at t: certificate claims 5, recomputed 1"
 
 
 def test_parse_rejects_bad_json():
@@ -671,11 +751,12 @@ def test_row_i_names_the_ith_prime(cert, fault):
 
 
 def prime_refs(doc):
-    # one [p, b] per table row, class generator and deficiency
+    # one [p, b] per table row; class generators and deficiencies are
+    # only compared with the rebuilt context, by _match
     if "composite" in doc:
         comp = doc["composite"]
         return len(comp["table"]) + sum(prime_refs(sub) for sub in comp["components"])
-    return len(doc["table"]) + len(doc["class_data"]) + len(doc["deficiencies"])
+    return len(doc["table"])
 
 
 @pytest.mark.parametrize(
