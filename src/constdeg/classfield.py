@@ -165,7 +165,9 @@ def build_L0_rational(ell: int, r: int) -> CyclotomicPiece:
 
 
 def character_order(piece, x: int) -> int:
-    """Order of the seed character's value at the unit x."""
+    """Order of the seed character's value at the unit x, in closed form:
+    one power and one gcd at any depth r, which a document can set to
+    thousands."""
     m = piece.modulus
     x %= m
     if gcd(x, m) != 1:
@@ -179,11 +181,8 @@ def character_order(piece, x: int) -> int:
     else:
         # chi(-1) = chi(5^(2^(r-1))) and 5^(2^(r-1)) = 1 + 2^(r+1) mod 2^(r+2)
         y = -x * (1 + m // 2) % m
-    j = 0
-    while y != 1:
-        y = pow(y, piece.ell, m)
-        j += 1
-    return piece.ell**j
+    # in that group y = 1 + l^v*u, u a unit, has order l^(e-v) for m = l^e
+    return m // gcd(y - 1, m)
 
 
 def frobenius_order_in_L0(piece, norm: int):

@@ -15,7 +15,7 @@ degree gets the piece of one classfield.search_prime call, which
 supplies the factor the others miss there, and the fold adds that
 piece's column of Frobenius orders to its rows still short.
 Searches are deterministic, so equal inputs give byte-identical
-certificates.
+certificates; their text is json.dumps's own (certificate_json).
 """
 
 import json
@@ -152,88 +152,16 @@ def compose_for_n(field, n: int, bound: int, config: Config = None) -> dict:
     }
 
 
-# construct's two table-row shapes, by key order, as json's indent=2 layout
-# at indentation 0: a row of either shape whose scalars are ints or None
-# is one fill of its template
-_ROWS = {
-    ("prime", "degree", "ramified_component"): (
-        '{\n  "prime": [\n    %s,\n    %s\n  ],\n  "degree": %s,\n  "ramified_component": %s\n}'
-    ),
-    ("prime", "degree"): '{\n  "prime": [\n    %s,\n    %s\n  ],\n  "degree": %s\n}',
-}
-
-_INT_OR_NONE = frozenset({int, type(None)})
-
-_JSON = json.JSONEncoder(indent=2)  # _JSON.encode is json.dumps(..., indent=2)
-
-
-def _write(value, pad, out, open_ids):
-    """Append to out the text json.dumps(value, indent=2) gives value
-    nested at indentation pad.  Non-empty lists and dicts with str keys
-    are walked, and a list item of one of the _ROWS shapes is one template
-    fill (a composite row has no ramified_component: .get reads None and
-    the slice drops it).  Any other value is json's own text, re-indented,
-    which is exact because json writes no raw newline inside a string."""
-    walk = type(value) is list or (type(value) is dict and all(type(k) is str for k in value))
-    if not (walk and value):
-        out.append(_JSON.encode(value).replace("\n", "\n" + pad))
-        return
-    if id(value) in open_ids:
-        raise ValueError("Circular reference detected")
-    open_ids.add(id(value))
-    inner = pad + "  "
-    sep, comma = "\n" + inner, ",\n" + inner
-    if type(value) is dict:
-        out.append("{")
-        for k, v in value.items():
-            out.append(sep + _JSON.encode(k) + ": ")
-            sep = comma
-            _write(v, inner, out, open_ids)
-        out.append("\n" + pad + "}")
-    else:
-        templates = {keys: t.replace("\n", "\n" + inner) for keys, t in _ROWS.items()}
-        out.append("[")
-        for v in value:
-            out.append(sep)
-            sep = comma
-            template = type(v) is dict and templates.get(tuple(v))
-            if template:
-                prime, degree, ramified = v["prime"], v["degree"], v.get("ramified_component")
-                if type(prime) is list and len(prime) == 2:
-                    p, b = prime
-                    if (
-                        type(p) is int
-                        and type(degree) is int
-                        and type(b) in _INT_OR_NONE
-                        and type(ramified) in _INT_OR_NONE
-                    ):
-                        b = "null" if b is None else b
-                        ramified = "null" if ramified is None else ramified
-                        out.append(template % (p, b, degree, ramified)[: len(v) + 1])
-                        continue
-            _write(v, inner, out, open_ids)
-        out.append("\n" + pad + "]")
-    open_ids.discard(id(value))
-
-
-def _chunks(cert: dict) -> list:
-    out = []
-    _write(cert, "", out, set())
-    out.append("\n")
-    return out
-
-
 def certificate_json(cert: dict) -> str:
-    """The certificate's text: json.dumps(cert, indent=2) + "\\n", byte for
-    byte (the tests pin this), with construct's table rows written by one
-    template fill each instead of json's pure-Python indent encoder."""
-    return "".join(_chunks(cert))
+    """The certificate's text: json.dumps(cert) and a final newline, written
+    by json's C encoder.  `python -m json.tool --indent 2` prints it in the
+    indent=2 layout that earlier versions wrote, byte for byte."""
+    return json.dumps(cert) + "\n"
 
 
 def write_certificate(cert: dict, path) -> None:
-    """Write certificate_json(cert) to path chunk by chunk, with no joined
-    copy of the text; the chunks are all made before the file is opened,
-    so a document the writer refuses leaves no file."""
-    chunks = _chunks(cert)
+    """Write certificate_json(cert) to path.  The text is made before the
+    file is opened, so a document json refuses leaves no file."""
+    text = certificate_json(cert)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(chunks)
+        fh.write(text)

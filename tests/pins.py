@@ -31,14 +31,21 @@ def name(entry) -> str:
     return f"{entry['field'].replace('disc=', 'k')}_n{entry['n']}_b{entry['bound']}{cap}"
 
 
+def indent_2(data: bytes) -> bytes:
+    """A certificate's bytes in json's indent=2 layout, the fixtures' own,
+    as `python -m json.tool --indent 2` prints them."""
+    return (json.dumps(json.loads(data), indent=2) + "\n").encode("utf-8")
+
+
 def holds(entry, data, message) -> bool:
     """Whether a run that wrote the bytes data, or exhausted with message,
-    gives what the entry pins."""
+    gives what the entry pins: a fixture entry pins the indent=2 layout of
+    the certificate, which earlier versions wrote, to the fixture's bytes."""
     if "exhausted" in entry:
         return data is None and message == entry["exhausted"]
     if "sha256" in entry:
         return data is not None and sha256(data).hexdigest() == entry["sha256"]
-    return data == (FIXTURES / entry["fixture"]).read_bytes()
+    return data is not None and indent_2(data) == (FIXTURES / entry["fixture"]).read_bytes()
 
 
 @lru_cache(maxsize=None)

@@ -649,33 +649,14 @@ JSON_JOBS = {
 }
 
 
-def assert_json_layout(cert):
-    """certificate_json writes json.dumps(indent=2)'s text and leaves cert as it was."""
-    before = copy.deepcopy(cert)
-    assert certificate_json(cert) == json.dumps(cert, indent=2) + "\n"
-    assert cert == before
-
-
 @pytest.mark.parametrize("job", list(JSON_JOBS))
 def test_certificate_json_is_json_indent_2(job):
-    assert_json_layout(JSON_JOBS[job]())
-
-
-def test_certificate_json_short_tables_and_inert_rows():
-    cert = construct(RATIONAL, 2, 1, 1000)
-    assert_json_layout({**cert, "table": cert["table"][:1]})
-    assert_json_layout({**cert, "table": []})
-    assert_json_layout({k: v for k, v in cert.items() if k != "table"})
-    k56 = construct(K56, 2, 2, 200)
-    inert = [row for row in k56["table"] if row["prime"][1] is None]
-    assert inert
-    assert_json_layout({**k56, "table": inert[:1]})
-
-
-def test_certificate_json_repeats_shared_values():
-    shared = [1.5, None]
-    row = {"prime": shared, "degree": 2}
-    assert_json_layout({"a": shared, "table": [row, row]})
+    # named for the indent=2 layout the text had before it became
+    # json.dumps's own
+    cert = JSON_JOBS[job]()
+    before = copy.deepcopy(cert)
+    assert certificate_json(cert) == json.dumps(cert) + "\n"
+    assert cert == before
 
 
 def test_write_certificate_round_trip(tmp_path):
@@ -688,6 +669,15 @@ def test_write_certificate_round_trip(tmp_path):
     for cert in (cert, construct(K8, 2, 2, 200), compose_for_n(RATIONAL, 6, 100)):
         write_certificate(cert, path)
         assert path.read_bytes() == certificate_json(cert).encode("utf-8")
+
+
+def test_write_certificate_refused_by_json_leaves_no_file(tmp_path):
+    cert = construct(RATIONAL, 2, 1, 100)
+    cert["table"][1]["prime"] = {3}
+    path = tmp_path / "cert.json"
+    with pytest.raises(TypeError):
+        write_certificate(cert, path)
+    assert not path.exists()
 
 
 def test_config_recorded_in_certificate():

@@ -1,6 +1,7 @@
 """Golden certificates and seeded mutants of them.
 
-tests/fixtures holds certificate_json output of eight jobs: Q n=2 B=100
+tests/fixtures holds eight certificates in json's indent=2 layout, which
+certificate_json wrote before its text became json.dumps's own: Q n=2 B=100
 (conductors 17 and 89 ramify in table rows), Q n=6 B=20 (a composite),
 K(-8) n=2 B=200 (deficient at the prime above 2), K(-23) n=4 B=50
 (three pieces, where the prime-to-2 part of the class number, 3, is
@@ -12,14 +13,12 @@ the residue field's basis sqrt(D) is not the least one), K(-9999935)
 n=2 B=30 (a class basis of orders 16, 2 and 2, the greedy rule's pick
 among mixed orders) and K(-23) n=3 B=200 (l = 3, where t = 1, so each
 search image has exponent (N - 1)/9 and could escape the degree-3
-piece).  tests/pins.json pins each of them to its file, so construct
-must reproduce them byte for byte (tests/test_pins.py), and each must
-verify.  Every mutant of each but K(-9999935), whose mutants rebuild a
-slow class group, must either fail verification with
-MalformedCertificate or MismatchFound or verify to the same report; any
-other exception is a verifier bug.  certificate_json must write every
-mutant exactly as json.dumps(..., indent=2) does, including rows outside
-construct's two shapes.
+piece).  tests/pins.json pins each of them to its file, so the indent=2
+rendering of construct's certificate must reproduce them byte for byte
+(tests/test_pins.py), and each must verify.  Every mutant of each but
+K(-9999935), whose mutants rebuild a slow class group, must either fail
+verification with MalformedCertificate or MismatchFound or verify to the
+same report; any other exception is a verifier bug.
 """
 
 import copy
@@ -56,7 +55,7 @@ def fixture_text(name):
 def test_construct_reproduces_golden(name):
     # by the files on disk, so a fixture that no manifest entry pins fails
     data, _ = pins.build(GOLDEN[name])
-    assert data == (FIXTURES / name).read_bytes()
+    assert pins.indent_2(data) == (FIXTURES / name).read_bytes()
 
 
 def test_golden_verify():
@@ -198,7 +197,6 @@ def test_mutants_fail_cleanly_or_verify_the_same():
         doc = json.loads(fixture_text(name))
         want = verify(doc)
         for m in [*mutants(doc, own.get(name, rng), 100), *row_mutants(doc)]:
-            assert certificate_json(m) == json.dumps(m, indent=2) + "\n"
             text = json.dumps(m)
             t0 = time.perf_counter()
             try:

@@ -9,7 +9,12 @@ import pytest
 from constdeg import verifier
 from constdeg.arith import factor
 from constdeg.cli import run
-from constdeg.classfield import InternalInconsistency, local_degree
+from constdeg.classfield import (
+    InternalInconsistency,
+    build_context,
+    context_record,
+    local_degree,
+)
 from constdeg.constructor import certificate_json, compose_for_n, construct
 from constdeg.quadfield import RATIONAL, quadratic_field
 from constdeg.verifier import (
@@ -450,8 +455,39 @@ def test_hostile_r_rejected_before_seed_is_built():
         assert time.perf_counter() - start < 1.0
 
 
+def deep_seed_document(field, ell, r):
+    """A one-row document of exponent l^r at bound 4096 with no pieces, its
+    row and compared keys as verify recomputes them, so it is rejected
+    only at its missing second row, after the first fold."""
+    doc = construct(field, ell, 1, 4)
+    doc.update(r=r, **context_record(build_context(field, ell, r)), pieces=[], bound=4096)
+    doc["table"] = [{**doc["table"][0], "degree": ell**r}]
+    return json.loads(json.dumps(doc))
+
+
+@pytest.mark.parametrize(
+    "field,ell,r",
+    [(RATIONAL, 2, 4000), (RATIONAL, 3, 2000), (K23, 2, 2000)],
+    ids=["q-l2-r4000", "q-l3-r2000", "k-23-l2-r2000"],
+)
+def test_deep_seed_rejected_quickly(tmp_path, capsys, field, ell, r):
+    # the first fold asks the seed's order at up to 256 rows before the
+    # first comparison, so each order must cost far less than r powers
+    doc = deep_seed_document(field, ell, r)
+    start = time.perf_counter()
+    with pytest.raises(MalformedCertificate, match="table has no row for prime"):
+        verify(doc)
+    assert time.perf_counter() - start < 1.0
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    start = time.perf_counter()
+    assert run(["verify", str(path)]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().err.startswith("verification failure: ")
+
+
 def test_large_r_seed_roundtrip():
-    # the seed character costs O(r) modular powers, not a 2^r-entry table
+    # the seed character's order is one gcd, not a 2^r-entry table
     start = time.perf_counter()
     cert = construct(RATIONAL, 2, 60, 3)
     rep = verify(from_bytes(cert))
