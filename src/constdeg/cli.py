@@ -123,8 +123,11 @@ def _print_places(a: int, b: int, places):
 
 def _cmd_construct(args) -> int:
     field = _parse_field(args.field)
-    # a directory that cannot take --out fails now, not after the search;
-    # the file itself is made only once there is a certificate to write
+    # an --out that is a directory, or a directory that cannot take --out,
+    # fails now, not after the search; the file itself is made only once
+    # there is a certificate to write
+    if os.path.isdir(args.out):
+        raise OSError(f"cannot write {args.out}: it is a directory")
     folder = os.path.dirname(args.out) or "."
     if not os.path.isdir(folder) or not os.access(folder, os.W_OK | os.X_OK):
         raise OSError(f"cannot write {args.out}: {folder} is not a writable directory")

@@ -99,6 +99,7 @@ def test_output_line_count_does_not_grow_with_the_bound(tmp_path, capsys, field,
         assert run(["verify", str(path)]) == 0
         counts.add((built.count("\n"), capsys.readouterr().out.count("\n")))
     assert len(counts) == 1, counts
+    assert max(max(counts)) <= 5, counts  # a few lines, not the table
 
 
 def test_construct_into_a_missing_directory_exits_1(tmp_path, capsys):
@@ -110,7 +111,7 @@ def test_construct_into_a_missing_directory_exits_1(tmp_path, capsys):
     assert not out.parent.exists()
 
 
-@pytest.mark.parametrize("where", ["missing/x.json", "missing/deeper/x.json"])
+@pytest.mark.parametrize("where", ["missing/x.json", "missing/deeper/x.json", "existing_dir"])
 def test_construct_checks_the_out_directory_before_the_search(
     tmp_path, capsys, monkeypatch, where
 ):
@@ -122,10 +123,14 @@ def test_construct_checks_the_out_directory_before_the_search(
 
     monkeypatch.setattr(constructor, "search_prime", no_search)
     out = tmp_path / where
+    made = []
+    if where == "existing_dir":  # --out names a directory that exists
+        out.mkdir()
+        made = [out]
     assert run(["construct", "--field", "q", "--n", "3", "--bound", "100", "--out", str(out)]) == 1
     captured = capsys.readouterr()
     assert captured.err.startswith("error:") and "Traceback" not in captured.err
-    assert captured.out == "" and list(tmp_path.iterdir()) == []
+    assert captured.out == "" and list(tmp_path.iterdir()) == made
 
 
 def test_verify_garbage_file(tmp_path, capsys):

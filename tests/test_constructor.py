@@ -664,8 +664,8 @@ def test_write_certificate_round_trip(tmp_path):
     path = tmp_path / "cert.json"
     write_certificate(cert, path)
     assert json.loads(path.read_text()) == cert
-    # the chunks written one by one are certificate_json's text, byte for
-    # byte, for plain and composite documents with table rows
+    # the file holds certificate_json's text, written in one write, byte
+    # for byte, for plain and composite documents with table rows
     for cert in (cert, construct(K8, 2, 2, 200), compose_for_n(RATIONAL, 6, 100)):
         write_certificate(cert, path)
         assert path.read_bytes() == certificate_json(cert).encode("utf-8")
