@@ -133,7 +133,10 @@ def _cmd_construct(args) -> int:
         raise OSError(f"cannot write {args.out}: {folder} is not a writable directory")
     build = Config(cap=args.cap)
     # construct and compose_for_n own the n and bound rules
-    powers = factor(args.n) if args.n > 1 else ()
+    try:
+        powers = factor(args.n) if args.n > 1 else ()
+    except ValueError:  # is_prime's range ends at 2**64
+        raise UsageError(f"cannot factor n = {args.n}: a cofactor >= 2**64") from None
     if len(powers) == 1:
         ((ell, r),) = powers
         cert = construct(field, ell, r, args.bound, build)

@@ -1,18 +1,23 @@
 """Independent re-checking of certificates, plus the quaternion demo.
 
 parse_certificate only parses JSON.  verify() trusts nothing but the
-document: it checks the shape of each key it computes with and each
-table row once, rebuilds the class group data, the seed piece, and the
-ray pieces from the recorded conductors, recomputes every local degree
-with the fold the constructor uses (classfield.DegreeFold, which asks
-each piece for its Frobenius orders only at the rows whose unramified
-part is still short), and checks the certificate's one claim: degree n
-at every finite prime of norm up to the bound, the i-th in row i, and
-no other rows.  Plain and composite documents share one table walk; a
-composite's components are each verified at their own ell^r, so every
-composite row is their product n.  Any disagreement raises
-MismatchFound carrying the offending place and both values.  A key it
-only compares, such as class_data, is checked by that comparison alone.
+document.  Its gate, _check, runs first and builds nothing: it checks
+the shape of each key verify computes with, the field, the r bound,
+every table row once, each piece's prime, norm and uniqueness, and that
+a composite's components share its field and bound with distinct ells.
+Only then does verify rebuild the class group data (build_context checks
+ell and r), the seed piece, and the ray pieces, each of which must lie
+in S; recompute every local degree with the fold the constructor uses
+(classfield.DegreeFold, which asks each piece for its Frobenius orders
+only at the rows whose unramified part is still short); and check the
+certificate's one claim: degree n at every finite prime of norm up to
+the bound, the i-th in row i, and no other rows.  So a document with
+several faults reports the first in that order.  Plain and composite
+documents share one table walk; a composite's components are each
+verified at their own ell^r, so every composite row is their product n.
+Any disagreement raises MismatchFound carrying the offending place and
+both values.  A key it only compares, such as class_data, is checked by
+that comparison alone.
 
 The even-n consequence is concrete: a quaternion algebra (a, b) over Q is
 split by any field of even local degree wherever it ramifies (places from
@@ -116,29 +121,37 @@ def _check_prime_ref(v, what):
         raise MalformedCertificate(f"{what} must be a [p, b] pair")
 
 
-def _check_field(fj):
+def _field_of(fj):
     _need(isinstance(fj, dict), "field must be an object")
     kind = fj.get("kind")
     if kind == "rational":
-        return
+        return RATIONAL
     _need(kind == "imag_quadratic", f"unknown field kind {kind!r}")
     _need(_int(fj.get("disc")) and fj["disc"] < 0, "field needs a negative disc")
+    try:
+        return quadratic_field(fj["disc"])
+    except ValueError as exc:
+        raise MalformedCertificate(str(exc)) from None
 
 
-def _check_coverage(doc):
+def _lookup_prime(field, p, b) -> Conductor:
+    _need(2 <= p < PRIME_LIMIT and is_prime(p), f"{p} is not a prime below 2**64")
+    _need((p, b) in factor_rational_prime(field, p), f"no prime ({p},{b}) in the field")
+    return Conductor(p, b, p * p if b is None and field.kind != "rational" else p)
+
+
+def _check_coverage(doc, plain: bool):
     """The keys a plain document and a composite wrapper share and verify
-    computes with: field, bound and the table list, whose rows _check_rows reads."""
-    _check_field(doc["field"])
-    _need(_int(doc["bound"]) and doc["bound"] >= 2, "bound must be an integer >= 2")
+    computes with: field, bound and the table, each row of which, at any
+    bound, is well formed (plain rows name a ramified component), of norm
+    <= doc's bound, and past the last row as enumerate_field_primes
+    orders them: by norm (p^2 at (p, None) over K), then root, None
+    first.  Returns the field."""
+    field = _field_of(doc["field"])
+    bound = doc["bound"]
+    _need(_int(bound) and bound >= 2, "bound must be an integer >= 2")
     _need(isinstance(doc["table"], list) and doc["table"], "table must be a nonempty list")
-
-
-def _check_rows(doc, plain: bool):
-    """Each row of doc's table, at any bound: well formed (plain rows name
-    a ramified component), of norm <= doc's bound, and past the last row as
-    enumerate_field_primes orders them: by norm (p^2 at (p, None) over K),
-    then root, None first."""
-    square, bound, last = doc["field"]["kind"] != "rational", doc["bound"], ()
+    square, last = field.kind != "rational", ()
     for row in doc["table"]:
         _need(isinstance(row, dict), "table rows must be objects")
         _check_prime_ref(row.get("prime"), "table prime")
@@ -154,6 +167,7 @@ def _check_rows(doc, plain: bool):
             fault = "is out of order" if key <= last else f"is not a prime of norm <= {bound}"
             raise MalformedCertificate(f"table row for {row['prime']} {fault}")
         last = key
+    return field
 
 
 def _check_schema(cert):
@@ -164,76 +178,34 @@ def _check_schema(cert):
 
 def _check_plain(cert):
     """The keys verify computes with, and config; of l0 only the character
-    order, which _rebuild's r guard reads.  The rest of l0, t, class_data,
-    unit_gens, deficiencies and real_place_degree are only compared with
-    their recomputed values, and _match is their one check."""
+    order, which bounds r.  Each piece names a prime of the field, of
+    its own norm, once.  The rest of l0, t, class_data, unit_gens,
+    deficiencies and real_place_degree are only compared with their
+    recomputed values, and _match is their one check."""
     _check_schema(cert)
     _need_keys(cert, _PLAIN_KEYS)
-    _check_coverage(cert)
+    field = _check_coverage(cert, plain=True)
     for key in ("ell", "r"):
         _need(_int(cert[key]), f"{key} must be an integer")
     ch = cert["l0"].get("character") if isinstance(cert["l0"], dict) else None
     _need(isinstance(ch, dict) and _int(ch.get("order")), "l0 needs a character order")
+    # the seed's order must equal ell^r, so a larger r is a lie that
+    # would only make build_context size its moduli by it
+    order = ch["order"]
+    _need(cert["r"] < order.bit_length(), f"r exceeds the seed order {order}")
     _need(isinstance(cert["pieces"], list), "pieces must be a list")
+    seen = set()
     for row in cert["pieces"]:
         _need(isinstance(row, dict), "piece rows must be objects")
-        _need(_int(row.get("p")), "piece p must be an integer")
-        b = row.get("b", "missing")
+        p, b, norm = row.get("p"), row.get("b", "missing"), row.get("norm")
+        _need(_int(p), "piece p must be an integer")
         _need(b is None or _int(b), "piece b must be an integer or null")
-        _need(_int(row.get("norm")), "piece norm must be an integer")
+        _need(_int(norm), "piece norm must be an integer")
+        P = _lookup_prime(field, p, b)
+        _need(norm == P.norm, f"piece ({p},{b}) has norm {P.norm}, not {norm}")
+        _need(P not in seen, f"duplicate piece conductor ({p},{b})")
+        seen.add(P)
     _need(isinstance(cert["config"], dict), "config must be an object")
-
-
-def _check_composite(cert):
-    _check_schema(cert)
-    comp = cert.get("composite")
-    _need(isinstance(comp, dict), "composite wrapper must be an object")
-    _need_keys(comp, _COMPOSITE_KEYS, "composite ")
-    _need(_int(comp["n"]) and comp["n"] >= 2, "composite n must be an integer >= 2")
-    _check_coverage(comp)
-    _need(
-        isinstance(comp["components"], list) and comp["components"],
-        "components must be a nonempty list",
-    )
-    for sub in comp["components"]:
-        _check_plain(sub)
-
-
-def _check(cert):
-    """Validate a plain or composite document's structure bar its table
-    rows; returns the object holding its field, bound, table and real place."""
-    _need(isinstance(cert, dict), "certificate must be a JSON object")
-    if "composite" not in cert:
-        _check_plain(cert)
-        return cert
-    _check_composite(cert)
-    return cert["composite"]
-
-
-def parse_certificate(text: str) -> dict:
-    """Parse a certificate document; verify and brauer_split_check check its structure."""
-    try:
-        return json.loads(text)
-    except (ValueError, RecursionError) as exc:  # bad syntax, an over-long int, deep nesting
-        raise MalformedCertificate(f"not valid JSON: {exc}") from None
-
-
-# ------------------------------------------------------- reconstruction
-
-
-def _field_of(fj):
-    if fj["kind"] == "rational":
-        return RATIONAL
-    try:
-        return quadratic_field(fj["disc"])
-    except ValueError as exc:
-        raise MalformedCertificate(str(exc)) from None
-
-
-def _lookup_prime(field, p, b) -> Conductor:
-    _need(2 <= p < PRIME_LIMIT and is_prime(p), f"{p} is not a prime below 2**64")
-    _need((p, b) in factor_rational_prime(field, p), f"no prime ({p},{b}) in the field")
-    return Conductor(p, b, p * p if b is None and field.kind != "rational" else p)
 
 
 _JSON_TEXT = json.JSONEncoder(sort_keys=True, default=repr).encode
@@ -249,13 +221,48 @@ def _match(what, claimed, recomputed):
         raise MalformedCertificate(f"{what}: {_clip(claimed)} is not of the recomputed JSON types")
 
 
+def _check(cert):
+    """The gate: every check of a plain or composite document that needs
+    neither a class group nor a prime walk, run before either is built.
+    A composite's components share its field and bound, with distinct
+    ells.  Returns the object holding field, bound, table and real place."""
+    _need(isinstance(cert, dict), "certificate must be a JSON object")
+    if "composite" not in cert:
+        _check_plain(cert)
+        return cert
+    _check_schema(cert)
+    comp = cert.get("composite")
+    _need(isinstance(comp, dict), "composite wrapper must be an object")
+    _need_keys(comp, _COMPOSITE_KEYS, "composite ")
+    _need(_int(comp["n"]) and comp["n"] >= 2, "composite n must be an integer >= 2")
+    _check_coverage(comp, plain=False)
+    _need(
+        isinstance(comp["components"], list) and comp["components"],
+        "components must be a nonempty list",
+    )
+    for sub in comp["components"]:
+        _check_plain(sub)
+        _match("component field", sub["field"], comp["field"])
+        _need(sub["bound"] == comp["bound"], "component bound differs from the composite's")
+    ells = [sub["ell"] for sub in comp["components"]]
+    _need(len(set(ells)) == len(ells), "components must use distinct primes ell")
+    return comp
+
+
+def parse_certificate(text: str) -> dict:
+    """Parse a certificate document; verify and brauer_split_check check its structure."""
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:  # bad syntax, an over-long int, deep nesting
+        raise MalformedCertificate(f"not valid JSON: {exc}") from None
+
+
+# ------------------------------------------------------- reconstruction
+
+
 def _rebuild(cert):
-    """Context and piece conductors recomputed from the document alone."""
+    """Context and ray pieces rebuilt from a document _check has passed."""
     field = _field_of(cert["field"])
-    # the seed's order must equal ell^r, so a larger r is a lie that
-    # would only make build_context size its moduli by it
-    order = cert["l0"]["character"]["order"]
-    _need(cert["r"] < order.bit_length(), f"r exceeds the seed order {order}")
     try:
         ctx = build_context(field, cert["ell"], cert["r"])
     except ValueError as exc:
@@ -263,15 +270,8 @@ def _rebuild(cert):
     for key, value in context_record(ctx).items():
         _match(key, cert[key], value)
     pieces = []
-    seen = set()
     for row in cert["pieces"]:
-        P = _lookup_prime(field, row["p"], row["b"])
-        _need(
-            row["norm"] == P.norm,
-            f"piece ({row['p']},{row['b']}) has norm {P.norm}, not {row['norm']}",
-        )
-        _need(P not in seen, f"duplicate piece conductor ({P.p},{P.b})")
-        seen.add(P)
+        P = Conductor(row["p"], row["b"], row["norm"])
         try:
             pieces.append(make_ray_piece(ctx, P))
         except ValueError:
@@ -358,20 +358,20 @@ def _verify_plain(cert, bound):
 
 
 def _verify_composite(comp, b):
-    field = _field_of(comp["field"])
-    ells = [sub["ell"] for sub in comp["components"]]
-    _need(len(set(ells)) == len(ells), "components must use distinct primes ell")
-    subreports = []
+    subreports = [_verify_plain(sub, b) for sub in comp["components"]]
     n = 1
-    for sub in comp["components"]:
-        _match("component field", sub["field"], comp["field"])
-        _need(sub["bound"] == comp["bound"], "component bound differs from the composite's")
-        rep = _verify_plain(sub, b)
-        subreports.append(rep)
+    for rep in subreports:
         n *= rep.degree
     _match("composite exponent n", comp["n"], n)
+    field = _field_of(comp["field"])
     primes, real = _walk_table(field, comp, b, n, lambda ws: repeat((None, 1, n)))
     return VerificationReport(primes, n, real, 0.0, subreports)
+
+
+def _verify(cert, doc, bound):
+    """verify's work after the gate, on the document _check(cert) returned."""
+    bound = _effective_bound(doc["bound"], bound)
+    return _verify_plain(cert, bound) if doc is cert else _verify_composite(doc, bound)
 
 
 def verify(cert: dict, bound: int = None) -> VerificationReport:
@@ -379,23 +379,14 @@ def verify(cert: dict, bound: int = None) -> VerificationReport:
     norm up to bound (default: the certificate's own coverage bound,
     which the requested bound must not exceed).
 
-    Raises MalformedCertificate for structural defects, in every table
-    row (its order included) and for rows the walk misses, and
-    MismatchFound as soon as a recomputed value disagrees with n or with
-    a claim, so a returned report always records a pass.
+    The gate, _check, runs first and builds no context (see the module
+    docstring).  Raises MalformedCertificate for structural defects and
+    for rows the walk misses, and MismatchFound as soon as a recomputed
+    value disagrees with n or with a claim, so a returned report always
+    records a pass.
     """
     start = time.perf_counter()
-    doc = _check(cert)
-    bound = _effective_bound(doc["bound"], bound)
-    # every table's rows, before the first context is built
-    if doc is cert:
-        _check_rows(cert, plain=True)
-        report = _verify_plain(cert, bound)
-    else:
-        _check_rows(doc, plain=False)
-        for sub in doc["components"]:
-            _check_rows(sub, plain=True)
-        report = _verify_composite(doc, bound)
+    report = _verify(cert, _check(cert), bound)
     report.elapsed = time.perf_counter() - start
     return report
 
@@ -483,8 +474,10 @@ def brauer_split_check(cert: dict, algebra: QuaternionAlgebra):
     """The ramified places of the algebra, as ramified_places gives them,
     once verify passes up to the largest finite one (2 if none): the
     certified field then splits the algebra, as an even local degree
-    splits invariant 1/2, and a failing verify raises.  A finite place
-    past the bound raises RamifiedPlaceOutOfRange."""
+    splits invariant 1/2, and a failing verify raises.  verify's gate
+    runs first and once, so a document that fails it raises before a
+    question is refused.  A finite place past the bound raises
+    RamifiedPlaceOutOfRange."""
     doc = _check(cert)  # plain, of n = ell^r, or composite
     even = doc["ell"] == 2 if doc is cert else doc["n"] % 2 == 0
     if doc["field"]["kind"] != "rational" or not even:
@@ -495,5 +488,5 @@ def brauer_split_check(cert: dict, algebra: QuaternionAlgebra):
         raise RamifiedPlaceOutOfRange(
             f"algebra ramified at {top}, beyond the certificate bound {doc['bound']}"
         )
-    verify(cert, top)
+    _verify(cert, doc, top)
     return places

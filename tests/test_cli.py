@@ -296,9 +296,12 @@ def test_construct_rejects_non_positive_cap(tmp_path, capsys):
 def test_verify_hostile_disc_exits_2(tmp_path, capsys):
     # a disc of about -1e12 is refused before it is factored; -4000003
     # is a valid field whose 2-part of the class group, unlike that of
-    # -23, is nontrivial
+    # -23, is nontrivial, so the document's class data fails after the
+    # class group is built.  K(-23)'s pieces name no prime of K(-4000003)
+    # and would be refused before it, so the document has none
     path = construct(tmp_path, "k.json", "--field", "disc=-23", "--n", "2", "--bound", "20")
     cert = json.loads(path.read_text())
+    cert["pieces"] = []
     for disc, why in (
         (-1000000000003, "exceeds the limit"),
         (-4000003, "at t: certificate claims 0, recomputed 2"),
@@ -544,7 +547,7 @@ def test_brauer_split_verifies_a_forged_document_first(tmp_path, capsys):
 UNFACTORABLE = "36893488147419103363"
 
 
-def test_an_argument_factor_cannot_factor_exits_1(capsys):
+def test_an_argument_factor_cannot_factor_exits_1(tmp_path, capsys):
     path = str(FIXTURES / "q_n2_b100.json")
     message = f"error: cannot factor a = {UNFACTORABLE}: a cofactor >= 2**64\n"
     for argv in (["hilbert"], ["brauer-split", path]):
@@ -552,6 +555,11 @@ def test_an_argument_factor_cannot_factor_exits_1(capsys):
         assert capsys.readouterr().err == message, argv
     assert run(["hilbert", "--a", "-1", "--b", "-" + UNFACTORABLE]) == 1
     assert capsys.readouterr().err == f"error: cannot factor b = -{UNFACTORABLE}: a cofactor >= 2**64\n"
+    out = tmp_path / "c.json"
+    argv = ["construct", "--field", "q", "--n", UNFACTORABLE, "--bound", "100", "--out", str(out)]
+    assert run(argv) == 1
+    assert capsys.readouterr().err == message.replace("a =", "n =")
+    assert not out.exists()
 
 
 def test_a_value_error_inside_verify_or_brauer_split_exits_4(monkeypatch, capsys):

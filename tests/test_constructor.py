@@ -678,6 +678,10 @@ def test_write_certificate_refused_by_json_leaves_no_file(tmp_path):
     with pytest.raises(TypeError):
         write_certificate(cert, path)
     assert not path.exists()
+    cert["table"][1]["prime"] = cert["table"]
+    with pytest.raises(ValueError, match="Circular reference"):
+        write_certificate(cert, path)
+    assert not path.exists()
 
 
 def test_config_recorded_in_certificate():

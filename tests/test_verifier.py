@@ -40,9 +40,10 @@ def from_bytes(cert):
 
 
 # the bytes construct(RATIONAL, 2, 1, 100) writes, pinned in tests/pins.json
-CERT2 = parse_certificate(
-    (Path(__file__).resolve().parent / "fixtures" / "q_n2_b100.json").read_text(encoding="utf-8")
-)
+FIXTURES = Path(__file__).resolve().parent / "fixtures"
+CERT2 = parse_certificate((FIXTURES / "q_n2_b100.json").read_text(encoding="utf-8"))
+# a class group of about 0.2 s to build, so a refusal before it shows
+K9999935 = parse_certificate((FIXTURES / "k-9999935_n2_b30.json").read_text(encoding="utf-8"))
 CERT8 = from_bytes(construct(RATIONAL, 2, 3, 30))
 CERT9 = from_bytes(construct(RATIONAL, 3, 2, 30))
 CERT23 = from_bytes(construct(K23, 3, 1, 50))
@@ -769,6 +770,98 @@ def test_bad_row_rejected_before_context_is_built(monkeypatch, cert, fault, boun
     message = fault(doc["table"] if component is None else doc["components"][component]["table"])
     with pytest.raises(MalformedCertificate) as ei:
         verify(c, bound)
+    assert str(ei.value) == message
+
+
+# Faults the document alone shows, outside the table: each returns the
+# exception and message verify raises, the ones it raised when these
+# checks ran after the class group was built
+
+
+def piece_repeated(doc):
+    doc["pieces"].append(dict(doc["pieces"][0]))
+    p, b = doc["pieces"][0]["p"], doc["pieces"][0]["b"]
+    return MalformedCertificate, f"duplicate piece conductor ({p},{b})"
+
+
+def piece_norm_off(doc):
+    piece = doc["pieces"][0]
+    piece["norm"] += 1
+    p, b, norm = piece["p"], piece["b"], piece["norm"]
+    return MalformedCertificate, f"piece ({p},{b}) has norm {norm - 1}, not {norm}"
+
+
+def piece_not_prime(doc):
+    doc["pieces"][0]["p"] += 1
+    return MalformedCertificate, f"{doc['pieces'][0]['p']} is not a prime below 2**64"
+
+
+def piece_no_prime(doc):
+    # 257 is inert in K(-9999935), so no prime above it has a root
+    piece = doc["pieces"][0]
+    assert (piece["p"], piece["b"]) == (257, None)
+    piece["b"] = 0
+    return MalformedCertificate, "no prime (257,0) in the field"
+
+
+def disc_not_fundamental(doc):
+    doc["field"]["disc"] = -9999999  # 3**2 * 1111111
+    return MalformedCertificate, "discriminant is not fundamental"
+
+
+def component_bound(doc):
+    doc["bound"] += 1  # its rows still lie below it
+    return MalformedCertificate, "component bound differs from the composite's"
+
+
+def component_field(doc):
+    # another field object, one whose rows still read as rational rows
+    doc["field"] = {"kind": "rational", "disc": -23}
+    claimed, recomputed = doc["field"], {"kind": "rational"}
+    return MismatchFound, (
+        f"at component field: certificate claims {claimed!r}, recomputed {recomputed!r}"
+    )
+
+
+def component_ell(doc):
+    doc["ell"] = 2
+    return MalformedCertificate, "components must use distinct primes ell"
+
+
+def verify_to_2(c):
+    return verify(c, 2)
+
+
+DOCUMENT_FAULTS = {
+    "repeated-piece": (K9999935, piece_repeated),
+    "piece-norm": (K9999935, piece_norm_off),
+    "piece-not-prime": (K9999935, piece_not_prime),
+    "piece-no-prime": (K9999935, piece_no_prime),
+    "disc": (K9999935, disc_not_fundamental),
+    "component-2-bound": (COMP6, component_bound),
+    "component-2-field": (COMP6, component_field),
+    "component-2-ell": (COMP6, component_ell),
+}
+
+
+@pytest.mark.parametrize(
+    "check", [verify, verify_to_2, brauer], ids=["verify", "bound-2", "brauer"]
+)
+@pytest.mark.parametrize("cert, fault", list(DOCUMENT_FAULTS.values()), ids=list(DOCUMENT_FAULTS))
+def test_document_fault_rejected_before_context_is_built(monkeypatch, cert, fault, check):
+    # the gate refuses, before the first context is built, what the
+    # document alone shows: a piece fault, a field that is not a field,
+    # and in a composite's second component a fault of consistency,
+    # before the first component's context.  brauer-split asks the gate
+    # first, even of a document whose question it would refuse
+    def build_context(*args):
+        raise AssertionError("build_context ran before the document was checked")
+
+    monkeypatch.setattr(verifier, "build_context", build_context)
+    c = copy.deepcopy(cert)
+    kind, message = fault(c["composite"]["components"][1] if "composite" in c else c)
+    with pytest.raises(kind) as ei:
+        check(c)
     assert str(ei.value) == message
 
 
