@@ -33,9 +33,9 @@ Conventions:
     an InternalInconsistency; over K, arith.order_exponent reads it off
     x.  The conductor is totally ramified in its piece, and over K no
     Frobenius order is asked for it;
-  * conductor_image is the one copy of that power.  It names the
-    conductor by ints, p and the root b of a split prime or None at an
-    inert one, as the search meets its candidates, and takes the
+  * quadfield.conductor_image is the one copy of that power.  It names
+    the conductor by ints, p and the root b of a split prime or None at
+    an inert one, as the search meets its candidates, and takes the
     exponent and residue field from its caller, which makes them once
     per column or norm.  x is a plain int at a split conductor,
     (a + b*sqrt(D))/2 read as (a + b*root)/2 mod p and raised by one
@@ -51,11 +51,14 @@ Below SIEVE_PRIMES**2 that leaves no other composite, so over K the
 sieve decides primality there and is_prime runs only above it.  Over Q
 the sieve also strikes, past a few times each earlier conductor Q, the
 entries that are no l^r-th power residue mod Q, which cannot split in
-Q's piece; the per-entry test of that split stays.  Over K
-each candidate must first give the fixed primes their Frobenius orders,
-which it meets as ints: p and its root, None at an inert prime.  The
-search cap counts entries of the whole progression, the skipped ones
-included.
+Q's piece; the per-entry test of that split stays.  Over K it strikes,
+past a few times |D|, the entries of Kronecker symbol (D/n) other than
+1, which hold no split prime and no inert square.  Over K each
+candidate, met as ints, p and its root, None at an inert prime, must
+first have its class-basis residues, then give the fixed primes their
+Frobenius orders; at t = 0 a split norm first meets a test of the
+conjugate pairs among the fixed primes.  The search cap counts entries
+of the whole progression, the skipped ones included.
 """
 
 from bisect import bisect_left
@@ -78,11 +81,14 @@ from .arith import (
 )
 from .quadfield import (
     NotPrincipal,
+    basis_residues,
     class_dlog,
     class_group_l_part,
+    conductor_image,
     factor_rational_prime,
     ideal_pow,
     kronecker_disc,
+    kronecker_pattern,
     local_field,
     normalize_unit,
     prime_module,
@@ -206,7 +212,11 @@ def in_S(ctx, P) -> bool:
     A collision with an excluded or basis prime raises first; then the
     norm, the power residues and, last, the class-form reduction, the
     dearest of these pure tests of P, so their order changes only the
-    cost of a rejection.
+    cost of a rejection.  The residues of the alpha_i are
+    quadfield.basis_residues, which search_prime also asks of each
+    candidate before its fixed orders: a candidate it rejects is outside
+    S, so the search drops no conductor by it, and in_S, which asks it
+    again, stays the one test of membership.
     """
     w = (P.p, P.b)
     if P.p in ctx.excluded or w in ctx.cl.gens:
@@ -218,9 +228,8 @@ def in_S(ctx, P) -> bool:
     for u in ctx.units:
         if power_residue_level(reduce_mod(ctx.field, u, w), ctx.ell, kmax, fld) != kmax:
             return False
-    for alpha, m in zip(ctx.cl.alphas, ctx.cl.exps):
-        if power_residue_level(reduce_mod(ctx.field, alpha, w), ctx.ell, m, fld) != m:
-            return False
+    if not basis_residues(ctx.cl, ctx.ell, w, fld):
+        return False
     if ctx.field.kind == "imag_quadratic":
         return not any(class_dlog(ctx.field, prime_module(ctx.field, w), ctx.cl))
     return True
@@ -276,18 +285,6 @@ def _generator(ctx, gens: dict, q):
     return gamma
 
 
-def conductor_image(p: int, b, e: int, gamma, fld):
-    """gamma^e in the residue field fld at the split prime above p of
-    root b, or at the inert prime p at b = None: gamma = (x + y*sqrt(D))/2
-    read as reduce_mod reads it, sqrt(D) = b mod p at a split prime and
-    the generator w of F_p(sqrt(D)) at an inert one."""
-    x, y = gamma
-    h = (p + 1) >> 1  # 1/2 mod p
-    if b is None:
-        return fld.pow((x * h % p, y * h % p), e)
-    return pow((x + y * b) * h, e, p)
-
-
 def _rational_frobenius_order(q: int, n: int, ell: int, full: int) -> int:
     # order of the Frobenius of q in the degree-full piece of conductor n,
     # where n is totally ramified; a composite n may give a non-order
@@ -339,7 +336,7 @@ class SearchCursor:
         self.cap = cap
 
 
-def _quad_candidates(ctx, n: int):
+def _quad_candidates(ctx, n: int, pairs=()):
     """The primes of norm n, an entry of _sieved_walk, as (p, roots): the
     split_roots b of the two primes above n if n = p is a prime that
     splits, or roots (None,) for the inert prime p if n = p^2; roots ()
@@ -352,13 +349,34 @@ def _quad_candidates(ctx, n: int):
     there a non-square n with x = 1 is a split prime; only at or above
     it does x = 1 ask is_prime(n).  A split prime's roots come from
     split_roots, with no second symbol.  Every other n, a composite
-    with x = 1 included, goes on to the square test."""
+    with x = 1 included, goes on to the square test.
+
+    pairs, which search_prime passes only at t = 0 and D < -4, are the
+    rational primes p under the fixed primes q of wanted order 1 that
+    are inert, ramified, or split with the conjugate also fixed at order
+    1, but for 2 at l^r = 2.  A split prime n gets roots () when some
+    p^(E*e) != 1 mod n, E = m*l^t the exponent of q's generator and
+    e = (n - 1)/l^(r+t), before split_roots.  At either root, the image
+    of an inert q, or the images of a split or ramified q and its
+    conjugate (q itself if ramified) multiplied, are the image of a
+    generator of (p)^E, +-p^E, and (+-1)^e = 1 as the stride makes e
+    even, so p^(E*e) != 1 mod n leaves one of them other than 1: no root
+    of such an n passes the fixed orders, and the conductor found does
+    not change.  At t = 0 no image escapes the piece, as
+    x^(l^r) = gamma^(n-1) = 1 mod P, so the escape check, which must see
+    every candidate at t > 0, loses nothing.  At D = -3 and -4 the
+    product carries a root of unity of order 3, 4 or 6, which e kills
+    only through the walked class, so no pairs are passed there."""
     D = ctx.field.disc
     x = pow(D, (n - 1) // 2, n)
     if x == n - 1:
         return n, ()
     p = isqrt(n)
     if x == 1 and p * p != n and (n < SIEVE_PRIMES**2 or is_prime(n)):
+        if pairs:
+            f = (n - 1) // ctx.ell**ctx.r * ctx.cl.coprime_part  # E*e
+            if any(pow(q, f, n) != 1 for q in pairs):
+                return n, ()
         return n, split_roots(D, n)
     if p * p != n or not is_prime(p):
         return n, ()
@@ -375,7 +393,8 @@ def _sieved_walk(ctx, step: int, stop: int, conductors=()):
     modulus), with no prime factor p below SIEVE_PRIMES unless n is p or
     p^2, ascending; over Q, from the first block past k = 4Q on, also
     none that is not an l^r-th power residue mod Q, for each prime Q in
-    conductors.
+    conductors; over K, from the first block past k = 4|D| on, also none
+    with Kronecker symbol (D/n) other than 1.
 
     They are the entries of n = 1 + step*j that can hold a prime of S
     split in the seed: the seed character is injective on n = 1 mod l
@@ -389,7 +408,14 @@ def _sieved_walk(ctx, step: int, stop: int, conductors=()):
     residue, so Q's residue_pattern, turned to the block's first k,
     strikes the rest of each block by an AND of ints.  Q joins only once
     4Q entries are walked, which bounds the (Q - 1)/l^r products its
-    pattern costs by the walk it prunes."""
+    pattern costs by the walk it prunes.  Over K the same code strikes
+    the entries whose symbol (D/n), a character mod |D| since D is
+    fundamental, is -1 or 0: an inert prime, a ramified norm or a
+    composite, none of which _quad_candidates gives a prime, while a
+    split prime and an inert square p^2 have (D/n) = 1.  So the strike
+    cannot change the conductor found.  Its kronecker_pattern over k mod
+    |D| costs (p - 1)/2 products at each odd prime p dividing D, and a
+    few ints of |D| bytes; it joins past 4|D| entries, by the same bound."""
     M = lcm(step, ctx.seed.modulus)
     # p divides 1 + M*k iff k = root mod p; p^2 < 1 + M*k iff k >= low
     strikes = [
@@ -397,7 +423,8 @@ def _sieved_walk(ctx, step: int, stop: int, conductors=()):
         for p in SIEVE_TABLE[: bisect_left(SIEVE_TABLE, isqrt(stop) + 1)]
         if M % p
     ]
-    waiting, patterns, full = sorted(conductors), [], ctx.ell**ctx.r
+    rational, full = ctx.field.kind == "rational", ctx.ell**ctx.r
+    waiting, patterns = sorted(conductors) if rational else [-ctx.field.disc], []
     lo, size, end = 1, 64, (stop - 1) // M + 1
     while lo < end:
         hi = min(lo + size, end)
@@ -411,7 +438,9 @@ def _sieved_walk(ctx, step: int, stop: int, conductors=()):
             block[i::p] = bytes(len(range(i, hi - lo, p)))
         while waiting and 4 * waiting[0] <= lo:
             Q = waiting.pop(0)
-            patterns.append((Q, residue_pattern(Q, M, full)))
+            pattern = residue_pattern(Q, M, full) if rational else kronecker_pattern(-Q, M)
+            pattern *= 4096 // Q + 1  # tiled past 4096, so a turn takes two slices
+            patterns.append((Q, pattern))
         # the patterns turned to k = lo + c, ANDed in as ints of 4096
         # entries, so that no int is block-sized
         for c in range(0, hi - lo, 4096) if patterns else ():
@@ -469,21 +498,27 @@ def search_prime(ctx, pieces, cursor: SearchCursor, target, order: int) -> Condu
     the primality test, and the walk also strikes, from k = 4Q on, the
     entries that fail the first of them, the split in the piece of an
     earlier conductor Q: n must be an l^r-th power residue mod Q.  That
-    test still runs on every entry the walk leaves.  Over K the entry's
-    quadratic symbol comes first, and is_prime only at or above
-    SIEVE_PRIMES**2 (_quad_candidates); then each candidate, a split or
-    inert prime of norm n coprime to 2*l*disc and not a class-basis
-    prime, must give the fixed primes (those above l other than target,
-    the conductors and target) their orders, from generators fetched
-    once per search into its own dict, then lie in S, then leave the
-    conductors split.  A candidate meets the orders as its pair (p, b),
-    b = None if inert, by conductor_image with the exponent
-    (n - 1)/l^(r+t) and the residue field taken once per norm,
-    and its Conductor(p, b, n) is built only once it passes them, or
-    for the in_S of the escape check below.  Each test is a function of
-    P alone and a conductor must pass all three, so their order does
-    not change which P is found; an order above l^r at a fixed prime
-    still raises InternalInconsistency at a P in S.  Raises
+    test still runs on every entry the walk leaves.  Over K the walk
+    strikes, from k = 4|D| on, the entries of Kronecker symbol (D/n)
+    other than 1, which hold no candidate; the entry's quadratic symbol
+    comes next, is_prime only at or above SIEVE_PRIMES**2, and at t = 0
+    and D < -4 a split norm's test of the fixed conjugate pairs
+    (_quad_candidates, which says why none of these drops a conductor).
+    Then each candidate, a split or inert prime of norm n coprime to
+    2*l*disc and not a class-basis prime, must have each class-basis
+    alpha_i an l^(m_i)-th power residue at it (quadfield.basis_residues,
+    part of in_S), give the fixed primes (those above l other than
+    target, the conductors and target) their orders, from generators
+    fetched once per search into its own dict, then lie in S, then leave
+    the conductors split.  A candidate meets the orders as its pair
+    (p, b), b = None if inert, by conductor_image with the exponent
+    (n - 1)/l^(r+t) and the residue field taken once per norm, and its
+    Conductor(p, b, n) is built only once it passes them, or for the
+    in_S of the escape check below.  Each test is a function of P alone
+    and a conductor must pass them all, so their order does not change
+    which P is found; an order above l^r at a fixed prime still raises
+    InternalInconsistency at a P in S, and a candidate the residues
+    reject is outside S, where the escape check would not raise.  Raises
     SearchExhausted (CLI exit 3), naming target and order, after
     cursor.cap entries of the progression, visited or not, or where it
     reaches 2**64, beyond which is_prime has no answer.
@@ -515,22 +550,34 @@ def search_prime(ctx, pieces, cursor: SearchCursor, target, order: int) -> Condu
                 if is_prime(n):
                     return Conductor(n, None, n)
     else:
-        # the orders at the fixed primes first, from generators fetched
-        # once per search; in_S, which passes most candidates, second; the
-        # splits, which need a new generator for every candidate, last.
-        # A conductor passes all three and each asks only about P, so the
-        # order changes the cost of a rejection, not which P is found
+        # the class-basis residues, one pow each, first; the orders at the
+        # fixed primes, from generators fetched once per search, second;
+        # in_S, which passes most candidates, third; the splits, which
+        # need a new generator for every candidate, last.  A conductor
+        # passes them all and each asks only about P, so the order
+        # changes the cost of a rejection, not which P is found
         gens = {}  # (p, b) -> generator, dropped when the search returns
         fixed = [(q, _generator(ctx, gens, q), k) for q, k in orders]
+        ones = {q for q, k in orders if k == 1}
+        # 2 is a square mod every walked n = 1 mod 8: at l^r = 2 its test
+        # would pass every norm
+        pairs = () if ctx.t or ctx.field.disc >= -4 else {
+            p for p, b in ones
+            if (b is None or (p, -b % (2 * p)) in ones) and (p, full) != (2, 2)
+        }
         for n in walk:
-            p, roots = _quad_candidates(ctx, n)
+            p, roots = _quad_candidates(ctx, n, pairs)
             if not roots:
                 continue
             # F_p at a split prime n = p, F_p(sqrt(D)) at an inert n = p^2
             fld = ResidueField(p, None if p == n else ctx.field.disc % p)
             e = (n - 1) // lk  # (N - 1)/l^(r+t)
             for b in roots:
-                if (p, b) not in ctx.cl.gens and _fixed_orders(ctx, p, b, e, fld, fixed, full):
+                if (
+                    (p, b) not in ctx.cl.gens
+                    and basis_residues(ctx.cl, ell, (p, b), fld)
+                    and _fixed_orders(ctx, p, b, e, fld, fixed, full)
+                ):
                     P = Conductor(p, b, n)
                     if in_S(ctx, P) and all(
                         frobenius_order_in_ray_piece(ctx, pc, (p, b), gens) == 1 for pc in pieces

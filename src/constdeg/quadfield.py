@@ -29,6 +29,7 @@ from .arith import (
     is_prime,
     legendre,
     power,
+    residue_pattern,
     small_primes,
 )
 
@@ -178,6 +179,43 @@ def kronecker_disc(d: int, p: int) -> int:
             return 0
         return 1 if d % 8 == 1 else -1
     return legendre(d % p, p)
+
+
+def kronecker_pattern(d: int, M: int) -> bytearray:
+    """Over k mod |d|, 1 where the Kronecker symbol (d/n) of the
+    fundamental discriminant d is 1 at n = 1 + M*k, and 0 elsewhere.
+
+    (d/.) is the product of the characters of d's prime discriminants.
+    At each odd p dividing d it is (n/p): 1 throughout if p divides M,
+    else 1 on the squares that arith.residue_pattern(p, M, 2) marks, one
+    product each, 0 at the one k with p | n and -1 elsewhere.  At an even
+    d it also has the character of d2 = -4, 8 or -8, d/d2 = 1 mod 4, read
+    off n mod |d2|, 0 at an even n, which only an odd M reaches.  Each
+    factor has a period in k dividing |d|, so its 0 and -1 positions,
+    tiled to |d| bytes, combine bytewise as ints: the product is 1 where
+    no factor is 0 and an even number are -1."""
+    L = abs(d)
+    ones = int.from_bytes(b"\1" * L, "little")
+    live, minus = ones, 0  # (d/n) != 0; an odd number of -1 factors
+
+    def tile(part):
+        return int.from_bytes(bytes(part) * (L // len(part)), "little")
+
+    odd = L
+    if d % 2 == 0:
+        d2 = -4 if d % 8 else 8 if d // 8 % 4 == 1 else -8
+        odd //= abs(d2)
+        ns = [1 + M * k for k in range(abs(d2))]
+        live &= tile([n % 2 for n in ns])
+        minus ^= tile([(d2 < 0 and n % 4 == 3) != (d2 % 8 == 0 and n % 8 in (3, 5)) for n in ns])
+    for p, _ in factor(odd):
+        if M % p:
+            zero = bytearray(p)
+            zero[-pow(M, -1, p) % p] = 1
+            z = tile(zero)
+            live &= ones ^ z
+            minus ^= ones ^ z ^ tile(residue_pattern(p, M, 2))
+    return bytearray((live & (ones ^ minus)).to_bytes(L, "little"))
 
 
 def factor_rational_prime(field, p: int) -> list:
@@ -491,3 +529,28 @@ def reduce_mod(field, x, w):
     if b is None:
         return (xx * inv2 % p, yy * inv2 % p)  # sqrt(D) generates F_p(sqrt(D))
     return (xx + yy * b) * inv2 % p  # sqrt(D) = b mod the prime
+
+
+def conductor_image(p: int, b, e: int, gamma, fld):
+    """gamma^e in the residue field fld at the split prime above p of
+    root b, or at the inert prime p at b = None: gamma = (x + y*sqrt(D))/2
+    read as reduce_mod reads it, sqrt(D) = b mod p at a split prime and
+    the generator w of F_p(sqrt(D)) at an inert one."""
+    x, y = gamma
+    h = (p + 1) >> 1  # 1/2 mod p
+    if b is None:
+        return fld.pow((x * h % p, y * h % p), e)
+    return pow((x + y * b) * h, e, p)
+
+
+def basis_residues(basis: ClassGroupLPart, ell: int, w, fld) -> bool:
+    """Whether each class-basis generator alpha_i of basis is an
+    l^(m_i)-th power residue at the prime w = (p, b), of residue field
+    fld, prime to 2 and to every basis prime: alpha_i^((N(w)-1)/l^(m_i))
+    = 1 there, by conductor_image, one builtin pow at a split w.  l^t
+    must divide N(w) - 1."""
+    p, b = w
+    for alpha, m in zip(basis.alphas, basis.exps):
+        if conductor_image(p, b, (fld.q - 1) // ell**m, alpha, fld) != fld.one:
+            return False
+    return True

@@ -50,6 +50,9 @@ None of this runs in the package itself:
     reference for the primes quadfield._class_primes finds (and so the
     certificate bytes);
   * elt_neg: the negative of an element;
+  * kronecker_symbol: the Kronecker symbol (d/n) at any n >= 1 as the
+    product of quadfield.kronecker_disc over the prime factors of n, the
+    reference for quadfield.kronecker_pattern;
   * roots_by_scan: the roots b of x^2 = D mod 4p found by scanning
     every b < 2p, the reference for the split and ramified cases of
     quadfield.factor_rational_prime;
@@ -119,6 +122,7 @@ from constdeg.quadfield import (
     form_pow,
     ideal_class_form,
     integer_elt,
+    kronecker_disc,
     local_field,
     prime_module,
     principal_form,
@@ -526,6 +530,13 @@ def elt_neg(u):
 
 
 # ---------------------------------------------------------- prime roots
+
+
+def kronecker_symbol(d: int, n: int) -> int:
+    s = 1
+    for p, e in factor(n):
+        s *= kronecker_disc(d, p) ** e
+    return s
 
 
 def roots_by_scan(d: int, p: int) -> list:

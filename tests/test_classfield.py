@@ -40,11 +40,13 @@ from constdeg.verifier import verify
 from constdeg.quadfield import (
     RATIONAL,
     NotPrincipal,
+    basis_residues,
     factor_rational_prime,
     ideal_mul,
     ideal_pow,
     integer_elt,
     kronecker_disc,
+    kronecker_pattern,
     local_field,
     prime_module,
     principal_generator,
@@ -731,11 +733,12 @@ def record_in_S(monkeypatch):
     [(K23, 2, 1), (K23, 3, 1), (K8, 2, 1), (quadratic_field(-56), 2, 2), (K4, 2, 1), (K3, 2, 1)],
 )
 def test_search_asks_in_s_only_past_the_fixed_orders(monkeypatch, field, ell, r):
-    # every candidate the search hands to in_S already has the wanted
-    # Frobenius order at each fixed prime (the primes above l other than
-    # the target, the earlier conductors and the target itself), up to a
-    # first image of order above l^r, where in_S is asked only to tell
-    # the escape check's inconsistency from a candidate outside S
+    # every candidate the search hands to in_S has passed the class-basis
+    # residue pre-test and already has the wanted Frobenius order at each
+    # fixed prime (the primes above l other than the target, the earlier
+    # conductors and the target itself), up to a first image of order
+    # above l^r, where in_S is asked only to tell the escape check's
+    # inconsistency from a candidate outside S
     ctx = build_context(field, ell, r)
     full = ell**r
     asked = record_in_S(monkeypatch)
@@ -780,20 +783,40 @@ def test_search_escaping_image_raises_only_in_s(monkeypatch):
         P for P in field_primes(K23, eps.norm, 9)
         if (P.norm - 1) % 9 == 0 and P.p not in CTX23.excluded and pair(P) not in CTX23.cl.gens
     ]
-    assert asked == [conductor(P) for P in candidates[: candidates.index(eps) + 1]]
+    # the class-basis residue pre-test, which the patch does not reach,
+    # comes before the fixed orders: in_S is asked at the candidates up
+    # to eps whose alpha is a cube at P, and at no other
+    (alpha,) = CTX23.cl.alphas
+
+    def alpha_is_a_cube(P):
+        x = reduce_mod(K23, alpha, pair(P))
+        return power_residue_level(x, 3, 1, local_field(K23, pair(P))) == 1
+
+    cubes = [P for P in candidates[: candidates.index(eps) + 1] if alpha_is_a_cube(P)]
+    assert asked == [conductor(P) for P in cubes]
+    assert asked[-1] == conductor(eps) and len(cubes) < candidates.index(eps)
     assert len(asked) > 1 and not any(in_S(CTX23, P) for P in asked[:-1])
 
 
 def fixed_lists(monkeypatch, field, ell, r, bound):
-    # (ctx, fixed, full) of each conductor search that construct runs
-    lists, fixed_orders = {}, classfield._fixed_orders
+    # (ctx, fixed, full, pairs) of each conductor search that construct
+    # runs and that reaches a candidate: pairs are the rational primes
+    # whose norm test the search hands to _quad_candidates, before any
+    # candidate of its own meets the fixed list
+    lists, last = {}, [None]
+    fixed_orders, candidates = classfield._fixed_orders, classfield._quad_candidates
 
     def recording(ctx, p, b, e, fld, fixed, full):
-        lists.setdefault(id(fixed), (ctx, fixed, full))
+        lists.setdefault(id(fixed), (ctx, fixed, full, last[0]))
         return fixed_orders(ctx, p, b, e, fld, fixed, full)
+
+    def recording_pairs(ctx, n, pairs=()):
+        last[0] = pairs
+        return candidates(ctx, n, pairs)
 
     with monkeypatch.context() as patch:
         patch.setattr(classfield, "_fixed_orders", recording)
+        patch.setattr(classfield, "_quad_candidates", recording_pairs)
         construct(field, ell, r, bound)
     return list(lists.values())
 
@@ -846,7 +869,7 @@ def test_int_candidates_match_the_object_reference(monkeypatch, disc, ell, r, bo
     lists = fixed_lists(monkeypatch, quadratic_field(disc), ell, r, bound)
     assert lists
     tally = {}
-    for ctx, fixed, full in lists:
+    for ctx, fixed, full, _ in lists:
         got = list(int_path_outcomes(ctx, fixed, full, stop))
         assert got == list(object_path_outcomes(ctx, fixed, full, stop))
         for _, outcome in got:
@@ -857,11 +880,119 @@ def test_int_candidates_match_the_object_reference(monkeypatch, disc, ell, r, bo
     if (disc, ell) != (-23, 3):
         return
     patch_order9_images(monkeypatch, reference=True)
-    ctx, fixed, full = lists[0]
+    ctx, fixed, full, _ = lists[0]
     got = list(int_path_outcomes(ctx, fixed, full, stop))
     assert got == list(object_path_outcomes(ctx, fixed, full, stop))
     raised = [key for key, outcome in got if outcome == "raises"]
     assert raised and all(in_S(ctx, ideal_of(ctx.field, key)) for key in raised)
+
+
+@pytest.mark.parametrize(
+    "disc,ell,r",
+    [(-23, 3, 1), (-23, 2, 2), (-8, 2, 1), (-8, 3, 1), (-56, 2, 2), (-3, 2, 1), (-4, 2, 2),
+     (-3299, 3, 1)],
+)
+def test_struck_entries_have_no_candidates(disc, ell, r):
+    # the walk's strike over K: an entry n = 1 + M*k that the pattern
+    # strikes at k mod |D|, where (D/n) != 1, be it an inert prime, a
+    # ramified norm or a composite, holds no prime that _quad_candidates
+    # gives.  An
+    # inert square p^2 has (D/p^2) = 1 and keeps its candidate.  The
+    # entries are the primes and prime squares of the walked class, all
+    # that the sieve leaves below SIEVE_PRIMES**2
+    ctx = build_context(quadratic_field(disc), ell, r)
+    M = lcm(_walk_step(ctx), ctx.seed.modulus)
+    stop = 200_000
+    assert stop < classfield.SIEVE_PRIMES**2
+    primes = small_primes(stop + 1)
+    squares = {p * p for p in primes if p * p <= stop}
+    entries = {n for n in set(primes) | squares if (n - 1) % M == 0}
+    pattern = kronecker_pattern(disc, M)
+    struck = inert_squares = 0
+    for n in sorted(entries):
+        assert pattern[(n - 1) // M % -disc] == (oracles.kronecker_symbol(disc, n) == 1), n
+        p, roots = classfield._quad_candidates(ctx, n)
+        if not pattern[(n - 1) // M % -disc]:
+            assert roots == (), n
+            struck += 1
+        inert_squares += roots == (None,)
+    # the walked class is 1 mod 4 at K(-4), where (-4/n) = 1, and 1 mod 8
+    # at K(-8) for l = 2, where (-8/n) = 1: there the pattern strikes nothing
+    assert bool(struck) == ((disc, ell) not in ((-4, 2), (-8, 2))), struck
+    assert inert_squares
+
+
+@pytest.mark.parametrize(
+    "disc,n,bound",
+    [(-23, 2, 200), (-23, 4, 200), (-23, 8, 50), (-8, 2, 200), (-19, 4, 200), (-11, 3, 300)]
+    # t > 0, and the fields with units other than -1: no norm test
+    + [(-23, 3, 200), (-4, 4, 200), (-3, 2, 200)],
+)
+def test_norm_test_rejects_no_root_that_meets_the_fixed_orders(monkeypatch, disc, n, bound):
+    # at t = 0 and D < -4, a split norm is dropped before split_roots when
+    # N(q)^(E*e) != 1 mod n, E = m * l^t and e = (n - 1)/l^(r+t), for a
+    # rational prime N(q) under a fixed q of wanted order 1 that is inert,
+    # ramified, or split with its conjugate fixed at order 1 too: at either
+    # root the images of q and its conjugate multiply to +-N(q)^E raised
+    # to the even e, so both cannot be 1.  Over every fixed list of
+    # construct, no root of a dropped norm up to 2*10^5 meets its fixed
+    # orders; at t = 0 no image escapes the piece, so no raise is lost
+    ((ell, r),) = factor(n)
+    field = quadratic_field(disc)
+    lists = fixed_lists(monkeypatch, field, ell, r, bound)
+    assert lists
+    stop, dropped, roots_checked = 200_000, 0, 0
+    for ctx, fixed, full, pairs in lists:
+        ones = {q for q, _, k in fixed if k == 1}
+        expected = {
+            p for p, b in ones
+            if (b is None or disc % p == 0 or (p, 2 * p - b) in ones) and (p, full) != (2, 2)
+        }
+        assert set(pairs) == (set() if ctx.t or disc >= -4 else expected)
+        lk = ell ** (r + ctx.t)
+        for m in classfield._sieved_walk(ctx, _walk_step(ctx), stop):
+            p, roots = classfield._quad_candidates(ctx, m)
+            # the test the search leaves out: 2, a square mod n = 1 mod 8
+            assert full != 2 or p != m or not roots or pow(2, (m - 1) // 2, m) == 1
+            if p != m or not roots or classfield._quad_candidates(ctx, m, pairs)[1]:
+                continue
+            dropped += 1
+            for b in roots:
+                if (m, b) not in ctx.cl.gens:
+                    fld = ResidueField(m)
+                    assert not classfield._fixed_orders(ctx, m, b, (m - 1) // lk, fld, fixed, full)
+                    roots_checked += 1
+    # at K(-8) n=2 the one such prime is 2, ramified, which the search
+    # leaves out at l^r = 2
+    assert bool(dropped) == (ctx.t == 0 and disc < -4 and disc != -8), dropped
+    assert roots_checked >= dropped
+
+
+@pytest.mark.parametrize("disc,ell,r", [(-23, 3, 1), (-56, 2, 2), (-3299, 3, 1)])
+def test_residue_pre_test_rejects_only_candidates_outside_s(disc, ell, r):
+    # the search asks basis_residues, in_S's own test that each class-basis
+    # alpha_i is an l^(m_i)-th power residue at P, before the fixed
+    # orders: every candidate it rejects fails in_S, and it agrees with
+    # the power_residue_level reading in_S made before
+    field = quadratic_field(disc)
+    ctx = build_context(field, ell, r)
+    assert ctx.t > 0
+    tally = {True: 0, False: 0}
+    for n in classfield._sieved_walk(ctx, _walk_step(ctx), 200_000):
+        p, roots = classfield._quad_candidates(ctx, n)
+        fld = ResidueField(p, None if p == n else disc % p)
+        for b in roots:
+            if (p, b) in ctx.cl.gens:
+                continue
+            passed = basis_residues(ctx.cl, ell, (p, b), fld)
+            levels = [
+                power_residue_level(reduce_mod(field, alpha, (p, b)), ell, m, fld) == m
+                for alpha, m in zip(ctx.cl.alphas, ctx.cl.exps)
+            ]
+            assert passed == all(levels), (p, b)
+            assert passed or not in_S(ctx, Conductor(p, b, n)), (p, b)
+            tally[passed] += 1
+    assert tally[True] and tally[False], tally
 
 
 def _walk_step(ctx):
@@ -976,7 +1107,8 @@ def test_sieved_walk_matches_brute_force(monkeypatch, field, ell, cap, block):
     # the walk is a pure pre-filter: over every block boundary (blocks
     # grow 64, 128, ... up to block) it hands on, ascending, each entry
     # the seed admits that is a prime or the square of one, and no entry
-    # with a prime factor p <= isqrt(n) other than n = p or p^2
+    # with a prime factor p <= isqrt(n) other than n = p or p^2; over K,
+    # once past 4|D| entries, none with Kronecker symbol (D/n) other than 1
     monkeypatch.setattr(classfield, "SIEVE_BLOCK", block)
     ctx = build_context(field, ell, 1)
     step = _walk_step(ctx)
@@ -992,7 +1124,8 @@ def test_sieved_walk_matches_brute_force(monkeypatch, field, ell, cap, block):
     }
     # the walk keeps the class n = 1 mod lcm(step, modulus); the seed's
     # other class, 3 mod 8 at K(-4) and K(-3), holds no prime of S
-    wanted = sorted(n for n in admitted if (n - 1) % lcm(step, ctx.seed.modulus) == 0)
+    M = lcm(step, ctx.seed.modulus)
+    wanted = sorted(n for n in admitted if (n - 1) % M == 0)
     dropped = admitted - set(wanted)
     assert bool(dropped) == (field in (K4, K3))
     assert not any(
@@ -1000,6 +1133,17 @@ def test_sieved_walk_matches_brute_force(monkeypatch, field, ell, cap, block):
         for P in field_primes(field, stop, ctx.ell ** (ctx.r + ctx.t))
         if P.norm in dropped and P.p not in ctx.excluded
     )
+    if field is not RATIONAL:
+        # from the first block that starts at k >= 4|D| on, the walk also
+        # strikes each n = 1 + M*k with (D/n) != 1: none at K(-4), where
+        # n = 1 mod 4 makes (-4/n) = 1, and some at K(-23) and K(-3)
+        lo, size = 1, 64
+        while lo < 4 * -field.disc:
+            lo, size = lo + size, min(2 * size, block)
+        symbol = oracles.kronecker_symbol
+        kept = [n for n in wanted if n < 1 + M * lo or symbol(field.disc, n) == 1]
+        assert (len(kept) < len(wanted)) == (field is not K4)
+        wanted = kept
     assert set(wanted) <= set(walk)
     for n in walk:
         small = [p for p in takewhile(lambda p: p * p <= n, primes) if n % p == 0]

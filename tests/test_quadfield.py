@@ -34,6 +34,7 @@ from constdeg.quadfield import (
     ideal_pow,
     integer_elt,
     kronecker_disc,
+    kronecker_pattern,
     local_field,
     normalize_unit,
     principal_form,
@@ -54,6 +55,7 @@ from oracles import (
     greedy_basis,
     ideal_contains,
     ideal_product,
+    kronecker_symbol,
     old_basis,
     old_reduce_mod,
     pair,
@@ -288,6 +290,20 @@ def test_kronecker_disc():
     assert kronecker_disc(-4, 2) == 0
     assert kronecker_disc(-8, 3) == 1  # -8 = 1 mod 3
     assert kronecker_disc(-3, 2) == -1  # -3 = 5 mod 8
+
+
+@pytest.mark.parametrize("d", [-3, -4, -8, -20, -23, -24, -56, -136, -1155, -3299])
+def test_kronecker_pattern_is_the_symbol(d):
+    # over k mod |d| the pattern is 1 exactly where the Kronecker symbol
+    # (d/n) at n = 1 + M*k is 1, by the product of kronecker_disc over
+    # n's prime factors (kronecker_disc itself at a prime n), for odd and
+    # even M and for M sharing primes with d; and it has period |d|,
+    # which lets the search's walk strike it as a pattern over k mod |d|
+    for M in (2, 3, 8, 9, 16, 27, 30, 105):
+        pattern = kronecker_pattern(d, M)
+        assert len(pattern) == -d
+        for k in range(-2 * d):
+            assert pattern[k % -d] == (kronecker_symbol(d, 1 + M * k) == 1), (M, k)
 
 
 # ---------------------------------------------------------------- ideals
