@@ -4,8 +4,9 @@ Subcommands: construct (build a certificate file), verify (recheck one),
 class-group (reduced forms and h), hilbert (ramified places of a
 quaternion algebra), brauer-split (does the certified field split it).
 
-Exit codes: 0 success or pass, 1 usage error, 2 verification failure,
-3 conductor search exhausted, 4 internal inconsistency.
+Exit codes: 0 success or pass, 1 usage error or out of memory,
+2 verification failure, 3 conductor search exhausted, 4 internal
+inconsistency.
 """
 
 import argparse
@@ -123,9 +124,11 @@ def _print_places(a: int, b: int, places):
 
 def _cmd_construct(args) -> int:
     field = _parse_field(args.field)
-    # an --out that is a directory, or a directory that cannot take --out,
-    # fails now, not after the search; the file itself is made only once
-    # there is a certificate to write
+    # an empty --out, one that is a directory, or a directory that cannot
+    # take --out, fails now, not after the search; the file itself is made
+    # only once there is a certificate to write
+    if not args.out:
+        raise OSError("cannot write to an empty --out path")
     if os.path.isdir(args.out):
         raise OSError(f"cannot write {args.out}: it is a directory")
     folder = os.path.dirname(args.out) or "."
@@ -255,6 +258,9 @@ def run(argv=None) -> int:
         return args.handler(args)
     except (UsageError, ValueError, RamifiedPlaceOutOfRange, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError:
+        print(f"error: not enough memory for {args.command}", file=sys.stderr)
         return 1
     except (MalformedCertificate, MismatchFound) as exc:
         print(f"verification failure: {exc}", file=sys.stderr)

@@ -1,5 +1,5 @@
 """The pin manifest, tests/pins.json: each entry a `constdeg construct`
-job and exactly one of sha256, fixture or exhausted (README, "Test").
+job and exactly one of sha256 or exhausted (README, "Test").
 
 tests/test_pins.py checks every entry through the library, and
 `python tests/pins.py OUTDIR` through the console script, leaving each
@@ -19,33 +19,23 @@ from constdeg import RATIONAL, compose_for_n, construct, quadratic_field
 from constdeg.arith import SearchExhausted, factor
 from constdeg.constructor import Config, certificate_json
 
-FIXTURES = Path(__file__).resolve().parent / "fixtures"
-ENTRIES = json.loads((FIXTURES.parent / "pins.json").read_text(encoding="utf-8"))
+ENTRIES = json.loads((Path(__file__).resolve().parent / "pins.json").read_text(encoding="utf-8"))
 JOB = ("field", "n", "bound", "cap")
-assert all(sum(kind in e for kind in ("sha256", "fixture", "exhausted")) == 1 for e in ENTRIES)
+assert all(("sha256" in e) != ("exhausted" in e) for e in ENTRIES)
 
 
 def name(entry) -> str:
-    """The job's file stem, as the fixtures are named: k-23_n4_b1000_c25000."""
+    """The job's file stem: k-23_n4_b1000_c25000."""
     cap = f"_c{entry['cap']}" if "cap" in entry else ""
     return f"{entry['field'].replace('disc=', 'k')}_n{entry['n']}_b{entry['bound']}{cap}"
 
 
-def indent_2(data: bytes) -> bytes:
-    """A certificate's bytes in json's indent=2 layout, the fixtures' own,
-    as `python -m json.tool --indent 2` prints them."""
-    return (json.dumps(json.loads(data), indent=2) + "\n").encode("utf-8")
-
-
 def holds(entry, data, message) -> bool:
     """Whether a run that wrote the bytes data, or exhausted with message,
-    gives what the entry pins: a fixture entry pins the indent=2 layout of
-    the certificate, which earlier versions wrote, to the fixture's bytes."""
+    gives what the entry pins."""
     if "exhausted" in entry:
         return data is None and message == entry["exhausted"]
-    if "sha256" in entry:
-        return data is not None and sha256(data).hexdigest() == entry["sha256"]
-    return data is not None and indent_2(data) == (FIXTURES / entry["fixture"]).read_bytes()
+    return data is not None and sha256(data).hexdigest() == entry["sha256"]
 
 
 @lru_cache(maxsize=None)

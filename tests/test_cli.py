@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from constdeg import classfield, verifier
+from constdeg import classfield, cli, verifier
 from constdeg.cli import _build_parser, run
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -111,18 +111,18 @@ def test_construct_into_a_missing_directory_exits_1(tmp_path, capsys):
     assert not out.parent.exists()
 
 
-@pytest.mark.parametrize("where", ["missing/x.json", "missing/deeper/x.json", "existing_dir"])
+@pytest.mark.parametrize(
+    "where", ["missing/x.json", "missing/deeper/x.json", "existing_dir", "empty"]
+)
 def test_construct_checks_the_out_directory_before_the_search(
     tmp_path, capsys, monkeypatch, where
 ):
-    # a search that ran would raise here; the directory check comes first
-    from constdeg import constructor
+    # a construct that ran would raise here; the --out checks come first
+    def unreached(*args):
+        raise AssertionError("construct ran before the --out check")
 
-    def no_search(*args):
-        raise AssertionError("the search ran before the --out check")
-
-    monkeypatch.setattr(constructor, "search_prime", no_search)
-    out = tmp_path / where
+    monkeypatch.setattr(cli, "construct", unreached)
+    out = "" if where == "empty" else tmp_path / where  # open('') fails
     made = []
     if where == "existing_dir":  # --out names a directory that exists
         out.mkdir()
@@ -380,6 +380,34 @@ def test_construct_refuses_a_sieve_it_cannot_allocate(tmp_path, capsys, monkeypa
     message = f"error: bound {bound} needs a prime sieve larger than memory allows\n"
     assert capsys.readouterr().err == message
     assert not out.exists()
+
+
+DOC = str(FIXTURES / "q_n2_b100.json")
+FOLD = "constdeg.classfield.DegreeFold.__init__"
+
+
+@pytest.mark.parametrize(
+    "argv, target",
+    [
+        (["verify", DOC], "json.loads"),
+        (["brauer-split", DOC, "--a", "-1", "--b", "-1"], "json.loads"),
+        (["construct", "--field", "q", "--n", "2", "--bound", "100", "--out", "x.json"], FOLD),
+        (["verify", DOC], FOLD),
+        (["class-group", "--disc", "-23"], "constdeg.cli.enumerate_class_group"),
+    ],
+    ids=["verify-loads", "brauer-split-loads", "construct-fold", "verify-fold", "class-group"],
+)
+def test_out_of_memory_exits_1_with_one_line(tmp_path, capsys, monkeypatch, argv, target):
+    # patched to raise, so that nothing is allocated: one error line that
+    # names the subcommand, exit 1, no traceback and no file
+    def no_memory(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(target, no_memory)
+    monkeypatch.chdir(tmp_path)
+    assert run(argv) == 1
+    assert capsys.readouterr() == ("", f"error: not enough memory for {argv[0]}\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_long_mismatch_message_is_cut(tmp_path, capsys):

@@ -1,4 +1,4 @@
-"""Golden certificates and seeded mutants of them.
+"""Legacy documents and seeded mutants of them.
 
 tests/fixtures holds eight certificates in json's indent=2 layout, which
 certificate_json wrote before its text became json.dumps's own: Q n=2 B=100
@@ -13,35 +13,25 @@ the residue field's basis sqrt(D) is not the least one), K(-9999935)
 n=2 B=30 (a class basis of orders 16, 2 and 2, the greedy rule's pick
 among mixed orders) and K(-23) n=3 B=200 (l = 3, where t = 1, so each
 search image has exponent (N - 1)/9 and could escape the degree-3
-piece).  tests/pins.json pins each of them to its file, so the indent=2
-rendering of construct's certificate must reproduce them byte for byte
-(tests/test_pins.py), and each must verify.  Every mutant of each but
-K(-9999935), whose mutants rebuild a slow class group, must either fail
-verification with MalformedCertificate or MismatchFound or verify to the
-same report; any other exception is a verifier bug.
+piece).  They are inputs, and construct need not reproduce them:
+tests/pins.json pins its output by SHA-256.  Every file there must
+verify, so a fixture added later needs no pin, and every mutant of each
+but K(-9999935), whose mutants rebuild a slow class group, must either
+fail verification with MalformedCertificate or MismatchFound or verify
+to the same report; any other exception is a verifier bug.
 """
 
 import copy
 import json
 import random
 import time
+from pathlib import Path
 
-import pytest
-
-import pins
-from constdeg import (
-    MalformedCertificate,
-    MismatchFound,
-    certificate_json,
-    parse_certificate,
-    verify,
-)
+from constdeg import MalformedCertificate, MismatchFound, parse_certificate, verify
 from oracles import least_nonresidue
 
-FIXTURES = pins.FIXTURES
-
-# the fixture each manifest entry pins, by file name
-GOLDEN = {entry["fixture"]: entry for entry in pins.ENTRIES if "fixture" in entry}
+FIXTURES = Path(__file__).resolve().parent / "fixtures"
+NAMES = sorted(path.name for path in FIXTURES.glob("*.json"))
 
 # each mutant of these rebuilds a class group of about 0.5 s
 SLOW = {"k-9999935_n2_b30.json"}
@@ -51,11 +41,11 @@ def fixture_text(name):
     return (FIXTURES / name).read_text(encoding="utf-8")
 
 
-@pytest.mark.parametrize("name", sorted(path.name for path in FIXTURES.glob("*.json")))
-def test_construct_reproduces_golden(name):
-    # by the files on disk, so a fixture that no manifest entry pins fails
-    data, _ = pins.build(GOLDEN[name])
-    assert pins.indent_2(data) == (FIXTURES / name).read_bytes()
+def test_every_fixture_verifies():
+    # by the files on disk, so a fixture added later is verified, and
+    # mutated below, with no manifest entry
+    for name in NAMES:
+        verify(parse_certificate(fixture_text(name)))
 
 
 def test_golden_verify():
@@ -193,7 +183,7 @@ def test_mutants_fail_cleanly_or_verify_the_same():
     }
     start = time.perf_counter()
     outcomes = {}
-    for name in sorted(GOLDEN.keys() - SLOW):
+    for name in sorted(set(NAMES) - SLOW):
         doc = json.loads(fixture_text(name))
         want = verify(doc)
         for m in [*mutants(doc, own.get(name, rng), 100), *row_mutants(doc)]:
@@ -214,15 +204,3 @@ def test_mutants_fail_cleanly_or_verify_the_same():
             outcomes[outcome] = outcomes.get(outcome, 0) + 1
     assert time.perf_counter() - start < 5.0
     assert set(outcomes) == {"MalformedCertificate", "MismatchFound", "pass"}
-
-
-def test_writer_raises_where_json_does():
-    doc = json.loads(fixture_text("q_n2_b100.json"))
-    doc["table"][1]["prime"] = {2, 3}
-    for write in (certificate_json, lambda d: json.dumps(d, indent=2)):
-        with pytest.raises(TypeError):
-            write(doc)
-    doc["table"][1]["prime"] = doc["table"]
-    for write in (certificate_json, lambda d: json.dumps(d, indent=2)):
-        with pytest.raises(ValueError, match="Circular reference"):
-            write(doc)

@@ -25,6 +25,7 @@ construct and verify share.
 
 import json
 from math import lcm
+from pathlib import Path
 
 import pytest
 
@@ -271,8 +272,8 @@ def test_oracle_known_degrees():
     assert real_place_size(chars) == 2
 
 
-# every certificate over K that the manifest pins: the six K golden
-# fixtures, the five k-search jobs, K(-23) n=2 B=10000, K(-4) n=4 B=200,
+# every certificate over K that the manifest pins: the jobs of the six K
+# legacy fixtures, the five k-search jobs, K(-23) n=2 B=10000, K(-4) n=4 B=200,
 # K(-1200039) n=2 B=30 and the two over K(-9999911), where the oracle
 # takes about a second each
 K_PINS = [entry for entry in pins.ENTRIES if entry["field"] != "q" and "exhausted" not in entry]
@@ -307,7 +308,7 @@ def wrong_component(doc):
 
 @pytest.mark.parametrize("fault", [drop_row, swap_rows, wrong_root, wrong_component])
 def test_oracle_rejects_a_wrong_k_row(fault):
-    doc = json.loads((pins.FIXTURES / "k-23_n4_b50.json").read_text(encoding="utf-8"))
+    doc = json.loads((Path(__file__).parent / "fixtures" / "k-23_n4_b50.json").read_bytes())
     fault(doc)
     with pytest.raises(AssertionError):
         check_plain_k(doc)

@@ -1,9 +1,10 @@
 """Every pin of tests/pins.json holds through the library: each job,
-built as `constdeg construct` builds it, writes the pinned certificate or
-exhausts with the pinned message.  A change that moves a certificate on
-purpose edits the manifest; see tests/pins.py for the entry format and
-for the same check through the console script.  The K(-23) n=2 B=10000
-pin also serves `constdeg verify --bound` at the edge of an inert square."""
+built as `constdeg construct` builds it, writes a certificate of the
+pinned SHA-256 or exhausts with the pinned message.  A change that moves
+a certificate on purpose edits the manifest; see tests/pins.py for the
+entry format and for the same check through the console script.  The
+K(-23) n=2 B=10000 pin also serves `constdeg verify --bound` at the edge
+of an inert square."""
 
 from hashlib import sha256
 

@@ -39,7 +39,7 @@ def from_bytes(cert):
     return parse_certificate(certificate_json(cert))
 
 
-# the bytes construct(RATIONAL, 2, 1, 100) writes, pinned in tests/pins.json
+# Q n=2 B=100 as a legacy document, so no check here depends on construct
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
 CERT2 = parse_certificate((FIXTURES / "q_n2_b100.json").read_text(encoding="utf-8"))
 # a class group of about 0.2 s to build, so a refusal before it shows
